@@ -237,9 +237,12 @@ def _cmd_report(args, argv: list[str]) -> int:
     started = _utc_now()
     records = []
     for path in args.records:
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
-                records.append(MetricsRecord.from_json(line))
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            try:
+                if line.strip():
+                    records.append(MetricsRecord.from_json(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path} line {lineno}: malformed record ({type(exc).__name__}: {exc})") from exc
     if not records:
         raise SystemExit("no records found in the given files")
     formats = tuple(args.formats.split(","))

@@ -27,6 +27,7 @@ __all__ = [
     "correct_spectrum",
     "correct_field",
     "pin_channel_means",
+    "project_out_means",
     "ErrorSplit",
     "error_decomposition",
     "ErrorReductionReport",
@@ -99,6 +100,14 @@ def _check_channels(n_field: int, mask: ConservationMask) -> None:
         raise ValueError(f"mask covers {mask.channels} channels but state has {n_field}")
 
 
+def _check_target(pred: GridField | Spectrum, target: ConservedQuantity, mask: ConservationMask) -> None:
+    _check_channels(pred.channels, mask)
+    if target.channels != pred.channels:
+        raise ValueError(f"target covers {target.channels} channels but the prediction has {pred.channels}")
+    if target.grid != pred.grid:
+        raise ValueError("target was encoded on a different grid than the prediction")
+
+
 def encode_conserved(state: GridField, mask: ConservationMask) -> ConservedQuantity:
     """Read the conserved quantity (per-channel mean) off a reference state."""
     _check_channels(state.channels, mask)
@@ -111,11 +120,7 @@ def correct_spectrum(pred: Spectrum, target: ConservedQuantity, mask: Conservati
     Every nonzero-mode coefficient is preserved bit for bit, and the new
     zero mode has exactly zero imaginary part.  The map is idempotent.
     """
-    _check_channels(pred.channels, mask)
-    if target.channels != pred.channels:
-        raise ValueError(f"target covers {target.channels} channels but spectrum has {pred.channels}")
-    if target.grid != pred.grid:
-        raise ValueError("target was encoded on a different grid than the prediction")
+    _check_target(pred, target, mask)
     coeffs = pred.coeffs.copy()
     zero = (slice(None),) + (0,) * pred.grid.ndim
     masked = mask.indices()
@@ -124,20 +129,38 @@ def correct_spectrum(pred: Spectrum, target: ConservedQuantity, mask: Conservati
 
 
 def pin_channel_means(values: np.ndarray, targets: np.ndarray, flags: tuple[bool, ...]) -> np.ndarray:
-    """Shift flagged leading-axis channels of a raw array onto target means.
+    """Shift flagged channels of a raw array onto target means.
 
-    Array-level primitive behind :func:`correct_field`; also used by the
-    training loop where fields travel as bare ndarrays.  The map on each
-    flagged channel is v -> v + (t - mean(v)), whose Jacobian is the
-    projector I - (1/n) 1 1^T: uniform perturbations are annihilated.
+    ``values`` is (*lead, channels, *spatial) and ``targets`` is
+    (*lead, channels): leading batch or frame axes are read off
+    ``targets``, and every axis after the channel axis is spatial.  On
+    each flagged channel the map is v -> v + (t - mean(v)), whose Jacobian
+    is the projector I - (1/n) 1 1^T; unflagged channels are copied bit
+    for bit.  The adjoint is :func:`project_out_means`.
     """
     out = np.array(values, dtype=np.float64, copy=True)
-    spatial = tuple(range(1, out.ndim))
-    means = out.mean(axis=spatial)
-    for c, flagged in enumerate(flags):
-        if flagged:
-            out[c] += targets[c] - means[c]
+    targets = np.asarray(targets, dtype=np.float64)
+    lead = targets.ndim - 1
+    if lead < 0 or out.shape[: lead + 1] != targets.shape:
+        raise ValueError(f"targets of shape {targets.shape} do not match the leading axes of values {out.shape}")
+    if len(flags) != out.shape[lead]:
+        raise ValueError(f"mask covers {len(flags)} channels but the array has {out.shape[lead]}")
+    picked = (slice(None),) * lead + (np.flatnonzero(flags),)
+    spatial = tuple(range(lead + 1, out.ndim))
+    shift = targets[picked] - out.mean(axis=spatial)[picked]
+    out[picked] += shift.reshape(shift.shape + (1,) * len(spatial))
     return out
+
+
+def project_out_means(grads: np.ndarray, flags: tuple[bool, ...], lead_ndim: int) -> np.ndarray:
+    """Adjoint of :func:`pin_channel_means` with respect to its values.
+
+    ``grads`` is (*lead, channels, *spatial) with ``lead_ndim`` leading
+    axes.  Each flagged channel loses its mean, g -> g - mean(g): the
+    projector I - (1/n) 1 1^T is symmetric, so the adjoint is the pin
+    itself toward zero targets.
+    """
+    return pin_channel_means(grads, np.zeros(np.shape(grads)[: lead_ndim + 1]), flags)
 
 
 def correct_field(pred: GridField, target: ConservedQuantity, mask: ConservationMask) -> GridField:
@@ -147,11 +170,7 @@ def correct_field(pred: GridField, target: ConservedQuantity, mask: Conservation
     computed directly, so masked channels land on the target mean to
     rounding and unmasked channels are untouched bit for bit.
     """
-    _check_channels(pred.channels, mask)
-    if target.channels != pred.channels:
-        raise ValueError(f"target covers {target.channels} channels but field has {pred.channels}")
-    if target.grid != pred.grid:
-        raise ValueError("target was encoded on a different grid than the prediction")
+    _check_target(pred, target, mask)
     values = pin_channel_means(pred.values, target.zero_mode, mask.flags)
     return GridField(pred.grid, values, pred.precision)
 

@@ -1,5 +1,9 @@
 """Evaluation metrics and deterministic report emission.
 
+Zero-integral policy: the relative conservation error divides by the
+true integral, so a masked channel whose true integral is 0 at a frame
+is skipped at that frame, and a frame with no usable channel gives NaN.
+
 Numbers leave this module in one shape only: scientific notation with
 three significant digits, aggregated as mean +/- population standard
 deviation across seeds.  Output ordering is fixed by sorting, never by
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ import numpy as np
 from .correction import ConservationMask
 
 __all__ = [
+    "step_metrics",
     "rmse",
     "relative_conservation_error",
     "MetricsRecord",
@@ -39,47 +44,59 @@ SCOPE_NOTE = (
 )
 
 
+def step_metrics(pred: np.ndarray, truth: np.ndarray,
+                 mask: ConservationMask | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame RMSE and relative conservation error of (frames, channels, *spatial) stacks.
+
+    RMSE averages the per-channel RMSEs.  The conservation error is
+    |mean(pred) - mean(truth)| / |mean(truth)| (integrals over a fixed
+    volume), max'd over masked channels (all channels without a mask)
+    under the module's zero-integral policy.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
+    flags = np.ones(pred.shape[1], dtype=bool) if mask is None else np.asarray(mask.flags)
+    if flags.shape != pred.shape[1:2]:
+        raise ValueError(f"mask covers {flags.size} channels but the frames have {pred.shape[1]}")
+    spatial = tuple(range(2, pred.ndim))
+    rmse_per_frame = np.sqrt(((pred - truth) ** 2).mean(axis=spatial)).mean(axis=1)
+    pred_means = pred.mean(axis=spatial)
+    truth_means = truth.mean(axis=spatial)
+    usable = flags & (truth_means != 0.0)
+    gap = np.abs(pred_means - truth_means)
+    errs = np.divide(gap, np.abs(truth_means), out=np.full_like(gap, -np.inf), where=usable)
+    cons = np.where(usable.any(axis=1), errs.max(axis=1), np.nan)
+    return rmse_per_frame, cons
+
+
 def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     """Root-mean-square error, per-channel RMSE averaged across channels.
 
     Inputs are (channels, *spatial) state arrays; for one channel this is
     plain sqrt(mean((pred - truth)^2)).
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    spatial = tuple(range(1, pred.ndim))
-    return float(np.sqrt(((pred - truth) ** 2).mean(axis=spatial)).mean())
+    return float(step_metrics(np.asarray(pred)[None], np.asarray(truth)[None])[0][0])
 
 
 def relative_conservation_error(
     pred_traj: np.ndarray, truth_traj: np.ndarray, mask: ConservationMask
 ) -> np.ndarray:
-    """|integral(pred) - integral(truth)| / |integral(truth)| per frame.
+    """Conservation error column of :func:`step_metrics`, one value per frame.
 
-    Integrals are rectangle-rule sums, i.e. means times the fixed domain
-    volume, which cancels.  Masked channels whose true integral is zero
-    are skipped with a warning; the result is the max over the remaining
-    masked channels, one value per frame.
+    Input validation on top of the zero-integral policy: each skipped
+    channel warns, and a frame with no usable channel raises ValueError.
     """
-    pred = np.asarray(pred_traj, dtype=np.float64)
     truth = np.asarray(truth_traj, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ValueError(f"trajectory shape mismatch: {pred.shape} vs {truth.shape}")
-    spatial = tuple(range(2, pred.ndim))
-    pred_means = pred.mean(axis=spatial)
-    truth_means = truth.mean(axis=spatial)
-    usable = []
+    errs = step_metrics(pred_traj, truth, mask)[1]
+    zero = truth.mean(axis=tuple(range(2, truth.ndim))) == 0.0
     for c in mask.indices():
-        if np.any(truth_means[:, c] == 0.0):
-            warnings.warn(f"channel {c} has a zero conserved integral, skipping it", stacklevel=2)
-        else:
-            usable.append(c)
-    if not usable:
-        raise ValueError("every masked channel has a zero conserved integral")
-    errs = np.abs(pred_means[:, usable] - truth_means[:, usable]) / np.abs(truth_means[:, usable])
-    return errs.max(axis=1)
+        if zero[:, c].any():
+            warnings.warn(f"channel {c} has a zero conserved integral, skipping it there", stacklevel=2)
+    if zero[:, mask.indices()].all(axis=1).any():
+        raise ValueError("every masked channel has a zero conserved integral at some frame")
+    return errs
 
 
 @dataclass
@@ -114,13 +131,7 @@ class MetricsRecord:
     @classmethod
     def from_json(cls, text: str) -> "MetricsRecord":
         d = json.loads(text)
-        return cls(
-            dataset=d["dataset"],
-            variant=d["variant"],
-            seed=d["seed"],
-            rmse_per_step=d["rmse_per_step"],
-            cons_err_per_step=d["cons_err_per_step"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
 
 
 def sci3(x: float) -> str:

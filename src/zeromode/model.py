@@ -23,6 +23,7 @@ hand.  Finite differences in the test suite hold this to account.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import ConservationMask
+from .correction import ConservationMask, pin_channel_means, project_out_means
 from .grid import GridField
 
 __all__ = [
@@ -111,7 +112,7 @@ class ParamSlot:
     """One named parameter tensor inside the flat vector.
 
     Complex tensors occupy ``2 * prod(shape)`` float64 entries, stored as
-    (real, imag) pairs along a trailing axis of length 2.
+    interleaved (real, imag) pairs, i.e. the memory layout of complex128.
     """
 
     name: str
@@ -120,15 +121,12 @@ class ParamSlot:
     offset: int
 
     @property
-    def n_values(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
     def n_floats(self) -> int:
-        return self.n_values * (2 if self.is_complex else 1)
+        return int(np.prod(self.shape)) * (2 if self.is_complex else 1)
 
 
-def layout(config: OperatorConfig) -> list[ParamSlot]:
+@functools.lru_cache
+def layout(config: OperatorConfig) -> tuple[ParamSlot, ...]:
     """Canonical parameter layout: lift, blocks in order, projection."""
     slots: list[ParamSlot] = []
     offset = 0
@@ -148,7 +146,7 @@ def layout(config: OperatorConfig) -> list[ParamSlot]:
         add(f"block{i}.bias", (w,))
     add("proj.weight", (c, w))
     add("proj.bias", (c,))
-    return slots
+    return tuple(slots)
 
 
 def n_params(config: OperatorConfig) -> int:
@@ -165,7 +163,7 @@ class OperatorModel:
 
     def __post_init__(self) -> None:
         expected = n_params(self.config)
-        params = np.asarray(self.params, dtype=np.float64)
+        params = np.ascontiguousarray(self.params, dtype=np.float64)
         if params.shape != (expected,):
             raise ValueError(f"parameter vector has shape {params.shape}, layout needs ({expected},)")
         self.params = params
@@ -174,53 +172,39 @@ class OperatorModel:
     def zeros(cls, config: OperatorConfig) -> "OperatorModel":
         return cls(config, np.zeros(n_params(config)))
 
-    def slots(self) -> list[ParamSlot]:
-        return layout(self.config)
-
-    def _slot(self, name: str) -> ParamSlot:
-        for slot in self.slots():
-            if slot.name == name:
-                return slot
-        raise KeyError(f"no parameter named {name!r}")
+    def _view(self, name: str) -> np.ndarray:
+        views = _views(self.params, self.config)
+        if name not in views:
+            raise KeyError(f"no parameter named {name!r}")
+        return views[name]
 
     def get_param(self, name: str) -> np.ndarray:
         """Copy of one named tensor (complex128 for spectral weights)."""
-        slot = self._slot(name)
-        raw = self.params[slot.offset : slot.offset + slot.n_floats]
-        if slot.is_complex:
-            pairs = raw.reshape(*slot.shape, 2)
-            return pairs[..., 0] + 1j * pairs[..., 1]
-        return raw.reshape(slot.shape).copy()
+        return self._view(name).copy()
 
     def set_param(self, name: str, values: np.ndarray) -> None:
-        slot = self._slot(name)
+        view = self._view(name)
         values = np.asarray(values)
-        if values.shape != slot.shape:
-            raise ValueError(f"{name} expects shape {slot.shape}, got {values.shape}")
-        raw = self.params[slot.offset : slot.offset + slot.n_floats]
+        if values.shape != view.shape:
+            raise ValueError(f"{name} expects shape {view.shape}, got {values.shape}")
+        view[...] = values
+
+
+def _views(flat: np.ndarray, config: OperatorConfig) -> dict[str, np.ndarray]:
+    """Every named tensor of ``config``'s layout as a view into ``flat``."""
+    views = {}
+    for slot in layout(config):
+        raw = flat[slot.offset : slot.offset + slot.n_floats]
         if slot.is_complex:
-            pairs = raw.reshape(*slot.shape, 2)
-            pairs[..., 0] = values.real
-            pairs[..., 1] = values.imag
-        else:
-            raw.reshape(slot.shape)[...] = values
-
-
-def _unpack(model: OperatorModel) -> dict[str, np.ndarray]:
-    return {slot.name: model.get_param(slot.name) for slot in model.slots()}
+            raw = raw.view(np.complex128)
+        views[slot.name] = raw.reshape(slot.shape)
+    return views
 
 
 def _pack_grads(config: OperatorConfig, grads: dict[str, np.ndarray]) -> np.ndarray:
     flat = np.zeros(n_params(config))
-    for slot in layout(config):
-        g = grads[slot.name]
-        raw = flat[slot.offset : slot.offset + slot.n_floats]
-        if slot.is_complex:
-            pairs = raw.reshape(*slot.shape, 2)
-            pairs[..., 0] = g.real
-            pairs[..., 1] = g.imag
-        else:
-            raw.reshape(slot.shape)[...] = g
+    for name, view in _views(flat, config).items():
+        view[...] = grads[name]
     return flat
 
 
@@ -234,7 +218,7 @@ def init_model(config: OperatorConfig) -> OperatorModel:
     rng = np.random.default_rng(config.seed)
     model = OperatorModel.zeros(config)
     spectral_scale = 1.0 / (config.width * config.width)
-    for slot in model.slots():
+    for slot in layout(config):
         if slot.is_complex:
             re = rng.uniform(0.0, 1.0, slot.shape)
             im = rng.uniform(0.0, 1.0, slot.shape)
@@ -355,7 +339,7 @@ def _forward_batch(model: OperatorModel, x: np.ndarray):
             f"input batch must have shape (B, {cfg.channels}, *spatial) with {cfg.ndim} spatial axes, got {x.shape}"
         )
     band = _band_indices(cfg, x.shape[2:])
-    p = _unpack(model)
+    p = _views(model.params, cfg)
     tape: dict = {"x": x, "band": band}
 
     h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"])
@@ -372,7 +356,7 @@ def _forward_batch(model: OperatorModel, x: np.ndarray):
 
 def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.ndarray:
     cfg = model.config
-    p = _unpack(model)
+    p = _views(model.params, cfg)
     band = tape["band"]
     grads: dict[str, np.ndarray] = {}
 
@@ -441,14 +425,9 @@ def loss_and_grad(
         raise RuntimeError(f"non-finite prediction for batch index {int(np.flatnonzero(~finite)[0])}")
 
     if mask is not None:
-        if mask.channels != model.config.channels:
-            raise ValueError(f"mask covers {mask.channels} channels, model has {model.config.channels}")
         if correction_targets is None:
             correction_targets = inputs.mean(axis=spatial)
-        masked = mask.indices()
-        shift = np.zeros_like(correction_targets)
-        shift[:, masked] = correction_targets[:, masked] - pred.mean(axis=spatial)[:, masked]
-        pred = pred + shift.reshape(*shift.shape, *([1] * len(spatial)))
+        pred = pin_channel_means(pred, correction_targets, mask.flags)
 
     residual = pred - targets
     if loss == "mae":
@@ -461,11 +440,7 @@ def loss_and_grad(
         raise RuntimeError("loss is non-finite")
 
     if mask is not None:
-        masked = mask.indices()
-        means = grad_pred.mean(axis=spatial)
-        correction = np.zeros_like(means)
-        correction[:, masked] = means[:, masked]
-        grad_pred = grad_pred - correction.reshape(*correction.shape, *([1] * len(spatial)))
+        grad_pred = project_out_means(grad_pred, mask.flags, lead_ndim=1)
 
     return value, _backward_batch(model, tape, grad_pred)
 
@@ -491,16 +466,22 @@ def save_checkpoint(model: OperatorModel, path: str | os.PathLike) -> Path:
 
 
 def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
-    """Bit-exact inverse of :func:`save_checkpoint`."""
+    """Bit-exact inverse of :func:`save_checkpoint`; a malformed file raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, config_len = struct.unpack("<HI", fh.read(6))
-        if version > CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        config = OperatorConfig(**json.loads(fh.read(config_len).decode()))
-        count, crc = struct.unpack("<QI", fh.read(12))
+        try:
+            version, config_len = struct.unpack("<HI", fh.read(6))
+            if version > CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            # TypeError: unknown config key, wrong value type, or not a JSON object
+            config = OperatorConfig(**json.loads(fh.read(config_len).decode()))
+            count, crc = struct.unpack("<QI", fh.read(12))
+        except (struct.error, TypeError) as exc:
+            raise ValueError(f"checkpoint header truncated or malformed: {exc}") from exc
+        if count != n_params(config):
+            raise ValueError(f"checkpoint holds {count} parameters, its config needs {n_params(config)}")
         blob = fh.read(count * 8)
         if len(blob) != count * 8 or fh.read(1):
             raise ValueError("checkpoint payload truncated or padded")

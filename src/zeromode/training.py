@@ -24,6 +24,7 @@ import numpy as np
 
 from .correction import ConservationMask, pin_channel_means
 from .datasets import TrajectoryDataset
+from .metrics import step_metrics
 from .model import OperatorConfig, OperatorModel, forward_values, init_model, loss_and_grad
 from .optim import adamw_step, init_optimizer
 
@@ -183,9 +184,9 @@ class RolloutResult:
     """Autoregressive prediction of a trajectory from its first frame.
 
     ``frames`` holds the n_snapshots - 1 predicted states; the metric
-    series run parallel to it.  ``cons_err`` is the relative conservation
-    error max'd over masked channels; channels whose true integral is zero
-    are skipped (and NaN is reported if none remain).
+    series run parallel to it and come from :func:`metrics.step_metrics`.
+    ``cons_err`` is the relative conservation error max'd over masked
+    channels, under the zero-integral policy of the :mod:`metrics` module.
     """
 
     frames: np.ndarray
@@ -200,20 +201,6 @@ class RolloutResult:
     @property
     def mean_rmse(self) -> float:
         return float(self.rmse.mean()) if self.n_steps else float("nan")
-
-
-def _per_step_metrics(pred: np.ndarray, truth: np.ndarray, target_means: np.ndarray,
-                      mask: ConservationMask):
-    spatial = tuple(range(1, pred.ndim))
-    rmse = float(np.sqrt(((pred - truth) ** 2).mean(axis=spatial)).mean())
-    true_means = truth.mean(axis=spatial)
-    pred_means = pred.mean(axis=spatial)
-    errs = []
-    for c in mask.indices():
-        if true_means[c] != 0.0:
-            errs.append(abs(pred_means[c] - true_means[c]) / abs(true_means[c]))
-    cons = max(errs) if errs else float("nan")
-    return rmse, cons
 
 
 def rollout(
@@ -252,12 +239,7 @@ def rollout(
             state = pin_channel_means(state, target_means, mask.flags)
         frames[k] = state
     if correction is CorrectionMode.POST_HOC:
-        for k in range(n_steps):
-            frames[k] = pin_channel_means(frames[k], target_means, mask.flags)
+        frames = pin_channel_means(frames, np.broadcast_to(target_means, frames.shape[:2]), mask.flags)
 
-    metric_mask = mask if mask is not None else ConservationMask.all_channels(traj.shape[1])
-    rmse = np.empty(n_steps)
-    cons = np.empty(n_steps)
-    for k in range(n_steps):
-        rmse[k], cons[k] = _per_step_metrics(frames[k], traj[k + 1], target_means, metric_mask)
+    rmse, cons = step_metrics(frames, traj[1:], mask)
     return RolloutResult(frames=frames, rmse=rmse, cons_err=cons, wall_clock=time.perf_counter() - t0)

@@ -31,7 +31,7 @@ from .correction import (
 )
 from .grid import Boundary, GridField, GridSpec, fft_forward, l2_norm
 from .initial_conditions import grf_ic
-from .model import OperatorConfig, OperatorModel, init_model, layout, loss_and_grad
+from .model import OperatorConfig, OperatorModel, init_model, loss_and_grad
 from .optim import adamw_step, init_optimizer
 from .solvers import (
     ConservationLawSpec,
@@ -325,8 +325,7 @@ def _check_uniform_direction(correction: CorrectionFn):
     x = rng.normal(size=(3, 1, 8))
     t = rng.normal(size=(3, 1, 8))
     _, grads = loss_and_grad(model, x, t, loss="mse", mask=ConservationMask((True,)))
-    slot = [s for s in layout(_GRAD_CFG) if s.name == "proj.bias"][0]
-    worst = np.abs(grads[slot.offset : slot.offset + slot.n_floats]).max()
+    worst = np.abs(OperatorModel(_GRAD_CFG, grads).get_param("proj.bias")).max()
     return None if worst < 1e-12 else f"output bias keeps a gradient of {worst:.2e} under correction"
 
 

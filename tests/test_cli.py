@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -144,6 +145,53 @@ class TestEvalAndReport:
         code = main(["eval", "--model", str(run_dir / "model.ckpt"),
                      "--data", str(tmp_path / "nope.ecfd"), "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestMalformedInputs:
+    """Bad input files end in exit 2 with one stderr line, never a traceback."""
+
+    def eval_checkpoint(self, pipeline, tmp_path, blob):
+        _, _, valid_path, _ = pipeline
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob)
+        return main(["eval", "--model", str(ckpt), "--data", str(valid_path),
+                     "--out", str(tmp_path / "evals")])
+
+    def test_truncated_checkpoint(self, pipeline, tmp_path, capsys):
+        blob = (pipeline[3] / "model.ckpt").read_bytes()
+        assert self.eval_checkpoint(pipeline, tmp_path, blob[:8]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "truncated" in err
+
+    def test_checkpoint_config_with_unknown_key(self, pipeline, tmp_path, capsys):
+        blob = (pipeline[3] / "model.ckpt").read_bytes()
+        version, config_len = struct.unpack("<HI", blob[4:10])
+        config = json.loads(blob[10:10 + config_len])
+        config["bogus"] = 1
+        new = json.dumps(config).encode()
+        bad = blob[:4] + struct.pack("<HI", version, len(new)) + new + blob[10 + config_len:]
+        assert self.eval_checkpoint(pipeline, tmp_path, bad) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bogus" in err
+
+    @pytest.mark.parametrize("bad_line", ["drop_key", "not json"])
+    def test_malformed_record_names_file_and_line(self, pipeline, tmp_path, capsys, bad_line):
+        _, _, valid_path, run_dir = pipeline
+        out = tmp_path / "evals"
+        main(["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path),
+              "--out", str(out)])
+        records = out / "records.jsonl"
+        good = records.read_text().strip()
+        if bad_line == "drop_key":
+            record = json.loads(good)
+            del record["cons_err_per_step"]
+            bad_line = json.dumps(record)
+        records.write_text(good + "\n" + bad_line + "\n")
+        capsys.readouterr()
+        code = main(["report", "--records", str(records), "--out", str(tmp_path / "report")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{records} line 2" in err
 
 
 class TestVerifyCommand:

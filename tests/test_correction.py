@@ -17,6 +17,7 @@ from zeromode.correction import (
     encode_conserved,
     error_decomposition,
     pin_channel_means,
+    project_out_means,
 )
 from zeromode.grid import GridField, GridSpec, fft_forward, fft_inverse, l2_norm
 
@@ -126,6 +127,73 @@ class TestFieldPath:
         assert (out[1] == values[1]).all()
         assert out[0].mean() == pytest.approx(1.0, abs=1e-13)
         assert out[2].mean() == pytest.approx(3.0, abs=1e-13)
+
+
+class TestBatchedPin:
+    FLAGS = (True, False, True)
+
+    def jacobian(self, fn, shape):
+        """Columns fn(e_k) - fn(0) over the basis fields of ``shape``."""
+        n = int(np.prod(shape))
+        base = fn(np.zeros(shape)).ravel()
+        cols = [fn(np.eye(n)[k].reshape(shape)).ravel() - base for k in range(n)]
+        return np.stack(cols, axis=1)
+
+    def test_jacobian_is_mean_projector_on_flagged_channels(self):
+        rng = np.random.default_rng(20)
+        shape = (2, 3, 3, 2)  # (batch, channels, *spatial)
+        targets = rng.standard_normal(shape[:2])
+        jac = self.jacobian(lambda v: pin_channel_means(v, targets, self.FLAGS), shape)
+        n = 6
+        projector = np.eye(n) - np.ones((n, n)) / n
+        blocks = [projector if self.FLAGS[c] else np.eye(n) for _ in range(shape[0]) for c in range(3)]
+        expected = np.zeros_like(jac)
+        for i, block in enumerate(blocks):
+            expected[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
+        np.testing.assert_allclose(jac, expected, rtol=0.0, atol=1e-14)
+
+    def test_adjoint_is_the_transpose(self):
+        rng = np.random.default_rng(21)
+        shape = (2, 3, 4)
+        targets = rng.standard_normal(shape[:2])
+        jac = self.jacobian(lambda v: pin_channel_means(v, targets, self.FLAGS), shape)
+        adj = self.jacobian(lambda g: project_out_means(g, self.FLAGS, lead_ndim=1), shape)
+        np.testing.assert_allclose(adj, jac.T, rtol=0.0, atol=1e-14)
+
+    def test_batched_equals_per_sample_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        values = rng.normal(0.5, 2.0, size=(4, 3, 6, 5))
+        targets = rng.standard_normal((4, 3))
+        batched = pin_channel_means(values, targets, self.FLAGS)
+        looped = np.stack([pin_channel_means(v, t, self.FLAGS) for v, t in zip(values, targets)])
+        assert batched.tobytes() == looped.tobytes()
+        adj = project_out_means(values, self.FLAGS, lead_ndim=1)
+        adj_looped = np.stack([project_out_means(v, self.FLAGS, lead_ndim=0) for v in values])
+        assert adj.tobytes() == adj_looped.tobytes()
+
+    def test_two_leading_axes(self):
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal((2, 3, 3, 8))
+        targets = rng.standard_normal((2, 3, 3))
+        out = pin_channel_means(values, targets, self.FLAGS)
+        np.testing.assert_allclose(out[..., 0, :].mean(axis=-1), targets[..., 0], atol=1e-14)
+        assert (out[..., 1, :] == values[..., 1, :]).all()
+
+    def test_too_many_flags_rejected(self):
+        with pytest.raises(ValueError, match="mask covers 2 channels"):
+            pin_channel_means(np.ones((1, 4, 4)), np.ones(1), (True, True))
+
+    def test_too_few_flags_rejected(self):
+        with pytest.raises(ValueError, match="mask covers 1 channels"):
+            pin_channel_means(np.ones((2, 4, 4)), np.ones(2), (True,))
+        with pytest.raises(ValueError, match="mask covers 1 channels"):
+            project_out_means(np.ones((3, 2, 4)), (True,), lead_ndim=1)
+
+    def test_targets_must_match_leading_axes(self):
+        with pytest.raises(ValueError, match="leading axes"):
+            pin_channel_means(np.ones((3, 2, 4, 4)), np.ones((2, 2)), (True, True))
+        with pytest.raises(ValueError, match="leading axes"):
+            pin_channel_means(np.ones((2, 4, 4)), np.float64(1.0), (True, True))
 
 
 class TestErrorDecomposition:

@@ -11,6 +11,7 @@ from zeromode.metrics import (
     relative_conservation_error,
     rmse,
     sci3,
+    step_metrics,
 )
 
 
@@ -75,6 +76,32 @@ class TestConservationError:
         with pytest.raises(ValueError, match="zero conserved integral"):
             with pytest.warns(UserWarning):
                 relative_conservation_error(truth + 1.0, truth, ConservationMask((True,)))
+
+
+class TestStepMetrics:
+    def test_matches_per_frame_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        truth = rng.normal(1.0, 1.0, size=(6, 3, 8, 8))
+        pred = truth + rng.normal(0.0, 0.2, size=truth.shape)
+        mask = ConservationMask((True, False, True))
+        rmse_k, cons_k = step_metrics(pred, truth, mask)
+        for k in range(6):
+            assert rmse_k[k] == rmse(pred[k], truth[k])
+            pm, tm = pred[k].mean(axis=(1, 2)), truth[k].mean(axis=(1, 2))
+            assert cons_k[k] == max(abs(pm[c] - tm[c]) / abs(tm[c]) for c in (0, 2))
+
+    def test_zero_integral_skipped_per_frame_and_empty_frame_is_nan(self):
+        truth = np.ones((3, 2, 4, 4))
+        truth[1, 1] = 0.0  # channel 1 has no usable integral at frame 1 only
+        truth[2] = 0.0  # no usable channel at frame 2
+        pred = truth + np.array([0.1, 0.3])[None, :, None, None]
+        _, cons = step_metrics(pred, truth, ConservationMask((True, True)))
+        np.testing.assert_allclose(cons[:2], [0.3, 0.1], rtol=1e-12)
+        assert np.isnan(cons[2])
+
+    def test_mask_must_cover_every_channel(self):
+        with pytest.raises(ValueError, match="mask covers 2 channels"):
+            step_metrics(np.ones((2, 1, 4)), np.ones((2, 1, 4)), ConservationMask((True, True)))
 
 
 class TestRecord:

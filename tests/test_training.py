@@ -217,6 +217,12 @@ class TestRollout:
         with pytest.raises(ValueError, match="mask"):
             rollout(lambda v: v, np.ones((3, 1, 8, 8)), correction=CorrectionMode.FEEDBACK)
 
+    def test_mask_channel_mismatch_rejected(self):
+        mask = ConservationMask((True, True))
+        for mode in CorrectionMode:
+            with pytest.raises(ValueError, match="mask covers 2 channels"):
+                rollout(lambda v: v + 0.1, np.ones((3, 1, 8, 8)), correction=mode, mask=mask)
+
     def test_non_finite_state_aborts_with_step(self):
         calls = {"n": 0}
 
