@@ -15,6 +15,21 @@ The retained band is all integer modes with |n| < modes_kept per axis,
 enumerated in a resolution-independent canonical order, which lets one
 parameter vector run on any grid whose Nyquist limit admits the band.
 
+Only the band is transformed.  A real FFT along the last axis keeps its
+first modes_kept columns; in 2-D a short FFT then runs along the other
+axis over those columns.  The negative last-axis modes follow from the
+symmetry of a real field's spectrum, X[k0, -k1] = conj(X[-k0, k1]).  The
+weights for +n and -n stay independent and the layer keeps the real part
+of its inverse transform, so the way back folds the band into its
+Hermitian part H = (Y + conj(Y[-k])) / 2 and runs ``ifft`` then ``irfft``.
+The backward pass reuses both transforms, since each is the other's
+transpose up to the number of grid points.  Every step is an FFT, never a
+dense DFT-matrix product: on a power-of-two grid the FFT of a constant
+adds equal terms pairwise, so its zero mode is exact and every other mode
+exactly zero, and a constant passes a zero-mode identity weight bit for
+bit.  A BLAS dot product with a row of ones would round its running sum
+term by term instead.
+
 No autodiff framework is used: every layer implements its own adjoint,
 and the gradient of the training loss (including the optional zero-mode
 correction, whose Jacobian kills uniform directions) is assembled by
@@ -59,14 +74,48 @@ CHECKPOINT_MAGIC = b"ZMCK"
 CHECKPOINT_VERSION = 1
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Smooth gate 0.5*x*(1 + tanh(a*(x + b*x^3))), a=sqrt(2/pi), b=0.044715."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_A * (x + _GELU_B * x**3)))
+# The GELU kernels work in place: at activation size a fresh temporary costs
+# more than the arithmetic done on it.  The cube is x * x * x because numpy's
+# x**3 calls pow, many times slower than two products and most of all on
+# negative bases.
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_A * (x + _GELU_B * x**3))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_A * (1.0 + 3.0 * _GELU_B * x**2)
+def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    u = np.multiply(x, x, out=out)
+    u *= x
+    u *= _GELU_B
+    u += x
+    u *= _GELU_A
+    return np.tanh(u, out=out)
+
+
+def gelu(x: np.ndarray, tanh_out: np.ndarray | None = None) -> np.ndarray:
+    """Smooth gate 0.5*x*(1 + tanh(a*(x + b*x^3))), a=sqrt(2/pi), b=0.044715.
+
+    ``tanh_out``, an array shaped like ``x``, receives the inner tanh, which
+    :func:`gelu_grad` takes back as ``tanh`` instead of computing it again.
+    """
+    y = 1.0 + _gelu_tanh(x, out=tanh_out)
+    y *= x
+    y *= 0.5
+    return y
+
+
+def gelu_grad(x: np.ndarray, tanh: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of :func:`gelu` at ``x``; ``tanh`` is the inner tanh if already known.
+
+    0.5*(1 + t) + 0.5*a*x*(1 - t^2)*(1 + 3b*x^2) with t the inner tanh.
+    """
+    t = _gelu_tanh(x) if tanh is None else tanh
+    curve = x * x
+    curve *= 3.0 * _GELU_B
+    curve += 1.0
+    grad = 0.5 * x
+    grad *= 1.0 - t * t
+    grad *= _GELU_A
+    grad *= curve
+    grad += 0.5 * (1.0 + t)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -258,100 +307,137 @@ def constant_identity_model(config: OperatorConfig) -> OperatorModel:
 # -- forward / backward ------------------------------------------------------
 
 
-def _band_indices(config: OperatorConfig, resolution: tuple[int, ...]) -> list[np.ndarray]:
-    """Per-axis FFT indices of the retained band, in canonical order.
+@dataclass(frozen=True)
+class _Band:
+    """Index maps of the retained band on one grid, shared by every layer.
+
+    ``rows`` holds the FFT indices of the band along the first of two
+    spatial axes (None in 1-D); ``neg`` maps a canonical per-axis position
+    to that of the negated mode.  Both arrays are read-only.
+    """
+
+    modes_kept: int
+    resolution: tuple[int, ...]
+    rows: np.ndarray | None
+    neg: np.ndarray
+
+
+@functools.lru_cache
+def _band(resolution: tuple[int, ...], modes_kept: int) -> _Band:
+    """Band maps per (resolution, modes_kept), in canonical order.
 
     Canonical order per axis is n = 0, 1, ..., m-1, -(m-1), ..., -1, so
-    flat position 0 is always the zero mode.
+    flat position 0 is always the zero mode and position p holds the
+    negation of position (-p) mod (2m-1).
     """
-    m = config.modes_kept
-    out = []
+    m = modes_kept
     for n in resolution:
         if m > n // 2:
             raise ValueError(f"modes_kept={m} exceeds the Nyquist bound for resolution {n}")
-        idx = np.concatenate([np.arange(m), np.arange(n - m + 1, n)])
-        out.append(idx)
-    return out
+    rows = None
+    if len(resolution) == 2:
+        n = resolution[0]
+        rows = np.concatenate([np.arange(m), np.arange(n - m + 1, n)])
+        rows.setflags(write=False)
+    neg = -np.arange(2 * m - 1) % (2 * m - 1)
+    neg.setflags(write=False)
+    return _Band(m, tuple(resolution), rows, neg)
 
 
-def _gather_band(spec: np.ndarray, band: list[np.ndarray]) -> np.ndarray:
-    if len(band) == 1:
-        picked = spec[..., band[0]]
-    else:
-        picked = spec[..., band[0][:, None], band[1][None, :]]
-    return picked.reshape(*spec.shape[:2], -1)
+def _to_band(x: np.ndarray, band: _Band) -> np.ndarray:
+    """Retained DFT modes of real ``x`` (B, C, *spatial) as (B, C, n_modes).
+
+    Equals gathering the band from ``fftn(x)``: a real FFT along the last
+    axis keeps its first m columns, a short FFT runs along the other axis,
+    and the negative last-axis modes come from X[k0, -k1] = conj(X[-k0, k1]).
+    """
+    m = band.modes_kept
+    half = np.fft.rfft(x, axis=-1)[..., :m]
+    mirror = half
+    if band.rows is not None:
+        half = np.fft.fft(half, axis=-2)[..., band.rows, :]
+        mirror = half[..., band.neg, :]
+    modes = np.concatenate([half, np.conj(mirror[..., :0:-1])], axis=-1)
+    return modes.reshape(*x.shape[:2], -1)
 
 
-def _scatter_band(modes: np.ndarray, band: list[np.ndarray], resolution: tuple[int, ...]) -> np.ndarray:
-    full = np.zeros((*modes.shape[:2], *resolution), dtype=np.complex128)
-    shaped = modes.reshape(*modes.shape[:2], *(len(b) for b in band))
-    if len(band) == 1:
-        full[..., band[0]] = shaped
-    else:
-        full[..., band[0][:, None], band[1][None, :]] = shaped
-    return full
+def _from_band(modes: np.ndarray, band: _Band) -> np.ndarray:
+    """``Re(ifftn(spectrum))`` of the spectrum holding ``modes`` on the band, 0 elsewhere.
+
+    The real part sees only the Hermitian part H = (Y + conj(Y[-k])) / 2,
+    whose non-negative last-axis columns feed ``ifft`` then ``irfft``.
+    Up to a factor n_points this is the transpose of :func:`_to_band`.
+    """
+    m = band.modes_kept
+    spec = modes.reshape(*modes.shape[:2], *(2 * m - 1,) * len(band.resolution))
+    mirror = spec[..., band.neg]
+    if band.rows is not None:
+        mirror = mirror[..., band.neg, :]
+    half = 0.5 * (spec[..., :m] + np.conj(mirror[..., :m]))
+    if band.rows is not None:
+        full = np.zeros((*half.shape[:2], band.resolution[0], m), dtype=np.complex128)
+        full[..., band.rows, :] = half
+        half = np.fft.ifft(full, axis=-2)
+    return np.fft.irfft(half, n=band.resolution[-1], axis=-1)
 
 
-def _spectral_forward(x: np.ndarray, weight: np.ndarray, band: list[np.ndarray]):
-    spatial = tuple(range(2, x.ndim))
-    resolution = x.shape[2:]
-    x_hat = np.fft.fftn(x, axes=spatial)
-    x_modes = _gather_band(x_hat, band)
-    y_modes = np.einsum("iom,bim->bom", weight, x_modes)
-    y_hat = _scatter_band(y_modes, band, resolution)
-    y = np.fft.ifftn(y_hat, axes=spatial).real
-    return y, x_modes
+def _spectral_forward(x: np.ndarray, weight: np.ndarray, band: _Band):
+    x_modes = _to_band(x, band)
+    y_modes = np.einsum("iom,bim->bom", weight, x_modes, optimize=True)
+    return _from_band(y_modes, band), x_modes
 
 
-def _spectral_backward(grad_y: np.ndarray, weight: np.ndarray, x_modes: np.ndarray,
-                       band: list[np.ndarray]):
-    spatial = tuple(range(2, grad_y.ndim))
-    resolution = grad_y.shape[2:]
-    n_points = int(np.prod(resolution))
-    gy_hat = np.fft.fftn(grad_y, axes=spatial) / n_points
-    gy_modes = _gather_band(gy_hat, band)
-    grad_weight = np.einsum("bim,bom->iom", np.conj(x_modes), gy_modes)
-    gx_modes = np.einsum("iom,bom->bim", np.conj(weight), gy_modes)
-    gx_hat = _scatter_band(gx_modes, band, resolution)
-    grad_x = np.fft.ifftn(gx_hat, axes=spatial).real * n_points
-    return grad_x, grad_weight
+def _spectral_backward(grad_y: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band):
+    # the adjoint of x -> _from_band(W _to_band(x)) is g -> _from_band(W^H _to_band(g)):
+    # _to_band and _from_band are each other's transposes up to n_points, which cancels
+    gy_modes = _to_band(grad_y, band)
+    n_points = np.prod(band.resolution)
+    grad_weight = np.einsum("bim,bom->iom", np.conj(x_modes), gy_modes, optimize=True) / n_points
+    gx_modes = np.einsum("iom,bom->bim", np.conj(weight), gy_modes, optimize=True)
+    return _from_band(gx_modes, band), grad_weight
 
 
 def _pointwise_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    y = np.einsum("oi,bi...->bo...", weight, x)
-    return y + bias.reshape(1, -1, *([1] * (x.ndim - 2)))
+    y = weight @ x.reshape(*x.shape[:2], -1)
+    y += bias[:, None]
+    return y.reshape(x.shape[0], -1, *x.shape[2:])
 
 
 def _pointwise_backward(grad_y: np.ndarray, x: np.ndarray, weight: np.ndarray):
-    grad_x = np.einsum("oi,bo...->bi...", weight, grad_y)
     gy_flat = grad_y.reshape(*grad_y.shape[:2], -1)
     x_flat = x.reshape(*x.shape[:2], -1)
-    grad_w = np.einsum("bop,bip->oi", gy_flat, x_flat)
+    grad_x = (weight.T @ gy_flat).reshape(x.shape)
+    grad_w = (gy_flat @ x_flat.transpose(0, 2, 1)).sum(axis=0)
     grad_b = gy_flat.sum(axis=(0, 2))
     return grad_x, grad_w, grad_b
 
 
-def _forward_batch(model: OperatorModel, x: np.ndarray):
-    """Run a batch (B, channels, *spatial); returns output and tape."""
+def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+    """Run a batch (B, channels, *spatial).
+
+    With ``tape`` given, what :func:`_backward_batch` reads is recorded in
+    it; a forward-only call passes none, so each activation is freed once used.
+    """
     cfg = model.config
     if x.ndim != cfg.ndim + 2 or x.shape[1] != cfg.channels:
         raise ValueError(
             f"input batch must have shape (B, {cfg.channels}, *spatial) with {cfg.ndim} spatial axes, got {x.shape}"
         )
-    band = _band_indices(cfg, x.shape[2:])
+    band = _band(x.shape[2:], cfg.modes_kept)
     p = _views(model.params, cfg)
-    tape: dict = {"x": x, "band": band}
 
     h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"])
-    tape["lift_out"] = h
     for i in range(cfg.n_layers):
         s, x_modes = _spectral_forward(h, p[f"block{i}.spectral"], band)
         z = _pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"])
-        tape[f"block{i}"] = (h, x_modes, z)
-        h = s + gelu(z)
-    tape["proj_in"] = h
-    y = _pointwise_forward(h, p["proj.weight"], p["proj.bias"])
-    return y, tape
+        t = np.empty_like(z)  # gelu fills it with its tanh
+        if tape is not None:
+            tape[f"block{i}"] = (h, x_modes, z, t)
+        h = gelu(z, tanh_out=t)
+        h += s
+    if tape is not None:
+        tape.update(x=x, band=band, proj_in=h)
+    return _pointwise_forward(h, p["proj.weight"], p["proj.bias"])
 
 
 def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.ndarray:
@@ -364,11 +450,10 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
         grad_y, tape["proj_in"], p["proj.weight"]
     )
     for i in reversed(range(cfg.n_layers)):
-        h_in, x_modes, z = tape[f"block{i}"]
-        grad_s = grad_h
-        grad_z = grad_h * gelu_grad(z)
+        h_in, x_modes, z, t = tape[f"block{i}"]
+        grad_z = grad_h * gelu_grad(z, tanh=t)
         gx_spec, grads[f"block{i}.spectral"] = _spectral_backward(
-            grad_s, p[f"block{i}.spectral"], x_modes, band
+            grad_h, p[f"block{i}.spectral"], x_modes, band
         )
         gx_pw, grads[f"block{i}.weight"], grads[f"block{i}.bias"] = _pointwise_backward(
             grad_z, h_in, p[f"block{i}.weight"]
@@ -382,8 +467,7 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
 
 def forward_values(model: OperatorModel, values: np.ndarray) -> np.ndarray:
     """Single state in, single state out, both shaped (channels, *spatial)."""
-    y, _ = _forward_batch(model, np.asarray(values, dtype=np.float64)[None])
-    return y[0]
+    return _forward_batch(model, np.asarray(values, dtype=np.float64)[None])[0]
 
 
 def forward(model: OperatorModel, state: GridField) -> GridField:
@@ -418,7 +502,8 @@ def loss_and_grad(
     if inputs.shape != targets.shape:
         raise ValueError(f"input batch {inputs.shape} and target batch {targets.shape} disagree")
 
-    pred, tape = _forward_batch(model, inputs)
+    tape: dict = {}
+    pred = _forward_batch(model, inputs, tape)
     spatial = tuple(range(2, pred.ndim))
     finite = np.isfinite(pred).all(axis=(1, *spatial))
     if not finite.all():

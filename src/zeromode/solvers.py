@@ -136,7 +136,7 @@ def solve_heat_neumann(ic: GridField, d_coeff: float, t: float) -> GridField:
 
 
 def _double_well(u: np.ndarray) -> np.ndarray:
-    return u - u**3
+    return u - u * u * u  # numpy's u**3 calls pow, many times slower
 
 
 def _flory_huggins(u: np.ndarray, theta: float, theta_c: float) -> np.ndarray:

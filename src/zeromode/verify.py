@@ -31,7 +31,15 @@ from .correction import (
 )
 from .grid import Boundary, GridField, GridSpec, fft_forward, l2_norm
 from .initial_conditions import grf_ic
-from .model import OperatorConfig, OperatorModel, init_model, loss_and_grad
+from .model import (
+    OperatorConfig,
+    OperatorModel,
+    _band,
+    _spectral_backward,
+    _spectral_forward,
+    init_model,
+    loss_and_grad,
+)
 from .optim import adamw_step, init_optimizer
 from .solvers import (
     ConservationLawSpec,
@@ -327,6 +335,40 @@ def _check_uniform_direction(correction: CorrectionFn):
     _, grads = loss_and_grad(model, x, t, loss="mse", mask=ConservationMask((True,)))
     worst = np.abs(OperatorModel(_GRAD_CFG, grads).get_param("proj.bias")).max()
     return None if worst < 1e-12 else f"output bias keeps a gradient of {worst:.2e} under correction"
+
+
+@_register("gradients", "spectral_adjoint")
+def _check_spectral_adjoint(correction: CorrectionFn):
+    # the 2-D layer on an odd, non-square grid: the finite-difference checks above run 1-D only
+    rng = np.random.default_rng(506)
+    resolution, m = (7, 10), 3
+    n_modes = (2 * m - 1) ** 2
+    x = rng.normal(size=(2, 3, *resolution))
+    weight = rng.normal(size=(3, 3, n_modes)) + 1j * rng.normal(size=(3, 3, n_modes))
+    band = _band(resolution, m)
+    y, x_modes = _spectral_forward(x, weight, band)
+
+    # direct DFT sums over the band, canonical order n = 0..m-1, -(m-1)..-1 per axis
+    ks = np.r_[0:m, -(m - 1):0]
+    dft = [np.exp(-2j * np.pi * np.outer(ks, np.arange(n)) / n) for n in resolution]
+    modes = np.einsum("kp,lq,bipq->bikl", *dft, x).reshape(x_modes.shape)
+    mixed = np.einsum("iom,bim->bom", weight, modes).reshape(2, 3, 2 * m - 1, 2 * m - 1)
+    expected = np.einsum("kp,lq,bokl->bopq", *(d.conj() for d in dft), mixed).real / np.prod(resolution)
+    gap = np.abs(y - expected).max() / np.abs(expected).max()
+    if gap > 1e-12:
+        return f"2-D spectral layer differs from direct DFT sums by {gap:.2e} (relative)"
+
+    g = rng.normal(size=y.shape)
+    grad_x, grad_weight = _spectral_backward(g, weight, x_modes, band)
+    lhs = np.vdot(y, g)
+    scale = np.linalg.norm(y) * np.linalg.norm(g)
+    gap = abs(lhs - np.vdot(x, grad_x)) / scale
+    if gap > 1e-12:
+        return f"input adjoint breaks <S x, g> = <x, S^T g> by {gap:.2e} (relative)"
+    gap = abs(lhs - np.sum(weight.real * grad_weight.real + weight.imag * grad_weight.imag)) / scale
+    if gap > 1e-12:
+        return f"weight adjoint breaks <S_W x, g> = <W, grad_W> by {gap:.2e} (relative)"
+    return None
 
 
 @_register("gradients", "adamw_closed_form")

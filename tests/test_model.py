@@ -1,5 +1,6 @@
 """Spectral operator: layout, forward fixtures, hand adjoints vs finite differences."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -20,9 +21,13 @@ from zeromode.model import (
     n_params,
     save_checkpoint,
 )
+from zeromode.model import _band, _forward_batch, _spectral_backward, _spectral_forward
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
 CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
+
+# grids for the spectral-layer oracles, each with modes_kept at its Nyquist bound
+SPECTRAL_GRIDS = [((8,), 4), ((9,), 4), ((6, 6), 3), ((7, 10), 3), ((9, 9), 4)]
 
 
 def fd_gradient(model, inputs, targets, h=1e-6, **kw):
@@ -101,6 +106,28 @@ class TestActivation:
         fd = (gelu(x + h) - gelu(x - h)) / (2.0 * h)
         np.testing.assert_allclose(gelu_grad(x), fd, rtol=1e-6, atol=1e-8)
 
+    def test_product_cube_matches_power_formula(self):
+        a, b = np.sqrt(2.0 / np.pi), 0.044715
+        x = np.linspace(-10.0, 10.0, 2001)
+        t = np.tanh(a * (x + b * x**3))
+        np.testing.assert_allclose(gelu(x), 0.5 * x * (1.0 + t), rtol=1e-14, atol=0.0)
+        slope = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * a * (1.0 + 3.0 * b * x**2)
+        np.testing.assert_allclose(gelu_grad(x), slope, rtol=1e-14, atol=0.0)
+
+    def test_taped_tanh_gives_gelu_grad(self):
+        z = np.random.default_rng(2).normal(0.0, 3.0, size=(2, 3, 7, 10))
+        t = np.empty_like(z)
+        np.testing.assert_array_equal(gelu(z, tanh_out=t), gelu(z))
+        np.testing.assert_array_equal(gelu_grad(z, tanh=t), gelu_grad(z))
+
+    def test_forward_tape_holds_each_blocks_tanh(self):
+        model = init_model(CFG_2D)
+        tape = {}
+        _forward_batch(model, np.random.default_rng(3).normal(size=(2, 2, 7, 10)), tape)
+        for i in range(CFG_2D.n_layers):
+            _, _, z, t = tape[f"block{i}"]
+            np.testing.assert_array_equal(gelu_grad(z, tanh=t), gelu_grad(z))
+
 
 class TestForward:
     def test_zero_params_zero_output(self):
@@ -170,6 +197,81 @@ class TestForward:
         model = OperatorModel.zeros(CFG_2D)
         with pytest.raises(ValueError, match="spatial"):
             forward_values(model, np.zeros((3, 8, 8)))  # wrong channel count
+
+
+def fftn_spectral_layer(x, weight, modes_kept):
+    """The layer as one full fftn, a gather of the band, a scatter and an ifftn."""
+    spatial = tuple(range(2, x.ndim))
+    band = np.ix_(*[np.concatenate([np.arange(modes_kept), np.arange(n - modes_kept + 1, n)])
+                    for n in x.shape[2:]])
+    x_modes = np.fft.fftn(x, axes=spatial)[(..., *band)].reshape(*x.shape[:2], -1)
+    y_modes = np.einsum("iom,bim->bom", weight, x_modes)
+    full = np.zeros((x.shape[0], weight.shape[1], *x.shape[2:]), dtype=np.complex128)
+    full[(..., *band)] = y_modes.reshape(*y_modes.shape[:2], *(b.size for b in band))
+    return np.fft.ifftn(full, axes=spatial).real
+
+
+def brute_force_spectral_layer(x, weight, modes_kept):
+    """Direct DFT sums over the band k, in canonical order:
+
+    X_i[k] = sum_q x_i(q) exp(-2 pi i k.q/N),  y_o(p) = Re (1/N) sum_k sum_i W[i,o,k] X_i[k] exp(2 pi i k.p/N)
+    """
+    resolution = x.shape[2:]
+    per_axis = list(range(modes_kept)) + list(range(-(modes_kept - 1), 0))
+    band = list(itertools.product(per_axis, repeat=len(resolution)))
+
+    def phase(k, q):
+        return 2.0 * np.pi * sum(ki * qi / ni for ki, qi, ni in zip(k, q, resolution))
+
+    x_modes = np.zeros((*x.shape[:2], len(band)), dtype=np.complex128)
+    for j, k in enumerate(band):
+        for q in np.ndindex(resolution):
+            x_modes[..., j] += x[(..., *q)] * np.exp(-1j * phase(k, q))
+    y_modes = np.einsum("iom,bim->bom", weight, x_modes)
+    y = np.zeros((x.shape[0], weight.shape[1], *resolution))
+    for p in np.ndindex(resolution):
+        acc = sum(y_modes[..., j] * np.exp(1j * phase(k, p)) for j, k in enumerate(band))
+        y[(..., *p)] = acc.real / np.prod(resolution)
+    return y
+
+
+class TestSpectralLayer:
+    """The truncated real-FFT band transform against DFT oracles, and its adjoint."""
+
+    @staticmethod
+    def layer(resolution, modes_kept, seed):
+        rng = np.random.default_rng(seed)
+        n_modes = (2 * modes_kept - 1) ** len(resolution)
+        x = rng.normal(size=(2, 3, *resolution))
+        weight = rng.normal(size=(3, 2, n_modes)) + 1j * rng.normal(size=(3, 2, n_modes))
+        return x, weight, _band(resolution, modes_kept)
+
+    @pytest.mark.parametrize("resolution, modes_kept", SPECTRAL_GRIDS)
+    def test_forward_matches_brute_force_dft(self, resolution, modes_kept):
+        x, weight, band = self.layer(resolution, modes_kept, seed=61)
+        y, _ = _spectral_forward(x, weight, band)
+        reference = brute_force_spectral_layer(x, weight, modes_kept)
+        assert np.abs(y - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("resolution, modes_kept", SPECTRAL_GRIDS)
+    def test_forward_matches_full_fftn_layer(self, resolution, modes_kept):
+        x, weight, band = self.layer(resolution, modes_kept, seed=62)
+        y, _ = _spectral_forward(x, weight, band)
+        reference = fftn_spectral_layer(x, weight, modes_kept)
+        assert np.abs(y - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("resolution, modes_kept", SPECTRAL_GRIDS)
+    def test_adjoint_dot_product_identity(self, resolution, modes_kept):
+        x, weight, band = self.layer(resolution, modes_kept, seed=63)
+        g = np.random.default_rng(64).normal(size=(2, 2, *resolution))
+        y, x_modes = _spectral_forward(x, weight, band)
+        grad_x, grad_weight = _spectral_backward(g, weight, x_modes, band)
+        lhs = np.vdot(y, g)
+        scale = np.linalg.norm(y) * np.linalg.norm(g)
+        # <S x, g> = <x, S^T g>, and the layer is linear in its weight too
+        assert abs(lhs - np.vdot(x, grad_x)) <= 1e-12 * scale
+        by_weight = np.sum(weight.real * grad_weight.real + weight.imag * grad_weight.imag)
+        assert abs(lhs - by_weight) <= 1e-12 * scale
 
 
 class TestLossValue:
@@ -249,6 +351,9 @@ class TestGradientOracle:
         targets = np.random.default_rng(99).normal(size=(2, 2))
         self.check(CFG_2D, (2, 2, 6, 6), "mae", mask=ConservationMask((True, True)),
                    targets_kw=targets, seed=34)
+
+    def test_mse_2d_odd_non_square(self):
+        self.check(CFG_2D, (2, 2, 7, 10), "mse", mask=ConservationMask((True, False)), seed=35)
 
     def test_correction_kills_uniform_output_directions(self):
         # a shift in proj.bias moves the prediction uniformly; the pinned
