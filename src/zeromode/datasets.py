@@ -5,12 +5,20 @@ Six problems ship, each with a "desk" preset sized for a laptop run and a
 of equidistant snapshots whose flagged channels conserve their spatial
 integral; generation ends with an automatic conservation audit so a bad
 solver configuration cannot silently produce non-conserving data.
+
+Generation draws every initial state of a split first, one sample at a
+time with its own seed, then solves the whole split in one batched solver
+call, and a solver abort names the sample of the split at fault.  For the
+scalar problems the solver writes each snapshot straight into the
+(samples, frames, ...) array that becomes the dataset's ``data``; water
+keeps the depth channel of the solver's full-state frames.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -286,18 +294,28 @@ def _accept_ic(params: ProblemParams, u: np.ndarray) -> bool:
     return floor is None or abs(float(u.mean())) >= floor
 
 
-def _scalar_trajectory(params: ProblemParams, grid: GridSpec, u0: np.ndarray) -> np.ndarray:
+def _draw_accepted_ic(config: DatasetConfig, grid: GridSpec, index: int) -> tuple[list[int], GridField]:
+    """The seed and initial state of one sample, redrawn until it clears the mean floor."""
+    for attempt in range(_MAX_REDRAWS):
+        seed = _sample_seed(config, index, attempt)
+        u0 = _draw_scalar_ic(config.params, grid, seed)
+        if _accept_ic(config.params, u0):
+            return seed, GridField.from_scalar(grid, u0)
+    raise SolverError("could not draw an acceptable initial state", sample=index)
+
+
+def _scalar_trajectories(params: ProblemParams, ics: Sequence[GridField]) -> np.ndarray:
+    """Frames (samples, snapshots, *spatial) of a scalar problem, one solver call for the split."""
     p = params.problem
     times = params.frame_times()
-    ic = GridField.from_scalar(grid, u0)
     if p is Problem.HEAT:
-        return np.stack([solve_heat_neumann(ic, params.d_coeff, t).values[0] for t in times])
+        return solve_heat_neumann(ics, params.d_coeff, times)
     if p is Problem.DIFF:
-        return np.stack([solve_diffusion_exact(ic, params.d_coeff, t).values[0] for t in times])
+        return solve_diffusion_exact(ics, params.d_coeff, times)
     if p is Problem.CD:
-        return np.stack([solve_convdiff_exact(ic, params.d_coeff, params.velocity, t).values[0] for t in times])
-    frames = solve_allen_cahn(
-        ic,
+        return solve_convdiff_exact(ics, params.d_coeff, params.velocity, times)
+    return solve_allen_cahn(
+        ics,
         params.epsilon,
         "fh" if p is Problem.AC_FH else "dw",
         params.dt,
@@ -306,24 +324,14 @@ def _scalar_trajectory(params: ProblemParams, grid: GridSpec, u0: np.ndarray) ->
         theta_c=params.theta_c,
         snapshot_stride=params.snapshot_stride,
     )
-    return frames
 
 
-def _water_sample(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarray:
+def _dam_break(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarray:
     rng = np.random.default_rng(seed)
     center = tuple(rng.uniform(0.3, 0.7, 2) * params.length)
     radius = rng.uniform(0.15, 0.25) * params.length
     h_inner = rng.uniform(1.5, 2.5)
-    state = dam_break_state(grid, center=center, radius=radius, h_inner=h_inner, h_outer=1.0)
-    frames = solve_shallow_water(
-        state,
-        grid,
-        params.g_r,
-        params.dt,
-        (params.n_snapshots - 1) * params.snapshot_stride,
-        snapshot_stride=params.snapshot_stride,
-    )
-    return frames[:, 0]  # depth channel only
+    return dam_break_state(grid, center=center, radius=radius, h_inner=h_inner, h_outer=1.0)
 
 
 def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
@@ -331,29 +339,27 @@ def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
 
     Initial states whose conserved integral sits below the per-problem
     floor are redrawn with a fresh attempt index so the relative
-    conservation metric stays well conditioned.  Every sample is audited
-    for integral drift before the dataset is returned.
+    conservation metric stays well conditioned.  The split is then solved
+    in one batched call.  Every sample is audited for integral drift
+    before the dataset is returned.
     """
     params = config.params
     grid = params.grid()
-    n_frames = params.n_snapshots
-    data = np.empty((config.n_samples, n_frames, 1, *grid.resolution))
-    seeds: list[list[int]] = []
-
-    for i in range(config.n_samples):
-        if params.problem is Problem.WATER:
-            seed = _sample_seed(config, i, 0)
-            data[i, :, 0] = _water_sample(params, grid, seed)
-        else:
-            for attempt in range(_MAX_REDRAWS):
-                seed = _sample_seed(config, i, attempt)
-                u0 = _draw_scalar_ic(params, grid, seed)
-                if _accept_ic(params, u0):
-                    break
-            else:
-                raise SolverError(f"could not draw an acceptable initial state for sample {i}")
-            data[i, :, 0] = _scalar_trajectory(params, grid, u0)
-        seeds.append(seed)
+    if params.problem is Problem.WATER:
+        seeds = [_sample_seed(config, i, 0) for i in range(config.n_samples)]
+        frames = solve_shallow_water(
+            np.stack([_dam_break(params, grid, seed) for seed in seeds]),
+            grid,
+            params.g_r,
+            params.dt,
+            (params.n_snapshots - 1) * params.snapshot_stride,
+            snapshot_stride=params.snapshot_stride,
+        )
+        data = np.ascontiguousarray(frames[:, :, :1])  # depth channel only
+    else:
+        seeds, ics = zip(*(_draw_accepted_ic(config, grid, i) for i in range(config.n_samples)))
+        seeds = list(seeds)
+        data = _scalar_trajectories(params, ics)[:, :, None]
 
     mask = ConservationMask.all_channels(1)
     dataset = TrajectoryDataset(

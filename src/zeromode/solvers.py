@@ -7,10 +7,24 @@ The conserved Allen-Cahn variants use a semi-implicit spectral stepper
 re-pinned after every step.  Shallow water uses a first-order finite
 volume scheme with Rusanov interface fluxes and reflective walls, which
 conserves total water mass to rounding by flux telescoping.
+
+Every solver also steps a whole batch of samples at once.  The scalar
+solvers take one :class:`GridField` or a sequence of them on one grid;
+a sequence adds a leading sample axis to the result, and the exact
+propagators take an array of times, which adds a frame axis after it.
+Each sample is transformed once; every frame is one batched inverse
+transform.  The Allen-Cahn step takes one real forward transform of
+``u + dt g`` (the update is linear, so this equals the sum of the two
+transforms) and one inverse, over the whole batch.  Shallow water takes
+leading batch axes on its state, (..., 3, nx, ny).  Means, clamp, CFL,
+positivity and finiteness are checked per sample, and a
+:class:`SolverError` from a batch names the first failing sample.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +52,18 @@ CLAMP_MARGIN = 1e-6
 
 
 class SolverError(RuntimeError):
-    """A time stepper aborted; ``step`` is the failing step index."""
+    """A time stepper aborted.
 
-    def __init__(self, message: str, step: int | None = None):
+    ``step`` is the failing step index; ``sample`` is the index of the
+    first failing sample of a batch (None for a single state).
+    """
+
+    def __init__(self, message: str, step: int | None = None, sample: int | tuple[int, ...] | None = None):
         self.step = step
-        if step is not None:
-            message = f"{message} (step {step})"
+        self.sample = sample
+        where = [f"{name} {value}" for name, value in (("sample", sample), ("step", step)) if value is not None]
+        if where:
+            message = f"{message} ({', '.join(where)})"
         super().__init__(message)
 
 
@@ -68,71 +88,144 @@ def _squared_wavenumber(grid: GridSpec) -> np.ndarray:
     return k2
 
 
-def _require_scalar_periodic(ic: GridField, who: str) -> np.ndarray:
-    if ic.grid.boundary is not Boundary.PERIODIC:
-        raise ValueError(f"{who} needs a periodic grid, got {ic.grid.boundary.value}")
-    if ic.channels != 1:
-        raise ValueError(f"{who} evolves a single scalar channel, got {ic.channels}")
-    return ic.values[0]
+def _first_sample(bad: np.ndarray, lead: tuple[int, ...]) -> int | tuple[int, ...] | None:
+    """Index, in the caller's leading axes, of the first flagged sample of a flat batch."""
+    if not lead:
+        return None
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), lead))
+    return index[0] if len(index) == 1 else index
 
 
-def solve_diffusion_exact(ic: GridField, d_coeff: float, t: float) -> GridField:
+def _abort_if(bad: np.ndarray, message: str, step: int, lead: tuple[int, ...]) -> None:
+    """Raise a SolverError naming the first sample flagged in ``bad`` (one flag per sample)."""
+    if bad.any():
+        raise SolverError(message, step=step, sample=_first_sample(bad, lead))
+
+
+def _scalar_samples(
+    ic: GridField | Sequence[GridField], who: str, boundary: Boundary
+) -> tuple[GridSpec, np.ndarray, tuple[int, ...]]:
+    """Grid, (samples, *spatial) stack and leading shape of one scalar field or a sequence of them.
+
+    The leading shape is () for a single field and (samples,) for a sequence.
+    """
+    single = isinstance(ic, GridField)
+    fields = [ic] if single else list(ic)
+    if not fields:
+        raise ValueError(f"{who} needs at least one field")
+    grid = fields[0].grid
+    if grid.boundary is not boundary:
+        name = "Neumann" if boundary is Boundary.NEUMANN else boundary.value
+        raise ValueError(f"{who} needs a {name} grid, got {grid.boundary.value}")
+    for field in fields:
+        if field.grid != grid:
+            raise ValueError(f"{who}: the fields of a batch must share one grid")
+        if field.channels != 1:
+            raise ValueError(f"{who} evolves a single scalar channel, got {field.channels}")
+    lead = () if single else (len(fields),)
+    return grid, np.stack([field.values[0] for field in fields]), lead
+
+
+def _propagate(u0: np.ndarray, times: np.ndarray, forward, inverse, advance) -> np.ndarray:
+    """Frames of a linear propagator that is diagonal in a transform basis.
+
+    ``u0`` has shape (samples, *spatial) and the result (samples, frames,
+    *spatial).  Each sample is transformed once; every frame is one
+    batched inverse transform of ``advance(coeffs, t)``, written straight
+    into its slot, so the working set stays a few batch-sized arrays.
+    """
+    axes = tuple(range(1, u0.ndim))
+    coeffs = forward(u0, axes=axes)
+    out = np.empty((u0.shape[0], times.size, *u0.shape[1:]))
+    for f, t in enumerate(times):
+        out[:, f] = inverse(advance(coeffs, t), axes=axes).real
+    return out
+
+
+def _exact_result(t, grid: GridSpec, frames: np.ndarray, lead: tuple[int, ...]) -> GridField | np.ndarray:
+    """A GridField for one field at one time, else the (*samples, *frames, *spatial) array."""
+    out = frames.reshape(*lead, *np.shape(t), *grid.resolution)
+    return GridField.from_scalar(grid, out) if out.ndim == grid.ndim else out
+
+
+def _times(t) -> np.ndarray:
+    """The frame times of an exact propagator, flat: one number or a 1-D array."""
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1 or (times < 0).any():
+        raise ValueError(f"time must be a nonnegative number or 1-D array, got {t}")
+    return times.reshape(-1)
+
+
+def solve_diffusion_exact(
+    ic: GridField | Sequence[GridField], d_coeff: float, t: float | np.ndarray
+) -> GridField | np.ndarray:
     """Periodic diffusion u_t = D lap(u), advanced exactly in Fourier space.
 
     Mode n decays by exp(-D |k_n|^2 t); the zero mode (the mean) is
-    untouched, so the integral is conserved to rounding.
+    untouched, so the integral is conserved to rounding.  One field at one
+    time gives a GridField; a sequence of fields and/or an array of times
+    give an array (*samples, *frames, *spatial).
     """
-    u0 = _require_scalar_periodic(ic, "solve_diffusion_exact")
+    grid, u0, lead = _scalar_samples(ic, "solve_diffusion_exact", Boundary.PERIODIC)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    decay = np.exp(-d_coeff * _squared_wavenumber(ic.grid) * t)
-    u = np.fft.ifftn(np.fft.fftn(u0) * decay).real
-    return GridField.from_scalar(ic.grid, u)
+    times = _times(t)
+    rate = -d_coeff * _squared_wavenumber(grid)
+    frames = _propagate(u0, times, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
+    return _exact_result(t, grid, frames, lead)
 
 
-def solve_convdiff_exact(ic: GridField, d_coeff: float, velocity: tuple[float, ...], t: float) -> GridField:
+def solve_convdiff_exact(
+    ic: GridField | Sequence[GridField], d_coeff: float, velocity: tuple[float, ...], t: float | np.ndarray
+) -> GridField | np.ndarray:
     """Periodic convection-diffusion u_t + v . grad(u) = D lap(u), exact.
 
     Each mode is multiplied by exp(-(D |k|^2 + i k . v) t); the advective
-    phase leaves |coeff| alone and the zero mode is again fixed.
+    phase leaves |coeff| alone and the zero mode is again fixed.  Batches
+    and time arrays as in :func:`solve_diffusion_exact`.
     """
-    u0 = _require_scalar_periodic(ic, "solve_convdiff_exact")
-    if len(velocity) != ic.grid.ndim:
-        raise ValueError(f"velocity {velocity} has wrong arity for a {ic.grid.ndim}-D grid")
-    if d_coeff < 0 or t < 0:
-        raise ValueError("diffusivity and time must be nonnegative")
-    ks = angular_wavenumbers(ic.grid)
-    k_dot_v = np.zeros(ic.grid.resolution)
-    for k, v in zip(ks, velocity):
+    grid, u0, lead = _scalar_samples(ic, "solve_convdiff_exact", Boundary.PERIODIC)
+    if len(velocity) != grid.ndim:
+        raise ValueError(f"velocity {velocity} has wrong arity for a {grid.ndim}-D grid")
+    if d_coeff < 0:
+        raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
+    times = _times(t)
+    k_dot_v = np.zeros(grid.resolution)
+    for k, v in zip(angular_wavenumbers(grid), velocity):
         k_dot_v = k_dot_v + k * v
-    factor = np.exp(-(d_coeff * _squared_wavenumber(ic.grid) + 1j * k_dot_v) * t)
-    u = np.fft.ifftn(np.fft.fftn(u0) * factor).real
-    return GridField.from_scalar(ic.grid, u)
+    rate = -(d_coeff * _squared_wavenumber(grid) + 1j * k_dot_v)
+    frames = _propagate(u0, times, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
+    return _exact_result(t, grid, frames, lead)
 
 
-def solve_heat_neumann(ic: GridField, d_coeff: float, t: float) -> GridField:
+def solve_heat_neumann(
+    ic: GridField | Sequence[GridField], d_coeff: float, t: float | np.ndarray
+) -> GridField | np.ndarray:
     """Insulated (zero-flux) heat equation, advanced exactly in cosine modes.
 
     The grid samples at cell centers, where cos(pi n x / L) is precisely
     the type-II DCT basis, so the propagator is diagonal: mode n decays by
-    exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.
+    exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.  Batches and
+    time arrays as in :func:`solve_diffusion_exact`.
     """
-    if ic.grid.boundary is not Boundary.NEUMANN:
-        raise ValueError(f"solve_heat_neumann needs a Neumann grid, got {ic.grid.boundary.value}")
-    if ic.channels != 1:
-        raise ValueError(f"solve_heat_neumann evolves a single scalar channel, got {ic.channels}")
-    if d_coeff < 0 or t < 0:
-        raise ValueError("diffusivity and time must be nonnegative")
-    coeffs = scipy.fft.dctn(ic.values[0], type=2)
-    for axis, (n, length) in enumerate(zip(ic.grid.resolution, ic.grid.lengths)):
-        shape = [1] * ic.grid.ndim
+    grid, u0, lead = _scalar_samples(ic, "solve_heat_neumann", Boundary.NEUMANN)
+    if d_coeff < 0:
+        raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
+    times = _times(t)
+    lams = []
+    for axis, (n, length) in enumerate(zip(grid.resolution, grid.lengths)):
+        shape = [1] * grid.ndim
         shape[axis] = n
-        lam = (np.pi * np.arange(n) / length) ** 2
-        coeffs = coeffs * np.exp(-d_coeff * lam * t).reshape(shape)
-    u = scipy.fft.idctn(coeffs, type=2)
-    return GridField.from_scalar(ic.grid, u)
+        lams.append(((np.pi * np.arange(n) / length) ** 2).reshape(shape))
+
+    def advance(coeffs, t):
+        for lam in lams:
+            coeffs = coeffs * np.exp(-d_coeff * lam * t)
+        return coeffs
+
+    frames = _propagate(u0, times, functools.partial(scipy.fft.dctn, type=2),
+                        functools.partial(scipy.fft.idctn, type=2), advance)
+    return _exact_result(t, grid, frames, lead)
 
 
 def _double_well(u: np.ndarray) -> np.ndarray:
@@ -145,7 +238,7 @@ def _flory_huggins(u: np.ndarray, theta: float, theta_c: float) -> np.ndarray:
 
 
 def solve_allen_cahn(
-    ic: GridField,
+    ic: GridField | Sequence[GridField],
     epsilon: float,
     potential: str,
     dt: float,
@@ -161,14 +254,19 @@ def solve_allen_cahn(
     f(u) = (theta/2) ln((1+u)/(1-u)) - theta_c u with the state clamped
     away from +-1 before the logarithm.  One step solves the Laplacian
     implicitly in Fourier space and treats the (mean-free) nonlinearity
-    explicitly; with ``project`` the spatial mean is re-pinned to its
+    explicitly, with one real forward transform of u + dt g and one
+    inverse; with ``project`` the spatial mean is re-pinned to its
     initial value after every step, making conservation exact by
     construction instead of resting on accumulated rounding.
 
+    ``ic`` is one scalar field or a sequence of them on one grid, stepped
+    together; every sample keeps its own mean and its own checks.
     Returns the trajectory including the initial state, one frame every
-    ``snapshot_stride`` steps (default: only first and last).
+    ``snapshot_stride`` steps (default: only first and last): shape
+    (frames, *spatial) for one field, (samples, frames, *spatial) for a
+    sequence.
     """
-    u = _require_scalar_periodic(ic, "solve_allen_cahn").copy()
+    grid, u, lead = _scalar_samples(ic, "solve_allen_cahn", Boundary.PERIODIC)
     if potential not in ("dw", "fh"):
         raise ValueError(f"unknown potential {potential!r}, expected 'dw' or 'fh'")
     if dt <= 0 or n_steps < 1:
@@ -178,27 +276,32 @@ def solve_allen_cahn(
     if n_steps % snapshot_stride != 0:
         raise ValueError(f"snapshot stride {snapshot_stride} does not divide {n_steps} steps")
 
-    mean0 = u.mean()
-    denom = 1.0 + dt * epsilon * _squared_wavenumber(ic.grid)
-    frames = np.empty((n_steps // snapshot_stride + 1, *ic.grid.resolution))
-    frames[0] = u
+    axes = tuple(range(1, u.ndim))
+    mean0 = u.mean(axis=axes, keepdims=True)
+    # the real transform keeps the nonnegative half of the last axis
+    implicit = 1.0 / (1.0 + dt * epsilon * _squared_wavenumber(grid)[..., : grid.resolution[-1] // 2 + 1])
+    frames = np.empty((u.shape[0], n_steps // snapshot_stride + 1, *grid.resolution))
+    frames[:, 0] = u
 
     for step in range(1, n_steps + 1):
         if potential == "fh":
-            if np.abs(u).max() >= 1.0 - CLAMP_MARGIN:
-                raise SolverError("state reached the log clamp band, reduce dt", step=step)
-            f = _flory_huggins(u, theta, theta_c)
+            peak = np.abs(u).max(axis=axes)
+            _abort_if(peak >= 1.0 - CLAMP_MARGIN, "state reached the log clamp band, reduce dt", step, lead)
+            g = _flory_huggins(u, theta, theta_c)
         else:
-            f = _double_well(u)
-        g = f - f.mean()
-        u = np.fft.ifftn((np.fft.fftn(u) + dt * np.fft.fftn(g)) / denom).real
-        if not np.all(np.isfinite(u)):
-            raise SolverError("state became non-finite", step=step)
+            g = _double_well(u)
+        g -= g.mean(axis=axes, keepdims=True)
+        g *= dt
+        g += u
+        coeffs = scipy.fft.rfftn(g, axes=axes)
+        coeffs *= implicit
+        u = scipy.fft.irfftn(coeffs, s=grid.resolution, axes=axes)
+        _abort_if(~np.isfinite(u).all(axis=axes), "state became non-finite", step, lead)
         if project:
-            u = u + (mean0 - u.mean())
+            u += mean0 - u.mean(axis=axes, keepdims=True)
         if step % snapshot_stride == 0:
-            frames[step // snapshot_stride] = u
-    return frames
+            frames[:, step // snapshot_stride] = u
+    return frames.reshape(*lead, *frames.shape[1:])
 
 
 def dam_break_state(
@@ -218,57 +321,63 @@ def dam_break_state(
     return state
 
 
-def _swe_flux_x(h, hu, hv, g_r):
-    u = hu / h
-    return hu, hu * u + 0.5 * g_r * h * h, hv * u
+def _swe_flux(h, q_normal, q_tangential, g_r):
+    """Flux along one axis of (h, normal momentum, tangential momentum)."""
+    vel = q_normal / h
+    return q_normal, q_normal * vel + 0.5 * g_r * h * h, q_tangential * vel
 
 
-def _swe_flux_y(h, hu, hv, g_r):
-    v = hv / h
-    return hv, hu * v, hv * v + 0.5 * g_r * h * h
+def _courant(state: np.ndarray, grid: GridSpec, g_r: float, dt: float) -> np.ndarray:
+    """Courant number of each state in a (..., 3, nx, ny) stack, shape (...)."""
+    h, hu, hv = np.moveaxis(state, -3, 0)
+    c = np.sqrt(g_r * h)
+    dx, dy = grid.spacing
+    return dt * np.maximum(((np.abs(hu / h) + c) / dx).max(axis=(-2, -1)),
+                           ((np.abs(hv / h) + c) / dy).max(axis=(-2, -1)))
 
 
 def cfl_number(state: np.ndarray, grid: GridSpec, g_r: float, dt: float) -> float:
-    """Courant number dt * max over cells of per-axis (|vel| + c) / dx."""
-    h, hu, hv = state
-    c = np.sqrt(g_r * h)
-    dx, dy = grid.spacing
-    return float(dt * max(((np.abs(hu / h) + c) / dx).max(), ((np.abs(hv / h) + c) / dy).max()))
+    """Courant number dt * max over cells of per-axis (|vel| + c) / dx.
+
+    ``state`` is (3, nx, ny) or a batch (..., 3, nx, ny); a batch gives
+    the largest number over its samples.
+    """
+    return float(_courant(state, grid, g_r, dt).max())
 
 
-def _rusanov_diff(state: np.ndarray, grid: GridSpec, g_r: float, axis: int) -> np.ndarray:
-    """Flux difference F_{i+1/2} - F_{i-1/2} along one axis with wall ghosts."""
-    h, hu, hv = state
+def _rusanov_diff(state: np.ndarray, g_r: float, axis: int) -> np.ndarray:
+    """Flux difference F_{i+1/2} - F_{i-1/2} along one axis with wall ghosts.
+
+    ``state`` has shape (..., 3, nx, ny) and ``axis`` is -2 (x) or -1 (y).
+    Along either axis the scheme is the x-direction one, with the normal
+    and tangential momenta in the roles of hu and hv.
+    """
+    normal = 1 if axis == -2 else 2
+
+    def cut(s):
+        return (Ellipsis, s, slice(None)) if axis == -2 else (Ellipsis, s)
 
     def pad(a, flip):
-        first = -a[:1] if flip else a[:1]
-        last = -a[-1:] if flip else a[-1:]
-        return np.concatenate([first, a, last], axis=0)
+        first, last = a[cut(slice(None, 1))], a[cut(slice(-1, None))]
+        if flip:
+            first, last = -first, -last
+        return np.concatenate([first, a, last], axis=axis)
 
-    if axis == 1:
-        h, hu, hv = h.T, hu.T, hv.T
-    hp = pad(h, False)
     # mirror the normal momentum at walls, keep the tangential one
-    hup = pad(hu, axis == 0)
-    hvp = pad(hv, axis == 1)
-
-    flux = _swe_flux_x if axis == 0 else _swe_flux_y
-    normal_p = hup if axis == 0 else hvp
-    left = (hp[:-1], hup[:-1], hvp[:-1])
-    right = (hp[1:], hup[1:], hvp[1:])
-    f_left = flux(*left, g_r)
-    f_right = flux(*right, g_r)
-    speed_left = np.abs(normal_p[:-1] / hp[:-1]) + np.sqrt(g_r * hp[:-1])
-    speed_right = np.abs(normal_p[1:] / hp[1:]) + np.sqrt(g_r * hp[1:])
+    padded = (pad(state[..., 0, :, :], False), pad(state[..., normal, :, :], True),
+              pad(state[..., 3 - normal, :, :], False))
+    left = tuple(q[cut(slice(None, -1))] for q in padded)
+    right = tuple(q[cut(slice(1, None))] for q in padded)
+    f_left = _swe_flux(*left, g_r)
+    f_right = _swe_flux(*right, g_r)
+    speed_left = np.abs(left[1] / left[0]) + np.sqrt(g_r * left[0])
+    speed_right = np.abs(right[1] / right[0]) + np.sqrt(g_r * right[0])
     a_max = np.maximum(speed_left, speed_right)
 
-    diffs = []
-    for fl, fr, ql, qr in zip(f_left, f_right, left, right):
+    out = np.empty_like(state)
+    for channel, fl, fr, ql, qr in zip((0, normal, 3 - normal), f_left, f_right, left, right):
         f_star = 0.5 * (fl + fr) - 0.5 * a_max * (qr - ql)
-        diffs.append(np.diff(f_star, axis=0))
-    out = np.stack(diffs)
-    if axis == 1:
-        out = out.transpose(0, 2, 1)
+        out[..., channel, :, :] = np.diff(f_star, axis=axis)
     return out
 
 
@@ -285,45 +394,52 @@ def solve_shallow_water(
 
     First-order finite volumes with Rusanov (local Lax-Friedrichs)
     interface fluxes.  The mirrored wall states make the boundary mass
-    flux exactly zero, so total mass is conserved to rounding.  Returns
-    frames of the full state, frame 0 being the initial condition.
+    flux exactly zero, so total mass is conserved to rounding.
+    ``initial`` is one state (3, nx, ny) or a batch (..., 3, nx, ny),
+    stepped together with per-sample CFL and positivity checks.  Returns
+    frames of the full state, (..., frames, 3, nx, ny), frame 0 being the
+    initial condition.
     """
     if grid.boundary is not Boundary.WALL:
         raise ValueError(f"solve_shallow_water needs a wall-bounded grid, got {grid.boundary.value}")
     state = np.array(initial, dtype=np.float64, copy=True)
-    if state.shape != (3, *grid.resolution):
-        raise ValueError(f"state must have shape (3, nx, ny), got {state.shape}")
-    if state[0].min() <= 0:
-        raise ValueError("water depth must be positive everywhere")
+    if state.shape[-3:] != (3, *grid.resolution):
+        raise ValueError(f"state must have shape (..., 3, nx, ny), got {state.shape}")
+    lead = state.shape[:-3]
+    state = state.reshape(-1, *state.shape[-3:])
+    depth_min = state[:, 0].min(axis=(-2, -1))
+    if (depth_min <= 0).any():
+        sample = _first_sample(depth_min <= 0, lead)
+        at = "" if sample is None else f" in sample {sample}"
+        raise ValueError(f"water depth must be positive everywhere{at}")
     if dt <= 0 or n_steps < 1:
         raise ValueError("need dt > 0 and at least one step")
     if snapshot_stride is None:
         snapshot_stride = n_steps
     if n_steps % snapshot_stride != 0:
         raise ValueError(f"snapshot stride {snapshot_stride} does not divide {n_steps} steps")
-    if cfl_number(state, grid, g_r, dt) > cfl_max:
-        raise ValueError(
-            f"initial CFL number {cfl_number(state, grid, g_r, dt):.3f} exceeds {cfl_max}; reduce dt"
-        )
+    cfl = _courant(state, grid, g_r, dt)
+    if (cfl > cfl_max).any():
+        sample = _first_sample(cfl > cfl_max, lead)
+        at = "" if sample is None else f" in sample {sample}"
+        raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {cfl_max}{at}; reduce dt")
 
     dx, dy = grid.spacing
-    frames = np.empty((n_steps // snapshot_stride + 1, 3, *grid.resolution))
-    frames[0] = state
+    frames = np.empty((state.shape[0], n_steps // snapshot_stride + 1, *state.shape[1:]))
+    frames[:, 0] = state
     for step in range(1, n_steps + 1):
-        if cfl_number(state, grid, g_r, dt) > cfl_max:
-            raise SolverError(f"CFL number exceeded {cfl_max} mid-run, reduce dt", step=step)
+        cfl = _courant(state, grid, g_r, dt)
+        _abort_if(cfl > cfl_max, f"CFL number exceeded {cfl_max} mid-run, reduce dt", step, lead)
         state = (
             state
-            - (dt / dx) * _rusanov_diff(state, grid, g_r, axis=0)
-            - (dt / dy) * _rusanov_diff(state, grid, g_r, axis=1)
+            - (dt / dx) * _rusanov_diff(state, g_r, axis=-2)
+            - (dt / dy) * _rusanov_diff(state, g_r, axis=-1)
         )
-        if not np.all(np.isfinite(state)):
-            raise SolverError("state became non-finite", step=step)
-        if state[0].min() <= 0.0:
-            raise SolverError("water depth lost positivity", step=step)
+        _abort_if(~np.isfinite(state).all(axis=(1, 2, 3)), "state became non-finite", step, lead)
+        _abort_if(state[:, 0].min(axis=(-2, -1)) <= 0.0, "water depth lost positivity", step, lead)
         if step % snapshot_stride == 0:
-            frames[step // snapshot_stride] = state
-    return frames
+            frames[:, step // snapshot_stride] = state
+    return frames.reshape(*lead, *frames.shape[1:])
 
 
 def verify_flux_balance(

@@ -251,6 +251,21 @@ def _check_allen_cahn_order(correction: CorrectionFn):
     return None if 1.6 < ratio < 2.4 else f"Richardson dt ratio {ratio:.3f} is not first order"
 
 
+@_register("solvers", "batch_consistency")
+def _check_batch_consistency(correction: CorrectionFn):
+    grid = GridSpec.square(16)
+    fields = [GridField(grid, grf_ic([6, i], grid).values + 0.1 * (i + 1)) for i in range(3)]
+    batch = solve_allen_cahn(fields, 0.01, "dw", dt=1e-4, n_steps=200, snapshot_stride=50)
+    for i, field in enumerate(fields):
+        alone = solve_allen_cahn(field, 0.01, "dw", dt=1e-4, n_steps=200, snapshot_stride=50)
+        if not np.array_equal(batch[i], alone):
+            return f"sample {i}: batched frames differ from a single call by {np.abs(batch[i] - alone).max():.2e}"
+        drift = np.abs(batch[i].mean(axis=(1, 2)) - field.values.mean()).max()
+        if drift > 1e-12:
+            return f"sample {i}: batched frames moved the sample's mean by {drift:.2e}"
+    return None
+
+
 @_register("solvers", "water_rest_and_mass")
 def _check_water(correction: CorrectionFn):
     grid = GridSpec.square(32, boundary=Boundary.WALL)

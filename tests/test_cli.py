@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import zeromode
 import zeromode.verify
 from zeromode.cli import main
 from zeromode.datafile import read_dataset
@@ -215,19 +216,30 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "vibes"]) == 2
 
 
+def child_env(env: dict) -> dict:
+    """``env`` with this zeromode's parent directory first on PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches this process only, not the
+    interpreters it starts.
+    """
+    package_parent = os.path.dirname(os.path.dirname(zeromode.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_parent, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestEnvironment:
     def test_thread_cap_propagates_before_numpy(self):
         script = ("import os; import zeromode; "
                   "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+        env = child_env({k: v for k, v in os.environ.items()
+                         if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")})
         env["ZEROMODE_THREADS"] = "2"
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["2", "2"]
 
     def test_explicit_blas_setting_wins(self):
-        env = dict(os.environ)
+        env = child_env(dict(os.environ))
         env["ZEROMODE_THREADS"] = "2"
         env["OMP_NUM_THREADS"] = "7"
         script = "import os; import zeromode; print(os.environ['OMP_NUM_THREADS'])"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from zeromode.datasets import (
     DatasetConfig,
@@ -13,7 +14,9 @@ from zeromode.datasets import (
     generate_dataset,
     paper_config,
 )
-from zeromode.solvers import verify_flux_balance
+from zeromode.grid import angular_wavenumbers
+from zeromode.initial_conditions import chebyshev_ic, grf_ic
+from zeromode.solvers import dam_break_state, solve_shallow_water, verify_flux_balance
 
 
 def tiny_config(problem, n_samples=3, seed=0, resolution=16, **overrides):
@@ -114,3 +117,108 @@ class TestGeneration:
         ds = generate_dataset(tiny_config(Problem.CD))
         assert len(ds.sample_seeds) == 3
         assert all(len(s) == 4 for s in ds.sample_seeds)
+
+
+# -- references: the per-sample generation the batched path replaced ----------
+
+
+def reference_ic(params, grid, seed):
+    if params.problem is Problem.DIFF:
+        u = grf_ic(seed, grid, params.grf_tau, params.grf_alpha).values[0]
+        return u - u.mean() + params.ic_offset
+    u = chebyshev_ic(seed, grid, params.cheb_order).values[0]
+    return 0.9 * u / np.abs(u).max() if params.problem is Problem.AC_FH else u
+
+
+def squared_wavenumber(grid):
+    k2 = np.zeros(grid.resolution)
+    for k in angular_wavenumbers(grid):
+        k2 = k2 + k**2
+    return k2
+
+
+def per_frame_exact(params, grid, u0):
+    """One forward and one inverse transform per frame, as before batching."""
+    frames = []
+    for t in params.frame_times():
+        if params.problem is Problem.HEAT:
+            coeffs = scipy.fft.dctn(u0, type=2)
+            for axis, (n, length) in enumerate(zip(grid.resolution, grid.lengths)):
+                shape = [1] * grid.ndim
+                shape[axis] = n
+                lam = (np.pi * np.arange(n) / length) ** 2
+                coeffs = coeffs * np.exp(-params.d_coeff * lam * t).reshape(shape)
+            frames.append(scipy.fft.idctn(coeffs, type=2))
+            continue
+        if params.problem is Problem.DIFF:
+            factor = np.exp(-params.d_coeff * squared_wavenumber(grid) * t)
+        else:
+            k_dot_v = np.zeros(grid.resolution)
+            for k, v in zip(angular_wavenumbers(grid), params.velocity):
+                k_dot_v = k_dot_v + k * v
+            factor = np.exp(-(params.d_coeff * squared_wavenumber(grid) + 1j * k_dot_v) * t)
+        frames.append(np.fft.ifftn(np.fft.fftn(u0) * factor).real)
+    return np.stack(frames)
+
+
+def three_fft_allen_cahn(params, grid, u):
+    """The Allen-Cahn stepper with three complex transforms per step, as before batching."""
+    dt, stride = params.dt, params.snapshot_stride
+    mean0 = u.mean()
+    denom = 1.0 + dt * params.epsilon * squared_wavenumber(grid)
+    frames = [u]
+    for step in range(1, (params.n_snapshots - 1) * stride + 1):
+        if params.problem is Problem.AC_FH:
+            uc = np.clip(u, -1.0 + 1e-6, 1.0 - 1e-6)
+            f = 0.5 * params.theta * (np.log1p(uc) - np.log1p(-uc)) - params.theta_c * u
+        else:
+            f = u - u**3
+        g = f - f.mean()
+        u = np.fft.ifftn((np.fft.fftn(u) + dt * np.fft.fftn(g)) / denom).real
+        u = u + (mean0 - u.mean())
+        if step % stride == 0:
+            frames.append(u)
+    return np.stack(frames)
+
+
+class TestBatchedGeneration:
+    """The split is solved in one call; each sample must match the per-sample path."""
+
+    @pytest.mark.parametrize("problem", [Problem.HEAT, Problem.DIFF, Problem.CD])
+    def test_exact_propagators_byte_identical_to_per_frame_path(self, problem):
+        ds = generate_dataset(desk_config(problem, split="test", master_seed=7, n_samples=4))
+        params = ds.problem_params()
+        expected = np.stack([per_frame_exact(params, ds.grid, reference_ic(params, ds.grid, seed))
+                             for seed in ds.sample_seeds])
+        assert ds.data[:, :, 0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("problem", [Problem.AC_DW, Problem.AC_FH])
+    def test_merged_real_fft_stepper_matches_three_fft_stepper(self, problem):
+        ds = generate_dataset(desk_config(problem, split="test", master_seed=7, n_samples=3))
+        params = ds.problem_params()
+        expected = np.stack([three_fft_allen_cahn(params, ds.grid, reference_ic(params, ds.grid, seed))
+                             for seed in ds.sample_seeds])
+        assert np.abs(ds.data[:, :, 0] - expected).max() <= 1e-12
+
+    def test_water_byte_identical_to_per_sample_loop(self):
+        ds = generate_dataset(desk_config(Problem.WATER, split="test", master_seed=7, n_samples=4))
+        params = ds.problem_params()
+        expected = []
+        for seed in ds.sample_seeds:
+            rng = np.random.default_rng(seed)
+            center = tuple(rng.uniform(0.3, 0.7, 2) * params.length)
+            radius = rng.uniform(0.15, 0.25) * params.length
+            state = dam_break_state(ds.grid, center=center, radius=radius,
+                                    h_inner=rng.uniform(1.5, 2.5), h_outer=1.0)
+            frames = solve_shallow_water(state, ds.grid, params.g_r, params.dt,
+                                         (params.n_snapshots - 1) * params.snapshot_stride,
+                                         snapshot_stride=params.snapshot_stride)
+            expected.append(frames[:, :1])
+        assert ds.data.tobytes() == np.stack(expected).tobytes()
+
+    def test_sample_seeds_unchanged(self):
+        # redraws included: samples 1 and 2 fail the mean floor on their first draw
+        ds = generate_dataset(desk_config(Problem.AC_FH, split="test", master_seed=7, n_samples=3))
+        assert ds.sample_seeds == [[7, 2, 0, 0], [7, 2, 1, 1], [7, 2, 2, 1]]
+        ds = generate_dataset(desk_config(Problem.CD, split="test", master_seed=7, n_samples=10))
+        assert ds.sample_seeds == [[7, 2, i, int(i == 7)] for i in range(10)]

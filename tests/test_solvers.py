@@ -210,6 +210,21 @@ class TestAllenCahn:
         assert abs(frames[-1].mean() - frames[0].mean()) < 1e-12
         assert np.abs(frames).max() < 1.0
 
+    @pytest.mark.parametrize("resolution", [(15, 17), (16, 9), (21,)])
+    def test_real_transform_step_on_odd_grids(self, resolution):
+        """The half spectrum of an odd last axis: one step per complex fftn as the oracle."""
+        grid = GridSpec(lengths=(1.0,) * len(resolution), resolution=resolution)
+        u = 0.5 * np.tanh(np.random.default_rng(1).normal(size=resolution)) + 0.1
+        frames = solve_allen_cahn(GridField.from_scalar(grid, u), 0.01, "dw", dt=1e-4, n_steps=100)
+        x = np.meshgrid(*(np.fft.fftfreq(n, d=1.0 / n) for n in resolution), indexing="ij")
+        denom = 1.0 + 1e-4 * 0.01 * sum((2 * np.pi * k) ** 2 for k in x)
+        v = u
+        for _ in range(100):
+            f = v - v**3
+            v = np.fft.ifftn((np.fft.fftn(v) + 1e-4 * np.fft.fftn(f - f.mean())) / denom).real
+            v = v + (u.mean() - v.mean())
+        assert np.abs(frames[-1] - v).max() < 1e-12
+
     def test_fh_rejects_state_in_clamp_band(self):
         grid = GridSpec.square(8)
         ic = GridField.constant(grid, 0.0)
@@ -293,3 +308,83 @@ class TestFluxBalance:
         law = ConservationLawSpec("open", flux="f", source="zero", boundary_flux_zero=False)
         with pytest.raises(ValueError, match="boundary"):
             verify_flux_balance(np.zeros((3, 1, 8, 8)), 0.1, grid, law)
+
+
+class TestBatching:
+    """A batch is stepped together, but each sample must come out as if solved alone."""
+
+    def fh_fields(self, grid, seeds):
+        fields = []
+        for s in seeds:
+            values = chebyshev_ic(s, grid).values
+            fields.append(GridField(grid, 0.9 * values / np.abs(values).max()))
+        return fields
+
+    @pytest.mark.parametrize("potential", ["dw", "fh"])
+    def test_allen_cahn_batch_equals_single_calls(self, potential):
+        grid = GridSpec.square(16)
+        fields = self.fh_fields(grid, range(20, 25))
+        kwargs = dict(dt=1e-4, n_steps=200, snapshot_stride=50)
+        batch = solve_allen_cahn(fields, 0.01, potential, **kwargs)
+        assert batch.shape == (5, 5, 16, 16)
+        for i, field in enumerate(fields):
+            alone = solve_allen_cahn(field, 0.01, potential, **kwargs)
+            assert np.array_equal(batch[i], alone), i
+            assert np.abs(batch[i].mean(axis=(1, 2)) - field.values.mean()).max() < 1e-12
+
+    def test_shallow_water_batch_equals_single_calls(self):
+        grid = GridSpec.square(16, boundary=Boundary.WALL)
+        states = np.stack([dam_break_state(grid, center=(0.3 + 0.1 * i, 0.5 - 0.05 * i),
+                                           h_inner=1.5 + 0.2 * i) for i in range(5)])
+        batch = solve_shallow_water(states, grid, 1.0, 0.005, 40, snapshot_stride=10)
+        assert batch.shape == (5, 5, 3, 16, 16)
+        for i, state in enumerate(states):
+            assert np.array_equal(batch[i], solve_shallow_water(state, grid, 1.0, 0.005, 40, snapshot_stride=10)), i
+        # any number of leading axes
+        nested = solve_shallow_water(states[None], grid, 1.0, 0.005, 40, snapshot_stride=10)
+        assert np.array_equal(nested, batch[None])
+
+    def test_exact_propagators_batch_over_samples_and_times(self):
+        grid = GridSpec.square(16)
+        fields = [chebyshev_ic(s, grid) for s in (30, 31, 32)]
+        times = np.array([0.0, 0.2, 0.5])
+        batch = solve_convdiff_exact(fields, 0.01, (1.0, 0.5), times)
+        assert batch.shape == (3, 3, 16, 16)
+        for i, field in enumerate(fields):
+            for f, t in enumerate(times):
+                single = solve_convdiff_exact(field, 0.01, (1.0, 0.5), float(t))
+                assert np.array_equal(batch[i, f], single.values[0]), (i, f)
+        assert solve_diffusion_exact(fields[0], 0.01, times).shape == (3, 16, 16)
+        with pytest.raises(ValueError, match="grid"):
+            solve_diffusion_exact([fields[0], chebyshev_ic(0, GridSpec.square(8))], 0.01, times)
+
+    def test_clamp_abort_names_the_sample(self):
+        grid = GridSpec.square(8)
+        fields = []
+        for i in range(5):
+            values = np.zeros((1, 8, 8))
+            values[0, 1, 1] = -0.5
+            if i == 2:
+                values[0, 0, 0] = 0.9999999  # inside the clamp band
+            fields.append(GridField(grid, values))
+        with pytest.raises(SolverError) as err:
+            solve_allen_cahn(fields, 0.01, "fh", dt=1e-4, n_steps=10)
+        assert err.value.sample == 2
+        assert err.value.step == 1
+        assert "sample 2" in str(err.value) and "step 1" in str(err.value)
+
+    def test_cfl_abort_names_the_sample(self):
+        grid = GridSpec.square(16, boundary=Boundary.WALL)
+        dt = 0.4 / 16 / np.sqrt(2.0)  # initial CFL 0.4 for the deepest column
+        states = np.stack([dam_break_state(grid, h_inner=1.2) for _ in range(5)])
+        states[3] = 0.0
+        states[3, 0] = 0.05
+        states[3, 0, :8] = 2.0  # a one-sided step speeds up past the initial wave speed
+        with pytest.raises(SolverError) as alone:
+            solve_shallow_water(states[3], grid, 1.0, dt, 60)
+        assert alone.value.sample is None and alone.value.step > 1
+        with pytest.raises(SolverError) as err:
+            solve_shallow_water(states, grid, 1.0, dt, 60)
+        assert "CFL" in str(err.value)
+        assert err.value.sample == 3
+        assert err.value.step == alone.value.step
