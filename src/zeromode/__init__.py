@@ -11,9 +11,10 @@ effect before numpy loads, hence the shim below runs first.
 
 import os as _os
 
+_THREAD_CAP_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 _cap = _os.environ.get("ZEROMODE_THREADS")
 if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for _var in _THREAD_CAP_VARS:
         _os.environ.setdefault(_var, _cap)
 del _os, _cap
 

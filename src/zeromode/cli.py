@@ -8,8 +8,10 @@ switches to the published problem sizes and warns about the cost.
 
 Each run writes a ``manifest.json`` next to its artifacts, last, after
 everything else succeeded: the argv echo, the resolved configuration and
-its sha256, the seeds involved, the artifact paths, package version and
-wall-clock timestamps.  Reports themselves stay timestamp-free so that
+its sha256, the seeds involved, the artifact paths, package version,
+wall-clock timestamps and the environment (numpy and scipy versions, the
+thread-cap variables in effect, the CPU count); ``eval`` adds the seconds
+spent in rollouts.  Reports themselves stay timestamp-free so that
 reruns are byte-identical; the manifest is the only place time appears.
 
 Exit codes: 0 on success, 1 when a run fails (solver abort, divergence,
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -68,9 +71,24 @@ def _merge(defaults: dict, file_cfg: dict, args: argparse.Namespace, keys: list[
     return merged
 
 
+def _environment() -> dict:
+    import numpy
+    import scipy
+
+    from . import _THREAD_CAP_VARS
+
+    return {
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "thread_caps": {var: os.environ.get(var) for var in ("ZEROMODE_THREADS", *_THREAD_CAP_VARS)},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
                     seeds: list[int], artifacts: list[Path], started: str,
-                    name: str = "manifest.json") -> Path:
+                    name: str = "manifest.json", **fields) -> Path:
+    """Write the run's manifest; ``fields`` are extra top-level entries."""
     from . import __version__
 
     manifest = {
@@ -83,6 +101,8 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
         "version": __version__,
         "started": started,
         "finished": _utc_now(),
+        "environment": _environment(),
+        **fields,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -191,6 +211,20 @@ def _cmd_train(args, argv: list[str]) -> int:
 _VARIANT_CORRECTION = {"base": "off", "integrated": "feedback", "staged": "post_hoc"}
 
 
+def _read_records(path: Path) -> list:
+    """Every record in a records.jsonl file; a malformed line raises ValueError naming it."""
+    from .metrics import MetricsRecord
+
+    records = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            if line.strip():
+                records.append(MetricsRecord.from_json(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} line {lineno}: malformed record ({type(exc).__name__}: {exc})") from exc
+    return records
+
+
 def _cmd_eval(args, argv: list[str]) -> int:
     import numpy as np
 
@@ -203,13 +237,22 @@ def _cmd_eval(args, argv: list[str]) -> int:
     model = load_checkpoint(args.model)
     dataset = read_dataset(args.data)
     correction = CorrectionMode(args.correction or _VARIANT_CORRECTION[args.variant])
+    out_dir = Path(args.out)
+    records_path = out_dir / "records.jsonl"
+    # a second record for one (dataset, variant, seed) would make report refuse the file
+    key = (dataset.problem.value, args.variant, model.config.seed)
+    if records_path.exists() and any((r.dataset, r.variant, r.seed) == key
+                                     for r in _read_records(records_path)):
+        raise ValueError(f"{records_path} already holds a record for {key[0]}/{key[1]} seed {key[2]}")
 
     rmse_steps = []
     cons_steps = []
+    rollout_seconds = 0.0
     for i in range(dataset.n_samples):
         result = rollout(model, dataset.data[i], correction=correction, mask=dataset.mask)
         rmse_steps.append(result.rmse)
         cons_steps.append(result.cons_err)
+        rollout_seconds += result.wall_clock
     record = MetricsRecord(
         dataset=dataset.problem.value,
         variant=args.variant,
@@ -218,31 +261,23 @@ def _cmd_eval(args, argv: list[str]) -> int:
         cons_err_per_step=list(np.mean(cons_steps, axis=0)),
     )
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / "records.jsonl"
     with open(records_path, "a") as fh:
         fh.write(record.to_json() + "\n")
     print(f"evaluated {dataset.problem.value}/{args.variant} seed {model.config.seed}: "
           f"mean rmse {record.rmse_mean:.3e}, worst conservation error {record.cons_err_max:.3e}")
     config = {"model": str(args.model), "data": str(args.data), "variant": args.variant,
               "correction": correction.value}
-    _write_manifest(out_dir, "eval", argv, config, [model.config.seed], [records_path], started)
+    _write_manifest(out_dir, "eval", argv, config, [model.config.seed], [records_path], started,
+                    rollout_seconds=rollout_seconds)
     return 0
 
 
 def _cmd_report(args, argv: list[str]) -> int:
-    from .metrics import MetricsRecord, emit_report
+    from .metrics import emit_report
 
     started = _utc_now()
-    records = []
-    for path in args.records:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            try:
-                if line.strip():
-                    records.append(MetricsRecord.from_json(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path} line {lineno}: malformed record ({type(exc).__name__}: {exc})") from exc
+    records = [record for path in args.records for record in _read_records(path)]
     if not records:
         raise SystemExit("no records found in the given files")
     formats = tuple(args.formats.split(","))
@@ -325,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="roll a trained model over a dataset and record metrics")
     ev.add_argument("--model", required=True, help="checkpoint path")
     ev.add_argument("--data", required=True, help="dataset path")
-    ev.add_argument("--out", required=True, help="output directory (records.jsonl is appended)")
+    ev.add_argument("--out", required=True, help="output directory; records.jsonl is appended, and a second record "
+                    "for the same dataset, variant and seed is refused")
     ev.add_argument("--variant", default="base", choices=["base", "integrated", "staged"])
     ev.add_argument("--correction", choices=["off", "feedback", "post_hoc"],
                     help="override the correction implied by --variant")

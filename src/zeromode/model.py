@@ -30,6 +30,20 @@ exactly zero, and a constant passes a zero-mode identity weight bit for
 bit.  A BLAS dot product with a row of ones would round its running sum
 term by term instead.
 
+The forward pass writes every activation-size intermediate into a
+workspace cached per (batch shape, width, n_layers, taped) and reused by
+every later call of that shape, so a steady-state call allocates no
+activation.  A forward-only call uses three activation buffers and one
+half-spectrum buffer (the last-axis real FFT): two buffers take turns as a
+block's input h and its tanh t, and the third holds ``W h + b``.  Each block
+overwrites h with its spectral branch once h's FFT and ``W h`` are taken,
+and t with its GELU output, which becomes the next block's h.  A taped call
+keeps each block's h, ``W h + b`` and tanh in buffers of their own, which
+stay valid until the next taped call of the same shape; the spectral
+branches share one buffer.  The prediction returned is always a fresh array,
+never a view of the workspace.  The workspace is shared process-wide, so
+two threads must not run forwards of one shape at the same time.
+
 No autodiff framework is used: every layer implements its own adjoint,
 and the gradient of the training loss (including the optional zero-mode
 correction, whose Jacobian kills uniform directions) is assembled by
@@ -89,13 +103,15 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(u, out=out)
 
 
-def gelu(x: np.ndarray, tanh_out: np.ndarray | None = None) -> np.ndarray:
+def gelu(x: np.ndarray, tanh_out: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Smooth gate 0.5*x*(1 + tanh(a*(x + b*x^3))), a=sqrt(2/pi), b=0.044715.
 
     ``tanh_out``, an array shaped like ``x``, receives the inner tanh, which
     :func:`gelu_grad` takes back as ``tanh`` instead of computing it again.
+    ``out`` receives the result; it may be ``tanh_out`` when the tanh is
+    not needed afterwards.
     """
-    y = 1.0 + _gelu_tanh(x, out=tanh_out)
+    y = np.add(1.0, _gelu_tanh(x, out=tanh_out), out=out)
     y *= x
     y *= 0.5
     return y
@@ -344,29 +360,35 @@ def _band(resolution: tuple[int, ...], modes_kept: int) -> _Band:
     return _Band(m, tuple(resolution), rows, neg)
 
 
-def _to_band(x: np.ndarray, band: _Band) -> np.ndarray:
+def _to_band(x: np.ndarray, band: _Band, spectrum: np.ndarray | None = None) -> np.ndarray:
     """Retained DFT modes of real ``x`` (B, C, *spatial) as (B, C, n_modes).
 
     Equals gathering the band from ``fftn(x)``: a real FFT along the last
     axis keeps its first m columns, a short FFT runs along the other axis,
     and the negative last-axis modes come from X[k0, -k1] = conj(X[-k0, k1]).
+    ``spectrum``, shaped like ``rfft(x, axis=-1)``, receives the real FFT
+    and then, in place, the short one.
     """
     m = band.modes_kept
-    half = np.fft.rfft(x, axis=-1)[..., :m]
+    half = np.fft.rfft(x, axis=-1, out=spectrum)[..., :m]
     mirror = half
     if band.rows is not None:
-        half = np.fft.fft(half, axis=-2)[..., band.rows, :]
+        half = np.fft.fft(half, axis=-2, out=half)[..., band.rows, :]
         mirror = half[..., band.neg, :]
     modes = np.concatenate([half, np.conj(mirror[..., :0:-1])], axis=-1)
     return modes.reshape(*x.shape[:2], -1)
 
 
-def _from_band(modes: np.ndarray, band: _Band) -> np.ndarray:
+def _from_band(
+    modes: np.ndarray, band: _Band, spectrum: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """``Re(ifftn(spectrum))`` of the spectrum holding ``modes`` on the band, 0 elsewhere.
 
     The real part sees only the Hermitian part H = (Y + conj(Y[-k])) / 2,
     whose non-negative last-axis columns feed ``ifft`` then ``irfft``.
     Up to a factor n_points this is the transpose of :func:`_to_band`.
+    In 2-D the first m columns of ``spectrum`` (as for :func:`_to_band`)
+    hold the zero-padded columns for the ``ifft``; ``out`` receives the field.
     """
     m = band.modes_kept
     spec = modes.reshape(*modes.shape[:2], *(2 * m - 1,) * len(band.resolution))
@@ -375,16 +397,23 @@ def _from_band(modes: np.ndarray, band: _Band) -> np.ndarray:
         mirror = mirror[..., band.neg, :]
     half = 0.5 * (spec[..., :m] + np.conj(mirror[..., :m]))
     if band.rows is not None:
-        full = np.zeros((*half.shape[:2], band.resolution[0], m), dtype=np.complex128)
+        if spectrum is None:
+            spectrum = np.empty((*half.shape[:2], band.resolution[0], m), dtype=np.complex128)
+        full = spectrum[..., :m]
+        full.fill(0.0)
         full[..., band.rows, :] = half
-        half = np.fft.ifft(full, axis=-2)
-    return np.fft.irfft(half, n=band.resolution[-1], axis=-1)
+        half = np.fft.ifft(full, axis=-2, out=full)
+    return np.fft.irfft(half, n=band.resolution[-1], axis=-1, out=out)
 
 
-def _spectral_forward(x: np.ndarray, weight: np.ndarray, band: _Band):
-    x_modes = _to_band(x, band)
+def _spectral_forward(
+    x: np.ndarray, weight: np.ndarray, band: _Band, out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+):
+    """(layer output, retained modes of ``x``); ``out`` may be ``x`` itself, read before it is written."""
+    x_modes = _to_band(x, band, spectrum)
     y_modes = np.einsum("iom,bim->bom", weight, x_modes, optimize=True)
-    return _from_band(y_modes, band), x_modes
+    return _from_band(y_modes, band, spectrum, out), x_modes
 
 
 def _spectral_backward(grad_y: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band):
@@ -397,8 +426,11 @@ def _spectral_backward(grad_y: np.ndarray, weight: np.ndarray, x_modes: np.ndarr
     return _from_band(gx_modes, band), grad_weight
 
 
-def _pointwise_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    y = weight @ x.reshape(*x.shape[:2], -1)
+def _pointwise_forward(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    flat = None if out is None else out.reshape(*out.shape[:2], -1)
+    y = np.matmul(weight, x.reshape(*x.shape[:2], -1), out=flat)
     y += bias[:, None]
     return y.reshape(x.shape[0], -1, *x.shape[2:])
 
@@ -412,11 +444,43 @@ def _pointwise_backward(grad_y: np.ndarray, x: np.ndarray, weight: np.ndarray):
     return grad_x, grad_w, grad_b
 
 
+@dataclass(frozen=True)
+class _Workspace:
+    """Activation buffers of one forward shape, indexed by block.
+
+    Block i reads ``h[i]``, writes ``W h + b`` into ``z[i]``, its spectral
+    branch into ``s[i]``, its tanh into ``t[i]`` and its output into
+    ``h[i + 1]``; ``spectrum`` holds each real FFT.  Which entries share
+    memory is what :func:`_workspace` decides.
+    """
+
+    h: tuple[np.ndarray, ...]
+    z: tuple[np.ndarray, ...]
+    t: tuple[np.ndarray, ...]
+    s: tuple[np.ndarray, ...]
+    spectrum: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _workspace(shape: tuple[int, ...], n_layers: int, taped: bool) -> _Workspace:
+    """Buffers for activations shaped (B, width, *spatial), aliased as the module docstring says."""
+    spectrum = np.empty((*shape[:-1], shape[-1] // 2 + 1), dtype=np.complex128)
+    if taped:
+        h = tuple(np.empty(shape) for _ in range(n_layers + 1))
+        z = tuple(np.empty(shape) for _ in range(n_layers))
+        t = tuple(np.empty(shape) for _ in range(n_layers))
+        return _Workspace(h, z, t, (np.empty(shape),) * n_layers, spectrum)
+    pair = (np.empty(shape), np.empty(shape))
+    h = tuple(pair[i % 2] for i in range(n_layers + 1))
+    return _Workspace(h, (np.empty(shape),) * n_layers, h[1:], h[:-1], spectrum)
+
+
 def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-    """Run a batch (B, channels, *spatial).
+    """Run a batch (B, channels, *spatial); the prediction returned is a fresh array.
 
     With ``tape`` given, what :func:`_backward_batch` reads is recorded in
-    it; a forward-only call passes none, so each activation is freed once used.
+    it.  The tape holds workspace buffers, valid until the next taped call
+    of the same shape.
     """
     cfg = model.config
     if x.ndim != cfg.ndim + 2 or x.shape[1] != cfg.channels:
@@ -424,16 +488,16 @@ def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None
             f"input batch must have shape (B, {cfg.channels}, *spatial) with {cfg.ndim} spatial axes, got {x.shape}"
         )
     band = _band(x.shape[2:], cfg.modes_kept)
+    ws = _workspace((x.shape[0], cfg.width, *x.shape[2:]), cfg.n_layers, tape is not None)
     p = _views(model.params, cfg)
 
-    h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"])
+    h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"], out=ws.h[0])
     for i in range(cfg.n_layers):
-        s, x_modes = _spectral_forward(h, p[f"block{i}.spectral"], band)
-        z = _pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"])
-        t = np.empty_like(z)  # gelu fills it with its tanh
+        z = _pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"], out=ws.z[i])
+        s, x_modes = _spectral_forward(h, p[f"block{i}.spectral"], band, out=ws.s[i], spectrum=ws.spectrum)
         if tape is not None:
-            tape[f"block{i}"] = (h, x_modes, z, t)
-        h = gelu(z, tanh_out=t)
+            tape[f"block{i}"] = (h, x_modes, z, ws.t[i])
+        h = gelu(z, tanh_out=ws.t[i], out=ws.h[i + 1])
         h += s
     if tape is not None:
         tape.update(x=x, band=band, proj_in=h)

@@ -47,10 +47,23 @@ def adamw_step(model: OperatorModel, grads: np.ndarray, state: OptimState):
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient entries, refusing to step")
 
+    # Each line computes into the three fresh outputs or one scratch vector,
+    # in the operation order of the update rule above, so no full-size
+    # temporary is made and the result rounds exactly as the formula does.
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    mhat = m / (1.0 - state.beta1**t)
-    vhat = v / (1.0 - state.beta2**t)
-    params = model.params - state.lr * mhat / (np.sqrt(vhat) + state.eps) - state.lr * state.weight_decay * model.params
+    scratch = np.multiply(1.0 - state.beta1, grads)
+    m = np.multiply(state.beta1, state.m)
+    m += scratch
+    np.square(grads, out=scratch)
+    scratch *= 1.0 - state.beta2
+    v = np.multiply(state.beta2, state.v)
+    v += scratch
+    denom = np.divide(v, 1.0 - state.beta2**t, out=scratch)  # vhat
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    params = np.divide(m, 1.0 - state.beta1**t)  # mhat
+    params *= state.lr
+    params /= denom
+    np.subtract(model.params, params, out=params)
+    params -= np.multiply(state.lr * state.weight_decay, model.params, out=scratch)
     return OperatorModel(model.config, params), replace(state, m=m, v=v, step=t)

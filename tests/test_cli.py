@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import zeromode
+import zeromode.training
 import zeromode.verify
 from zeromode.cli import main
 from zeromode.datafile import read_dataset
@@ -141,6 +142,19 @@ class TestEvalAndReport:
         body = (tmp_path / "report" / "records.csv").read_text()
         assert "diff,base," in body and "diff,staged," in body
 
+    def test_eval_manifest_carries_environment_and_rollout_time(self, pipeline, tmp_path):
+        _, _, valid_path, run_dir = pipeline
+        out = tmp_path / "evals"
+        assert main(["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rollout_seconds"] > 0.0
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__ and env["scipy"]
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["thread_caps"]["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
+        assert "ZEROMODE_THREADS" in env["thread_caps"]
+
     def test_missing_data_is_usage_error(self, pipeline, tmp_path):
         _, _, _, run_dir = pipeline
         code = main(["eval", "--model", str(run_dir / "model.ckpt"),
@@ -193,6 +207,26 @@ class TestMalformedInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{records} line 2" in err
+
+
+    def test_duplicate_eval_refused_before_rollout(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, _, valid_path, run_dir = pipeline
+        out = tmp_path / "evals"
+        argv = ["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path),
+                "--out", str(out), "--variant", "staged"]
+        assert main(argv) == 0
+        records = out / "records.jsonl"
+        before = records.read_bytes()
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("rollout ran for a duplicate record")
+
+        monkeypatch.setattr(zeromode.training, "rollout", no_rollout)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(records) in err
+        assert records.read_bytes() == before
 
 
 class TestVerifyCommand:

@@ -49,6 +49,23 @@ class TestSingleStep:
             theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps) - lr * wd * theta
         np.testing.assert_allclose(m2.params, theta, rtol=1e-14)
 
+    def test_matches_update_formula_bit_for_bit(self):
+        model = fresh()
+        rng = np.random.default_rng(11)
+        state = init_optimizer(model, lr=3e-3, weight_decay=1e-2)
+        b1, b2, lr, wd, eps = state.beta1, state.beta2, state.lr, state.weight_decay, state.eps
+        m = np.zeros_like(model.params)
+        v = np.zeros_like(model.params)
+        theta = model.params.copy()
+        for t in range(1, 4):
+            g = rng.normal(size=model.params.size) * 10.0 ** rng.uniform(-6, 2, size=model.params.size)
+            model, state = adamw_step(model, g, state)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g**2
+            theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps) - lr * wd * theta
+            assert model.params.tobytes() == theta.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
     def test_zero_gradient_is_pure_decay(self):
         model = fresh()
         state = init_optimizer(model, lr=1e-2, weight_decay=1e-3)
