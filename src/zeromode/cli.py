@@ -11,7 +11,8 @@ everything else succeeded: the argv echo, the resolved configuration and
 its sha256, the seeds involved, the artifact paths, package version,
 wall-clock timestamps and the environment (numpy and scipy versions, the
 thread-cap variables in effect, the CPU count); ``eval`` adds the seconds
-spent in rollouts.  Reports themselves stay timestamp-free so that
+spent in rollouts, and ``train`` the seconds of the whole training run and
+of its validation rollouts.  Reports themselves stay timestamp-free so that
 reruns are byte-identical; the manifest is the only place time appears.
 
 Exit codes: 0 on success, 1 when a run fails (solver abort, divergence,
@@ -193,7 +194,9 @@ def _cmd_train(args, argv: list[str]) -> int:
         eval_every=int(resolved["eval_every"]),
     )
     seed = int(resolved["seed"])
+    t0 = time.perf_counter()
     result = train(train_set, valid_set, model_config, train_config, seed)
+    train_seconds = time.perf_counter() - t0
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,7 +207,8 @@ def _cmd_train(args, argv: list[str]) -> int:
         indent=2, sort_keys=True) + "\n")
     print(f"trained {resolved['mode']} seed {seed}: best epoch {result.best_epoch}, "
           f"val rmse {result.best_val_rmse:.3e}")
-    _write_manifest(out_dir, "train", argv, resolved, [seed], [ckpt, log_path], started)
+    _write_manifest(out_dir, "train", argv, resolved, [seed], [ckpt, log_path], started,
+                    train_seconds=train_seconds, validation_seconds=result.validation_seconds)
     return 0
 
 

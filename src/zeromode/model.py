@@ -22,6 +22,10 @@ symmetry of a real field's spectrum, X[k0, -k1] = conj(X[-k0, k1]).  The
 weights for +n and -n stay independent and the layer keeps the real part
 of its inverse transform, so the way back folds the band into its
 Hermitian part H = (Y + conj(Y[-k])) / 2 and runs ``ifft`` then ``irfft``.
+The ``irfft`` reads the full half-spectrum width n//2 + 1, zero past the
+band, from a buffer the forward already has: given only the band's
+columns, numpy pads each row with zeros itself, which at 16 x 128^2 took
+1.8 ms against 1.3 ms for the same values.
 The backward pass reuses both transforms, since each is the other's
 transpose up to the number of grid points.  Every step is an FFT, never a
 dense DFT-matrix product: on a power-of-two grid the FFT of a constant
@@ -37,12 +41,26 @@ activation.  A forward-only call uses three activation buffers and one
 half-spectrum buffer (the last-axis real FFT): two buffers take turns as a
 block's input h and its tanh t, and the third holds ``W h + b``.  Each block
 overwrites h with its spectral branch once h's FFT and ``W h`` are taken,
-and t with its GELU output, which becomes the next block's h.  A taped call
-keeps each block's h, ``W h + b`` and tanh in buffers of their own, which
-stay valid until the next taped call of the same shape; the spectral
-branches share one buffer.  The prediction returned is always a fresh array,
-never a view of the workspace.  The workspace is shared process-wide, so
-two threads must not run forwards of one shape at the same time.
+and t with its GELU output plus that branch, which becomes the next block's
+h.  A taped call keeps each block's h, ``W h + b`` and tanh in buffers of
+their own, which stay valid until the next taped call of the same shape; the
+spectral branches share one buffer.  The prediction returned is always a
+fresh array, never a view of the workspace.  The workspace is shared
+process-wide, so two threads must not run forwards of one shape at the same
+time.
+
+The elementwise work of a block (GELU, its tanh and the residual ``+ s``;
+in the backward ``gelu_grad`` and its product with the upstream gradient)
+runs over contiguous tiles of ``_TILE_BYTES`` = 256 KiB per operand.  At
+the paper size one activation, 16 x 128^2 float64, is 2 MiB, a whole L2 of
+one core, so a chain of whole-array passes streams each pass from L3.
+``gelu_grad``, the widest kernel, keeps about six operand tiles live,
+1.5 MiB, which stays in a 2 MiB L2.  An elementwise operation rounds each
+element on its own, so the tiles give the whole-array bits.  FFTs and
+matmuls stay whole.  The lift from one data channel is a broadcast product
+``w * x`` instead of a matmul with inner dimension 1: 0.13 ms against 0.82
+ms at 16 x 128^2, with the same bits, since one product has no sum to
+reorder.
 
 No autodiff framework is used: every layer implements its own adjoint,
 and the gradient of the training loss (including the optional zero-mode
@@ -88,10 +106,29 @@ CHECKPOINT_MAGIC = b"ZMCK"
 CHECKPOINT_VERSION = 1
 
 
-# The GELU kernels work in place: at activation size a fresh temporary costs
-# more than the arithmetic done on it.  The cube is x * x * x because numpy's
-# x**3 calls pow, many times slower than two products and most of all on
-# negative bases.
+# The GELU kernels work in place and tile by tile (module docstring): at
+# activation size a fresh temporary costs more than the arithmetic done on
+# it.  The cube is x * x * x because numpy's x**3 calls pow, many times
+# slower than two products and most of all on negative bases.
+
+_TILE_BYTES = 256 * 1024
+_TILE = _TILE_BYTES // 8  # float64 elements
+
+
+def _tiles(*arrays):
+    """Matching flat slices of ``arrays``, ``_TILE`` elements each; None entries stay None.
+
+    Unless every array is C-contiguous and shaped like the first, the whole
+    arrays come back once: reshaping a strided array to flat copies it, and
+    writes into the copy would be lost.
+    """
+    given = [a for a in arrays if a is not None]
+    if not all(a.flags.c_contiguous and a.shape == given[0].shape for a in given):
+        yield arrays
+        return
+    flat = [None if a is None else a.reshape(-1) for a in arrays]
+    for start in range(0, max(given[0].size, 1), _TILE):
+        yield tuple(None if f is None else f[start : start + _TILE] for f in flat)
 
 
 def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -103,34 +140,53 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(u, out=out)
 
 
-def gelu(x: np.ndarray, tanh_out: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def gelu(
+    x: np.ndarray, tanh_out: np.ndarray | None = None, out: np.ndarray | None = None,
+    residual: np.ndarray | None = None,
+) -> np.ndarray:
     """Smooth gate 0.5*x*(1 + tanh(a*(x + b*x^3))), a=sqrt(2/pi), b=0.044715.
 
     ``tanh_out``, an array shaped like ``x``, receives the inner tanh, which
     :func:`gelu_grad` takes back as ``tanh`` instead of computing it again.
     ``out`` receives the result; it may be ``tanh_out`` when the tanh is
-    not needed afterwards.
+    not needed afterwards.  ``residual``, shaped like ``x``, is added to the
+    result, in the same tile while it is still in cache.
     """
-    y = np.add(1.0, _gelu_tanh(x, out=tanh_out), out=out)
-    y *= x
-    y *= 0.5
-    return y
+    x = np.asarray(x)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, 1.0))
+    for xs, ts, ys, rs in _tiles(x, tanh_out, out, residual):
+        y = np.add(1.0, _gelu_tanh(xs, out=ys if ts is None else ts), out=ys)
+        y *= xs
+        y *= 0.5
+        if rs is not None:
+            y += rs
+    return out
 
 
-def gelu_grad(x: np.ndarray, tanh: np.ndarray | None = None) -> np.ndarray:
+def gelu_grad(
+    x: np.ndarray, tanh: np.ndarray | None = None, upstream: np.ndarray | None = None
+) -> np.ndarray:
     """Derivative of :func:`gelu` at ``x``; ``tanh`` is the inner tanh if already known.
 
     0.5*(1 + t) + 0.5*a*x*(1 - t^2)*(1 + 3b*x^2) with t the inner tanh.
+    ``upstream``, shaped like ``x``, multiplies the result: the chain rule's
+    ``upstream * gelu'(x)``, taken in the same tile.
     """
-    t = _gelu_tanh(x) if tanh is None else tanh
-    curve = x * x
-    curve *= 3.0 * _GELU_B
-    curve += 1.0
-    grad = 0.5 * x
-    grad *= 1.0 - t * t
-    grad *= _GELU_A
-    grad *= curve
-    grad += 0.5 * (1.0 + t)
+    x = np.asarray(x)
+    grad = np.empty(x.shape, dtype=np.result_type(x, 1.0))
+    for xs, ts, us, gs in _tiles(x, tanh, upstream, grad):
+        t = _gelu_tanh(xs) if ts is None else ts
+        curve = xs * xs
+        curve *= 3.0 * _GELU_B
+        curve += 1.0
+        g = np.multiply(0.5, xs, out=gs)
+        g *= 1.0 - t * t
+        g *= _GELU_A
+        g *= curve
+        g += 0.5 * (1.0 + t)
+        if us is not None:
+            g *= us
     return grad
 
 
@@ -387,8 +443,9 @@ def _from_band(
     The real part sees only the Hermitian part H = (Y + conj(Y[-k])) / 2,
     whose non-negative last-axis columns feed ``ifft`` then ``irfft``.
     Up to a factor n_points this is the transpose of :func:`_to_band`.
-    In 2-D the first m columns of ``spectrum`` (as for :func:`_to_band`)
-    hold the zero-padded columns for the ``ifft``; ``out`` receives the field.
+    ``spectrum``, shaped like the real FFT of the field (as for
+    :func:`_to_band`), receives the zero-padded half spectrum, which
+    ``irfft`` takes at its full width; ``out`` receives the field.
     """
     m = band.modes_kept
     spec = modes.reshape(*modes.shape[:2], *(2 * m - 1,) * len(band.resolution))
@@ -396,14 +453,19 @@ def _from_band(
     if band.rows is not None:
         mirror = mirror[..., band.neg, :]
     half = 0.5 * (spec[..., :m] + np.conj(mirror[..., :m]))
-    if band.rows is not None:
-        if spectrum is None:
-            spectrum = np.empty((*half.shape[:2], band.resolution[0], m), dtype=np.complex128)
-        full = spectrum[..., :m]
+    if spectrum is None:
+        shape = (*modes.shape[:2], *band.resolution[:-1], band.resolution[-1] // 2 + 1)
+        spectrum = np.empty(shape, dtype=np.complex128)
+    # full width: irfft pads short rows itself, more slowly (module docstring)
+    spectrum[..., m:] = 0.0
+    full = spectrum[..., :m]
+    if band.rows is None:
+        full[...] = half
+    else:
         full.fill(0.0)
         full[..., band.rows, :] = half
-        half = np.fft.ifft(full, axis=-2, out=full)
-    return np.fft.irfft(half, n=band.resolution[-1], axis=-1, out=out)
+        np.fft.ifft(full, axis=-2, out=full)
+    return np.fft.irfft(spectrum, n=band.resolution[-1], axis=-1, out=out)
 
 
 def _spectral_forward(
@@ -430,7 +492,9 @@ def _pointwise_forward(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     flat = None if out is None else out.reshape(*out.shape[:2], -1)
-    y = np.matmul(weight, x.reshape(*x.shape[:2], -1), out=flat)
+    x_flat = x.reshape(*x.shape[:2], -1)
+    # one input channel: the broadcast product, not a matmul with inner dimension 1
+    y = (np.multiply if weight.shape[1] == 1 else np.matmul)(weight, x_flat, out=flat)
     y += bias[:, None]
     return y.reshape(x.shape[0], -1, *x.shape[2:])
 
@@ -497,8 +561,7 @@ def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None
         s, x_modes = _spectral_forward(h, p[f"block{i}.spectral"], band, out=ws.s[i], spectrum=ws.spectrum)
         if tape is not None:
             tape[f"block{i}"] = (h, x_modes, z, ws.t[i])
-        h = gelu(z, tanh_out=ws.t[i], out=ws.h[i + 1])
-        h += s
+        h = gelu(z, tanh_out=ws.t[i], out=ws.h[i + 1], residual=s)
     if tape is not None:
         tape.update(x=x, band=band, proj_in=h)
     return _pointwise_forward(h, p["proj.weight"], p["proj.bias"])
@@ -515,14 +578,15 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
     )
     for i in reversed(range(cfg.n_layers)):
         h_in, x_modes, z, t = tape[f"block{i}"]
-        grad_z = grad_h * gelu_grad(z, tanh=t)
+        grad_z = gelu_grad(z, tanh=t, upstream=grad_h)
         gx_spec, grads[f"block{i}.spectral"] = _spectral_backward(
             grad_h, p[f"block{i}.spectral"], x_modes, band
         )
         gx_pw, grads[f"block{i}.weight"], grads[f"block{i}.bias"] = _pointwise_backward(
             grad_z, h_in, p[f"block{i}.weight"]
         )
-        grad_h = gx_spec + gx_pw
+        grad_h = gx_spec
+        grad_h += gx_pw
     _, grads["lift.weight"], grads["lift.bias"] = _pointwise_backward(
         grad_h, tape["x"], p["lift.weight"]
     )

@@ -106,10 +106,14 @@ def rollout_correction_for(mode: TrainMode) -> CorrectionMode:
 
 @dataclass
 class TrainResult:
+    """The best model and its deterministic log; ``validation_seconds`` is the
+    summed wall clock of the validation rollouts, kept out of the log."""
+
     model: OperatorModel
     log: list[dict]
     best_epoch: int
     best_val_rmse: float
+    validation_seconds: float
 
 
 def train(
@@ -140,6 +144,7 @@ def train(
     best_epoch = 0
     best_val = np.inf
     best_params = model.params.copy()
+    validation_seconds = 0.0
 
     for epoch in range(1, config.epochs + 1):
         batches = sample_training_pairs(train_set, seed, epoch, config.batch_size, n_batches)
@@ -159,11 +164,12 @@ def train(
         record = {"epoch": epoch, "loss": epoch_loss / n_batches}
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            rmses = [
-                rollout(model, valid_set.data[i], correction=val_mode, mask=valid_set.mask).mean_rmse
+            results = [
+                rollout(model, valid_set.data[i], correction=val_mode, mask=valid_set.mask)
                 for i in range(valid_set.n_samples)
             ]
-            val_rmse = float(np.mean(rmses))
+            validation_seconds += sum(r.wall_clock for r in results)
+            val_rmse = float(np.mean([r.mean_rmse for r in results]))
             record["val_rmse"] = val_rmse
             if val_rmse < best_val:
                 best_val = val_rmse
@@ -176,6 +182,7 @@ def train(
         log=log,
         best_epoch=best_epoch,
         best_val_rmse=float(best_val),
+        validation_seconds=validation_seconds,
     )
 
 

@@ -110,6 +110,16 @@ class TestTrain:
         b = (tmp_path / "again" / "model.ckpt").read_bytes()
         assert a == b
 
+    def test_manifest_carries_training_times(self, pipeline):
+        _, _, _, run_dir = pipeline
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        # the validation rollouts run inside the timed training run
+        assert 0.0 < manifest["validation_seconds"] < manifest["train_seconds"]
+        # timing stays out of the training log, whose bytes reruns reproduce
+        log = json.loads((run_dir / "training_log.json").read_text())
+        assert set(log) == {"log", "best_epoch", "best_val_rmse"}
+        assert all(set(r) <= {"epoch", "loss", "val_rmse"} for r in log["log"])
+
 
 class TestEvalAndReport:
     def test_eval_records_and_variant_correction(self, pipeline, tmp_path):
@@ -280,6 +290,20 @@ class TestEnvironment:
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "7"
+
+    def test_module_entry_point(self):
+        env = child_env(dict(os.environ))
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "zeromode", *args], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        version = run("--version")
+        assert version.returncode == 0, version.stderr
+        assert version.stdout.strip() == f"zeromode {zeromode.__version__}"
+        no_command = run()
+        assert no_command.returncode == 2
+        assert "Traceback" not in no_command.stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,14 @@ from zeromode.model import (
     n_params,
     save_checkpoint,
 )
-from zeromode.model import _band, _forward_batch, _spectral_backward, _spectral_forward
+from zeromode.model import (
+    _TILE,
+    _band,
+    _forward_batch,
+    _from_band,
+    _spectral_backward,
+    _spectral_forward,
+)
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
 CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
@@ -128,6 +135,63 @@ class TestActivation:
         for i in range(CFG_2D.n_layers):
             _, _, z, t = tape[f"block{i}"]
             np.testing.assert_array_equal(gelu_grad(z, tanh=t), gelu_grad(z))
+
+
+def whole_array_gelu(x):
+    """Inner tanh, GELU and its slope by whole-array passes, in the kernels' operation order."""
+    a, b = np.sqrt(2.0 / np.pi), 0.044715
+    t = np.tanh(a * (x + b * (x * x * x)))
+    y = (1.0 + t) * x * 0.5
+    slope = 0.5 * x * (1.0 - t * t) * a * (x * x * (3.0 * b) + 1.0) + 0.5 * (1.0 + t)
+    return t, y, slope
+
+
+class TestTiledKernels:
+    """The tiled elementwise kernels give the whole-array bits on every tiling."""
+
+    @staticmethod
+    def arrays(shape, layout):
+        rng = np.random.default_rng(sum(shape))
+        x, residual, upstream = rng.normal(0.0, 3.0, size=(3, *shape))
+        if layout == "transposed":
+            # strided views: a flat reshape would copy them and lose the writes
+            x, residual, upstream = (np.ascontiguousarray(a.T).T for a in (x, residual, upstream))
+            assert not x.flags.c_contiguous
+        return x, residual, upstream
+
+    @pytest.mark.parametrize("shape, layout", [
+        ((3, 5, 7), "contiguous"),            # below one tile
+        ((2, _TILE // 2), "contiguous"),      # exactly one tile
+        ((3, 16, 37, 29), "contiguous"),      # ragged last tile
+        ((3, 16, 37, 29), "transposed"),      # not C-contiguous
+    ])
+    def test_gelu_and_gelu_grad_match_whole_array_formula(self, shape, layout):
+        x, residual, upstream = self.arrays(shape, layout)
+        t_ref, y_ref, slope_ref = whole_array_gelu(x)
+        block_ref = y_ref + residual
+
+        tanh_out = np.empty_like(x)
+        out = np.empty_like(x)
+        y = gelu(x, tanh_out=tanh_out, out=out, residual=residual)
+        assert y is out
+        assert tanh_out.tobytes() == t_ref.tobytes()
+        assert out.tobytes() == block_ref.tobytes()
+        assert gelu(x).tobytes() == y_ref.tobytes()
+        # out may be the tanh buffer itself, as in a forward-only block
+        shared = np.empty_like(x)
+        assert gelu(x, tanh_out=shared, out=shared, residual=residual).tobytes() == block_ref.tobytes()
+
+        assert gelu_grad(x, tanh=tanh_out).tobytes() == slope_ref.tobytes()
+        assert gelu_grad(x).tobytes() == slope_ref.tobytes()
+        chained = gelu_grad(x, tanh=tanh_out, upstream=upstream)
+        assert chained.tobytes() == (upstream * slope_ref).tobytes()
+
+    def test_forward_block_output_lands_in_strided_out(self):
+        x, residual, _ = self.arrays((3, 16, 37, 29), "transposed")
+        out = np.zeros_like(x)
+        assert not out.flags.c_contiguous
+        gelu(x, out=out, residual=residual)
+        assert out.tobytes() == (whole_array_gelu(x)[1] + residual).tobytes()
 
 
 class TestForward:
@@ -317,6 +381,24 @@ class TestSpectralLayer:
         assert abs(lhs - np.vdot(x, grad_x)) <= 1e-12 * scale
         by_weight = np.sum(weight.real * grad_weight.real + weight.imag * grad_weight.imag)
         assert abs(lhs - by_weight) <= 1e-12 * scale
+
+
+    @pytest.mark.parametrize("resolution, modes_kept", [
+        ((8,), 4), ((9,), 4), ((21,), 5), ((7, 10), 3), ((9, 9), 4), ((128, 128), 8),
+    ])
+    def test_full_width_inverse_equals_band_width_irfft(self, resolution, modes_kept):
+        # the inverse hands irfft the zero-padded half spectrum at full width;
+        # numpy's own padding of the first m columns must give the same bits
+        band = _band(resolution, modes_kept)
+        rng = np.random.default_rng(65)
+        n_modes = (2 * modes_kept - 1) ** len(resolution)
+        modes = rng.normal(size=(2, 3, n_modes)) + 1j * rng.normal(size=(2, 3, n_modes))
+        spectrum = np.full((2, 3, *resolution[:-1], resolution[-1] // 2 + 1), np.nan, dtype=np.complex128)
+        y = _from_band(modes, band, spectrum)
+        assert np.all(spectrum[..., modes_kept:] == 0.0)
+        short = np.fft.irfft(spectrum[..., :modes_kept], n=resolution[-1], axis=-1)
+        assert y.tobytes() == short.tobytes()
+        assert _from_band(modes, band).tobytes() == y.tobytes()  # with a buffer of its own
 
 
 class TestLossValue:
