@@ -230,8 +230,6 @@ def _read_records(path: Path) -> list:
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
-    import numpy as np
-
     from .datafile import read_dataset
     from .metrics import MetricsRecord
     from .model import load_checkpoint
@@ -249,20 +247,13 @@ def _cmd_eval(args, argv: list[str]) -> int:
                                      for r in _read_records(records_path)):
         raise ValueError(f"{records_path} already holds a record for {key[0]}/{key[1]} seed {key[2]}")
 
-    rmse_steps = []
-    cons_steps = []
-    rollout_seconds = 0.0
-    for i in range(dataset.n_samples):
-        result = rollout(model, dataset.data[i], correction=correction, mask=dataset.mask)
-        rmse_steps.append(result.rmse)
-        cons_steps.append(result.cons_err)
-        rollout_seconds += result.wall_clock
+    result = rollout(model, dataset.data, correction=correction, mask=dataset.mask)
     record = MetricsRecord(
         dataset=dataset.problem.value,
         variant=args.variant,
         seed=model.config.seed,
-        rmse_per_step=list(np.mean(rmse_steps, axis=0)),
-        cons_err_per_step=list(np.mean(cons_steps, axis=0)),
+        rmse_per_step=list(result.rmse.mean(axis=0)),
+        cons_err_per_step=list(result.cons_err.mean(axis=0)),
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,7 +264,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
     config = {"model": str(args.model), "data": str(args.data), "variant": args.variant,
               "correction": correction.value}
     _write_manifest(out_dir, "eval", argv, config, [model.config.seed], [records_path], started,
-                    rollout_seconds=rollout_seconds)
+                    rollout_seconds=result.wall_clock)
     return 0
 
 

@@ -164,13 +164,9 @@ def train(
         record = {"epoch": epoch, "loss": epoch_loss / n_batches}
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            results = [
-                rollout(model, valid_set.data[i], correction=val_mode, mask=valid_set.mask)
-                for i in range(valid_set.n_samples)
-            ]
-            validation_seconds += sum(r.wall_clock for r in results)
-            val_rmse = float(np.mean([r.mean_rmse for r in results]))
-            record["val_rmse"] = val_rmse
+            result = rollout(model, valid_set.data, correction=val_mode, mask=valid_set.mask)
+            validation_seconds += result.wall_clock
+            record["val_rmse"] = val_rmse = result.mean_rmse
             if val_rmse < best_val:
                 best_val = val_rmse
                 best_epoch = epoch
@@ -188,12 +184,13 @@ def train(
 
 @dataclass
 class RolloutResult:
-    """Autoregressive prediction of a trajectory from its first frame.
+    """Autoregressive predictions of trajectories from their first frames.
 
-    ``frames`` holds the n_snapshots - 1 predicted states; the metric
-    series run parallel to it and come from :func:`metrics.step_metrics`.
-    ``cons_err`` is the relative conservation error max'd over masked
-    channels, under the zero-integral policy of the :mod:`metrics` module.
+    ``frames`` (samples, steps, channels, *spatial) holds each sample's
+    n_snapshots - 1 predicted states; ``rmse`` and ``cons_err`` (samples,
+    steps) come from :func:`metrics.step_metrics`.  ``cons_err`` is the
+    relative conservation error max'd over masked channels, under the
+    zero-integral policy of the :mod:`metrics` module.
     """
 
     frames: np.ndarray
@@ -203,50 +200,53 @@ class RolloutResult:
 
     @property
     def n_steps(self) -> int:
-        return self.frames.shape[0]
+        return self.frames.shape[1]
 
     @property
     def mean_rmse(self) -> float:
-        return float(self.rmse.mean()) if self.n_steps else float("nan")
+        return float(self.rmse.mean(axis=1).mean()) if self.n_steps else float("nan")
 
 
 def rollout(
     model,
-    trajectory: np.ndarray,
+    trajectories: np.ndarray,
     correction: CorrectionMode = CorrectionMode.OFF,
     mask: ConservationMask | None = None,
 ) -> RolloutResult:
-    """Roll the operator forward from frame 0 of a reference trajectory.
+    """Roll the operator forward from frame 0 of each trajectory (samples, frames, channels, *spatial).
 
-    ``model`` is an :class:`OperatorModel` or any callable mapping a state
-    array (channels, *spatial) to the next state (handy for fixtures).
-    The conserved target for both correcting modes is encoded once, from
-    the initial frame.  A trajectory with a single frame yields an empty
-    result.
+    ``model`` is an :class:`OperatorModel` or any callable mapping states
+    (samples, channels, *spatial) to the next states (handy for fixtures).
+    Each sample's conserved target for both correcting modes is encoded
+    once, from its initial frame, and its rows equal a rollout of it alone.
+    A single frame yields an empty result; a non-finite state raises
+    RuntimeError naming the first sample at fault and the step.
     """
     t0 = time.perf_counter()
-    traj = np.asarray(trajectory, dtype=np.float64)
-    if traj.ndim < 3:
-        raise ValueError(f"trajectory must be (frames, channels, *spatial), got {traj.shape}")
+    traj = np.asarray(trajectories, dtype=np.float64)
+    if traj.ndim < 4:
+        raise ValueError(f"trajectories must be (samples, frames, channels, *spatial), got {traj.shape}")
     if correction is not CorrectionMode.OFF and mask is None:
         raise ValueError("correcting rollouts need a conservation mask")
 
     step = model if callable(model) else (lambda v: forward_values(model, v))
-    n_steps = traj.shape[0] - 1
-    spatial = tuple(range(1, traj.ndim - 1))
-    target_means = traj[0].mean(axis=spatial)
+    n_samples, n_steps = traj.shape[0], traj.shape[1] - 1
+    target_means = traj[:, 0].mean(axis=tuple(range(2, traj.ndim - 1)))
 
-    frames = np.empty((n_steps, *traj.shape[1:]))
-    state = traj[0]
+    frames = np.empty((n_samples, n_steps, *traj.shape[2:]))
+    state = traj[:, 0]
     for k in range(n_steps):
         state = np.asarray(step(state), dtype=np.float64)
-        if not np.all(np.isfinite(state)):
-            raise RuntimeError(f"rollout produced a non-finite state at step {k + 1}")
+        bad = np.flatnonzero(~np.isfinite(state).reshape(n_samples, -1).all(axis=1))
+        if bad.size:
+            raise RuntimeError(f"rollout produced a non-finite state: sample {bad[0]} at step {k + 1}")
         if correction is CorrectionMode.FEEDBACK:
             state = pin_channel_means(state, target_means, mask.flags)
-        frames[k] = state
+        frames[:, k] = state
     if correction is CorrectionMode.POST_HOC:
-        frames = pin_channel_means(frames, np.broadcast_to(target_means, frames.shape[:2]), mask.flags)
+        frames = pin_channel_means(frames, np.broadcast_to(target_means[:, None], frames.shape[:3]), mask.flags)
 
-    rmse, cons = step_metrics(frames, traj[1:], mask)
-    return RolloutResult(frames=frames, rmse=rmse, cons_err=cons, wall_clock=time.perf_counter() - t0)
+    stacked = (n_samples * n_steps, *traj.shape[2:])
+    rmse, cons = step_metrics(frames.reshape(stacked), traj[:, 1:].reshape(stacked), mask)
+    return RolloutResult(frames, rmse.reshape(n_samples, n_steps), cons.reshape(n_samples, n_steps),
+                         time.perf_counter() - t0)

@@ -117,19 +117,17 @@ def test_criterion_04_conservation_closure(desk_tests, tmp_path):
     worst64 = worst32 = 0.0
     first_last = []
     for problem, ds in desk_tests.items():
-        for i in range(ds.n_samples):
-            r = rollout(biased, ds.data[i], correction=CorrectionMode.FEEDBACK, mask=ds.mask)
-            worst64 = max(worst64, float(r.cons_err.max()))
-            first_last.append((r.cons_err[0], r.cons_err[-1]))
+        r = rollout(biased, ds.data, correction=CorrectionMode.FEEDBACK, mask=ds.mask)
+        worst64 = max(worst64, float(r.cons_err.max()))
+        first_last.extend(zip(r.cons_err[:, 0], r.cons_err[:, -1]))
         ds.precision = Precision.F32
         try:
             path = write_dataset(ds, tmp_path / f"{problem.value}.ecfd")
         finally:
             ds.precision = Precision.F64
         back = read_dataset(path)
-        for i in range(back.n_samples):
-            r = rollout(biased, back.data[i], correction=CorrectionMode.FEEDBACK, mask=back.mask)
-            worst32 = max(worst32, float(r.cons_err.max()))
+        r = rollout(biased, back.data, correction=CorrectionMode.FEEDBACK, mask=back.mask)
+        worst32 = max(worst32, float(r.cons_err.max()))
     growth = max(last - first for first, last in first_last)
     ok = worst64 <= 1e-12 and worst32 <= 2e-6 and growth <= 1e-12
     _verdict(4, "conservation closure", ok,
@@ -158,26 +156,24 @@ def trained_study(desk_tests):
                          TrainConfig(mode=TrainMode.BASELINE, epochs=8, eval_every=4), seed)
             integ = train(train_set, valid_set, TRAIN_MODEL,
                           TrainConfig(mode=TrainMode.INTEGRATED, epochs=8, eval_every=4), seed)
+            samples = test_ds.data[:N_EVAL_SAMPLES]
             runs = {
-                "base": [rollout(base.model, test_ds.data[i], CorrectionMode.OFF, test_ds.mask)
-                         for i in range(N_EVAL_SAMPLES)],
-                "staged": [rollout(base.model, test_ds.data[i], CorrectionMode.POST_HOC, test_ds.mask)
-                           for i in range(N_EVAL_SAMPLES)],
-                "integrated": [rollout(integ.model, test_ds.data[i], CorrectionMode.FEEDBACK, test_ds.mask)
-                               for i in range(N_EVAL_SAMPLES)],
+                "base": rollout(base.model, samples, CorrectionMode.OFF, test_ds.mask),
+                "staged": rollout(base.model, samples, CorrectionMode.POST_HOC, test_ds.mask),
+                "integrated": rollout(integ.model, samples, CorrectionMode.FEEDBACK, test_ds.mask),
             }
+            off_rmse, post_rmse = runs["base"].rmse, runs["staged"].rmse
             for i in range(N_EVAL_SAMPLES):
-                off_r, post_r = runs["base"][i], runs["staged"][i]
-                if not np.all(post_r.rmse <= off_r.rmse + 1e-9):
-                    gap = float((post_r.rmse - off_r.rmse).max())
+                if not np.all(post_rmse[i] <= off_rmse[i] + 1e-9):
+                    gap = float((post_rmse[i] - off_rmse[i]).max())
                     violations.append(f"{problem.value} seed {seed} sample {i}: +{gap:.2e}")
-            for variant, results in runs.items():
+            for variant, result in runs.items():
                 records.append(MetricsRecord(
                     dataset=problem.value,
                     variant=variant,
                     seed=seed,
-                    rmse_per_step=list(np.mean([r.rmse for r in results], axis=0)),
-                    cons_err_per_step=list(np.mean([r.cons_err for r in results], axis=0)),
+                    rmse_per_step=list(result.rmse.mean(axis=0)),
+                    cons_err_per_step=list(result.cons_err.mean(axis=0)),
                 ))
         elapsed[problem.value] = time.perf_counter() - t0
     return records, violations, elapsed

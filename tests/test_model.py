@@ -23,6 +23,7 @@ from zeromode.model import (
     save_checkpoint,
 )
 from zeromode.model import (
+    _CHUNK_BYTES,
     _TILE,
     _band,
     _forward_batch,
@@ -306,6 +307,33 @@ class TestWorkspace:
         x = np.random.default_rng(8).normal(size=(1, 2, 12, 10))
         taped = _forward_batch(model, x, {})
         assert forward_values(model, x[0]).tobytes() == taped[0].tobytes()
+
+
+class TestBatchInvariance:
+    """A state's prediction is the same bits whatever batch it rides in."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("channels, width, modes_kept, spatial", [
+        (2, 5, 3, (21,)),
+        (1, 8, 4, (64, 64)),
+    ])
+    def test_batched_rows_equal_single_states(self, n_layers, channels, width, modes_kept, spatial):
+        cfg = OperatorConfig(channels=channels, width=width, n_layers=n_layers,
+                             modes_kept=modes_kept, ndim=len(spatial), seed=13)
+        model = init_model(cfg)
+        chunk = max(1, _CHUNK_BYTES // (width * int(np.prod(spatial)) * 8))
+        n = 2 * chunk + 1  # more than one chunk, the last one ragged
+        x = np.random.default_rng(13).normal(size=(n, channels, *spatial))
+        single = np.stack([forward_values(model, xi) for xi in x])
+        assert _forward_batch(model, x).tobytes() == single.tobytes()
+        assert forward_values(model, x).tobytes() == single.tobytes()
+
+    def test_leading_axes_keep_their_shape(self):
+        model = init_model(CFG_2D)
+        x = np.random.default_rng(14).normal(size=(2, 3, 2, 8, 8))
+        y = forward_values(model, x)
+        assert y.shape == x.shape
+        assert y[1, 2].tobytes() == forward_values(model, x[1, 2]).tobytes()
 
 
 def fftn_spectral_layer(x, weight, modes_kept):

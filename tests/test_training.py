@@ -161,7 +161,7 @@ class TestRollout:
         assert rollout_correction_for(TrainMode.INTEGRATED) is CorrectionMode.FEEDBACK
 
     def test_single_frame_trajectory_is_empty(self):
-        result = rollout(lambda v: v, np.ones((1, 1, 8, 8)))
+        result = rollout(lambda v: v, np.ones((1, 1, 1, 8, 8)))
         assert isinstance(result, RolloutResult)
         assert result.n_steps == 0
         assert np.isnan(result.mean_rmse)
@@ -169,35 +169,35 @@ class TestRollout:
     def test_perfect_step_oracle_scores_zero(self):
         rng = np.random.default_rng(3)
         traj = rng.normal(size=(6, 1, 8, 8)) + 2.0
-        truth_frames = iter(traj[1:])
-        result = rollout(lambda v: next(truth_frames), traj)
+        truth_frames = iter(traj[1:, None])
+        result = rollout(lambda v: next(truth_frames), traj[None])
         assert result.rmse.max() == 0.0
         # frames drift in mean relative to frame 0, so cons_err is not zero here
-        assert result.frames.shape == (5, 1, 8, 8)
+        assert result.frames.shape == (1, 5, 1, 8, 8)
 
     def test_feedback_pins_every_state(self):
         traj = np.full((6, 1, 8, 8), 1.3)
         biased = lambda v: v + 0.01
-        off = rollout(biased, traj, correction=CorrectionMode.OFF)
+        off = rollout(biased, traj[None], correction=CorrectionMode.OFF)
         expected_drift = 0.01 * np.arange(1, 6) / 1.3
-        np.testing.assert_allclose(off.cons_err, expected_drift, rtol=1e-12)
-        fed = rollout(biased, traj, correction=CorrectionMode.FEEDBACK,
+        np.testing.assert_allclose(off.cons_err[0], expected_drift, rtol=1e-12)
+        fed = rollout(biased, traj[None], correction=CorrectionMode.FEEDBACK,
                       mask=ConservationMask((True,)))
         # the shift-based pin is exact up to one rounding of the mean
         assert fed.cons_err.max() < 1e-13
-        np.testing.assert_allclose(fed.frames, traj[1:], atol=1e-14)
+        np.testing.assert_allclose(fed.frames[0], traj[1:], atol=1e-14)
 
     def test_post_hoc_equals_off_plus_per_frame_pinning(self):
         rng = np.random.default_rng(4)
         traj = rng.normal(size=(5, 2, 8, 8)) + 1.5
         model = init_model(OperatorConfig(channels=2, width=4, n_layers=1, modes_kept=2, ndim=2, seed=6))
         mask = ConservationMask((True, True))
-        off = rollout(lambda v: 0.9 * v + 0.01, traj, correction=CorrectionMode.OFF)
-        post = rollout(lambda v: 0.9 * v + 0.01, traj, correction=CorrectionMode.POST_HOC, mask=mask)
+        off = rollout(lambda v: 0.9 * v + 0.01, traj[None], correction=CorrectionMode.OFF)
+        post = rollout(lambda v: 0.9 * v + 0.01, traj[None], correction=CorrectionMode.POST_HOC, mask=mask)
         target = traj[0].mean(axis=(1, 2))
         for k in range(off.n_steps):
-            np.testing.assert_array_equal(post.frames[k],
-                                          pin_channel_means(off.frames[k], target, mask.flags))
+            np.testing.assert_array_equal(post.frames[0, k],
+                                          pin_channel_means(off.frames[0, k], target, mask.flags))
         del model
 
     def test_feedback_and_post_hoc_differ_through_nonlinearity(self):
@@ -206,8 +206,8 @@ class TestRollout:
         traj += 1.5 - traj.mean(axis=(1, 2, 3), keepdims=True)  # conserving truth
         step = lambda v: v**2 + 0.05
         mask = ConservationMask((True,))
-        fed = rollout(step, traj, correction=CorrectionMode.FEEDBACK, mask=mask)
-        post = rollout(step, traj, correction=CorrectionMode.POST_HOC, mask=mask)
+        fed = rollout(step, traj[None], correction=CorrectionMode.FEEDBACK, mask=mask)
+        post = rollout(step, traj[None], correction=CorrectionMode.POST_HOC, mask=mask)
         assert not np.allclose(fed.frames, post.frames)
         # both end pinned to the initial mean, up to rounding of the shift
         assert fed.cons_err.max() < 1e-13
@@ -215,13 +215,13 @@ class TestRollout:
 
     def test_correction_requires_mask(self):
         with pytest.raises(ValueError, match="mask"):
-            rollout(lambda v: v, np.ones((3, 1, 8, 8)), correction=CorrectionMode.FEEDBACK)
+            rollout(lambda v: v, np.ones((1, 3, 1, 8, 8)), correction=CorrectionMode.FEEDBACK)
 
     def test_mask_channel_mismatch_rejected(self):
         mask = ConservationMask((True, True))
         for mode in CorrectionMode:
             with pytest.raises(ValueError, match="mask covers 2 channels"):
-                rollout(lambda v: v + 0.1, np.ones((3, 1, 8, 8)), correction=mode, mask=mask)
+                rollout(lambda v: v + 0.1, np.ones((1, 3, 1, 8, 8)), correction=mode, mask=mask)
 
     def test_non_finite_state_aborts_with_step(self):
         calls = {"n": 0}
@@ -231,10 +231,34 @@ class TestRollout:
             return np.full_like(v, np.nan) if calls["n"] == 2 else v
 
         with pytest.raises(RuntimeError, match="step 2"):
-            rollout(step, np.ones((5, 1, 8, 8)))
+            rollout(step, np.ones((1, 5, 1, 8, 8)))
+
+    def test_non_finite_state_names_the_sample(self):
+        def step(v):
+            v = v + 0.0
+            if step.calls == 2:
+                v[2] = np.inf
+            step.calls += 1
+            return v
+        step.calls = 0
+
+        with pytest.raises(RuntimeError, match="sample 2 at step 3"):
+            rollout(step, np.ones((3, 5, 1, 8, 8)))
+
+    @pytest.mark.parametrize("mode", list(CorrectionMode))
+    def test_batched_rows_equal_single_sample_rollouts(self, sets, mode):
+        _, valid_set = sets
+        trajectories = np.concatenate([valid_set.data, valid_set.data[::-1] * 1.5])
+        model = init_model(MODEL_CFG)
+        batched = rollout(model, trajectories, correction=mode, mask=valid_set.mask)
+        for i, traj in enumerate(trajectories):
+            single = rollout(model, traj[None], correction=mode, mask=valid_set.mask)
+            assert batched.frames[i].tobytes() == single.frames[0].tobytes()
+            assert batched.rmse[i].tobytes() == single.rmse[0].tobytes()
+            assert batched.cons_err[i].tobytes() == single.cons_err[0].tobytes()
 
     def test_zero_integral_channel_reports_nan(self):
-        traj = np.zeros((3, 1, 8, 8))
+        traj = np.zeros((1, 3, 1, 8, 8))
         result = rollout(lambda v: v, traj)
         assert np.isnan(result.cons_err).all()
         assert result.rmse.max() == 0.0
