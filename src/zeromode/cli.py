@@ -64,6 +64,13 @@ def _merge(defaults: dict, file_cfg: dict, args: argparse.Namespace, keys: list[
     unknown = set(file_cfg) - set(keys)
     if unknown:
         raise SystemExit(f"unknown config keys {sorted(unknown)}; expected a subset of {sorted(keys)}")
+    for key, value in file_cfg.items():
+        # a file value has its default's JSON type; an integer may stand for a float
+        default = defaults[key]
+        expected = (int, float) if type(default) is float else type(default)
+        if isinstance(value, bool) is not isinstance(default, bool) or not isinstance(value, expected):
+            raise ValueError(f"config key {key!r} must have the JSON type of its default {json.dumps(default)}, "
+                             f"got {json.dumps(value)}")
     merged.update(file_cfg)
     for key in keys:
         value = getattr(args, key, None)
@@ -238,7 +245,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
     started = _utc_now()
     model = load_checkpoint(args.model)
     dataset = read_dataset(args.data)
-    correction = CorrectionMode(args.correction or _VARIANT_CORRECTION[args.variant])
+    correction = CorrectionMode(_VARIANT_CORRECTION[args.variant])
     out_dir = Path(args.out)
     records_path = out_dir / "records.jsonl"
     # a second record for one (dataset, variant, seed) would make report refuse the file
@@ -358,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="output directory; records.jsonl is appended, and a second record "
                     "for the same dataset, variant and seed is refused")
     ev.add_argument("--variant", default="base", choices=["base", "integrated", "staged"])
-    ev.add_argument("--correction", choices=["off", "feedback", "post_hoc"],
-                    help="override the correction implied by --variant")
     ev.set_defaults(fn=_cmd_eval)
 
     rp = sub.add_parser("report", help="aggregate eval records into csv/markdown/plot data")

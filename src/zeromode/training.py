@@ -55,7 +55,7 @@ class CorrectionMode(enum.Enum):
     OFF = "off"
     #: correct every prediction and feed the corrected state forward
     FEEDBACK = "feedback"
-    #: correct every stored frame after the raw rollout, no feedback
+    #: correct every stored frame and feed the raw prediction forward
     POST_HOC = "post_hoc"
 
 
@@ -187,8 +187,9 @@ class RolloutResult:
     """Autoregressive predictions of trajectories from their first frames.
 
     ``frames`` (samples, steps, channels, *spatial) holds each sample's
-    n_snapshots - 1 predicted states; ``rmse`` and ``cons_err`` (samples,
-    steps) come from :func:`metrics.step_metrics`.  ``cons_err`` is the
+    n_snapshots - 1 stored states, pinned unless the correction is OFF;
+    ``rmse`` and ``cons_err`` (samples, steps) come from one
+    :func:`metrics.step_metrics` call per step.  ``cons_err`` is the
     relative conservation error max'd over masked channels, under the
     zero-integral policy of the :mod:`metrics` module.
     """
@@ -219,8 +220,12 @@ def rollout(
     (samples, channels, *spatial) to the next states (handy for fixtures).
     Each sample's conserved target for both correcting modes is encoded
     once, from its initial frame, and its rows equal a rollout of it alone.
-    A single frame yields an empty result; a non-finite state raises
-    RuntimeError naming the first sample at fault and the step.
+    Each step predicts the next states, checks them, pins them once to
+    those targets (FEEDBACK feeds the pinned states forward, POST_HOC
+    stores them and feeds the raw ones), stores and scores them, so a
+    rollout holds its frames plus one step's temporaries.  A single frame
+    yields an empty result; a non-finite state raises RuntimeError naming
+    the first sample at fault and the step.
     """
     t0 = time.perf_counter()
     traj = np.asarray(trajectories, dtype=np.float64)
@@ -234,19 +239,15 @@ def rollout(
     target_means = traj[:, 0].mean(axis=tuple(range(2, traj.ndim - 1)))
 
     frames = np.empty((n_samples, n_steps, *traj.shape[2:]))
+    rmse, cons = np.empty((n_samples, n_steps)), np.empty((n_samples, n_steps))
     state = traj[:, 0]
     for k in range(n_steps):
         state = np.asarray(step(state), dtype=np.float64)
         bad = np.flatnonzero(~np.isfinite(state).reshape(n_samples, -1).all(axis=1))
         if bad.size:
             raise RuntimeError(f"rollout produced a non-finite state: sample {bad[0]} at step {k + 1}")
+        frames[:, k] = state if correction is CorrectionMode.OFF else pin_channel_means(state, target_means, mask.flags)
         if correction is CorrectionMode.FEEDBACK:
-            state = pin_channel_means(state, target_means, mask.flags)
-        frames[:, k] = state
-    if correction is CorrectionMode.POST_HOC:
-        frames = pin_channel_means(frames, np.broadcast_to(target_means[:, None], frames.shape[:3]), mask.flags)
-
-    stacked = (n_samples * n_steps, *traj.shape[2:])
-    rmse, cons = step_metrics(frames.reshape(stacked), traj[:, 1:].reshape(stacked), mask)
-    return RolloutResult(frames, rmse.reshape(n_samples, n_steps), cons.reshape(n_samples, n_steps),
-                         time.perf_counter() - t0)
+            state = frames[:, k]
+        rmse[:, k], cons[:, k] = step_metrics(frames[:, k], traj[:, k + 1], mask)
+    return RolloutResult(frames, rmse, cons, time.perf_counter() - t0)

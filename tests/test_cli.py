@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import zeromode
 import zeromode.training
 import zeromode.verify
 from zeromode.cli import main
-from zeromode.datafile import read_dataset
+from zeromode.datafile import read_dataset, sidecar_path
 from zeromode.model import load_checkpoint
 
 GEN_ARGS = ["--samples", "3", "--resolution", "16", "--n-steps", "100", "--n-snapshots", "10"]
@@ -172,8 +173,81 @@ class TestEvalAndReport:
         assert code == 2
 
 
+def sidecar_row(edit):
+    """train on a copy of the training split whose sidecar is ``edit(meta)``."""
+    def build(pipeline, tmp_path):
+        _, train_path, valid_path, _ = pipeline
+        data = tmp_path / "bad.ecfd"
+        shutil.copy(train_path, data)
+        sidecar_path(data).write_text(json.dumps(edit(json.loads(sidecar_path(train_path).read_text()))))
+        return ["train", "--train", str(data), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
+                *TRAIN_ARGS]
+    return build
+
+
+def config_row(command, config):
+    """``command`` with a config file holding ``config``."""
+    def build(pipeline, tmp_path):
+        _, train_path, valid_path, _ = pipeline
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        if command == "gen":
+            return ["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"), "--config", str(path), *GEN_ARGS]
+        return ["train", "--train", str(train_path), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
+                "--config", str(path), *TRAIN_ARGS]
+    return build
+
+
+def eval_row(*extra):
+    def build(pipeline, tmp_path):
+        _, _, valid_path, run_dir = pipeline
+        return ["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path),
+                "--out", str(tmp_path / "evals"), *extra]
+    return build
+
+
+def without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+# (build argv, text stderr must hold, whether the input is a file, so that stderr is one line)
+BAD_INPUTS = [
+    pytest.param(sidecar_row(without("params")), "bad.ecfd.json lacks the key 'params'", True, id="sidecar-no-params"),
+    pytest.param(sidecar_row(without("sample_seeds")), "bad.ecfd.json lacks the key 'sample_seeds'", True,
+                 id="sidecar-no-sample-seeds"),
+    pytest.param(sidecar_row(lambda meta: list(meta)), "bad.ecfd.json must hold a JSON object", True,
+                 id="sidecar-list"),
+    pytest.param(config_row("train", {"width": [16]}), "'width'", True, id="train-width-list"),
+    pytest.param(config_row("train", {"seed": {"a": 1}}), "'seed'", True, id="train-seed-object"),
+    pytest.param(config_row("train", {"lr": [1]}), "'lr'", True, id="train-lr-list"),
+    pytest.param(config_row("gen", {"samples": [2]}), "'samples'", True, id="gen-samples-list"),
+    pytest.param(config_row("gen", {"resolution": None}), "'resolution'", True, id="gen-resolution-null"),
+    pytest.param(config_row("gen", {"velocity": 3}), "'velocity'", True, id="gen-velocity-number"),
+    pytest.param(eval_row("--correction", "off"), "unrecognized arguments: --correction", False,
+                 id="eval-correction-flag"),
+]
+
+
 class TestMalformedInputs:
-    """Bad input files end in exit 2 with one stderr line, never a traceback."""
+    """Bad inputs end in exit 2, never a traceback; a bad file prints one stderr line.
+
+    ``BAD_INPUTS`` holds the cases whose argv is built alone; the named
+    tests below need more set-up or checks of their own.
+    """
+
+    @pytest.mark.parametrize("build, message, file_row", BAD_INPUTS)
+    def test_bad_input_exits_2(self, pipeline, tmp_path, capsys, build, message, file_row):
+        argv = build(pipeline, tmp_path)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if file_row:
+            assert err.count("\n") == 1
 
     def eval_checkpoint(self, pipeline, tmp_path, blob):
         _, _, valid_path, _ = pipeline

@@ -1,5 +1,7 @@
 """Training loop determinism, mode semantics, and rollout correction behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from zeromode.datasets import (
     ProblemParams,
     generate_dataset,
 )
+from zeromode.metrics import step_metrics
 from zeromode.model import (
     OperatorConfig,
     constant_identity_model,
@@ -154,6 +157,26 @@ class TestIntegratedShiftFixture:
         assert corrected < 1e-6
 
 
+def stacked_rollout(step, traj, correction, mask):
+    """The whole-split form of a rollout: the stored frames are pinned in one
+    call with broadcast targets after the raw loop, and scored in one
+    ``step_metrics`` call over the (samples * steps, ...) stack."""
+    n_samples, n_steps = traj.shape[0], traj.shape[1] - 1
+    targets = traj[:, 0].mean(axis=tuple(range(2, traj.ndim - 1)))
+    frames = np.empty((n_samples, n_steps, *traj.shape[2:]))
+    state = traj[:, 0]
+    for k in range(n_steps):
+        state = step(state)
+        if correction is CorrectionMode.FEEDBACK:
+            state = pin_channel_means(state, targets, mask.flags)
+        frames[:, k] = state
+    if correction is CorrectionMode.POST_HOC:
+        frames = pin_channel_means(frames, np.broadcast_to(targets[:, None], frames.shape[:3]), mask.flags)
+    stacked = (n_samples * n_steps, *traj.shape[2:])
+    rmse, cons = step_metrics(frames.reshape(stacked), traj[:, 1:].reshape(stacked), mask)
+    return frames, rmse.reshape(n_samples, n_steps), cons.reshape(n_samples, n_steps)
+
+
 class TestRollout:
     def test_mode_for_training_paradigm(self):
         assert rollout_correction_for(TrainMode.BASELINE) is CorrectionMode.OFF
@@ -262,3 +285,31 @@ class TestRollout:
         result = rollout(lambda v: v, traj)
         assert np.isnan(result.cons_err).all()
         assert result.rmse.max() == 0.0
+
+    @pytest.mark.parametrize("mode", list(CorrectionMode))
+    @pytest.mark.parametrize("shape, flags", [((6, 12, 2, 16, 16), (True, False)),
+                                              ((5, 21, 3, 21), (True, False, True))])
+    def test_equals_stacked_reference_bit_for_bit(self, mode, shape, flags):
+        rng = np.random.default_rng(8)
+        traj = rng.normal(1.0, 0.3, size=shape)
+        traj[1][:, np.flatnonzero(flags)] = 0.0  # a zero conserved integral: NaN rows
+        mask = ConservationMask(flags)
+        step = lambda v: 0.9 * v + 0.05 * np.tanh(np.roll(v, 1, axis=-1)) + 0.01
+        frames, rmse, cons = stacked_rollout(step, traj, mode, mask)
+        result = rollout(step, traj, correction=mode, mask=mask)
+        assert np.isnan(cons[1]).all() and not np.isnan(cons[0]).any()
+        assert result.frames.tobytes() == frames.tobytes()
+        assert result.rmse.tobytes() == rmse.tobytes()
+        assert result.cons_err.tobytes() == cons.tobytes()
+
+    @pytest.mark.parametrize("mode", [CorrectionMode.FEEDBACK, CorrectionMode.POST_HOC])
+    def test_peak_memory_is_frames_plus_one_step(self, mode):
+        traj = np.random.default_rng(9).normal(1.0, 0.2, size=(8, 17, 1, 32, 32))
+        tracemalloc.start()
+        try:
+            result = rollout(lambda v: 0.9 * v + 0.1, traj, correction=mode, mask=ConservationMask((True,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one step is 1/16 of the frames; the whole-split form peaks near 3x
+        assert peak < 1.5 * result.frames.nbytes
