@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 __all__ = ["main", "build_parser"]
@@ -52,9 +53,9 @@ def _load_config_file(path: str | None) -> dict:
     try:
         loaded = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise SystemExit(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return loaded
 
 
@@ -63,7 +64,7 @@ def _merge(defaults: dict, file_cfg: dict, args: argparse.Namespace, keys: list[
     merged = dict(defaults)
     unknown = set(file_cfg) - set(keys)
     if unknown:
-        raise SystemExit(f"unknown config keys {sorted(unknown)}; expected a subset of {sorted(keys)}")
+        raise ValueError(f"unknown config keys {sorted(unknown)}; expected a subset of {sorted(keys)}")
     for key, value in file_cfg.items():
         # a file value has its default's JSON type; an integer may stand for a float
         default = defaults[key]
@@ -177,12 +178,10 @@ def _cmd_train(args, argv: list[str]) -> int:
     train_set = read_dataset(args.train)
     valid_set = read_dataset(args.valid)
 
-    keys = ["mode", "epochs", "batch_size", "lr", "weight_decay", "loss", "eval_every",
-            "seed", "width", "n_layers", "modes_kept"]
-    defaults = {"mode": "baseline", "epochs": 200, "batch_size": 5, "lr": 1e-3,
-                "weight_decay": 1e-4, "loss": "mae", "eval_every": 50, "seed": 0,
-                "width": 16, "n_layers": 2, "modes_kept": 8}
-    resolved = _merge(defaults, _load_config_file(args.config), args, keys)
+    train_defaults, model_defaults = asdict(TrainConfig()), asdict(OperatorConfig())
+    defaults = {**train_defaults, "mode": train_defaults["mode"].value,
+                **{key: model_defaults[key] for key in ("seed", "width", "n_layers", "modes_kept")}}
+    resolved = _merge(defaults, _load_config_file(args.config), args, list(defaults))
 
     model_config = OperatorConfig(
         channels=train_set.channels,
@@ -281,7 +280,7 @@ def _cmd_report(args, argv: list[str]) -> int:
     started = _utc_now()
     records = [record for path in args.records for record in _read_records(path)]
     if not records:
-        raise SystemExit("no records found in the given files")
+        raise ValueError("no records found in the given files")
     formats = tuple(args.formats.split(","))
     out_dir = Path(args.out)
     written = emit_report(records, out_dir, formats=formats)
@@ -387,8 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, argv)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
         # bad inputs: malformed files, impossible configurations
         print(f"error: {exc}", file=sys.stderr)

@@ -187,12 +187,17 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
     side = sidecar_path(path)
     if not side.exists():
         raise DatasetFormatError(f"sidecar metadata {side.name} missing")
-    meta = json.loads(side.read_text())
+    try:
+        meta = json.loads(side.read_text())
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"sidecar {side} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"sidecar {side} must hold a JSON object")
     for key in ("params", "sample_seeds", "frame_times"):
         if key not in meta:
             raise DatasetFormatError(f"sidecar {side} lacks the key {key!r}")
+    if not isinstance(meta["params"], dict):
+        raise DatasetFormatError(f"sidecar {side}: 'params' must be a JSON object")
 
     dtype = np.dtype("<f4") if bits == 32 else np.dtype("<f8")
     data = np.frombuffer(payload, dtype=dtype).reshape(samples, snapshots, channels, *resolution)

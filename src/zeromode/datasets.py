@@ -7,27 +7,26 @@ integral; generation ends with an automatic conservation audit so a bad
 solver configuration cannot silently produce non-conserving data.
 
 Generation draws every initial state of a split first, one sample at a
-time with its own seed, then solves the whole split in one batched solver
-call, and a solver abort names the sample of the split at fault.  For the
-scalar problems the solver writes each snapshot straight into the
-(samples, frames, ...) array that becomes the dataset's ``data``; water
-keeps the depth channel of the solver's full-state frames.
+time with its own seed, as a plain array on the problem's grid.  The split
+then goes to its solver as one stacked (samples, ...) array with the
+grid, in one batched call, and a solver abort names the sample of the
+split at fault.  For the scalar problems the solver writes each snapshot
+straight into the (samples, frames, ...) array that becomes the dataset's
+``data``; water keeps the depth channel of the solver's full-state frames.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .correction import ConservationMask
-from .grid import Boundary, GridField, GridSpec, Precision
+from .grid import Boundary, GridSpec, Precision
 from .initial_conditions import chebyshev_ic, grf_ic
 from .solvers import (
-    ConservationLawSpec,
     SolverError,
     dam_break_state,
     solve_allen_cahn,
@@ -42,7 +41,6 @@ __all__ = [
     "ProblemParams",
     "DatasetConfig",
     "TrajectoryDataset",
-    "conservation_law_for",
     "flux_balance_tolerance",
     "desk_config",
     "paper_config",
@@ -70,15 +68,6 @@ class Problem(enum.Enum):
     CD = "cd"
 
 
-_LAWS = {
-    Problem.AC_DW: ConservationLawSpec("ac_dw", flux="-eps*grad(u) (periodic)"),
-    Problem.AC_FH: ConservationLawSpec("ac_fh", flux="-eps*grad(u) (periodic)"),
-    Problem.HEAT: ConservationLawSpec("heat", flux="-D*grad(u) (insulated)"),
-    Problem.WATER: ConservationLawSpec("water", flux="h*velocity (reflective walls)"),
-    Problem.DIFF: ConservationLawSpec("diff", flux="-D*grad(u) (periodic)"),
-    Problem.CD: ConservationLawSpec("cd", flux="velocity*u - D*grad(u) (periodic)"),
-}
-
 # Flux-balance residual bound per problem: the exact propagators sit at
 # rounding level, the time steppers a little above it.
 _FLUX_TOLERANCES = {
@@ -89,10 +78,6 @@ _FLUX_TOLERANCES = {
     Problem.DIFF: 1e-12,
     Problem.CD: 1e-12,
 }
-
-
-def conservation_law_for(problem: Problem) -> ConservationLawSpec:
-    return _LAWS[problem]
 
 
 def flux_balance_tolerance(problem: Problem) -> float:
@@ -281,9 +266,9 @@ def _sample_seed(config: DatasetConfig, index: int, attempt: int) -> list[int]:
 def _draw_scalar_ic(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarray:
     p = params.problem
     if p is Problem.DIFF:
-        u = grf_ic(seed, grid, params.grf_tau, params.grf_alpha).values[0]
+        u = grf_ic(seed, grid, params.grf_tau, params.grf_alpha)
         return u - u.mean() + params.ic_offset
-    u = chebyshev_ic(seed, grid, params.cheb_order).values[0]
+    u = chebyshev_ic(seed, grid, params.cheb_order)
     if p is Problem.AC_FH:
         u = 0.9 * u / np.abs(u).max()
     return u
@@ -294,28 +279,29 @@ def _accept_ic(params: ProblemParams, u: np.ndarray) -> bool:
     return floor is None or abs(float(u.mean())) >= floor
 
 
-def _draw_accepted_ic(config: DatasetConfig, grid: GridSpec, index: int) -> tuple[list[int], GridField]:
+def _draw_accepted_ic(config: DatasetConfig, grid: GridSpec, index: int) -> tuple[list[int], np.ndarray]:
     """The seed and initial state of one sample, redrawn until it clears the mean floor."""
     for attempt in range(_MAX_REDRAWS):
         seed = _sample_seed(config, index, attempt)
         u0 = _draw_scalar_ic(config.params, grid, seed)
         if _accept_ic(config.params, u0):
-            return seed, GridField.from_scalar(grid, u0)
+            return seed, u0
     raise SolverError("could not draw an acceptable initial state", sample=index)
 
 
-def _scalar_trajectories(params: ProblemParams, ics: Sequence[GridField]) -> np.ndarray:
-    """Frames (samples, snapshots, *spatial) of a scalar problem, one solver call for the split."""
+def _scalar_trajectories(params: ProblemParams, grid: GridSpec, ics: np.ndarray) -> np.ndarray:
+    """Frames (samples, snapshots, *spatial) of the (samples, *spatial) initial states, one solver call."""
     p = params.problem
     times = params.frame_times()
     if p is Problem.HEAT:
-        return solve_heat_neumann(ics, params.d_coeff, times)
+        return solve_heat_neumann(ics, grid, params.d_coeff, times)
     if p is Problem.DIFF:
-        return solve_diffusion_exact(ics, params.d_coeff, times)
+        return solve_diffusion_exact(ics, grid, params.d_coeff, times)
     if p is Problem.CD:
-        return solve_convdiff_exact(ics, params.d_coeff, params.velocity, times)
+        return solve_convdiff_exact(ics, grid, params.d_coeff, params.velocity, times)
     return solve_allen_cahn(
         ics,
+        grid,
         params.epsilon,
         "fh" if p is Problem.AC_FH else "dw",
         params.dt,
@@ -359,7 +345,7 @@ def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
     else:
         seeds, ics = zip(*(_draw_accepted_ic(config, grid, i) for i in range(config.n_samples)))
         seeds = list(seeds)
-        data = _scalar_trajectories(params, ics)[:, :, None]
+        data = _scalar_trajectories(params, grid, np.stack(ics))[:, :, None]
 
     mask = ConservationMask.all_channels(1)
     dataset = TrajectoryDataset(

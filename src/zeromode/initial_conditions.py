@@ -2,7 +2,9 @@
 
 Two families: dense random Chebyshev combinations (smooth, wide amplitude
 range) and mean-free Gaussian random fields with a fixed spectral density
-(periodic problems).  Both are deterministic functions of their seed.
+(periodic problems).  Both are deterministic functions of their seed and
+return a plain array of shape ``grid.resolution``, the scalar state the
+solvers take.
 """
 
 from __future__ import annotations
@@ -10,14 +12,14 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .grid import Boundary, GridField, GridSpec, integer_modes
+from .grid import Boundary, GridSpec, integer_modes
 
 __all__ = ["chebyshev_ic", "grf_ic"]
 
 SeedLike = "int | tuple[int, ...]"
 
 
-def chebyshev_ic(seed, grid: GridSpec, order: int = 20) -> GridField:
+def chebyshev_ic(seed, grid: GridSpec, order: int = 20) -> np.ndarray:
     """Random Chebyshev-series field sum_{i,j<order} c_ij T_i(xi) T_j(eta).
 
     Coefficients are i.i.d. uniform on [-1, 1].  Each axis is mapped
@@ -27,19 +29,14 @@ def chebyshev_ic(seed, grid: GridSpec, order: int = 20) -> GridField:
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     rng = np.random.default_rng(seed)
+    xi = 2.0 * grid.coords(0) / grid.lengths[0] - 1.0
     if grid.ndim == 1:
-        coeff = rng.uniform(-1.0, 1.0, order)
-        xi = 2.0 * grid.coords(0) / grid.lengths[0] - 1.0
-        values = chebyshev.chebval(xi, coeff)
-    else:
-        coeff = rng.uniform(-1.0, 1.0, (order, order))
-        xi = 2.0 * grid.coords(0) / grid.lengths[0] - 1.0
-        eta = 2.0 * grid.coords(1) / grid.lengths[1] - 1.0
-        values = chebyshev.chebgrid2d(xi, eta, coeff)
-    return GridField.from_scalar(grid, values)
+        return chebyshev.chebval(xi, rng.uniform(-1.0, 1.0, order))
+    eta = 2.0 * grid.coords(1) / grid.lengths[1] - 1.0
+    return chebyshev.chebgrid2d(xi, eta, rng.uniform(-1.0, 1.0, (order, order)))
 
 
-def grf_ic(seed, grid: GridSpec, tau: float = 5.0, alpha: float = 2.0) -> GridField:
+def grf_ic(seed, grid: GridSpec, tau: float = 5.0, alpha: float = 2.0) -> np.ndarray:
     """Mean-free Gaussian random field with power-law spectral density.
 
     Mode n carries variance proportional to (4 pi^2 |n|^2 / L^2 + tau^2)^(-alpha)
@@ -63,5 +60,4 @@ def grf_ic(seed, grid: GridSpec, tau: float = 5.0, alpha: float = 2.0) -> GridFi
     amplitude = np.sqrt(2.0) * sigma * (k2 + tau**2) ** (-alpha / 2.0)
     amplitude[(0,) * grid.ndim] = 0.0
     spectrum = np.fft.fftn(white) * amplitude
-    values = np.fft.ifftn(spectrum).real * np.sqrt(grid.n_points)
-    return GridField.from_scalar(grid, values)
+    return np.fft.ifftn(spectrum).real * np.sqrt(grid.n_points)

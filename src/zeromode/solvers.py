@@ -8,33 +8,31 @@ re-pinned after every step.  Shallow water uses a first-order finite
 volume scheme with Rusanov interface fluxes and reflective walls, which
 conserves total water mass to rounding by flux telescoping.
 
-Every solver also steps a whole batch of samples at once.  The scalar
-solvers take one :class:`GridField` or a sequence of them on one grid;
-a sequence adds a leading sample axis to the result, and the exact
-propagators take an array of times, which adds a frame axis after it.
-Each sample is transformed once; every frame is one batched inverse
-transform.  The Allen-Cahn step takes one real forward transform of
-``u + dt g`` (the update is linear, so this equals the sum of the two
-transforms) and one inverse, over the whole batch.  Shallow water takes
-leading batch axes on its state, (..., 3, nx, ny).  Means, clamp, CFL,
-positivity and finiteness are checked per sample, and a
-:class:`SolverError` from a batch names the first failing sample.
+Every solver takes its initial state as an array and the grid it lives
+on, and returns an array: ``solve_*(initial, grid, ...)``.  A scalar
+state has shape (*lead, *grid.resolution), a water state
+(*lead, 3, nx, ny); any leading axes are a batch, stepped together.  The
+exact propagators return (*lead, *np.shape(t), *spatial), Allen-Cahn and
+shallow water (*lead, frames, ...).  The exact propagators transform
+each sample once and make every frame in one batched inverse transform.
+The Allen-Cahn step takes one real forward transform of ``u + dt g``
+(the update is linear, so this equals the sum of the two transforms) and
+one inverse, over the whole batch.  Means, clamp, CFL, positivity and
+finiteness are checked per sample, and an error from a batch names the
+first failing sample.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .grid import Boundary, GridField, GridSpec, angular_wavenumbers
+from .grid import Boundary, GridSpec, angular_wavenumbers
 
 __all__ = [
     "SolverError",
-    "ConservationLawSpec",
     "solve_diffusion_exact",
     "solve_convdiff_exact",
     "solve_heat_neumann",
@@ -67,20 +65,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class ConservationLawSpec:
-    """Symbolic statement of the conserved balance for one problem.
-
-    Only laws with zero boundary flux and zero source are shipped; the
-    residual checker rejects anything else rather than guessing.
-    """
-
-    name: str
-    flux: str
-    source: str = "zero"
-    boundary_flux_zero: bool = True
-
-
 def _squared_wavenumber(grid: GridSpec) -> np.ndarray:
     k2 = np.zeros(grid.resolution)
     for k in angular_wavenumbers(grid):
@@ -96,122 +80,103 @@ def _first_sample(bad: np.ndarray, lead: tuple[int, ...]) -> int | tuple[int, ..
     return index[0] if len(index) == 1 else index
 
 
+def _in_sample(bad: np.ndarray, lead: tuple[int, ...]) -> str:
+    """" in sample i" for the first flagged sample of a batch, "" for a single state."""
+    sample = _first_sample(bad, lead)
+    return "" if sample is None else f" in sample {sample}"
+
+
 def _abort_if(bad: np.ndarray, message: str, step: int, lead: tuple[int, ...]) -> None:
     """Raise a SolverError naming the first sample flagged in ``bad`` (one flag per sample)."""
     if bad.any():
         raise SolverError(message, step=step, sample=_first_sample(bad, lead))
 
 
-def _scalar_samples(
-    ic: GridField | Sequence[GridField], who: str, boundary: Boundary
-) -> tuple[GridSpec, np.ndarray, tuple[int, ...]]:
-    """Grid, (samples, *spatial) stack and leading shape of one scalar field or a sequence of them.
-
-    The leading shape is () for a single field and (samples,) for a sequence.
-    """
-    single = isinstance(ic, GridField)
-    fields = [ic] if single else list(ic)
-    if not fields:
-        raise ValueError(f"{who} needs at least one field")
-    grid = fields[0].grid
+def _scalar_batch(
+    initial: np.ndarray, grid: GridSpec, who: str, boundary: Boundary
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (samples, *spatial) stack and leading shape of a (*lead, *grid.resolution) state."""
     if grid.boundary is not boundary:
         name = "Neumann" if boundary is Boundary.NEUMANN else boundary.value
         raise ValueError(f"{who} needs a {name} grid, got {grid.boundary.value}")
-    for field in fields:
-        if field.grid != grid:
-            raise ValueError(f"{who}: the fields of a batch must share one grid")
-        if field.channels != 1:
-            raise ValueError(f"{who} evolves a single scalar channel, got {field.channels}")
-    lead = () if single else (len(fields),)
-    return grid, np.stack([field.values[0] for field in fields]), lead
+    u = np.ascontiguousarray(initial, dtype=np.float64)
+    if u.shape[u.ndim - grid.ndim:] != grid.resolution:
+        raise ValueError(f"{who}: state shape {u.shape} does not end in the grid's {grid.resolution}")
+    lead = u.shape[: u.ndim - grid.ndim]
+    u = u.reshape(-1, *grid.resolution)
+    bad = ~np.isfinite(u).all(axis=tuple(range(1, u.ndim)))
+    if bad.any():
+        raise ValueError(f"{who}: initial state is not finite{_in_sample(bad, lead)}")
+    return u, lead
 
 
-def _propagate(u0: np.ndarray, times: np.ndarray, forward, inverse, advance) -> np.ndarray:
+def _propagate(u0: np.ndarray, lead: tuple[int, ...], t, forward, inverse, advance) -> np.ndarray:
     """Frames of a linear propagator that is diagonal in a transform basis.
 
-    ``u0`` has shape (samples, *spatial) and the result (samples, frames,
-    *spatial).  Each sample is transformed once; every frame is one
-    batched inverse transform of ``advance(coeffs, t)``, written straight
-    into its slot, so the working set stays a few batch-sized arrays.
+    ``u0`` has shape (samples, *spatial) and the result (*lead,
+    *np.shape(t), *spatial).  Each sample is transformed once; every frame
+    is one batched inverse transform of ``advance(coeffs, t)``, written
+    straight into its slot, so the working set stays a few batch-sized
+    arrays.
     """
-    axes = tuple(range(1, u0.ndim))
-    coeffs = forward(u0, axes=axes)
-    out = np.empty((u0.shape[0], times.size, *u0.shape[1:]))
-    for f, t in enumerate(times):
-        out[:, f] = inverse(advance(coeffs, t), axes=axes).real
-    return out
-
-
-def _exact_result(t, grid: GridSpec, frames: np.ndarray, lead: tuple[int, ...]) -> GridField | np.ndarray:
-    """A GridField for one field at one time, else the (*samples, *frames, *spatial) array."""
-    out = frames.reshape(*lead, *np.shape(t), *grid.resolution)
-    return GridField.from_scalar(grid, out) if out.ndim == grid.ndim else out
-
-
-def _times(t) -> np.ndarray:
-    """The frame times of an exact propagator, flat: one number or a 1-D array."""
     times = np.asarray(t, dtype=np.float64)
     if times.ndim > 1 or (times < 0).any():
         raise ValueError(f"time must be a nonnegative number or 1-D array, got {t}")
-    return times.reshape(-1)
+    axes = tuple(range(1, u0.ndim))
+    coeffs = forward(u0, axes=axes)
+    out = np.empty((u0.shape[0], times.size, *u0.shape[1:]))
+    for f, time in enumerate(times.reshape(-1)):
+        out[:, f] = inverse(advance(coeffs, time), axes=axes).real
+    return out.reshape(*lead, *times.shape, *u0.shape[1:])
 
 
-def solve_diffusion_exact(
-    ic: GridField | Sequence[GridField], d_coeff: float, t: float | np.ndarray
-) -> GridField | np.ndarray:
+def solve_diffusion_exact(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: float | np.ndarray) -> np.ndarray:
     """Periodic diffusion u_t = D lap(u), advanced exactly in Fourier space.
 
     Mode n decays by exp(-D |k_n|^2 t); the zero mode (the mean) is
-    untouched, so the integral is conserved to rounding.  One field at one
-    time gives a GridField; a sequence of fields and/or an array of times
-    give an array (*samples, *frames, *spatial).
+    untouched, so the integral is conserved to rounding.  ``initial`` is
+    (*lead, *spatial) and ``t`` one time or a 1-D array of them; the
+    result is (*lead, *np.shape(t), *spatial).
     """
-    grid, u0, lead = _scalar_samples(ic, "solve_diffusion_exact", Boundary.PERIODIC)
+    u0, lead = _scalar_batch(initial, grid, "solve_diffusion_exact", Boundary.PERIODIC)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
-    times = _times(t)
     rate = -d_coeff * _squared_wavenumber(grid)
-    frames = _propagate(u0, times, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
-    return _exact_result(t, grid, frames, lead)
+    return _propagate(u0, lead, t, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
 
 
 def solve_convdiff_exact(
-    ic: GridField | Sequence[GridField], d_coeff: float, velocity: tuple[float, ...], t: float | np.ndarray
-) -> GridField | np.ndarray:
+    initial: np.ndarray, grid: GridSpec, d_coeff: float, velocity: tuple[float, ...], t: float | np.ndarray
+) -> np.ndarray:
     """Periodic convection-diffusion u_t + v . grad(u) = D lap(u), exact.
 
     Each mode is multiplied by exp(-(D |k|^2 + i k . v) t); the advective
-    phase leaves |coeff| alone and the zero mode is again fixed.  Batches
-    and time arrays as in :func:`solve_diffusion_exact`.
+    phase leaves |coeff| alone and the zero mode is again fixed.  Shapes
+    as in :func:`solve_diffusion_exact`.
     """
-    grid, u0, lead = _scalar_samples(ic, "solve_convdiff_exact", Boundary.PERIODIC)
+    u0, lead = _scalar_batch(initial, grid, "solve_convdiff_exact", Boundary.PERIODIC)
     if len(velocity) != grid.ndim:
         raise ValueError(f"velocity {velocity} has wrong arity for a {grid.ndim}-D grid")
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
-    times = _times(t)
     k_dot_v = np.zeros(grid.resolution)
     for k, v in zip(angular_wavenumbers(grid), velocity):
         k_dot_v = k_dot_v + k * v
     rate = -(d_coeff * _squared_wavenumber(grid) + 1j * k_dot_v)
-    frames = _propagate(u0, times, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
-    return _exact_result(t, grid, frames, lead)
+    return _propagate(u0, lead, t, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
 
 
-def solve_heat_neumann(
-    ic: GridField | Sequence[GridField], d_coeff: float, t: float | np.ndarray
-) -> GridField | np.ndarray:
+def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: float | np.ndarray) -> np.ndarray:
     """Insulated (zero-flux) heat equation, advanced exactly in cosine modes.
 
     The grid samples at cell centers, where cos(pi n x / L) is precisely
     the type-II DCT basis, so the propagator is diagonal: mode n decays by
-    exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.  Batches and
-    time arrays as in :func:`solve_diffusion_exact`.
+    exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.  Shapes as in
+    :func:`solve_diffusion_exact`.
     """
-    grid, u0, lead = _scalar_samples(ic, "solve_heat_neumann", Boundary.NEUMANN)
+    u0, lead = _scalar_batch(initial, grid, "solve_heat_neumann", Boundary.NEUMANN)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
-    times = _times(t)
     lams = []
     for axis, (n, length) in enumerate(zip(grid.resolution, grid.lengths)):
         shape = [1] * grid.ndim
@@ -223,9 +188,8 @@ def solve_heat_neumann(
             coeffs = coeffs * np.exp(-d_coeff * lam * t)
         return coeffs
 
-    frames = _propagate(u0, times, functools.partial(scipy.fft.dctn, type=2),
-                        functools.partial(scipy.fft.idctn, type=2), advance)
-    return _exact_result(t, grid, frames, lead)
+    return _propagate(u0, lead, t, functools.partial(scipy.fft.dctn, type=2),
+                      functools.partial(scipy.fft.idctn, type=2), advance)
 
 
 def _double_well(u: np.ndarray) -> np.ndarray:
@@ -238,7 +202,8 @@ def _flory_huggins(u: np.ndarray, theta: float, theta_c: float) -> np.ndarray:
 
 
 def solve_allen_cahn(
-    ic: GridField | Sequence[GridField],
+    initial: np.ndarray,
+    grid: GridSpec,
     epsilon: float,
     potential: str,
     dt: float,
@@ -259,14 +224,13 @@ def solve_allen_cahn(
     initial value after every step, making conservation exact by
     construction instead of resting on accumulated rounding.
 
-    ``ic`` is one scalar field or a sequence of them on one grid, stepped
-    together; every sample keeps its own mean and its own checks.
-    Returns the trajectory including the initial state, one frame every
-    ``snapshot_stride`` steps (default: only first and last): shape
-    (frames, *spatial) for one field, (samples, frames, *spatial) for a
-    sequence.
+    ``initial`` is (*lead, *spatial); the samples are stepped together,
+    and every sample keeps its own mean and its own checks.  Returns the
+    trajectory including the initial state, one frame every
+    ``snapshot_stride`` steps (default: only first and last), shape
+    (*lead, frames, *spatial).
     """
-    grid, u, lead = _scalar_samples(ic, "solve_allen_cahn", Boundary.PERIODIC)
+    u, lead = _scalar_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
     if potential not in ("dw", "fh"):
         raise ValueError(f"unknown potential {potential!r}, expected 'dw' or 'fh'")
     if dt <= 0 or n_steps < 1:
@@ -409,9 +373,7 @@ def solve_shallow_water(
     state = state.reshape(-1, *state.shape[-3:])
     depth_min = state[:, 0].min(axis=(-2, -1))
     if (depth_min <= 0).any():
-        sample = _first_sample(depth_min <= 0, lead)
-        at = "" if sample is None else f" in sample {sample}"
-        raise ValueError(f"water depth must be positive everywhere{at}")
+        raise ValueError(f"water depth must be positive everywhere{_in_sample(depth_min <= 0, lead)}")
     if dt <= 0 or n_steps < 1:
         raise ValueError("need dt > 0 and at least one step")
     if snapshot_stride is None:
@@ -420,8 +382,7 @@ def solve_shallow_water(
         raise ValueError(f"snapshot stride {snapshot_stride} does not divide {n_steps} steps")
     cfl = _courant(state, grid, g_r, dt)
     if (cfl > cfl_max).any():
-        sample = _first_sample(cfl > cfl_max, lead)
-        at = "" if sample is None else f" in sample {sample}"
+        at = _in_sample(cfl > cfl_max, lead)
         raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {cfl_max}{at}; reduce dt")
 
     dx, dy = grid.spacing
@@ -442,21 +403,16 @@ def solve_shallow_water(
     return frames.reshape(*lead, *frames.shape[1:])
 
 
-def verify_flux_balance(
-    trajectory: np.ndarray,
-    frame_dt: float,
-    grid: GridSpec,
-    law: ConservationLawSpec,
-) -> np.ndarray:
+def verify_flux_balance(trajectory: np.ndarray, frame_dt: float, grid: GridSpec) -> np.ndarray:
     """Residual of the integral balance dE/dt = -boundary flux + source.
 
-    For the shipped laws both right-hand terms vanish, so the residual is
-    just |dE/dt| with dE/dt estimated by centered differences (one-sided
-    at the ends).  ``trajectory`` has shape (frames, channels, *spatial);
-    the result has shape (frames, channels).
+    The checker models zero source and zero boundary flux, which holds for
+    every shipped problem: periodic, insulated and reflective boundaries
+    carry no flux.  The residual is then just |dE/dt|, with dE/dt
+    estimated by centered differences (one-sided at the ends).
+    ``trajectory`` has shape (frames, channels, *spatial); the result has
+    shape (frames, channels).
     """
-    if law.source != "zero" or not law.boundary_flux_zero:
-        raise ValueError(f"law {law.name!r} has nonzero boundary terms, which this checker does not model")
     traj = np.asarray(trajectory, dtype=np.float64)
     if traj.ndim != grid.ndim + 2:
         raise ValueError(f"trajectory must have shape (frames, channels, *spatial), got {traj.shape}")

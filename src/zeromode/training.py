@@ -40,8 +40,6 @@ __all__ = [
     "rollout",
 ]
 
-DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-
 
 class TrainMode(enum.Enum):
     BASELINE = "baseline"
@@ -74,7 +72,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     loss: str = "mae"
     eval_every: int = 50
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:

@@ -42,7 +42,6 @@ from .model import (
 )
 from .optim import adamw_step, init_optimizer
 from .solvers import (
-    ConservationLawSpec,
     dam_break_state,
     solve_allen_cahn,
     solve_convdiff_exact,
@@ -195,11 +194,10 @@ def _check_diffusion(correction: CorrectionFn):
     grid = GridSpec.line(64, length=2.0)
     x = grid.coords(0)
     d, t, n = 0.05, 0.3, 3
-    ic = GridField(grid, (1.0 + np.cos(2 * np.pi * n * x / 2.0))[None])
-    out = solve_diffusion_exact(ic, d, t)
+    out = solve_diffusion_exact(1.0 + np.cos(2 * np.pi * n * x / 2.0), grid, d, t)
     k2 = (2 * np.pi * n / 2.0) ** 2
     expected = 1.0 + np.exp(-d * k2 * t) * np.cos(2 * np.pi * n * x / 2.0)
-    gap = np.abs(out.values[0] - expected).max()
+    gap = np.abs(out - expected).max()
     return None if gap < 1e-12 else f"single-mode decay off by {gap:.2e}"
 
 
@@ -207,10 +205,10 @@ def _check_diffusion(correction: CorrectionFn):
 def _check_convection(correction: CorrectionFn):
     grid = GridSpec.line(32)
     rng = np.random.default_rng(7)
-    ic = GridField(grid, rng.normal(size=(1, 32)))
+    ic = rng.normal(size=32)
     # velocity 1, time 4/32: shift by exactly 4 cells, no diffusion
-    out = solve_convdiff_exact(ic, 0.0, (1.0,), 4 / 32)
-    gap = np.abs(out.values[0] - np.roll(ic.values[0], 4)).max()
+    out = solve_convdiff_exact(ic, grid, 0.0, (1.0,), 4 / 32)
+    gap = np.abs(out - np.roll(ic, 4)).max()
     return None if gap < 1e-10 else f"pure advection differs from a cyclic shift by {gap:.2e}"
 
 
@@ -219,21 +217,19 @@ def _check_heat(correction: CorrectionFn):
     grid = GridSpec(lengths=(1.0,), resolution=(48,), boundary=Boundary.NEUMANN)
     x = grid.coords(0)
     d, t = 0.02, 0.4
-    ic = GridField(grid, (2.0 + np.cos(np.pi * x))[None])
-    out = solve_heat_neumann(ic, d, t)
+    out = solve_heat_neumann(2.0 + np.cos(np.pi * x), grid, d, t)
     expected = 2.0 + np.exp(-d * np.pi**2 * t) * np.cos(np.pi * x)
-    gap = np.abs(out.values[0] - expected).max()
+    gap = np.abs(out - expected).max()
     return None if gap < 1e-10 else f"Neumann eigenmode decay off by {gap:.2e}"
 
 
 @_register("solvers", "allen_cahn_mass_pinned")
 def _check_allen_cahn_mass(correction: CorrectionFn):
     grid = GridSpec.square(32)
-    ic = grf_ic([5, 0], grid)
-    ic = GridField(grid, ic.values + 0.1)
-    frames = solve_allen_cahn(ic, epsilon=0.01, potential="dw", dt=1e-4, n_steps=400,
+    ic = grf_ic([5, 0], grid) + 0.1
+    frames = solve_allen_cahn(ic, grid, epsilon=0.01, potential="dw", dt=1e-4, n_steps=400,
                               snapshot_stride=100)
-    drift = np.abs(frames.mean(axis=(1, 2)) - ic.values[0].mean()).max()
+    drift = np.abs(frames.mean(axis=(1, 2)) - ic.mean()).max()
     return None if drift < 1e-12 else f"projected mass drifted by {drift:.2e}"
 
 
@@ -241,11 +237,11 @@ def _check_allen_cahn_mass(correction: CorrectionFn):
 def _check_allen_cahn_order(correction: CorrectionFn):
     grid = GridSpec.square(32)
     x, y = grid.meshgrid()
-    ic = GridField(grid, (0.2 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.1)[None])
+    ic = 0.2 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.1
     t_final = 0.02
     outs = []
     for n in (50, 100, 200):
-        frames = solve_allen_cahn(ic, 0.01, "dw", t_final / n, n, project=False)
+        frames = solve_allen_cahn(ic, grid, 0.01, "dw", t_final / n, n, project=False)
         outs.append(frames[-1])
     ratio = np.abs(outs[0] - outs[1]).max() / np.abs(outs[1] - outs[2]).max()
     return None if 1.6 < ratio < 2.4 else f"Richardson dt ratio {ratio:.3f} is not first order"
@@ -254,13 +250,13 @@ def _check_allen_cahn_order(correction: CorrectionFn):
 @_register("solvers", "batch_consistency")
 def _check_batch_consistency(correction: CorrectionFn):
     grid = GridSpec.square(16)
-    fields = [GridField(grid, grf_ic([6, i], grid).values + 0.1 * (i + 1)) for i in range(3)]
-    batch = solve_allen_cahn(fields, 0.01, "dw", dt=1e-4, n_steps=200, snapshot_stride=50)
-    for i, field in enumerate(fields):
-        alone = solve_allen_cahn(field, 0.01, "dw", dt=1e-4, n_steps=200, snapshot_stride=50)
+    states = np.stack([grf_ic([6, i], grid) + 0.1 * (i + 1) for i in range(3)])
+    batch = solve_allen_cahn(states, grid, 0.01, "dw", dt=1e-4, n_steps=200, snapshot_stride=50)
+    for i, state in enumerate(states):
+        alone = solve_allen_cahn(state, grid, 0.01, "dw", dt=1e-4, n_steps=200, snapshot_stride=50)
         if not np.array_equal(batch[i], alone):
             return f"sample {i}: batched frames differ from a single call by {np.abs(batch[i] - alone).max():.2e}"
-        drift = np.abs(batch[i].mean(axis=(1, 2)) - field.values.mean()).max()
+        drift = np.abs(batch[i].mean(axis=(1, 2)) - state.mean()).max()
         if drift > 1e-12:
             return f"sample {i}: batched frames moved the sample's mean by {drift:.2e}"
     return None
@@ -286,15 +282,14 @@ def _check_water(correction: CorrectionFn):
 def _check_flux_balance(correction: CorrectionFn):
     grid = GridSpec.square(24)
     rng = np.random.default_rng(11)
-    ic = GridField(grid, rng.normal(1.0, 0.3, size=(1, 24, 24)))
+    ic = rng.normal(1.0, 0.3, size=(24, 24))
     times = np.linspace(0.0, 0.5, 9)
-    traj = np.stack([solve_diffusion_exact(ic, 0.01, float(t)).values for t in times])
-    law = ConservationLawSpec(name="mass", flux="diffusive")
-    residual = verify_flux_balance(traj, float(times[1] - times[0]), grid, law)
+    traj = solve_diffusion_exact(ic, grid, 0.01, times)[:, None]
+    residual = verify_flux_balance(traj, float(times[1] - times[0]), grid)
     if residual.max() > 1e-12:
         return f"exact diffusion shows a spurious source of {residual.max():.2e}"
     leaky = traj * np.exp(-times)[:, None, None, None]
-    residual = verify_flux_balance(leaky, float(times[1] - times[0]), grid, law)
+    residual = verify_flux_balance(leaky, float(times[1] - times[0]), grid)
     if residual.max() < 1e-3:
         return "an injected exponential leak went undetected"
     return None

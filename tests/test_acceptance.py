@@ -14,7 +14,7 @@ import pytest
 from zeromode.cli import main as cli_main
 from zeromode.correction import ConservationMask, check_error_reduction
 from zeromode.datafile import read_dataset, write_dataset
-from zeromode.datasets import Problem, conservation_law_for, desk_config, generate_dataset
+from zeromode.datasets import Problem, desk_config, generate_dataset
 from zeromode.grid import Boundary, GridField, GridSpec, Precision, fft_forward, l2_norm
 from zeromode.metrics import SCOPE_NOTE, MetricsRecord, emit_report
 from zeromode.model import OperatorConfig, OperatorModel, init_model, layout, loss_and_grad, n_params
@@ -99,11 +99,9 @@ def test_criterion_03_flux_balance_on_generated_data(desk_tests):
     results = {}
     for problem, bound in ((Problem.HEAT, 1e-10), (Problem.DIFF, 1e-12)):
         ds = desk_tests[problem]
-        law = conservation_law_for(problem)
         worst = 0.0
         for i in range(ds.n_samples):
-            residual = verify_flux_balance(ds.data[i], ds.frame_times[1] - ds.frame_times[0],
-                                           ds.grid, law)
+            residual = verify_flux_balance(ds.data[i], ds.frame_times[1] - ds.frame_times[0], ds.grid)
             worst = max(worst, float(residual.max()))
         results[problem.value] = (worst, bound)
     ok = all(worst < bound for worst, bound in results.values())
@@ -196,21 +194,20 @@ def test_criterion_06_solver_oracles():
 
     grid = GridSpec.line(64)
     x = grid.coords(0)
-    ic = GridField(grid, (1.0 + np.cos(2 * np.pi * x))[None])
-    out = solve_diffusion_exact(ic, 0.05, 0.3)
+    out = solve_diffusion_exact(1.0 + np.cos(2 * np.pi * x), grid, 0.05, 0.3)
     expected = 1.0 + np.exp(-0.05 * 4 * np.pi**2 * 0.3) * np.cos(2 * np.pi * x)
-    checks.append(("diffusion decay", float(np.abs(out.values[0] - expected).max()), 1e-10))
+    checks.append(("diffusion decay", float(np.abs(out - expected).max()), 1e-10))
 
     grid = GridSpec.line(32)
-    ic = GridField(grid, np.random.default_rng(2).normal(size=(1, 32)))
-    out = solve_convdiff_exact(ic, 0.0, (1.0,), 4 / 32)
-    shift_gap = float(np.abs(out.values[0] - np.roll(ic.values[0], 4)).max())
+    ic = np.random.default_rng(2).normal(size=32)
+    out = solve_convdiff_exact(ic, grid, 0.0, (1.0,), 4 / 32)
+    shift_gap = float(np.abs(out - np.roll(ic, 4)).max())
     checks.append(("advection shift", shift_gap, 1e-12))
 
     grid = GridSpec.square(32)
     gx, gy = grid.meshgrid()
-    ic = GridField(grid, (0.2 * np.cos(2 * np.pi * gx) * np.cos(2 * np.pi * gy) + 0.1)[None])
-    outs = [solve_allen_cahn(ic, 0.01, "dw", 0.02 / n, n, project=False)[-1] for n in (50, 100, 200)]
+    ic = 0.2 * np.cos(2 * np.pi * gx) * np.cos(2 * np.pi * gy) + 0.1
+    outs = [solve_allen_cahn(ic, grid, 0.01, "dw", 0.02 / n, n, project=False)[-1] for n in (50, 100, 200)]
     ratio = float(np.abs(outs[0] - outs[1]).max() / np.abs(outs[1] - outs[2]).max())
     ratio_ok = 1.7 <= ratio <= 2.3
 

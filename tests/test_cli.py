@@ -64,9 +64,8 @@ class TestGen:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"smaples": 2}))
-        with pytest.raises(SystemExit):
-            main(["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"),
-                  "--config", str(cfg), *GEN_ARGS])
+        assert main(["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"),
+                     "--config", str(cfg), *GEN_ARGS]) == 2
 
     def test_invalid_parameters_exit_2(self, tmp_path):
         code = main(["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"),
@@ -173,13 +172,13 @@ class TestEvalAndReport:
         assert code == 2
 
 
-def sidecar_row(edit):
-    """train on a copy of the training split whose sidecar is ``edit(meta)``."""
+def sidecar_row(edit, dump=json.dumps):
+    """train on a copy of the training split whose sidecar text is ``dump(edit(meta))``."""
     def build(pipeline, tmp_path):
         _, train_path, valid_path, _ = pipeline
         data = tmp_path / "bad.ecfd"
         shutil.copy(train_path, data)
-        sidecar_path(data).write_text(json.dumps(edit(json.loads(sidecar_path(train_path).read_text()))))
+        sidecar_path(data).write_text(dump(edit(json.loads(sidecar_path(train_path).read_text()))))
         return ["train", "--train", str(data), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
                 *TRAIN_ARGS]
     return build
@@ -206,6 +205,15 @@ def eval_row(*extra):
     return build
 
 
+def report_row(text):
+    """report on one records file holding ``text``."""
+    def build(pipeline, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(text)
+        return ["report", "--records", str(path), "--out", str(tmp_path / "report")]
+    return build
+
+
 def without(key):
     return lambda meta: {k: v for k, v in meta.items() if k != key}
 
@@ -217,6 +225,14 @@ BAD_INPUTS = [
                  id="sidecar-no-sample-seeds"),
     pytest.param(sidecar_row(lambda meta: list(meta)), "bad.ecfd.json must hold a JSON object", True,
                  id="sidecar-list"),
+    pytest.param(sidecar_row(lambda meta: '{"params": ', dump=str), "bad.ecfd.json is not valid JSON", True,
+                 id="sidecar-truncated"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "params": [1]}), "'params' must be a JSON object", True,
+                 id="sidecar-params-list"),
+    pytest.param(config_row("gen", {"smaples": 1}), "unknown config keys ['smaples']", True,
+                 id="gen-unknown-key"),
+    pytest.param(config_row("train", []), "must hold a JSON object", True, id="train-config-list"),
+    pytest.param(report_row(""), "no records found", True, id="report-no-records"),
     pytest.param(config_row("train", {"width": [16]}), "'width'", True, id="train-width-list"),
     pytest.param(config_row("train", {"seed": {"a": 1}}), "'seed'", True, id="train-seed-object"),
     pytest.param(config_row("train", {"lr": [1]}), "'lr'", True, id="train-lr-list"),

@@ -8,7 +8,6 @@ from zeromode.datasets import (
     DatasetConfig,
     Problem,
     ProblemParams,
-    conservation_law_for,
     desk_config,
     flux_balance_tolerance,
     generate_dataset,
@@ -62,10 +61,8 @@ class TestPresets:
             assert cfg.n_samples == 500
             assert cfg.params.n_snapshots == 20
 
-    def test_every_problem_has_law_and_tolerance(self):
+    def test_every_problem_has_a_flux_tolerance(self):
         for problem in Problem:
-            law = conservation_law_for(problem)
-            assert law.source == "zero" and law.boundary_flux_zero
             assert 0 < flux_balance_tolerance(problem) <= 1e-10
 
 
@@ -108,9 +105,8 @@ class TestGeneration:
         for problem in (Problem.HEAT, Problem.DIFF, Problem.CD):
             ds = generate_dataset(tiny_config(problem))
             tol = flux_balance_tolerance(problem)
-            law = conservation_law_for(problem)
             for i in range(ds.n_samples):
-                r = verify_flux_balance(ds.data[i], ds.frame_dt, ds.grid, law)
+                r = verify_flux_balance(ds.data[i], ds.frame_dt, ds.grid)
                 assert r.max() < tol, problem
 
     def test_sample_seeds_recorded(self):
@@ -124,9 +120,9 @@ class TestGeneration:
 
 def reference_ic(params, grid, seed):
     if params.problem is Problem.DIFF:
-        u = grf_ic(seed, grid, params.grf_tau, params.grf_alpha).values[0]
+        u = grf_ic(seed, grid, params.grf_tau, params.grf_alpha)
         return u - u.mean() + params.ic_offset
-    u = chebyshev_ic(seed, grid, params.cheb_order).values[0]
+    u = chebyshev_ic(seed, grid, params.cheb_order)
     return 0.9 * u / np.abs(u).max() if params.problem is Problem.AC_FH else u
 
 

@@ -9,10 +9,9 @@ and telescoping mass sums for the finite-volume scheme.
 import numpy as np
 import pytest
 
-from zeromode.grid import Boundary, GridField, GridSpec
+from zeromode.grid import Boundary, GridSpec
 from zeromode.initial_conditions import chebyshev_ic, grf_ic
 from zeromode.solvers import (
-    ConservationLawSpec,
     SolverError,
     cfl_number,
     dam_break_state,
@@ -24,16 +23,14 @@ from zeromode.solvers import (
     verify_flux_balance,
 )
 
-ZERO_FLUX_LAW = ConservationLawSpec("test", flux="whatever", source="zero", boundary_flux_zero=True)
-
 
 class TestInitialConditions:
     def test_chebyshev_deterministic_and_smooth(self):
         grid = GridSpec.square(32)
         a = chebyshev_ic(123, grid)
         b = chebyshev_ic(123, grid)
-        assert (a.values == b.values).all()
-        assert not (a.values == chebyshev_ic(124, grid).values).all()
+        assert (a == b).all()
+        assert not (a == chebyshev_ic(124, grid)).all()
 
     def test_chebyshev_matches_polynomial_oracle(self):
         """Evaluate the double sum directly from the recurrence."""
@@ -56,13 +53,13 @@ class TestInitialConditions:
         for i in range(3):
             for j in range(3):
                 expected += coeff[i, j] * np.outer(cheb_t(i, xi), cheb_t(j, xi))
-        np.testing.assert_allclose(field.values[0], expected, atol=1e-12)
+        np.testing.assert_allclose(field, expected, atol=1e-12)
 
     def test_grf_real_zero_mean_deterministic(self):
         grid = GridSpec.square(32)
         f = grf_ic(7, grid)
-        assert abs(f.values.mean()) < 1e-12
-        assert (f.values == grf_ic(7, grid).values).all()
+        assert abs(f.mean()) < 1e-12
+        assert (f == grf_ic(7, grid)).all()
 
     def test_grf_mode_variance_ratio(self):
         """Sampled mode variances must follow the declared spectral density.
@@ -75,7 +72,7 @@ class TestInitialConditions:
         c1 = np.empty(10_000, dtype=np.complex128)
         c2 = np.empty(10_000, dtype=np.complex128)
         for s in range(10_000):
-            spec = np.fft.fftn(grf_ic(s, grid, tau, alpha).values[0]) / grid.n_points
+            spec = np.fft.fftn(grf_ic(s, grid, tau, alpha)) / grid.n_points
             c1[s] = spec[1, 0]
             c2[s] = spec[2, 0]
         measured = np.mean(np.abs(c1) ** 2) / np.mean(np.abs(c2) ** 2)
@@ -93,30 +90,30 @@ class TestDiffusionExact:
     def test_single_mode_decay_oracle(self):
         grid = GridSpec.square(32, length=2.0)
         x, y = grid.meshgrid()
-        ic = GridField.from_scalar(grid, np.cos(2 * np.pi * 3 * x / 2.0))
+        ic = np.cos(2 * np.pi * 3 * x / 2.0)
         d_coeff, t = 0.05, 0.7
-        out = solve_diffusion_exact(ic, d_coeff, t)
+        out = solve_diffusion_exact(ic, grid, d_coeff, t)
         factor = np.exp(-d_coeff * (2 * np.pi * 3 / 2.0) ** 2 * t)
-        np.testing.assert_allclose(out.values, ic.values * factor, atol=1e-12)
+        np.testing.assert_allclose(out, ic * factor, atol=1e-12)
 
     def test_mean_preserved_and_t_zero_identity(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(0, grid)
-        out = solve_diffusion_exact(ic, 0.01, 2.0)
-        assert out.values.mean() == pytest.approx(ic.values.mean(), abs=1e-14)
-        np.testing.assert_allclose(solve_diffusion_exact(ic, 0.01, 0.0).values, ic.values, atol=1e-12)
+        out = solve_diffusion_exact(ic, grid, 0.01, 2.0)
+        assert out.mean() == pytest.approx(ic.mean(), abs=1e-14)
+        np.testing.assert_allclose(solve_diffusion_exact(ic, grid, 0.01, 0.0), ic, atol=1e-12)
 
     def test_semigroup_property(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(1, grid)
-        a = solve_diffusion_exact(ic, 0.02, 0.9)
-        b = solve_diffusion_exact(solve_diffusion_exact(ic, 0.02, 0.4), 0.02, 0.5)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+        a = solve_diffusion_exact(ic, grid, 0.02, 0.9)
+        b = solve_diffusion_exact(solve_diffusion_exact(ic, grid, 0.02, 0.4), grid, 0.02, 0.5)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_rejects_negative_time(self):
-        ic = GridField.constant(GridSpec.square(8), 1.0)
+        grid = GridSpec.square(8)
         with pytest.raises(ValueError):
-            solve_diffusion_exact(ic, 0.01, -1.0)
+            solve_diffusion_exact(np.ones(grid.resolution), grid, 0.01, -1.0)
 
 
 class TestConvectionDiffusion:
@@ -125,65 +122,64 @@ class TestConvectionDiffusion:
         grid = GridSpec.square(16)
         ic = chebyshev_ic(3, grid)
         dx = grid.spacing[0]
-        out = solve_convdiff_exact(ic, 0.0, (1.0, 0.0), 4 * dx)
-        np.testing.assert_allclose(out.values[0], np.roll(ic.values[0], 4, axis=0), atol=1e-10)
+        out = solve_convdiff_exact(ic, grid, 0.0, (1.0, 0.0), 4 * dx)
+        np.testing.assert_allclose(out, np.roll(ic, 4, axis=0), atol=1e-10)
 
     def test_reduces_to_diffusion_at_zero_velocity(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(4, grid)
-        a = solve_convdiff_exact(ic, 0.03, (0.0, 0.0), 0.5)
-        b = solve_diffusion_exact(ic, 0.03, 0.5)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-13)
+        a = solve_convdiff_exact(ic, grid, 0.03, (0.0, 0.0), 0.5)
+        b = solve_diffusion_exact(ic, grid, 0.03, 0.5)
+        np.testing.assert_allclose(a, b, atol=1e-13)
 
     def test_mean_preserved(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(5, grid)
-        out = solve_convdiff_exact(ic, 0.01, (1.0, 0.5), 0.1)
-        assert out.values.mean() == pytest.approx(ic.values.mean(), abs=1e-14)
+        out = solve_convdiff_exact(ic, grid, 0.01, (1.0, 0.5), 0.1)
+        assert out.mean() == pytest.approx(ic.mean(), abs=1e-14)
 
 
 class TestHeatNeumann:
     def test_cosine_eigenmode_decay(self):
         grid = GridSpec.square(32, boundary=Boundary.NEUMANN)
         x, _ = grid.meshgrid()
-        ic = GridField.from_scalar(grid, np.cos(np.pi * x / 1.0))
+        ic = np.cos(np.pi * x / 1.0)
         d_coeff, t = 0.01, 1.0
-        out = solve_heat_neumann(ic, d_coeff, t)
-        np.testing.assert_allclose(out.values, ic.values * np.exp(-d_coeff * np.pi**2 * t), atol=1e-10)
+        out = solve_heat_neumann(ic, grid, d_coeff, t)
+        np.testing.assert_allclose(out, ic * np.exp(-d_coeff * np.pi**2 * t), atol=1e-10)
 
     def test_mean_preserved_on_random_ic(self):
         grid = GridSpec.square(24, boundary=Boundary.NEUMANN)
         ic = chebyshev_ic(6, grid)
-        out = solve_heat_neumann(ic, 0.01, 0.8)
-        assert out.values.mean() == pytest.approx(ic.values.mean(), abs=1e-13)
+        out = solve_heat_neumann(ic, grid, 0.01, 0.8)
+        assert out.mean() == pytest.approx(ic.mean(), abs=1e-13)
 
     def test_long_time_limit_is_uniform_mean(self):
         grid = GridSpec.square(16, boundary=Boundary.NEUMANN)
         ic = chebyshev_ic(7, grid)
-        out = solve_heat_neumann(ic, 0.1, 500.0)
-        np.testing.assert_allclose(out.values, ic.values.mean(), atol=1e-8)
+        out = solve_heat_neumann(ic, grid, 0.1, 500.0)
+        np.testing.assert_allclose(out, ic.mean(), atol=1e-8)
 
     def test_rejects_periodic_grid(self):
         with pytest.raises(ValueError, match="Neumann"):
-            solve_heat_neumann(GridField.constant(GridSpec.square(8), 1.0), 0.01, 1.0)
+            solve_heat_neumann(np.ones((8, 8)), GridSpec.square(8), 0.01, 1.0)
 
 
 class TestAllenCahn:
     def smooth_ic(self, grid, amplitude=0.4):
         x, y = grid.meshgrid()
-        u = amplitude * (np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y) + 0.3)
-        return GridField.from_scalar(grid, u)
+        return amplitude * (np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y) + 0.3)
 
     def test_mass_pinned_over_thousand_steps(self):
         grid = GridSpec.square(32)
         ic = chebyshev_ic(8, grid)
-        frames = solve_allen_cahn(ic, 0.01, "dw", dt=1e-4, n_steps=1000)
+        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000)
         assert abs(frames[-1].mean() - frames[0].mean()) < 1e-12
 
     def test_unprojected_drift_is_small_but_trackable(self):
         grid = GridSpec.square(32)
         ic = chebyshev_ic(8, grid)
-        frames = solve_allen_cahn(ic, 0.01, "dw", dt=1e-4, n_steps=1000, project=False)
+        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000, project=False)
         drift = abs(frames[-1].mean() - frames[0].mean())
         assert drift < 1e-8  # mean-free nonlinearity keeps it near rounding
 
@@ -193,7 +189,7 @@ class TestAllenCahn:
         ic = self.smooth_ic(grid)
         t_final = 0.02
         finals = [
-            solve_allen_cahn(ic, 0.01, "dw", dt=t_final / n, n_steps=n)[-1]
+            solve_allen_cahn(ic, grid, 0.01, "dw", dt=t_final / n, n_steps=n)[-1]
             for n in (50, 100, 200)
         ]
         e1 = np.linalg.norm(finals[0] - finals[1])
@@ -204,8 +200,8 @@ class TestAllenCahn:
         # both potentials are odd and smooth near zero; just check fh runs and conserves
         grid = GridSpec.square(32)
         ic = chebyshev_ic(9, grid)
-        scaled = GridField(grid, 0.9 * ic.values / np.abs(ic.values).max())
-        frames = solve_allen_cahn(scaled, 0.01, "fh", dt=1e-4, n_steps=500, snapshot_stride=100)
+        scaled = 0.9 * ic / np.abs(ic).max()
+        frames = solve_allen_cahn(scaled, grid, 0.01, "fh", dt=1e-4, n_steps=500, snapshot_stride=100)
         assert frames.shape[0] == 6
         assert abs(frames[-1].mean() - frames[0].mean()) < 1e-12
         assert np.abs(frames).max() < 1.0
@@ -215,7 +211,7 @@ class TestAllenCahn:
         """The half spectrum of an odd last axis: one step per complex fftn as the oracle."""
         grid = GridSpec(lengths=(1.0,) * len(resolution), resolution=resolution)
         u = 0.5 * np.tanh(np.random.default_rng(1).normal(size=resolution)) + 0.1
-        frames = solve_allen_cahn(GridField.from_scalar(grid, u), 0.01, "dw", dt=1e-4, n_steps=100)
+        frames = solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=100)
         x = np.meshgrid(*(np.fft.fftfreq(n, d=1.0 / n) for n in resolution), indexing="ij")
         denom = 1.0 + 1e-4 * 0.01 * sum((2 * np.pi * k) ** 2 for k in x)
         v = u
@@ -227,17 +223,17 @@ class TestAllenCahn:
 
     def test_fh_rejects_state_in_clamp_band(self):
         grid = GridSpec.square(8)
-        ic = GridField.constant(grid, 0.0)
-        ic.values[0, 0, 0] = 0.9999999  # inside the clamp band
-        ic.values[0, 1, 1] = -0.5
+        ic = np.zeros(grid.resolution)
+        ic[0, 0] = 0.9999999  # inside the clamp band
+        ic[1, 1] = -0.5
         with pytest.raises(SolverError) as err:
-            solve_allen_cahn(GridField(grid, ic.values), 0.01, "fh", dt=1e-4, n_steps=10)
+            solve_allen_cahn(ic, grid, 0.01, "fh", dt=1e-4, n_steps=10)
         assert err.value.step == 1
 
     def test_unknown_potential_rejected(self):
         grid = GridSpec.square(8)
         with pytest.raises(ValueError, match="potential"):
-            solve_allen_cahn(GridField.constant(grid, 0.1), 0.01, "quartic", dt=1e-4, n_steps=1)
+            solve_allen_cahn(np.full(grid.resolution, 0.1), grid, 0.01, "quartic", dt=1e-4, n_steps=1)
 
 
 class TestShallowWater:
@@ -286,8 +282,8 @@ class TestFluxBalance:
         grid = GridSpec.square(32)
         ic = chebyshev_ic(10, grid)
         times = np.linspace(0.0, 0.5, 11)
-        traj = np.stack([solve_diffusion_exact(ic, 0.01, t).values for t in times])
-        r = verify_flux_balance(traj, float(times[1]), grid, ZERO_FLUX_LAW)
+        traj = np.stack([solve_diffusion_exact(ic, grid, 0.01, t)[None] for t in times])
+        r = verify_flux_balance(traj, float(times[1]), grid)
         assert r.max() < 1e-12
 
     def test_residual_detects_leak(self):
@@ -295,42 +291,36 @@ class TestFluxBalance:
         grid = GridSpec.square(16)
         ic = chebyshev_ic(11, grid)
         times = np.linspace(0.0, 0.5, 11)
-        traj = np.stack([solve_diffusion_exact(ic, 0.01, t).values * np.exp(-t) for t in times])
-        r = verify_flux_balance(traj, float(times[1]), grid, ZERO_FLUX_LAW)
-        expected_rate = abs(ic.values.mean())  # d/dt exp(-t) E0 at t=0
+        traj = np.stack([solve_diffusion_exact(ic, grid, 0.01, t)[None] * np.exp(-t) for t in times])
+        r = verify_flux_balance(traj, float(times[1]), grid)
+        expected_rate = abs(ic.mean())  # d/dt exp(-t) E0 at t=0
         assert r.max() > 0.1 * expected_rate
 
-    def test_needs_three_frames_and_zero_flux_law(self):
+    def test_needs_three_frames(self):
         grid = GridSpec.square(8)
         traj = np.zeros((2, 1, 8, 8))
         with pytest.raises(ValueError, match="3 frames"):
-            verify_flux_balance(traj, 0.1, grid, ZERO_FLUX_LAW)
-        law = ConservationLawSpec("open", flux="f", source="zero", boundary_flux_zero=False)
-        with pytest.raises(ValueError, match="boundary"):
-            verify_flux_balance(np.zeros((3, 1, 8, 8)), 0.1, grid, law)
+            verify_flux_balance(traj, 0.1, grid)
 
 
 class TestBatching:
     """A batch is stepped together, but each sample must come out as if solved alone."""
 
-    def fh_fields(self, grid, seeds):
-        fields = []
-        for s in seeds:
-            values = chebyshev_ic(s, grid).values
-            fields.append(GridField(grid, 0.9 * values / np.abs(values).max()))
-        return fields
+    def fh_states(self, grid, seeds):
+        states = np.stack([chebyshev_ic(s, grid) for s in seeds])
+        return 0.9 * states / np.abs(states).max(axis=(1, 2), keepdims=True)
 
     @pytest.mark.parametrize("potential", ["dw", "fh"])
     def test_allen_cahn_batch_equals_single_calls(self, potential):
         grid = GridSpec.square(16)
-        fields = self.fh_fields(grid, range(20, 25))
+        states = self.fh_states(grid, range(20, 25))
         kwargs = dict(dt=1e-4, n_steps=200, snapshot_stride=50)
-        batch = solve_allen_cahn(fields, 0.01, potential, **kwargs)
+        batch = solve_allen_cahn(states, grid, 0.01, potential, **kwargs)
         assert batch.shape == (5, 5, 16, 16)
-        for i, field in enumerate(fields):
-            alone = solve_allen_cahn(field, 0.01, potential, **kwargs)
+        for i, state in enumerate(states):
+            alone = solve_allen_cahn(state, grid, 0.01, potential, **kwargs)
             assert np.array_equal(batch[i], alone), i
-            assert np.abs(batch[i].mean(axis=(1, 2)) - field.values.mean()).max() < 1e-12
+            assert np.abs(batch[i].mean(axis=(1, 2)) - state.mean()).max() < 1e-12
 
     def test_shallow_water_batch_equals_single_calls(self):
         grid = GridSpec.square(16, boundary=Boundary.WALL)
@@ -346,29 +336,41 @@ class TestBatching:
 
     def test_exact_propagators_batch_over_samples_and_times(self):
         grid = GridSpec.square(16)
-        fields = [chebyshev_ic(s, grid) for s in (30, 31, 32)]
+        states = np.stack([chebyshev_ic(s, grid) for s in (30, 31, 32)])
         times = np.array([0.0, 0.2, 0.5])
-        batch = solve_convdiff_exact(fields, 0.01, (1.0, 0.5), times)
+        batch = solve_convdiff_exact(states, grid, 0.01, (1.0, 0.5), times)
         assert batch.shape == (3, 3, 16, 16)
-        for i, field in enumerate(fields):
+        for i, state in enumerate(states):
             for f, t in enumerate(times):
-                single = solve_convdiff_exact(field, 0.01, (1.0, 0.5), float(t))
-                assert np.array_equal(batch[i, f], single.values[0]), (i, f)
-        assert solve_diffusion_exact(fields[0], 0.01, times).shape == (3, 16, 16)
+                single = solve_convdiff_exact(state, grid, 0.01, (1.0, 0.5), float(t))
+                assert np.array_equal(batch[i, f], single), (i, f)
+        assert solve_diffusion_exact(states[0], grid, 0.01, times).shape == (3, 16, 16)
         with pytest.raises(ValueError, match="grid"):
-            solve_diffusion_exact([fields[0], chebyshev_ic(0, GridSpec.square(8))], 0.01, times)
+            solve_diffusion_exact(chebyshev_ic(0, GridSpec.square(8)), grid, 0.01, times)
+
+    @pytest.mark.parametrize("solve, boundary", [
+        (lambda u, grid: solve_diffusion_exact(u, grid, 0.01, 0.1), Boundary.PERIODIC),
+        (lambda u, grid: solve_convdiff_exact(u, grid, 0.01, (1.0, 0.5), 0.1), Boundary.PERIODIC),
+        (lambda u, grid: solve_heat_neumann(u, grid, 0.01, 0.1), Boundary.NEUMANN),
+        (lambda u, grid: solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=1), Boundary.PERIODIC),
+    ], ids=["diffusion", "convdiff", "heat", "allen_cahn"])
+    def test_non_finite_state_names_the_sample(self, solve, boundary):
+        grid = GridSpec.square(8, boundary=boundary)
+        states = np.full((4, 8, 8), 0.1)
+        states[2, 3, 5] = np.nan
+        with pytest.raises(ValueError, match="not finite in sample 2"):
+            solve(states, grid)
+        states[2, 3, 5] = np.inf
+        with pytest.raises(ValueError, match="not finite in sample 2"):
+            solve(states, grid)
 
     def test_clamp_abort_names_the_sample(self):
         grid = GridSpec.square(8)
-        fields = []
-        for i in range(5):
-            values = np.zeros((1, 8, 8))
-            values[0, 1, 1] = -0.5
-            if i == 2:
-                values[0, 0, 0] = 0.9999999  # inside the clamp band
-            fields.append(GridField(grid, values))
+        states = np.zeros((5, 8, 8))
+        states[:, 1, 1] = -0.5
+        states[2, 0, 0] = 0.9999999  # inside the clamp band
         with pytest.raises(SolverError) as err:
-            solve_allen_cahn(fields, 0.01, "fh", dt=1e-4, n_steps=10)
+            solve_allen_cahn(states, grid, 0.01, "fh", dt=1e-4, n_steps=10)
         assert err.value.sample == 2
         assert err.value.step == 1
         assert "sample 2" in str(err.value) and "step 1" in str(err.value)
