@@ -48,7 +48,7 @@ from .datasets import (
     paper_config,
 )
 from .datafile import read_dataset, write_dataset
-from .model import OperatorConfig, OperatorModel, forward, init_model, load_checkpoint, save_checkpoint
+from .model import OperatorConfig, OperatorModel, init_model, load_checkpoint, save_checkpoint
 from .training import CorrectionMode, TrainConfig, TrainMode, rollout, train
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
     "DatasetConfig", "Problem", "ProblemParams", "TrajectoryDataset",
     "desk_config", "generate_dataset", "paper_config",
     "read_dataset", "write_dataset",
-    "OperatorConfig", "OperatorModel", "forward", "init_model",
+    "OperatorConfig", "OperatorModel", "init_model",
     "load_checkpoint", "save_checkpoint",
     "CorrectionMode", "TrainConfig", "TrainMode", "rollout", "train",
 ]

@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 __all__ = ["main", "build_parser"]
@@ -47,12 +47,17 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
+def _reject_constant(name: str):
+    # json reads NaN, Infinity and -Infinity, which are not JSON and no valid setting
+    raise ValueError(f"{name} is not a valid config value")
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        loaded = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        loaded = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
@@ -140,9 +145,7 @@ def _cmd_gen(args, argv: list[str]) -> int:
         print(_PAPER_SCALE_WARNING, file=sys.stderr)
     base = preset(Problem(args.problem), split=args.split)
 
-    param_keys = ["resolution", "t_final", "n_steps", "n_snapshots", "length", "epsilon",
-                  "theta", "theta_c", "d_coeff", "velocity", "g_r", "grf_tau", "grf_alpha",
-                  "ic_offset", "cheb_order"]
+    param_keys = [f.name for f in fields(ProblemParams) if f.name != "problem"]
     file_cfg = _load_config_file(args.config)
     run_keys = param_keys + ["samples", "master_seed", "precision"]
     defaults = {k: v for k, v in base.params.to_dict().items() if k in param_keys}
@@ -281,13 +284,11 @@ def _cmd_report(args, argv: list[str]) -> int:
     records = [record for path in args.records for record in _read_records(path)]
     if not records:
         raise ValueError("no records found in the given files")
-    formats = tuple(args.formats.split(","))
     out_dir = Path(args.out)
-    written = emit_report(records, out_dir, formats=formats)
+    written = emit_report(records, out_dir)
     print(f"report with {len(records)} records -> {out_dir}")
     seeds = sorted({r.seed for r in records})
-    _write_manifest(out_dir, "report", argv, {"formats": list(formats), "n_records": len(records)},
-                    seeds, written, started)
+    _write_manifest(out_dir, "report", argv, {"n_records": len(records)}, seeds, written, started)
     return 0
 
 
@@ -320,13 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conservation-corrected spectral surrogates: data, training, evaluation.",
     )
     from . import __version__
+    from .datasets import Problem
 
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a trajectory dataset with a reference solver")
     gen.add_argument("--problem", required=True,
-                     choices=["ac_dw", "ac_fh", "heat", "water", "diff", "cd"])
+                     choices=[p.value for p in Problem])
     gen.add_argument("--split", default="train", choices=["train", "valid", "test"])
     gen.add_argument("--out", required=True, help="output dataset path (.ecfd)")
     gen.add_argument("--config", help="JSON file with parameter overrides")
@@ -369,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="aggregate eval records into csv/markdown/plot data")
     rp.add_argument("--records", nargs="+", required=True, help="records.jsonl files")
     rp.add_argument("--out", required=True, help="report directory")
-    rp.add_argument("--formats", default="csv,markdown,plotdata")
     rp.set_defaults(fn=_cmd_report)
 
     vf = sub.add_parser("verify", help="run the self-check property suites")

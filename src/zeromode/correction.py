@@ -172,7 +172,7 @@ def correct_field(pred: GridField, target: ConservedQuantity, mask: Conservation
     """
     _check_target(pred, target, mask)
     values = pin_channel_means(pred.values, target.zero_mode, mask.flags)
-    return GridField(pred.grid, values, pred.precision)
+    return GridField(pred.grid, values)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ discrete Parseval identity reads
     cell_volume * sum_x |u(x)|^2 = domain_volume * sum_n |coeff[n]|^2
 
 exactly (in exact arithmetic).  All internal computation is float64;
-float32 exists only as a storage precision tag.
+:class:`Precision` is only the storage width of a dataset file.
+
+The data path (solvers, datasets, model) passes plain arrays plus a
+:class:`GridSpec`; :class:`GridField` and :class:`Spectrum` are the typed
+references that the correction theory and its checks work on.
 """
 
 from __future__ import annotations
@@ -155,14 +159,12 @@ def _check_field_shape(grid: GridSpec, values: np.ndarray, what: str) -> None:
 class GridField:
     """A multi-channel real field sampled on a :class:`GridSpec`.
 
-    ``values`` has shape ``(channels, *resolution)`` and is always float64;
-    ``precision`` only records the intended storage width.  Instances are
-    treated as immutable: operations return new fields.
+    ``values`` has shape ``(channels, *resolution)`` and is always float64.
+    Instances are treated as immutable: operations return new fields.
     """
 
     grid: GridSpec
     values: np.ndarray
-    precision: Precision = Precision.F64
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -171,9 +173,9 @@ class GridField:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_scalar(cls, grid: GridSpec, values: np.ndarray, precision: Precision = Precision.F64) -> "GridField":
+    def from_scalar(cls, grid: GridSpec, values: np.ndarray) -> "GridField":
         """Wrap a single-channel array of shape ``grid.resolution``."""
-        return cls(grid, np.asarray(values, dtype=np.float64)[None], precision)
+        return cls(grid, np.asarray(values, dtype=np.float64)[None])
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float, channels: int = 1) -> "GridField":

@@ -1,8 +1,10 @@
 """Evaluation metrics and deterministic report emission.
 
-Zero-integral policy: the relative conservation error divides by the
-true integral, so a masked channel whose true integral is 0 at a frame
-is skipped at that frame, and a frame with no usable channel gives NaN.
+One kernel, :func:`step_metrics`, scores every rollout step: the RMSE and
+the relative conservation error of each frame.  Its zero-integral policy:
+the relative conservation error divides by the true integral, so a
+masked channel whose true integral is 0 at a frame is skipped at that
+frame, and a frame with no usable channel gives NaN.
 
 Numbers leave this module in one shape only: scientific notation with
 three significant digits, aggregated as mean +/- population standard
@@ -13,7 +15,6 @@ insertion, so identical records always produce byte-identical reports.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
@@ -23,8 +24,6 @@ from .correction import ConservationMask
 
 __all__ = [
     "step_metrics",
-    "rmse",
-    "relative_conservation_error",
     "MetricsRecord",
     "emit_report",
     "sci3",
@@ -69,34 +68,6 @@ def step_metrics(pred: np.ndarray, truth: np.ndarray,
     errs = np.divide(gap, np.abs(truth_means), out=np.full_like(gap, -np.inf), where=usable)
     cons = np.where(usable.any(axis=1), errs.max(axis=1), np.nan)
     return rmse_per_frame, cons
-
-
-def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Root-mean-square error, per-channel RMSE averaged across channels.
-
-    Inputs are (channels, *spatial) state arrays; for one channel this is
-    plain sqrt(mean((pred - truth)^2)).
-    """
-    return float(step_metrics(np.asarray(pred)[None], np.asarray(truth)[None])[0][0])
-
-
-def relative_conservation_error(
-    pred_traj: np.ndarray, truth_traj: np.ndarray, mask: ConservationMask
-) -> np.ndarray:
-    """Conservation error column of :func:`step_metrics`, one value per frame.
-
-    Input validation on top of the zero-integral policy: each skipped
-    channel warns, and a frame with no usable channel raises ValueError.
-    """
-    truth = np.asarray(truth_traj, dtype=np.float64)
-    errs = step_metrics(pred_traj, truth, mask)[1]
-    zero = truth.mean(axis=tuple(range(2, truth.ndim))) == 0.0
-    for c in mask.indices():
-        if zero[:, c].any():
-            warnings.warn(f"channel {c} has a zero conserved integral, skipping it there", stacklevel=2)
-    if zero[:, mask.indices()].all(axis=1).any():
-        raise ValueError("every masked channel has a zero conserved integral at some frame")
-    return errs
 
 
 @dataclass
@@ -165,86 +136,79 @@ def _aggregate(records: list[MetricsRecord]):
     return rows
 
 
-def emit_report(records: list[MetricsRecord], out_dir: str | Path,
-                formats: tuple[str, ...] = ("csv", "markdown", "plotdata")) -> list[Path]:
+def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]:
     """Write the report files; returns the created paths, sorted.
 
-    csv: ``records.csv`` (one row per record) and ``summary.csv``
-    (aggregates).  markdown: ``summary.md``, same aggregate numbers plus
-    the scope note.  plotdata: one tab-separated (step, value) file per
-    (dataset, variant) series, for both metrics.
+    ``records.csv`` (one row per record) and ``summary.csv`` (aggregates);
+    ``summary.md``, same aggregate numbers plus the scope note; and under
+    ``plotdata/`` one tab-separated (step, value) file per (dataset,
+    variant) series, for both metrics.
     """
     if not records:
         raise ValueError("nothing to report")
-    known = {"csv", "markdown", "plotdata"}
-    if set(formats) - known:
-        raise ValueError(f"unknown report formats {sorted(set(formats) - known)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: (r.dataset, r.variant, r.seed))
     rows = _aggregate(ordered)
     written: list[Path] = []
 
-    if "csv" in formats:
-        lines = ["dataset,variant,seed,rmse_mean,rmse_final,cons_err_mean,cons_err_max"]
-        for r in ordered:
-            lines.append(
-                f"{r.dataset},{r.variant},{r.seed},{sci3(r.rmse_mean)},"
-                f"{sci3(r.rmse_final)},{sci3(r.cons_err_mean)},{sci3(r.cons_err_max)}"
-            )
-        p = out_dir / "records.csv"
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
+    lines = ["dataset,variant,seed,rmse_mean,rmse_final,cons_err_mean,cons_err_max"]
+    for r in ordered:
+        lines.append(
+            f"{r.dataset},{r.variant},{r.seed},{sci3(r.rmse_mean)},"
+            f"{sci3(r.rmse_final)},{sci3(r.cons_err_mean)},{sci3(r.cons_err_max)}"
+        )
+    p = out_dir / "records.csv"
+    p.write_text("\n".join(lines) + "\n")
+    written.append(p)
 
-        lines = ["dataset,variant,n_seeds,rmse_mean,rmse_std,rmse_final_mean,cons_err_mean,cons_err_max"]
-        for row in rows:
-            lines.append(
-                f"{row['dataset']},{row['variant']},{row['n_seeds']},{sci3(row['rmse_mean'])},"
-                f"{sci3(row['rmse_std'])},{sci3(row['rmse_final_mean'])},"
-                f"{sci3(row['cons_err_mean'])},{sci3(row['cons_err_max'])}"
-            )
-        p = out_dir / "summary.csv"
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
+    lines = ["dataset,variant,n_seeds,rmse_mean,rmse_std,rmse_final_mean,cons_err_mean,cons_err_max"]
+    for row in rows:
+        lines.append(
+            f"{row['dataset']},{row['variant']},{row['n_seeds']},{sci3(row['rmse_mean'])},"
+            f"{sci3(row['rmse_std'])},{sci3(row['rmse_final_mean'])},"
+            f"{sci3(row['cons_err_mean'])},{sci3(row['cons_err_max'])}"
+        )
+    p = out_dir / "summary.csv"
+    p.write_text("\n".join(lines) + "\n")
+    written.append(p)
 
-    if "markdown" in formats:
-        datasets = sorted({row["dataset"] for row in rows})
-        by_key = {(row["dataset"], row["variant"]): row for row in rows}
-        lines = ["# Rollout evaluation", "", SCOPE_NOTE, "", "## Mean rollout RMSE (mean +/- std over seeds)", ""]
-        header = "| variant | " + " | ".join(datasets) + " |"
-        lines += [header, "|" + "---|" * (len(datasets) + 1)]
-        for variant in VARIANTS:
-            cells = []
-            for ds in datasets:
-                row = by_key.get((ds, variant))
-                cells.append(f"{sci3(row['rmse_mean'])} +/- {sci3(row['rmse_std'])}" if row else "-")
-            lines.append(f"| {variant} | " + " | ".join(cells) + " |")
-        lines += ["", "## Relative conservation error (mean over steps and seeds)", ""]
-        lines += [header, "|" + "---|" * (len(datasets) + 1)]
-        for variant in VARIANTS:
-            cells = []
-            for ds in datasets:
-                row = by_key.get((ds, variant))
-                cells.append(sci3(row["cons_err_mean"]) if row else "-")
-            lines.append(f"| {variant} | " + " | ".join(cells) + " |")
-        p = out_dir / "summary.md"
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
+    datasets = sorted({row["dataset"] for row in rows})
+    by_key = {(row["dataset"], row["variant"]): row for row in rows}
+    lines = ["# Rollout evaluation", "", SCOPE_NOTE, "", "## Mean rollout RMSE (mean +/- std over seeds)", ""]
+    header = "| variant | " + " | ".join(datasets) + " |"
+    lines += [header, "|" + "---|" * (len(datasets) + 1)]
+    for variant in VARIANTS:
+        cells = []
+        for ds in datasets:
+            row = by_key.get((ds, variant))
+            cells.append(f"{sci3(row['rmse_mean'])} +/- {sci3(row['rmse_std'])}" if row else "-")
+        lines.append(f"| {variant} | " + " | ".join(cells) + " |")
+    lines += ["", "## Relative conservation error (mean over steps and seeds)", ""]
+    lines += [header, "|" + "---|" * (len(datasets) + 1)]
+    for variant in VARIANTS:
+        cells = []
+        for ds in datasets:
+            row = by_key.get((ds, variant))
+            cells.append(sci3(row["cons_err_mean"]) if row else "-")
+        lines.append(f"| {variant} | " + " | ".join(cells) + " |")
+    p = out_dir / "summary.md"
+    p.write_text("\n".join(lines) + "\n")
+    written.append(p)
 
-    if "plotdata" in formats:
-        plot_dir = out_dir / "plotdata"
-        plot_dir.mkdir(exist_ok=True)
-        groups: dict[tuple[str, str], list[MetricsRecord]] = {}
-        for r in ordered:
-            groups.setdefault((r.dataset, r.variant), []).append(r)
-        for (dataset, variant) in sorted(groups):
-            cell = groups[(dataset, variant)]
-            for metric in ("rmse", "cons_err"):
-                series = np.mean([getattr(r, f"{metric}_per_step") for r in cell], axis=0)
-                lines = ["step\tvalue"]
-                lines += [f"{k + 1}\t{sci3(v)}" for k, v in enumerate(series)]
-                p = plot_dir / f"{dataset}__{variant}__{metric}.tsv"
-                p.write_text("\n".join(lines) + "\n")
-                written.append(p)
+    plot_dir = out_dir / "plotdata"
+    plot_dir.mkdir(exist_ok=True)
+    groups: dict[tuple[str, str], list[MetricsRecord]] = {}
+    for r in ordered:
+        groups.setdefault((r.dataset, r.variant), []).append(r)
+    for (dataset, variant) in sorted(groups):
+        cell = groups[(dataset, variant)]
+        for metric in ("rmse", "cons_err"):
+            series = np.mean([getattr(r, f"{metric}_per_step") for r in cell], axis=0)
+            lines = ["step\tvalue"]
+            lines += [f"{k + 1}\t{sci3(v)}" for k, v in enumerate(series)]
+            p = plot_dir / f"{dataset}__{variant}__{metric}.tsv"
+            p.write_text("\n".join(lines) + "\n")
+            written.append(p)
 
     return sorted(written)

@@ -88,13 +88,12 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .correction import ConservationMask, pin_channel_means, project_out_means
-from .grid import GridField
 
 __all__ = [
     "OperatorConfig",
@@ -105,7 +104,6 @@ __all__ = [
     "constant_identity_model",
     "gelu",
     "gelu_grad",
-    "forward",
     "forward_values",
     "loss_and_grad",
     "save_checkpoint",
@@ -231,15 +229,7 @@ class OperatorConfig:
         return self.modes_per_axis**self.ndim
 
     def to_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "width": self.width,
-            "n_layers": self.n_layers,
-            "modes_kept": self.modes_kept,
-            "ndim": self.ndim,
-            "activation": self.activation,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -618,11 +608,6 @@ def forward_values(model: OperatorModel, values: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).reshape(values.shape)
 
 
-def forward(model: OperatorModel, state: GridField) -> GridField:
-    """Apply the operator to one field; the grid rides along unchanged."""
-    return GridField(state.grid, forward_values(model, state.values), state.precision)
-
-
 # -- loss --------------------------------------------------------------------
 
 
@@ -632,14 +617,12 @@ def loss_and_grad(
     targets: np.ndarray,
     loss: str = "mae",
     mask: ConservationMask | None = None,
-    correction_targets: np.ndarray | None = None,
 ):
     """Training loss and its exact gradient for one batch.
 
     ``inputs`` and ``targets`` are (B, channels, *spatial).  With ``mask``
     given, each prediction's masked channel means are pinned to the
-    conserved value of its own input state (or to explicit per-sample
-    ``correction_targets`` of shape (B, channels)) before the loss; the
+    conserved value of its own input state before the loss; the
     correction's Jacobian is I - (1/n) 1 1^T per masked channel, so the
     backward pass strips the uniform component of the loss gradient.
     """
@@ -658,9 +641,7 @@ def loss_and_grad(
         raise RuntimeError(f"non-finite prediction for batch index {int(np.flatnonzero(~finite)[0])}")
 
     if mask is not None:
-        if correction_targets is None:
-            correction_targets = inputs.mean(axis=spatial)
-        pred = pin_channel_means(pred, correction_targets, mask.flags)
+        pred = pin_channel_means(pred, inputs.mean(axis=spatial), mask.flags)
 
     residual = pred - targets
     if loss == "mae":
@@ -711,8 +692,8 @@ def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
             # TypeError: unknown config key, wrong value type, or not a JSON object
             config = OperatorConfig(**json.loads(fh.read(config_len).decode()))
             count, crc = struct.unpack("<QI", fh.read(12))
-        except (struct.error, TypeError) as exc:
-            raise ValueError(f"checkpoint header truncated or malformed: {exc}") from exc
+        except (struct.error, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"checkpoint {path}: header truncated or malformed: {exc}") from exc
         if count != n_params(config):
             raise ValueError(f"checkpoint holds {count} parameters, its config needs {n_params(config)}")
         blob = fh.read(count * 8)

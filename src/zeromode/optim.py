@@ -14,6 +14,7 @@ zero gradient the parameters shrink by exactly (1 - lr * weight_decay).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,10 +29,11 @@ class OptimState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
 
 def init_optimizer(model: OperatorModel, lr: float = 1e-3, weight_decay: float = 1e-4) -> OptimState:

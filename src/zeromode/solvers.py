@@ -17,9 +17,11 @@ shallow water (*lead, frames, ...).  The exact propagators transform
 each sample once and make every frame in one batched inverse transform.
 The Allen-Cahn step takes one real forward transform of ``u + dt g``
 (the update is linear, so this equals the sum of the two transforms) and
-one inverse, over the whole batch.  Means, clamp, CFL, positivity and
-finiteness are checked per sample, and an error from a batch names the
-first failing sample.
+one inverse, over the whole batch.  Every solver checks its grid's
+boundary, the state's shape and its finiteness in one shared helper
+before it steps.  Means, clamp, CFL (at most ``CFL_MAX``), positivity
+and finiteness are checked per sample, and an error from a batch names
+the first failing sample.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ __all__ = [
 # [-1 + CLAMP_MARGIN, 1 - CLAMP_MARGIN]; a state actually reaching that
 # band means the step size is too large for the trajectory.
 CLAMP_MARGIN = 1e-6
+# Largest per-axis Courant number the shallow-water step accepts, at the
+# start and at every step.  The unsplit 2-D update is stable while the two
+# per-axis numbers sum to at most 1, which 0.5 per axis guarantees.
+CFL_MAX = 0.45
 
 
 class SolverError(RuntimeError):
@@ -92,18 +98,24 @@ def _abort_if(bad: np.ndarray, message: str, step: int, lead: tuple[int, ...]) -
         raise SolverError(message, step=step, sample=_first_sample(bad, lead))
 
 
-def _scalar_batch(
-    initial: np.ndarray, grid: GridSpec, who: str, boundary: Boundary
+def _state_batch(
+    initial: np.ndarray, grid: GridSpec, who: str, boundary: Boundary, sample_shape: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The (samples, *spatial) stack and leading shape of a (*lead, *grid.resolution) state."""
+    """The (samples, *sample_shape) stack and leading shape of a (*lead, *sample_shape) state.
+
+    ``sample_shape`` is one sample's shape, ``grid.resolution`` for a
+    scalar state.  The grid's boundary, the state's shape and its
+    finiteness are checked here, for every solver.
+    """
+    sample_shape = grid.resolution if sample_shape is None else sample_shape
     if grid.boundary is not boundary:
         name = "Neumann" if boundary is Boundary.NEUMANN else boundary.value
         raise ValueError(f"{who} needs a {name} grid, got {grid.boundary.value}")
     u = np.ascontiguousarray(initial, dtype=np.float64)
-    if u.shape[u.ndim - grid.ndim:] != grid.resolution:
-        raise ValueError(f"{who}: state shape {u.shape} does not end in the grid's {grid.resolution}")
-    lead = u.shape[: u.ndim - grid.ndim]
-    u = u.reshape(-1, *grid.resolution)
+    if u.shape[u.ndim - len(sample_shape):] != sample_shape:
+        raise ValueError(f"{who}: state shape {u.shape} does not end in the grid's sample shape {sample_shape}")
+    lead = u.shape[: u.ndim - len(sample_shape)]
+    u = u.reshape(-1, *sample_shape)
     bad = ~np.isfinite(u).all(axis=tuple(range(1, u.ndim)))
     if bad.any():
         raise ValueError(f"{who}: initial state is not finite{_in_sample(bad, lead)}")
@@ -138,7 +150,7 @@ def solve_diffusion_exact(initial: np.ndarray, grid: GridSpec, d_coeff: float, t
     (*lead, *spatial) and ``t`` one time or a 1-D array of them; the
     result is (*lead, *np.shape(t), *spatial).
     """
-    u0, lead = _scalar_batch(initial, grid, "solve_diffusion_exact", Boundary.PERIODIC)
+    u0, lead = _state_batch(initial, grid, "solve_diffusion_exact", Boundary.PERIODIC)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
     rate = -d_coeff * _squared_wavenumber(grid)
@@ -154,7 +166,7 @@ def solve_convdiff_exact(
     phase leaves |coeff| alone and the zero mode is again fixed.  Shapes
     as in :func:`solve_diffusion_exact`.
     """
-    u0, lead = _scalar_batch(initial, grid, "solve_convdiff_exact", Boundary.PERIODIC)
+    u0, lead = _state_batch(initial, grid, "solve_convdiff_exact", Boundary.PERIODIC)
     if len(velocity) != grid.ndim:
         raise ValueError(f"velocity {velocity} has wrong arity for a {grid.ndim}-D grid")
     if d_coeff < 0:
@@ -174,7 +186,7 @@ def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: f
     exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.  Shapes as in
     :func:`solve_diffusion_exact`.
     """
-    u0, lead = _scalar_batch(initial, grid, "solve_heat_neumann", Boundary.NEUMANN)
+    u0, lead = _state_batch(initial, grid, "solve_heat_neumann", Boundary.NEUMANN)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
     lams = []
@@ -230,7 +242,7 @@ def solve_allen_cahn(
     ``snapshot_stride`` steps (default: only first and last), shape
     (*lead, frames, *spatial).
     """
-    u, lead = _scalar_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
+    u, lead = _state_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
     if potential not in ("dw", "fh"):
         raise ValueError(f"unknown potential {potential!r}, expected 'dw' or 'fh'")
     if dt <= 0 or n_steps < 1:
@@ -291,22 +303,17 @@ def _swe_flux(h, q_normal, q_tangential, g_r):
     return q_normal, q_normal * vel + 0.5 * g_r * h * h, q_tangential * vel
 
 
-def _courant(state: np.ndarray, grid: GridSpec, g_r: float, dt: float) -> np.ndarray:
-    """Courant number of each state in a (..., 3, nx, ny) stack, shape (...)."""
+def cfl_number(state: np.ndarray, grid: GridSpec, g_r: float, dt: float) -> np.ndarray:
+    """Courant number dt * max over cells of per-axis (|vel| + c) / dx, per sample.
+
+    ``state`` is (..., 3, nx, ny) and the result has its leading shape
+    (...), a 0-d array for one state.
+    """
     h, hu, hv = np.moveaxis(state, -3, 0)
     c = np.sqrt(g_r * h)
     dx, dy = grid.spacing
     return dt * np.maximum(((np.abs(hu / h) + c) / dx).max(axis=(-2, -1)),
                            ((np.abs(hv / h) + c) / dy).max(axis=(-2, -1)))
-
-
-def cfl_number(state: np.ndarray, grid: GridSpec, g_r: float, dt: float) -> float:
-    """Courant number dt * max over cells of per-axis (|vel| + c) / dx.
-
-    ``state`` is (3, nx, ny) or a batch (..., 3, nx, ny); a batch gives
-    the largest number over its samples.
-    """
-    return float(_courant(state, grid, g_r, dt).max())
 
 
 def _rusanov_diff(state: np.ndarray, g_r: float, axis: int) -> np.ndarray:
@@ -352,7 +359,6 @@ def solve_shallow_water(
     dt: float,
     n_steps: int,
     snapshot_stride: int | None = None,
-    cfl_max: float = 0.45,
 ) -> np.ndarray:
     """Shallow water (h, hu, hv) with reflective walls, flat bottom.
 
@@ -360,17 +366,11 @@ def solve_shallow_water(
     interface fluxes.  The mirrored wall states make the boundary mass
     flux exactly zero, so total mass is conserved to rounding.
     ``initial`` is one state (3, nx, ny) or a batch (..., 3, nx, ny),
-    stepped together with per-sample CFL and positivity checks.  Returns
-    frames of the full state, (..., frames, 3, nx, ny), frame 0 being the
-    initial condition.
+    stepped together with per-sample CFL (at most ``CFL_MAX``) and
+    positivity checks.  Returns frames of the full state, (..., frames, 3,
+    nx, ny), frame 0 being the initial condition.
     """
-    if grid.boundary is not Boundary.WALL:
-        raise ValueError(f"solve_shallow_water needs a wall-bounded grid, got {grid.boundary.value}")
-    state = np.array(initial, dtype=np.float64, copy=True)
-    if state.shape[-3:] != (3, *grid.resolution):
-        raise ValueError(f"state must have shape (..., 3, nx, ny), got {state.shape}")
-    lead = state.shape[:-3]
-    state = state.reshape(-1, *state.shape[-3:])
+    state, lead = _state_batch(initial, grid, "solve_shallow_water", Boundary.WALL, (3, *grid.resolution))
     depth_min = state[:, 0].min(axis=(-2, -1))
     if (depth_min <= 0).any():
         raise ValueError(f"water depth must be positive everywhere{_in_sample(depth_min <= 0, lead)}")
@@ -380,17 +380,17 @@ def solve_shallow_water(
         snapshot_stride = n_steps
     if n_steps % snapshot_stride != 0:
         raise ValueError(f"snapshot stride {snapshot_stride} does not divide {n_steps} steps")
-    cfl = _courant(state, grid, g_r, dt)
-    if (cfl > cfl_max).any():
-        at = _in_sample(cfl > cfl_max, lead)
-        raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {cfl_max}{at}; reduce dt")
+    cfl = cfl_number(state, grid, g_r, dt)
+    if (cfl > CFL_MAX).any():
+        at = _in_sample(cfl > CFL_MAX, lead)
+        raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {CFL_MAX}{at}; reduce dt")
 
     dx, dy = grid.spacing
     frames = np.empty((state.shape[0], n_steps // snapshot_stride + 1, *state.shape[1:]))
     frames[:, 0] = state
     for step in range(1, n_steps + 1):
-        cfl = _courant(state, grid, g_r, dt)
-        _abort_if(cfl > cfl_max, f"CFL number exceeded {cfl_max} mid-run, reduce dt", step, lead)
+        cfl = cfl_number(state, grid, g_r, dt)
+        _abort_if(cfl > CFL_MAX, f"CFL number exceeded {CFL_MAX} mid-run, reduce dt", step, lead)
         state = (
             state
             - (dt / dx) * _rusanov_diff(state, g_r, axis=-2)

@@ -218,6 +218,62 @@ def without(key):
     return lambda meta: {k: v for k, v in meta.items() if k != key}
 
 
+def checkpoint_row(edit):
+    """eval with a checkpoint whose bytes are ``edit`` of the pipeline's checkpoint."""
+    def build(pipeline, tmp_path):
+        _, _, valid_path, run_dir = pipeline
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(edit((run_dir / "model.ckpt").read_bytes()))
+        return ["eval", "--model", str(ckpt), "--data", str(valid_path), "--out", str(tmp_path / "evals")]
+    return build
+
+
+def dataset_row(edit):
+    """train on a dataset whose bytes are ``edit`` of the training split's, with its sidecar."""
+    def build(pipeline, tmp_path):
+        _, train_path, valid_path, _ = pipeline
+        data = tmp_path / "bad.ecfd"
+        data.write_bytes(edit(train_path.read_bytes()))
+        shutil.copy(sidecar_path(train_path), sidecar_path(data))
+        return ["train", "--train", str(data), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
+                *TRAIN_ARGS]
+    return build
+
+
+def checkpoint_ends(blob):
+    """End offsets of a checkpoint's magic, version and length, config, count and CRC, and payload."""
+    config_len = struct.unpack("<I", blob[6:10])[0]
+    return [4, 10, 10 + config_len, 22 + config_len, len(blob)]
+
+
+def dataset_ends(blob):
+    """End offsets of a dataset's fixed head, resolution, lengths, mask, payload descriptor and payload."""
+    ndim, channels = blob[8], struct.unpack("<H", blob[34:36])[0]
+    ends = [52]
+    for size in (4 * ndim, 8 * ndim, channels, 12):
+        ends.append(ends[-1] + size)
+    return ends + [len(blob)]
+
+
+def cut_inside(ends, section):
+    """The file cut one byte short of the end of one section."""
+    return lambda blob: blob[: ends(blob)[section] - 1]
+
+
+def flip(offset):
+    """One byte inverted; a negative offset counts from the end."""
+    def edit(blob):
+        i = offset % len(blob)
+        return blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
+    return edit
+
+
+def with_bogus_config_key(blob):
+    config_len = struct.unpack("<I", blob[6:10])[0]
+    new = json.dumps({**json.loads(blob[10:10 + config_len]), "bogus": 1}).encode()
+    return blob[:6] + struct.pack("<I", len(new)) + new + blob[10 + config_len:]
+
+
 # (build argv, text stderr must hold, whether the input is a file, so that stderr is one line)
 BAD_INPUTS = [
     pytest.param(sidecar_row(without("params")), "bad.ecfd.json lacks the key 'params'", True, id="sidecar-no-params"),
@@ -239,6 +295,30 @@ BAD_INPUTS = [
     pytest.param(config_row("gen", {"samples": [2]}), "'samples'", True, id="gen-samples-list"),
     pytest.param(config_row("gen", {"resolution": None}), "'resolution'", True, id="gen-resolution-null"),
     pytest.param(config_row("gen", {"velocity": 3}), "'velocity'", True, id="gen-velocity-number"),
+    pytest.param(config_row("gen", {"t_final": float("nan")}), "NaN is not a valid config value", True,
+                 id="gen-t-final-nan"),
+    pytest.param(config_row("train", {"lr": float("nan")}), "NaN is not a valid config value", True,
+                 id="train-lr-nan"),
+    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 0)), "bad checkpoint magic", True, id="ckpt-cut-magic"),
+    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 1)), "header truncated", True,
+                 id="ckpt-cut-version-length"),
+    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 2)), "bad.ckpt: header truncated or malformed", True,
+                 id="ckpt-cut-config"),
+    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 3)), "header truncated", True, id="ckpt-cut-count-crc"),
+    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 4)), "payload truncated", True, id="ckpt-cut-payload"),
+    pytest.param(checkpoint_row(flip(6)), "bad.ckpt: header truncated or malformed", True,
+                 id="ckpt-flip-config-length"),
+    pytest.param(checkpoint_row(flip(-1)), "checksum mismatch", True, id="ckpt-flip-payload"),
+    pytest.param(checkpoint_row(with_bogus_config_key), "bogus", True, id="ckpt-config-unknown-key"),
+    pytest.param(dataset_row(cut_inside(dataset_ends, 0)), "bytes of header", True, id="data-cut-head"),
+    pytest.param(dataset_row(cut_inside(dataset_ends, 1)), "bytes of resolution", True, id="data-cut-resolution"),
+    pytest.param(dataset_row(cut_inside(dataset_ends, 2)), "bytes of lengths", True, id="data-cut-lengths"),
+    pytest.param(dataset_row(cut_inside(dataset_ends, 3)), "bytes of mask", True, id="data-cut-mask"),
+    pytest.param(dataset_row(cut_inside(dataset_ends, 4)), "bytes of payload descriptor", True,
+                 id="data-cut-payload-descriptor"),
+    pytest.param(dataset_row(cut_inside(dataset_ends, 5)), "bytes of payload", True, id="data-cut-payload"),
+    pytest.param(dataset_row(flip(-1)), "checksum mismatch", True, id="data-flip-payload"),
+    pytest.param(dataset_row(lambda blob: blob + b"\0"), "trailing bytes", True, id="data-trailing-byte"),
     pytest.param(eval_row("--correction", "off"), "unrecognized arguments: --correction", False,
                  id="eval-correction-flag"),
 ]
@@ -264,30 +344,6 @@ class TestMalformedInputs:
         assert message in err and "Traceback" not in err
         if file_row:
             assert err.count("\n") == 1
-
-    def eval_checkpoint(self, pipeline, tmp_path, blob):
-        _, _, valid_path, _ = pipeline
-        ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_bytes(blob)
-        return main(["eval", "--model", str(ckpt), "--data", str(valid_path),
-                     "--out", str(tmp_path / "evals")])
-
-    def test_truncated_checkpoint(self, pipeline, tmp_path, capsys):
-        blob = (pipeline[3] / "model.ckpt").read_bytes()
-        assert self.eval_checkpoint(pipeline, tmp_path, blob[:8]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "truncated" in err
-
-    def test_checkpoint_config_with_unknown_key(self, pipeline, tmp_path, capsys):
-        blob = (pipeline[3] / "model.ckpt").read_bytes()
-        version, config_len = struct.unpack("<HI", blob[4:10])
-        config = json.loads(blob[10:10 + config_len])
-        config["bogus"] = 1
-        new = json.dumps(config).encode()
-        bad = blob[:4] + struct.pack("<HI", version, len(new)) + new + blob[10 + config_len:]
-        assert self.eval_checkpoint(pipeline, tmp_path, bad) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "bogus" in err
 
     @pytest.mark.parametrize("bad_line", ["drop_key", "not json"])
     def test_malformed_record_names_file_and_line(self, pipeline, tmp_path, capsys, bad_line):

@@ -8,8 +8,6 @@ from zeromode.metrics import (
     SCOPE_NOTE,
     MetricsRecord,
     emit_report,
-    relative_conservation_error,
-    rmse,
     sci3,
     step_metrics,
 )
@@ -19,7 +17,7 @@ class TestRmse:
     def test_single_channel_closed_form(self):
         pred = np.array([[1.0, 2.0, 3.0, 4.0]])
         truth = np.array([[1.0, 2.0, 3.0, 2.0]])
-        assert np.isclose(rmse(pred, truth), np.sqrt(4.0 / 4.0))
+        assert np.isclose(step_metrics(pred[None], truth[None])[0][0], np.sqrt(4.0 / 4.0))
 
     def test_channels_average_not_pool(self):
         # channel 0 error 0, channel 1 error 2 everywhere: the mean of the
@@ -27,21 +25,23 @@ class TestRmse:
         pred = np.zeros((2, 8, 8))
         truth = np.zeros((2, 8, 8))
         truth[1] = 2.0
-        assert np.isclose(rmse(pred, truth), 1.0)
+        assert np.isclose(step_metrics(pred[None], truth[None])[0][0], 1.0)
 
     def test_metric_axioms_on_random_fields(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
-            a = rng.normal(size=(2, 6, 6))
-            b = rng.normal(size=(2, 6, 6))
-            c = rng.normal(size=(2, 6, 6))
-            assert rmse(a, a) == 0.0
-            assert np.isclose(rmse(a, b), rmse(b, a), rtol=1e-14)
-            assert rmse(a, c) <= rmse(a, b) + rmse(b, c) + 1e-12
+            # one frame each: (frames, channels, *spatial)
+            a = rng.normal(size=(1, 2, 6, 6))
+            b = rng.normal(size=(1, 2, 6, 6))
+            c = rng.normal(size=(1, 2, 6, 6))
+            ab, ba = step_metrics(a, b)[0][0], step_metrics(b, a)[0][0]
+            assert step_metrics(a, a)[0][0] == 0.0
+            assert np.isclose(ab, ba, rtol=1e-14)
+            assert step_metrics(a, c)[0][0] <= ab + step_metrics(b, c)[0][0] + 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            rmse(np.zeros((1, 4)), np.zeros((1, 5)))
+            step_metrics(np.zeros((1, 1, 4)), np.zeros((1, 1, 5)))
 
 
 class TestConservationError:
@@ -50,7 +50,7 @@ class TestConservationError:
         pred = truth.copy()
         pred[1] += 0.02
         pred[2] -= 0.05
-        err = relative_conservation_error(pred, truth, ConservationMask((True,)))
+        _, err = step_metrics(pred, truth, ConservationMask((True,)))
         np.testing.assert_allclose(err, [0.0, 0.01, 0.025], atol=1e-15)
 
     def test_max_over_masked_channels(self):
@@ -60,22 +60,8 @@ class TestConservationError:
         pred[:, 1] += 0.30
         pred[:, 2] += 0.70  # unmasked, must be ignored
         mask = ConservationMask((True, True, False))
-        err = relative_conservation_error(pred, truth, mask)
+        _, err = step_metrics(pred, truth, mask)
         np.testing.assert_allclose(err, [0.30, 0.30], rtol=1e-12)
-
-    def test_zero_integral_channel_warns_and_skips(self):
-        truth = np.ones((2, 2, 4, 4))
-        truth[:, 1] = 0.0
-        pred = truth + 0.1
-        with pytest.warns(UserWarning, match="zero conserved integral"):
-            err = relative_conservation_error(pred, truth, ConservationMask((True, True)))
-        np.testing.assert_allclose(err, [0.1, 0.1], rtol=1e-12)
-
-    def test_all_zero_integrals_rejected(self):
-        truth = np.zeros((2, 1, 4, 4))
-        with pytest.raises(ValueError, match="zero conserved integral"):
-            with pytest.warns(UserWarning):
-                relative_conservation_error(truth + 1.0, truth, ConservationMask((True,)))
 
 
 class TestStepMetrics:
@@ -86,7 +72,7 @@ class TestStepMetrics:
         mask = ConservationMask((True, False, True))
         rmse_k, cons_k = step_metrics(pred, truth, mask)
         for k in range(6):
-            assert rmse_k[k] == rmse(pred[k], truth[k])
+            assert rmse_k[k] == np.sqrt(((pred[k] - truth[k]) ** 2).mean(axis=(1, 2))).mean()
             pm, tm = pred[k].mean(axis=(1, 2)), truth[k].mean(axis=(1, 2))
             assert cons_k[k] == max(abs(pm[c] - tm[c]) / abs(tm[c]) for c in (0, 2))
 
@@ -174,14 +160,14 @@ class TestReport:
             MetricsRecord("diff", "base", 0, [1.0], [0.0]),
             MetricsRecord("diff", "base", 1, [3.0], [0.0]),
         ]
-        emit_report(records, tmp_path, formats=("csv",))
+        emit_report(records, tmp_path)
         line = (tmp_path / "summary.csv").read_text().strip().splitlines()[1]
         fields = line.split(",")
         assert fields[3] == sci3(2.0)
         assert fields[4] == sci3(1.0)  # population std, not sample std
 
     def test_plotdata_layout(self, tmp_path):
-        emit_report(make_records(), tmp_path, formats=("plotdata",))
+        emit_report(make_records(), tmp_path)
         body = (tmp_path / "plotdata" / "diff__base__rmse.tsv").read_text().splitlines()
         assert body[0] == "step\tvalue"
         assert len(body) == 6
@@ -192,8 +178,6 @@ class TestReport:
     def test_guards(self, tmp_path):
         with pytest.raises(ValueError, match="nothing"):
             emit_report([], tmp_path)
-        with pytest.raises(ValueError, match="formats"):
-            emit_report(make_records(), tmp_path, formats=("csv", "pdf"))
         dup = [
             MetricsRecord("diff", "base", 0, [1.0], [0.0]),
             MetricsRecord("diff", "base", 0, [2.0], [0.0]),

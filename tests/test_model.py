@@ -472,15 +472,13 @@ class TestLossValue:
 class TestGradientOracle:
     """Hand-written adjoints held to central finite differences."""
 
-    def check(self, cfg, shape, loss, mask=None, targets_kw=None, seed=0):
+    def check(self, cfg, shape, loss, mask=None, seed=0):
         rng = np.random.default_rng(seed)
         model = init_model(cfg)
         model.params[:] = rng.normal(0.0, 0.2, model.params.size)
         inputs = rng.normal(size=shape)
         targets = rng.normal(size=shape)
         kw = {"loss": loss, "mask": mask}
-        if targets_kw is not None:
-            kw["correction_targets"] = targets_kw
         if loss == "mae":
             # sign(residual) must be stable under the probe size
             pred = np.stack([forward_values(model, xi) for xi in inputs])
@@ -502,10 +500,8 @@ class TestGradientOracle:
     def test_mse_2d_with_correction(self):
         self.check(CFG_2D, (2, 2, 6, 6), "mse", mask=ConservationMask((True, False)), seed=33)
 
-    def test_mae_2d_with_explicit_targets(self):
-        targets = np.random.default_rng(99).normal(size=(2, 2))
-        self.check(CFG_2D, (2, 2, 6, 6), "mae", mask=ConservationMask((True, True)),
-                   targets_kw=targets, seed=34)
+    def test_mae_2d_with_correction(self):
+        self.check(CFG_2D, (2, 2, 6, 6), "mae", mask=ConservationMask((True, True)), seed=34)
 
     def test_mse_2d_odd_non_square(self):
         self.check(CFG_2D, (2, 2, 7, 10), "mse", mask=ConservationMask((True, False)), seed=35)

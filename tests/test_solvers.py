@@ -348,19 +348,20 @@ class TestBatching:
         with pytest.raises(ValueError, match="grid"):
             solve_diffusion_exact(chebyshev_ic(0, GridSpec.square(8)), grid, 0.01, times)
 
-    @pytest.mark.parametrize("solve, boundary", [
-        (lambda u, grid: solve_diffusion_exact(u, grid, 0.01, 0.1), Boundary.PERIODIC),
-        (lambda u, grid: solve_convdiff_exact(u, grid, 0.01, (1.0, 0.5), 0.1), Boundary.PERIODIC),
-        (lambda u, grid: solve_heat_neumann(u, grid, 0.01, 0.1), Boundary.NEUMANN),
-        (lambda u, grid: solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=1), Boundary.PERIODIC),
-    ], ids=["diffusion", "convdiff", "heat", "allen_cahn"])
-    def test_non_finite_state_names_the_sample(self, solve, boundary):
+    @pytest.mark.parametrize("solve, boundary, state_shape", [
+        (lambda u, grid: solve_diffusion_exact(u, grid, 0.01, 0.1), Boundary.PERIODIC, (8, 8)),
+        (lambda u, grid: solve_convdiff_exact(u, grid, 0.01, (1.0, 0.5), 0.1), Boundary.PERIODIC, (8, 8)),
+        (lambda u, grid: solve_heat_neumann(u, grid, 0.01, 0.1), Boundary.NEUMANN, (8, 8)),
+        (lambda u, grid: solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=1), Boundary.PERIODIC, (8, 8)),
+        (lambda u, grid: solve_shallow_water(u, grid, 1.0, 1e-3, 1), Boundary.WALL, (3, 8, 8)),
+    ], ids=["diffusion", "convdiff", "heat", "allen_cahn", "water"])
+    def test_non_finite_state_names_the_sample(self, solve, boundary, state_shape):
         grid = GridSpec.square(8, boundary=boundary)
-        states = np.full((4, 8, 8), 0.1)
-        states[2, 3, 5] = np.nan
+        states = np.full((4, *state_shape), 0.1)
+        states[2, ..., 3, 5] = np.nan
         with pytest.raises(ValueError, match="not finite in sample 2"):
             solve(states, grid)
-        states[2, 3, 5] = np.inf
+        states[2, ..., 3, 5] = np.inf
         with pytest.raises(ValueError, match="not finite in sample 2"):
             solve(states, grid)
 
