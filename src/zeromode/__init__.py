@@ -24,16 +24,13 @@ from .grid import (
     GridSpec,
     Precision,
     Spectrum,
-    coeff_at,
     fft_forward,
-    fft_inverse,
     l2_norm,
 )
 from .correction import (
     ConservationMask,
     ConservedQuantity,
     check_error_reduction,
-    correct_field,
     correct_spectrum,
     encode_conserved,
     error_decomposition,
@@ -53,9 +50,9 @@ from .training import CorrectionMode, TrainConfig, TrainMode, rollout, train
 
 __all__ = [
     "Boundary", "GridField", "GridSpec", "Precision", "Spectrum",
-    "coeff_at", "fft_forward", "fft_inverse", "l2_norm",
+    "fft_forward", "l2_norm",
     "ConservationMask", "ConservedQuantity", "check_error_reduction",
-    "correct_field", "correct_spectrum", "encode_conserved", "error_decomposition",
+    "correct_spectrum", "encode_conserved", "error_decomposition",
     "DatasetConfig", "Problem", "ProblemParams", "TrajectoryDataset",
     "desk_config", "generate_dataset", "paper_config",
     "read_dataset", "write_dataset",

@@ -10,11 +10,16 @@ state therefore restores the conserved integral exactly while leaving every
 other coefficient untouched.  On the field side the same map is a uniform
 additive shift, and it is an orthogonal projection in the discrete L2 sense:
 it can never increase the distance to any target sharing the reference mean.
+
+The pipeline runs the field-side map, :func:`pin_channel_means`; the
+audit :func:`check_error_reduction` holds whichever pin it is passed to
+that bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +30,6 @@ __all__ = [
     "ConservedQuantity",
     "encode_conserved",
     "correct_spectrum",
-    "correct_field",
     "pin_channel_means",
     "project_out_means",
     "ErrorSplit",
@@ -39,6 +43,9 @@ __all__ = [
 BOUND_TOL = 1e-12
 # Two means closer than this count as equal when reporting the equality case.
 EQUALITY_TOL = 1e-12
+
+#: A field-side pin: (values, per-channel targets, channel flags) -> values.
+CorrectionFn = Callable[[np.ndarray, np.ndarray, tuple[bool, ...]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,8 @@ class ConservedQuantity:
     """Per-channel zero-mode value of a reference state.
 
     ``zero_mode[c]`` is the arithmetic mean of channel ``c``; the conserved
-    integral is ``zero_mode * grid.volume`` exactly, by construction.
+    integral is ``integral = zero_mode * volume`` (``grid.volume``)
+    exactly, by construction.
     """
 
     grid: GridSpec
@@ -87,10 +95,6 @@ class ConservedQuantity:
         object.__setattr__(self, "zero_mode", zm)
 
     @property
-    def integral(self) -> np.ndarray:
-        return self.zero_mode * self.grid.volume
-
-    @property
     def channels(self) -> int:
         return self.zero_mode.shape[0]
 
@@ -100,7 +104,7 @@ def _check_channels(n_field: int, mask: ConservationMask) -> None:
         raise ValueError(f"mask covers {mask.channels} channels but state has {n_field}")
 
 
-def _check_target(pred: GridField | Spectrum, target: ConservedQuantity, mask: ConservationMask) -> None:
+def _check_target(pred: Spectrum, target: ConservedQuantity, mask: ConservationMask) -> None:
     _check_channels(pred.channels, mask)
     if target.channels != pred.channels:
         raise ValueError(f"target covers {target.channels} channels but the prediction has {pred.channels}")
@@ -163,18 +167,6 @@ def project_out_means(grads: np.ndarray, flags: tuple[bool, ...], lead_ndim: int
     return pin_channel_means(grads, np.zeros(np.shape(grads)[: lead_ndim + 1]), flags)
 
 
-def correct_field(pred: GridField, target: ConservedQuantity, mask: ConservationMask) -> GridField:
-    """Field-side correction: a uniform shift of each masked channel.
-
-    Equivalent to a DFT round trip through :func:`correct_spectrum` but
-    computed directly, so masked channels land on the target mean to
-    rounding and unmasked channels are untouched bit for bit.
-    """
-    _check_target(pred, target, mask)
-    values = pin_channel_means(pred.values, target.zero_mode, mask.flags)
-    return GridField(pred.grid, values)
-
-
 @dataclass(frozen=True)
 class ErrorSplit:
     """Squared discrete L2 error split into zero-mode and nonzero-mode parts.
@@ -220,20 +212,23 @@ def check_error_reduction(
     truth: GridField,
     input_state: GridField,
     mask: ConservationMask,
+    correction: CorrectionFn,
 ) -> ErrorReductionReport:
     """Audit that correcting toward the input state's mean cannot hurt.
 
-    When the input state and the truth share their per-channel means (the
-    conserving-data case), the corrected prediction is at least as close to
-    the truth as the raw one, channel by channel; equality is reported when
-    the prediction already had the right mean.
+    ``correction`` is the field-side pin under audit, called as
+    :func:`pin_channel_means` is.  When the input state and the truth share
+    their per-channel means (the conserving-data case), the corrected
+    prediction is at least as close to the truth as the raw one, channel
+    by channel; equality is reported when the prediction already had the
+    right mean.
     """
     if not (pred.grid == truth.grid == input_state.grid):
         raise ValueError("prediction, truth and input state must share one grid")
     target = encode_conserved(input_state, mask)
-    corrected = correct_field(pred, target, mask)
+    corrected = correction(pred.values, target.zero_mode, mask.flags)
     err_before = l2_norm(GridField(pred.grid, pred.values - truth.values))
-    err_after = l2_norm(GridField(pred.grid, corrected.values - truth.values))
+    err_after = l2_norm(GridField(pred.grid, corrected - truth.values))
     masked = mask.indices()
     bound_holds = bool(np.all(err_after[masked] <= err_before[masked] + BOUND_TOL))
     mean_gap = np.abs(pred.channel_means() - truth.channel_means())

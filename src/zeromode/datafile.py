@@ -151,38 +151,41 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
     storage precision, which is preserved as a tag.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        head = _FIXED_HEAD.unpack(_read_exact(fh, _FIXED_HEAD.size, "header"))
-        (magic, version, endian, bits, ndim, boundary_code,
-         problem_raw, split_raw, channels, samples, snapshots, master_seed) = head
-        if magic != MAGIC:
-            raise DatasetFormatError(f"bad magic {magic!r}, not a dataset file")
-        if version > FORMAT_VERSION:
-            raise DatasetFormatError(f"unsupported format version {version} (reader supports <= {FORMAT_VERSION})")
-        if endian != _LITTLE:
-            raise DatasetFormatError(f"unsupported endianness flag {endian}; payload must be little-endian")
-        if bits not in (32, 64):
-            raise DatasetFormatError(f"unsupported precision {bits} bits")
-        if boundary_code not in _BOUNDARY_FROM_CODE:
-            raise DatasetFormatError(f"unknown boundary code {boundary_code}")
-        if ndim not in (1, 2):
-            raise DatasetFormatError(f"unsupported dimensionality {ndim}")
+    try:
+        with open(path, "rb") as fh:
+            head = _FIXED_HEAD.unpack(_read_exact(fh, _FIXED_HEAD.size, "header"))
+            (magic, version, endian, bits, ndim, boundary_code,
+             problem_raw, split_raw, channels, samples, snapshots, master_seed) = head
+            if magic != MAGIC:
+                raise DatasetFormatError(f"bad magic {magic!r}, not a dataset file")
+            if version > FORMAT_VERSION:
+                raise DatasetFormatError(f"unsupported format version {version} (reader supports <= {FORMAT_VERSION})")
+            if endian != _LITTLE:
+                raise DatasetFormatError(f"unsupported endianness flag {endian}; payload must be little-endian")
+            if bits not in (32, 64):
+                raise DatasetFormatError(f"unsupported precision {bits} bits")
+            if boundary_code not in _BOUNDARY_FROM_CODE:
+                raise DatasetFormatError(f"unknown boundary code {boundary_code}")
+            if ndim not in (1, 2):
+                raise DatasetFormatError(f"unsupported dimensionality {ndim}")
 
-        resolution = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "resolution"))
-        lengths = struct.unpack(f"<{ndim}d", _read_exact(fh, 8 * ndim, "lengths"))
-        flags = struct.unpack(f"<{channels}B", _read_exact(fh, channels, "mask"))
-        payload_nbytes, crc = struct.unpack("<QI", _read_exact(fh, 12, "payload descriptor"))
+            resolution = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "resolution"))
+            lengths = struct.unpack(f"<{ndim}d", _read_exact(fh, 8 * ndim, "lengths"))
+            flags = struct.unpack(f"<{channels}B", _read_exact(fh, channels, "mask"))
+            payload_nbytes, crc = struct.unpack("<QI", _read_exact(fh, 12, "payload descriptor"))
 
-        expected = samples * snapshots * channels * int(np.prod(resolution)) * (bits // 8)
-        if payload_nbytes != expected:
-            raise DatasetFormatError(
-                f"payload size mismatch: header declares {payload_nbytes} bytes, shape needs {expected}"
-            )
-        payload = _read_exact(fh, payload_nbytes, "payload")
-        if fh.read(1):
-            raise DatasetFormatError("trailing bytes after payload")
-    if zlib.crc32(payload) != crc:
-        raise DatasetFormatError("payload checksum mismatch, file is corrupt")
+            expected = samples * snapshots * channels * int(np.prod(resolution)) * (bits // 8)
+            if payload_nbytes != expected:
+                raise DatasetFormatError(
+                    f"payload size mismatch: header declares {payload_nbytes} bytes, shape needs {expected}"
+                )
+            payload = _read_exact(fh, payload_nbytes, "payload")
+            if fh.read(1):
+                raise DatasetFormatError("trailing bytes after payload")
+        if zlib.crc32(payload) != crc:
+            raise DatasetFormatError("payload checksum mismatch, file is corrupt")
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"dataset {path}: {exc}") from None
 
     side = sidecar_path(path)
     if not side.exists():

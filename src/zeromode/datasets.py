@@ -203,9 +203,6 @@ class TrajectoryDataset:
     def frame_dt(self) -> float:
         return float(self.frame_times[1] - self.frame_times[0])
 
-    def problem_params(self) -> ProblemParams:
-        return ProblemParams.from_dict(self.params)
-
     def conservation_drift(self) -> np.ndarray:
         """max_t |E(t) - E(0)| / |E(0)| per sample and masked channel."""
         spatial = tuple(range(3, self.data.ndim))

@@ -15,7 +15,9 @@ exactly (in exact arithmetic).  All internal computation is float64;
 
 The data path (solvers, datasets, model) passes plain arrays plus a
 :class:`GridSpec`; :class:`GridField` and :class:`Spectrum` are the typed
-references that the correction theory and its checks work on.
+references that the correction theory and its checks work on.  Only
+the forward transform lives here: those checks compare spectra, so
+nothing in the package transforms a spectrum back into a field.
 """
 
 from __future__ import annotations
@@ -31,18 +33,11 @@ __all__ = [
     "GridSpec",
     "GridField",
     "Spectrum",
-    "ModeIndex",
     "fft_forward",
-    "fft_inverse",
     "l2_norm",
-    "coeff_at",
     "integer_modes",
     "angular_wavenumbers",
 ]
-
-# Relative tolerance used by fft_inverse when rejecting spectra whose
-# inverse transform is not real.
-_SYMMETRY_RTOL = 1e-9
 
 
 class Boundary(enum.Enum):
@@ -58,12 +53,6 @@ class Precision(enum.Enum):
     @property
     def dtype(self) -> np.dtype:
         return np.dtype("<f4") if self is Precision.F32 else np.dtype("<f8")
-
-
-#: Integer frequency multi-index, one entry per spatial axis.  The zero
-#: index (0, ..., 0) addresses the mean of the field and is representable
-#: on every grid.
-ModeIndex = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -172,15 +161,6 @@ class GridField:
         _check_finite(values, "field values")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_scalar(cls, grid: GridSpec, values: np.ndarray) -> "GridField":
-        """Wrap a single-channel array of shape ``grid.resolution``."""
-        return cls(grid, np.asarray(values, dtype=np.float64)[None])
-
-    @classmethod
-    def constant(cls, grid: GridSpec, value: float, channels: int = 1) -> "GridField":
-        return cls(grid, np.full((channels, *grid.resolution), float(value)))
-
     @property
     def channels(self) -> int:
         return self.values.shape[0]
@@ -235,34 +215,6 @@ def fft_forward(field: GridField) -> Spectrum:
     spatial = tuple(range(1, field.values.ndim))
     coeffs = np.fft.fftn(field.values, axes=spatial) / field.grid.n_points
     return Spectrum(field.grid, coeffs)
-
-
-def fft_inverse(spectrum: Spectrum) -> GridField:
-    """Inverse DFT back to a real field.
-
-    The spectrum must carry (numerical) conjugate symmetry; an imaginary
-    residue beyond tolerance means the coefficients do not describe a real
-    field and the transform is rejected.
-    """
-    spatial = tuple(range(1, spectrum.coeffs.ndim))
-    values = np.fft.ifftn(spectrum.coeffs, axes=spatial) * spectrum.grid.n_points
-    real = values.real
-    imag_max = float(np.abs(values.imag).max())
-    scale = max(1.0, float(np.abs(real).max()))
-    if imag_max > _SYMMETRY_RTOL * scale:
-        raise ValueError(
-            "spectrum violates conjugate symmetry: inverse transform has "
-            f"imaginary residue {imag_max:.3e} (tolerance {_SYMMETRY_RTOL * scale:.3e})"
-        )
-    return GridField(spectrum.grid, real.copy())
-
-
-def coeff_at(spectrum: Spectrum, mode: ModeIndex, channel: int = 0) -> complex:
-    """Coefficient of one integer mode, negative indices wrapping as usual."""
-    if len(mode) != spectrum.grid.ndim:
-        raise ValueError(f"mode {mode} has wrong arity for a {spectrum.grid.ndim}-D grid")
-    idx = tuple(int(m) % n for m, n in zip(mode, spectrum.grid.resolution))
-    return complex(spectrum.coeffs[(channel, *idx)])
 
 
 def l2_norm(field: GridField) -> np.ndarray:

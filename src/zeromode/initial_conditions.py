@@ -16,8 +16,6 @@ from .grid import Boundary, GridSpec, integer_modes
 
 __all__ = ["chebyshev_ic", "grf_ic"]
 
-SeedLike = "int | tuple[int, ...]"
-
 
 def chebyshev_ic(seed, grid: GridSpec, order: int = 20) -> np.ndarray:
     """Random Chebyshev-series field sum_{i,j<order} c_ij T_i(xi) T_j(eta).

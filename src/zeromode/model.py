@@ -689,6 +689,9 @@ def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
             version, config_len = struct.unpack("<HI", fh.read(6))
             if version > CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if config_len > left:  # refused before a buffer of that size is allocated
+                raise struct.error(f"config length {config_len} runs past the {left} bytes left in the file")
             # TypeError: unknown config key, wrong value type, or not a JSON object
             config = OperatorConfig(**json.loads(fh.read(config_len).decode()))
             count, crc = struct.unpack("<QI", fh.read(12))

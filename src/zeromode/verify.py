@@ -7,10 +7,14 @@ adjoints by finite differences and the optimizer update in closed form.
 Every check times itself and, on failure, names the first counterexample
 (trial seed plus the offending quantity).
 
-The field-side correction entry point is injectable: running the suite
-against a deliberately broken pin function must produce failures, and the
-test suite checks exactly that, so a silent regression in these checks
-would itself be caught.
+The field-side pin is injectable, and every ``theorems`` check that
+applies a correction calls the injected one: ``mean_pinning`` and
+``shift_only_action`` directly, ``spectral_zero_mode_surgery`` by
+comparing the spectrum of its output with :func:`correct_spectrum`, and
+``error_reduction_bound`` through :func:`check_error_reduction`.  Running
+the suite against a deliberately broken pin must produce failures, and
+the test suite checks exactly that, so a silent regression in these
+checks would itself be caught.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .correction import (
     ConservationMask,
+    CorrectionFn,
     check_error_reduction,
     correct_spectrum,
     encode_conserved,
@@ -52,8 +57,6 @@ from .solvers import (
 )
 
 __all__ = ["CheckResult", "available_suites", "run_checks", "format_results", "all_passed"]
-
-CorrectionFn = Callable[[np.ndarray, np.ndarray, tuple], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,10 @@ def _check_spectrum_path(correction: CorrectionFn):
         twice = correct_spectrum(out, target, mask)
         if not np.array_equal(twice.coeffs, out.coeffs):
             return f"seed {seed}: correction is not idempotent"
+        pinned = fft_forward(GridField(grid, correction(pred.values, target.zero_mode, mask.flags)))
+        gap = np.abs(pinned.coeffs - out.coeffs).max()
+        if gap > 1e-12:
+            return f"seed {seed}: the field-side pin differs from the spectrum path by {gap:.2e}"
     return None
 
 
@@ -157,7 +164,7 @@ def _check_error_reduction(correction: CorrectionFn):
         if seed % 3 == 0:
             pred += truth.mean() - pred.mean()  # force the equality case
         report = check_error_reduction(
-            GridField(grid, pred), GridField(grid, truth), GridField(grid, input_state), mask
+            GridField(grid, pred), GridField(grid, truth), GridField(grid, input_state), mask, correction
         )
         if not report.bound_holds:
             return f"seed {seed}: corrected error exceeds the raw error"

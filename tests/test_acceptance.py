@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from zeromode.cli import main as cli_main
-from zeromode.correction import ConservationMask, check_error_reduction
+from zeromode.correction import ConservationMask, check_error_reduction, pin_channel_means
 from zeromode.datafile import read_dataset, write_dataset
 from zeromode.datasets import Problem, desk_config, generate_dataset
 from zeromode.grid import Boundary, GridField, GridSpec, Precision, fft_forward, l2_norm
@@ -82,7 +82,7 @@ def test_criterion_02_error_reduction_audit():
         input_state = rng.normal(size=(1, 24, 24))
         input_state += truth.mean() - input_state.mean()
         report = check_error_reduction(
-            GridField(grid, pred), GridField(grid, truth), GridField(grid, input_state), mask
+            GridField(grid, pred), GridField(grid, truth), GridField(grid, input_state), mask, pin_channel_means
         )
         if not report.bound_holds:
             bound_failures += 1

@@ -228,15 +228,17 @@ def checkpoint_row(edit):
     return build
 
 
-def dataset_row(edit):
-    """train on a dataset whose bytes are ``edit`` of the training split's, with its sidecar."""
+def dataset_row(edit, split="train"):
+    """train with ``split``'s dataset swapped for ``bad_<split>.ecfd``: ``edit`` of its bytes, with its sidecar."""
     def build(pipeline, tmp_path):
         _, train_path, valid_path, _ = pipeline
-        data = tmp_path / "bad.ecfd"
-        data.write_bytes(edit(train_path.read_bytes()))
-        shutil.copy(sidecar_path(train_path), sidecar_path(data))
-        return ["train", "--train", str(data), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
-                *TRAIN_ARGS]
+        paths = {"train": train_path, "valid": valid_path}
+        data = tmp_path / f"bad_{split}.ecfd"
+        data.write_bytes(edit(paths[split].read_bytes()))
+        shutil.copy(sidecar_path(paths[split]), sidecar_path(data))
+        paths[split] = data
+        return ["train", "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                "--out", str(tmp_path / "run"), *TRAIN_ARGS]
     return build
 
 
@@ -319,6 +321,8 @@ BAD_INPUTS = [
     pytest.param(dataset_row(cut_inside(dataset_ends, 5)), "bytes of payload", True, id="data-cut-payload"),
     pytest.param(dataset_row(flip(-1)), "checksum mismatch", True, id="data-flip-payload"),
     pytest.param(dataset_row(lambda blob: blob + b"\0"), "trailing bytes", True, id="data-trailing-byte"),
+    pytest.param(dataset_row(cut_inside(dataset_ends, 0), split="valid"),
+                 "bad_valid.ecfd: truncated file: expected 52 bytes of header", True, id="data-cut-valid-head"),
     pytest.param(eval_row("--correction", "off"), "unrecognized arguments: --correction", False,
                  id="eval-correction-flag"),
 ]

@@ -183,7 +183,7 @@ class TestBatchedGeneration:
     @pytest.mark.parametrize("problem", [Problem.HEAT, Problem.DIFF, Problem.CD])
     def test_exact_propagators_byte_identical_to_per_frame_path(self, problem):
         ds = generate_dataset(desk_config(problem, split="test", master_seed=7, n_samples=4))
-        params = ds.problem_params()
+        params = ProblemParams.from_dict(ds.params)
         expected = np.stack([per_frame_exact(params, ds.grid, reference_ic(params, ds.grid, seed))
                              for seed in ds.sample_seeds])
         assert ds.data[:, :, 0].tobytes() == expected.tobytes()
@@ -191,14 +191,14 @@ class TestBatchedGeneration:
     @pytest.mark.parametrize("problem", [Problem.AC_DW, Problem.AC_FH])
     def test_merged_real_fft_stepper_matches_three_fft_stepper(self, problem):
         ds = generate_dataset(desk_config(problem, split="test", master_seed=7, n_samples=3))
-        params = ds.problem_params()
+        params = ProblemParams.from_dict(ds.params)
         expected = np.stack([three_fft_allen_cahn(params, ds.grid, reference_ic(params, ds.grid, seed))
                              for seed in ds.sample_seeds])
         assert np.abs(ds.data[:, :, 0] - expected).max() <= 1e-12
 
     def test_water_byte_identical_to_per_sample_loop(self):
         ds = generate_dataset(desk_config(Problem.WATER, split="test", master_seed=7, n_samples=4))
-        params = ds.problem_params()
+        params = ProblemParams.from_dict(ds.params)
         expected = []
         for seed in ds.sample_seeds:
             rng = np.random.default_rng(seed)

@@ -554,3 +554,18 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_oversized_config_length_refused_without_allocating_it(self, tmp_path):
+        path = save_checkpoint(init_model(CFG_1D), tmp_path / "m.ckpt")
+        raw = bytearray(path.read_bytes())
+        (config_len,) = struct.unpack("<I", raw[6:10])
+        raw[6:10] = struct.pack("<I", config_len + 100_000_000)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="m.ckpt: header truncated or malformed"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

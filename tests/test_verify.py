@@ -2,6 +2,7 @@
 
 import pytest
 
+from zeromode.correction import pin_channel_means
 from zeromode.verify import (
     CheckResult,
     all_passed,
@@ -65,6 +66,15 @@ class TestMutantDetection:
         assert not all_passed(results)
         crashed = [r for r in results if "ZeroDivisionError" in r.detail]
         assert crashed
+
+    def test_offset_pin_fails_the_theorem_checks_that_apply_it(self):
+        # lands every mean 1e-3 off target: the spectrum path and the
+        # error-reduction audit must see it through the injected pin
+        offset = lambda values, targets, flags: pin_channel_means(values, targets, flags) + 1e-3
+        results = {r.name: r for r in run_checks("theorems", correction=offset)}
+        for name in ("error_reduction_bound", "spectral_zero_mode_surgery"):
+            assert not results[name].passed
+            assert "seed" in results[name].detail
 
 
 class TestFormatting:
