@@ -29,6 +29,7 @@ from .grid import (
 )
 from .correction import (
     ConservationMask,
+    Variant,
     ConservedQuantity,
     check_error_reduction,
     correct_spectrum,
@@ -46,19 +47,19 @@ from .datasets import (
 )
 from .datafile import read_dataset, write_dataset
 from .model import OperatorConfig, OperatorModel, init_model, load_checkpoint, save_checkpoint
-from .training import CorrectionMode, TrainConfig, TrainMode, rollout, train
+from .training import TrainConfig, rollout, train
 
 __all__ = [
     "Boundary", "GridField", "GridSpec", "Precision", "Spectrum",
     "fft_forward", "l2_norm",
     "ConservationMask", "ConservedQuantity", "check_error_reduction",
-    "correct_spectrum", "encode_conserved", "error_decomposition",
+    "correct_spectrum", "encode_conserved", "error_decomposition", "Variant",
     "DatasetConfig", "Problem", "ProblemParams", "TrajectoryDataset",
     "desk_config", "generate_dataset", "paper_config",
     "read_dataset", "write_dataset",
     "OperatorConfig", "OperatorModel", "init_model",
     "load_checkpoint", "save_checkpoint",
-    "CorrectionMode", "TrainConfig", "TrainMode", "rollout", "train",
+    "TrainConfig", "rollout", "train",
 ]
 
 __version__ = "0.1.0"

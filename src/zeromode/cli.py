@@ -156,8 +156,8 @@ def _cmd_gen(args, argv: list[str]) -> int:
     params_dict["problem"] = args.problem
     config = DatasetConfig(
         params=ProblemParams.from_dict(params_dict),
-        n_samples=int(resolved["samples"]),
-        master_seed=int(resolved["master_seed"]),
+        n_samples=resolved["samples"],
+        master_seed=resolved["master_seed"],
         split=args.split,
         precision=Precision(resolved["precision"]),
     )
@@ -175,36 +175,23 @@ def _cmd_gen(args, argv: list[str]) -> int:
 def _cmd_train(args, argv: list[str]) -> int:
     from .datafile import read_dataset
     from .model import OperatorConfig, save_checkpoint
-    from .training import TrainConfig, TrainMode, train
+    from .training import TrainConfig, train
 
     started = _utc_now()
     train_set = read_dataset(args.train)
     valid_set = read_dataset(args.valid)
 
     train_defaults, model_defaults = asdict(TrainConfig()), asdict(OperatorConfig())
+    model_keys = ("seed", "width", "n_layers", "modes_kept")
     defaults = {**train_defaults, "mode": train_defaults["mode"].value,
-                **{key: model_defaults[key] for key in ("seed", "width", "n_layers", "modes_kept")}}
+                **{key: model_defaults[key] for key in model_keys}}
     resolved = _merge(defaults, _load_config_file(args.config), args, list(defaults))
 
-    model_config = OperatorConfig(
-        channels=train_set.channels,
-        width=int(resolved["width"]),
-        n_layers=int(resolved["n_layers"]),
-        modes_kept=int(resolved["modes_kept"]),
-        ndim=train_set.grid.ndim,
-    )
-    train_config = TrainConfig(
-        mode=TrainMode(resolved["mode"]),
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        lr=float(resolved["lr"]),
-        weight_decay=float(resolved["weight_decay"]),
-        loss=str(resolved["loss"]),
-        eval_every=int(resolved["eval_every"]),
-    )
-    seed = int(resolved["seed"])
+    model_config = OperatorConfig(channels=train_set.channels, ndim=train_set.grid.ndim,
+                                  **{key: resolved[key] for key in model_keys})
+    train_config = TrainConfig(**{key: resolved[key] for key in train_defaults})
     t0 = time.perf_counter()
-    result = train(train_set, valid_set, model_config, train_config, seed)
+    result = train(train_set, valid_set, model_config, train_config)
     train_seconds = time.perf_counter() - t0
 
     out_dir = Path(args.out)
@@ -214,14 +201,11 @@ def _cmd_train(args, argv: list[str]) -> int:
     log_path.write_text(json.dumps(
         {"log": result.log, "best_epoch": result.best_epoch, "best_val_rmse": result.best_val_rmse},
         indent=2, sort_keys=True) + "\n")
-    print(f"trained {resolved['mode']} seed {seed}: best epoch {result.best_epoch}, "
+    print(f"trained {resolved['mode']} seed {model_config.seed}: best epoch {result.best_epoch}, "
           f"val rmse {result.best_val_rmse:.3e}")
-    _write_manifest(out_dir, "train", argv, resolved, [seed], [ckpt, log_path], started,
+    _write_manifest(out_dir, "train", argv, resolved, [model_config.seed], [ckpt, log_path], started,
                     train_seconds=train_seconds, validation_seconds=result.validation_seconds)
     return 0
-
-
-_VARIANT_CORRECTION = {"base": "off", "integrated": "feedback", "staged": "post_hoc"}
 
 
 def _read_records(path: Path) -> list:
@@ -239,15 +223,15 @@ def _read_records(path: Path) -> list:
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
+    from .correction import Variant
     from .datafile import read_dataset
     from .metrics import MetricsRecord
     from .model import load_checkpoint
-    from .training import CorrectionMode, rollout
+    from .training import rollout
 
     started = _utc_now()
     model = load_checkpoint(args.model)
     dataset = read_dataset(args.data)
-    correction = CorrectionMode(_VARIANT_CORRECTION[args.variant])
     out_dir = Path(args.out)
     records_path = out_dir / "records.jsonl"
     # a second record for one (dataset, variant, seed) would make report refuse the file
@@ -256,7 +240,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
                                      for r in _read_records(records_path)):
         raise ValueError(f"{records_path} already holds a record for {key[0]}/{key[1]} seed {key[2]}")
 
-    result = rollout(model, dataset.data, correction=correction, mask=dataset.mask)
+    result = rollout(model, dataset.data, Variant(args.variant), dataset.mask)
     record = MetricsRecord(
         dataset=dataset.problem.value,
         variant=args.variant,
@@ -270,8 +254,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
         fh.write(record.to_json() + "\n")
     print(f"evaluated {dataset.problem.value}/{args.variant} seed {model.config.seed}: "
           f"mean rmse {record.rmse_mean:.3e}, worst conservation error {record.cons_err_max:.3e}")
-    config = {"model": str(args.model), "data": str(args.data), "variant": args.variant,
-              "correction": correction.value}
+    config = {"model": str(args.model), "data": str(args.data), "variant": args.variant}
     _write_manifest(out_dir, "eval", argv, config, [model.config.seed], [records_path], started,
                     rollout_seconds=result.wall_clock)
     return 0
@@ -321,7 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conservation-corrected spectral surrogates: data, training, evaluation.",
     )
     from . import __version__
-    from .datasets import Problem
+    from .correction import Variant
+    from .datasets import SPLIT_IDS, Problem
+    from .grid import Precision
+    from .model import LOSSES
 
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -329,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a trajectory dataset with a reference solver")
     gen.add_argument("--problem", required=True,
                      choices=[p.value for p in Problem])
-    gen.add_argument("--split", default="train", choices=["train", "valid", "test"])
+    gen.add_argument("--split", default="train", choices=list(SPLIT_IDS))
     gen.add_argument("--out", required=True, help="output dataset path (.ecfd)")
     gen.add_argument("--config", help="JSON file with parameter overrides")
     gen.add_argument("--paper-scale", action="store_true", dest="paper_scale",
                      help="published problem sizes instead of desk scale")
     gen.add_argument("--samples", type=int)
     gen.add_argument("--master-seed", type=int, dest="master_seed")
-    gen.add_argument("--precision", choices=["f32", "f64"])
+    gen.add_argument("--precision", choices=[p.value for p in Precision])
     gen.add_argument("--resolution", type=int)
     gen.add_argument("--n-steps", type=int, dest="n_steps")
     gen.add_argument("--n-snapshots", type=int, dest="n_snapshots")
@@ -347,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--valid", required=True, help="validation dataset path")
     tr.add_argument("--out", required=True, help="output run directory")
     tr.add_argument("--config", help="JSON file with hyperparameter overrides")
-    tr.add_argument("--mode", choices=["baseline", "integrated", "staged"])
+    tr.add_argument("--mode", choices=[v.value for v in Variant])
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--batch-size", type=int, dest="batch_size")
     tr.add_argument("--lr", type=float)
     tr.add_argument("--weight-decay", type=float, dest="weight_decay")
-    tr.add_argument("--loss", choices=["mae", "mse"])
+    tr.add_argument("--loss", choices=LOSSES)
     tr.add_argument("--eval-every", type=int, dest="eval_every")
     tr.add_argument("--seed", type=int)
     tr.add_argument("--width", type=int)
@@ -365,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True, help="dataset path")
     ev.add_argument("--out", required=True, help="output directory; records.jsonl is appended, and a second record "
                     "for the same dataset, variant and seed is refused")
-    ev.add_argument("--variant", default="base", choices=["base", "integrated", "staged"])
+    ev.add_argument("--variant", default=Variant.BASE.value, choices=[v.value for v in Variant])
     ev.set_defaults(fn=_cmd_eval)
 
     rp = sub.add_parser("report", help="aggregate eval records into csv/markdown/plot data")

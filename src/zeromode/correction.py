@@ -11,13 +11,14 @@ other coefficient untouched.  On the field side the same map is a uniform
 additive shift, and it is an orthogonal projection in the discrete L2 sense:
 it can never increase the distance to any target sharing the reference mean.
 
-The pipeline runs the field-side map, :func:`pin_channel_means`; the
-audit :func:`check_error_reduction` holds whichever pin it is passed to
-that bound.
+The pipeline runs the field-side map, :func:`pin_channel_means`, in one of
+the ways a :class:`Variant` names; the audit :func:`check_error_reduction`
+holds whichever pin it is passed to that bound.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +27,7 @@ import numpy as np
 from .grid import GridField, GridSpec, Spectrum, fft_forward, l2_norm
 
 __all__ = [
+    "Variant",
     "ConservationMask",
     "ConservedQuantity",
     "encode_conserved",
@@ -46,6 +48,20 @@ EQUALITY_TOL = 1e-12
 
 #: A field-side pin: (values, per-channel targets, channel flags) -> values.
 CorrectionFn = Callable[[np.ndarray, np.ndarray, tuple[bool, ...]], np.ndarray]
+
+
+class Variant(enum.Enum):
+    """Where the correction acts, from training through rollout to the report.
+
+    The member order is the order of the report's rows.
+    """
+
+    #: no correction anywhere
+    BASE = "base"
+    #: pinned inside the training loss; rollouts feed each pinned state forward
+    INTEGRATED = "integrated"
+    #: trained as BASE; rollouts pin each stored frame and feed the raw one forward
+    STAGED = "staged"
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -116,6 +117,10 @@ class ProblemParams:
             raise ValueError(
                 f"n_snapshots {self.n_snapshots} must divide the time axis evenly, got {self.n_steps} steps"
             )
+        v = self.velocity
+        if not (isinstance(v, (tuple, list)) and len(v) == 2
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) for x in v)):
+            raise ValueError(f"velocity must be two finite numbers, got {v!r}")
 
     @property
     def dt(self) -> float:
@@ -253,11 +258,11 @@ def paper_config(problem: Problem, split: str = "train", master_seed: int = 0,
 
 # -- generation ------------------------------------------------------------
 
-_SPLIT_IDS = {"train": 0, "valid": 1, "test": 2}
+SPLIT_IDS = {"train": 0, "valid": 1, "test": 2}
 
 
 def _sample_seed(config: DatasetConfig, index: int, attempt: int) -> list[int]:
-    return [config.master_seed, _SPLIT_IDS.get(config.split, 9), index, attempt]
+    return [config.master_seed, SPLIT_IDS.get(config.split, 9), index, attempt]
 
 
 def _draw_scalar_ic(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarray:

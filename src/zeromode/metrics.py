@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import ConservationMask
+from .correction import ConservationMask, Variant
 
 __all__ = [
     "step_metrics",
@@ -29,8 +29,6 @@ __all__ = [
     "sci3",
     "SCOPE_NOTE",
 ]
-
-VARIANTS = ("base", "integrated", "staged")
 
 SCOPE_NOTE = (
     "Scope note: absolute error levels from large published benchmark runs are "
@@ -72,7 +70,7 @@ def step_metrics(pred: np.ndarray, truth: np.ndarray,
 
 @dataclass
 class MetricsRecord:
-    """One evaluated (dataset, variant, seed) cell."""
+    """One evaluated (dataset, variant, seed) cell; ``variant`` is a :class:`Variant` value."""
 
     dataset: str
     variant: str
@@ -85,8 +83,9 @@ class MetricsRecord:
     cons_err_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        values = [v.value for v in Variant]
+        if self.variant not in values:
+            raise ValueError(f"variant must be one of {values}, got {self.variant!r}")
         if not self.rmse_per_step:
             raise ValueError("record needs at least one rollout step")
         self.rmse_per_step = [float(x) for x in self.rmse_per_step]
@@ -175,23 +174,19 @@ def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]
 
     datasets = sorted({row["dataset"] for row in rows})
     by_key = {(row["dataset"], row["variant"]): row for row in rows}
+
+    def table(cell) -> list[str]:
+        """One row per variant, in :class:`Variant` order; "-" marks a missing cell."""
+        out = ["| variant | " + " | ".join(datasets) + " |", "|" + "---|" * (len(datasets) + 1)]
+        for variant in Variant:
+            cells = [by_key.get((ds, variant.value)) for ds in datasets]
+            out.append(f"| {variant.value} | " + " | ".join(cell(row) if row else "-" for row in cells) + " |")
+        return out
+
     lines = ["# Rollout evaluation", "", SCOPE_NOTE, "", "## Mean rollout RMSE (mean +/- std over seeds)", ""]
-    header = "| variant | " + " | ".join(datasets) + " |"
-    lines += [header, "|" + "---|" * (len(datasets) + 1)]
-    for variant in VARIANTS:
-        cells = []
-        for ds in datasets:
-            row = by_key.get((ds, variant))
-            cells.append(f"{sci3(row['rmse_mean'])} +/- {sci3(row['rmse_std'])}" if row else "-")
-        lines.append(f"| {variant} | " + " | ".join(cells) + " |")
+    lines += table(lambda row: f"{sci3(row['rmse_mean'])} +/- {sci3(row['rmse_std'])}")
     lines += ["", "## Relative conservation error (mean over steps and seeds)", ""]
-    lines += [header, "|" + "---|" * (len(datasets) + 1)]
-    for variant in VARIANTS:
-        cells = []
-        for ds in datasets:
-            row = by_key.get((ds, variant))
-            cells.append(sci3(row["cons_err_mean"]) if row else "-")
-        lines.append(f"| {variant} | " + " | ".join(cells) + " |")
+    lines += table(lambda row: sci3(row["cons_err_mean"]))
     p = out_dir / "summary.md"
     p.write_text("\n".join(lines) + "\n")
     written.append(p)

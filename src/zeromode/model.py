@@ -113,6 +113,9 @@ __all__ = [
 _GELU_A = np.sqrt(2.0 / np.pi)
 _GELU_B = 0.044715
 
+#: training losses :func:`loss_and_grad` accepts
+LOSSES = ("mae", "mse")
+
 CHECKPOINT_MAGIC = b"ZMCK"
 CHECKPOINT_VERSION = 1
 
@@ -626,8 +629,8 @@ def loss_and_grad(
     correction's Jacobian is I - (1/n) 1 1^T per masked channel, so the
     backward pass strips the uniform component of the loss gradient.
     """
-    if loss not in ("mae", "mse"):
-        raise ValueError(f"unknown loss {loss!r}, expected 'mae' or 'mse'")
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}, expected one of {LOSSES}")
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if inputs.shape != targets.shape:

@@ -27,16 +27,16 @@ __all__ = ["OptimState", "init_optimizer", "adamw_step"]
 class OptimState:
     m: np.ndarray
     v: np.ndarray
+    lr: float
+    weight_decay: float
     step: int = 0
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
 
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     eps: ClassVar[float] = 1e-8
 
 
-def init_optimizer(model: OperatorModel, lr: float = 1e-3, weight_decay: float = 1e-4) -> OptimState:
+def init_optimizer(model: OperatorModel, lr: float, weight_decay: float) -> OptimState:
     n = model.params.size
     return OptimState(m=np.zeros(n), v=np.zeros(n), lr=lr, weight_decay=weight_decay)
 

@@ -1,36 +1,35 @@
-"""Training paradigms and autoregressive rollout.
+"""Training and autoregressive rollout, one :class:`Variant` each.
 
-Three training modes share one optimization loop:
+The variant says where the zero-mode correction acts:
 
-* ``baseline``   - plain next-step regression.
-* ``integrated`` - the zero-mode correction sits inside the training
-  graph (each prediction is pinned to its input's conserved integral
-  before the loss) and rollouts feed corrected states forward.
-* ``staged``     - training and validation are bit-identical to baseline;
+* ``base``       - plain next-step regression, rolled out uncorrected.
+* ``integrated`` - the correction sits inside the training graph (each
+  prediction is pinned to its input's conserved integral before the
+  loss) and rollouts feed corrected states forward.
+* ``staged``     - training and validation are bit-identical to base;
   the correction only acts at test time, applied to each predicted frame
   without feeding back.
 
-Determinism contract: everything downstream of (dataset, configs, seed)
-is reproducible, including the training log and the final parameters.
+Determinism contract: everything downstream of (dataset, configs) is
+reproducible, including the training log and the final parameters; the
+seed is the model config's.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correction import ConservationMask, pin_channel_means
+from .correction import ConservationMask, Variant, pin_channel_means
 from .datasets import TrajectoryDataset
 from .metrics import step_metrics
 from .model import OperatorConfig, OperatorModel, forward_values, init_model, loss_and_grad
 from .optim import adamw_step, init_optimizer
 
 __all__ = [
-    "TrainMode",
-    "CorrectionMode",
     "TrainConfig",
     "TrainingDiverged",
     "sample_training_pairs",
@@ -41,22 +40,6 @@ __all__ = [
 ]
 
 
-class TrainMode(enum.Enum):
-    BASELINE = "baseline"
-    INTEGRATED = "integrated"
-    STAGED = "staged"
-
-
-class CorrectionMode(enum.Enum):
-    """How rollout handles the zero mode of each predicted frame."""
-
-    OFF = "off"
-    #: correct every prediction and feed the corrected state forward
-    FEEDBACK = "feedback"
-    #: correct every stored frame and feed the raw prediction forward
-    POST_HOC = "post_hoc"
-
-
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -65,7 +48,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    mode: TrainMode = TrainMode.BASELINE
+    mode: Variant = Variant.BASE
     epochs: int = 200
     batch_size: int = 5
     lr: float = 1e-3
@@ -74,10 +57,15 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Variant(self.mode))  # a member or its value
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be positive")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def sample_training_pairs(
@@ -94,11 +82,6 @@ def sample_training_pairs(
     samples = rng.integers(0, dataset.n_samples, size=(n_batches, batch_size))
     times = rng.integers(0, dataset.n_snapshots - 1, size=(n_batches, batch_size))
     return np.stack([samples, times], axis=-1)
-
-
-def rollout_correction_for(mode: TrainMode) -> CorrectionMode:
-    """Validation-time correction implied by a training mode."""
-    return CorrectionMode.FEEDBACK if mode is TrainMode.INTEGRATED else CorrectionMode.OFF
 
 
 @dataclass
@@ -118,24 +101,24 @@ def train(
     valid_set: TrajectoryDataset,
     model_config: OperatorConfig,
     config: TrainConfig,
-    seed: int,
 ) -> TrainResult:
     """Optimize one model on next-step pairs; keep the best validation epoch.
 
-    Validation runs every ``eval_every`` epochs (and at the end) as a full
-    rollout over the validation split, with the correction mode implied by
-    the training mode: integrated models validate with feedback
-    correction, baseline and staged models without any.  The checkpoint
-    with the lowest mean validation RMSE is returned, earliest epoch
-    winning ties, so staged training is bit-identical to baseline.
+    ``model_config.seed`` seeds both the initial parameters and the pair
+    sampling.  Validation runs every ``eval_every`` epochs (and at the
+    end) as a full rollout over the validation split: an integrated model
+    validates as ``integrated``, every other variant as ``base``.  The
+    checkpoint with the lowest mean validation RMSE is returned, earliest
+    epoch winning ties, so staged training is bit-identical to base.
     """
     if model_config.channels != train_set.channels:
         raise ValueError(f"model expects {model_config.channels} channels, dataset has {train_set.channels}")
-    model = init_model(OperatorConfig(**{**model_config.to_dict(), "seed": seed}))
+    model = init_model(model_config)
     opt = init_optimizer(model, lr=config.lr, weight_decay=config.weight_decay)
-    mask = train_set.mask if config.mode is TrainMode.INTEGRATED else None
+    integrated = config.mode is Variant.INTEGRATED
+    mask = train_set.mask if integrated else None
     n_batches = max(1, -(-train_set.n_samples // config.batch_size))
-    val_mode = rollout_correction_for(config.mode)
+    val_variant = Variant.INTEGRATED if integrated else Variant.BASE
 
     log: list[dict] = []
     best_epoch = 0
@@ -144,7 +127,7 @@ def train(
     validation_seconds = 0.0
 
     for epoch in range(1, config.epochs + 1):
-        batches = sample_training_pairs(train_set, seed, epoch, config.batch_size, n_batches)
+        batches = sample_training_pairs(train_set, model_config.seed, epoch, config.batch_size, n_batches)
         epoch_loss = 0.0
         for batch in batches:
             s, t = batch[:, 0], batch[:, 1]
@@ -161,7 +144,7 @@ def train(
         record = {"epoch": epoch, "loss": epoch_loss / n_batches}
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            result = rollout(model, valid_set.data, correction=val_mode, mask=valid_set.mask)
+            result = rollout(model, valid_set.data, val_variant, valid_set.mask)
             validation_seconds += result.wall_clock
             record["val_rmse"] = val_rmse = result.mean_rmse
             if val_rmse < best_val:
@@ -184,7 +167,7 @@ class RolloutResult:
     """Autoregressive predictions of trajectories from their first frames.
 
     ``frames`` (samples, steps, channels, *spatial) holds each sample's
-    n_snapshots - 1 stored states, pinned unless the correction is OFF;
+    n_snapshots - 1 stored states, pinned unless the variant is BASE;
     ``rmse`` and ``cons_err`` (samples, steps) come from one
     :func:`metrics.step_metrics` call per step.  ``cons_err`` is the
     relative conservation error max'd over masked channels, under the
@@ -208,27 +191,29 @@ class RolloutResult:
 def rollout(
     model,
     trajectories: np.ndarray,
-    correction: CorrectionMode = CorrectionMode.OFF,
+    variant: Variant = Variant.BASE,
     mask: ConservationMask | None = None,
 ) -> RolloutResult:
     """Roll the operator forward from frame 0 of each trajectory (samples, frames, channels, *spatial).
 
     ``model`` is an :class:`OperatorModel` or any callable mapping states
-    (samples, channels, *spatial) to the next states (handy for fixtures).
-    Each sample's conserved target for both correcting modes is encoded
+    (samples, channels, *spatial) to the next states (handy for fixtures);
+    ``variant`` is a :class:`Variant` or its value.
+    Each sample's conserved target for both correcting variants is encoded
     once, from its initial frame, and its rows equal a rollout of it alone.
     Each step predicts the next states, checks them, pins them once to
-    those targets (FEEDBACK feeds the pinned states forward, POST_HOC
+    those targets (INTEGRATED feeds the pinned states forward, STAGED
     stores them and feeds the raw ones), stores and scores them, so a
     rollout holds its frames plus one step's temporaries.  A single frame
     yields an empty result; a non-finite state raises RuntimeError naming
     the first sample at fault and the step.
     """
     t0 = time.perf_counter()
+    variant = Variant(variant)  # a member or its value
     traj = np.asarray(trajectories, dtype=np.float64)
     if traj.ndim < 4:
         raise ValueError(f"trajectories must be (samples, frames, channels, *spatial), got {traj.shape}")
-    if correction is not CorrectionMode.OFF and mask is None:
+    if variant is not Variant.BASE and mask is None:
         raise ValueError("correcting rollouts need a conservation mask")
 
     step = model if callable(model) else (lambda v: forward_values(model, v))
@@ -243,8 +228,8 @@ def rollout(
         bad = np.flatnonzero(~np.isfinite(state).reshape(n_samples, -1).all(axis=1))
         if bad.size:
             raise RuntimeError(f"rollout produced a non-finite state: sample {bad[0]} at step {k + 1}")
-        frames[:, k] = state if correction is CorrectionMode.OFF else pin_channel_means(state, target_means, mask.flags)
-        if correction is CorrectionMode.FEEDBACK:
+        frames[:, k] = state if variant is Variant.BASE else pin_channel_means(state, target_means, mask.flags)
+        if variant is Variant.INTEGRATED:
             state = frames[:, k]
         rmse[:, k], cons[:, k] = step_metrics(frames[:, k], traj[:, k + 1], mask)
     return RolloutResult(frames, rmse, cons, time.perf_counter() - t0)

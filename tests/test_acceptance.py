@@ -6,13 +6,14 @@ own wall-clock limits.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zeromode.cli import main as cli_main
-from zeromode.correction import ConservationMask, check_error_reduction, pin_channel_means
+from zeromode.correction import ConservationMask, Variant, check_error_reduction, pin_channel_means
 from zeromode.datafile import read_dataset, write_dataset
 from zeromode.datasets import Problem, desk_config, generate_dataset
 from zeromode.grid import Boundary, GridField, GridSpec, Precision, fft_forward, l2_norm
@@ -26,7 +27,7 @@ from zeromode.solvers import (
     solve_shallow_water,
     verify_flux_balance,
 )
-from zeromode.training import CorrectionMode, TrainConfig, TrainMode, rollout, train
+from zeromode.training import TrainConfig, rollout, train
 from zeromode.verify import all_passed, format_results, run_checks
 
 
@@ -115,7 +116,7 @@ def test_criterion_04_conservation_closure(desk_tests, tmp_path):
     worst64 = worst32 = 0.0
     first_last = []
     for problem, ds in desk_tests.items():
-        r = rollout(biased, ds.data, correction=CorrectionMode.FEEDBACK, mask=ds.mask)
+        r = rollout(biased, ds.data, Variant.INTEGRATED, ds.mask)
         worst64 = max(worst64, float(r.cons_err.max()))
         first_last.extend(zip(r.cons_err[:, 0], r.cons_err[:, -1]))
         ds.precision = Precision.F32
@@ -124,7 +125,7 @@ def test_criterion_04_conservation_closure(desk_tests, tmp_path):
         finally:
             ds.precision = Precision.F64
         back = read_dataset(path)
-        r = rollout(biased, back.data, correction=CorrectionMode.FEEDBACK, mask=back.mask)
+        r = rollout(biased, back.data, Variant.INTEGRATED, back.mask)
         worst32 = max(worst32, float(r.cons_err.max()))
     growth = max(last - first for first, last in first_last)
     ok = worst64 <= 1e-12 and worst32 <= 2e-6 and growth <= 1e-12
@@ -140,7 +141,7 @@ N_EVAL_SAMPLES = 3
 
 @pytest.fixture(scope="module")
 def trained_study(desk_tests):
-    """Trimmed desk study: per problem and seed, baseline + integrated models,
+    """Trimmed desk study: per problem and seed, base + integrated models,
     then base / integrated / staged rollouts over test samples."""
     records = []
     violations = []
@@ -150,15 +151,15 @@ def trained_study(desk_tests):
         train_set = generate_dataset(desk_config(problem, split="train", n_samples=10))
         valid_set = generate_dataset(desk_config(problem, split="valid", n_samples=2))
         for seed in TRAIN_SEEDS:
-            base = train(train_set, valid_set, TRAIN_MODEL,
-                         TrainConfig(mode=TrainMode.BASELINE, epochs=8, eval_every=4), seed)
-            integ = train(train_set, valid_set, TRAIN_MODEL,
-                          TrainConfig(mode=TrainMode.INTEGRATED, epochs=8, eval_every=4), seed)
+            model_config = replace(TRAIN_MODEL, seed=seed)
+            base = train(train_set, valid_set, model_config, TrainConfig(mode=Variant.BASE, epochs=8, eval_every=4))
+            integ = train(train_set, valid_set, model_config,
+                          TrainConfig(mode=Variant.INTEGRATED, epochs=8, eval_every=4))
             samples = test_ds.data[:N_EVAL_SAMPLES]
             runs = {
-                "base": rollout(base.model, samples, CorrectionMode.OFF, test_ds.mask),
-                "staged": rollout(base.model, samples, CorrectionMode.POST_HOC, test_ds.mask),
-                "integrated": rollout(integ.model, samples, CorrectionMode.FEEDBACK, test_ds.mask),
+                "base": rollout(base.model, samples, Variant.BASE, test_ds.mask),
+                "staged": rollout(base.model, samples, Variant.STAGED, test_ds.mask),
+                "integrated": rollout(integ.model, samples, Variant.INTEGRATED, test_ds.mask),
             }
             off_rmse, post_rmse = runs["base"].rmse, runs["staged"].rmse
             for i in range(N_EVAL_SAMPLES):
@@ -295,7 +296,7 @@ def _run_pipeline(root: Path) -> dict[str, bytes]:
                          "--out", str(data / f"{split}.ecfd"), *args]) == 0
     run = root / "run"
     assert cli_main(["train", "--train", str(data / "train.ecfd"), "--valid", str(data / "valid.ecfd"),
-                     "--out", str(run), "--mode", "baseline", "--seed", "0", "--epochs", "2",
+                     "--out", str(run), "--mode", "base", "--seed", "0", "--epochs", "2",
                      "--eval-every", "2", "--width", "4", "--n-layers", "1", "--modes-kept", "2"]) == 0
     evals = root / "evals"
     for variant in ("base", "staged"):

@@ -14,8 +14,10 @@ import zeromode
 import zeromode.training
 import zeromode.verify
 from zeromode.cli import main
+from zeromode.correction import Variant
 from zeromode.datafile import read_dataset, sidecar_path
 from zeromode.model import load_checkpoint
+from zeromode.training import rollout
 
 GEN_ARGS = ["--samples", "3", "--resolution", "16", "--n-steps", "100", "--n-snapshots", "10"]
 TRAIN_ARGS = ["--epochs", "2", "--eval-every", "2", "--width", "4", "--n-layers", "1",
@@ -76,13 +78,13 @@ class TestGen:
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One generated pair of splits plus a trained baseline run."""
+    """One generated pair of splits plus a trained base run."""
     root = tmp_path_factory.mktemp("pipeline")
     train_path = gen(root, "train")
     valid_path = gen(root, "valid")
     run_dir = root / "run"
     code = main(["train", "--train", str(train_path), "--valid", str(valid_path),
-                 "--out", str(run_dir), "--mode", "baseline", "--seed", "1", *TRAIN_ARGS])
+                 "--out", str(run_dir), "--mode", "base", "--seed", "1", *TRAIN_ARGS])
     assert code == 0
     return root, train_path, valid_path, run_dir
 
@@ -91,19 +93,19 @@ class TestTrain:
     def test_artifacts(self, pipeline):
         _, _, _, run_dir = pipeline
         model = load_checkpoint(run_dir / "model.ckpt")
-        assert model.config.seed == 1  # run seed replaces the config seed
+        assert model.config.seed == 1  # --seed is the model config's seed
         log = json.loads((run_dir / "training_log.json").read_text())
         assert [r["epoch"] for r in log["log"]] == [1, 2]
         assert log["best_epoch"] >= 1
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["seeds"] == [1]
-        assert manifest["config"]["mode"] == "baseline"
+        assert manifest["config"]["mode"] == "base"
 
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         root, train_path, valid_path, run_dir = pipeline
         code = main(["train", "--train", str(train_path), "--valid", str(valid_path),
-                     "--out", str(tmp_path / "again"), "--mode", "baseline", "--seed", "1",
+                     "--out", str(tmp_path / "again"), "--mode", "base", "--seed", "1",
                      *TRAIN_ARGS])
         assert code == 0
         a = (run_dir / "model.ckpt").read_bytes()
@@ -139,6 +141,19 @@ class TestEvalAndReport:
         base = np.array(by_variant["base"]["rmse_per_step"])
         assert np.all(staged <= base + 1e-9)
 
+    def test_eval_record_holds_the_rows_of_its_variant(self, pipeline, tmp_path):
+        _, _, valid_path, run_dir = pipeline
+        model, dataset = load_checkpoint(run_dir / "model.ckpt"), read_dataset(valid_path)
+        out = tmp_path / "evals"
+        for variant in Variant:
+            assert main(["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path),
+                         "--out", str(out), "--variant", variant.value]) == 0
+            record = json.loads((out / "records.jsonl").read_text().splitlines()[-1])
+            result = rollout(model, dataset.data, variant, dataset.mask)
+            assert record["variant"] == variant.value
+            assert record["rmse_per_step"] == result.rmse.mean(axis=0).tolist()
+            assert record["cons_err_per_step"] == result.cons_err.mean(axis=0).tolist()
+
     def test_report_from_records(self, pipeline, tmp_path):
         _, _, valid_path, run_dir = pipeline
         out = tmp_path / "evals"
@@ -159,6 +174,8 @@ class TestEvalAndReport:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rollout_seconds"] > 0.0
+        # the variant names the correction, so no other key repeats it
+        assert set(manifest["config"]) == {"model", "data", "variant"}
         env = manifest["environment"]
         assert env["numpy"] == np.__version__ and env["scipy"]
         assert env["cpu_count"] == os.cpu_count()
@@ -202,6 +219,14 @@ def eval_row(*extra):
         _, _, valid_path, run_dir = pipeline
         return ["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path),
                 "--out", str(tmp_path / "evals"), *extra]
+    return build
+
+
+def train_row(*extra):
+    def build(pipeline, tmp_path):
+        _, train_path, valid_path, _ = pipeline
+        return ["train", "--train", str(train_path), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
+                *TRAIN_ARGS, *extra]
     return build
 
 
@@ -297,10 +322,17 @@ BAD_INPUTS = [
     pytest.param(config_row("gen", {"samples": [2]}), "'samples'", True, id="gen-samples-list"),
     pytest.param(config_row("gen", {"resolution": None}), "'resolution'", True, id="gen-resolution-null"),
     pytest.param(config_row("gen", {"velocity": 3}), "'velocity'", True, id="gen-velocity-number"),
+    pytest.param(config_row("gen", {"velocity": [1, "a"]}), "velocity must be two finite numbers", True,
+                 id="gen-velocity-string"),
     pytest.param(config_row("gen", {"t_final": float("nan")}), "NaN is not a valid config value", True,
                  id="gen-t-final-nan"),
     pytest.param(config_row("train", {"lr": float("nan")}), "NaN is not a valid config value", True,
                  id="train-lr-nan"),
+    pytest.param(train_row("--lr", "nan"), "lr must be finite and non-negative, got nan", True,
+                 id="train-lr-flag-nan"),
+    pytest.param(train_row("--weight-decay", "-5"), "weight_decay must be finite and non-negative, got -5.0", True,
+                 id="train-weight-decay-negative"),
+    pytest.param(train_row("--mode", "baseline"), "invalid choice: 'baseline'", False, id="train-mode-baseline"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 0)), "bad checkpoint magic", True, id="ckpt-cut-magic"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 1)), "header truncated", True,
                  id="ckpt-cut-version-length"),

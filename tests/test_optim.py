@@ -86,7 +86,7 @@ class TestGuards:
     def test_inputs_left_untouched(self):
         model = fresh()
         before = model.params.copy()
-        state = init_optimizer(model)
+        state = init_optimizer(model, lr=1e-3, weight_decay=1e-4)
         m_before = state.m.copy()
         adamw_step(model, np.ones_like(before), state)
         np.testing.assert_array_equal(model.params, before)
@@ -98,9 +98,9 @@ class TestGuards:
         grads = np.zeros_like(model.params)
         grads[3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            adamw_step(model, grads, init_optimizer(model))
+            adamw_step(model, grads, init_optimizer(model, lr=1e-3, weight_decay=1e-4))
 
     def test_shape_mismatch_rejected(self):
         model = fresh()
         with pytest.raises(ValueError, match="shape"):
-            adamw_step(model, np.zeros(model.params.size - 1), init_optimizer(model))
+            adamw_step(model, np.zeros(model.params.size - 1), init_optimizer(model, lr=1e-3, weight_decay=1e-4))

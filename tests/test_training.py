@@ -1,11 +1,12 @@
 """Training loop determinism, mode semantics, and rollout correction behaviour."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zeromode.correction import ConservationMask, pin_channel_means
+from zeromode.correction import ConservationMask, Variant, pin_channel_means
 from zeromode.datasets import (
     DatasetConfig,
     Problem,
@@ -20,13 +21,10 @@ from zeromode.model import (
     loss_and_grad,
 )
 from zeromode.training import (
-    CorrectionMode,
     RolloutResult,
     TrainConfig,
-    TrainMode,
     TrainingDiverged,
     rollout,
-    rollout_correction_for,
     sample_training_pairs,
     train,
 )
@@ -78,62 +76,83 @@ class TestPairSampling:
 class TestTrainLoop:
     def test_bit_identical_reruns(self, sets):
         train_set, valid_set = sets
-        cfg = TrainConfig(mode=TrainMode.BASELINE, epochs=3, eval_every=2)
-        a = train(train_set, valid_set, MODEL_CFG, cfg, seed=0)
-        b = train(train_set, valid_set, MODEL_CFG, cfg, seed=0)
+        cfg = TrainConfig(mode=Variant.BASE, epochs=3, eval_every=2)
+        a = train(train_set, valid_set, MODEL_CFG, cfg)
+        b = train(train_set, valid_set, MODEL_CFG, cfg)
         assert a.model.params.tobytes() == b.model.params.tobytes()
         assert a.log == b.log
         assert a.best_epoch == b.best_epoch
 
     def test_staged_training_is_bit_identical_to_baseline(self, sets):
         train_set, valid_set = sets
-        base = train(train_set, valid_set, MODEL_CFG,
-                     TrainConfig(mode=TrainMode.BASELINE, epochs=3, eval_every=2), seed=1)
-        staged = train(train_set, valid_set, MODEL_CFG,
-                       TrainConfig(mode=TrainMode.STAGED, epochs=3, eval_every=2), seed=1)
+        base = train(train_set, valid_set, replace(MODEL_CFG, seed=1),
+                     TrainConfig(mode=Variant.BASE, epochs=3, eval_every=2))
+        staged = train(train_set, valid_set, replace(MODEL_CFG, seed=1),
+                       TrainConfig(mode=Variant.STAGED, epochs=3, eval_every=2))
         assert base.model.params.tobytes() == staged.model.params.tobytes()
         assert base.log == staged.log
 
     def test_integrated_training_differs(self, sets):
         train_set, valid_set = sets
-        base = train(train_set, valid_set, MODEL_CFG,
-                     TrainConfig(mode=TrainMode.BASELINE, epochs=2, eval_every=2), seed=1)
-        integ = train(train_set, valid_set, MODEL_CFG,
-                      TrainConfig(mode=TrainMode.INTEGRATED, epochs=2, eval_every=2), seed=1)
+        base = train(train_set, valid_set, replace(MODEL_CFG, seed=1),
+                     TrainConfig(mode=Variant.BASE, epochs=2, eval_every=2))
+        integ = train(train_set, valid_set, replace(MODEL_CFG, seed=1),
+                      TrainConfig(mode=Variant.INTEGRATED, epochs=2, eval_every=2))
         assert base.model.params.tobytes() != integ.model.params.tobytes()
 
     def test_zero_lr_keeps_init_params(self, sets):
         train_set, valid_set = sets
-        cfg = TrainConfig(mode=TrainMode.BASELINE, epochs=2, eval_every=1, lr=0.0, weight_decay=0.0)
-        result = train(train_set, valid_set, MODEL_CFG, cfg, seed=9)
-        reference = init_model(OperatorConfig(**{**MODEL_CFG.to_dict(), "seed": 9}))
+        cfg = TrainConfig(mode=Variant.BASE, epochs=2, eval_every=1, lr=0.0, weight_decay=0.0)
+        result = train(train_set, valid_set, replace(MODEL_CFG, seed=9), cfg)
+        reference = init_model(replace(MODEL_CFG, seed=9))
         assert result.model.params.tobytes() == reference.params.tobytes()
         # constant validation score: ties resolve to the earliest epoch
         assert result.best_epoch == 1
 
     def test_validation_schedule_and_log(self, sets):
         train_set, valid_set = sets
-        cfg = TrainConfig(mode=TrainMode.BASELINE, epochs=5, eval_every=2)
-        result = train(train_set, valid_set, MODEL_CFG, cfg, seed=2)
+        cfg = TrainConfig(mode=Variant.BASE, epochs=5, eval_every=2)
+        result = train(train_set, valid_set, replace(MODEL_CFG, seed=2), cfg)
         assert [r["epoch"] for r in result.log] == [1, 2, 3, 4, 5]
         assert [r["epoch"] for r in result.log if "val_rmse" in r] == [2, 4, 5]
         scored = [r["val_rmse"] for r in result.log if "val_rmse" in r]
         assert result.best_val_rmse == min(scored)
 
+    @pytest.mark.parametrize("mode", list(Variant))
+    def test_validation_rolls_integrated_or_base(self, sets, mode):
+        train_set, valid_set = sets
+        result = train(train_set, valid_set, MODEL_CFG, TrainConfig(mode=mode, epochs=2, eval_every=2))
+        rolled = Variant.INTEGRATED if mode is Variant.INTEGRATED else Variant.BASE
+        other = Variant.BASE if mode is Variant.INTEGRATED else Variant.INTEGRATED
+        # one validation, at the last epoch, so the returned model is the one scored
+        assert result.log[-1]["val_rmse"] == rollout(result.model, valid_set.data, rolled, valid_set.mask).mean_rmse
+        assert result.log[-1]["val_rmse"] != rollout(result.model, valid_set.data, other, valid_set.mask).mean_rmse
+
     def test_divergence_raises_with_epoch(self, sets):
         train_set, valid_set = sets
         huge = generate_dataset(DatasetConfig(params=train_set_params(), n_samples=2, master_seed=0))
         huge.data = huge.data * 1e160  # mse residuals overflow to inf
-        cfg = TrainConfig(mode=TrainMode.BASELINE, epochs=2, eval_every=2, loss="mse")
+        cfg = TrainConfig(mode=Variant.BASE, epochs=2, eval_every=2, loss="mse")
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as err:
-            train(huge, valid_set, MODEL_CFG, cfg, seed=0)
+            train(huge, valid_set, MODEL_CFG, cfg)
         assert err.value.epoch == 1
+
+    @pytest.mark.parametrize("field, value", [("lr", float("nan")), ("lr", -1.0),
+                                              ("weight_decay", float("inf")), ("weight_decay", -5.0)])
+    def test_config_rejects_bad_step_sizes(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            TrainConfig(**{field: value})
+
+    def test_config_mode_is_a_variant(self):
+        assert TrainConfig(mode="integrated").mode is Variant.INTEGRATED
+        with pytest.raises(ValueError, match="baseline"):
+            TrainConfig(mode="baseline")
 
     def test_channel_mismatch_rejected(self, sets):
         train_set, valid_set = sets
         bad = OperatorConfig(channels=3, width=4, n_layers=1, modes_kept=2, ndim=2)
         with pytest.raises(ValueError, match="channels"):
-            train(train_set, valid_set, bad, TrainConfig(epochs=1), seed=0)
+            train(train_set, valid_set, bad, TrainConfig(epochs=1))
 
 
 def train_set_params():
@@ -157,7 +176,7 @@ class TestIntegratedShiftFixture:
         assert corrected < 1e-6
 
 
-def stacked_rollout(step, traj, correction, mask):
+def stacked_rollout(step, traj, variant, mask):
     """The whole-split form of a rollout: the stored frames are pinned in one
     call with broadcast targets after the raw loop, and scored in one
     ``step_metrics`` call over the (samples * steps, ...) stack."""
@@ -167,10 +186,10 @@ def stacked_rollout(step, traj, correction, mask):
     state = traj[:, 0]
     for k in range(n_steps):
         state = step(state)
-        if correction is CorrectionMode.FEEDBACK:
+        if variant is Variant.INTEGRATED:
             state = pin_channel_means(state, targets, mask.flags)
         frames[:, k] = state
-    if correction is CorrectionMode.POST_HOC:
+    if variant is Variant.STAGED:
         frames = pin_channel_means(frames, np.broadcast_to(targets[:, None], frames.shape[:3]), mask.flags)
     stacked = (n_samples * n_steps, *traj.shape[2:])
     rmse, cons = step_metrics(frames.reshape(stacked), traj[:, 1:].reshape(stacked), mask)
@@ -178,11 +197,6 @@ def stacked_rollout(step, traj, correction, mask):
 
 
 class TestRollout:
-    def test_mode_for_training_paradigm(self):
-        assert rollout_correction_for(TrainMode.BASELINE) is CorrectionMode.OFF
-        assert rollout_correction_for(TrainMode.STAGED) is CorrectionMode.OFF
-        assert rollout_correction_for(TrainMode.INTEGRATED) is CorrectionMode.FEEDBACK
-
     def test_single_frame_trajectory_is_empty(self):
         result = rollout(lambda v: v, np.ones((1, 1, 1, 8, 8)))
         assert isinstance(result, RolloutResult)
@@ -201,10 +215,10 @@ class TestRollout:
     def test_feedback_pins_every_state(self):
         traj = np.full((6, 1, 8, 8), 1.3)
         biased = lambda v: v + 0.01
-        off = rollout(biased, traj[None], correction=CorrectionMode.OFF)
+        off = rollout(biased, traj[None], variant=Variant.BASE)
         expected_drift = 0.01 * np.arange(1, 6) / 1.3
         np.testing.assert_allclose(off.cons_err[0], expected_drift, rtol=1e-12)
-        fed = rollout(biased, traj[None], correction=CorrectionMode.FEEDBACK,
+        fed = rollout(biased, traj[None], variant=Variant.INTEGRATED,
                       mask=ConservationMask((True,)))
         # the shift-based pin is exact up to one rounding of the mean
         assert fed.cons_err.max() < 1e-13
@@ -215,8 +229,8 @@ class TestRollout:
         traj = rng.normal(size=(5, 2, 8, 8)) + 1.5
         model = init_model(OperatorConfig(channels=2, width=4, n_layers=1, modes_kept=2, ndim=2, seed=6))
         mask = ConservationMask((True, True))
-        off = rollout(lambda v: 0.9 * v + 0.01, traj[None], correction=CorrectionMode.OFF)
-        post = rollout(lambda v: 0.9 * v + 0.01, traj[None], correction=CorrectionMode.POST_HOC, mask=mask)
+        off = rollout(lambda v: 0.9 * v + 0.01, traj[None], variant=Variant.BASE)
+        post = rollout(lambda v: 0.9 * v + 0.01, traj[None], variant=Variant.STAGED, mask=mask)
         target = traj[0].mean(axis=(1, 2))
         for k in range(off.n_steps):
             np.testing.assert_array_equal(post.frames[0, k],
@@ -229,22 +243,31 @@ class TestRollout:
         traj += 1.5 - traj.mean(axis=(1, 2, 3), keepdims=True)  # conserving truth
         step = lambda v: v**2 + 0.05
         mask = ConservationMask((True,))
-        fed = rollout(step, traj[None], correction=CorrectionMode.FEEDBACK, mask=mask)
-        post = rollout(step, traj[None], correction=CorrectionMode.POST_HOC, mask=mask)
+        fed = rollout(step, traj[None], variant=Variant.INTEGRATED, mask=mask)
+        post = rollout(step, traj[None], variant=Variant.STAGED, mask=mask)
         assert not np.allclose(fed.frames, post.frames)
         # both end pinned to the initial mean, up to rounding of the shift
         assert fed.cons_err.max() < 1e-13
         assert post.cons_err.max() < 1e-13
 
+    def test_variant_value_rolls_as_its_member(self):
+        traj = np.random.default_rng(12).normal(1.5, 0.2, size=(1, 4, 1, 8, 8))
+        step = lambda v: v**2 + 0.05
+        mask = ConservationMask((True,))
+        named = rollout(step, traj, "integrated", mask)
+        assert named.frames.tobytes() == rollout(step, traj, Variant.INTEGRATED, mask).frames.tobytes()
+        with pytest.raises(ValueError, match="post_hoc"):
+            rollout(step, traj, "post_hoc", mask)
+
     def test_correction_requires_mask(self):
         with pytest.raises(ValueError, match="mask"):
-            rollout(lambda v: v, np.ones((1, 3, 1, 8, 8)), correction=CorrectionMode.FEEDBACK)
+            rollout(lambda v: v, np.ones((1, 3, 1, 8, 8)), variant=Variant.INTEGRATED)
 
     def test_mask_channel_mismatch_rejected(self):
         mask = ConservationMask((True, True))
-        for mode in CorrectionMode:
+        for mode in Variant:
             with pytest.raises(ValueError, match="mask covers 2 channels"):
-                rollout(lambda v: v + 0.1, np.ones((1, 3, 1, 8, 8)), correction=mode, mask=mask)
+                rollout(lambda v: v + 0.1, np.ones((1, 3, 1, 8, 8)), variant=mode, mask=mask)
 
     def test_non_finite_state_aborts_with_step(self):
         calls = {"n": 0}
@@ -268,14 +291,14 @@ class TestRollout:
         with pytest.raises(RuntimeError, match="sample 2 at step 3"):
             rollout(step, np.ones((3, 5, 1, 8, 8)))
 
-    @pytest.mark.parametrize("mode", list(CorrectionMode))
+    @pytest.mark.parametrize("mode", list(Variant))
     def test_batched_rows_equal_single_sample_rollouts(self, sets, mode):
         _, valid_set = sets
         trajectories = np.concatenate([valid_set.data, valid_set.data[::-1] * 1.5])
         model = init_model(MODEL_CFG)
-        batched = rollout(model, trajectories, correction=mode, mask=valid_set.mask)
+        batched = rollout(model, trajectories, variant=mode, mask=valid_set.mask)
         for i, traj in enumerate(trajectories):
-            single = rollout(model, traj[None], correction=mode, mask=valid_set.mask)
+            single = rollout(model, traj[None], variant=mode, mask=valid_set.mask)
             assert batched.frames[i].tobytes() == single.frames[0].tobytes()
             assert batched.rmse[i].tobytes() == single.rmse[0].tobytes()
             assert batched.cons_err[i].tobytes() == single.cons_err[0].tobytes()
@@ -286,7 +309,7 @@ class TestRollout:
         assert np.isnan(result.cons_err).all()
         assert result.rmse.max() == 0.0
 
-    @pytest.mark.parametrize("mode", list(CorrectionMode))
+    @pytest.mark.parametrize("mode", list(Variant))
     @pytest.mark.parametrize("shape, flags", [((6, 12, 2, 16, 16), (True, False)),
                                               ((5, 21, 3, 21), (True, False, True))])
     def test_equals_stacked_reference_bit_for_bit(self, mode, shape, flags):
@@ -296,18 +319,18 @@ class TestRollout:
         mask = ConservationMask(flags)
         step = lambda v: 0.9 * v + 0.05 * np.tanh(np.roll(v, 1, axis=-1)) + 0.01
         frames, rmse, cons = stacked_rollout(step, traj, mode, mask)
-        result = rollout(step, traj, correction=mode, mask=mask)
+        result = rollout(step, traj, variant=mode, mask=mask)
         assert np.isnan(cons[1]).all() and not np.isnan(cons[0]).any()
         assert result.frames.tobytes() == frames.tobytes()
         assert result.rmse.tobytes() == rmse.tobytes()
         assert result.cons_err.tobytes() == cons.tobytes()
 
-    @pytest.mark.parametrize("mode", [CorrectionMode.FEEDBACK, CorrectionMode.POST_HOC])
+    @pytest.mark.parametrize("mode", [Variant.INTEGRATED, Variant.STAGED])
     def test_peak_memory_is_frames_plus_one_step(self, mode):
         traj = np.random.default_rng(9).normal(1.0, 0.2, size=(8, 17, 1, 32, 32))
         tracemalloc.start()
         try:
-            result = rollout(lambda v: 0.9 * v + 0.1, traj, correction=mode, mask=ConservationMask((True,)))
+            result = rollout(lambda v: 0.9 * v + 0.1, traj, variant=mode, mask=ConservationMask((True,)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
