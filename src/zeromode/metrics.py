@@ -86,8 +86,12 @@ class MetricsRecord:
         values = [v.value for v in Variant]
         if self.variant not in values:
             raise ValueError(f"variant must be one of {values}, got {self.variant!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not isinstance(self.dataset, str):
+            raise ValueError(f"seed must be an integer and dataset a string, got {self.seed!r} and {self.dataset!r}")
         if not self.rmse_per_step:
             raise ValueError("record needs at least one rollout step")
+        if len(self.rmse_per_step) != len(self.cons_err_per_step):
+            raise ValueError("rmse_per_step and cons_err_per_step differ in length")
         self.rmse_per_step = [float(x) for x in self.rmse_per_step]
         self.cons_err_per_step = [float(x) for x in self.cons_err_per_step]
         self.rmse_mean = float(np.mean(self.rmse_per_step))

@@ -34,20 +34,28 @@ exactly zero, and a constant passes a zero-mode identity weight bit for
 bit.  A BLAS dot product with a row of ones would round its running sum
 term by term instead.
 
+The lift L x + l and the projection P h + c are pointwise linear maps, so
+they commute with the band transform and act on band modes: block 0 takes
+(W0 L) x + (W0 l + b0) and the band L _to_band(x) + n l on the zero mode,
+the last block returns P gelu(z) + c + _from_band(P mixed), and a forward
+or backward runs 2 lifted-width transforms at the default depth, not 4.
+With L and P of ones and zeros and l = 0 (:func:`constant_identity_model`)
+L X and P mixed add exact zeros, so a constant still passes bit for bit.
+
 The forward pass writes every activation-size intermediate into a
 workspace cached per (batch shape, width, n_layers, taped) and reused by
 every later call of that shape, so a steady-state call allocates no
 activation.  A forward-only call uses three activation buffers and one
-half-spectrum buffer (the last-axis real FFT): two buffers take turns as a
-block's input h and its tanh t, and the third holds ``W h + b``.  Each block
-overwrites h with its spectral branch once h's FFT and ``W h`` are taken,
-and t with its GELU output plus that branch, which becomes the next block's
-h.  A taped call keeps each block's h, ``W h + b`` and tanh in buffers of
-their own, which stay valid until the next taped call of the same shape; the
-spectral branches share one buffer.  The prediction returned is always a
-fresh array, never a view of the workspace.  The workspace is shared
-process-wide, so two threads must not run forwards of one shape at the same
-time.
+lifted-width half spectrum (the last-axis real FFT): two buffers take turns
+as a block's output and its tanh, and the third holds ``W h + b``.  Each
+middle block overwrites its input h with its spectral branch once h's FFT
+and ``W h`` are taken, and the other buffer with its GELU output plus that
+branch, which becomes the next block's h.  A taped call keeps each block's output,
+``W h + b`` and tanh in buffers of their own, which stay valid until the
+next taped call of the same shape; the spectral branches share one buffer.
+The prediction returned is always a fresh array, never a view of the
+workspace.  The workspace is shared process-wide, so two threads must not
+run forwards of one shape at the same time.
 
 The elementwise work of a block (GELU, its tanh and the residual ``+ s``;
 in the backward ``gelu_grad`` and its product with the upstream gradient)
@@ -57,10 +65,10 @@ one core, so a chain of whole-array passes streams each pass from L3.
 ``gelu_grad``, the widest kernel, keeps about six operand tiles live,
 1.5 MiB, which stays in a 2 MiB L2.  An elementwise operation rounds each
 element on its own, so the tiles give the whole-array bits.  FFTs and
-matmuls stay whole.  The lift from one data channel is a broadcast product
-``w * x`` instead of a matmul with inner dimension 1: 0.13 ms against 0.82
-ms at 16 x 128^2, with the same bits, since one product has no sum to
-reorder.
+matmuls stay whole.  Block 0's ``(W0 L) x`` from one data channel is a
+broadcast product ``w * x`` instead of a matmul with inner dimension 1:
+0.13 ms against 0.82 ms at 16 x 128^2, with the same bits, since one
+product has no sum to reorder.
 
 Channel mixing on the band is one broadcast ``matmul`` per mode, (B, m, 1,
 i) @ (m, i, o), in the forward and in the backward's input adjoint.  Each
@@ -69,11 +77,8 @@ any batch, which lets one batched rollout stand in for per-sample ones (an
 ``einsum`` over the batch gave bits 2e-16 apart at B=1 and B=10, and took
 0.24 against 0.15 ms at B=1).  ``forward_values`` runs its batch in chunks
 of ``_CHUNK_BYTES`` = 1 MiB of activation, width x points x 8 bytes per
-sample.  Per-sample forward ms at width 16 for B = 1 / 2 / 4 / 8 / 16, the
-median of 8 single-threaded processes: 32^2 1.80 / 1.42 / 1.46 / 1.43 /
-1.38, 64^2 3.82 / 3.32 / 3.58 / 3.82 / 4.28, 128^2 12.5 / 12.6 / 14.8 /
-16.5 / 16.8.  So a chunk holds eight samples at 32^2, two at 64^2 and one
-at 128^2, each no slower per sample than B=1.
+sample: eight samples at 32^2, two at 64^2 and one at 128^2, each no
+slower per sample than B=1 in single-threaded timings at width 16.
 
 No autodiff framework is used: every layer implements its own adjoint,
 and the gradient of the training loss (including the optional zero-mode
@@ -248,7 +253,7 @@ class ParamSlot:
     is_complex: bool
     offset: int
 
-    @property
+    @functools.cached_property  # computed once per slot of the cached layout
     def n_floats(self) -> int:
         return int(np.prod(self.shape)) * (2 if self.is_complex else 1)
 
@@ -487,11 +492,19 @@ def _spectral_forward(
 def _spectral_backward(grad_y: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band):
     # the adjoint of x -> _from_band(W _to_band(x)) is g -> _from_band(W^H _to_band(g)):
     # _to_band and _from_band are each other's transposes up to n_points, which cancels
-    gy_modes = _to_band(grad_y, band)
-    n_points = np.prod(band.resolution)
-    grad_weight = np.einsum("bim,bom->iom", np.conj(x_modes), gy_modes, optimize=True) / n_points
-    gx_modes = _mix_modes(gy_modes, np.conj(weight).transpose(1, 0, 2))
+    gx_modes, grad_weight = _mixing_backward(_to_band(grad_y, band), weight, x_modes, band)
     return _from_band(gx_modes, band), grad_weight
+
+
+def _mixing_backward(gy_modes: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band):
+    """(band gradient of the mixing's input, weight gradient) given the band gradient of its output."""
+    grad_weight = np.einsum("bim,bom->iom", np.conj(x_modes), gy_modes, optimize=True) / np.prod(band.resolution)
+    return _mix_modes(gy_modes, np.conj(weight).transpose(1, 0, 2)), grad_weight
+
+
+def _band_inner(a_modes: np.ndarray, b_modes: np.ndarray, band: _Band) -> np.ndarray:
+    """out[i, j] = Re sum conj(a[:, i]) b[:, j] / n_points; with a = _to_band(u), sum_p u_i _from_band(b)_j."""
+    return np.einsum("bik,bjk->ij", np.conj(a_modes), b_modes, optimize=True).real / np.prod(band.resolution)
 
 
 def _pointwise_forward(
@@ -523,10 +536,10 @@ def _pointwise_adjoint(grad_y: np.ndarray, weight: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Activation buffers of one forward shape, indexed by block.
 
-    Block i reads ``h[i]``, writes ``W h + b`` into ``z[i]``, its spectral
-    branch into ``s[i]``, its tanh into ``t[i]`` and its output into
-    ``h[i + 1]``; ``spectrum`` holds each real FFT.  Which entries share
-    memory is what :func:`_workspace` decides.
+    Block i writes ``W h + b`` into ``z[i]``, its spectral branch into
+    ``s[i]``, its tanh into ``t[i]`` and its output, for the last block its
+    GELU alone, into ``h[i]``; ``spectrum`` holds each real FFT.  Which
+    entries share memory is what :func:`_workspace` decides.
     """
 
     h: tuple[np.ndarray, ...]
@@ -541,13 +554,14 @@ def _workspace(shape: tuple[int, ...], n_layers: int, taped: bool) -> _Workspace
     """Buffers for activations shaped (B, width, *spatial), aliased as the module docstring says."""
     spectrum = np.empty((*shape[:-1], shape[-1] // 2 + 1), dtype=np.complex128)
     if taped:
-        h = tuple(np.empty(shape) for _ in range(n_layers + 1))
+        h = tuple(np.empty(shape) for _ in range(n_layers))
         z = tuple(np.empty(shape) for _ in range(n_layers))
         t = tuple(np.empty(shape) for _ in range(n_layers))
         return _Workspace(h, z, t, (np.empty(shape),) * n_layers, spectrum)
     pair = (np.empty(shape), np.empty(shape))
-    h = tuple(pair[i % 2] for i in range(n_layers + 1))
-    return _Workspace(h, (np.empty(shape),) * n_layers, h[1:], h[:-1], spectrum)
+    h = tuple(pair[i % 2] for i in range(n_layers))
+    s = tuple(pair[(i + 1) % 2] for i in range(n_layers))  # block i's input, once read
+    return _Workspace(h, (np.empty(shape),) * n_layers, h, s, spectrum)
 
 
 def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
@@ -565,17 +579,32 @@ def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None
     band = _band(x.shape[2:], cfg.modes_kept)
     ws = _workspace((x.shape[0], cfg.width, *x.shape[2:]), cfg.n_layers, tape is not None)
     p = _views(model.params, cfg)
+    last = cfg.n_layers - 1
 
-    h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"], out=ws.h[0])
-    for i in range(cfg.n_layers):
-        z = _pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"], out=ws.z[i])
-        s, x_modes = _spectral_forward(h, p[f"block{i}.spectral"], band, out=ws.s[i], spectrum=ws.spectrum)
+    # block 0 takes the lift L x + l as maps of x: W0 (L x + l) + b0, and L X + n l on the zero mode
+    lift_w, lift_b, w0 = p["lift.weight"], p["lift.bias"], p["block0.weight"]
+    x_modes = _to_band(x, band)
+    modes = lift_w @ x_modes
+    modes[..., 0] += np.prod(band.resolution) * lift_b
+    z = _pointwise_forward(x, w0 @ lift_w, w0 @ lift_b + p["block0.bias"], out=ws.z[0])
+    h = x
+    for i in range(last):
+        if i == 0:
+            s = _from_band(_mix_modes(modes, p["block0.spectral"]), band, ws.spectrum, out=ws.s[0])
+        else:
+            s, modes = _spectral_forward(h, p[f"block{i}.spectral"], band, out=ws.s[i], spectrum=ws.spectrum)
         if tape is not None:
-            tape[f"block{i}"] = (h, x_modes, z, ws.t[i])
-        h = gelu(z, tanh_out=ws.t[i], out=ws.h[i + 1], residual=s)
+            tape[f"block{i}"] = (h, modes, z, ws.t[i])
+        h = gelu(z, tanh_out=ws.t[i], out=ws.h[i], residual=s)
+        z = _pointwise_forward(h, p[f"block{i + 1}.weight"], p[f"block{i + 1}.bias"], out=ws.z[i + 1])
+    # the last block and the projection: P (gelu(z) + _from_band(mixed)) + c, with P moved into the band
+    if last > 0:
+        modes = _to_band(h, band, ws.spectrum)
+    mixed = _mix_modes(modes, p[f"block{last}.spectral"])
+    g = gelu(z, tanh_out=ws.t[last], out=ws.h[last])
     if tape is not None:
-        tape.update(x=x, band=band, proj_in=h)
-    return _pointwise_forward(h, p["proj.weight"], p["proj.bias"])
+        tape.update({f"block{last}": (h, modes, z, ws.t[last])}, band=band, x_modes=x_modes, mixed=mixed, proj_in=g)
+    return _pointwise_forward(g, p["proj.weight"], p["proj.bias"]) + _from_band(p["proj.weight"] @ mixed, band)
 
 
 def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.ndarray:
@@ -584,20 +613,33 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
     band = tape["band"]
     flat = np.zeros(n_params(cfg))
     grads = _views(flat, cfg)  # each gradient is written into its slot of ``flat``
+    last = cfg.n_layers - 1
 
-    grads["proj.weight"][...], grads["proj.bias"][...] = _pointwise_backward(grad_y, tape["proj_in"])
+    # y = P gelu(z) + c + _from_band(P mixed): P^T _to_band(grad_y) is the band gradient of mixed
+    gy_modes = _to_band(grad_y, band)
+    grad_proj, grads["proj.bias"][...] = _pointwise_backward(grad_y, tape["proj_in"])
+    grads["proj.weight"][...] = grad_proj + _band_inner(gy_modes, tape["mixed"], band)
     grad_h = _pointwise_adjoint(grad_y, p["proj.weight"])
     for i in reversed(range(cfg.n_layers)):
-        h_in, x_modes, z, t = tape[f"block{i}"]
+        h_in, modes, z, t = tape[f"block{i}"]
+        weight, grad_weight = p[f"block{i}.spectral"], grads[f"block{i}.spectral"]
         grad_z = gelu_grad(z, tanh=t, upstream=grad_h)
-        gx_spec, grads[f"block{i}.spectral"][...] = _spectral_backward(
-            grad_h, p[f"block{i}.spectral"], x_modes, band
-        )
+        if 0 < i < last:
+            grad_h, grad_weight[...] = _spectral_backward(grad_h, weight, modes, band)
+        else:
+            band_grad = p["proj.weight"].T @ gy_modes if i == last else _to_band(grad_h, band)
+            q, grad_weight[...] = _mixing_backward(band_grad, weight, modes, band)
+            if i == 0:
+                break
+            grad_h = _from_band(q, band)
         grads[f"block{i}.weight"][...], grads[f"block{i}.bias"][...] = _pointwise_backward(grad_z, h_in)
-        grad_h = gx_spec
         grad_h += _pointwise_adjoint(grad_z, p[f"block{i}.weight"])
-    # the lift's input gradient has no reader
-    grads["lift.weight"][...], grads["lift.bias"][...] = _pointwise_backward(grad_h, tape["x"])
+    # block 0 read x through W0 L and W0 l + b0, and its band as L X + n l on the zero mode, q the gradient
+    lift_w, lift_b, w0 = p["lift.weight"], p["lift.bias"], p["block0.weight"]
+    grad_w, grad_b = _pointwise_backward(grad_z, h_in)
+    grads["block0.weight"][...], grads["block0.bias"][...] = grad_w @ lift_w.T + np.outer(grad_b, lift_b), grad_b
+    grads["lift.weight"][...] = w0.T @ grad_w + _band_inner(q, tape["x_modes"], band)
+    grads["lift.bias"][...] = w0.T @ grad_b + q[..., 0].real.sum(axis=0)
     return flat
 
 

@@ -3,7 +3,7 @@
 Three suites, runnable from the CLI: ``theorems`` exercises the exact
 algebra of the zero-mode correction, ``solvers`` holds the reference
 dynamics to closed-form oracles, ``gradients`` re-derives the hand
-adjoints by finite differences and the optimizer update in closed form.
+adjoints by finite differences and direct sums, the optimizer in closed form.
 Every check times itself and, on failure, names the first counterexample
 (trial seed plus the offending quantity).
 
@@ -40,8 +40,11 @@ from .model import (
     OperatorConfig,
     OperatorModel,
     _band,
+    _band_inner,
+    _from_band,
     _spectral_backward,
     _spectral_forward,
+    _to_band,
     init_model,
     loss_and_grad,
 )
@@ -304,7 +307,7 @@ def _check_flux_balance(correction: CorrectionFn):
 
 # -- gradients -----------------------------------------------------------------
 
-_GRAD_CFG = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=17)
+_GRAD_CFG = OperatorConfig(channels=1, width=3, n_layers=2, modes_kept=2, ndim=1, seed=17)  # first block != last
 
 
 def _fd_check(loss: str, mask: ConservationMask | None, seed: int):
@@ -386,6 +389,17 @@ def _check_spectral_adjoint(correction: CorrectionFn):
     if gap > 1e-12:
         return f"weight adjoint breaks <S_W x, g> = <W, grad_W> by {gap:.2e} (relative)"
     return None
+
+
+@_register("gradients", "band_inner_product")
+def _check_band_inner_product(correction: CorrectionFn):
+    # the lift's and projection's weight gradients use sum_p u _from_band(Y) = Re sum_k conj(_to_band(u)_k) Y_k / n
+    rng = np.random.default_rng(507)
+    band = _band((7, 10), 3)  # odd and non-square, 25 modes
+    u, modes = rng.normal(size=(2, 3, 7, 10)), rng.normal(size=(2, 4, 25)) + 1j * rng.normal(size=(2, 4, 25))
+    on_grid = np.einsum("bip,bjp->ij", u.reshape(2, 3, -1), _from_band(modes, band).reshape(2, 4, -1))
+    gap = np.abs(on_grid - _band_inner(_to_band(u, band), modes, band)).max() / np.abs(on_grid).max()
+    return None if gap <= 1e-12 else f"grid and band inner products differ by {gap:.2e} (relative)"
 
 
 @_register("gradients", "adamw_closed_form")

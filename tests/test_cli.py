@@ -239,6 +239,13 @@ def report_row(text):
     return build
 
 
+def record_line(**changes):
+    """One records.jsonl line of a valid record with ``changes`` applied."""
+    record = {"dataset": "diff", "variant": "base", "seed": 1, "rmse_per_step": [0.1, 0.2],
+              "cons_err_per_step": [0.0, 0.0]}
+    return json.dumps({**record, **changes}) + "\n"
+
+
 def without(key):
     return lambda meta: {k: v for k, v in meta.items() if k != key}
 
@@ -316,6 +323,12 @@ BAD_INPUTS = [
                  id="gen-unknown-key"),
     pytest.param(config_row("train", []), "must hold a JSON object", True, id="train-config-list"),
     pytest.param(report_row(""), "no records found", True, id="report-no-records"),
+    pytest.param(report_row(record_line() + record_line(seed="x")), "line 2: malformed record", True,
+                 id="report-seed-string"),
+    pytest.param(report_row(record_line(seed=1.5)), "seed must be an integer and dataset a string, got 1.5", True,
+                 id="report-seed-float"),
+    pytest.param(report_row(record_line(cons_err_per_step=[0.0])), "cons_err_per_step differ in length", True,
+                 id="report-steps-mismatch"),
     pytest.param(config_row("train", {"width": [16]}), "'width'", True, id="train-width-list"),
     pytest.param(config_row("train", {"seed": {"a": 1}}), "'seed'", True, id="train-seed-object"),
     pytest.param(config_row("train", {"lr": [1]}), "'lr'", True, id="train-lr-list"),

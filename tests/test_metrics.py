@@ -108,6 +108,13 @@ class TestRecord:
             MetricsRecord("heat", "fancy", 0, [1.0], [0.0])
         with pytest.raises(ValueError, match="step"):
             MetricsRecord("heat", "base", 0, [], [])
+        for seed in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                MetricsRecord("heat", "base", seed, [1.0], [0.0])
+        with pytest.raises(ValueError, match="dataset a string, got 0 and 3"):
+            MetricsRecord(3, "base", 0, [1.0], [0.0])
+        with pytest.raises(ValueError, match="differ in length"):
+            MetricsRecord("heat", "base", 0, [1.0, 2.0], [0.0])
 
 
 def make_records():

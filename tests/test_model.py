@@ -28,12 +28,17 @@ from zeromode.model import (
     _band,
     _forward_batch,
     _from_band,
+    _pointwise_forward,
     _spectral_backward,
     _spectral_forward,
 )
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
 CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
+# first, middle and last blocks all distinct, with three data channels (the matmul branches)
+CFG_2D_THREE_ROLES = OperatorConfig(channels=3, width=3, n_layers=3, modes_kept=2, ndim=2, seed=15)
+# one block, both the first and the last
+CFG_1D_ONE_BLOCK = OperatorConfig(channels=2, width=3, n_layers=1, modes_kept=2, ndim=1, seed=16)
 
 # grids for the spectral-layer oracles, each with modes_kept at its Nyquist bound
 SPECTRAL_GRIDS = [((8,), 4), ((9,), 4), ((6, 6), 3), ((7, 10), 3), ((9, 9), 4)]
@@ -254,6 +259,20 @@ class TestForward:
         fine = forward_values(model, signal(np.arange(32) / 32.0)[None])
         np.testing.assert_allclose(coarse[0], fine[0, ::2], atol=1e-10)
 
+    @pytest.mark.parametrize("cfg, shape", [
+        (CFG_2D_THREE_ROLES, (2, 3, 7, 10)),
+        (CFG_1D_ONE_BLOCK, (2, 2, 8)),
+        (OperatorConfig(channels=1, seed=17), (2, 1, 32, 32)),
+        (OperatorConfig(channels=1, seed=18), (1, 1, 128, 128)),
+    ])
+    def test_matches_unfolded_composition(self, cfg, shape):
+        model = init_model(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        model.params[:] += rng.normal(0.0, 0.1, model.params.size)  # nonzero biases too
+        x = rng.normal(size=shape)
+        reference = unfolded_forward(model, x)
+        assert np.abs(_forward_batch(model, x) - reference).max() <= 1e-13 * np.abs(reference).max()
+
     def test_modes_beyond_nyquist_rejected(self):
         model = init_model(OperatorConfig(channels=1, width=2, n_layers=1, modes_kept=5, ndim=1))
         with pytest.raises(ValueError, match="Nyquist"):
@@ -263,6 +282,17 @@ class TestForward:
         model = OperatorModel.zeros(CFG_2D)
         with pytest.raises(ValueError, match="spatial"):
             forward_values(model, np.zeros((3, 8, 8)))  # wrong channel count
+
+
+def unfolded_forward(model, x):
+    """The operator as the module docstring writes it: lift, blocks with the GELU residual, projection."""
+    p = {slot.name: model.get_param(slot.name) for slot in layout(model.config)}
+    band = _band(x.shape[2:], model.config.modes_kept)
+    h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"])
+    for i in range(model.config.n_layers):
+        s, _ = _spectral_forward(h, p[f"block{i}.spectral"], band)
+        h = gelu(_pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"])) + s
+    return _pointwise_forward(h, p["proj.weight"], p["proj.bias"])
 
 
 class TestWorkspace:
@@ -429,6 +459,21 @@ class TestSpectralLayer:
         assert _from_band(modes, band).tobytes() == y.tobytes()  # with a buffer of its own
 
 
+class TestTransformCount:
+    def test_loss_and_grad_takes_two_lifted_width_transforms_each_way(self, monkeypatch):
+        # the lift and the projection run in the band, so only the interior transforms are lifted-width
+        widths = {"rfft": [], "irfft": []}
+        for name, seen in widths.items():
+            def counted(a, *args, _real=getattr(np.fft, name), _seen=seen, **kw):
+                _seen.append(a.shape[1])
+                return _real(a, *args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        x, t = np.random.default_rng(19).normal(size=(2, 3, 1, 32, 32))
+        loss_and_grad(init_model(OperatorConfig(channels=1, seed=19)), x, t)  # width 16, 2 blocks
+        assert sorted(widths["rfft"]) == [1, 1, 16, 16]  # x and grad_y at data width
+        assert sorted(widths["irfft"]) == [1, 16, 16]  # the prediction at data width
+
+
 class TestLossValue:
     def test_mae_matches_direct_formula(self):
         rng = np.random.default_rng(21)
@@ -505,6 +550,12 @@ class TestGradientOracle:
 
     def test_mse_2d_odd_non_square(self):
         self.check(CFG_2D, (2, 2, 7, 10), "mse", mask=ConservationMask((True, False)), seed=35)
+
+    def test_mse_2d_three_block_roles(self):
+        self.check(CFG_2D_THREE_ROLES, (2, 3, 6, 6), "mse", mask=ConservationMask((True, False, True)), seed=36)
+
+    def test_mse_1d_first_block_is_last(self):
+        self.check(CFG_1D_ONE_BLOCK, (2, 2, 8), "mse", seed=37)
 
     def test_correction_kills_uniform_output_directions(self):
         # a shift in proj.bias moves the prediction uniformly; the pinned

@@ -2,6 +2,7 @@
 
 import pytest
 
+import zeromode.verify
 from zeromode.correction import pin_channel_means
 from zeromode.verify import (
     CheckResult,
@@ -75,6 +76,14 @@ class TestMutantDetection:
         for name in ("error_reduction_bound", "spectral_zero_mode_surgery"):
             assert not results[name].passed
             assert "seed" in results[name].detail
+
+    def test_real_part_band_inverse_fails_band_inner_product(self, monkeypatch):
+        # an inverse that drops the imaginary part of the band is no longer _to_band's transpose
+        exact = zeromode.verify._from_band
+        monkeypatch.setattr(zeromode.verify, "_from_band", lambda modes, band: exact(modes.real + 0j, band))
+        results = {r.name: r for r in run_checks("gradients")}
+        assert not results["band_inner_product"].passed
+        assert "differ" in results["band_inner_product"].detail
 
 
 class TestFormatting:
