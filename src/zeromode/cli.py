@@ -180,6 +180,10 @@ def _cmd_train(args, argv: list[str]) -> int:
     started = _utc_now()
     train_set = read_dataset(args.train)
     valid_set = read_dataset(args.valid)
+    if (valid_set.problem, valid_set.channels) != (train_set.problem, train_set.channels):  # any resolution is fine
+        raise ValueError(
+            f"training split {args.train} (problem {train_set.problem.value}, channels {train_set.channels}) and "
+            f"validation split {args.valid} (problem {valid_set.problem.value}, channels {valid_set.channels}) differ")
 
     train_defaults, model_defaults = asdict(TrainConfig()), asdict(OperatorConfig())
     model_keys = ("seed", "width", "n_layers", "modes_kept")

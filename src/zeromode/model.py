@@ -15,70 +15,82 @@ The retained band is all integer modes with |n| < modes_kept per axis,
 enumerated in a resolution-independent canonical order, which lets one
 parameter vector run on any grid whose Nyquist limit admits the band.
 
-Only the band is transformed.  A real FFT along the last axis keeps its
-first modes_kept columns; in 2-D a short FFT then runs along the other
-axis over those columns.  The negative last-axis modes follow from the
-symmetry of a real field's spectrum, X[k0, -k1] = conj(X[-k0, k1]).  The
-weights for +n and -n stay independent and the layer keeps the real part
-of its inverse transform, so the way back folds the band into its
-Hermitian part H = (Y + conj(Y[-k])) / 2 and runs ``ifft`` then ``irfft``.
-The ``irfft`` reads the full half-spectrum width n//2 + 1, zero past the
-band, from a buffer the forward already has: given only the band's
-columns, numpy pads each row with zeros itself, which at 16 x 128^2 took
-1.8 ms against 1.3 ms for the same values.
-The backward pass reuses both transforms, since each is the other's
-transpose up to the number of grid points.  Every step is an FFT, never a
-dense DFT-matrix product: on a power-of-two grid the FFT of a constant
-adds equal terms pairwise, so its zero mode is exact and every other mode
-exactly zero, and a constant passes a zero-mode identity weight bit for
-bit.  A BLAS dot product with a row of ones would round its running sum
-term by term instead.
+Only the band is transformed.  The operator's input goes through
+``_to_band``: a real FFT along the last axis keeps its first modes_kept
+columns, and in 2-D a short FFT runs along the other axis over them.
+Every lifted-width transform is a pruned DFT of two small matmuls, each
+per sample, with tables cached per (resolution, modes_kept): ``_dft``
+takes the last axis through an (n1, 2m) table of cos and -sin columns and
+the first through a (2m-1, n0) complex one, and ``_from_band`` runs the
+transposed pair, which up to the number of grid points is its transpose,
+so the backward pass reuses both.  The negative last-axis modes follow from
+X[k0, -k1] = conj(X[-k0, k1]) for a real field.  The weights for +n and -n
+stay independent and the layer keeps the real part of its inverse, so the
+way back reads only the band's Hermitian part H = (Y + conj(Y[-k])) / 2.
+One transform of 16 channels at modes_kept 8 took, forward / inverse,
+single-threaded: 0.15 / 0.19 ms by FFT against 0.10 / 0.12 ms by matmuls
+at 32^2, 0.37 / 0.49 against 0.16 / 0.19 at 64^2, 1.24 / 1.56 against
+0.50 / 0.54 at 128^2 and 6.0 / 8.2 against 2.0 / 2.1 at 256^2.  The
+matmuls take n0 n1 2m multiply-adds to the FFT's ~n0 n1 log n1: at
+modes_kept 8 they stayed ahead up to 1024^2, and the FFT wins again from
+modes_kept ~20 at 128^2 (~12 at 32^2).
 
-The lift L x + l and the projection P h + c are pointwise linear maps, so
-they commute with the band transform and act on band modes: block 0 takes
-(W0 L) x + (W0 l + b0) and the band L _to_band(x) + n l on the zero mode,
-the last block returns P gelu(z) + c + _from_band(P mixed), and a forward
-or backward runs 2 lifted-width transforms at the default depth, not 4.
-With L and P of ones and zeros and l = 0 (:func:`constant_identity_model`)
-L X and P mixed add exact zeros, so a constant still passes bit for bit.
+On a power-of-two grid the FFT of a constant adds equal terms pairwise,
+so its zero mode is exact and every other mode exactly zero; a BLAS dot
+product with a row of ones would round its running sum term by term.  So
+the input's band stays an FFT, and no DFT matmul reads a constant's
+field: for :func:`constant_identity_model` the matmuls see only GELU
+outputs, exact zeros, and bands zero off the zero mode, where each sum is
+one product with a table entry of 1, 1/n0 or 1/n1 plus exact zeros.  A
+constant passes that fixture bit for bit at every depth.
+
+The lift L x + l, each block's W h + b and the projection P h + c are
+pointwise linear maps, so they commute with the band transform.  Block 0
+takes (W0 L) x + (W0 l + b0) and the band L _to_band(x) + n l on the zero
+mode.  A block's output h = gelu(z) + _from_band(mixed), ``mixed`` its
+band after mixing, is never formed: the next block reads it as
+W gelu(z) + b + _from_band(W mixed) and as the band _dft(gelu(z)) +
+H(mixed), and the projection as P gelu(z) + c + _from_band(P mixed)
+(:func:`_band_affine`).  At the default depth a forward and a backward
+each run two lifted-width transforms; every FFT runs at the data width.
 
 The forward pass writes every activation-size intermediate into a
 workspace cached per (batch shape, width, n_layers, taped) and reused by
 every later call of that shape, so a steady-state call allocates no
-activation.  A forward-only call uses three activation buffers and one
-lifted-width half spectrum (the last-axis real FFT): two buffers take turns
-as a block's output and its tanh, and the third holds ``W h + b``.  Each
-middle block overwrites its input h with its spectral branch once h's FFT
-and ``W h`` are taken, and the other buffer with its GELU output plus that
-branch, which becomes the next block's h.  A taped call keeps each block's output,
-``W h + b`` and tanh in buffers of their own, which stay valid until the
-next taped call of the same shape; the spectral branches share one buffer.
-The prediction returned is always a fresh array, never a view of the
-workspace.  The workspace is shared process-wide, so two threads must not
-run forwards of one shape at the same time.
+activation.  A forward-only call uses three activation buffers: a block's
+tanh and then its GELU output; its ``z``, which the next block's ``z``
+overwrites once the GELU has read it; and the band term
+``_from_band(W mixed)`` until it is added to that ``z``.  A taped call
+keeps each block's ``z``, tanh and GELU output in buffers of their own,
+valid until the next taped call of the same shape.  The prediction
+returned is always a fresh array, never a view of the workspace.  The
+workspace is shared process-wide, so two threads must not run forwards
+of one shape at the same time.
 
-The elementwise work of a block (GELU, its tanh and the residual ``+ s``;
-in the backward ``gelu_grad`` and its product with the upstream gradient)
-runs over contiguous tiles of ``_TILE_BYTES`` = 256 KiB per operand.  At
-the paper size one activation, 16 x 128^2 float64, is 2 MiB, a whole L2 of
-one core, so a chain of whole-array passes streams each pass from L3.
+The elementwise work of a block (GELU and its tanh; in the backward
+``gelu_grad`` and its product with the upstream gradient) runs over
+contiguous tiles of ``_TILE_BYTES`` = 256 KiB per operand.  At the paper
+size one activation, 16 x 128^2 float64, is 2 MiB, a whole L2 of one core,
+so a chain of whole-array passes streams each pass from L3.
 ``gelu_grad``, the widest kernel, keeps about six operand tiles live,
 1.5 MiB, which stays in a 2 MiB L2.  An elementwise operation rounds each
-element on its own, so the tiles give the whole-array bits.  FFTs and
-matmuls stay whole.  Block 0's ``(W0 L) x`` from one data channel is a
+element on its own, so the tiles give the whole-array bits.  Transforms
+and matmuls stay whole.  Block 0's ``(W0 L) x`` from one data channel is a
 broadcast product ``w * x`` instead of a matmul with inner dimension 1:
 0.13 ms against 0.82 ms at 16 x 128^2, with the same bits, since one
 product has no sum to reorder.
 
-Channel mixing on the band is one broadcast ``matmul`` per mode, (B, m, 1,
-i) @ (m, i, o), in the forward and in the backward's input adjoint.  Each
-product belongs to one sample, so a state gets the same bits alone or in
-any batch, which lets one batched rollout stand in for per-sample ones (an
-``einsum`` over the batch gave bits 2e-16 apart at B=1 and B=10, and took
-0.24 against 0.15 ms at B=1).  ``forward_values`` runs its batch in chunks
-of ``_CHUNK_BYTES`` = 1 MiB of activation, width x points x 8 bytes per
-sample: eight samples at 32^2, two at 64^2 and one at 128^2, each no
-slower per sample than B=1 in single-threaded timings at width 16.
+Channel mixing is one broadcast ``matmul`` per mode, (B, m, 1, i) @ (m, i,
+o), and (m, i, o) @ (B, m, o, 1) on the conjugated gradient in its
+adjoint.  Spectral weights are stored mode-major, (m, i, o), so both read
+the parameters without a copy and the weight gradient is one matmul per
+mode into its slot; checkpoints keep the (i, o, m) order.  Each product
+belongs to one sample, so a state gets the same bits alone or in any
+batch (an ``einsum`` over the batch gave bits 2e-16 apart at B=1 and B=10).
+``forward_values`` runs its batch in chunks of ``_CHUNK_BYTES`` = 1 MiB of
+activation, width x points x 8 bytes per sample: eight samples at 32^2,
+two at 64^2 and one at 128^2, each no slower per sample than B=1 in
+single-threaded timings at width 16.
 
 No autodiff framework is used: every layer implements its own adjoint,
 and the gradient of the training loss (including the optional zero-mode
@@ -160,27 +172,21 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(u, out=out)
 
 
-def gelu(
-    x: np.ndarray, tanh_out: np.ndarray | None = None, out: np.ndarray | None = None,
-    residual: np.ndarray | None = None,
-) -> np.ndarray:
+def gelu(x: np.ndarray, tanh_out: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Smooth gate 0.5*x*(1 + tanh(a*(x + b*x^3))), a=sqrt(2/pi), b=0.044715.
 
     ``tanh_out``, an array shaped like ``x``, receives the inner tanh, which
     :func:`gelu_grad` takes back as ``tanh`` instead of computing it again.
     ``out`` receives the result; it may be ``tanh_out`` when the tanh is
-    not needed afterwards.  ``residual``, shaped like ``x``, is added to the
-    result, in the same tile while it is still in cache.
+    not needed afterwards.
     """
     x = np.asarray(x)
     if out is None:
         out = np.empty(x.shape, dtype=np.result_type(x, 1.0))
-    for xs, ts, ys, rs in _tiles(x, tanh_out, out, residual):
+    for xs, ts, ys in _tiles(x, tanh_out, out):
         y = np.add(1.0, _gelu_tanh(xs, out=ys if ts is None else ts), out=ys)
         y *= xs
         y *= 0.5
-        if rs is not None:
-            y += rs
     return out
 
 
@@ -191,20 +197,25 @@ def gelu_grad(
 
     0.5*(1 + t) + 0.5*a*x*(1 - t^2)*(1 + 3b*x^2) with t the inner tanh.
     ``upstream``, shaped like ``x``, multiplies the result: the chain rule's
-    ``upstream * gelu'(x)``, taken in the same tile.
+    ``upstream * gelu'(x)``, taken in the same tile.  Two scratch tiles per
+    call hold the intermediates.
     """
     x = np.asarray(x)
     grad = np.empty(x.shape, dtype=np.result_type(x, 1.0))
+    scratch = None
     for xs, ts, us, gs in _tiles(x, tanh, upstream, grad):
+        if scratch is None:
+            scratch = np.empty((2, *xs.shape), dtype=grad.dtype)
+        a, b = scratch[:, : len(xs)]
         t = _gelu_tanh(xs) if ts is None else ts
-        curve = xs * xs
+        curve = np.multiply(xs, xs, out=a)
         curve *= 3.0 * _GELU_B
         curve += 1.0
         g = np.multiply(0.5, xs, out=gs)
-        g *= 1.0 - t * t
+        g *= np.subtract(1.0, np.multiply(t, t, out=b), out=b)
         g *= _GELU_A
         g *= curve
-        g += 0.5 * (1.0 + t)
+        g += np.multiply(0.5, np.add(1.0, t, out=a), out=a)
         if us is not None:
             g *= us
     return grad
@@ -246,6 +257,8 @@ class ParamSlot:
 
     Complex tensors occupy ``2 * prod(shape)`` float64 entries, stored as
     interleaved (real, imag) pairs, i.e. the memory layout of complex128.
+    A spectral weight of shape (i, o, m) is stored mode-major, as (m, i, o),
+    so that mode mixing reads one contiguous (i, o) matrix per mode.
     """
 
     name: str
@@ -324,13 +337,15 @@ class OperatorModel:
 
 
 def _views(flat: np.ndarray, config: OperatorConfig) -> dict[str, np.ndarray]:
-    """Every named tensor of ``config``'s layout as a view into ``flat``."""
+    """Every named tensor of ``config``'s layout as a view into ``flat``; spectral ones (i, o, m) of (m, i, o)."""
     views = {}
     for slot in layout(config):
         raw = flat[slot.offset : slot.offset + slot.n_floats]
         if slot.is_complex:
-            raw = raw.view(np.complex128)
-        views[slot.name] = raw.reshape(slot.shape)
+            i, o, m = slot.shape
+            views[slot.name] = raw.view(np.complex128).reshape(m, i, o).transpose(1, 2, 0)
+        else:
+            views[slot.name] = raw.reshape(slot.shape)
     return views
 
 
@@ -386,17 +401,22 @@ def constant_identity_model(config: OperatorConfig) -> OperatorModel:
 
 @dataclass(frozen=True)
 class _Band:
-    """Index maps of the retained band on one grid, shared by every layer.
+    """Index maps and DFT tables of the retained band on one grid, shared by every layer; all read-only.
 
-    ``rows`` holds the FFT indices of the band along the first of two
-    spatial axes (None in 1-D); ``neg`` maps a canonical per-axis position
-    to that of the negated mode.  Both arrays are read-only.
+    ``rows``: the band's FFT indices along the first of two axes (None in 1-D, as the row tables);
+    ``neg``: the canonical per-axis position of each negated mode.  ``to_cols`` (n1, 2m): cos and
+    -sin columns of modes 0..m-1; ``from_cols``: its transpose weighted 1/n1 for mode 0, 2/n1 above.
+    ``to_rows`` (2m-1, n0): the complex DFT of the band rows; ``from_rows``: its inverse.
     """
 
     modes_kept: int
     resolution: tuple[int, ...]
     rows: np.ndarray | None
     neg: np.ndarray
+    to_cols: np.ndarray
+    from_cols: np.ndarray
+    to_rows: np.ndarray | None
+    from_rows: np.ndarray | None
 
 
 @functools.lru_cache
@@ -411,99 +431,100 @@ def _band(resolution: tuple[int, ...], modes_kept: int) -> _Band:
     for n in resolution:
         if m > n // 2:
             raise ValueError(f"modes_kept={m} exceeds the Nyquist bound for resolution {n}")
-    rows = None
+    n1 = resolution[-1]
+    angle = 2.0 * np.pi * (np.outer(np.arange(n1), np.arange(m)) % n1) / n1  # reduced mod 2 pi first
+    to_cols = np.stack([np.cos(angle), -np.sin(angle)], axis=-1).reshape(n1, 2 * m)
+    from_cols = to_cols.T * (np.repeat(np.r_[1.0, np.full(m - 1, 2.0)], 2) / n1)[:, None]
+    rows = to_rows = from_rows = None
     if len(resolution) == 2:
-        n = resolution[0]
-        rows = np.concatenate([np.arange(m), np.arange(n - m + 1, n)])
-        rows.setflags(write=False)
+        n0 = resolution[0]
+        rows = np.concatenate([np.arange(m), np.arange(n0 - m + 1, n0)])
+        to_rows = np.exp(-2j * np.pi * (np.outer(rows, np.arange(n0)) % n0) / n0)
+        from_rows = np.conj(to_rows.T) / n0
     neg = -np.arange(2 * m - 1) % (2 * m - 1)
-    neg.setflags(write=False)
-    return _Band(m, tuple(resolution), rows, neg)
+    for table in (t for t in (rows, neg, to_cols, from_cols, to_rows, from_rows) if t is not None):
+        table.setflags(write=False)
+    return _Band(m, tuple(resolution), rows, neg, to_cols, from_cols, to_rows, from_rows)
 
 
-def _to_band(x: np.ndarray, band: _Band, spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Retained DFT modes of real ``x`` (B, C, *spatial) as (B, C, n_modes).
+def _complete(half: np.ndarray, band: _Band) -> np.ndarray:
+    """(B, C, n_modes) from the band's non-negative last-axis columns, by X[k0, -k1] = conj(X[-k0, k1])."""
+    mirror = half if band.rows is None else half[..., band.neg, :]
+    modes = np.concatenate([half, np.conj(mirror[..., :0:-1])], axis=-1)
+    return modes.reshape(*half.shape[:2], -1)
 
-    Equals gathering the band from ``fftn(x)``: a real FFT along the last
-    axis keeps its first m columns, a short FFT runs along the other axis,
-    and the negative last-axis modes come from X[k0, -k1] = conj(X[-k0, k1]).
-    ``spectrum``, shaped like ``rfft(x, axis=-1)``, receives the real FFT
-    and then, in place, the short one.
+
+def _to_band(x: np.ndarray, band: _Band) -> np.ndarray:
+    """Retained DFT modes of real ``x`` (B, C, *spatial) as (B, C, n_modes), by FFT.
+
+    For the operator's input, whose constants must come out exact (module docstring).
     """
-    m = band.modes_kept
-    half = np.fft.rfft(x, axis=-1, out=spectrum)[..., :m]
-    mirror = half
+    half = np.fft.rfft(x, axis=-1)[..., : band.modes_kept]
     if band.rows is not None:
         half = np.fft.fft(half, axis=-2, out=half)[..., band.rows, :]
-        mirror = half[..., band.neg, :]
-    modes = np.concatenate([half, np.conj(mirror[..., :0:-1])], axis=-1)
-    return modes.reshape(*x.shape[:2], -1)
+    return _complete(half, band)
 
 
-def _from_band(
-    modes: np.ndarray, band: _Band, spectrum: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``Re(ifftn(spectrum))`` of the spectrum holding ``modes`` on the band, 0 elsewhere.
+def _dft(x: np.ndarray, band: _Band) -> np.ndarray:
+    """:func:`_to_band` as a pruned DFT of two matmuls, one per spatial axis, each per sample."""
+    m, shape = band.modes_kept, x.shape
+    half = (x.reshape(shape[0], -1, shape[-1]) @ band.to_cols).view(np.complex128)
+    half = half.reshape(*shape[:-1], m)
+    if band.rows is not None:
+        half = band.to_rows @ half
+    return _complete(half, band)
 
-    The real part sees only the Hermitian part H = (Y + conj(Y[-k])) / 2,
-    whose non-negative last-axis columns feed ``ifft`` then ``irfft``.
-    Up to a factor n_points this is the transpose of :func:`_to_band`.
-    ``spectrum``, shaped like the real FFT of the field (as for
-    :func:`_to_band`), receives the zero-padded half spectrum, which
-    ``irfft`` takes at its full width; ``out`` receives the field.
-    """
-    m = band.modes_kept
-    spec = modes.reshape(*modes.shape[:2], *(2 * m - 1,) * len(band.resolution))
+
+def _hermitian(modes: np.ndarray, band: _Band) -> np.ndarray:
+    """H = (Y + conj(Y[-k])) / 2 of band modes (B, C, n_modes): the band of ``_from_band(Y)``."""
+    spec = modes.reshape(*modes.shape[:2], *(2 * band.modes_kept - 1,) * len(band.resolution))
     mirror = spec[..., band.neg]
     if band.rows is not None:
         mirror = mirror[..., band.neg, :]
-    half = 0.5 * (spec[..., :m] + np.conj(mirror[..., :m]))
-    if spectrum is None:
-        shape = (*modes.shape[:2], *band.resolution[:-1], band.resolution[-1] // 2 + 1)
-        spectrum = np.empty(shape, dtype=np.complex128)
-    # full width: irfft pads short rows itself, more slowly (module docstring)
-    spectrum[..., m:] = 0.0
-    full = spectrum[..., :m]
-    if band.rows is None:
-        full[...] = half
-    else:
-        full.fill(0.0)
-        full[..., band.rows, :] = half
-        np.fft.ifft(full, axis=-2, out=full)
-    return np.fft.irfft(spectrum, n=band.resolution[-1], axis=-1, out=out)
+    return (0.5 * (spec + np.conj(mirror))).reshape(modes.shape)
+
+
+def _from_band(modes: np.ndarray, band: _Band, out: np.ndarray | None = None) -> np.ndarray:
+    """``Re(ifftn(spectrum))`` of the spectrum holding ``modes`` on the band, 0 elsewhere.
+
+    Two matmuls per sample on the non-negative last-axis columns of H; up to
+    n_points the transpose of :func:`_dft`.  ``out``, C-contiguous, receives the field.
+    """
+    m, res, lead = band.modes_kept, band.resolution, modes.shape[:2]
+    half = _hermitian(modes, band).reshape(*lead, *(2 * m - 1,) * len(res))[..., :m]
+    if band.rows is not None:
+        half = band.from_rows @ half
+    half = np.ascontiguousarray(half).view(np.float64).reshape(lead[0], -1, 2 * m)
+    flat = None if out is None else out.reshape(lead[0], -1, res[-1])
+    return np.matmul(half, band.from_cols, out=flat).reshape(*lead, *res)
 
 
 def _mix_modes(modes: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """out[b, o, k] = sum_i weight[i, o, k] modes[b, i, k], one product per sample and mode."""
-    per_mode = np.ascontiguousarray(weight.transpose(2, 0, 1))
-    mixed = modes.transpose(0, 2, 1)[:, :, None, :] @ per_mode
+    """out[b, o, k] = sum_i weight[i, o, k] modes[b, i, k], one product per sample and mode.
+
+    ``weight.transpose(2, 0, 1)`` is the storage of a mode-major slot, read without a copy.
+    """
+    mixed = modes.transpose(0, 2, 1)[:, :, None, :] @ weight.transpose(2, 0, 1)
     return mixed[:, :, 0, :].transpose(0, 2, 1)
 
 
-def _spectral_forward(
-    x: np.ndarray, weight: np.ndarray, band: _Band, out: np.ndarray | None = None,
-    spectrum: np.ndarray | None = None,
-):
-    """(layer output, retained modes of ``x``); ``out`` may be ``x`` itself, read before it is written."""
-    x_modes = _to_band(x, band, spectrum)
-    return _from_band(_mix_modes(x_modes, weight), band, spectrum, out), x_modes
+def _mixing_backward(
+    gy_modes: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band, grad_weight: np.ndarray
+) -> np.ndarray:
+    """Band gradient of the mixing's input given that of its output; the weight's goes into ``grad_weight``.
 
-
-def _spectral_backward(grad_y: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band):
-    # the adjoint of x -> _from_band(W _to_band(x)) is g -> _from_band(W^H _to_band(g)):
-    # _to_band and _from_band are each other's transposes up to n_points, which cancels
-    gx_modes, grad_weight = _mixing_backward(_to_band(grad_y, band), weight, x_modes, band)
-    return _from_band(gx_modes, band), grad_weight
-
-
-def _mixing_backward(gy_modes: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band):
-    """(band gradient of the mixing's input, weight gradient) given the band gradient of its output."""
-    grad_weight = np.einsum("bim,bom->iom", np.conj(x_modes), gy_modes, optimize=True) / np.prod(band.resolution)
-    return _mix_modes(gy_modes, np.conj(weight).transpose(1, 0, 2)), grad_weight
+    sum_o conj(weight[i, o, k]) gy[b, o, k] is taken as conj(stored weight @ conj(gy)), and the
+    weight gradient as one matmul per mode into the storage of ``grad_weight``, shaped like ``weight``.
+    """
+    stored = grad_weight.transpose(2, 0, 1)
+    np.matmul(np.conj(x_modes).transpose(2, 1, 0), gy_modes.transpose(2, 0, 1), out=stored)
+    stored /= np.prod(band.resolution)
+    gx = weight.transpose(2, 0, 1) @ np.conj(gy_modes).transpose(0, 2, 1)[..., None]
+    return np.conj(gx[..., 0]).transpose(0, 2, 1)
 
 
 def _band_inner(a_modes: np.ndarray, b_modes: np.ndarray, band: _Band) -> np.ndarray:
-    """out[i, j] = Re sum conj(a[:, i]) b[:, j] / n_points; with a = _to_band(u), sum_p u_i _from_band(b)_j."""
+    """out[i, j] = Re sum conj(a[:, i]) b[:, j] / n_points; with a = _dft(u), sum_p u_i _from_band(b)_j."""
     return np.einsum("bik,bjk->ij", np.conj(a_modes), b_modes, optimize=True).real / np.prod(band.resolution)
 
 
@@ -532,36 +553,48 @@ def _pointwise_adjoint(grad_y: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return (weight.T @ gy_flat).reshape(grad_y.shape[0], -1, *grad_y.shape[2:])
 
 
+def _band_affine(g, mixed, weight, bias, band: _Band, out=None, scratch=None) -> np.ndarray:
+    """``weight (g + _from_band(mixed)) + bias`` as ``weight g + bias + _from_band(weight mixed)``.
+
+    The inverse transform runs at the output width; ``scratch`` holds the band term until it is added.
+    """
+    y = _pointwise_forward(g, weight, bias, out=out)
+    y += _from_band(weight @ mixed, band, out=scratch)
+    return y
+
+
+def _band_affine_backward(grad_y: np.ndarray, g: np.ndarray, mixed: np.ndarray, weight: np.ndarray, band: _Band):
+    """(gradient of g, band gradient of mixed, weight gradient, bias gradient) of :func:`_band_affine`."""
+    gy_modes = _dft(grad_y, band)
+    grad_w, grad_b = _pointwise_backward(grad_y, g)
+    grad_w += _band_inner(gy_modes, mixed, band)
+    return _pointwise_adjoint(grad_y, weight), weight.T @ gy_modes, grad_w, grad_b
+
+
 @dataclass(frozen=True)
 class _Workspace:
     """Activation buffers of one forward shape, indexed by block.
 
-    Block i writes ``W h + b`` into ``z[i]``, its spectral branch into
-    ``s[i]``, its tanh into ``t[i]`` and its output, for the last block its
-    GELU alone, into ``h[i]``; ``spectrum`` holds each real FFT.  Which
-    entries share memory is what :func:`_workspace` decides.
+    Block i writes ``z`` into ``z[i]``, its tanh into ``t[i]`` and its GELU
+    output into ``g[i]``; ``band_term`` holds the next block's
+    ``_from_band(W mixed)`` before it is added to its ``z``.  Which entries
+    share memory is what :func:`_workspace` decides.
     """
 
-    h: tuple[np.ndarray, ...]
+    g: tuple[np.ndarray, ...]
     z: tuple[np.ndarray, ...]
     t: tuple[np.ndarray, ...]
-    s: tuple[np.ndarray, ...]
-    spectrum: np.ndarray
+    band_term: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _workspace(shape: tuple[int, ...], n_layers: int, taped: bool) -> _Workspace:
     """Buffers for activations shaped (B, width, *spatial), aliased as the module docstring says."""
-    spectrum = np.empty((*shape[:-1], shape[-1] // 2 + 1), dtype=np.complex128)
     if taped:
-        h = tuple(np.empty(shape) for _ in range(n_layers))
-        z = tuple(np.empty(shape) for _ in range(n_layers))
-        t = tuple(np.empty(shape) for _ in range(n_layers))
-        return _Workspace(h, z, t, (np.empty(shape),) * n_layers, spectrum)
-    pair = (np.empty(shape), np.empty(shape))
-    h = tuple(pair[i % 2] for i in range(n_layers))
-    s = tuple(pair[(i + 1) % 2] for i in range(n_layers))  # block i's input, once read
-    return _Workspace(h, (np.empty(shape),) * n_layers, h, s, spectrum)
+        g, z, t = (tuple(np.empty(shape) for _ in range(n_layers)) for _ in range(3))
+        return _Workspace(g, z, t, np.empty(shape))
+    g, z = (np.empty(shape),) * n_layers, (np.empty(shape),) * n_layers
+    return _Workspace(g, z, g, np.empty(shape))
 
 
 def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
@@ -587,24 +620,20 @@ def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None
     modes = lift_w @ x_modes
     modes[..., 0] += np.prod(band.resolution) * lift_b
     z = _pointwise_forward(x, w0 @ lift_w, w0 @ lift_b + p["block0.bias"], out=ws.z[0])
-    h = x
-    for i in range(last):
-        if i == 0:
-            s = _from_band(_mix_modes(modes, p["block0.spectral"]), band, ws.spectrum, out=ws.s[0])
-        else:
-            s, modes = _spectral_forward(h, p[f"block{i}.spectral"], band, out=ws.s[i], spectrum=ws.spectrum)
-        if tape is not None:
-            tape[f"block{i}"] = (h, modes, z, ws.t[i])
-        h = gelu(z, tanh_out=ws.t[i], out=ws.h[i], residual=s)
-        z = _pointwise_forward(h, p[f"block{i + 1}.weight"], p[f"block{i + 1}.bias"], out=ws.z[i + 1])
-    # the last block and the projection: P (gelu(z) + _from_band(mixed)) + c, with P moved into the band
-    if last > 0:
-        modes = _to_band(h, band, ws.spectrum)
-    mixed = _mix_modes(modes, p[f"block{last}.spectral"])
-    g = gelu(z, tanh_out=ws.t[last], out=ws.h[last])
     if tape is not None:
-        tape.update({f"block{last}": (h, modes, z, ws.t[last])}, band=band, x_modes=x_modes, mixed=mixed, proj_in=g)
-    return _pointwise_forward(g, p["proj.weight"], p["proj.bias"]) + _from_band(p["proj.weight"] @ mixed, band)
+        tape.update(band=band, x=x, x_modes=x_modes)
+    for i in range(cfg.n_layers):
+        mixed = _mix_modes(modes, p[f"block{i}.spectral"])
+        if tape is not None:
+            tape[f"block{i}"], tape[f"mixed{i}"] = (ws.g[i], modes, z, ws.t[i]), mixed
+        g = gelu(z, tanh_out=ws.t[i], out=ws.g[i])
+        if i == last:
+            break
+        # block i's output h = g + _from_band(mixed) reaches block i + 1 as W h + b and as its band dft(g) + H(mixed)
+        z = _band_affine(g, mixed, p[f"block{i + 1}.weight"], p[f"block{i + 1}.bias"], band,
+                         out=ws.z[i + 1], scratch=ws.band_term)
+        modes = _dft(g, band) + _hermitian(mixed, band)
+    return _band_affine(g, mixed, p["proj.weight"], p["proj.bias"], band)
 
 
 def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.ndarray:
@@ -613,30 +642,22 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
     band = tape["band"]
     flat = np.zeros(n_params(cfg))
     grads = _views(flat, cfg)  # each gradient is written into its slot of ``flat``
-    last = cfg.n_layers - 1
 
-    # y = P gelu(z) + c + _from_band(P mixed): P^T _to_band(grad_y) is the band gradient of mixed
-    gy_modes = _to_band(grad_y, band)
-    grad_proj, grads["proj.bias"][...] = _pointwise_backward(grad_y, tape["proj_in"])
-    grads["proj.weight"][...] = grad_proj + _band_inner(gy_modes, tape["mixed"], band)
-    grad_h = _pointwise_adjoint(grad_y, p["proj.weight"])
+    # the layer after block i reads (g, mixed) through _band_affine: the projection, then block i + 1
+    grad_out, after, q = grad_y, "proj", None
     for i in reversed(range(cfg.n_layers)):
-        h_in, modes, z, t = tape[f"block{i}"]
-        weight, grad_weight = p[f"block{i}.spectral"], grads[f"block{i}.spectral"]
-        grad_z = gelu_grad(z, tanh=t, upstream=grad_h)
-        if 0 < i < last:
-            grad_h, grad_weight[...] = _spectral_backward(grad_h, weight, modes, band)
-        else:
-            band_grad = p["proj.weight"].T @ gy_modes if i == last else _to_band(grad_h, band)
-            q, grad_weight[...] = _mixing_backward(band_grad, weight, modes, band)
-            if i == 0:
-                break
-            grad_h = _from_band(q, band)
-        grads[f"block{i}.weight"][...], grads[f"block{i}.bias"][...] = _pointwise_backward(grad_z, h_in)
-        grad_h += _pointwise_adjoint(grad_z, p[f"block{i}.weight"])
+        g, modes, z, t = tape[f"block{i}"]
+        grad_g, band_grad, grads[f"{after}.weight"][...], grads[f"{after}.bias"][...] = _band_affine_backward(
+            grad_out, g, tape[f"mixed{i}"], p[f"{after}.weight"], band)
+        if q is not None:  # block i + 1's band dft(g) + H(mixed), with q its gradient
+            grad_g += _from_band(q, band)
+            band_grad += _hermitian(q, band)
+        spectral = f"block{i}.spectral"
+        q = _mixing_backward(band_grad, p[spectral], modes, band, grads[spectral])
+        grad_out, after = gelu_grad(z, tanh=t, upstream=grad_g), f"block{i}"
     # block 0 read x through W0 L and W0 l + b0, and its band as L X + n l on the zero mode, q the gradient
     lift_w, lift_b, w0 = p["lift.weight"], p["lift.bias"], p["block0.weight"]
-    grad_w, grad_b = _pointwise_backward(grad_z, h_in)
+    grad_w, grad_b = _pointwise_backward(grad_out, tape["x"])
     grads["block0.weight"][...], grads["block0.bias"][...] = grad_w @ lift_w.T + np.outer(grad_b, lift_b), grad_b
     grads["lift.weight"][...] = w0.T @ grad_w + _band_inner(q, tape["x_modes"], band)
     grads["lift.bias"][...] = w0.T @ grad_b + q[..., 0].real.sum(axis=0)
@@ -711,7 +732,11 @@ def save_checkpoint(model: OperatorModel, path: str | os.PathLike) -> Path:
     """Versioned binary checkpoint: header, config echo, flat F64 params."""
     path = Path(path)
     config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    params_blob = model.params.astype("<f8").tobytes()
+    params = model.params.astype("<f8")
+    for slot, view in zip(layout(model.config), _views(model.params, model.config).values()):
+        if slot.is_complex:  # written in the canonical (i, o, m) order
+            params[slot.offset : slot.offset + slot.n_floats].view(np.complex128).reshape(slot.shape)[...] = view
+    params_blob = params.tobytes()
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
@@ -749,5 +774,9 @@ def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
             raise ValueError("checkpoint payload truncated or padded")
         if zlib.crc32(blob) != crc:
             raise ValueError("checkpoint payload checksum mismatch")
-    params = np.frombuffer(blob, dtype="<f8").copy()
+    canonical = np.frombuffer(blob, dtype="<f8")
+    params = canonical.astype(np.float64)
+    for slot, view in zip(layout(config), _views(params, config).values()):
+        if slot.is_complex:  # read in the canonical (i, o, m) order
+            view[...] = canonical[slot.offset : slot.offset + slot.n_floats].view(np.complex128).reshape(slot.shape)
     return OperatorModel(config, params)

@@ -41,10 +41,10 @@ from .model import (
     OperatorModel,
     _band,
     _band_inner,
+    _dft,
     _from_band,
-    _spectral_backward,
-    _spectral_forward,
-    _to_band,
+    _mix_modes,
+    _mixing_backward,
     init_model,
     loss_and_grad,
 )
@@ -359,27 +359,34 @@ def _check_uniform_direction(correction: CorrectionFn):
 
 @_register("gradients", "spectral_adjoint")
 def _check_spectral_adjoint(correction: CorrectionFn):
-    # the 2-D layer on an odd, non-square grid: the finite-difference checks above run 1-D only
+    # the 2-D layer _from_band(W _dft(x)) on an odd, non-square grid: the finite-difference checks run 1-D only
     rng = np.random.default_rng(506)
     resolution, m = (7, 10), 3
     n_modes = (2 * m - 1) ** 2
     x = rng.normal(size=(2, 3, *resolution))
     weight = rng.normal(size=(3, 3, n_modes)) + 1j * rng.normal(size=(3, 3, n_modes))
     band = _band(resolution, m)
-    y, x_modes = _spectral_forward(x, weight, band)
+    x_modes = _dft(x, band)
+    y = _from_band(_mix_modes(x_modes, weight), band)
 
     # direct DFT sums over the band, canonical order n = 0..m-1, -(m-1)..-1 per axis
     ks = np.r_[0:m, -(m - 1):0]
     dft = [np.exp(-2j * np.pi * np.outer(ks, np.arange(n)) / n) for n in resolution]
     modes = np.einsum("kp,lq,bipq->bikl", *dft, x).reshape(x_modes.shape)
+    gap = np.abs(x_modes - modes).max() / np.abs(modes).max()
+    if gap > 1e-12:
+        return f"2-D band transform differs from direct DFT sums by {gap:.2e} (relative)"
     mixed = np.einsum("iom,bim->bom", weight, modes).reshape(2, 3, 2 * m - 1, 2 * m - 1)
     expected = np.einsum("kp,lq,bokl->bopq", *(d.conj() for d in dft), mixed).real / np.prod(resolution)
     gap = np.abs(y - expected).max() / np.abs(expected).max()
     if gap > 1e-12:
         return f"2-D spectral layer differs from direct DFT sums by {gap:.2e} (relative)"
 
+    # the adjoint g -> _from_band(W^H _dft(g)), as the backward pass takes it
     g = rng.normal(size=y.shape)
-    grad_x, grad_weight = _spectral_backward(g, weight, x_modes, band)
+    grad_weight = np.empty_like(weight)
+    q = _mixing_backward(_dft(g, band), weight, x_modes, band, grad_weight)
+    grad_x = _from_band(q, band)
     lhs = np.vdot(y, g)
     scale = np.linalg.norm(y) * np.linalg.norm(g)
     gap = abs(lhs - np.vdot(x, grad_x)) / scale
@@ -393,12 +400,12 @@ def _check_spectral_adjoint(correction: CorrectionFn):
 
 @_register("gradients", "band_inner_product")
 def _check_band_inner_product(correction: CorrectionFn):
-    # the lift's and projection's weight gradients use sum_p u _from_band(Y) = Re sum_k conj(_to_band(u)_k) Y_k / n
+    # the pointwise weight gradients use sum_p u _from_band(Y) = Re sum_k conj(_dft(u)_k) Y_k / n
     rng = np.random.default_rng(507)
     band = _band((7, 10), 3)  # odd and non-square, 25 modes
     u, modes = rng.normal(size=(2, 3, 7, 10)), rng.normal(size=(2, 4, 25)) + 1j * rng.normal(size=(2, 4, 25))
     on_grid = np.einsum("bip,bjp->ij", u.reshape(2, 3, -1), _from_band(modes, band).reshape(2, 4, -1))
-    gap = np.abs(on_grid - _band_inner(_to_band(u, band), modes, band)).max() / np.abs(on_grid).max()
+    gap = np.abs(on_grid - _band_inner(_dft(u, band), modes, band)).max() / np.abs(on_grid).max()
     return None if gap <= 1e-12 else f"grid and band inner products differ by {gap:.2e} (relative)"
 
 

@@ -102,6 +102,12 @@ class TestTrain:
         assert manifest["seeds"] == [1]
         assert manifest["config"]["mode"] == "base"
 
+    def test_validation_split_may_have_another_resolution(self, pipeline, tmp_path):
+        _, train_path, _, _ = pipeline
+        valid_path = gen(tmp_path, "valid", extra=("--resolution", "32"))
+        assert main(["train", "--train", str(train_path), "--valid", str(valid_path),
+                     "--out", str(tmp_path / "run"), *TRAIN_ARGS]) == 0
+
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         root, train_path, valid_path, run_dir = pipeline
         code = main(["train", "--train", str(train_path), "--valid", str(valid_path),
@@ -274,6 +280,17 @@ def dataset_row(edit, split="train"):
     return build
 
 
+def other_valid_row(problem):
+    """train on the pipeline's diff split, validated on a ``problem`` split."""
+    def build(pipeline, tmp_path):
+        _, train_path, _, _ = pipeline
+        valid_path = tmp_path / f"{problem}_valid.ecfd"
+        assert main(["gen", "--problem", problem, "--split", "valid", "--out", str(valid_path), *GEN_ARGS]) == 0
+        return ["train", "--train", str(train_path), "--valid", str(valid_path),
+                "--out", str(tmp_path / "run"), *TRAIN_ARGS]
+    return build
+
+
 def checkpoint_ends(blob):
     """End offsets of a checkpoint's magic, version and length, config, count and CRC, and payload."""
     config_len = struct.unpack("<I", blob[6:10])[0]
@@ -370,6 +387,8 @@ BAD_INPUTS = [
                  "bad_valid.ecfd: truncated file: expected 52 bytes of header", True, id="data-cut-valid-head"),
     pytest.param(eval_row("--correction", "off"), "unrecognized arguments: --correction", False,
                  id="eval-correction-flag"),
+    pytest.param(other_valid_row("cd"), "diff_train.ecfd (problem diff, channels 1) and validation split", True,
+                 id="train-valid-other-problem"),
 ]
 
 

@@ -1,12 +1,15 @@
 """Spectral operator: layout, forward fixtures, hand adjoints vs finite differences."""
 
+import hashlib
 import itertools
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zeromode.model
 from zeromode.correction import ConservationMask
 from zeromode.model import (
     OperatorConfig,
@@ -26,11 +29,13 @@ from zeromode.model import (
     _CHUNK_BYTES,
     _TILE,
     _band,
+    _dft,
     _forward_batch,
     _from_band,
+    _mix_modes,
+    _mixing_backward,
     _pointwise_forward,
-    _spectral_backward,
-    _spectral_forward,
+    _to_band,
 )
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
@@ -158,12 +163,12 @@ class TestTiledKernels:
     @staticmethod
     def arrays(shape, layout):
         rng = np.random.default_rng(sum(shape))
-        x, residual, upstream = rng.normal(0.0, 3.0, size=(3, *shape))
+        x, upstream = rng.normal(0.0, 3.0, size=(2, *shape))
         if layout == "transposed":
             # strided views: a flat reshape would copy them and lose the writes
-            x, residual, upstream = (np.ascontiguousarray(a.T).T for a in (x, residual, upstream))
+            x, upstream = (np.ascontiguousarray(a.T).T for a in (x, upstream))
             assert not x.flags.c_contiguous
-        return x, residual, upstream
+        return x, upstream
 
     @pytest.mark.parametrize("shape, layout", [
         ((3, 5, 7), "contiguous"),            # below one tile
@@ -172,20 +177,19 @@ class TestTiledKernels:
         ((3, 16, 37, 29), "transposed"),      # not C-contiguous
     ])
     def test_gelu_and_gelu_grad_match_whole_array_formula(self, shape, layout):
-        x, residual, upstream = self.arrays(shape, layout)
+        x, upstream = self.arrays(shape, layout)
         t_ref, y_ref, slope_ref = whole_array_gelu(x)
-        block_ref = y_ref + residual
 
         tanh_out = np.empty_like(x)
         out = np.empty_like(x)
-        y = gelu(x, tanh_out=tanh_out, out=out, residual=residual)
+        y = gelu(x, tanh_out=tanh_out, out=out)
         assert y is out
         assert tanh_out.tobytes() == t_ref.tobytes()
-        assert out.tobytes() == block_ref.tobytes()
+        assert out.tobytes() == y_ref.tobytes()
         assert gelu(x).tobytes() == y_ref.tobytes()
         # out may be the tanh buffer itself, as in a forward-only block
         shared = np.empty_like(x)
-        assert gelu(x, tanh_out=shared, out=shared, residual=residual).tobytes() == block_ref.tobytes()
+        assert gelu(x, tanh_out=shared, out=shared).tobytes() == y_ref.tobytes()
 
         assert gelu_grad(x, tanh=tanh_out).tobytes() == slope_ref.tobytes()
         assert gelu_grad(x).tobytes() == slope_ref.tobytes()
@@ -193,11 +197,11 @@ class TestTiledKernels:
         assert chained.tobytes() == (upstream * slope_ref).tobytes()
 
     def test_forward_block_output_lands_in_strided_out(self):
-        x, residual, _ = self.arrays((3, 16, 37, 29), "transposed")
+        x, _ = self.arrays((3, 16, 37, 29), "transposed")
         out = np.zeros_like(x)
         assert not out.flags.c_contiguous
-        gelu(x, out=out, residual=residual)
-        assert out.tobytes() == (whole_array_gelu(x)[1] + residual).tobytes()
+        gelu(x, out=out)
+        assert out.tobytes() == whole_array_gelu(x)[1].tobytes()
 
 
 class TestForward:
@@ -214,6 +218,16 @@ class TestForward:
         y = forward_values(model, x)
         # power-of-two FFT keeps the zero mode of a constant exact
         np.testing.assert_array_equal(y, x)
+
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_identity_fixture_exact_at_every_depth(self, n_layers, n):
+        # the DFT matmuls see only exact zeros and zero-mode-only bands, so their sums add exact zeros
+        model = constant_identity_model(OperatorConfig(channels=2, n_layers=n_layers))  # width 16, 8 modes
+        x = np.empty((3, 2, n, n))
+        x[:, 0] = np.array([0.37, -2.5e3, 1.0 / 3.0])[:, None, None]
+        x[:, 1] = np.array([-1.25, 7.0e-5, np.pi])[:, None, None]
+        assert forward_values(model, x).tobytes() == x.tobytes()
 
     def test_identity_band_blocks_reduce_to_affine_map(self):
         # spectral weight = identity on the band, pointwise path silenced:
@@ -287,10 +301,9 @@ class TestForward:
 def unfolded_forward(model, x):
     """The operator as the module docstring writes it: lift, blocks with the GELU residual, projection."""
     p = {slot.name: model.get_param(slot.name) for slot in layout(model.config)}
-    band = _band(x.shape[2:], model.config.modes_kept)
     h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"])
     for i in range(model.config.n_layers):
-        s, _ = _spectral_forward(h, p[f"block{i}.spectral"], band)
+        s = fftn_spectral_layer(h, p[f"block{i}.spectral"], model.config.modes_kept)
         h = gelu(_pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"])) + s
     return _pointwise_forward(h, p["proj.weight"], p["proj.bias"])
 
@@ -402,8 +415,41 @@ def brute_force_spectral_layer(x, weight, modes_kept):
     return y
 
 
+def spectral_layer(x, weight, band):
+    """The layer _from_band(W _dft(x)) and the retained modes of x."""
+    x_modes = _dft(x, band)
+    return _from_band(_mix_modes(x_modes, weight), band), x_modes
+
+
+def band_dft_tables(resolution, modes_kept):
+    """exp(-2 pi i k p / n) per axis, band modes k in canonical order as rows."""
+    ks = np.r_[0:modes_kept, -(modes_kept - 1):0]
+    return [np.exp(-2j * np.pi * np.outer(ks, np.arange(n)) / n) for n in resolution]
+
+
+def direct_band(x, modes_kept):
+    """Band modes of x (B, C, *spatial) by direct DFT sums, one axis at a time."""
+    out = x.astype(np.complex128)
+    for axis, table in enumerate(band_dft_tables(x.shape[2:], modes_kept), start=2):
+        out = np.moveaxis(np.tensordot(out, table, axes=([axis], [1])), -1, axis)
+    return out.reshape(*x.shape[:2], -1)
+
+
+def direct_field(modes, resolution, modes_kept):
+    """Re (1/n) sum_k Y_k exp(2 pi i k.p / n) over the band, by direct sums, one axis at a time."""
+    out = modes.reshape(*modes.shape[:2], *(2 * modes_kept - 1,) * len(resolution))
+    for axis, table in enumerate(band_dft_tables(resolution, modes_kept), start=2):
+        out = np.moveaxis(np.tensordot(out, table.conj(), axes=([axis], [0])), -1, axis)
+    return out.real / np.prod(resolution)
+
+
+def band_rows(resolution, modes_kept):
+    """The band's FFT indices along each axis."""
+    return np.ix_(*[np.r_[0:modes_kept, n - modes_kept + 1:n] for n in resolution])
+
+
 class TestSpectralLayer:
-    """The truncated real-FFT band transform against DFT oracles, and its adjoint."""
+    """The band transforms against DFT oracles, and the layer's adjoint."""
 
     @staticmethod
     def layer(resolution, modes_kept, seed):
@@ -416,14 +462,14 @@ class TestSpectralLayer:
     @pytest.mark.parametrize("resolution, modes_kept", SPECTRAL_GRIDS)
     def test_forward_matches_brute_force_dft(self, resolution, modes_kept):
         x, weight, band = self.layer(resolution, modes_kept, seed=61)
-        y, _ = _spectral_forward(x, weight, band)
+        y, _ = spectral_layer(x, weight, band)
         reference = brute_force_spectral_layer(x, weight, modes_kept)
         assert np.abs(y - reference).max() <= 1e-12 * np.abs(reference).max()
 
     @pytest.mark.parametrize("resolution, modes_kept", SPECTRAL_GRIDS)
     def test_forward_matches_full_fftn_layer(self, resolution, modes_kept):
         x, weight, band = self.layer(resolution, modes_kept, seed=62)
-        y, _ = _spectral_forward(x, weight, band)
+        y, _ = spectral_layer(x, weight, band)
         reference = fftn_spectral_layer(x, weight, modes_kept)
         assert np.abs(y - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -431,8 +477,10 @@ class TestSpectralLayer:
     def test_adjoint_dot_product_identity(self, resolution, modes_kept):
         x, weight, band = self.layer(resolution, modes_kept, seed=63)
         g = np.random.default_rng(64).normal(size=(2, 2, *resolution))
-        y, x_modes = _spectral_forward(x, weight, band)
-        grad_x, grad_weight = _spectral_backward(g, weight, x_modes, band)
+        y, x_modes = spectral_layer(x, weight, band)
+        grad_weight = np.empty_like(weight)
+        q = _mixing_backward(_dft(g, band), weight, x_modes, band, grad_weight)
+        grad_x = _from_band(q, band)
         lhs = np.vdot(y, g)
         scale = np.linalg.norm(y) * np.linalg.norm(g)
         # <S x, g> = <x, S^T g>, and the layer is linear in its weight too
@@ -441,37 +489,67 @@ class TestSpectralLayer:
         assert abs(lhs - by_weight) <= 1e-12 * scale
 
 
-    @pytest.mark.parametrize("resolution, modes_kept", [
-        ((8,), 4), ((9,), 4), ((21,), 5), ((7, 10), 3), ((9, 9), 4), ((128, 128), 8),
-    ])
-    def test_full_width_inverse_equals_band_width_irfft(self, resolution, modes_kept):
-        # the inverse hands irfft the zero-padded half spectrum at full width;
-        # numpy's own padding of the first m columns must give the same bits
+# every grid with modes_kept at its Nyquist bound
+TRANSFORM_GRIDS = [((8,), 4), ((9,), 4), ((21,), 10), ((6, 6), 3), ((7, 10), 3), ((9, 9), 4), ((128, 128), 64)]
+
+
+class TestBandTransforms:
+    """_dft, _to_band and _from_band against direct DFT sums and np.fft of the whole spectrum."""
+
+    @pytest.mark.parametrize("resolution, modes_kept", TRANSFORM_GRIDS)
+    def test_forward_transforms_match_direct_sums_and_fftn(self, resolution, modes_kept):
         band = _band(resolution, modes_kept)
-        rng = np.random.default_rng(65)
+        x = np.random.default_rng(65).normal(size=(2, 3, *resolution))
+        direct = direct_band(x, modes_kept)
+        by_fft = np.fft.fftn(x, axes=tuple(range(2, x.ndim)))[(..., *band_rows(resolution, modes_kept))]
+        by_fft = by_fft.reshape(2, 3, -1)
+        scale = np.abs(direct).max()
+        for transform in (_dft, _to_band):
+            modes = transform(x, band)
+            assert np.abs(modes - direct).max() <= 1e-12 * scale
+            assert np.abs(modes - by_fft).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("resolution, modes_kept", TRANSFORM_GRIDS)
+    def test_inverse_matches_direct_sums_and_zero_padded_ifftn(self, resolution, modes_kept):
+        band = _band(resolution, modes_kept)
+        rng = np.random.default_rng(66)
         n_modes = (2 * modes_kept - 1) ** len(resolution)
         modes = rng.normal(size=(2, 3, n_modes)) + 1j * rng.normal(size=(2, 3, n_modes))
-        spectrum = np.full((2, 3, *resolution[:-1], resolution[-1] // 2 + 1), np.nan, dtype=np.complex128)
-        y = _from_band(modes, band, spectrum)
-        assert np.all(spectrum[..., modes_kept:] == 0.0)
-        short = np.fft.irfft(spectrum[..., :modes_kept], n=resolution[-1], axis=-1)
-        assert y.tobytes() == short.tobytes()
-        assert _from_band(modes, band).tobytes() == y.tobytes()  # with a buffer of its own
+        y = _from_band(modes, band)
+        direct = direct_field(modes, resolution, modes_kept)
+        padded = np.zeros((2, 3, *resolution), dtype=np.complex128)
+        spec = modes.reshape(2, 3, *(2 * modes_kept - 1,) * len(resolution))
+        padded[(..., *band_rows(resolution, modes_kept))] = spec
+        by_fft = np.fft.ifftn(padded, axes=tuple(range(2, padded.ndim))).real
+        scale = np.abs(direct).max()
+        assert np.abs(y - direct).max() <= 1e-12 * scale
+        assert np.abs(y - by_fft).max() <= 1e-12 * scale
+        out = np.full_like(y, np.nan)
+        _from_band(modes, band, out=out)
+        assert out.tobytes() == y.tobytes()
 
 
 class TestTransformCount:
     def test_loss_and_grad_takes_two_lifted_width_transforms_each_way(self, monkeypatch):
-        # the lift and the projection run in the band, so only the interior transforms are lifted-width
-        widths = {"rfft": [], "irfft": []}
-        for name, seen in widths.items():
-            def counted(a, *args, _real=getattr(np.fft, name), _seen=seen, **kw):
-                _seen.append(a.shape[1])
+        # the lifted-width band transforms are DFT matmuls, and np.fft sees only the
+        # one-channel input, so a lifted-width FFT that comes back fails here
+        widths = {"fft": [], "_dft": [], "_from_band": []}
+
+        def count(module, name, seen):
+            def counted(a, *args, _real=getattr(module, name), **kw):
+                seen.append(np.shape(a)[1])
                 return _real(a, *args, **kw)
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2"):
+            count(np.fft, name, widths["fft"])
+        for name in ("_dft", "_from_band"):
+            count(zeromode.model, name, widths[name])
         x, t = np.random.default_rng(19).normal(size=(2, 3, 1, 32, 32))
         loss_and_grad(init_model(OperatorConfig(channels=1, seed=19)), x, t)  # width 16, 2 blocks
-        assert sorted(widths["rfft"]) == [1, 1, 16, 16]  # x and grad_y at data width
-        assert sorted(widths["irfft"]) == [1, 16, 16]  # the prediction at data width
+        assert widths["fft"] and set(widths["fft"]) == {1}
+        # forward _dft(g0) and backward _dft(grad_z1); forward _from_band(W1 mixed0) and backward _from_band(q1)
+        assert sorted(widths["_dft"]) == sorted(widths["_from_band"]) == [1, 16, 16]
 
 
 class TestLossValue:
@@ -577,6 +655,22 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         assert back.config == model.config
         assert back.params.tobytes() == model.params.tobytes()
+
+    def test_file_holds_spectral_weights_in_canonical_order(self, tmp_path):
+        # the bytes written before spectral weights were stored mode-major
+        path = save_checkpoint(init_model(CFG_2D), tmp_path / "m.ckpt")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2ec911f7dc5da3ec78478583ca48276ba0982b0d1b9e07e55a19135a1728aa4a")
+
+    def test_canonical_checkpoint_loads_and_resaves_byte_identically(self, tmp_path):
+        # written from the flat vector rng(5).normal() taken in (i, o, m) order for every spectral weight
+        written = Path(__file__).parent / "data" / "canonical_w2.ckpt"
+        model = load_checkpoint(written)
+        canonical = np.random.default_rng(5).normal(size=n_params(model.config))
+        slot = next(s for s in layout(model.config) if s.is_complex)
+        expected = canonical[slot.offset : slot.offset + slot.n_floats].view(np.complex128).reshape(slot.shape)
+        assert model.get_param(slot.name).tobytes() == expected.tobytes()
+        assert save_checkpoint(model, tmp_path / "again.ckpt").read_bytes() == written.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -1,5 +1,7 @@
 """Self-check runner: suites pass as shipped, broken corrections get flagged."""
 
+import dataclasses
+
 import pytest
 
 import zeromode.verify
@@ -84,6 +86,21 @@ class TestMutantDetection:
         results = {r.name: r for r in run_checks("gradients")}
         assert not results["band_inner_product"].passed
         assert "differ" in results["band_inner_product"].detail
+
+    def test_flipped_dft_column_fails_spectral_adjoint(self, monkeypatch):
+        # one -sin column of the last-axis table negated: _dft returns the conjugate of mode 1
+        exact = zeromode.verify._band
+
+        def flipped(resolution, modes_kept):
+            band = exact(resolution, modes_kept)
+            to_cols = band.to_cols.copy()
+            to_cols[:, 3] *= -1.0
+            return dataclasses.replace(band, to_cols=to_cols)
+
+        monkeypatch.setattr(zeromode.verify, "_band", flipped)
+        results = {r.name: r for r in run_checks("gradients")}
+        assert not results["spectral_adjoint"].passed
+        assert "direct DFT sums" in results["spectral_adjoint"].detail
 
 
 class TestFormatting:
