@@ -113,21 +113,26 @@ def sci3(x: float) -> str:
     return f"{float(x):.2E}"
 
 
-def _aggregate(records: list[MetricsRecord]):
-    """mean and population std of the summary metrics per (dataset, variant)."""
-    groups: dict[tuple[str, str], list[MetricsRecord]] = {}
-    for r in records:
-        groups.setdefault((r.dataset, r.variant), []).append(r)
+def _aggregate(records: list[MetricsRecord]) -> list[dict]:
+    """Per (dataset, variant), sorted: its records by seed as ``cell``, their metrics' mean and population std.
+
+    A cell must hold distinct seeds with one step count, or its mean series has no shape.
+    """
+    cells: dict[tuple[str, str], list[MetricsRecord]] = {}
+    for r in sorted(records, key=lambda r: (r.dataset, r.variant, r.seed)):
+        cells.setdefault((r.dataset, r.variant), []).append(r)
     rows = []
-    for (dataset, variant) in sorted(groups):
-        cell = groups[(dataset, variant)]
-        seeds = sorted(r.seed for r in cell)
-        if len(set(seeds)) != len(seeds):
+    for (dataset, variant), cell in cells.items():
+        if len({r.seed for r in cell}) != len(cell):
             raise ValueError(f"duplicate seed in records for {dataset}/{variant}")
+        steps = sorted({len(r.rmse_per_step) for r in cell})
+        if len(steps) > 1:
+            raise ValueError(f"records for {dataset}/{variant} differ in step count: {steps}")
         rows.append(
             {
                 "dataset": dataset,
                 "variant": variant,
+                "cell": cell,
                 "n_seeds": len(cell),
                 "rmse_mean": float(np.mean([r.rmse_mean for r in cell])),
                 "rmse_std": float(np.std([r.rmse_mean for r in cell])),
@@ -145,18 +150,18 @@ def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]
     ``records.csv`` (one row per record) and ``summary.csv`` (aggregates);
     ``summary.md``, same aggregate numbers plus the scope note; and under
     ``plotdata/`` one tab-separated (step, value) file per (dataset,
-    variant) series, for both metrics.
+    variant) series, for both metrics.  Nothing is written for records
+    that cannot be aggregated.
     """
     if not records:
         raise ValueError("nothing to report")
+    rows = _aggregate(records)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(records, key=lambda r: (r.dataset, r.variant, r.seed))
-    rows = _aggregate(ordered)
     written: list[Path] = []
 
     lines = ["dataset,variant,seed,rmse_mean,rmse_final,cons_err_mean,cons_err_max"]
-    for r in ordered:
+    for r in (r for row in rows for r in row["cell"]):  # sorted by dataset, variant and seed
         lines.append(
             f"{r.dataset},{r.variant},{r.seed},{sci3(r.rmse_mean)},"
             f"{sci3(r.rmse_final)},{sci3(r.cons_err_mean)},{sci3(r.cons_err_max)}"
@@ -197,16 +202,12 @@ def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]
 
     plot_dir = out_dir / "plotdata"
     plot_dir.mkdir(exist_ok=True)
-    groups: dict[tuple[str, str], list[MetricsRecord]] = {}
-    for r in ordered:
-        groups.setdefault((r.dataset, r.variant), []).append(r)
-    for (dataset, variant) in sorted(groups):
-        cell = groups[(dataset, variant)]
+    for row in rows:
         for metric in ("rmse", "cons_err"):
-            series = np.mean([getattr(r, f"{metric}_per_step") for r in cell], axis=0)
+            series = np.mean([getattr(r, f"{metric}_per_step") for r in row["cell"]], axis=0)
             lines = ["step\tvalue"]
             lines += [f"{k + 1}\t{sci3(v)}" for k, v in enumerate(series)]
-            p = plot_dir / f"{dataset}__{variant}__{metric}.tsv"
+            p = plot_dir / f"{row['dataset']}__{row['variant']}__{metric}.tsv"
             p.write_text("\n".join(lines) + "\n")
             written.append(p)
 

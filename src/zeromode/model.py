@@ -15,18 +15,20 @@ The retained band is all integer modes with |n| < modes_kept per axis,
 enumerated in a resolution-independent canonical order, which lets one
 parameter vector run on any grid whose Nyquist limit admits the band.
 
-Only the band is transformed.  The operator's input goes through
-``_to_band``: a real FFT along the last axis keeps its first modes_kept
-columns, and in 2-D a short FFT runs along the other axis over them.
-Every lifted-width transform is a pruned DFT of two small matmuls, each
-per sample, with tables cached per (resolution, modes_kept): ``_dft``
+Only the band is transformed, and every band the operator holds is the
+half band: the modes on last-axis columns 0..m-1 in canonical order,
+(2m-1) m of them in 2-D (120 of 225 at modes_kept 8) and m in 1-D; a real
+field's others follow from X[-k] = conj(X[k]).  The operator's input goes
+through ``_to_band``: a real FFT along the last axis keeps its first
+modes_kept columns, and in 2-D a short FFT runs along the other axis over
+them.  Every lifted-width transform is a pruned DFT of two small matmuls,
+each per sample, with tables cached per (resolution, modes_kept): ``_dft``
 takes the last axis through an (n1, 2m) table of cos and -sin columns and
 the first through a (2m-1, n0) complex one, and ``_from_band`` runs the
 transposed pair, which up to the number of grid points is its transpose,
-so the backward pass reuses both.  The negative last-axis modes follow from
-X[k0, -k1] = conj(X[-k0, k1]) for a real field.  The weights for +n and -n
-stay independent and the layer keeps the real part of its inverse, so the
-way back reads only the band's Hermitian part H = (Y + conj(Y[-k])) / 2.
+so the backward pass reuses both.  ``_from_band`` reads a half band as
+sum_k count_k Re(Y_k exp(2 pi i k.p / n)) / n, count 1 on column 0 and 2
+above, and ``_band_inner`` weights each mode by that count.
 One transform of 16 channels at modes_kept 8 took, forward / inverse,
 single-threaded: 0.15 / 0.19 ms by FFT against 0.10 / 0.12 ms by matmuls
 at 32^2, 0.37 / 0.49 against 0.16 / 0.19 at 64^2, 1.24 / 1.56 against
@@ -50,7 +52,7 @@ takes (W0 L) x + (W0 l + b0) and the band L _to_band(x) + n l on the zero
 mode.  A block's output h = gelu(z) + _from_band(mixed), ``mixed`` its
 band after mixing, is never formed: the next block reads it as
 W gelu(z) + b + _from_band(W mixed) and as the band _dft(gelu(z)) +
-H(mixed), and the projection as P gelu(z) + c + _from_band(P mixed)
+mixed, and the projection as P gelu(z) + c + _from_band(P mixed)
 (:func:`_band_affine`).  At the default depth a forward and a backward
 each run two lifted-width transforms; every FFT runs at the data width.
 
@@ -80,13 +82,22 @@ broadcast product ``w * x`` instead of a matmul with inner dimension 1:
 0.13 ms against 0.82 ms at 16 x 128^2, with the same bits, since one
 product has no sum to reorder.
 
-Channel mixing is one broadcast ``matmul`` per mode, (B, m, 1, i) @ (m, i,
-o), and (m, i, o) @ (B, m, o, 1) on the conjugated gradient in its
-adjoint.  Spectral weights are stored mode-major, (m, i, o), so both read
-the parameters without a copy and the weight gradient is one matmul per
-mode into its slot; checkpoints keep the (i, o, m) order.  Each product
-belongs to one sample, so a state gets the same bits alone or in any
-batch (an ``einsum`` over the batch gave bits 2e-16 apart at B=1 and B=10).
+The weights for k and -k are independent and the layer keeps the real
+part of its inverse, so on a real field's band X the half band of
+Re(ifftn(W X)) is exactly W_eff[k] X[k], W_eff[k] = (W[k] + conj W[-k]) / 2.
+:func:`_fold` builds W_eff once per block and forward, and the tape keeps
+it for the backward; W_eff is 1 where W is 1 at the zero mode, so the
+identity fixture keeps its bits.  Single-threaded, a fold at width 16 and
+modes_kept 8 took 0.2 ms alone but ~1 ms per block in a profiled 1 x 128^2
+forward, whose activations evict the weight before it is read.
+Channel mixing is one broadcast ``matmul`` per mode, (B, n_half, 1, i) @
+(n_half, i, o), and (n_half, i, o) @ (B, n_half, o, 1) on the conjugated
+gradient in its adjoint.  W_eff's gradient, one matmul per mode scaled by
+count / (2 n), is added into zeroed slot storage, to W[k] as it is and to
+W[-k] conjugated: column 0 holds both k and -k, and an assignment would
+drop a term.  Each product belongs to one sample, so a state gets the same
+bits alone or in any batch (an ``einsum`` over the batch gave bits 2e-16
+apart at B=1 and B=10).
 ``forward_values`` runs its batch in chunks of ``_CHUNK_BYTES`` = 1 MiB of
 activation, width x points x 8 bytes per sample: eight samples at 32^2,
 two at 64^2 and one at 128^2, each no slower per sample than B=1 in
@@ -232,6 +243,10 @@ class OperatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("channels", "width", "n_layers", "modes_kept", "ndim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.channels < 1 or self.width < 1 or self.n_layers < 1 or self.modes_kept < 1:
             raise ValueError("channels, width, n_layers and modes_kept must all be positive")
         if self.ndim not in (1, 2):
@@ -240,12 +255,8 @@ class OperatorConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
-    def modes_per_axis(self) -> int:
-        return 2 * self.modes_kept - 1
-
-    @property
     def n_modes(self) -> int:
-        return self.modes_per_axis**self.ndim
+        return (2 * self.modes_kept - 1) ** self.ndim
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -257,8 +268,6 @@ class ParamSlot:
 
     Complex tensors occupy ``2 * prod(shape)`` float64 entries, stored as
     interleaved (real, imag) pairs, i.e. the memory layout of complex128.
-    A spectral weight of shape (i, o, m) is stored mode-major, as (m, i, o),
-    so that mode mixing reads one contiguous (i, o) matrix per mode.
     """
 
     name: str
@@ -337,15 +346,11 @@ class OperatorModel:
 
 
 def _views(flat: np.ndarray, config: OperatorConfig) -> dict[str, np.ndarray]:
-    """Every named tensor of ``config``'s layout as a view into ``flat``; spectral ones (i, o, m) of (m, i, o)."""
+    """Every named tensor of ``config``'s layout as a view into ``flat``."""
     views = {}
     for slot in layout(config):
         raw = flat[slot.offset : slot.offset + slot.n_floats]
-        if slot.is_complex:
-            i, o, m = slot.shape
-            views[slot.name] = raw.view(np.complex128).reshape(m, i, o).transpose(1, 2, 0)
-        else:
-            views[slot.name] = raw.reshape(slot.shape)
+        views[slot.name] = (raw.view(np.complex128) if slot.is_complex else raw).reshape(slot.shape)
     return views
 
 
@@ -403,16 +408,18 @@ def constant_identity_model(config: OperatorConfig) -> OperatorModel:
 class _Band:
     """Index maps and DFT tables of the retained band on one grid, shared by every layer; all read-only.
 
-    ``rows``: the band's FFT indices along the first of two axes (None in 1-D, as the row tables);
-    ``neg``: the canonical per-axis position of each negated mode.  ``to_cols`` (n1, 2m): cos and
-    -sin columns of modes 0..m-1; ``from_cols``: its transpose weighted 1/n1 for mode 0, 2/n1 above.
-    ``to_rows`` (2m-1, n0): the complex DFT of the band rows; ``from_rows``: its inverse.
+    ``half``: the canonical positions of the half band; ``mirror``: those of their negations; ``count``: 1
+    on column 0, 2 above.  ``rows``: the band's FFT indices along the first of two axes (None in 1-D, as the
+    row tables).  ``to_cols`` (n1, 2m): cos and -sin columns of modes 0..m-1; ``from_cols``: its transpose
+    weighted count / n1.  ``to_rows`` (2m-1, n0): the complex DFT of the band rows; ``from_rows``: its inverse.
     """
 
     modes_kept: int
     resolution: tuple[int, ...]
+    half: np.ndarray
+    mirror: np.ndarray
+    count: np.ndarray
     rows: np.ndarray | None
-    neg: np.ndarray
     to_cols: np.ndarray
     from_cols: np.ndarray
     to_rows: np.ndarray | None
@@ -431,38 +438,36 @@ def _band(resolution: tuple[int, ...], modes_kept: int) -> _Band:
     for n in resolution:
         if m > n // 2:
             raise ValueError(f"modes_kept={m} exceeds the Nyquist bound for resolution {n}")
+    per_axis = (2 * m - 1,) * len(resolution)
+    position = np.indices(per_axis).reshape(len(resolution), -1)  # per-axis canonical position of each mode
+    half = np.flatnonzero(position[-1] < m)
+    mirror = np.ravel_multi_index(-position[:, half] % (2 * m - 1), per_axis)
+    count = np.where(position[-1, half] == 0, 1.0, 2.0)
     n1 = resolution[-1]
     angle = 2.0 * np.pi * (np.outer(np.arange(n1), np.arange(m)) % n1) / n1  # reduced mod 2 pi first
     to_cols = np.stack([np.cos(angle), -np.sin(angle)], axis=-1).reshape(n1, 2 * m)
-    from_cols = to_cols.T * (np.repeat(np.r_[1.0, np.full(m - 1, 2.0)], 2) / n1)[:, None]
+    from_cols = to_cols.T * (np.repeat(count[:m], 2) / n1)[:, None]
     rows = to_rows = from_rows = None
     if len(resolution) == 2:
         n0 = resolution[0]
         rows = np.concatenate([np.arange(m), np.arange(n0 - m + 1, n0)])
         to_rows = np.exp(-2j * np.pi * (np.outer(rows, np.arange(n0)) % n0) / n0)
         from_rows = np.conj(to_rows.T) / n0
-    neg = -np.arange(2 * m - 1) % (2 * m - 1)
-    for table in (t for t in (rows, neg, to_cols, from_cols, to_rows, from_rows) if t is not None):
+    tables = (half, mirror, count, rows, to_cols, from_cols, to_rows, from_rows)
+    for table in (t for t in tables if t is not None):
         table.setflags(write=False)
-    return _Band(m, tuple(resolution), rows, neg, to_cols, from_cols, to_rows, from_rows)
-
-
-def _complete(half: np.ndarray, band: _Band) -> np.ndarray:
-    """(B, C, n_modes) from the band's non-negative last-axis columns, by X[k0, -k1] = conj(X[-k0, k1])."""
-    mirror = half if band.rows is None else half[..., band.neg, :]
-    modes = np.concatenate([half, np.conj(mirror[..., :0:-1])], axis=-1)
-    return modes.reshape(*half.shape[:2], -1)
+    return _Band(m, tuple(resolution), *tables)
 
 
 def _to_band(x: np.ndarray, band: _Band) -> np.ndarray:
-    """Retained DFT modes of real ``x`` (B, C, *spatial) as (B, C, n_modes), by FFT.
+    """Half band of real ``x`` (B, C, *spatial) as (B, C, n_half), by FFT.
 
     For the operator's input, whose constants must come out exact (module docstring).
     """
     half = np.fft.rfft(x, axis=-1)[..., : band.modes_kept]
     if band.rows is not None:
         half = np.fft.fft(half, axis=-2, out=half)[..., band.rows, :]
-    return _complete(half, band)
+    return half.reshape(*x.shape[:2], -1)
 
 
 def _dft(x: np.ndarray, band: _Band) -> np.ndarray:
@@ -472,26 +477,17 @@ def _dft(x: np.ndarray, band: _Band) -> np.ndarray:
     half = half.reshape(*shape[:-1], m)
     if band.rows is not None:
         half = band.to_rows @ half
-    return _complete(half, band)
-
-
-def _hermitian(modes: np.ndarray, band: _Band) -> np.ndarray:
-    """H = (Y + conj(Y[-k])) / 2 of band modes (B, C, n_modes): the band of ``_from_band(Y)``."""
-    spec = modes.reshape(*modes.shape[:2], *(2 * band.modes_kept - 1,) * len(band.resolution))
-    mirror = spec[..., band.neg]
-    if band.rows is not None:
-        mirror = mirror[..., band.neg, :]
-    return (0.5 * (spec + np.conj(mirror))).reshape(modes.shape)
+    return half.reshape(*shape[:2], -1)
 
 
 def _from_band(modes: np.ndarray, band: _Band, out: np.ndarray | None = None) -> np.ndarray:
-    """``Re(ifftn(spectrum))`` of the spectrum holding ``modes`` on the band, 0 elsewhere.
+    """The field sum_k count_k Re(modes_k exp(2 pi i k.p / n)) / n_points of a half band (B, C, n_half).
 
-    Two matmuls per sample on the non-negative last-axis columns of H; up to
-    n_points the transpose of :func:`_dft`.  ``out``, C-contiguous, receives the field.
+    On a real field's half band, ``Re(ifftn)`` of the band spectrum.  Two matmuls per sample;
+    up to n_points the transpose of :func:`_dft`.  ``out``, C-contiguous, receives the field.
     """
     m, res, lead = band.modes_kept, band.resolution, modes.shape[:2]
-    half = _hermitian(modes, band).reshape(*lead, *(2 * m - 1,) * len(res))[..., :m]
+    half = modes.reshape(*lead, -1, m)
     if band.rows is not None:
         half = band.from_rows @ half
     half = np.ascontiguousarray(half).view(np.float64).reshape(lead[0], -1, 2 * m)
@@ -499,33 +495,42 @@ def _from_band(modes: np.ndarray, band: _Band, out: np.ndarray | None = None) ->
     return np.matmul(half, band.from_cols, out=flat).reshape(*lead, *res)
 
 
-def _mix_modes(modes: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """out[b, o, k] = sum_i weight[i, o, k] modes[b, i, k], one product per sample and mode.
+def _fold(weight: np.ndarray, band: _Band) -> np.ndarray:
+    """W_eff[k] = (W[k] + conj W[-k]) / 2 of a spectral slot (i, o, n_modes) on the half band, as (n_half, i, o)."""
+    pair = weight.transpose(2, 0, 1)[np.stack((band.half, band.mirror))]  # (2, n_half, i, o), W[k] and W[-k]
+    eff, mirror = pair
+    eff += np.conj(mirror, out=mirror)
+    eff *= 0.5
+    return eff
 
-    ``weight.transpose(2, 0, 1)`` is the storage of a mode-major slot, read without a copy.
-    """
-    mixed = modes.transpose(0, 2, 1)[:, :, None, :] @ weight.transpose(2, 0, 1)
+
+def _mix_modes(modes: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """out[b, o, k] = sum_i weight[k, i, o] modes[b, i, k], weight from :func:`_fold`; one product per sample, mode."""
+    mixed = modes.transpose(0, 2, 1)[:, :, None, :] @ weight
     return mixed[:, :, 0, :].transpose(0, 2, 1)
 
 
 def _mixing_backward(
     gy_modes: np.ndarray, weight: np.ndarray, x_modes: np.ndarray, band: _Band, grad_weight: np.ndarray
 ) -> np.ndarray:
-    """Band gradient of the mixing's input given that of its output; the weight's goes into ``grad_weight``.
+    """Band gradient of the mixing's input given that of its output; ``weight`` is ``_fold(W)``.
 
-    sum_o conj(weight[i, o, k]) gy[b, o, k] is taken as conj(stored weight @ conj(gy)), and the
-    weight gradient as one matmul per mode into the storage of ``grad_weight``, shaped like ``weight``.
+    sum_o conj(weight[k, i, o]) gy[b, o, k] is taken as conj(weight @ conj(gy)); W's gradient is added
+    into ``grad_weight``, zeroed and shaped like W, as the module docstring says.
     """
+    grad_eff = np.conj(x_modes).transpose(2, 1, 0) @ gy_modes.transpose(2, 0, 1)
+    grad_eff *= (band.count / (2 * np.prod(band.resolution)))[:, None, None]
     stored = grad_weight.transpose(2, 0, 1)
-    np.matmul(np.conj(x_modes).transpose(2, 1, 0), gy_modes.transpose(2, 0, 1), out=stored)
-    stored /= np.prod(band.resolution)
-    gx = weight.transpose(2, 0, 1) @ np.conj(gy_modes).transpose(0, 2, 1)[..., None]
+    stored[band.half] += grad_eff
+    stored[band.mirror] += np.conj(grad_eff)
+    gx = weight @ np.conj(gy_modes).transpose(0, 2, 1)[..., None]
     return np.conj(gx[..., 0]).transpose(0, 2, 1)
 
 
 def _band_inner(a_modes: np.ndarray, b_modes: np.ndarray, band: _Band) -> np.ndarray:
-    """out[i, j] = Re sum conj(a[:, i]) b[:, j] / n_points; with a = _dft(u), sum_p u_i _from_band(b)_j."""
-    return np.einsum("bik,bjk->ij", np.conj(a_modes), b_modes, optimize=True).real / np.prod(band.resolution)
+    """out[i, j] = Re sum count conj(a[:, i]) b[:, j] / n_points; with a = _dft(u), sum_p u_i _from_band(b)_j."""
+    inner = np.einsum("bik,bjk,k->ij", np.conj(a_modes), b_modes, band.count, optimize=True)
+    return inner.real / np.prod(band.resolution)
 
 
 def _pointwise_forward(
@@ -623,16 +628,17 @@ def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None
     if tape is not None:
         tape.update(band=band, x=x, x_modes=x_modes)
     for i in range(cfg.n_layers):
-        mixed = _mix_modes(modes, p[f"block{i}.spectral"])
+        weight = _fold(p[f"block{i}.spectral"], band)
+        mixed = _mix_modes(modes, weight)
         if tape is not None:
-            tape[f"block{i}"], tape[f"mixed{i}"] = (ws.g[i], modes, z, ws.t[i]), mixed
+            tape[f"block{i}"], tape[f"mixed{i}"], tape[f"weight{i}"] = (ws.g[i], modes, z, ws.t[i]), mixed, weight
         g = gelu(z, tanh_out=ws.t[i], out=ws.g[i])
         if i == last:
             break
-        # block i's output h = g + _from_band(mixed) reaches block i + 1 as W h + b and as its band dft(g) + H(mixed)
+        # block i's output h = g + _from_band(mixed) reaches block i + 1 as W h + b and as its band dft(g) + mixed
         z = _band_affine(g, mixed, p[f"block{i + 1}.weight"], p[f"block{i + 1}.bias"], band,
                          out=ws.z[i + 1], scratch=ws.band_term)
-        modes = _dft(g, band) + _hermitian(mixed, band)
+        modes = _dft(g, band) + mixed
     return _band_affine(g, mixed, p["proj.weight"], p["proj.bias"], band)
 
 
@@ -649,11 +655,10 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
         g, modes, z, t = tape[f"block{i}"]
         grad_g, band_grad, grads[f"{after}.weight"][...], grads[f"{after}.bias"][...] = _band_affine_backward(
             grad_out, g, tape[f"mixed{i}"], p[f"{after}.weight"], band)
-        if q is not None:  # block i + 1's band dft(g) + H(mixed), with q its gradient
+        if q is not None:  # block i + 1's band dft(g) + mixed, with q its gradient
             grad_g += _from_band(q, band)
-            band_grad += _hermitian(q, band)
-        spectral = f"block{i}.spectral"
-        q = _mixing_backward(band_grad, p[spectral], modes, band, grads[spectral])
+            band_grad += q
+        q = _mixing_backward(band_grad, tape[f"weight{i}"], modes, band, grads[f"block{i}.spectral"])
         grad_out, after = gelu_grad(z, tanh=t, upstream=grad_g), f"block{i}"
     # block 0 read x through W0 L and W0 l + b0, and its band as L X + n l on the zero mode, q the gradient
     lift_w, lift_b, w0 = p["lift.weight"], p["lift.bias"], p["block0.weight"]
@@ -732,11 +737,7 @@ def save_checkpoint(model: OperatorModel, path: str | os.PathLike) -> Path:
     """Versioned binary checkpoint: header, config echo, flat F64 params."""
     path = Path(path)
     config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    params = model.params.astype("<f8")
-    for slot, view in zip(layout(model.config), _views(model.params, model.config).values()):
-        if slot.is_complex:  # written in the canonical (i, o, m) order
-            params[slot.offset : slot.offset + slot.n_floats].view(np.complex128).reshape(slot.shape)[...] = view
-    params_blob = params.tobytes()
+    params_blob = model.params.astype("<f8").tobytes()
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
@@ -774,9 +775,4 @@ def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
             raise ValueError("checkpoint payload truncated or padded")
         if zlib.crc32(blob) != crc:
             raise ValueError("checkpoint payload checksum mismatch")
-    canonical = np.frombuffer(blob, dtype="<f8")
-    params = canonical.astype(np.float64)
-    for slot, view in zip(layout(config), _views(params, config).values()):
-        if slot.is_complex:  # read in the canonical (i, o, m) order
-            view[...] = canonical[slot.offset : slot.offset + slot.n_floats].view(np.complex128).reshape(slot.shape)
-    return OperatorModel(config, params)
+    return OperatorModel(config, np.frombuffer(blob, dtype="<f8").astype(np.float64))

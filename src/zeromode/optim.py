@@ -46,8 +46,6 @@ def adamw_step(model: OperatorModel, grads: np.ndarray, state: OptimState):
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != model.params.shape:
         raise ValueError(f"gradient shape {grads.shape} does not match parameters {model.params.shape}")
-    if not np.all(np.isfinite(grads)):
-        raise ValueError("non-finite gradient entries, refusing to step")
 
     # Each line computes into the three fresh outputs or one scratch vector,
     # in the operation order of the update rule above, so no full-size

@@ -42,6 +42,7 @@ from .model import (
     _band,
     _band_inner,
     _dft,
+    _fold,
     _from_band,
     _mix_modes,
     _mixing_backward,
@@ -359,7 +360,7 @@ def _check_uniform_direction(correction: CorrectionFn):
 
 @_register("gradients", "spectral_adjoint")
 def _check_spectral_adjoint(correction: CorrectionFn):
-    # the 2-D layer _from_band(W _dft(x)) on an odd, non-square grid: the finite-difference checks run 1-D only
+    # the 2-D layer _from_band(_fold(W) _dft(x)) on an odd, non-square grid: the finite-difference checks run 1-D only
     rng = np.random.default_rng(506)
     resolution, m = (7, 10), 3
     n_modes = (2 * m - 1) ** 2
@@ -367,13 +368,14 @@ def _check_spectral_adjoint(correction: CorrectionFn):
     weight = rng.normal(size=(3, 3, n_modes)) + 1j * rng.normal(size=(3, 3, n_modes))
     band = _band(resolution, m)
     x_modes = _dft(x, band)
-    y = _from_band(_mix_modes(x_modes, weight), band)
+    weight_eff = _fold(weight, band)
+    y = _from_band(_mix_modes(x_modes, weight_eff), band)
 
-    # direct DFT sums over the band, canonical order n = 0..m-1, -(m-1)..-1 per axis
+    # direct DFT sums over the whole band, canonical order n = 0..m-1, -(m-1)..-1 per axis
     ks = np.r_[0:m, -(m - 1):0]
     dft = [np.exp(-2j * np.pi * np.outer(ks, np.arange(n)) / n) for n in resolution]
-    modes = np.einsum("kp,lq,bipq->bikl", *dft, x).reshape(x_modes.shape)
-    gap = np.abs(x_modes - modes).max() / np.abs(modes).max()
+    modes = np.einsum("kp,lq,bipq->bikl", *dft, x).reshape(2, 3, n_modes)
+    gap = np.abs(x_modes - modes[..., band.half]).max() / np.abs(modes).max()
     if gap > 1e-12:
         return f"2-D band transform differs from direct DFT sums by {gap:.2e} (relative)"
     mixed = np.einsum("iom,bim->bom", weight, modes).reshape(2, 3, 2 * m - 1, 2 * m - 1)
@@ -382,10 +384,10 @@ def _check_spectral_adjoint(correction: CorrectionFn):
     if gap > 1e-12:
         return f"2-D spectral layer differs from direct DFT sums by {gap:.2e} (relative)"
 
-    # the adjoint g -> _from_band(W^H _dft(g)), as the backward pass takes it
+    # the adjoint g -> _from_band(W_eff^H _dft(g)), as the backward pass takes it
     g = rng.normal(size=y.shape)
-    grad_weight = np.empty_like(weight)
-    q = _mixing_backward(_dft(g, band), weight, x_modes, band, grad_weight)
+    grad_weight = np.zeros_like(weight)
+    q = _mixing_backward(_dft(g, band), weight_eff, x_modes, band, grad_weight)
     grad_x = _from_band(q, band)
     lhs = np.vdot(y, g)
     scale = np.linalg.norm(y) * np.linalg.norm(g)
@@ -402,8 +404,8 @@ def _check_spectral_adjoint(correction: CorrectionFn):
 def _check_band_inner_product(correction: CorrectionFn):
     # the pointwise weight gradients use sum_p u _from_band(Y) = Re sum_k conj(_dft(u)_k) Y_k / n
     rng = np.random.default_rng(507)
-    band = _band((7, 10), 3)  # odd and non-square, 25 modes
-    u, modes = rng.normal(size=(2, 3, 7, 10)), rng.normal(size=(2, 4, 25)) + 1j * rng.normal(size=(2, 4, 25))
+    band = _band((7, 10), 3)  # odd and non-square, 15 of 25 modes in the half band
+    u, modes = rng.normal(size=(2, 3, 7, 10)), rng.normal(size=(2, 4, 15)) + 1j * rng.normal(size=(2, 4, 15))
     on_grid = np.einsum("bip,bjp->ij", u.reshape(2, 3, -1), _from_band(modes, band).reshape(2, 4, -1))
     gap = np.abs(on_grid - _band_inner(_dft(u, band), modes, band)).max() / np.abs(on_grid).max()
     return None if gap <= 1e-12 else f"grid and band inner products differ by {gap:.2e} (relative)"

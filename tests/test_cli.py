@@ -319,10 +319,13 @@ def flip(offset):
     return edit
 
 
-def with_bogus_config_key(blob):
-    config_len = struct.unpack("<I", blob[6:10])[0]
-    new = json.dumps({**json.loads(blob[10:10 + config_len]), "bogus": 1}).encode()
-    return blob[:6] + struct.pack("<I", len(new)) + new + blob[10 + config_len:]
+def with_config(**changes):
+    """The checkpoint with ``changes`` applied to its config JSON."""
+    def edit(blob):
+        config_len = struct.unpack("<I", blob[6:10])[0]
+        new = json.dumps({**json.loads(blob[10:10 + config_len]), **changes}).encode()
+        return blob[:6] + struct.pack("<I", len(new)) + new + blob[10 + config_len:]
+    return edit
 
 
 # (build argv, text stderr must hold, whether the input is a file, so that stderr is one line)
@@ -346,6 +349,10 @@ BAD_INPUTS = [
                  id="report-seed-float"),
     pytest.param(report_row(record_line(cons_err_per_step=[0.0])), "cons_err_per_step differ in length", True,
                  id="report-steps-mismatch"),
+    pytest.param(report_row(record_line(dataset="cd", seed=1)
+                            + record_line(dataset="cd", seed=2, rmse_per_step=[0.1, 0.2, 0.3],
+                                          cons_err_per_step=[0.0, 0.0, 0.0])),
+                 "records for cd/base differ in step count: [2, 3]", True, id="report-cell-step-counts"),
     pytest.param(config_row("train", {"width": [16]}), "'width'", True, id="train-width-list"),
     pytest.param(config_row("train", {"seed": {"a": 1}}), "'seed'", True, id="train-seed-object"),
     pytest.param(config_row("train", {"lr": [1]}), "'lr'", True, id="train-lr-list"),
@@ -373,7 +380,13 @@ BAD_INPUTS = [
     pytest.param(checkpoint_row(flip(6)), "bad.ckpt: header truncated or malformed", True,
                  id="ckpt-flip-config-length"),
     pytest.param(checkpoint_row(flip(-1)), "checksum mismatch", True, id="ckpt-flip-payload"),
-    pytest.param(checkpoint_row(with_bogus_config_key), "bogus", True, id="ckpt-config-unknown-key"),
+    pytest.param(checkpoint_row(with_config(bogus=1)), "bogus", True, id="ckpt-config-unknown-key"),
+    pytest.param(checkpoint_row(with_config(width=4.0)),
+                 "bad.ckpt: header truncated or malformed: width must be an integer, got 4.0", True,
+                 id="ckpt-config-float-width"),
+    pytest.param(checkpoint_row(with_config(channels=True)),
+                 "bad.ckpt: header truncated or malformed: channels must be an integer, got True", True,
+                 id="ckpt-config-bool-channels"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 0)), "bytes of header", True, id="data-cut-head"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 1)), "bytes of resolution", True, id="data-cut-resolution"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 2)), "bytes of lengths", True, id="data-cut-lengths"),
@@ -412,6 +425,7 @@ class TestMalformedInputs:
         assert message in err and "Traceback" not in err
         if file_row:
             assert err.count("\n") == 1
+        assert not list((tmp_path / "report").rglob("*"))  # a refused report writes no file
 
     @pytest.mark.parametrize("bad_line", ["drop_key", "not json"])
     def test_malformed_record_names_file_and_line(self, pipeline, tmp_path, capsys, bad_line):

@@ -30,6 +30,7 @@ from zeromode.model import (
     _TILE,
     _band,
     _dft,
+    _fold,
     _forward_batch,
     _from_band,
     _mix_modes,
@@ -416,9 +417,9 @@ def brute_force_spectral_layer(x, weight, modes_kept):
 
 
 def spectral_layer(x, weight, band):
-    """The layer _from_band(W _dft(x)) and the retained modes of x."""
+    """The layer _from_band(_fold(W) _dft(x)) and the half band of x."""
     x_modes = _dft(x, band)
-    return _from_band(_mix_modes(x_modes, weight), band), x_modes
+    return _from_band(_mix_modes(x_modes, _fold(weight, band)), band), x_modes
 
 
 def band_dft_tables(resolution, modes_kept):
@@ -478,8 +479,8 @@ class TestSpectralLayer:
         x, weight, band = self.layer(resolution, modes_kept, seed=63)
         g = np.random.default_rng(64).normal(size=(2, 2, *resolution))
         y, x_modes = spectral_layer(x, weight, band)
-        grad_weight = np.empty_like(weight)
-        q = _mixing_backward(_dft(g, band), weight, x_modes, band, grad_weight)
+        grad_weight = np.zeros_like(weight)  # the weight gradient is added into zeroed storage
+        q = _mixing_backward(_dft(g, band), _fold(weight, band), x_modes, band, grad_weight)
         grad_x = _from_band(q, band)
         lhs = np.vdot(y, g)
         scale = np.linalg.norm(y) * np.linalg.norm(g)
@@ -506,19 +507,22 @@ class TestBandTransforms:
         scale = np.abs(direct).max()
         for transform in (_dft, _to_band):
             modes = transform(x, band)
-            assert np.abs(modes - direct).max() <= 1e-12 * scale
-            assert np.abs(modes - by_fft).max() <= 1e-12 * scale
+            assert np.abs(modes - direct[..., band.half]).max() <= 1e-12 * scale
+            assert np.abs(modes - by_fft[..., band.half]).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("resolution, modes_kept", TRANSFORM_GRIDS)
     def test_inverse_matches_direct_sums_and_zero_padded_ifftn(self, resolution, modes_kept):
         band = _band(resolution, modes_kept)
         rng = np.random.default_rng(66)
-        n_modes = (2 * modes_kept - 1) ** len(resolution)
-        modes = rng.normal(size=(2, 3, n_modes)) + 1j * rng.normal(size=(2, 3, n_modes))
+        n_half = band.half.size
+        modes = rng.normal(size=(2, 3, n_half)) + 1j * rng.normal(size=(2, 3, n_half))
         y = _from_band(modes, band)
-        direct = direct_field(modes, resolution, modes_kept)
+        # each half-band mode stands for count band modes: the band spectrum holds count * modes there, 0 elsewhere
+        full = np.zeros((2, 3, (2 * modes_kept - 1) ** len(resolution)), dtype=np.complex128)
+        full[..., band.half] = band.count * modes
+        direct = direct_field(full, resolution, modes_kept)
         padded = np.zeros((2, 3, *resolution), dtype=np.complex128)
-        spec = modes.reshape(2, 3, *(2 * modes_kept - 1,) * len(resolution))
+        spec = full.reshape(2, 3, *(2 * modes_kept - 1,) * len(resolution))
         padded[(..., *band_rows(resolution, modes_kept))] = spec
         by_fft = np.fft.ifftn(padded, axes=tuple(range(2, padded.ndim))).real
         scale = np.abs(direct).max()
@@ -534,10 +538,11 @@ class TestTransformCount:
         # the lifted-width band transforms are DFT matmuls, and np.fft sees only the
         # one-channel input, so a lifted-width FFT that comes back fails here
         widths = {"fft": [], "_dft": [], "_from_band": []}
+        mixed_modes = []
 
-        def count(module, name, seen):
+        def count(module, name, seen, axis=1):
             def counted(a, *args, _real=getattr(module, name), **kw):
-                seen.append(np.shape(a)[1])
+                seen.append(np.shape(a)[axis])
                 return _real(a, *args, **kw)
             monkeypatch.setattr(module, name, counted)
 
@@ -545,11 +550,14 @@ class TestTransformCount:
             count(np.fft, name, widths["fft"])
         for name in ("_dft", "_from_band"):
             count(zeromode.model, name, widths[name])
+        count(zeromode.model, "_mix_modes", mixed_modes, axis=-1)
         x, t = np.random.default_rng(19).normal(size=(2, 3, 1, 32, 32))
-        loss_and_grad(init_model(OperatorConfig(channels=1, seed=19)), x, t)  # width 16, 2 blocks
+        loss_and_grad(init_model(OperatorConfig(channels=1, seed=19)), x, t)  # width 16, 2 blocks, 8 modes
         assert widths["fft"] and set(widths["fft"]) == {1}
         # forward _dft(g0) and backward _dft(grad_z1); forward _from_band(W1 mixed0) and backward _from_band(q1)
         assert sorted(widths["_dft"]) == sorted(widths["_from_band"]) == [1, 16, 16]
+        # blocks mix the half band, 15 x 8 modes, never the whole band of 15 x 15
+        assert mixed_modes == [120, 120]
 
 
 class TestLossValue:
@@ -661,6 +669,12 @@ class TestCheckpoint:
         path = save_checkpoint(init_model(CFG_2D), tmp_path / "m.ckpt")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "2ec911f7dc5da3ec78478583ca48276ba0982b0d1b9e07e55a19135a1728aa4a")
+
+    def test_payload_is_the_parameter_vector(self, tmp_path):
+        # spectral weights sit in memory in the file's (i, o, m) order, so the payload is the vector as it is
+        model = init_model(CFG_2D)
+        path = save_checkpoint(model, tmp_path / "m.ckpt")
+        assert path.read_bytes()[-model.params.size * 8 :] == model.params.astype("<f8").tobytes()
 
     def test_canonical_checkpoint_loads_and_resaves_byte_identically(self, tmp_path):
         # written from the flat vector rng(5).normal() taken in (i, o, m) order for every spectral weight

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import zeromode.training
 from zeromode.correction import ConservationMask, Variant, pin_channel_means
 from zeromode.datasets import (
     DatasetConfig,
@@ -136,6 +137,24 @@ class TestTrainLoop:
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as err:
             train(huge, valid_set, MODEL_CFG, cfg)
         assert err.value.epoch == 1
+
+    def test_non_finite_gradient_raises_with_epoch(self, sets, monkeypatch):
+        # a finite loss with a NaN gradient: train's check names the epoch before the optimizer steps
+        train_set, valid_set = sets
+        calls = []
+
+        def nan_gradient_at_epoch_2(model, *args, **kwargs):
+            value, grads = loss_and_grad(model, *args, **kwargs)
+            calls.append(value)
+            if len(calls) == 2:
+                grads[0] = np.nan
+            return value, grads
+
+        monkeypatch.setattr(zeromode.training, "loss_and_grad", nan_gradient_at_epoch_2)
+        cfg = TrainConfig(mode=Variant.BASE, epochs=3, eval_every=3, batch_size=train_set.n_samples)  # one batch
+        with pytest.raises(TrainingDiverged) as err:
+            train(train_set, valid_set, MODEL_CFG, cfg)
+        assert err.value.epoch == 2 and np.isfinite(calls[1])
 
     @pytest.mark.parametrize("field, value", [("lr", float("nan")), ("lr", -1.0),
                                               ("weight_decay", float("inf")), ("weight_decay", -5.0)])

@@ -1,9 +1,13 @@
 """Self-check runner: suites pass as shipped, broken corrections get flagged."""
 
 import dataclasses
+import inspect
+import textwrap
 
+import numpy as np
 import pytest
 
+import zeromode.model
 import zeromode.verify
 from zeromode.correction import pin_channel_means
 from zeromode.verify import (
@@ -13,6 +17,15 @@ from zeromode.verify import (
     format_results,
     run_checks,
 )
+
+
+def mutated(function, old, new):
+    """``function`` compiled again from its source with every ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert old in source
+    namespace = dict(function.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
 
 
 class TestSuites:
@@ -101,6 +114,33 @@ class TestMutantDetection:
         results = {r.name: r for r in run_checks("gradients")}
         assert not results["spectral_adjoint"].passed
         assert "direct DFT sums" in results["spectral_adjoint"].detail
+
+    def test_fold_without_mirror_term_fails_spectral_adjoint(self, monkeypatch):
+        # W_eff[k] = W[k] drops conj W[-k] / 2 and the halving: no longer the band of Re(ifftn(W X))
+        unfolded = lambda weight, band: np.ascontiguousarray(weight.transpose(2, 0, 1)[band.half])
+        monkeypatch.setattr(zeromode.verify, "_fold", unfolded)
+        results = {r.name: r for r in run_checks("gradients")}
+        assert not results["spectral_adjoint"].passed
+        assert "direct DFT sums" in results["spectral_adjoint"].detail
+
+    def test_band_inner_without_column_count_fails_band_inner_product(self, monkeypatch):
+        # each mode above column 0 stands for itself and its conjugate mirror; dropping that count halves them
+        def uncounted(a_modes, b_modes, band):
+            return np.einsum("bik,bjk->ij", np.conj(a_modes), b_modes).real / np.prod(band.resolution)
+
+        monkeypatch.setattr(zeromode.verify, "_band_inner", uncounted)
+        results = {r.name: r for r in run_checks("gradients")}
+        assert not results["band_inner_product"].passed
+        assert "differ" in results["band_inner_product"].detail
+
+    def test_assigning_weight_gradient_scatter_fails_finite_differences(self, monkeypatch):
+        # column 0 holds both k and -k, so the mirror's assignment overwrites the zero mode's first term
+        scatter = mutated(zeromode.model._mixing_backward, "] +=", "] =")
+        monkeypatch.setattr(zeromode.model, "_mixing_backward", scatter)
+        results = {r.name: r for r in run_checks("gradients")}
+        for name in ("finite_difference_mse", "finite_difference_mae", "finite_difference_corrected"):
+            assert not results[name].passed
+            assert "disagrees with finite differences" in results[name].detail
 
 
 class TestFormatting:
