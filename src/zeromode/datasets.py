@@ -6,13 +6,13 @@ of equidistant snapshots whose flagged channels conserve their spatial
 integral; generation ends with an automatic conservation audit so a bad
 solver configuration cannot silently produce non-conserving data.
 
-Generation draws every initial state of a split first, one sample at a
-time with its own seed, as a plain array on the problem's grid.  The split
-then goes to its solver as one stacked (samples, ...) array with the
-grid, in one batched call, and a solver abort names the sample of the
-split at fault.  For the scalar problems the solver writes each snapshot
-straight into the (samples, frames, ...) array that becomes the dataset's
-``data``; water keeps the depth channel of the solver's full-state frames.
+Every problem takes one path: draw, solve, audit.  Each initial state of
+a split is drawn first, one sample at a time with its own seed, as a plain
+array on the problem's grid.  The split then goes to its solver as one
+stacked (samples, ...) array with the grid, in one batched call, and a
+solver abort names the sample of the split at fault.  The solver's frames
+become the dataset's (samples, frames, 1, ...) ``data``; for water that is
+the depth channel of the full-state frames.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ __all__ = [
 
 GENERATOR_VERSION = "1"
 
-# Samples whose initial conserved integral is closer to zero than this are
-# redrawn (bounded retries): the relative conservation metric divides by
-# the integral, and the generated data should keep it meaningfully sized.
-_MEAN_FLOORS = {"ac_dw": 0.05, "ac_fh": 0.01, "heat": 0.05, "cd": 0.05}
-_MAX_REDRAWS = 64
-
 # Maximum allowed |E(t) - E(0)| / |E(0)| over any generated sample.
 DRIFT_TOLERANCE = 1e-10
 
@@ -79,6 +73,12 @@ _FLUX_TOLERANCES = {
     Problem.DIFF: 1e-12,
     Problem.CD: 1e-12,
 }
+
+# Samples whose initial conserved integral is closer to zero than this are
+# redrawn (bounded retries): the relative conservation metric divides by
+# the integral, and the generated data should keep it meaningfully sized.
+_MEAN_FLOORS = {Problem.AC_DW: 0.05, Problem.AC_FH: 0.01, Problem.HEAT: 0.05, Problem.CD: 0.05}
+_MAX_REDRAWS = 64
 
 
 def flux_balance_tolerance(problem: Problem) -> float:
@@ -113,10 +113,12 @@ class ProblemParams:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.n_snapshots < 2:
             raise ValueError(f"need at least 2 snapshots, got {self.n_snapshots}")
-        if self.n_steps % self.n_snapshots != 0:
-            raise ValueError(
-                f"n_snapshots {self.n_snapshots} must divide the time axis evenly, got {self.n_steps} steps"
-            )
+        if self.n_steps < 1 or self.n_steps % self.n_snapshots != 0:
+            raise ValueError(f"n_steps must be a positive multiple of n_snapshots {self.n_snapshots}, "
+                             f"so the snapshots divide the time axis evenly; got {self.n_steps} steps")
+        for name in ("epsilon", "g_r"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         v = self.velocity
         if not (isinstance(v, (tuple, list)) and len(v) == 2
                 and all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) for x in v)):
@@ -159,6 +161,9 @@ class ProblemParams:
         return cls(**d)
 
 
+SPLIT_IDS = {"train": 0, "valid": 1, "test": 2}
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     params: ProblemParams
@@ -170,6 +175,10 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
+        if not 0 <= self.master_seed < 2**63:
+            raise ValueError(f"master_seed must lie in [0, 2**63), got {self.master_seed}")
+        if self.split not in SPLIT_IDS:
+            raise ValueError(f"split must be one of {list(SPLIT_IDS)}, got {self.split!r}")
 
 
 @dataclass
@@ -258,15 +267,17 @@ def paper_config(problem: Problem, split: str = "train", master_seed: int = 0,
 
 # -- generation ------------------------------------------------------------
 
-SPLIT_IDS = {"train": 0, "valid": 1, "test": 2}
-
-
 def _sample_seed(config: DatasetConfig, index: int, attempt: int) -> list[int]:
-    return [config.master_seed, SPLIT_IDS.get(config.split, 9), index, attempt]
+    return [config.master_seed, SPLIT_IDS[config.split], index, attempt]
 
 
-def _draw_scalar_ic(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarray:
+def _draw_ic(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarray:
     p = params.problem
+    if p is Problem.WATER:
+        rng = np.random.default_rng(seed)
+        center = tuple(rng.uniform(0.3, 0.7, 2) * params.length)
+        radius = rng.uniform(0.15, 0.25) * params.length
+        return dam_break_state(grid, center=center, radius=radius, h_inner=rng.uniform(1.5, 2.5), h_outer=1.0)
     if p is Problem.DIFF:
         u = grf_ic(seed, grid, params.grf_tau, params.grf_alpha)
         return u - u.mean() + params.ic_offset
@@ -277,7 +288,7 @@ def _draw_scalar_ic(params: ProblemParams, grid: GridSpec, seed: list[int]) -> n
 
 
 def _accept_ic(params: ProblemParams, u: np.ndarray) -> bool:
-    floor = _MEAN_FLOORS.get(params.problem.value)
+    floor = _MEAN_FLOORS.get(params.problem)
     return floor is None or abs(float(u.mean())) >= floor
 
 
@@ -285,41 +296,29 @@ def _draw_accepted_ic(config: DatasetConfig, grid: GridSpec, index: int) -> tupl
     """The seed and initial state of one sample, redrawn until it clears the mean floor."""
     for attempt in range(_MAX_REDRAWS):
         seed = _sample_seed(config, index, attempt)
-        u0 = _draw_scalar_ic(config.params, grid, seed)
+        u0 = _draw_ic(config.params, grid, seed)
         if _accept_ic(config.params, u0):
             return seed, u0
     raise SolverError("could not draw an acceptable initial state", sample=index)
 
 
-def _scalar_trajectories(params: ProblemParams, grid: GridSpec, ics: np.ndarray) -> np.ndarray:
-    """Frames (samples, snapshots, *spatial) of the (samples, *spatial) initial states, one solver call."""
-    p = params.problem
-    times = params.frame_times()
+def _trajectories(params: ProblemParams, grid: GridSpec, ics: np.ndarray) -> np.ndarray:
+    """Frames (samples, snapshots, 1, *spatial) of the stacked initial states, one solver call."""
+    p, stride = params.problem, params.snapshot_stride
+    times, n_steps = params.frame_times(), (params.n_snapshots - 1) * stride
+    if p is Problem.WATER:  # the depth channel of the full-state frames
+        return solve_shallow_water(ics, grid, params.g_r, params.dt, n_steps, snapshot_stride=stride)[:, :, :1]
     if p is Problem.HEAT:
-        return solve_heat_neumann(ics, grid, params.d_coeff, times)
-    if p is Problem.DIFF:
-        return solve_diffusion_exact(ics, grid, params.d_coeff, times)
-    if p is Problem.CD:
-        return solve_convdiff_exact(ics, grid, params.d_coeff, params.velocity, times)
-    return solve_allen_cahn(
-        ics,
-        grid,
-        params.epsilon,
-        "fh" if p is Problem.AC_FH else "dw",
-        params.dt,
-        (params.n_snapshots - 1) * params.snapshot_stride,
-        theta=params.theta,
-        theta_c=params.theta_c,
-        snapshot_stride=params.snapshot_stride,
-    )
-
-
-def _dam_break(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    center = tuple(rng.uniform(0.3, 0.7, 2) * params.length)
-    radius = rng.uniform(0.15, 0.25) * params.length
-    h_inner = rng.uniform(1.5, 2.5)
-    return dam_break_state(grid, center=center, radius=radius, h_inner=h_inner, h_outer=1.0)
+        frames = solve_heat_neumann(ics, grid, params.d_coeff, times)
+    elif p is Problem.DIFF:
+        frames = solve_diffusion_exact(ics, grid, params.d_coeff, times)
+    elif p is Problem.CD:
+        frames = solve_convdiff_exact(ics, grid, params.d_coeff, params.velocity, times)
+    else:
+        potential = "fh" if p is Problem.AC_FH else "dw"
+        frames = solve_allen_cahn(ics, grid, params.epsilon, potential, params.dt, n_steps,
+                                  theta=params.theta, theta_c=params.theta_c, snapshot_stride=stride)
+    return frames[:, :, None]
 
 
 def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
@@ -333,30 +332,15 @@ def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
     """
     params = config.params
     grid = params.grid()
-    if params.problem is Problem.WATER:
-        seeds = [_sample_seed(config, i, 0) for i in range(config.n_samples)]
-        frames = solve_shallow_water(
-            np.stack([_dam_break(params, grid, seed) for seed in seeds]),
-            grid,
-            params.g_r,
-            params.dt,
-            (params.n_snapshots - 1) * params.snapshot_stride,
-            snapshot_stride=params.snapshot_stride,
-        )
-        data = np.ascontiguousarray(frames[:, :, :1])  # depth channel only
-    else:
-        seeds, ics = zip(*(_draw_accepted_ic(config, grid, i) for i in range(config.n_samples)))
-        seeds = list(seeds)
-        data = _scalar_trajectories(params, grid, np.stack(ics))[:, :, None]
-
-    mask = ConservationMask.all_channels(1)
+    seeds, ics = zip(*(_draw_accepted_ic(config, grid, i) for i in range(config.n_samples)))
+    ics = np.stack(ics)  # frees the per-sample states before the solve
     dataset = TrajectoryDataset(
         problem=params.problem,
         grid=grid,
-        data=data,
-        mask=mask,
+        data=np.ascontiguousarray(_trajectories(params, grid, ics)),
+        mask=ConservationMask.all_channels(1),
         params=params.to_dict(),
-        sample_seeds=seeds,
+        sample_seeds=list(seeds),
         master_seed=config.master_seed,
         split=config.split,
         frame_times=params.frame_times(),

@@ -35,8 +35,8 @@ __all__ = [
     "Spectrum",
     "fft_forward",
     "l2_norm",
-    "integer_modes",
     "angular_wavenumbers",
+    "squared_wavenumber",
 ]
 
 
@@ -190,23 +190,26 @@ class Spectrum:
         return self.coeffs.shape[0]
 
 
-def integer_modes(grid: GridSpec) -> list[np.ndarray]:
-    """Integer frequency index along each axis, in FFT storage order.
-
-    Axis of length N enumerates n = 0, 1, ..., N//2-1, -N//2, ..., -1.
-    """
-    return [np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int) for n in grid.resolution]
-
-
 def angular_wavenumbers(grid: GridSpec) -> list[np.ndarray]:
-    """Angular wavenumbers 2*pi*n/L per axis, broadcastable to the grid shape."""
+    """Angular wavenumbers 2*pi*n/L per axis, broadcastable to the grid shape.
+
+    The modes n are exact integers, 0, 1, ..., -1 in FFT storage order.
+    """
     ks = []
     for axis, (n, length) in enumerate(zip(grid.resolution, grid.lengths)):
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
+        k = 2.0 * np.pi * np.rint(np.fft.fftfreq(n, d=1.0 / n)) / length
         shape = [1] * grid.ndim
         shape[axis] = n
         ks.append(k.reshape(shape))
     return ks
+
+
+def squared_wavenumber(grid: GridSpec) -> np.ndarray:
+    """|k|^2 on the full grid, the sum of the squared per-axis wavenumbers."""
+    k2 = np.zeros(grid.resolution)
+    for k in angular_wavenumbers(grid):
+        k2 = k2 + k**2
+    return k2
 
 
 def fft_forward(field: GridField) -> Spectrum:

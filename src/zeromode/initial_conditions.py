@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .grid import Boundary, GridSpec, integer_modes
+from .grid import Boundary, GridSpec, squared_wavenumber
 
 __all__ = ["chebyshev_ic", "grf_ic"]
 
@@ -49,13 +49,8 @@ def grf_ic(seed, grid: GridSpec, tau: float = 5.0, alpha: float = 2.0) -> np.nda
         raise ValueError(f"need tau > 0 and alpha > ndim/2 for a well-defined field, got {tau}, {alpha}")
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.resolution)
-    k2 = np.zeros(grid.resolution)
-    for axis, modes in enumerate(integer_modes(grid)):
-        shape = [1] * grid.ndim
-        shape[axis] = grid.resolution[axis]
-        k2 = k2 + (2.0 * np.pi * modes.reshape(shape) / grid.lengths[axis]) ** 2
     sigma = tau ** (0.5 * (2.0 * alpha - grid.ndim))
-    amplitude = np.sqrt(2.0) * sigma * (k2 + tau**2) ** (-alpha / 2.0)
+    amplitude = np.sqrt(2.0) * sigma * (squared_wavenumber(grid) + tau**2) ** (-alpha / 2.0)
     amplitude[(0,) * grid.ndim] = 0.0
     spectrum = np.fft.fftn(white) * amplitude
     return np.fft.ifftn(spectrum).real * np.sqrt(grid.n_points)

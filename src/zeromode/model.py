@@ -249,6 +249,8 @@ class OperatorConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.channels < 1 or self.width < 1 or self.n_layers < 1 or self.modes_kept < 1:
             raise ValueError("channels, width, n_layers and modes_kept must all be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.ndim not in (1, 2):
             raise ValueError(f"only 1-D and 2-D operators supported, got ndim={self.ndim}")
         if self.activation != "gelu_tanh":

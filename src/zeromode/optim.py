@@ -13,17 +13,20 @@ zero gradient the parameters shrink by exactly (1 - lr * weight_decay).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .model import OperatorModel
-
 __all__ = ["OptimState", "init_optimizer", "adamw_step"]
 
+# A step runs over tiles of this many float64 elements (64 KiB): its scratch
+# tiles stay below the allocator's mmap threshold and in cache, so a step
+# faults in no fresh memory.
+_TILE = 8192
 
-@dataclass(frozen=True)
+
+@dataclass
 class OptimState:
     m: np.ndarray
     v: np.ndarray
@@ -36,34 +39,40 @@ class OptimState:
     eps: ClassVar[float] = 1e-8
 
 
-def init_optimizer(model: OperatorModel, lr: float, weight_decay: float) -> OptimState:
-    n = model.params.size
-    return OptimState(m=np.zeros(n), v=np.zeros(n), lr=lr, weight_decay=weight_decay)
+def init_optimizer(params: np.ndarray, lr: float, weight_decay: float) -> OptimState:
+    return OptimState(m=np.zeros(params.size), v=np.zeros(params.size), lr=lr, weight_decay=weight_decay)
 
 
-def adamw_step(model: OperatorModel, grads: np.ndarray, state: OptimState):
-    """One update; returns a fresh (model, state) pair, inputs untouched."""
+def adamw_step(params: np.ndarray, grads: np.ndarray, state: OptimState) -> None:
+    """One update, written into ``params``, ``state.m`` and ``state.v``; ``grads`` is left untouched."""
     grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != model.params.shape:
-        raise ValueError(f"gradient shape {grads.shape} does not match parameters {model.params.shape}")
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
 
-    # Each line computes into the three fresh outputs or one scratch vector,
-    # in the operation order of the update rule above, so no full-size
-    # temporary is made and the result rounds exactly as the formula does.
+    # Tile by tile, each line updates in place or computes into one of two
+    # scratch tiles, in the operation order of the update rule above, so the
+    # result rounds exactly as the formula does.  The decay term reads the
+    # parameters before the step, so it is formed before they change.
     t = state.step + 1
-    scratch = np.multiply(1.0 - state.beta1, grads)
-    m = np.multiply(state.beta1, state.m)
-    m += scratch
-    np.square(grads, out=scratch)
-    scratch *= 1.0 - state.beta2
-    v = np.multiply(state.beta2, state.v)
-    v += scratch
-    denom = np.divide(v, 1.0 - state.beta2**t, out=scratch)  # vhat
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    params = np.divide(m, 1.0 - state.beta1**t)  # mhat
-    params *= state.lr
-    params /= denom
-    np.subtract(model.params, params, out=params)
-    params -= np.multiply(state.lr * state.weight_decay, model.params, out=scratch)
-    return OperatorModel(model.config, params), replace(state, m=m, v=v, step=t)
+    scratch, update = np.empty(_TILE), np.empty(_TILE)
+    for start in range(0, params.size, _TILE):
+        tile = slice(start, start + _TILE)
+        p, g, m, v = params[tile], grads[tile], state.m[tile], state.v[tile]
+        s, u = scratch[: p.size], update[: p.size]
+        np.multiply(1.0 - state.beta1, g, out=s)
+        m *= state.beta1
+        m += s
+        np.square(g, out=s)
+        s *= 1.0 - state.beta2
+        v *= state.beta2
+        v += s
+        np.divide(v, 1.0 - state.beta2**t, out=s)  # vhat
+        np.sqrt(s, out=s)
+        s += state.eps
+        np.divide(m, 1.0 - state.beta1**t, out=u)  # mhat
+        u *= state.lr
+        u /= s
+        np.multiply(state.lr * state.weight_decay, p, out=s)  # decay
+        p -= u
+        p -= s
+    state.step = t

@@ -31,7 +31,7 @@ import functools
 import numpy as np
 import scipy.fft
 
-from .grid import Boundary, GridSpec, angular_wavenumbers
+from .grid import Boundary, GridSpec, angular_wavenumbers, squared_wavenumber
 
 __all__ = [
     "SolverError",
@@ -69,13 +69,6 @@ class SolverError(RuntimeError):
         if where:
             message = f"{message} ({', '.join(where)})"
         super().__init__(message)
-
-
-def _squared_wavenumber(grid: GridSpec) -> np.ndarray:
-    k2 = np.zeros(grid.resolution)
-    for k in angular_wavenumbers(grid):
-        k2 = k2 + k**2
-    return k2
 
 
 def _first_sample(bad: np.ndarray, lead: tuple[int, ...]) -> int | tuple[int, ...] | None:
@@ -153,7 +146,7 @@ def solve_diffusion_exact(initial: np.ndarray, grid: GridSpec, d_coeff: float, t
     u0, lead = _state_batch(initial, grid, "solve_diffusion_exact", Boundary.PERIODIC)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
-    rate = -d_coeff * _squared_wavenumber(grid)
+    rate = -d_coeff * squared_wavenumber(grid)
     return _propagate(u0, lead, t, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
 
 
@@ -174,7 +167,7 @@ def solve_convdiff_exact(
     k_dot_v = np.zeros(grid.resolution)
     for k, v in zip(angular_wavenumbers(grid), velocity):
         k_dot_v = k_dot_v + k * v
-    rate = -(d_coeff * _squared_wavenumber(grid) + 1j * k_dot_v)
+    rate = -(d_coeff * squared_wavenumber(grid) + 1j * k_dot_v)
     return _propagate(u0, lead, t, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
 
 
@@ -255,7 +248,7 @@ def solve_allen_cahn(
     axes = tuple(range(1, u.ndim))
     mean0 = u.mean(axis=axes, keepdims=True)
     # the real transform keeps the nonnegative half of the last axis
-    implicit = 1.0 / (1.0 + dt * epsilon * _squared_wavenumber(grid)[..., : grid.resolution[-1] // 2 + 1])
+    implicit = 1.0 / (1.0 + dt * epsilon * squared_wavenumber(grid)[..., : grid.resolution[-1] // 2 + 1])
     frames = np.empty((u.shape[0], n_steps // snapshot_stride + 1, *grid.resolution))
     frames[:, 0] = u
 

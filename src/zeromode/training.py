@@ -114,7 +114,7 @@ def train(
     if model_config.channels != train_set.channels:
         raise ValueError(f"model expects {model_config.channels} channels, dataset has {train_set.channels}")
     model = init_model(model_config)
-    opt = init_optimizer(model, lr=config.lr, weight_decay=config.weight_decay)
+    opt = init_optimizer(model.params, lr=config.lr, weight_decay=config.weight_decay)
     integrated = config.mode is Variant.INTEGRATED
     mask = train_set.mask if integrated else None
     n_batches = max(1, -(-train_set.n_samples // config.batch_size))
@@ -139,7 +139,7 @@ def train(
                 raise TrainingDiverged(epoch) from exc
             if not np.all(np.isfinite(grads)):
                 raise TrainingDiverged(epoch)
-            model, opt = adamw_step(model, grads, opt)
+            adamw_step(model.params, grads, opt)
             epoch_loss += value
         record = {"epoch": epoch, "loss": epoch_loss / n_batches}
 

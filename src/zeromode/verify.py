@@ -414,14 +414,15 @@ def _check_band_inner_product(correction: CorrectionFn):
 @_register("gradients", "adamw_closed_form")
 def _check_adamw(correction: CorrectionFn):
     rng = np.random.default_rng(505)
-    model = init_model(_GRAD_CFG)
-    grads = rng.normal(size=model.params.size)
-    state = init_optimizer(model, lr=1e-3, weight_decay=1e-4)
-    new, _ = adamw_step(model, grads, state)
-    expected = (model.params
+    before = init_model(_GRAD_CFG).params
+    grads = rng.normal(size=before.size)
+    params = before.copy()
+    state = init_optimizer(params, lr=1e-3, weight_decay=1e-4)
+    adamw_step(params, grads, state)
+    expected = (before
                 - state.lr * grads / (np.abs(grads) + state.eps)
-                - state.lr * state.weight_decay * model.params)
-    gap = np.abs(new.params - expected).max()
+                - state.lr * state.weight_decay * before)
+    gap = np.abs(params - expected).max()
     return None if gap < 1e-14 else f"first step deviates from the closed form by {gap:.2e}"
 
 

@@ -207,16 +207,22 @@ def sidecar_row(edit, dump=json.dumps):
     return build
 
 
-def config_row(command, config):
-    """``command`` with a config file holding ``config``."""
+def config_row(command, config, problem="diff"):
+    """``command`` with a config file holding ``config``; gen makes a ``problem`` split."""
     def build(pipeline, tmp_path):
         _, train_path, valid_path, _ = pipeline
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         if command == "gen":
-            return ["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"), "--config", str(path), *GEN_ARGS]
+            return ["gen", "--problem", problem, "--out", str(tmp_path / "d.ecfd"), "--config", str(path), *GEN_ARGS]
         return ["train", "--train", str(train_path), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
                 "--config", str(path), *TRAIN_ARGS]
+    return build
+
+
+def gen_row(problem, *extra):
+    def build(pipeline, tmp_path):
+        return ["gen", "--problem", problem, "--out", str(tmp_path / "d.ecfd"), *GEN_ARGS, *extra]
     return build
 
 
@@ -369,6 +375,17 @@ BAD_INPUTS = [
                  id="train-lr-flag-nan"),
     pytest.param(train_row("--weight-decay", "-5"), "weight_decay must be finite and non-negative, got -5.0", True,
                  id="train-weight-decay-negative"),
+    pytest.param(gen_row("cd", "--n-steps", "0"), "n_steps must be a positive multiple of n_snapshots 10", True,
+                 id="gen-n-steps-zero"),
+    pytest.param(config_row("gen", {"epsilon": -1.0}, problem="ac_dw"), "epsilon must be positive, got -1.0", True,
+                 id="gen-epsilon-negative"),
+    pytest.param(config_row("gen", {"g_r": -1.0}, problem="water"), "g_r must be positive, got -1.0", True,
+                 id="gen-g-r-negative"),
+    pytest.param(gen_row("diff", "--master-seed", "99999999999999999999"),
+                 "master_seed must lie in [0, 2**63), got 99999999999999999999", True, id="gen-master-seed-huge"),
+    pytest.param(gen_row("diff", "--master-seed", "-1"), "master_seed must lie in [0, 2**63), got -1", True,
+                 id="gen-master-seed-negative"),
+    pytest.param(train_row("--seed", "-1"), "seed must be non-negative, got -1", True, id="train-seed-negative"),
     pytest.param(train_row("--mode", "baseline"), "invalid choice: 'baseline'", False, id="train-mode-baseline"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 0)), "bad checkpoint magic", True, id="ckpt-cut-magic"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 1)), "header truncated", True,

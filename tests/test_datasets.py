@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from zeromode.datafile import read_dataset, write_dataset
 from zeromode.datasets import (
     DatasetConfig,
     Problem,
@@ -13,7 +14,7 @@ from zeromode.datasets import (
     generate_dataset,
     paper_config,
 )
-from zeromode.grid import angular_wavenumbers
+from zeromode.grid import angular_wavenumbers, squared_wavenumber
 from zeromode.initial_conditions import chebyshev_ic, grf_ic
 from zeromode.solvers import dam_break_state, solve_shallow_water, verify_flux_balance
 
@@ -43,6 +44,23 @@ class TestProblemParams:
     def test_round_trips_through_dict(self):
         p = desk_config(Problem.CD).params
         assert ProblemParams.from_dict(p.to_dict()) == p
+
+    @pytest.mark.parametrize("field, value", [("n_steps", 0), ("n_steps", -20), ("epsilon", 0.0), ("g_r", -1.0)])
+    def test_refuses_impossible_settings(self, field, value):
+        base = dict(problem=Problem.CD, resolution=16, t_final=1.0, n_steps=100)
+        with pytest.raises(ValueError, match=field):
+            ProblemParams(**{**base, field: value})
+
+
+class TestDatasetConfig:
+    @pytest.mark.parametrize("changes", [{"master_seed": -1}, {"master_seed": 2**63}, {"split": "holdout"}])
+    def test_refuses_seeds_and_splits_the_file_cannot_hold(self, changes):
+        with pytest.raises(ValueError, match=next(iter(changes))):
+            DatasetConfig(params=desk_config(Problem.CD).params, n_samples=1, **changes)
+
+    def test_largest_master_seed_round_trips(self, tmp_path):
+        ds = generate_dataset(tiny_config(Problem.CD, n_samples=1, seed=2**63 - 1))
+        assert read_dataset(write_dataset(ds, tmp_path / "d.ecfd")).master_seed == 2**63 - 1
 
 
 class TestPresets:
@@ -124,13 +142,6 @@ def reference_ic(params, grid, seed):
         return u - u.mean() + params.ic_offset
     u = chebyshev_ic(seed, grid, params.cheb_order)
     return 0.9 * u / np.abs(u).max() if params.problem is Problem.AC_FH else u
-
-
-def squared_wavenumber(grid):
-    k2 = np.zeros(grid.resolution)
-    for k in angular_wavenumbers(grid):
-        k2 = k2 + k**2
-    return k2
 
 
 def per_frame_exact(params, grid, u0):

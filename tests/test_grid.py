@@ -14,8 +14,8 @@ from zeromode.grid import (
     GridSpec,
     angular_wavenumbers,
     fft_forward,
-    integer_modes,
     l2_norm,
+    squared_wavenumber,
 )
 
 
@@ -175,17 +175,31 @@ class TestNormsAndParseval:
 
 
 class TestModeBookkeeping:
-    def test_integer_modes_layout(self):
-        grid = GridSpec.line(8)
-        np.testing.assert_array_equal(integer_modes(grid)[0], [0, 1, 2, 3, -4, -3, -2, -1])
+    def test_mode_layout(self):
+        k = angular_wavenumbers(GridSpec.line(8))[0]
+        np.testing.assert_array_equal(k, 2.0 * np.pi * np.array([0, 1, 2, 3, -4, -3, -2, -1]))
 
     def test_zero_mode_always_representable(self):
         for n in (2, 3, 5, 16):
             grid = GridSpec.square(n)
-            assert all(0 in m for m in integer_modes(grid))
+            assert all(0.0 in k for k in angular_wavenumbers(grid))
+
+    def test_modes_exact_where_fftfreq_is_not(self):
+        # fftfreq(49, 1/49) misses most integer modes by an ulp
+        assert not np.array_equal(np.fft.fftfreq(49, d=1.0 / 49), np.rint(np.fft.fftfreq(49, d=1.0 / 49)))
+        modes = np.concatenate([np.arange(25), np.arange(-24, 0)])
+        k = angular_wavenumbers(GridSpec.line(49, 2.0))[0]
+        assert k.tobytes() == (2.0 * np.pi * modes / 2.0).tobytes()
 
     def test_angular_wavenumbers(self):
         grid = GridSpec.line(8, length=2.0)
         k = angular_wavenumbers(grid)[0]
         assert k[1] == pytest.approx(np.pi)  # 2*pi*1/L
         assert k[0] == 0.0
+
+    def test_squared_wavenumber_sums_the_axes(self):
+        grid = GridSpec((1.0, 3.0), (6, 5))
+        kx, ky = angular_wavenumbers(grid)
+        k2 = squared_wavenumber(grid)
+        assert k2.shape == (6, 5)
+        assert k2.tobytes() == (kx**2 + ky**2).tobytes()
