@@ -26,8 +26,11 @@ The binary layout is little-endian throughout:
 
 The payload is the trajectory array in C order, sample-major then
 time-major then channel then row-major space, as little-endian f32 or
-f64.  Writes go to a temporary file in the target directory and are
-renamed into place, so readers never observe a half-written file.
+f64.  This module owns that framing (header, ``<QI`` count and CRC32,
+little-endian payload) and the operator checkpoint shares it:
+:func:`write_atomic` writes every file to a temporary file in the target
+directory and renames it into place, so readers never observe a
+half-written file, and :func:`read_payload` reads and checks each payload.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .correction import ConservationMask
 from .datasets import Problem, TrajectoryDataset
 from .grid import Boundary, GridSpec, Precision
 
-__all__ = ["DatasetFormatError", "write_dataset", "read_dataset", "sidecar_path"]
+__all__ = ["DatasetFormatError", "write_atomic", "read_payload", "write_dataset", "read_dataset", "sidecar_path"]
 
 MAGIC = b"ECFD"
 FORMAT_VERSION = 1
@@ -76,15 +79,43 @@ def _untag(raw: bytes) -> str:
     return raw.rstrip(b"\0").decode("ascii")
 
 
+def write_atomic(path: str | os.PathLike, *parts) -> Path:
+    """Write ``parts`` (bytes or C-contiguous arrays) to a temporary file, then rename it to ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
+    return path
+
+
+def read_payload(fh, shape: tuple[int, ...], dtype, crc: int) -> np.ndarray:
+    """The rest of ``fh`` read into one array; ValueError unless it fills it exactly and matches ``crc``."""
+    out = np.empty(shape, dtype)
+    got = fh.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:
+        raise ValueError(f"payload truncated: expected {out.nbytes} bytes of payload, got {got}")
+    if fh.read(1):
+        raise ValueError("trailing bytes after payload")
+    if zlib.crc32(out) != crc:
+        raise ValueError("payload checksum mismatch, file is corrupt")
+    return out
+
+
 def write_dataset(dataset: TrajectoryDataset, path: str | os.PathLike) -> Path:
     """Serialize a dataset (binary payload + JSON sidecar), atomically.
 
     The stored dtype follows ``dataset.precision``; an F64 round trip is
     bit-exact, an F32 one rounds each value to the nearest float32.
     """
-    path = Path(path)
     dtype = dataset.precision.dtype
-    payload = np.ascontiguousarray(dataset.data, dtype=dtype).tobytes()
+    payload = np.ascontiguousarray(dataset.data, dtype=dtype)
     grid = dataset.grid
 
     head = _FIXED_HEAD.pack(
@@ -104,20 +135,8 @@ def write_dataset(dataset: TrajectoryDataset, path: str | os.PathLike) -> Path:
     tail = struct.pack(f"<{grid.ndim}I", *grid.resolution)
     tail += struct.pack(f"<{grid.ndim}d", *grid.lengths)
     tail += struct.pack(f"<{dataset.channels}B", *(int(f) for f in dataset.mask.flags))
-    tail += struct.pack("<QI", len(payload), zlib.crc32(payload))
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(head)
-            fh.write(tail)
-            fh.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    tail += struct.pack("<QI", payload.nbytes, zlib.crc32(payload))
+    path = write_atomic(path, head, tail, payload)
 
     meta = {
         "problem": dataset.problem.value,
@@ -130,10 +149,7 @@ def write_dataset(dataset: TrajectoryDataset, path: str | os.PathLike) -> Path:
         "generator_version": dataset.generator_version,
         "precision": dataset.precision.value,
     }
-    side = sidecar_path(path)
-    tmp_side = side.with_suffix(side.suffix + ".tmp")
-    tmp_side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp_side, side)
+    write_atomic(sidecar_path(path), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 
@@ -176,15 +192,10 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
 
             expected = samples * snapshots * channels * int(np.prod(resolution)) * (bits // 8)
             if payload_nbytes != expected:
-                raise DatasetFormatError(
-                    f"payload size mismatch: header declares {payload_nbytes} bytes, shape needs {expected}"
-                )
-            payload = _read_exact(fh, payload_nbytes, "payload")
-            if fh.read(1):
-                raise DatasetFormatError("trailing bytes after payload")
-        if zlib.crc32(payload) != crc:
-            raise DatasetFormatError("payload checksum mismatch, file is corrupt")
-    except DatasetFormatError as exc:
+                raise DatasetFormatError(f"payload size mismatch: header declares {payload_nbytes} bytes, "
+                                         f"shape needs {expected}")
+            data = read_payload(fh, (samples, snapshots, channels, *resolution), f"<f{bits // 8}", crc)
+    except ValueError as exc:
         raise DatasetFormatError(f"dataset {path}: {exc}") from None
 
     side = sidecar_path(path)
@@ -202,13 +213,10 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
     if not isinstance(meta["params"], dict):
         raise DatasetFormatError(f"sidecar {side}: 'params' must be a JSON object")
 
-    dtype = np.dtype("<f4") if bits == 32 else np.dtype("<f8")
-    data = np.frombuffer(payload, dtype=dtype).reshape(samples, snapshots, channels, *resolution)
-    grid = GridSpec(lengths=lengths, resolution=resolution, boundary=_BOUNDARY_FROM_CODE[boundary_code])
     return TrajectoryDataset(
         problem=Problem(_untag(problem_raw)),
-        grid=grid,
-        data=data.astype(np.float64),
+        grid=GridSpec(lengths=lengths, resolution=resolution, boundary=_BOUNDARY_FROM_CODE[boundary_code]),
+        data=data.astype(np.float64, copy=False),
         mask=ConservationMask(tuple(bool(f) for f in flags)),
         params=meta["params"],
         sample_seeds=meta["sample_seeds"],

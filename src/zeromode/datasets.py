@@ -77,7 +77,8 @@ _FLUX_TOLERANCES = {
 # Samples whose initial conserved integral is closer to zero than this are
 # redrawn (bounded retries): the relative conservation metric divides by
 # the integral, and the generated data should keep it meaningfully sized.
-_MEAN_FLOORS = {Problem.AC_DW: 0.05, Problem.AC_FH: 0.01, Problem.HEAT: 0.05, Problem.CD: 0.05}
+# The diff mean is ``ic_offset`` itself, checked once in ProblemParams.
+_MEAN_FLOORS = {Problem.AC_DW: 0.05, Problem.AC_FH: 0.01, Problem.HEAT: 0.05, Problem.DIFF: 0.05, Problem.CD: 0.05}
 _MAX_REDRAWS = 64
 
 
@@ -123,6 +124,9 @@ class ProblemParams:
         if not (isinstance(v, (tuple, list)) and len(v) == 2
                 and all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) for x in v)):
             raise ValueError(f"velocity must be two finite numbers, got {v!r}")
+        floor = _MEAN_FLOORS[Problem.DIFF]
+        if self.problem is Problem.DIFF and not abs(self.ic_offset) >= floor:
+            raise ValueError(f"ic_offset must be at least {floor} in magnitude, got {self.ic_offset}")
 
     @property
     def dt(self) -> float:
@@ -212,10 +216,6 @@ class TrajectoryDataset:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
-
-    @property
-    def frame_dt(self) -> float:
-        return float(self.frame_times[1] - self.frame_times[0])
 
     def conservation_drift(self) -> np.ndarray:
         """max_t |E(t) - E(0)| / |E(0)| per sample and masked channel."""

@@ -122,6 +122,7 @@ from pathlib import Path
 import numpy as np
 
 from .correction import ConservationMask, pin_channel_means, project_out_means
+from .datafile import read_payload, write_atomic
 
 __all__ = [
     "OperatorConfig",
@@ -737,44 +738,34 @@ def loss_and_grad(
 
 def save_checkpoint(model: OperatorModel, path: str | os.PathLike) -> Path:
     """Versioned binary checkpoint: header, config echo, flat F64 params."""
-    path = Path(path)
     config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    params_blob = model.params.astype("<f8").tobytes()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(config_blob)))
-        fh.write(config_blob)
-        fh.write(struct.pack("<QI", model.params.size, zlib.crc32(params_blob)))
-        fh.write(params_blob)
-    os.replace(tmp, path)
-    return path
+    params = model.params.astype("<f8", copy=False)
+    return write_atomic(path, CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(config_blob)), config_blob,
+                        struct.pack("<QI", params.size, zlib.crc32(params)), params)
 
 
 def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
-    """Bit-exact inverse of :func:`save_checkpoint`; a malformed file raises ValueError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        try:
-            version, config_len = struct.unpack("<HI", fh.read(6))
-            if version > CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if config_len > left:  # refused before a buffer of that size is allocated
-                raise struct.error(f"config length {config_len} runs past the {left} bytes left in the file")
-            # TypeError: unknown config key, wrong value type, or not a JSON object
-            config = OperatorConfig(**json.loads(fh.read(config_len).decode()))
-            count, crc = struct.unpack("<QI", fh.read(12))
-        except (struct.error, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"checkpoint {path}: header truncated or malformed: {exc}") from exc
-        if count != n_params(config):
-            raise ValueError(f"checkpoint holds {count} parameters, its config needs {n_params(config)}")
-        blob = fh.read(count * 8)
-        if len(blob) != count * 8 or fh.read(1):
-            raise ValueError("checkpoint payload truncated or padded")
-        if zlib.crc32(blob) != crc:
-            raise ValueError("checkpoint payload checksum mismatch")
-    return OperatorModel(config, np.frombuffer(blob, dtype="<f8").astype(np.float64))
+    """Bit-exact inverse of :func:`save_checkpoint`; a malformed file raises ValueError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != CHECKPOINT_MAGIC:
+                raise ValueError(f"bad checkpoint magic {magic!r}")
+            try:
+                version, config_len = struct.unpack("<HI", fh.read(6))
+                if version > CHECKPOINT_VERSION:
+                    raise ValueError(f"unsupported checkpoint version {version}")
+                left = os.fstat(fh.fileno()).st_size - fh.tell()
+                if config_len > left:  # refused before a buffer of that size is allocated
+                    raise struct.error(f"config length {config_len} runs past the {left} bytes left in the file")
+                # TypeError: unknown config key, wrong value type, or not a JSON object
+                config = OperatorConfig(**json.loads(fh.read(config_len).decode()))
+                count, crc = struct.unpack("<QI", fh.read(12))
+            except (struct.error, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ValueError(f"header truncated or malformed: {exc}") from exc
+            if count != n_params(config):
+                raise ValueError(f"checkpoint holds {count} parameters, its config needs {n_params(config)}")
+            params = read_payload(fh, (count,), "<f8", crc)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
+    return OperatorModel(config, params)

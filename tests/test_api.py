@@ -5,9 +5,14 @@ on it.  The rule is mechanical: each name in a module's ``__all__`` and each
 public method or property of a public class needs a ``Name``,
 ``Attribute`` or import reference in ``src/zeromode/`` or ``bench/``,
 outside ``__init__.py`` (whose re-exports are not callers).
+
+Binary files have one writer and one payload reader in the same way: a
+rename into place, a temporary file or a binary-write ``open`` appears only
+in ``datafile.write_atomic``, and a buffer read only in ``datafile.read_payload``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,3 +74,43 @@ def test_every_public_name_has_a_pipeline_or_bench_caller():
 
 def test_allow_list_names_real_public_names():
     assert ALLOWED_WITHOUT_CALLER <= set(public_names())
+
+
+def owned_nodes(tree: ast.Module):
+    """(name of the innermost enclosing function, node) for every node of a module."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            yield inner, child
+            yield from walk(child, inner)
+    yield from walk(tree, "<module>")
+
+
+RENAMES_AND_TEMP_FILES = {("os", "replace"), ("os", "rename"), ("tempfile", "mkstemp")}
+
+
+def writes_binary(node: ast.AST) -> bool:
+    """``os.replace``, ``os.rename``, ``tempfile.mkstemp``, ``write_bytes`` or an ``open`` in a binary write mode."""
+    if isinstance(node, ast.Attribute):
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        return (owner, node.attr) in RENAMES_AND_TEMP_FILES or node.attr == "write_bytes"
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) not in ("open", "fdopen"):
+        return False
+    modes = [arg.value for arg in [*node.args[:2], *(kw.value for kw in node.keywords if kw.arg == "mode")]
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    return any(re.fullmatch(r"[rwax+bt]*b[rwax+bt]*", m) and re.search(r"[wax+]", m) for m in modes)
+
+
+def test_one_atomic_writer_and_one_payload_reader():
+    writers, readers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in owned_nodes(parse(path)):
+            if writes_binary(node):
+                writers.add(f"{path.name}:{owner}")
+            if isinstance(node, ast.Attribute) and node.attr in ("readinto", "frombuffer"):
+                readers.add(f"{path.name}:{owner}")
+    assert writers == {"datafile.py:write_atomic"}
+    assert readers == {"datafile.py:read_payload"}

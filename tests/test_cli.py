@@ -381,22 +381,28 @@ BAD_INPUTS = [
                  id="gen-epsilon-negative"),
     pytest.param(config_row("gen", {"g_r": -1.0}, problem="water"), "g_r must be positive, got -1.0", True,
                  id="gen-g-r-negative"),
+    pytest.param(config_row("gen", {"ic_offset": 0.0}), "ic_offset must be at least 0.05 in magnitude, got 0.0", True,
+                 id="gen-diff-ic-offset-zero"),
     pytest.param(gen_row("diff", "--master-seed", "99999999999999999999"),
                  "master_seed must lie in [0, 2**63), got 99999999999999999999", True, id="gen-master-seed-huge"),
     pytest.param(gen_row("diff", "--master-seed", "-1"), "master_seed must lie in [0, 2**63), got -1", True,
                  id="gen-master-seed-negative"),
     pytest.param(train_row("--seed", "-1"), "seed must be non-negative, got -1", True, id="train-seed-negative"),
     pytest.param(train_row("--mode", "baseline"), "invalid choice: 'baseline'", False, id="train-mode-baseline"),
-    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 0)), "bad checkpoint magic", True, id="ckpt-cut-magic"),
+    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 0)), "bad.ckpt: bad checkpoint magic", True,
+                 id="ckpt-cut-magic"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 1)), "header truncated", True,
                  id="ckpt-cut-version-length"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 2)), "bad.ckpt: header truncated or malformed", True,
                  id="ckpt-cut-config"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 3)), "header truncated", True, id="ckpt-cut-count-crc"),
-    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 4)), "payload truncated", True, id="ckpt-cut-payload"),
+    pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 4)), "bad.ckpt: payload truncated", True,
+                 id="ckpt-cut-payload"),
     pytest.param(checkpoint_row(flip(6)), "bad.ckpt: header truncated or malformed", True,
                  id="ckpt-flip-config-length"),
-    pytest.param(checkpoint_row(flip(-1)), "checksum mismatch", True, id="ckpt-flip-payload"),
+    pytest.param(checkpoint_row(flip(-1)), "bad.ckpt: payload checksum mismatch", True, id="ckpt-flip-payload"),
+    pytest.param(checkpoint_row(with_config(width=5)), "bad.ckpt: checkpoint holds", True,
+                 id="ckpt-config-other-width"),
     pytest.param(checkpoint_row(with_config(bogus=1)), "bogus", True, id="ckpt-config-unknown-key"),
     pytest.param(checkpoint_row(with_config(width=4.0)),
                  "bad.ckpt: header truncated or malformed: width must be an integer, got 4.0", True,

@@ -1,6 +1,7 @@
 """Binary dataset format: round trips, validation, crafted bad fixtures."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,8 +53,38 @@ class TestRoundTrip:
 
     def test_no_temp_files_left(self, small_dataset, tmp_path):
         write_dataset(small_dataset, tmp_path / "d.ecfd")
+        # a directory at the target path fails the final rename of the dataset, then of a sidecar
+        for target, blocked in (("e.ecfd", "e.ecfd"), ("f.ecfd", "f.ecfd.json")):
+            (tmp_path / blocked).mkdir()
+            with pytest.raises(OSError):
+                write_dataset(small_dataset, tmp_path / target)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+def traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees while ``call()`` runs; its result stays alive until the end."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A write holds no copy of an F64 payload; a read holds the one array it returns."""
+
+    @pytest.fixture(scope="class")
+    def desk_split(self):
+        return generate_dataset(desk_config(Problem.DIFF, n_samples=20))  # 20 x 20 x 32^2
+
+    def test_f64_write_holds_no_payload_copy(self, desk_split, tmp_path):
+        assert traced_peak(lambda: write_dataset(desk_split, tmp_path / "d.ecfd")) <= 0.1 * desk_split.data.nbytes
+
+    def test_f64_read_holds_one_payload(self, desk_split, tmp_path):
+        path = write_dataset(desk_split, tmp_path / "d.ecfd")
+        assert traced_peak(lambda: read_dataset(path)) <= 1.1 * desk_split.data.nbytes
 
 
 def corrupt(path, offset, new_bytes):

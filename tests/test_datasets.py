@@ -124,7 +124,7 @@ class TestGeneration:
             ds = generate_dataset(tiny_config(problem))
             tol = flux_balance_tolerance(problem)
             for i in range(ds.n_samples):
-                r = verify_flux_balance(ds.data[i], ds.frame_dt, ds.grid)
+                r = verify_flux_balance(ds.data[i], ds.frame_times[1] - ds.frame_times[0], ds.grid)
                 assert r.max() < tol, problem
 
     def test_sample_seeds_recorded(self):

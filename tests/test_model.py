@@ -686,6 +686,26 @@ class TestCheckpoint:
         assert model.get_param(slot.name).tobytes() == expected.tobytes()
         assert save_checkpoint(model, tmp_path / "again.ckpt").read_bytes() == written.read_bytes()
 
+    def test_no_temp_files_left(self, tmp_path):
+        save_checkpoint(init_model(CFG_1D), tmp_path / "m.ckpt")
+        (tmp_path / "blocked.ckpt").mkdir()  # a directory at the target path fails the final rename
+        with pytest.raises(OSError):
+            save_checkpoint(init_model(CFG_1D), tmp_path / "blocked.ckpt")
+        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+    @pytest.mark.parametrize("save, bound", [(True, 0.1), (False, 1.1)], ids=["save", "load"])
+    def test_peak_memory_over_parameter_bytes(self, tmp_path, save, bound):
+        # a save holds no copy of the parameters, a load only the vector it returns
+        model = init_model(OperatorConfig(channels=1))  # the default operator
+        path = save_checkpoint(model, tmp_path / "m.ckpt")
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, path) if save else load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * model.params.nbytes
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"WHAT" + b"\0" * 64)
