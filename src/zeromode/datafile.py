@@ -36,6 +36,7 @@ half-written file, and :func:`read_payload` reads and checks each payload.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -96,7 +97,13 @@ def write_atomic(path: str | os.PathLike, *parts) -> Path:
 
 
 def read_payload(fh, shape: tuple[int, ...], dtype, crc: int) -> np.ndarray:
-    """The rest of ``fh`` read into one array; ValueError unless it fills it exactly and matches ``crc``."""
+    """The rest of ``fh`` read into one array; ValueError unless it fills it exactly and matches ``crc``.
+
+    A payload larger than what is left of the file is refused before its array is allocated.
+    """
+    nbytes, left = math.prod(shape) * np.dtype(dtype).itemsize, os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
+        raise ValueError(f"payload truncated: expected {nbytes} bytes of payload, got {left}")
     out = np.empty(shape, dtype)
     got = fh.readinto(memoryview(out).cast("B"))
     if got != out.nbytes:
@@ -186,6 +193,10 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
                 raise DatasetFormatError(f"unsupported dimensionality {ndim}")
 
             resolution = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "resolution"))
+            for field, size in (("samples", samples), ("snapshots", snapshots), ("channels", channels),
+                                *((f"resolution[{axis}]", n) for axis, n in enumerate(resolution))):
+                if size == 0:
+                    raise DatasetFormatError(f"header declares an empty dimension: {field} is 0")
             lengths = struct.unpack(f"<{ndim}d", _read_exact(fh, 8 * ndim, "lengths"))
             flags = struct.unpack(f"<{channels}B", _read_exact(fh, channels, "mask"))
             payload_nbytes, crc = struct.unpack("<QI", _read_exact(fh, 12, "payload descriptor"))

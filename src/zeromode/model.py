@@ -85,11 +85,18 @@ product has no sum to reorder.
 The weights for k and -k are independent and the layer keeps the real
 part of its inverse, so on a real field's band X the half band of
 Re(ifftn(W X)) is exactly W_eff[k] X[k], W_eff[k] = (W[k] + conj W[-k]) / 2.
-:func:`_fold` builds W_eff once per block and forward, and the tape keeps
-it for the backward; W_eff is 1 where W is 1 at the zero mode, so the
+W_eff depends on the parameters, modes_kept and ndim alone, not on the
+grid, so :func:`fold_weights` folds every block once per parameter state:
+a rollout folds once for all its steps, ``forward_values`` hands one fold
+to every chunk, and ``loss_and_grad`` folds once per call, its tape keeping
+the folds for the backward.  No fold is cached, since the optimizer writes
+the parameters in place.  W_eff is 1 where W is 1 at the zero mode, so the
 identity fixture keeps its bits.  Single-threaded, a fold at width 16 and
-modes_kept 8 took 0.2 ms alone but ~1 ms per block in a profiled 1 x 128^2
-forward, whose activations evict the weight before it is read.
+modes_kept 8 took 0.17 ms alone, but a forward that folded inside itself
+spent ~1.7 ms more per block, because its activations evict the weight
+before the fold reads it: taking the fold out took a ``forward_values``
+call from 11.8 to 8.4 ms at 1 x 128^2 and from 6.7 to 3.7 ms at 5 x 32^2
+(medians of five rounds).
 Channel mixing is one broadcast ``matmul`` per mode, (B, n_half, 1, i) @
 (n_half, i, o), and (n_half, i, o) @ (B, n_half, o, 1) on the conjugated
 gradient in its adjoint.  W_eff's gradient, one matmul per mode scaled by
@@ -118,6 +125,7 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +141,7 @@ __all__ = [
     "constant_identity_model",
     "gelu",
     "gelu_grad",
+    "fold_weights",
     "forward_values",
     "loss_and_grad",
     "save_checkpoint",
@@ -429,37 +438,55 @@ class _Band:
     from_rows: np.ndarray | None
 
 
+class _HalfBand(NamedTuple):
+    """The grid-free tables of :class:`_Band`: ``half``, ``mirror`` and ``count``."""
+
+    half: np.ndarray
+    mirror: np.ndarray
+    count: np.ndarray
+
+
 @functools.lru_cache
-def _band(resolution: tuple[int, ...], modes_kept: int) -> _Band:
-    """Band maps per (resolution, modes_kept), in canonical order.
+def _half_band(ndim: int, modes_kept: int) -> _HalfBand:
+    """Half-band tables per (ndim, modes_kept), in canonical order.
 
     Canonical order per axis is n = 0, 1, ..., m-1, -(m-1), ..., -1, so
     flat position 0 is always the zero mode and position p holds the
     negation of position (-p) mod (2m-1).
     """
     m = modes_kept
-    for n in resolution:
-        if m > n // 2:
-            raise ValueError(f"modes_kept={m} exceeds the Nyquist bound for resolution {n}")
-    per_axis = (2 * m - 1,) * len(resolution)
-    position = np.indices(per_axis).reshape(len(resolution), -1)  # per-axis canonical position of each mode
+    per_axis = (2 * m - 1,) * ndim
+    position = np.indices(per_axis).reshape(ndim, -1)  # per-axis canonical position of each mode
     half = np.flatnonzero(position[-1] < m)
     mirror = np.ravel_multi_index(-position[:, half] % (2 * m - 1), per_axis)
     count = np.where(position[-1, half] == 0, 1.0, 2.0)
+    for table in (half, mirror, count):
+        table.setflags(write=False)
+    return _HalfBand(half, mirror, count)
+
+
+@functools.lru_cache
+def _band(resolution: tuple[int, ...], modes_kept: int) -> _Band:
+    """Band maps per (resolution, modes_kept), in the canonical order of :func:`_half_band`."""
+    m = modes_kept
+    for n in resolution:
+        if m > n // 2:
+            raise ValueError(f"modes_kept={m} exceeds the Nyquist bound for resolution {n}")
+    half = _half_band(len(resolution), m)
     n1 = resolution[-1]
     angle = 2.0 * np.pi * (np.outer(np.arange(n1), np.arange(m)) % n1) / n1  # reduced mod 2 pi first
     to_cols = np.stack([np.cos(angle), -np.sin(angle)], axis=-1).reshape(n1, 2 * m)
-    from_cols = to_cols.T * (np.repeat(count[:m], 2) / n1)[:, None]
+    from_cols = to_cols.T * (np.repeat(half.count[:m], 2) / n1)[:, None]
     rows = to_rows = from_rows = None
     if len(resolution) == 2:
         n0 = resolution[0]
         rows = np.concatenate([np.arange(m), np.arange(n0 - m + 1, n0)])
         to_rows = np.exp(-2j * np.pi * (np.outer(rows, np.arange(n0)) % n0) / n0)
         from_rows = np.conj(to_rows.T) / n0
-    tables = (half, mirror, count, rows, to_cols, from_cols, to_rows, from_rows)
+    tables = (rows, to_cols, from_cols, to_rows, from_rows)
     for table in (t for t in tables if t is not None):
         table.setflags(write=False)
-    return _Band(m, tuple(resolution), *tables)
+    return _Band(m, tuple(resolution), *half, *tables)
 
 
 def _to_band(x: np.ndarray, band: _Band) -> np.ndarray:
@@ -498,13 +525,20 @@ def _from_band(modes: np.ndarray, band: _Band, out: np.ndarray | None = None) ->
     return np.matmul(half, band.from_cols, out=flat).reshape(*lead, *res)
 
 
-def _fold(weight: np.ndarray, band: _Band) -> np.ndarray:
+def _fold(weight: np.ndarray, band: _HalfBand | _Band) -> np.ndarray:
     """W_eff[k] = (W[k] + conj W[-k]) / 2 of a spectral slot (i, o, n_modes) on the half band, as (n_half, i, o)."""
-    pair = weight.transpose(2, 0, 1)[np.stack((band.half, band.mirror))]  # (2, n_half, i, o), W[k] and W[-k]
-    eff, mirror = pair
+    modes = weight.transpose(2, 0, 1)
+    eff, mirror = modes[band.half], modes[band.mirror]
     eff += np.conj(mirror, out=mirror)
     eff *= 0.5
     return eff
+
+
+def fold_weights(model: OperatorModel) -> tuple[np.ndarray, ...]:
+    """Every block's W_eff as (n_half, i, o), for any grid; valid until ``model.params`` changes."""
+    cfg = model.config
+    p, band = _views(model.params, cfg), _half_band(cfg.ndim, cfg.modes_kept)
+    return tuple(_fold(p[f"block{i}.spectral"], band) for i in range(cfg.n_layers))
 
 
 def _mix_modes(modes: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -605,8 +639,9 @@ def _workspace(shape: tuple[int, ...], n_layers: int, taped: bool) -> _Workspace
     return _Workspace(g, z, g, np.empty(shape))
 
 
-def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-    """Run a batch (B, channels, *spatial); the prediction returned is a fresh array.
+def _forward_batch(model: OperatorModel, folded: tuple[np.ndarray, ...], x: np.ndarray,
+                   tape: dict | None = None) -> np.ndarray:
+    """Run a batch (B, channels, *spatial) on ``folded`` = :func:`fold_weights`; the prediction is a fresh array.
 
     With ``tape`` given, what :func:`_backward_batch` reads is recorded in
     it.  The tape holds workspace buffers, valid until the next taped call
@@ -629,12 +664,11 @@ def _forward_batch(model: OperatorModel, x: np.ndarray, tape: dict | None = None
     modes[..., 0] += np.prod(band.resolution) * lift_b
     z = _pointwise_forward(x, w0 @ lift_w, w0 @ lift_b + p["block0.bias"], out=ws.z[0])
     if tape is not None:
-        tape.update(band=band, x=x, x_modes=x_modes)
+        tape.update(band=band, x=x, x_modes=x_modes, folded=folded)
     for i in range(cfg.n_layers):
-        weight = _fold(p[f"block{i}.spectral"], band)
-        mixed = _mix_modes(modes, weight)
+        mixed = _mix_modes(modes, folded[i])
         if tape is not None:
-            tape[f"block{i}"], tape[f"mixed{i}"], tape[f"weight{i}"] = (ws.g[i], modes, z, ws.t[i]), mixed, weight
+            tape[f"block{i}"], tape[f"mixed{i}"] = (ws.g[i], modes, z, ws.t[i]), mixed
         g = gelu(z, tanh_out=ws.t[i], out=ws.g[i])
         if i == last:
             break
@@ -661,7 +695,7 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
         if q is not None:  # block i + 1's band dft(g) + mixed, with q its gradient
             grad_g += _from_band(q, band)
             band_grad += q
-        q = _mixing_backward(band_grad, tape[f"weight{i}"], modes, band, grads[f"block{i}.spectral"])
+        q = _mixing_backward(band_grad, tape["folded"][i], modes, band, grads[f"block{i}.spectral"])
         grad_out, after = gelu_grad(z, tanh=t, upstream=grad_g), f"block{i}"
     # block 0 read x through W0 L and W0 l + b0, and its band as L X + n l on the zero mode, q the gradient
     lift_w, lift_b, w0 = p["lift.weight"], p["lift.bias"], p["block0.weight"]
@@ -672,13 +706,16 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
     return flat
 
 
-def forward_values(model: OperatorModel, values: np.ndarray) -> np.ndarray:
-    """Next states of ``values`` (*lead, channels, *spatial); the lead axes run as one chunked batch."""
+def forward_values(model: OperatorModel, folded: tuple[np.ndarray, ...], values: np.ndarray) -> np.ndarray:
+    """Next states of ``values`` (*lead, channels, *spatial); the lead axes run as one chunked batch.
+
+    ``folded`` is :func:`fold_weights` of ``model`` at its current parameters, read by every chunk.
+    """
     cfg = model.config
     values = np.asarray(values, dtype=np.float64)
     batch = values.reshape(-1, *values.shape[-cfg.ndim - 1 :])
     chunk = max(1, _CHUNK_BYTES // (cfg.width * int(np.prod(batch.shape[2:])) * 8))
-    parts = [_forward_batch(model, batch[start : start + chunk]) for start in range(0, len(batch), chunk)]
+    parts = [_forward_batch(model, folded, batch[start : start + chunk]) for start in range(0, len(batch), chunk)]
     return np.concatenate(parts).reshape(values.shape)
 
 
@@ -708,7 +745,7 @@ def loss_and_grad(
         raise ValueError(f"input batch {inputs.shape} and target batch {targets.shape} disagree")
 
     tape: dict = {}
-    pred = _forward_batch(model, inputs, tape)
+    pred = _forward_batch(model, fold_weights(model), inputs, tape)
     spatial = tuple(range(2, pred.ndim))
     finite = np.isfinite(pred).all(axis=(1, *spatial))
     if not finite.all():

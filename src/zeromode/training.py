@@ -26,7 +26,7 @@ import numpy as np
 from .correction import ConservationMask, Variant, pin_channel_means
 from .datasets import TrajectoryDataset
 from .metrics import step_metrics
-from .model import OperatorConfig, OperatorModel, forward_values, init_model, loss_and_grad
+from .model import OperatorConfig, OperatorModel, fold_weights, forward_values, init_model, loss_and_grad
 from .optim import adamw_step, init_optimizer
 
 __all__ = [
@@ -196,8 +196,9 @@ def rollout(
 ) -> RolloutResult:
     """Roll the operator forward from frame 0 of each trajectory (samples, frames, channels, *spatial).
 
-    ``model`` is an :class:`OperatorModel` or any callable mapping states
-    (samples, channels, *spatial) to the next states (handy for fixtures);
+    ``model`` is an :class:`OperatorModel`, whose weights are folded once
+    for the whole rollout, or any callable mapping states (samples,
+    channels, *spatial) to the next states (handy for fixtures);
     ``variant`` is a :class:`Variant` or its value.
     Each sample's conserved target for both correcting variants is encoded
     once, from its initial frame, and its rows equal a rollout of it alone.
@@ -216,7 +217,8 @@ def rollout(
     if variant is not Variant.BASE and mask is None:
         raise ValueError("correcting rollouts need a conservation mask")
 
-    step = model if callable(model) else (lambda v: forward_values(model, v))
+    folded = None if callable(model) else fold_weights(model)
+    step = model if folded is None else (lambda v: forward_values(model, folded, v))
     n_samples, n_steps = traj.shape[0], traj.shape[1] - 1
     target_means = traj[:, 0].mean(axis=tuple(range(2, traj.ndim - 1)))
 

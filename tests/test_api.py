@@ -9,6 +9,9 @@ outside ``__init__.py`` (whose re-exports are not callers).
 Binary files have one writer and one payload reader in the same way: a
 rename into place, a temporary file or a binary-write ``open`` appears only
 in ``datafile.write_atomic``, and a buffer read only in ``datafile.read_payload``.
+
+Spectral weights are folded in one place too: ``model._fold`` is called only by
+``model.fold_weights``, once per parameter state, and by ``verify``'s adjoint check.
 """
 
 import ast
@@ -114,3 +117,12 @@ def test_one_atomic_writer_and_one_payload_reader():
                 readers.add(f"{path.name}:{owner}")
     assert writers == {"datafile.py:write_atomic"}
     assert readers == {"datafile.py:read_payload"}
+
+
+def test_weights_fold_only_in_fold_weights_and_the_adjoint_check():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in owned_nodes(parse(path)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_fold":
+                callers.add(f"{path.name}:{owner}")
+    assert callers == {"model.py:fold_weights", "verify.py:_check_spectral_adjoint"}

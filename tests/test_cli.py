@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -272,14 +273,20 @@ def checkpoint_row(edit):
     return build
 
 
-def dataset_row(edit, split="train"):
-    """train with ``split``'s dataset swapped for ``bad_<split>.ecfd``: ``edit`` of its bytes, with its sidecar."""
+def dataset_row(edit, split="train", command="train"):
+    """``command`` with ``split``'s dataset swapped for ``bad_<split>.ecfd``: ``edit`` of its bytes, with its sidecar.
+
+    eval reads the swapped split with the pipeline's checkpoint.
+    """
     def build(pipeline, tmp_path):
-        _, train_path, valid_path, _ = pipeline
+        _, train_path, valid_path, run_dir = pipeline
         paths = {"train": train_path, "valid": valid_path}
         data = tmp_path / f"bad_{split}.ecfd"
         data.write_bytes(edit(paths[split].read_bytes()))
         shutil.copy(sidecar_path(paths[split]), sidecar_path(data))
+        if command == "eval":
+            return ["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(data),
+                    "--out", str(tmp_path / "evals")]
         paths[split] = data
         return ["train", "--train", str(paths["train"]), "--valid", str(paths["valid"]),
                 "--out", str(tmp_path / "run"), *TRAIN_ARGS]
@@ -315,6 +322,17 @@ def dataset_ends(blob):
 def cut_inside(ends, section):
     """The file cut one byte short of the end of one section."""
     return lambda blob: blob[: ends(blob)[section] - 1]
+
+
+def with_samples(samples):
+    """The dataset declaring ``samples`` samples, its payload byte count to match; it keeps at most that many."""
+    def edit(blob):
+        at = dataset_ends(blob)[3]  # the payload descriptor
+        per_sample = struct.unpack("<Q", blob[at:at + 8])[0] // struct.unpack("<I", blob[36:40])[0]
+        payload = blob[at + 12:][: samples * per_sample]
+        return (blob[:36] + struct.pack("<I", samples) + blob[40:at]
+                + struct.pack("<QI", samples * per_sample, zlib.crc32(payload)) + payload)
+    return edit
 
 
 def flip(offset):
@@ -419,6 +437,16 @@ BAD_INPUTS = [
     pytest.param(dataset_row(cut_inside(dataset_ends, 5)), "bytes of payload", True, id="data-cut-payload"),
     pytest.param(dataset_row(flip(-1)), "checksum mismatch", True, id="data-flip-payload"),
     pytest.param(dataset_row(lambda blob: blob + b"\0"), "trailing bytes", True, id="data-trailing-byte"),
+    pytest.param(dataset_row(with_samples(2**31)), "bad_train.ecfd: payload truncated", True,
+                 id="data-huge-samples"),
+    pytest.param(dataset_row(with_samples(2**31), split="valid", command="eval"), "bad_valid.ecfd: payload truncated",
+                 True, id="eval-data-huge-samples"),
+    pytest.param(dataset_row(with_samples(0)), "bad_train.ecfd: header declares an empty dimension: samples is 0",
+                 True, id="data-zero-samples"),
+    pytest.param(dataset_row(with_samples(0), split="valid"), "bad_valid.ecfd: header declares an empty dimension",
+                 True, id="data-zero-samples-valid"),
+    pytest.param(dataset_row(with_samples(0), split="valid", command="eval"),
+                 "bad_valid.ecfd: header declares an empty dimension", True, id="eval-data-zero-samples"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 0), split="valid"),
                  "bad_valid.ecfd: truncated file: expected 52 bytes of header", True, id="data-cut-valid-head"),
     pytest.param(eval_row("--correction", "off"), "unrecognized arguments: --correction", False,

@@ -1,5 +1,6 @@
 """Binary dataset format: round trips, validation, crafted bad fixtures."""
 
+import re
 import struct
 import tracemalloc
 
@@ -132,6 +133,18 @@ class TestValidation:
         # declare one sample more than the payload holds
         corrupt(path, 36, struct.pack("<I", small_dataset.n_samples + 1))
         with pytest.raises(DatasetFormatError, match="size mismatch"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("offset, fmt, field", [
+        (36, "<I", "samples"), (40, "<I", "snapshots"), (34, "<H", "channels"),
+        (52, "<I", "resolution[0]"), (56, "<I", "resolution[1]"),
+    ])
+    def test_empty_dimension_refused(self, small_dataset, tmp_path, offset, fmt, field):
+        path = write_dataset(small_dataset, tmp_path / "d.ecfd")
+        assert small_dataset.grid.ndim == 2
+        corrupt(path, offset, struct.pack(fmt, 0))
+        message = rf"d\.ecfd: header declares an empty dimension: {re.escape(field)} is 0"
+        with pytest.raises(DatasetFormatError, match=message):
             read_dataset(path)
 
     def test_missing_sidecar(self, small_dataset, tmp_path):

@@ -15,6 +15,7 @@ from zeromode.model import (
     OperatorConfig,
     OperatorModel,
     constant_identity_model,
+    fold_weights,
     forward_values,
     gelu,
     gelu_grad,
@@ -38,6 +39,7 @@ from zeromode.model import (
     _pointwise_forward,
     _to_band,
 )
+from zeromode.training import rollout
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
 CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
@@ -48,6 +50,11 @@ CFG_1D_ONE_BLOCK = OperatorConfig(channels=2, width=3, n_layers=1, modes_kept=2,
 
 # grids for the spectral-layer oracles, each with modes_kept at its Nyquist bound
 SPECTRAL_GRIDS = [((8,), 4), ((9,), 4), ((6, 6), 3), ((7, 10), 3), ((9, 9), 4)]
+
+
+def predict(model, x):
+    """The operator's next states of ``x`` at the model's current parameters."""
+    return forward_values(model, fold_weights(model), x)
 
 
 def fd_gradient(model, inputs, targets, h=1e-6, **kw):
@@ -143,7 +150,7 @@ class TestActivation:
     def test_forward_tape_holds_each_blocks_tanh(self):
         model = init_model(CFG_2D)
         tape = {}
-        _forward_batch(model, np.random.default_rng(3).normal(size=(2, 2, 7, 10)), tape)
+        _forward_batch(model, fold_weights(model), np.random.default_rng(3).normal(size=(2, 2, 7, 10)), tape)
         for i in range(CFG_2D.n_layers):
             _, _, z, t = tape[f"block{i}"]
             np.testing.assert_array_equal(gelu_grad(z, tanh=t), gelu_grad(z))
@@ -209,14 +216,14 @@ class TestForward:
     def test_zero_params_zero_output(self):
         model = OperatorModel.zeros(CFG_2D)
         x = np.random.default_rng(1).normal(size=(2, 8, 8))
-        assert np.all(forward_values(model, x) == 0.0)
+        assert np.all(predict(model, x) == 0.0)
 
     def test_identity_fixture_exact_on_constants(self):
         model = constant_identity_model(OperatorConfig(channels=2, width=4, n_layers=2, modes_kept=3, ndim=2))
         x = np.empty((2, 16, 16))
         x[0] = 0.37
         x[1] = -1.25
-        y = forward_values(model, x)
+        y = predict(model, x)
         # power-of-two FFT keeps the zero mode of a constant exact
         np.testing.assert_array_equal(y, x)
 
@@ -228,7 +235,7 @@ class TestForward:
         x = np.empty((3, 2, n, n))
         x[:, 0] = np.array([0.37, -2.5e3, 1.0 / 3.0])[:, None, None]
         x[:, 1] = np.array([-1.25, 7.0e-5, np.pi])[:, None, None]
-        assert forward_values(model, x).tobytes() == x.tobytes()
+        assert predict(model, x).tobytes() == x.tobytes()
 
     def test_identity_band_blocks_reduce_to_affine_map(self):
         # spectral weight = identity on the band, pointwise path silenced:
@@ -259,7 +266,7 @@ class TestForward:
         proj_w = model.get_param("proj.weight")
         h = np.einsum("wc,cij->wij", lift_w, x) + model.get_param("lift.bias")[:, None, None]
         expected = np.einsum("ow,wij->oij", proj_w, h) + model.get_param("proj.bias")[:, None, None]
-        np.testing.assert_allclose(forward_values(model, x), expected, atol=1e-12)
+        np.testing.assert_allclose(predict(model, x), expected, atol=1e-12)
 
     def test_band_is_resolution_independent(self):
         cfg = OperatorConfig(channels=1, width=2, n_layers=1, modes_kept=3, ndim=1, seed=7)
@@ -270,8 +277,8 @@ class TestForward:
         def signal(x):
             return 0.3 + np.cos(2 * np.pi * x) - 0.5 * np.sin(4 * np.pi * x)
 
-        coarse = forward_values(model, signal(np.arange(16) / 16.0)[None])
-        fine = forward_values(model, signal(np.arange(32) / 32.0)[None])
+        coarse = predict(model, signal(np.arange(16) / 16.0)[None])
+        fine = predict(model, signal(np.arange(32) / 32.0)[None])
         np.testing.assert_allclose(coarse[0], fine[0, ::2], atol=1e-10)
 
     @pytest.mark.parametrize("cfg, shape", [
@@ -286,17 +293,18 @@ class TestForward:
         model.params[:] += rng.normal(0.0, 0.1, model.params.size)  # nonzero biases too
         x = rng.normal(size=shape)
         reference = unfolded_forward(model, x)
-        assert np.abs(_forward_batch(model, x) - reference).max() <= 1e-13 * np.abs(reference).max()
+        prediction = _forward_batch(model, fold_weights(model), x)
+        assert np.abs(prediction - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_modes_beyond_nyquist_rejected(self):
         model = init_model(OperatorConfig(channels=1, width=2, n_layers=1, modes_kept=5, ndim=1))
         with pytest.raises(ValueError, match="Nyquist"):
-            forward_values(model, np.zeros((1, 8)))
+            predict(model, np.zeros((1, 8)))
 
     def test_bad_input_shape(self):
         model = OperatorModel.zeros(CFG_2D)
         with pytest.raises(ValueError, match="spatial"):
-            forward_values(model, np.zeros((3, 8, 8)))  # wrong channel count
+            predict(model, np.zeros((3, 8, 8)))  # wrong channel count
 
 
 def unfolded_forward(model, x):
@@ -315,10 +323,10 @@ class TestWorkspace:
     def test_steady_state_forward_allocates_less_than_one_activation(self):
         model = init_model(OperatorConfig(channels=1, seed=5))  # width 16
         x = np.random.default_rng(5).normal(size=(1, 128, 128))
-        forward_values(model, x)  # the first call of a shape makes its buffers
+        predict(model, x)  # the first call of a shape makes its buffers
         tracemalloc.start()
         try:
-            forward_values(model, x)
+            predict(model, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -327,9 +335,9 @@ class TestWorkspace:
     def test_next_call_leaves_returned_array_alone(self):
         model = init_model(CFG_2D)
         first, second = np.random.default_rng(6).normal(size=(2, 2, 8, 8))
-        y = forward_values(model, first)
+        y = predict(model, first)
         kept = y.copy()
-        forward_values(model, second)
+        predict(model, second)
         np.testing.assert_array_equal(y, kept)
 
     @pytest.mark.parametrize("cfg, sizes", [
@@ -342,15 +350,48 @@ class TestWorkspace:
         inputs = {n: rng.normal(size=(cfg.channels, *(n,) * cfg.ndim)) for n in set(sizes)}
         seen = {}
         for n in sizes:
-            y = forward_values(model, inputs[n])
+            y = predict(model, inputs[n])
             assert seen.setdefault(n, y).tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_forward_values_equals_taped_prediction(self, n_layers):
         model = init_model(OperatorConfig(channels=2, width=5, n_layers=n_layers, modes_kept=3, seed=8))
         x = np.random.default_rng(8).normal(size=(1, 2, 12, 10))
-        taped = _forward_batch(model, x, {})
-        assert forward_values(model, x[0]).tobytes() == taped[0].tobytes()
+        taped = _forward_batch(model, fold_weights(model), x, {})
+        assert predict(model, x[0]).tobytes() == taped[0].tobytes()
+
+
+def count_folds(monkeypatch) -> list:
+    """A list that grows by one at every ``_fold`` call from now on."""
+    calls, fold = [], zeromode.model._fold
+    monkeypatch.setattr(zeromode.model, "_fold", lambda weight, band: calls.append(1) or fold(weight, band))
+    return calls
+
+
+class TestFoldOnce:
+    """Each block's spectral weight is folded once per call at one parameter state."""
+
+    def test_forward_values_folds_once_across_chunks(self, monkeypatch):
+        cfg = OperatorConfig(channels=1, seed=19)  # width 16: eight samples per chunk at 32^2
+        model = init_model(cfg)
+        x = np.random.default_rng(19).normal(size=(10, 1, 32, 32))
+        assert len(x) > _CHUNK_BYTES // (cfg.width * 32 * 32 * 8)
+        calls = count_folds(monkeypatch)
+        predict(model, x)
+        assert len(calls) == cfg.n_layers
+
+    @pytest.mark.parametrize("n_frames", [2, 7])
+    def test_rollout_folds_once(self, monkeypatch, n_frames):
+        calls = count_folds(monkeypatch)
+        rollout(init_model(CFG_2D), np.random.default_rng(21).normal(size=(3, n_frames, 2, 8, 8)))
+        assert len(calls) == CFG_2D.n_layers
+
+    def test_loss_and_grad_folds_once(self, monkeypatch):
+        model = init_model(CFG_2D_THREE_ROLES)
+        x, t = np.random.default_rng(20).normal(size=(2, 4, 3, 7, 10))
+        calls = count_folds(monkeypatch)
+        loss_and_grad(model, x, t, mask=ConservationMask((True, False, True)))
+        assert len(calls) == CFG_2D_THREE_ROLES.n_layers
 
 
 class TestBatchInvariance:
@@ -368,16 +409,16 @@ class TestBatchInvariance:
         chunk = max(1, _CHUNK_BYTES // (width * int(np.prod(spatial)) * 8))
         n = 2 * chunk + 1  # more than one chunk, the last one ragged
         x = np.random.default_rng(13).normal(size=(n, channels, *spatial))
-        single = np.stack([forward_values(model, xi) for xi in x])
-        assert _forward_batch(model, x).tobytes() == single.tobytes()
-        assert forward_values(model, x).tobytes() == single.tobytes()
+        single = np.stack([predict(model, xi) for xi in x])
+        assert _forward_batch(model, fold_weights(model), x).tobytes() == single.tobytes()
+        assert predict(model, x).tobytes() == single.tobytes()
 
     def test_leading_axes_keep_their_shape(self):
         model = init_model(CFG_2D)
         x = np.random.default_rng(14).normal(size=(2, 3, 2, 8, 8))
-        y = forward_values(model, x)
+        y = predict(model, x)
         assert y.shape == x.shape
-        assert y[1, 2].tobytes() == forward_values(model, x[1, 2]).tobytes()
+        assert y[1, 2].tobytes() == predict(model, x[1, 2]).tobytes()
 
 
 def fftn_spectral_layer(x, weight, modes_kept):
@@ -566,7 +607,7 @@ class TestLossValue:
         model = init_model(CFG_2D)
         x = rng.normal(size=(3, 2, 6, 6))
         t = rng.normal(size=(3, 2, 6, 6))
-        pred = np.stack([forward_values(model, xi) for xi in x])
+        pred = np.stack([predict(model, xi) for xi in x])
         value, _ = loss_and_grad(model, x, t, loss="mae")
         assert np.isclose(value, np.abs(pred - t).mean(), rtol=1e-14)
         value, _ = loss_and_grad(model, x, t, loss="mse")
@@ -578,7 +619,7 @@ class TestLossValue:
         x = rng.normal(size=(3, 2, 6, 6))
         t = rng.normal(size=(3, 2, 6, 6))
         mask = ConservationMask((True, False))
-        pred = np.stack([forward_values(model, xi) for xi in x])
+        pred = np.stack([predict(model, xi) for xi in x])
         shift = x.mean(axis=(2, 3))[:, 0] - pred.mean(axis=(2, 3))[:, 0]
         pred[:, 0] += shift[:, None, None]
         value, _ = loss_and_grad(model, x, t, loss="mse", mask=mask)
@@ -612,7 +653,7 @@ class TestGradientOracle:
         kw = {"loss": loss, "mask": mask}
         if loss == "mae":
             # sign(residual) must be stable under the probe size
-            pred = np.stack([forward_values(model, xi) for xi in inputs])
+            pred = np.stack([predict(model, xi) for xi in inputs])
             assert np.abs(pred - targets).min() > 1e-3
         _, analytic = loss_and_grad(model, inputs, targets, **kw)
         fd = fd_gradient(model, inputs, targets, **kw)

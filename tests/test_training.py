@@ -17,10 +17,14 @@ from zeromode.datasets import (
 from zeromode.metrics import step_metrics
 from zeromode.model import (
     OperatorConfig,
+    OperatorModel,
     constant_identity_model,
+    fold_weights,
+    forward_values,
     init_model,
     loss_and_grad,
 )
+from zeromode.optim import adamw_step, init_optimizer
 from zeromode.training import (
     RolloutResult,
     TrainConfig,
@@ -355,3 +359,29 @@ class TestRollout:
             tracemalloc.stop()
         # one step is 1/16 of the frames; the whole-split form peaks near 3x
         assert peak < 1.5 * result.frames.nbytes
+
+
+class TestFoldPerRollout:
+    """A rollout reads the fold of the parameters the model holds when it starts."""
+
+    def test_rollout_after_in_place_step_reads_the_new_parameters(self, sets):
+        train_set, valid_set = sets
+        model = init_model(MODEL_CFG)
+        before = rollout(model, valid_set.data)
+        _, grads = loss_and_grad(model, train_set.data[:, 0], train_set.data[:, 1])
+        adamw_step(model.params, grads, init_optimizer(model.params, lr=1e-2, weight_decay=1e-4))
+        after = rollout(model, valid_set.data)
+        fresh = rollout(OperatorModel(MODEL_CFG, model.params.copy()), valid_set.data)
+        assert after.frames.tobytes() == fresh.frames.tobytes()
+        assert after.frames.tobytes() != before.frames.tobytes()
+
+    @pytest.mark.parametrize("mode", list(Variant))
+    def test_model_rolls_out_as_its_folded_forward(self, sets, mode):
+        _, valid_set = sets
+        model = init_model(replace(MODEL_CFG, n_layers=2))
+        result = rollout(model, valid_set.data, variant=mode, mask=valid_set.mask)
+        step = rollout(lambda v: forward_values(model, fold_weights(model), v), valid_set.data,
+                       variant=mode, mask=valid_set.mask)
+        assert result.frames.tobytes() == step.frames.tobytes()
+        assert result.rmse.tobytes() == step.rmse.tobytes()
+        assert result.cons_err.tobytes() == step.cons_err.tobytes()
