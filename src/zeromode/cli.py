@@ -12,8 +12,11 @@ its sha256, the seeds involved, the artifact paths, package version,
 wall-clock timestamps and the environment (numpy and scipy versions, the
 thread-cap variables in effect, the CPU count); ``eval`` adds the seconds
 spent in rollouts, and ``train`` the seconds of the whole training run and
-of its validation rollouts.  Reports themselves stay timestamp-free so that
-reruns are byte-identical; the manifest is the only place time appears.
+of its validation rollouts, and per epoch the seconds of its training steps
+and the training pairs per second.  Reports themselves stay timestamp-free
+so that reruns are byte-identical; the manifest is the only place time
+appears.  Manifests, training logs and ``verify.json`` are written
+atomically, like checkpoints and datasets.
 
 Exit codes: 0 on success, 1 when a run fails (solver abort, divergence,
 failed verification), 2 for bad usage, unreadable inputs or invalid
@@ -99,6 +102,13 @@ def _environment() -> dict:
     }
 
 
+def _write_json(path: Path, payload, **dump_options) -> Path:
+    """``payload`` as JSON plus a newline, through :func:`datafile.write_atomic`."""
+    from .datafile import write_atomic
+
+    return write_atomic(path, (json.dumps(payload, indent=2, **dump_options) + "\n").encode())
+
+
 def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
                     seeds: list[int], artifacts: list[Path], started: str,
                     name: str = "manifest.json", **fields) -> Path:
@@ -118,10 +128,7 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
         "environment": _environment(),
         **fields,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(out_dir / name, manifest, sort_keys=True)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -199,16 +206,14 @@ def _cmd_train(args, argv: list[str]) -> int:
     train_seconds = time.perf_counter() - t0
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = save_checkpoint(result.model, out_dir / "model.ckpt")
-    log_path = out_dir / "training_log.json"
-    log_path.write_text(json.dumps(
-        {"log": result.log, "best_epoch": result.best_epoch, "best_val_rmse": result.best_val_rmse},
-        indent=2, sort_keys=True) + "\n")
+    log_path = _write_json(out_dir / "training_log.json", {
+        "log": result.log, "best_epoch": result.best_epoch, "best_val_rmse": result.best_val_rmse}, sort_keys=True)
     print(f"trained {resolved['mode']} seed {model_config.seed}: best epoch {result.best_epoch}, "
           f"val rmse {result.best_val_rmse:.3e}")
     _write_manifest(out_dir, "train", argv, resolved, [model_config.seed], [ckpt, log_path], started,
-                    train_seconds=train_seconds, validation_seconds=result.validation_seconds)
+                    train_seconds=train_seconds, validation_seconds=result.validation_seconds,
+                    epoch_seconds=result.epoch_seconds, pairs_per_s=result.pairs_per_s)
     return 0
 
 
@@ -288,12 +293,9 @@ def _cmd_verify(args, argv: list[str]) -> int:
     print(text)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        results_path = out_dir / "verify.json"
-        results_path.write_text(json.dumps(
-            [{"suite": r.suite, "name": r.name, "passed": r.passed,
-              "elapsed": r.elapsed, "detail": r.detail} for r in results],
-            indent=2) + "\n")
+        results_path = _write_json(out_dir / "verify.json", [
+            {"suite": r.suite, "name": r.name, "passed": r.passed, "elapsed": r.elapsed, "detail": r.detail}
+            for r in results])
         _write_manifest(out_dir, "verify", argv, {"suite": args.suite},
                         [], [results_path], started)
     return 0 if all_passed(results) else 1

@@ -99,12 +99,20 @@ call from 11.8 to 8.4 ms at 1 x 128^2 and from 6.7 to 3.7 ms at 5 x 32^2
 (medians of five rounds).
 Channel mixing is one broadcast ``matmul`` per mode, (B, n_half, 1, i) @
 (n_half, i, o), and (n_half, i, o) @ (B, n_half, o, 1) on the conjugated
-gradient in its adjoint.  W_eff's gradient, one matmul per mode scaled by
-count / (2 n), is added into zeroed slot storage, to W[k] as it is and to
-W[-k] conjugated: column 0 holds both k and -k, and an assignment would
-drop a term.  Each product belongs to one sample, so a state gets the same
-bits alone or in any batch (an ``einsum`` over the batch gave bits 2e-16
-apart at B=1 and B=10).
+gradient in its adjoint.  Each product belongs to one sample, so a state
+gets the same bits alone or in any batch (an ``einsum`` over the batch gave
+bits 2e-16 apart at B=1 and B=10).  W_eff's gradient, one matmul per mode
+scaled by count / (2 n), goes to W[k] as it is and to W[-k] conjugated.  It
+is built in one contiguous mode-major (n_modes, i, o) buffer, assigned on
+the half band and then added on the mirrors, since column 0 holds both k
+and -k and a second assignment would drop a term; one transposed add moves
+the buffer into W's (i, o, n_modes) slot.  Inside a 5 x 32^2 training step
+that took 0.8-0.9 ms per block against 0.9-1.1 ms for two fancy-index adds
+straight through the transposed slot, with the same bits.  The weight
+gradients' band inner products (:func:`_band_inner`) are one ``tensordot``,
+a reshape and a complex matmul: an ``einsum(..., optimize=True)`` searched
+for a contraction path on every call and took 0.26 ms against 0.12 ms at
+width 16, and 0.18 against 0.04 ms with one data channel.
 ``forward_values`` runs its batch in chunks of ``_CHUNK_BYTES`` = 1 MiB of
 activation, width x points x 8 bytes per sample: eight samples at 32^2,
 two at 64^2 and one at 128^2, each no slower per sample than B=1 in
@@ -552,21 +560,22 @@ def _mixing_backward(
 ) -> np.ndarray:
     """Band gradient of the mixing's input given that of its output; ``weight`` is ``_fold(W)``.
 
-    sum_o conj(weight[k, i, o]) gy[b, o, k] is taken as conj(weight @ conj(gy)); W's gradient is added
-    into ``grad_weight``, zeroed and shaped like W, as the module docstring says.
+    sum_o conj(weight[k, i, o]) gy[b, o, k] is taken as conj(weight @ conj(gy)); W's gradient is built
+    mode-major and added into ``grad_weight``, shaped like W, as the module docstring says.
     """
     grad_eff = np.conj(x_modes).transpose(2, 1, 0) @ gy_modes.transpose(2, 0, 1)
     grad_eff *= (band.count / (2 * np.prod(band.resolution)))[:, None, None]
-    stored = grad_weight.transpose(2, 0, 1)
-    stored[band.half] += grad_eff
-    stored[band.mirror] += np.conj(grad_eff)
+    modes = np.zeros((grad_weight.shape[-1], *grad_eff.shape[1:]), dtype=grad_eff.dtype)
+    modes[band.half] = grad_eff
+    modes[band.mirror] += np.conj(grad_eff)  # column 0 holds both k and -k: the conjugate is added, not assigned
+    grad_weight += modes.transpose(1, 2, 0)
     gx = weight @ np.conj(gy_modes).transpose(0, 2, 1)[..., None]
     return np.conj(gx[..., 0]).transpose(0, 2, 1)
 
 
 def _band_inner(a_modes: np.ndarray, b_modes: np.ndarray, band: _Band) -> np.ndarray:
     """out[i, j] = Re sum count conj(a[:, i]) b[:, j] / n_points; with a = _dft(u), sum_p u_i _from_band(b)_j."""
-    inner = np.einsum("bik,bjk,k->ij", np.conj(a_modes), b_modes, band.count, optimize=True)
+    inner = np.tensordot(np.conj(a_modes) * band.count, b_modes, axes=([0, 2], [0, 2]))
     return inner.real / np.prod(band.resolution)
 
 

@@ -86,14 +86,20 @@ def sample_training_pairs(
 
 @dataclass
 class TrainResult:
-    """The best model and its deterministic log; ``validation_seconds`` is the
-    summed wall clock of the validation rollouts, kept out of the log."""
+    """The best model and its deterministic log, plus wall clock kept out of the log.
+
+    ``validation_seconds`` sums the validation rollouts.  ``epoch_seconds``
+    holds each epoch's training steps, validation excluded, and
+    ``pairs_per_s`` the training pairs each epoch took per second of them.
+    """
 
     model: OperatorModel
     log: list[dict]
     best_epoch: int
     best_val_rmse: float
     validation_seconds: float
+    epoch_seconds: list[float]
+    pairs_per_s: list[float]
 
 
 def train(
@@ -125,8 +131,10 @@ def train(
     best_val = np.inf
     best_params = model.params.copy()
     validation_seconds = 0.0
+    epoch_seconds: list[float] = []
 
     for epoch in range(1, config.epochs + 1):
+        t0 = time.perf_counter()
         batches = sample_training_pairs(train_set, model_config.seed, epoch, config.batch_size, n_batches)
         epoch_loss = 0.0
         for batch in batches:
@@ -141,6 +149,7 @@ def train(
                 raise TrainingDiverged(epoch)
             adamw_step(model.params, grads, opt)
             epoch_loss += value
+        epoch_seconds.append(time.perf_counter() - t0)
         record = {"epoch": epoch, "loss": epoch_loss / n_batches}
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
@@ -159,6 +168,8 @@ def train(
         best_epoch=best_epoch,
         best_val_rmse=float(best_val),
         validation_seconds=validation_seconds,
+        epoch_seconds=epoch_seconds,
+        pairs_per_s=[n_batches * config.batch_size / seconds for seconds in epoch_seconds],
     )
 
 

@@ -9,6 +9,8 @@ outside ``__init__.py`` (whose re-exports are not callers).
 Binary files have one writer and one payload reader in the same way: a
 rename into place, a temporary file or a binary-write ``open`` appears only
 in ``datafile.write_atomic``, and a buffer read only in ``datafile.read_payload``.
+The CLI's JSON artifacts (manifests, training logs, ``verify.json``) go through
+that writer too, so ``cli.py`` calls no ``write_text``.
 
 Spectral weights are folded in one place too: ``model._fold`` is called only by
 ``model.fold_weights``, once per parameter state, and by ``verify``'s adjoint check.
@@ -111,7 +113,7 @@ def test_one_atomic_writer_and_one_payload_reader():
     writers, readers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for owner, node in owned_nodes(parse(path)):
-            if writes_binary(node):
+            if writes_binary(node) or (path.name == "cli.py" and getattr(node, "attr", None) == "write_text"):
                 writers.add(f"{path.name}:{owner}")
             if isinstance(node, ast.Attribute) and node.attr in ("readinto", "frombuffer"):
                 readers.add(f"{path.name}:{owner}")

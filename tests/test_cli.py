@@ -129,6 +129,16 @@ class TestTrain:
         assert set(log) == {"log", "best_epoch", "best_val_rmse"}
         assert all(set(r) <= {"epoch", "loss", "val_rmse"} for r in log["log"])
 
+    def test_manifest_carries_per_epoch_timing(self, pipeline):
+        _, _, _, run_dir = pipeline
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        seconds, rates = manifest["epoch_seconds"], manifest["pairs_per_s"]
+        assert len(seconds) == len(rates) == 2  # --epochs 2
+        assert all(value > 0.0 for value in seconds + rates)
+        assert sum(seconds) <= manifest["train_seconds"]
+        # one batch of the default size 5 covers the 3 training samples each epoch
+        assert [rate * s for rate, s in zip(rates, seconds)] == pytest.approx([5, 5], rel=1e-12)
+
 
 class TestEvalAndReport:
     def test_eval_records_and_variant_correction(self, pipeline, tmp_path):

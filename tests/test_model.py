@@ -30,6 +30,7 @@ from zeromode.model import (
     _CHUNK_BYTES,
     _TILE,
     _band,
+    _band_inner,
     _dft,
     _fold,
     _forward_batch,
@@ -529,6 +530,52 @@ class TestSpectralLayer:
         assert abs(lhs - np.vdot(x, grad_x)) <= 1e-12 * scale
         by_weight = np.sum(weight.real * grad_weight.real + weight.imag * grad_weight.imag)
         assert abs(lhs - by_weight) <= 1e-12 * scale
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestBackwardKernels:
+    """The backward's band contractions against their literal per-mode formulas."""
+
+    @pytest.mark.parametrize("resolution", [(32, 32), (128, 128)])
+    @pytest.mark.parametrize("widths", [(16, 16), (1, 16), (16, 1)])  # block, projection and lift operands
+    def test_band_inner_matches_literal_einsum(self, resolution, widths):
+        band = _band(resolution, 8)
+        rng = np.random.default_rng(67)
+        a, b = (complex_normal(rng, 5, width, band.half.size) for width in widths)
+        n = np.prod(resolution)
+        literal = np.einsum("bik,bjk,k->ij", np.conj(a), b, band.count).real / n
+        # a sum's rounding is bounded relative to the sum of its terms' magnitudes, not to its value
+        magnitude = np.einsum("bik,bjk,k->ij", np.abs(a), np.abs(b), band.count) / n
+        inner = _band_inner(a, b, band)
+        assert inner.shape == widths
+        assert np.all(np.abs(inner - literal) <= 1e-15 * magnitude)
+
+    @pytest.mark.parametrize("resolution, modes_kept, widths",
+                             [((32, 32), 8, (16, 16)), ((9,), 4, (3, 2)), ((7, 10), 3, (3, 2)), ((6, 6), 3, (1, 16))])
+    def test_mixing_weight_gradient_matches_per_mode_loop(self, resolution, modes_kept, widths):
+        band = _band(resolution, modes_kept)
+        rng = np.random.default_rng(68)
+        n_half, n_modes = band.half.size, (2 * modes_kept - 1) ** len(resolution)
+        x_modes, gy_modes = (complex_normal(rng, 5, width, n_half) for width in widths)
+        weight = complex_normal(rng, *widths, n_modes)
+        grad_weight = np.zeros_like(weight)
+        _mixing_backward(gy_modes, _fold(weight, band), x_modes, band, grad_weight)
+
+        # W_eff's gradient mode by mode, added to W[k] as it is and to W[-k] conjugated
+        expected = np.zeros_like(weight)
+        scale = band.count / (2 * np.prod(resolution))
+        for j, (k, minus_k) in enumerate(zip(band.half, band.mirror)):
+            grad_eff = (np.conj(x_modes[:, :, j]).T @ gy_modes[:, :, j]) * scale[j]
+            expected[:, :, k] += grad_eff
+            expected[:, :, minus_k] += np.conj(grad_eff)
+        assert grad_weight.tobytes() == expected.tobytes()
+        # column 0 holds both k and -k of a pair, so each of its modes takes two terms
+        both = np.intersect1d(band.half, band.mirror)
+        assert both.size == (2 * modes_kept - 1 if len(resolution) == 2 else 1)
+        assert np.all(expected[:, :, both] != 0)
 
 
 # every grid with modes_kept at its Nyquist bound

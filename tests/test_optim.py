@@ -1,9 +1,11 @@
 """AdamW: closed-form single-step oracle, the decoupled-decay invariants and the in-place contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from zeromode.model import OperatorConfig, init_model
+from zeromode.model import OperatorConfig, init_model, n_params
 from zeromode.optim import _TILE, adamw_step, init_optimizer
 
 CFG = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=2)
@@ -54,6 +56,7 @@ class TestSingleStep:
     def test_matches_update_formula_bit_for_bit(self, size):
         rng = np.random.default_rng(11)
         params = fresh() if size is None else rng.normal(size=size)
+        assert params.size <= _TILE if size is None else -(-params.size // _TILE) == 3
         state = init_optimizer(params, lr=3e-3, weight_decay=1e-2)
         b1, b2, lr, wd, eps = state.beta1, state.beta2, state.lr, state.weight_decay, state.eps
         m = np.zeros_like(params)
@@ -107,3 +110,19 @@ class TestInPlace:
             adamw_step(params, np.zeros(params.size - 1), state)
         assert params.tobytes() == before.tobytes()
         assert state.step == 0 and not state.m.any() and not state.v.any()
+
+    def test_a_step_allocates_no_array(self):
+        # the default operator's 231k parameters span several tiles; the scratch tiles live in the state
+        rng = np.random.default_rng(13)
+        params = rng.normal(size=n_params(OperatorConfig()))
+        grads = rng.normal(size=params.size)
+        state = init_optimizer(params, lr=1e-3, weight_decay=1e-4)
+        adamw_step(params, grads, state)
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.size > 2 * _TILE and state.step == 2
+        assert peak < 1024
