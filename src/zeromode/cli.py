@@ -1,6 +1,6 @@
 """Command-line entry points: gen, train, eval, report, verify.
 
-Every subcommand accepts ``--config FILE`` (a flat JSON object whose keys
+``gen`` and ``train`` accept ``--config FILE`` (a flat JSON object whose keys
 match the long option names with underscores); explicit flags win over
 the file, the file wins over built-in defaults.  Dataset and training
 defaults are desk scale, small enough for a laptop; ``gen --paper-scale``
@@ -15,8 +15,9 @@ spent in rollouts, and ``train`` the seconds of the whole training run and
 of its validation rollouts, and per epoch the seconds of its training steps
 and the training pairs per second.  Reports themselves stay timestamp-free
 so that reruns are byte-identical; the manifest is the only place time
-appears.  Manifests, training logs and ``verify.json`` are written
-atomically, like checkpoints and datasets.
+appears.  Every artifact is written whole through :mod:`datafile`, JSON
+through :func:`datafile.write_json`, except ``eval``'s record, which is
+appended to ``records.jsonl``.
 
 Exit codes: 0 on success, 1 when a run fails (solver abort, divergence,
 failed verification), 2 for bad usage, unreadable inputs or invalid
@@ -102,18 +103,12 @@ def _environment() -> dict:
     }
 
 
-def _write_json(path: Path, payload, **dump_options) -> Path:
-    """``payload`` as JSON plus a newline, through :func:`datafile.write_atomic`."""
-    from .datafile import write_atomic
-
-    return write_atomic(path, (json.dumps(payload, indent=2, **dump_options) + "\n").encode())
-
-
 def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
                     seeds: list[int], artifacts: list[Path], started: str,
                     name: str = "manifest.json", **fields) -> Path:
     """Write the run's manifest; ``fields`` are extra top-level entries."""
     from . import __version__
+    from .datafile import write_json
 
     manifest = {
         "command": command,
@@ -128,14 +123,14 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
         "environment": _environment(),
         **fields,
     }
-    return _write_json(out_dir / name, manifest, sort_keys=True)
+    return write_json(out_dir / name, manifest)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def _cmd_gen(args, argv: list[str]) -> int:
-    from .datafile import write_dataset
+    from .datafile import sidecar_path, write_dataset
     from .datasets import (
         DatasetConfig,
         Problem,
@@ -174,13 +169,13 @@ def _cmd_gen(args, argv: list[str]) -> int:
     print(f"wrote {dataset.n_samples} samples x {dataset.n_snapshots} frames to {written}")
     # one manifest per dataset: several gens may share a directory
     _write_manifest(out.parent, "gen", argv, {**resolved, "problem": args.problem, "split": args.split},
-                    [config.master_seed], [written, Path(str(written) + ".json")], started,
+                    [config.master_seed], [written, sidecar_path(written)], started,
                     name=out.name + ".manifest.json")
     return 0
 
 
 def _cmd_train(args, argv: list[str]) -> int:
-    from .datafile import read_dataset
+    from .datafile import read_dataset, write_json
     from .model import OperatorConfig, save_checkpoint
     from .training import TrainConfig, train
 
@@ -191,6 +186,8 @@ def _cmd_train(args, argv: list[str]) -> int:
         raise ValueError(
             f"training split {args.train} (problem {train_set.problem.value}, channels {train_set.channels}) and "
             f"validation split {args.valid} (problem {valid_set.problem.value}, channels {valid_set.channels}) differ")
+    if valid_set.n_snapshots < 2:  # a rollout from its first frame would score no step
+        raise ValueError(f"validation split {args.valid} has one frame; validation needs at least 2")
 
     train_defaults, model_defaults = asdict(TrainConfig()), asdict(OperatorConfig())
     model_keys = ("seed", "width", "n_layers", "modes_kept")
@@ -207,8 +204,8 @@ def _cmd_train(args, argv: list[str]) -> int:
 
     out_dir = Path(args.out)
     ckpt = save_checkpoint(result.model, out_dir / "model.ckpt")
-    log_path = _write_json(out_dir / "training_log.json", {
-        "log": result.log, "best_epoch": result.best_epoch, "best_val_rmse": result.best_val_rmse}, sort_keys=True)
+    log_path = write_json(out_dir / "training_log.json", {
+        "log": result.log, "best_epoch": result.best_epoch, "best_val_rmse": result.best_val_rmse})
     print(f"trained {resolved['mode']} seed {model_config.seed}: best epoch {result.best_epoch}, "
           f"val rmse {result.best_val_rmse:.3e}")
     _write_manifest(out_dir, "train", argv, resolved, [model_config.seed], [ckpt, log_path], started,
@@ -258,6 +255,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
         cons_err_per_step=list(result.cons_err.mean(axis=0)),
     )
 
+    # the one write outside datafile: two evals sharing --out would lose a record to a read-modify-rename
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(records_path, "a") as fh:
         fh.write(record.to_json() + "\n")
@@ -285,6 +283,7 @@ def _cmd_report(args, argv: list[str]) -> int:
 
 
 def _cmd_verify(args, argv: list[str]) -> int:
+    from .datafile import write_json
     from .verify import all_passed, format_results, run_checks
 
     started = _utc_now()
@@ -293,7 +292,7 @@ def _cmd_verify(args, argv: list[str]) -> int:
     print(text)
     if args.out:
         out_dir = Path(args.out)
-        results_path = _write_json(out_dir / "verify.json", [
+        results_path = write_json(out_dir / "verify.json", [
             {"suite": r.suite, "name": r.name, "passed": r.passed, "elapsed": r.elapsed, "detail": r.detail}
             for r in results])
         _write_manifest(out_dir, "verify", argv, {"suite": args.suite},

@@ -27,10 +27,11 @@ The binary layout is little-endian throughout:
 The payload is the trajectory array in C order, sample-major then
 time-major then channel then row-major space, as little-endian f32 or
 f64.  This module owns that framing (header, ``<QI`` count and CRC32,
-little-endian payload) and the operator checkpoint shares it:
-:func:`write_atomic` writes every file to a temporary file in the target
-directory and renames it into place, so readers never observe a
-half-written file, and :func:`read_payload` reads and checks each payload.
+little-endian payload) and the operator checkpoint shares it.  Every whole
+file the package writes goes through :func:`write_atomic`, which writes a
+temporary file in the target directory and renames it into place, so readers
+never observe a half-written file; JSON goes through :func:`write_json`.
+:func:`read_payload` reads and checks each payload.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from .correction import ConservationMask
 from .datasets import Problem, TrajectoryDataset
 from .grid import Boundary, GridSpec, Precision
 
-__all__ = ["DatasetFormatError", "write_atomic", "read_payload", "write_dataset", "read_dataset", "sidecar_path"]
+__all__ = [
+    "DatasetFormatError", "write_atomic", "write_json", "read_payload", "write_dataset", "read_dataset", "sidecar_path",
+]
 
 MAGIC = b"ECFD"
 FORMAT_VERSION = 1
@@ -94,6 +97,11 @@ def write_atomic(path: str | os.PathLike, *parts) -> Path:
             os.unlink(tmp_name)
         raise
     return path
+
+
+def write_json(path: str | os.PathLike, payload) -> Path:
+    """``payload`` as JSON (indent 2, sorted keys) plus a newline, through :func:`write_atomic`."""
+    return write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_payload(fh, shape: tuple[int, ...], dtype, crc: int) -> np.ndarray:
@@ -156,7 +164,7 @@ def write_dataset(dataset: TrajectoryDataset, path: str | os.PathLike) -> Path:
         "generator_version": dataset.generator_version,
         "precision": dataset.precision.value,
     }
-    write_atomic(sidecar_path(path), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+    write_json(sidecar_path(path), meta)
     return path
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .correction import ConservationMask, Variant
+from .datafile import write_atomic
 
 __all__ = [
     "step_metrics",
@@ -145,7 +146,7 @@ def _aggregate(records: list[MetricsRecord]) -> list[dict]:
 
 
 def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]:
-    """Write the report files; returns the created paths, sorted.
+    """Write the report files, each through :func:`datafile.write_atomic`; returns their paths, sorted.
 
     ``records.csv`` (one row per record) and ``summary.csv`` (aggregates);
     ``summary.md``, same aggregate numbers plus the scope note; and under
@@ -156,9 +157,7 @@ def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]
     if not records:
         raise ValueError("nothing to report")
     rows = _aggregate(records)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    files: dict[str, list[str]] = {}
 
     lines = ["dataset,variant,seed,rmse_mean,rmse_final,cons_err_mean,cons_err_max"]
     for r in (r for row in rows for r in row["cell"]):  # sorted by dataset, variant and seed
@@ -166,9 +165,7 @@ def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]
             f"{r.dataset},{r.variant},{r.seed},{sci3(r.rmse_mean)},"
             f"{sci3(r.rmse_final)},{sci3(r.cons_err_mean)},{sci3(r.cons_err_max)}"
         )
-    p = out_dir / "records.csv"
-    p.write_text("\n".join(lines) + "\n")
-    written.append(p)
+    files["records.csv"] = lines
 
     lines = ["dataset,variant,n_seeds,rmse_mean,rmse_std,rmse_final_mean,cons_err_mean,cons_err_max"]
     for row in rows:
@@ -177,9 +174,7 @@ def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]
             f"{sci3(row['rmse_std'])},{sci3(row['rmse_final_mean'])},"
             f"{sci3(row['cons_err_mean'])},{sci3(row['cons_err_max'])}"
         )
-    p = out_dir / "summary.csv"
-    p.write_text("\n".join(lines) + "\n")
-    written.append(p)
+    files["summary.csv"] = lines
 
     datasets = sorted({row["dataset"] for row in rows})
     by_key = {(row["dataset"], row["variant"]): row for row in rows}
@@ -196,19 +191,13 @@ def emit_report(records: list[MetricsRecord], out_dir: str | Path) -> list[Path]
     lines += table(lambda row: f"{sci3(row['rmse_mean'])} +/- {sci3(row['rmse_std'])}")
     lines += ["", "## Relative conservation error (mean over steps and seeds)", ""]
     lines += table(lambda row: sci3(row["cons_err_mean"]))
-    p = out_dir / "summary.md"
-    p.write_text("\n".join(lines) + "\n")
-    written.append(p)
+    files["summary.md"] = lines
 
-    plot_dir = out_dir / "plotdata"
-    plot_dir.mkdir(exist_ok=True)
     for row in rows:
         for metric in ("rmse", "cons_err"):
             series = np.mean([getattr(r, f"{metric}_per_step") for r in row["cell"]], axis=0)
             lines = ["step\tvalue"]
             lines += [f"{k + 1}\t{sci3(v)}" for k, v in enumerate(series)]
-            p = plot_dir / f"{row['dataset']}__{row['variant']}__{metric}.tsv"
-            p.write_text("\n".join(lines) + "\n")
-            written.append(p)
+            files[f"plotdata/{row['dataset']}__{row['variant']}__{metric}.tsv"] = lines
 
-    return sorted(written)
+    return sorted(write_atomic(Path(out_dir) / name, ("\n".join(body) + "\n").encode()) for name, body in files.items())

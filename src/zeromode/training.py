@@ -41,9 +41,11 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int):
-        self.epoch = epoch
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
+    """The loss or the gradient (``quantity``) of one batch (1-based, like ``epoch``) became non-finite."""
+
+    def __init__(self, epoch: int, batch: int, quantity: str):
+        self.epoch, self.batch, self.quantity = epoch, batch, quantity
+        super().__init__(f"training {quantity} became non-finite at epoch {epoch}, batch {batch}")
 
 
 @dataclass(frozen=True)
@@ -137,16 +139,16 @@ def train(
         t0 = time.perf_counter()
         batches = sample_training_pairs(train_set, model_config.seed, epoch, config.batch_size, n_batches)
         epoch_loss = 0.0
-        for batch in batches:
+        for b, batch in enumerate(batches, start=1):
             s, t = batch[:, 0], batch[:, 1]
             inputs = train_set.data[s, t]
             targets = train_set.data[s, t + 1]
             try:
                 value, grads = loss_and_grad(model, inputs, targets, loss=config.loss, mask=mask)
             except RuntimeError as exc:  # non-finite prediction or loss
-                raise TrainingDiverged(epoch) from exc
+                raise TrainingDiverged(epoch, b, "loss") from exc
             if not np.all(np.isfinite(grads)):
-                raise TrainingDiverged(epoch)
+                raise TrainingDiverged(epoch, b, "gradient")
             adamw_step(model.params, grads, opt)
             epoch_loss += value
         epoch_seconds.append(time.perf_counter() - t0)

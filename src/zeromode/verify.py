@@ -84,7 +84,8 @@ def _register(suite: str, name: str):
 
 
 def available_suites() -> tuple[str, ...]:
-    return ("theorems", "solvers", "gradients")
+    """The suites that registered a check, in registration order."""
+    return tuple(dict.fromkeys(suite for suite, _, _ in _REGISTRY))
 
 
 # -- theorems ----------------------------------------------------------------

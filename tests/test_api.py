@@ -6,11 +6,13 @@ public method or property of a public class needs a ``Name``,
 ``Attribute`` or import reference in ``src/zeromode/`` or ``bench/``,
 outside ``__init__.py`` (whose re-exports are not callers).
 
-Binary files have one writer and one payload reader in the same way: a
-rename into place, a temporary file or a binary-write ``open`` appears only
-in ``datafile.write_atomic``, and a buffer read only in ``datafile.read_payload``.
-The CLI's JSON artifacts (manifests, training logs, ``verify.json``) go through
-that writer too, so ``cli.py`` calls no ``write_text``.
+Files have one writer and one payload reader in the same way.  Anywhere in the
+package, a rename into place, a temporary file, a ``write_text``, a
+``write_bytes`` or an ``open``/``fdopen`` in a write mode (text or binary)
+appears only in ``datafile.write_atomic``, except the one documented append:
+``cli._cmd_eval`` adds its record to ``records.jsonl``, where a
+read-modify-rename by two evaluations sharing the file would lose one record.
+A buffer read appears only in ``datafile.read_payload``.
 
 Spectral weights are folded in one place too: ``model._fold`` is called only by
 ``model.fold_weights``, once per parameter state, and by ``verify``'s adjoint check.
@@ -94,11 +96,11 @@ def owned_nodes(tree: ast.Module):
 RENAMES_AND_TEMP_FILES = {("os", "replace"), ("os", "rename"), ("tempfile", "mkstemp")}
 
 
-def writes_binary(node: ast.AST) -> bool:
-    """``os.replace``, ``os.rename``, ``tempfile.mkstemp``, ``write_bytes`` or an ``open`` in a binary write mode."""
+def writes_file(node: ast.AST) -> bool:
+    """``os.replace``, ``os.rename``, ``tempfile.mkstemp``, ``write_text``, ``write_bytes`` or a write-mode ``open``."""
     if isinstance(node, ast.Attribute):
         owner = node.value.id if isinstance(node.value, ast.Name) else None
-        return (owner, node.attr) in RENAMES_AND_TEMP_FILES or node.attr == "write_bytes"
+        return (owner, node.attr) in RENAMES_AND_TEMP_FILES or node.attr in ("write_text", "write_bytes")
     if not isinstance(node, ast.Call):
         return False
     func = node.func
@@ -106,18 +108,18 @@ def writes_binary(node: ast.AST) -> bool:
         return False
     modes = [arg.value for arg in [*node.args[:2], *(kw.value for kw in node.keywords if kw.arg == "mode")]
              if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
-    return any(re.fullmatch(r"[rwax+bt]*b[rwax+bt]*", m) and re.search(r"[wax+]", m) for m in modes)
+    return any(re.fullmatch(r"[rwax+bt]+", m) and re.search(r"[wax+]", m) for m in modes)
 
 
 def test_one_atomic_writer_and_one_payload_reader():
     writers, readers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for owner, node in owned_nodes(parse(path)):
-            if writes_binary(node) or (path.name == "cli.py" and getattr(node, "attr", None) == "write_text"):
+            if writes_file(node):
                 writers.add(f"{path.name}:{owner}")
             if isinstance(node, ast.Attribute) and node.attr in ("readinto", "frombuffer"):
                 readers.add(f"{path.name}:{owner}")
-    assert writers == {"datafile.py:write_atomic"}
+    assert writers == {"datafile.py:write_atomic", "cli.py:_cmd_eval"}
     assert readers == {"datafile.py:read_payload"}
 
 

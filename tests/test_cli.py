@@ -345,6 +345,18 @@ def with_samples(samples):
     return edit
 
 
+def with_snapshots(snapshots):
+    """The dataset keeping the first ``snapshots`` frames of each sample, its header to match."""
+    def edit(blob):
+        at = dataset_ends(blob)[3]  # the payload descriptor
+        samples, frames = struct.unpack("<II", blob[36:44])
+        per_frame = struct.unpack("<Q", blob[at:at + 8])[0] // (samples * frames)
+        payload = b"".join(blob[at + 12 + i * frames * per_frame:][: snapshots * per_frame] for i in range(samples))
+        return (blob[:40] + struct.pack("<I", snapshots) + blob[44:at]
+                + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    return edit
+
+
 def flip(offset):
     """One byte inverted; a negative offset counts from the end."""
     def edit(blob):
@@ -459,6 +471,8 @@ BAD_INPUTS = [
                  "bad_valid.ecfd: header declares an empty dimension", True, id="eval-data-zero-samples"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 0), split="valid"),
                  "bad_valid.ecfd: truncated file: expected 52 bytes of header", True, id="data-cut-valid-head"),
+    pytest.param(dataset_row(with_snapshots(1), split="valid"), "bad_valid.ecfd has one frame", True,
+                 id="train-valid-one-frame"),
     pytest.param(eval_row("--correction", "off"), "unrecognized arguments: --correction", False,
                  id="eval-correction-flag"),
     pytest.param(other_valid_row("cd"), "diff_train.ecfd (problem diff, channels 1) and validation split", True,

@@ -182,6 +182,17 @@ class TestReport:
         assert step == "1"
         float(value)  # parses
 
+    def test_files_are_written_atomically(self, tmp_path):
+        # each file goes through datafile.write_atomic: mode 0600 whatever the umask, and no temp file left behind
+        paths = emit_report(make_records(), tmp_path / "ok")
+        assert {p.stat().st_mode & 0o777 for p in paths} == {0o600}
+        blocked = tmp_path / "blocked"
+        (blocked / "summary.md").mkdir(parents=True)
+        with pytest.raises(OSError):
+            emit_report(make_records(), blocked)
+        assert (blocked / "records.csv").exists() and (blocked / "summary.md").is_dir()
+        assert not list(blocked.rglob("*.tmp"))
+
     def test_guards(self, tmp_path):
         with pytest.raises(ValueError, match="nothing"):
             emit_report([], tmp_path)

@@ -140,25 +140,28 @@ class TestTrainLoop:
         cfg = TrainConfig(mode=Variant.BASE, epochs=2, eval_every=2, loss="mse")
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as err:
             train(huge, valid_set, MODEL_CFG, cfg)
-        assert err.value.epoch == 1
+        assert (err.value.epoch, err.value.batch, err.value.quantity) == (1, 1, "loss")
+        assert "training loss became non-finite at epoch 1, batch 1" in str(err.value)
 
     def test_non_finite_gradient_raises_with_epoch(self, sets, monkeypatch):
-        # a finite loss with a NaN gradient: train's check names the epoch before the optimizer steps
+        # a finite loss with a NaN gradient: train's check names the epoch and batch before the optimizer steps
         train_set, valid_set = sets
         calls = []
 
-        def nan_gradient_at_epoch_2(model, *args, **kwargs):
+        def nan_gradient_at_epoch_2_batch_2(model, *args, **kwargs):
             value, grads = loss_and_grad(model, *args, **kwargs)
             calls.append(value)
-            if len(calls) == 2:
+            if len(calls) == 4:
                 grads[0] = np.nan
             return value, grads
 
-        monkeypatch.setattr(zeromode.training, "loss_and_grad", nan_gradient_at_epoch_2)
-        cfg = TrainConfig(mode=Variant.BASE, epochs=3, eval_every=3, batch_size=train_set.n_samples)  # one batch
+        monkeypatch.setattr(zeromode.training, "loss_and_grad", nan_gradient_at_epoch_2_batch_2)
+        cfg = TrainConfig(mode=Variant.BASE, epochs=3, eval_every=3, batch_size=train_set.n_samples // 2)  # 2 batches
         with pytest.raises(TrainingDiverged) as err:
             train(train_set, valid_set, MODEL_CFG, cfg)
-        assert err.value.epoch == 2 and np.isfinite(calls[1])
+        assert (err.value.epoch, err.value.batch, err.value.quantity) == (2, 2, "gradient")
+        assert "training gradient became non-finite at epoch 2, batch 2" in str(err.value)
+        assert len(calls) == 4 and np.isfinite(calls[3])
 
     @pytest.mark.parametrize("field, value", [("lr", float("nan")), ("lr", -1.0),
                                               ("weight_decay", float("inf")), ("weight_decay", -5.0)])

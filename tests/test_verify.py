@@ -40,6 +40,15 @@ class TestSuites:
             assert {r.suite for r in results} == {suite}
         assert {r.suite for r in run_checks("all")} == set(available_suites())
 
+    def test_suites_come_from_the_registry(self, monkeypatch):
+        assert available_suites() == ("theorems", "solvers", "gradients")
+        # a check registered under a new suite runs under "all" too
+        passing = lambda correction: None
+        registry = [("extra", "a", passing), ("other", "b", passing), ("extra", "c", passing)]
+        monkeypatch.setattr(zeromode.verify, "_REGISTRY", registry)
+        assert available_suites() == ("extra", "other")
+        assert [(r.suite, r.name) for r in run_checks("all")] == [("extra", "a"), ("other", "b"), ("extra", "c")]
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_checks("vibes")
