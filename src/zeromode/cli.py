@@ -126,6 +126,19 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
     return write_json(out_dir / name, manifest)
 
 
+def _check_band(path: str, dataset, modes_kept: int) -> None:
+    """Refuse, naming ``path``, a dataset whose grid cannot hold ``modes_kept`` modes per axis.
+
+    The rule is the one the operator applies when it builds its band.
+    """
+    from .model import _band
+
+    try:
+        _band(dataset.grid.resolution, modes_kept)
+    except ValueError as exc:
+        raise ValueError(f"dataset {path}: {exc}") from None
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -142,10 +155,11 @@ def _cmd_gen(args, argv: list[str]) -> int:
     from .grid import Precision
 
     started = _utc_now()
-    preset = paper_config if args.paper_scale else desk_config
     if args.paper_scale:
         print(_PAPER_SCALE_WARNING, file=sys.stderr)
-    base = preset(Problem(args.problem), split=args.split)
+        base = paper_config(Problem(args.problem), split=args.split)
+    else:
+        base = desk_config(Problem(args.problem), split=args.split)
 
     param_keys = [f.name for f in fields(ProblemParams) if f.name != "problem"]
     file_cfg = _load_config_file(args.config)
@@ -198,6 +212,8 @@ def _cmd_train(args, argv: list[str]) -> int:
     model_config = OperatorConfig(channels=train_set.channels, ndim=train_set.grid.ndim,
                                   **{key: resolved[key] for key in model_keys})
     train_config = TrainConfig(**{key: resolved[key] for key in train_defaults})
+    for path, split in ((args.train, train_set), (args.valid, valid_set)):
+        _check_band(path, split, model_config.modes_kept)
     t0 = time.perf_counter()
     result = train(train_set, valid_set, model_config, train_config)
     train_seconds = time.perf_counter() - t0
@@ -238,6 +254,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
     started = _utc_now()
     model = load_checkpoint(args.model)
     dataset = read_dataset(args.data)
+    _check_band(args.data, dataset, model.config.modes_kept)
     out_dir = Path(args.out)
     records_path = out_dir / "records.jsonl"
     # a second record for one (dataset, variant, seed) would make report refuse the file

@@ -178,8 +178,10 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
     """Parse and validate a dataset file; inverse of :func:`write_dataset`.
 
-    Values are widened to float64 for computation regardless of the
-    storage precision, which is preserved as a tag.
+    A payload holding NaN or Inf is refused, naming its first such sample
+    and frame, even when its checksum matches.  Values are widened to
+    float64 for computation regardless of the storage precision, which is
+    preserved as a tag.
     """
     path = Path(path)
     try:
@@ -214,6 +216,10 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
                 raise DatasetFormatError(f"payload size mismatch: header declares {payload_nbytes} bytes, "
                                          f"shape needs {expected}")
             data = read_payload(fh, (samples, snapshots, channels, *resolution), f"<f{bits // 8}", crc)
+            # NaN and +-Inf carry through min and max, which make no temporary; the search runs on failure only
+            if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+                at = tuple(np.argwhere(~np.isfinite(data))[0])
+                raise DatasetFormatError(f"payload holds a non-finite value {data[at]} (sample {at[0]}, frame {at[1]})")
     except ValueError as exc:
         raise DatasetFormatError(f"dataset {path}: {exc}") from None
 

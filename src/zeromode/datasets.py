@@ -251,18 +251,16 @@ DESK_SPLIT_SIZES = {"train": 50, "valid": 10, "test": 10}
 PAPER_SPLIT_SIZES = {"train": 500, "valid": 100, "test": 100}
 
 
-def desk_config(problem: Problem, split: str = "train", master_seed: int = 0,
-                n_samples: int | None = None) -> DatasetConfig:
+def desk_config(problem: Problem, split: str) -> DatasetConfig:
+    """The desk preset of one split: its parameters and its sample count, master seed 0."""
     params = ProblemParams(problem=problem, **_DESK[problem])
-    n = DESK_SPLIT_SIZES[split] if n_samples is None else n_samples
-    return DatasetConfig(params=params, n_samples=n, master_seed=master_seed, split=split)
+    return DatasetConfig(params=params, n_samples=DESK_SPLIT_SIZES[split], split=split)
 
 
-def paper_config(problem: Problem, split: str = "train", master_seed: int = 0,
-                 n_samples: int | None = None) -> DatasetConfig:
+def paper_config(problem: Problem, split: str) -> DatasetConfig:
+    """The paper preset of one split: its parameters and its sample count, master seed 0."""
     params = ProblemParams(problem=problem, **_PAPER[problem])
-    n = PAPER_SPLIT_SIZES[split] if n_samples is None else n_samples
-    return DatasetConfig(params=params, n_samples=n, master_seed=master_seed, split=split)
+    return DatasetConfig(params=params, n_samples=PAPER_SPLIT_SIZES[split], split=split)
 
 
 # -- generation ------------------------------------------------------------

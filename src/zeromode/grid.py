@@ -88,8 +88,9 @@ class GridSpec:
         return cls(lengths=(length, length), resolution=(n, n), boundary=boundary)
 
     @classmethod
-    def line(cls, n: int, length: float = 1.0, boundary: Boundary = Boundary.PERIODIC) -> "GridSpec":
-        return cls(lengths=(length,), resolution=(n,), boundary=boundary)
+    def line(cls, n: int, length: float = 1.0) -> "GridSpec":
+        """A periodic 1-D grid."""
+        return cls(lengths=(length,), resolution=(n,))
 
     @property
     def ndim(self) -> int:

@@ -17,7 +17,7 @@ from .grid import Boundary, GridSpec, squared_wavenumber
 __all__ = ["chebyshev_ic", "grf_ic"]
 
 
-def chebyshev_ic(seed, grid: GridSpec, order: int = 20) -> np.ndarray:
+def chebyshev_ic(seed, grid: GridSpec, order: int) -> np.ndarray:
     """Random Chebyshev-series field sum_{i,j<order} c_ij T_i(xi) T_j(eta).
 
     Coefficients are i.i.d. uniform on [-1, 1].  Each axis is mapped

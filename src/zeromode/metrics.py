@@ -42,20 +42,19 @@ SCOPE_NOTE = (
 )
 
 
-def step_metrics(pred: np.ndarray, truth: np.ndarray,
-                 mask: ConservationMask | None = None) -> tuple[np.ndarray, np.ndarray]:
+def step_metrics(pred: np.ndarray, truth: np.ndarray, mask: ConservationMask) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame RMSE and relative conservation error of (frames, channels, *spatial) stacks.
 
     RMSE averages the per-channel RMSEs.  The conservation error is
     |mean(pred) - mean(truth)| / |mean(truth)| (integrals over a fixed
-    volume), max'd over masked channels (all channels without a mask)
-    under the module's zero-integral policy.
+    volume), max'd over masked channels under the module's zero-integral
+    policy.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    flags = np.ones(pred.shape[1], dtype=bool) if mask is None else np.asarray(mask.flags)
+    flags = np.asarray(mask.flags)
     if flags.shape != pred.shape[1:2]:
         raise ValueError(f"mask covers {flags.size} channels but the frames have {pred.shape[1]}")
     spatial = tuple(range(2, pred.ndim))

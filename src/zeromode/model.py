@@ -71,9 +71,12 @@ of one shape at the same time.
 
 The elementwise work of a block (GELU and its tanh; in the backward
 ``gelu_grad`` and its product with the upstream gradient) runs over
-contiguous tiles of ``_TILE_BYTES`` = 256 KiB per operand.  At the paper
-size one activation, 16 x 128^2 float64, is 2 MiB, a whole L2 of one core,
-so a chain of whole-array passes streams each pass from L3.
+contiguous tiles of ``_TILE_BYTES`` = 256 KiB per operand.  ``gelu``
+takes caller buffers for its output and its inner tanh; ``gelu_grad``
+takes that tanh back with the upstream gradient, and both refuse an
+operand that is not C-contiguous.  At the paper size one activation,
+16 x 128^2 float64, is 2 MiB, a whole L2 of one core, so a chain of
+whole-array passes streams each pass from L3.
 ``gelu_grad``, the widest kernel, keeps about six operand tiles live,
 1.5 MiB, which stays in a 2 MiB L2.  An elementwise operation rounds each
 element on its own, so the tiles give the whole-array bits.  Transforms
@@ -177,22 +180,19 @@ _CHUNK_BYTES = 1024 * 1024  # activation per forward_values chunk (module docstr
 
 
 def _tiles(*arrays):
-    """Matching flat slices of ``arrays``, ``_TILE`` elements each; None entries stay None.
+    """Matching flat slices of ``arrays``, ``_TILE`` elements each.
 
-    Unless every array is C-contiguous and shaped like the first, the whole
-    arrays come back once: reshaping a strided array to flat copies it, and
-    writes into the copy would be lost.
+    Every array must be C-contiguous and shaped like the first: reshaping a
+    strided array to flat copies it, and writes into the copy would be lost.
     """
-    given = [a for a in arrays if a is not None]
-    if not all(a.flags.c_contiguous and a.shape == given[0].shape for a in given):
-        yield arrays
-        return
-    flat = [None if a is None else a.reshape(-1) for a in arrays]
-    for start in range(0, max(given[0].size, 1), _TILE):
-        yield tuple(None if f is None else f[start : start + _TILE] for f in flat)
+    if not all(a.flags.c_contiguous and a.shape == arrays[0].shape for a in arrays):
+        raise ValueError("the GELU kernels take C-contiguous operands of one shape")
+    flat = [a.reshape(-1) for a in arrays]
+    for start in range(0, max(arrays[0].size, 1), _TILE):
+        yield tuple(f[start : start + _TILE] for f in flat)
 
 
-def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     u = np.multiply(x, x, out=out)
     u *= x
     u *= _GELU_B
@@ -201,42 +201,33 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(u, out=out)
 
 
-def gelu(x: np.ndarray, tanh_out: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Smooth gate 0.5*x*(1 + tanh(a*(x + b*x^3))), a=sqrt(2/pi), b=0.044715.
+def gelu(x: np.ndarray, tanh_out: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Smooth gate 0.5*x*(1 + tanh(a*(x + b*x^3))), a=sqrt(2/pi), b=0.044715, written into ``out``.
 
-    ``tanh_out``, an array shaped like ``x``, receives the inner tanh, which
-    :func:`gelu_grad` takes back as ``tanh`` instead of computing it again.
-    ``out`` receives the result; it may be ``tanh_out`` when the tanh is
-    not needed afterwards.
+    ``tanh_out``, a caller buffer shaped like ``x``, receives the inner
+    tanh, which :func:`gelu_grad` takes back as ``tanh``.  ``out`` may be
+    ``tanh_out`` when the tanh is not needed afterwards.
     """
-    x = np.asarray(x)
-    if out is None:
-        out = np.empty(x.shape, dtype=np.result_type(x, 1.0))
     for xs, ts, ys in _tiles(x, tanh_out, out):
-        y = np.add(1.0, _gelu_tanh(xs, out=ys if ts is None else ts), out=ys)
+        y = np.add(1.0, _gelu_tanh(xs, out=ts), out=ys)
         y *= xs
         y *= 0.5
     return out
 
 
-def gelu_grad(
-    x: np.ndarray, tanh: np.ndarray | None = None, upstream: np.ndarray | None = None
-) -> np.ndarray:
-    """Derivative of :func:`gelu` at ``x``; ``tanh`` is the inner tanh if already known.
+def gelu_grad(x: np.ndarray, tanh: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The chain rule's ``upstream * gelu'(x)``, ``tanh`` being the inner tanh :func:`gelu` wrote.
 
-    0.5*(1 + t) + 0.5*a*x*(1 - t^2)*(1 + 3b*x^2) with t the inner tanh.
-    ``upstream``, shaped like ``x``, multiplies the result: the chain rule's
-    ``upstream * gelu'(x)``, taken in the same tile.  Two scratch tiles per
-    call hold the intermediates.
+    gelu'(x) = 0.5*(1 + t) + 0.5*a*x*(1 - t^2)*(1 + 3b*x^2) with t the inner
+    tanh, taken tile by tile with the product.  Two scratch tiles per call
+    hold the intermediates; the result is a fresh array.
     """
-    x = np.asarray(x)
-    grad = np.empty(x.shape, dtype=np.result_type(x, 1.0))
+    grad = np.empty(x.shape)
     scratch = None
-    for xs, ts, us, gs in _tiles(x, tanh, upstream, grad):
+    for xs, t, us, gs in _tiles(x, tanh, upstream, grad):
         if scratch is None:
-            scratch = np.empty((2, *xs.shape), dtype=grad.dtype)
+            scratch = np.empty((2, *xs.shape))
         a, b = scratch[:, : len(xs)]
-        t = _gelu_tanh(xs) if ts is None else ts
         curve = np.multiply(xs, xs, out=a)
         curve *= 3.0 * _GELU_B
         curve += 1.0
@@ -245,8 +236,7 @@ def gelu_grad(
         g *= _GELU_A
         g *= curve
         g += np.multiply(0.5, np.add(1.0, t, out=a), out=a)
-        if us is not None:
-            g *= us
+        g *= us
     return grad
 
 
@@ -579,9 +569,8 @@ def _band_inner(a_modes: np.ndarray, b_modes: np.ndarray, band: _Band) -> np.nda
     return inner.real / np.prod(band.resolution)
 
 
-def _pointwise_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _pointwise_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``W x + b``, written into ``out`` when one is given."""
     flat = None if out is None else out.reshape(*out.shape[:2], -1)
     x_flat = x.reshape(*x.shape[:2], -1)
     # one input channel: the broadcast product, not a matmul with inner dimension 1
@@ -735,13 +724,13 @@ def loss_and_grad(
     model: OperatorModel,
     inputs: np.ndarray,
     targets: np.ndarray,
-    loss: str = "mae",
-    mask: ConservationMask | None = None,
+    loss: str,
+    mask: ConservationMask | None,
 ):
-    """Training loss and its exact gradient for one batch.
+    """Training loss (one of ``LOSSES``) and its exact gradient for one batch.
 
-    ``inputs`` and ``targets`` are (B, channels, *spatial).  With ``mask``
-    given, each prediction's masked channel means are pinned to the
+    ``inputs`` and ``targets`` are (B, channels, *spatial).  Unless ``mask``
+    is None, each prediction's masked channel means are pinned to the
     conserved value of its own input state before the loss; the
     correction's Jacobian is I - (1/n) 1 1^T per masked channel, so the
     backward pass strips the uniform component of the loss gradient.

@@ -19,9 +19,11 @@ The Allen-Cahn step takes one real forward transform of ``u + dt g``
 (the update is linear, so this equals the sum of the two transforms) and
 one inverse, over the whole batch.  Every solver checks its grid's
 boundary, the state's shape and its finiteness in one shared helper
-before it steps.  Means, clamp, CFL (at most ``CFL_MAX``), positivity
-and finiteness are checked per sample, and an error from a batch names
-the first failing sample.
+before it steps; the two time steppers check the step size, the step
+count and the snapshot stride, and allocate their frames, in another.
+Means, clamp, CFL (at most ``CFL_MAX``), positivity and finiteness are
+checked per sample, and an error from a batch names the first failing
+sample.
 """
 
 from __future__ import annotations
@@ -113,6 +115,17 @@ def _state_batch(
     if bad.any():
         raise ValueError(f"{who}: initial state is not finite{_in_sample(bad, lead)}")
     return u, lead
+
+
+def _frame_buffer(state: np.ndarray, dt: float, n_steps: int, snapshot_stride: int) -> np.ndarray:
+    """A time stepper's frames (samples, n_steps // snapshot_stride + 1, ...), frame 0 holding ``state``."""
+    if dt <= 0 or n_steps < 1:
+        raise ValueError("need dt > 0 and at least one step")
+    if snapshot_stride < 1 or n_steps % snapshot_stride != 0:
+        raise ValueError(f"snapshot stride {snapshot_stride} does not divide {n_steps} steps")
+    frames = np.empty((state.shape[0], n_steps // snapshot_stride + 1, *state.shape[1:]))
+    frames[:, 0] = state
+    return frames
 
 
 def _propagate(u0: np.ndarray, lead: tuple[int, ...], t, forward, inverse, advance) -> np.ndarray:
@@ -213,10 +226,10 @@ def solve_allen_cahn(
     potential: str,
     dt: float,
     n_steps: int,
+    snapshot_stride: int,
     theta: float = 0.8,
     theta_c: float = 1.6,
     project: bool = True,
-    snapshot_stride: int | None = None,
 ) -> np.ndarray:
     """Conserved Allen-Cahn u_t = eps lap(u) + f(u) - mean(f(u)).
 
@@ -232,25 +245,17 @@ def solve_allen_cahn(
     ``initial`` is (*lead, *spatial); the samples are stepped together,
     and every sample keeps its own mean and its own checks.  Returns the
     trajectory including the initial state, one frame every
-    ``snapshot_stride`` steps (default: only first and last), shape
-    (*lead, frames, *spatial).
+    ``snapshot_stride`` steps, shape (*lead, frames, *spatial).
     """
     u, lead = _state_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
     if potential not in ("dw", "fh"):
         raise ValueError(f"unknown potential {potential!r}, expected 'dw' or 'fh'")
-    if dt <= 0 or n_steps < 1:
-        raise ValueError("need dt > 0 and at least one step")
-    if snapshot_stride is None:
-        snapshot_stride = n_steps
-    if n_steps % snapshot_stride != 0:
-        raise ValueError(f"snapshot stride {snapshot_stride} does not divide {n_steps} steps")
+    frames = _frame_buffer(u, dt, n_steps, snapshot_stride)
 
     axes = tuple(range(1, u.ndim))
     mean0 = u.mean(axis=axes, keepdims=True)
     # the real transform keeps the nonnegative half of the last axis
     implicit = 1.0 / (1.0 + dt * epsilon * squared_wavenumber(grid)[..., : grid.resolution[-1] // 2 + 1])
-    frames = np.empty((u.shape[0], n_steps // snapshot_stride + 1, *grid.resolution))
-    frames[:, 0] = u
 
     for step in range(1, n_steps + 1):
         if potential == "fh":
@@ -275,12 +280,12 @@ def solve_allen_cahn(
 
 def dam_break_state(
     grid: GridSpec,
+    radius: float,
+    h_inner: float,
     center: tuple[float, float] = (0.5, 0.5),
-    radius: float = 0.2,
-    h_inner: float = 2.0,
     h_outer: float = 1.0,
 ) -> np.ndarray:
-    """Radial dam-break state (h, hu, hv) at rest: raised disc of water."""
+    """Radial dam-break state (h, hu, hv) at rest: a disc of depth ``h_inner`` in water of depth ``h_outer``."""
     if grid.ndim != 2:
         raise ValueError("shallow water runs on 2-D grids")
     x, y = grid.meshgrid()
@@ -351,7 +356,7 @@ def solve_shallow_water(
     g_r: float,
     dt: float,
     n_steps: int,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int,
 ) -> np.ndarray:
     """Shallow water (h, hu, hv) with reflective walls, flat bottom.
 
@@ -360,30 +365,26 @@ def solve_shallow_water(
     flux exactly zero, so total mass is conserved to rounding.
     ``initial`` is one state (3, nx, ny) or a batch (..., 3, nx, ny),
     stepped together with per-sample CFL (at most ``CFL_MAX``) and
-    positivity checks.  Returns frames of the full state, (..., frames, 3,
-    nx, ny), frame 0 being the initial condition.
+    positivity checks.  Returns frames of the full state, one every
+    ``snapshot_stride`` steps, (..., frames, 3, nx, ny), frame 0 being the
+    initial condition.  A CFL number over the bound in the initial state is
+    bad input (ValueError); one reached mid-run aborts the run (SolverError).
     """
     state, lead = _state_batch(initial, grid, "solve_shallow_water", Boundary.WALL, (3, *grid.resolution))
     depth_min = state[:, 0].min(axis=(-2, -1))
     if (depth_min <= 0).any():
         raise ValueError(f"water depth must be positive everywhere{_in_sample(depth_min <= 0, lead)}")
-    if dt <= 0 or n_steps < 1:
-        raise ValueError("need dt > 0 and at least one step")
-    if snapshot_stride is None:
-        snapshot_stride = n_steps
-    if n_steps % snapshot_stride != 0:
-        raise ValueError(f"snapshot stride {snapshot_stride} does not divide {n_steps} steps")
+    frames = _frame_buffer(state, dt, n_steps, snapshot_stride)
     cfl = cfl_number(state, grid, g_r, dt)
     if (cfl > CFL_MAX).any():
         at = _in_sample(cfl > CFL_MAX, lead)
         raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {CFL_MAX}{at}; reduce dt")
 
     dx, dy = grid.spacing
-    frames = np.empty((state.shape[0], n_steps // snapshot_stride + 1, *state.shape[1:]))
-    frames[:, 0] = state
     for step in range(1, n_steps + 1):
-        cfl = cfl_number(state, grid, g_r, dt)
-        _abort_if(cfl > CFL_MAX, f"CFL number exceeded {CFL_MAX} mid-run, reduce dt", step, lead)
+        if step > 1:  # step 1 steps the initial state, checked above
+            cfl = cfl_number(state, grid, g_r, dt)
+            _abort_if(cfl > CFL_MAX, f"CFL number exceeded {CFL_MAX} mid-run, reduce dt", step, lead)
         state = (
             state
             - (dt / dx) * _rusanov_diff(state, g_r, axis=-2)

@@ -201,18 +201,14 @@ class RolloutResult:
         return float(self.rmse.mean(axis=1).mean()) if self.n_steps else float("nan")
 
 
-def rollout(
-    model,
-    trajectories: np.ndarray,
-    variant: Variant = Variant.BASE,
-    mask: ConservationMask | None = None,
-) -> RolloutResult:
+def rollout(model, trajectories: np.ndarray, variant: Variant, mask: ConservationMask) -> RolloutResult:
     """Roll the operator forward from frame 0 of each trajectory (samples, frames, channels, *spatial).
 
     ``model`` is an :class:`OperatorModel`, whose weights are folded once
     for the whole rollout, or any callable mapping states (samples,
     channels, *spatial) to the next states (handy for fixtures);
-    ``variant`` is a :class:`Variant` or its value.
+    ``variant`` is a :class:`Variant` or its value, and ``mask`` names
+    the conserved channels that are pinned and scored.
     Each sample's conserved target for both correcting variants is encoded
     once, from its initial frame, and its rows equal a rollout of it alone.
     Each step predicts the next states, checks them, pins them once to
@@ -227,8 +223,6 @@ def rollout(
     traj = np.asarray(trajectories, dtype=np.float64)
     if traj.ndim < 4:
         raise ValueError(f"trajectories must be (samples, frames, channels, *spatial), got {traj.shape}")
-    if variant is not Variant.BASE and mask is None:
-        raise ValueError("correcting rollouts need a conservation mask")
 
     folded = None if callable(model) else fold_weights(model)
     step = model if folded is None else (lambda v: forward_values(model, folded, v))

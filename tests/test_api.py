@@ -6,6 +6,15 @@ public method or property of a public class needs a ``Name``,
 ``Attribute`` or import reference in ``src/zeromode/`` or ``bench/``,
 outside ``__init__.py`` (whose re-exports are not callers).
 
+Options follow the same rule.  Each defaulted parameter of a package
+function or method is set by some call in ``src/zeromode/`` or ``bench/``
+and left at its default by another: a parameter no such call sets is
+removed, and one every such call sets is required.  Calls are matched by
+name, a class call to its ``__init__``; dataclass fields and calls that
+unpack ``*``/``**`` are not scanned.  The one exception is
+``verify.run_checks(correction)``, the hook through which the tests run
+the theorem checks against a deliberately broken pin.
+
 Files have one writer and one payload reader in the same way.  Anywhere in the
 package, a rename into place, a temporary file, a ``write_text``, a
 ``write_bytes`` or an ``open``/``fdopen`` in a write mode (text or binary)
@@ -130,3 +139,88 @@ def test_weights_fold_only_in_fold_weights_and_the_adjoint_check():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_fold":
                 callers.add(f"{path.name}:{owner}")
     assert callers == {"model.py:fold_weights", "verify.py:_check_spectral_adjoint"}
+
+
+# -- options ---------------------------------------------------------------------
+
+# the hook through which the tests run the theorem checks against a deliberately broken pin
+ALLOWED_UNSET_OPTIONS = {"verify.run_checks(correction)"}
+
+
+def external_names(tree: ast.Module) -> set[str]:
+    """Names a module binds by importing from outside the package (``np``, ``time``, ``asdict``, ...)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names if not a.name.startswith("zeromode"))
+        elif isinstance(node, ast.ImportFrom) and not node.level and not node.module.startswith("zeromode"):
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def signatures() -> dict[str, list[tuple[list[str], dict[str, str]]]]:
+    """Call name -> [(positional parameters, {defaulted parameter: "module.function(parameter)"})].
+
+    Module-level functions and class methods count, with ``self`` and ``cls``
+    dropped; a call of a class by its name maps to its ``__init__``.
+    Dataclass fields are not scanned: the CLI sets its config objects
+    through ``**kwargs``.
+    """
+    found: dict[str, list] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        defs = [(node.name, node.name, node, False) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for item in (i for i in cls.body if isinstance(i, ast.FunctionDef)):
+                bound = "staticmethod" not in (ast.unparse(d) for d in item.decorator_list)
+                call_name = cls.name if item.name == "__init__" else item.name
+                defs.append((call_name, f"{cls.name}.{item.name}", item, bound))
+        for call_name, qualname, fn, bound in defs:
+            args = fn.args
+            positional = [a.arg for a in (*args.posonlyargs, *args.args)][int(bound):]
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found.setdefault(call_name, []).append(
+                (positional, {name: f"{path.stem}.{qualname}({name})" for name in defaulted}))
+    return found
+
+
+def option_uses() -> dict[str, tuple[bool, bool]]:
+    """Per defaulted parameter: (some call sets it, some call leaves its default), over package and bench calls.
+
+    A call that unpacks ``*args`` or ``**kwargs`` binds nothing readable and is skipped.
+    """
+    sigs = signatures()
+    uses = {where: [False, False] for found in sigs.values() for _, wheres in found for where in wheres.values()}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        tree = parse(path)
+        external = external_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in sigs:
+                continue
+            owner = func.id if isinstance(func, ast.Name) else getattr(func.value, "id", None)
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            if owner in external or unpacks:
+                continue
+            for positional, wheres in sigs[name]:
+                passed = {*positional[: len(node.args)], *(k.arg for k in node.keywords)}
+                for param, where in wheres.items():
+                    uses[where][param not in passed] = True
+    return {where: tuple(flags) for where, flags in uses.items()}
+
+
+def test_every_option_is_set_by_one_call_and_left_by_another():
+    uses = option_uses()
+    never_set = {where for where, (is_set, is_left) in uses.items() if not is_set} - ALLOWED_UNSET_OPTIONS
+    always_set = {where for where, (is_set, is_left) in uses.items() if not is_left}
+    assert not never_set, f"options no pipeline or bench call sets: {sorted(never_set)}"
+    assert not always_set, f"defaults no pipeline or bench call uses; make them required: {sorted(always_set)}"
+
+
+def test_option_allow_list_names_real_unset_options():
+    uses = option_uses()
+    assert all(where in uses and not uses[where][0] for where in ALLOWED_UNSET_OPTIONS)

@@ -314,6 +314,21 @@ def other_valid_row(problem):
     return build
 
 
+def coarse_split_row(command):
+    """``command`` reading a diff split at resolution 3, too coarse for the pipeline's modes_kept 2."""
+    def build(pipeline, tmp_path):
+        _, train_path, _, run_dir = pipeline
+        coarse = tmp_path / "coarse.ecfd"
+        assert main(["gen", "--problem", "diff", "--split", "valid", "--out", str(coarse), *GEN_ARGS,
+                     "--resolution", "3"]) == 0
+        if command == "eval":
+            return ["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(coarse),
+                    "--out", str(tmp_path / "evals")]
+        return ["train", "--train", str(train_path), "--valid", str(coarse), "--out", str(tmp_path / "run"),
+                *TRAIN_ARGS]
+    return build
+
+
 def checkpoint_ends(blob):
     """End offsets of a checkpoint's magic, version and length, config, count and CRC, and payload."""
     config_len = struct.unpack("<I", blob[6:10])[0]
@@ -354,6 +369,17 @@ def with_snapshots(snapshots):
         payload = b"".join(blob[at + 12 + i * frames * per_frame:][: snapshots * per_frame] for i in range(samples))
         return (blob[:40] + struct.pack("<I", snapshots) + blob[44:at]
                 + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    return edit
+
+
+def with_value(value, sample, frame):
+    """The F64 dataset with ``value`` in the first cell of one sample's frame, its checksum to match."""
+    def edit(blob):
+        at = dataset_ends(blob)[3]  # the payload descriptor
+        samples, frames = struct.unpack("<II", blob[36:44])
+        payload = np.frombuffer(blob[at + 12:], "<f8").reshape(samples, frames, -1).copy()
+        payload[sample, frame, 0] = value
+        return blob[:at] + struct.pack("<QI", payload.nbytes, zlib.crc32(payload)) + payload.tobytes()
     return edit
 
 
@@ -473,6 +499,16 @@ BAD_INPUTS = [
                  "bad_valid.ecfd: truncated file: expected 52 bytes of header", True, id="data-cut-valid-head"),
     pytest.param(dataset_row(with_snapshots(1), split="valid"), "bad_valid.ecfd has one frame", True,
                  id="train-valid-one-frame"),
+    pytest.param(dataset_row(with_value(np.nan, 1, 1), split="valid"),
+                 "bad_valid.ecfd: payload holds a non-finite value nan (sample 1, frame 1)", True, id="data-nan"),
+    pytest.param(dataset_row(with_value(np.inf, 2, 4)),
+                 "bad_train.ecfd: payload holds a non-finite value inf (sample 2, frame 4)", True, id="data-inf"),
+    pytest.param(dataset_row(with_value(np.nan, 1, 1), split="valid", command="eval"),
+                 "bad_valid.ecfd: payload holds a non-finite value nan (sample 1, frame 1)", True, id="eval-data-nan"),
+    pytest.param(coarse_split_row("train"), "coarse.ecfd: modes_kept=2 exceeds the Nyquist bound for resolution 3",
+                 True, id="train-valid-too-coarse"),
+    pytest.param(coarse_split_row("eval"), "coarse.ecfd: modes_kept=2 exceeds the Nyquist bound for resolution 3",
+                 True, id="eval-data-too-coarse"),
     pytest.param(eval_row("--correction", "off"), "unrecognized arguments: --correction", False,
                  id="eval-correction-flag"),
     pytest.param(other_valid_row("cd"), "diff_train.ecfd (problem diff, channels 1) and validation split", True,
@@ -481,15 +517,21 @@ BAD_INPUTS = [
 
 
 class TestMalformedInputs:
-    """Bad inputs end in exit 2, never a traceback; a bad file prints one stderr line.
+    """Bad inputs end in exit 2, before any training step or rollout and never with a traceback.
 
-    ``BAD_INPUTS`` holds the cases whose argv is built alone; the named
-    tests below need more set-up or checks of their own.
+    A bad file prints one stderr line.  ``BAD_INPUTS`` holds the cases whose argv is built alone;
+    the named tests below need more set-up or checks of their own.
     """
 
     @pytest.mark.parametrize("build, message, file_row", BAD_INPUTS)
-    def test_bad_input_exits_2(self, pipeline, tmp_path, capsys, build, message, file_row):
+    def test_bad_input_exits_2(self, pipeline, tmp_path, capsys, monkeypatch, build, message, file_row):
         argv = build(pipeline, tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step or rollout ran on a refused input")
+
+        monkeypatch.setattr(zeromode.training, "loss_and_grad", no_step)
+        monkeypatch.setattr(zeromode.training, "rollout", no_step)
         capsys.readouterr()
         try:
             code = main(argv)

@@ -3,6 +3,7 @@
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from zeromode.grid import Precision
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    cfg = desk_config(Problem.DIFF)
+    cfg = desk_config(Problem.DIFF, "train")
     params = cfg.params.to_dict()
     params.update(resolution=12, n_steps=100, n_snapshots=10)
     from zeromode.datasets import ProblemParams
@@ -78,7 +79,7 @@ class TestMemory:
 
     @pytest.fixture(scope="class")
     def desk_split(self):
-        return generate_dataset(desk_config(Problem.DIFF, n_samples=20))  # 20 x 20 x 32^2
+        return generate_dataset(replace(desk_config(Problem.DIFF, "train"), n_samples=20))  # 20 x 20 x 32^2
 
     def test_f64_write_holds_no_payload_copy(self, desk_split, tmp_path):
         assert traced_peak(lambda: write_dataset(desk_split, tmp_path / "d.ecfd")) <= 0.1 * desk_split.data.nbytes
@@ -144,6 +145,16 @@ class TestValidation:
         assert small_dataset.grid.ndim == 2
         corrupt(path, offset, struct.pack(fmt, 0))
         message = rf"d\.ecfd: header declares an empty dimension: {re.escape(field)} is 0"
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_refused_though_its_checksum_matches(self, small_dataset, tmp_path, value, precision):
+        bad = replace(small_dataset, data=small_dataset.data.copy(), precision=precision)
+        bad.data[1, 4, 0, 3, 5] = value
+        path = write_dataset(bad, tmp_path / "d.ecfd")
+        message = rf"d\.ecfd: payload holds a non-finite value {value} \(sample 1, frame 4\)"
         with pytest.raises(DatasetFormatError, match=message):
             read_dataset(path)
 

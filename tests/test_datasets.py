@@ -1,5 +1,7 @@
 """Dataset generation: determinism, conservation audit, preset sanity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -20,7 +22,7 @@ from zeromode.solvers import dam_break_state, solve_shallow_water, verify_flux_b
 
 
 def tiny_config(problem, n_samples=3, seed=0, resolution=16, **overrides):
-    base = desk_config(problem).params.to_dict()
+    base = desk_config(problem, "train").params.to_dict()
     base.update(resolution=resolution, **overrides)
     if problem is Problem.WATER:
         base.update(n_steps=60)
@@ -42,7 +44,7 @@ class TestProblemParams:
         assert times[1] == pytest.approx(0.05)
 
     def test_round_trips_through_dict(self):
-        p = desk_config(Problem.CD).params
+        p = desk_config(Problem.CD, "train").params
         assert ProblemParams.from_dict(p.to_dict()) == p
 
     @pytest.mark.parametrize("field, value", [("n_steps", 0), ("n_steps", -20), ("epsilon", 0.0), ("g_r", -1.0)])
@@ -56,7 +58,7 @@ class TestDatasetConfig:
     @pytest.mark.parametrize("changes", [{"master_seed": -1}, {"master_seed": 2**63}, {"split": "holdout"}])
     def test_refuses_seeds_and_splits_the_file_cannot_hold(self, changes):
         with pytest.raises(ValueError, match=next(iter(changes))):
-            DatasetConfig(params=desk_config(Problem.CD).params, n_samples=1, **changes)
+            DatasetConfig(params=desk_config(Problem.CD, "train").params, n_samples=1, **changes)
 
     def test_largest_master_seed_round_trips(self, tmp_path):
         ds = generate_dataset(tiny_config(Problem.CD, n_samples=1, seed=2**63 - 1))
@@ -74,7 +76,7 @@ class TestPresets:
         sizes = {Problem.AC_DW: 128, Problem.AC_FH: 64, Problem.HEAT: 128,
                  Problem.DIFF: 100, Problem.CD: 128, Problem.WATER: 128}
         for problem, res in sizes.items():
-            cfg = paper_config(problem)
+            cfg = paper_config(problem, "train")
             assert cfg.params.resolution == res
             assert cfg.n_samples == 500
             assert cfg.params.n_snapshots == 20
@@ -193,7 +195,7 @@ class TestBatchedGeneration:
 
     @pytest.mark.parametrize("problem", [Problem.HEAT, Problem.DIFF, Problem.CD])
     def test_exact_propagators_byte_identical_to_per_frame_path(self, problem):
-        ds = generate_dataset(desk_config(problem, split="test", master_seed=7, n_samples=4))
+        ds = generate_dataset(replace(desk_config(problem, split="test"), master_seed=7, n_samples=4))
         params = ProblemParams.from_dict(ds.params)
         expected = np.stack([per_frame_exact(params, ds.grid, reference_ic(params, ds.grid, seed))
                              for seed in ds.sample_seeds])
@@ -201,14 +203,14 @@ class TestBatchedGeneration:
 
     @pytest.mark.parametrize("problem", [Problem.AC_DW, Problem.AC_FH])
     def test_merged_real_fft_stepper_matches_three_fft_stepper(self, problem):
-        ds = generate_dataset(desk_config(problem, split="test", master_seed=7, n_samples=3))
+        ds = generate_dataset(replace(desk_config(problem, split="test"), master_seed=7, n_samples=3))
         params = ProblemParams.from_dict(ds.params)
         expected = np.stack([three_fft_allen_cahn(params, ds.grid, reference_ic(params, ds.grid, seed))
                              for seed in ds.sample_seeds])
         assert np.abs(ds.data[:, :, 0] - expected).max() <= 1e-12
 
     def test_water_byte_identical_to_per_sample_loop(self):
-        ds = generate_dataset(desk_config(Problem.WATER, split="test", master_seed=7, n_samples=4))
+        ds = generate_dataset(replace(desk_config(Problem.WATER, split="test"), master_seed=7, n_samples=4))
         params = ProblemParams.from_dict(ds.params)
         expected = []
         for seed in ds.sample_seeds:
@@ -225,7 +227,7 @@ class TestBatchedGeneration:
 
     def test_sample_seeds_unchanged(self):
         # redraws included: samples 1 and 2 fail the mean floor on their first draw
-        ds = generate_dataset(desk_config(Problem.AC_FH, split="test", master_seed=7, n_samples=3))
+        ds = generate_dataset(replace(desk_config(Problem.AC_FH, split="test"), master_seed=7, n_samples=3))
         assert ds.sample_seeds == [[7, 2, 0, 0], [7, 2, 1, 1], [7, 2, 2, 1]]
-        ds = generate_dataset(desk_config(Problem.CD, split="test", master_seed=7, n_samples=10))
+        ds = generate_dataset(replace(desk_config(Problem.CD, split="test"), master_seed=7, n_samples=10))
         assert ds.sample_seeds == [[7, 2, i, int(i == 7)] for i in range(10)]

@@ -54,7 +54,7 @@ class TestGridSpec:
     def test_coords_follow_boundary_convention(self):
         periodic = GridSpec.line(4, 1.0)
         np.testing.assert_allclose(periodic.coords(0), [0.0, 0.25, 0.5, 0.75])
-        centered = GridSpec.line(4, 1.0, Boundary.NEUMANN)
+        centered = GridSpec(lengths=(1.0,), resolution=(4,), boundary=Boundary.NEUMANN)
         np.testing.assert_allclose(centered.coords(0), [0.125, 0.375, 0.625, 0.875])
 
 

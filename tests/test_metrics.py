@@ -17,7 +17,7 @@ class TestRmse:
     def test_single_channel_closed_form(self):
         pred = np.array([[1.0, 2.0, 3.0, 4.0]])
         truth = np.array([[1.0, 2.0, 3.0, 2.0]])
-        assert np.isclose(step_metrics(pred[None], truth[None])[0][0], np.sqrt(4.0 / 4.0))
+        assert np.isclose(step_metrics(pred[None], truth[None], ConservationMask((True,)))[0][0], np.sqrt(4.0 / 4.0))
 
     def test_channels_average_not_pool(self):
         # channel 0 error 0, channel 1 error 2 everywhere: the mean of the
@@ -25,7 +25,7 @@ class TestRmse:
         pred = np.zeros((2, 8, 8))
         truth = np.zeros((2, 8, 8))
         truth[1] = 2.0
-        assert np.isclose(step_metrics(pred[None], truth[None])[0][0], 1.0)
+        assert np.isclose(step_metrics(pred[None], truth[None], ConservationMask((True, True)))[0][0], 1.0)
 
     def test_metric_axioms_on_random_fields(self):
         rng = np.random.default_rng(0)
@@ -34,14 +34,15 @@ class TestRmse:
             a = rng.normal(size=(1, 2, 6, 6))
             b = rng.normal(size=(1, 2, 6, 6))
             c = rng.normal(size=(1, 2, 6, 6))
-            ab, ba = step_metrics(a, b)[0][0], step_metrics(b, a)[0][0]
-            assert step_metrics(a, a)[0][0] == 0.0
+            rmse = lambda p, q: step_metrics(p, q, ConservationMask((True, True)))[0][0]
+            ab, ba = rmse(a, b), rmse(b, a)
+            assert rmse(a, a) == 0.0
             assert np.isclose(ab, ba, rtol=1e-14)
-            assert step_metrics(a, c)[0][0] <= ab + step_metrics(b, c)[0][0] + 1e-12
+            assert rmse(a, c) <= ab + rmse(b, c) + 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            step_metrics(np.zeros((1, 1, 4)), np.zeros((1, 1, 5)))
+            step_metrics(np.zeros((1, 1, 4)), np.zeros((1, 1, 5)), ConservationMask((True,)))
 
 
 class TestConservationError:

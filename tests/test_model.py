@@ -40,6 +40,7 @@ from zeromode.model import (
     _pointwise_forward,
     _to_band,
 )
+from zeromode.correction import Variant
 from zeromode.training import rollout
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
@@ -56,6 +57,13 @@ SPECTRAL_GRIDS = [((8,), 4), ((9,), 4), ((6, 6), 3), ((7, 10), 3), ((9, 9), 4)]
 def predict(model, x):
     """The operator's next states of ``x`` at the model's current parameters."""
     return forward_values(model, fold_weights(model), x)
+
+
+def gelu_and_slope(x):
+    """GELU of ``x`` and its slope, each in a fresh buffer: the slope is ``gelu_grad`` of a unit upstream."""
+    tanh, y = np.empty_like(x), np.empty_like(x)
+    gelu(x, tanh, y)
+    return y, gelu_grad(x, tanh, np.ones_like(x))
 
 
 def fd_gradient(model, inputs, targets, h=1e-6, **kw):
@@ -124,29 +132,25 @@ class TestLayout:
 
 class TestActivation:
     def test_endpoint_behaviour(self):
-        assert gelu(np.array(0.0)) == 0.0
-        assert np.isclose(gelu(np.array(10.0)), 10.0)
-        assert abs(gelu(np.array(-10.0))) < 1e-8
+        y, _ = gelu_and_slope(np.array([0.0, 10.0, -10.0]))
+        assert y[0] == 0.0
+        assert np.isclose(y[1], 10.0)
+        assert abs(y[2]) < 1e-8
 
     def test_grad_matches_finite_differences(self):
         x = np.linspace(-4.0, 4.0, 41)
         h = 1e-5
-        fd = (gelu(x + h) - gelu(x - h)) / (2.0 * h)
-        np.testing.assert_allclose(gelu_grad(x), fd, rtol=1e-6, atol=1e-8)
+        fd = (gelu_and_slope(x + h)[0] - gelu_and_slope(x - h)[0]) / (2.0 * h)
+        np.testing.assert_allclose(gelu_and_slope(x)[1], fd, rtol=1e-6, atol=1e-8)
 
     def test_product_cube_matches_power_formula(self):
         a, b = np.sqrt(2.0 / np.pi), 0.044715
         x = np.linspace(-10.0, 10.0, 2001)
         t = np.tanh(a * (x + b * x**3))
-        np.testing.assert_allclose(gelu(x), 0.5 * x * (1.0 + t), rtol=1e-14, atol=0.0)
+        y, grad = gelu_and_slope(x)
+        np.testing.assert_allclose(y, 0.5 * x * (1.0 + t), rtol=1e-14, atol=0.0)
         slope = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * a * (1.0 + 3.0 * b * x**2)
-        np.testing.assert_allclose(gelu_grad(x), slope, rtol=1e-14, atol=0.0)
-
-    def test_taped_tanh_gives_gelu_grad(self):
-        z = np.random.default_rng(2).normal(0.0, 3.0, size=(2, 3, 7, 10))
-        t = np.empty_like(z)
-        np.testing.assert_array_equal(gelu(z, tanh_out=t), gelu(z))
-        np.testing.assert_array_equal(gelu_grad(z, tanh=t), gelu_grad(z))
+        np.testing.assert_allclose(grad, slope, rtol=1e-14, atol=0.0)
 
     def test_forward_tape_holds_each_blocks_tanh(self):
         model = init_model(CFG_2D)
@@ -154,7 +158,7 @@ class TestActivation:
         _forward_batch(model, fold_weights(model), np.random.default_rng(3).normal(size=(2, 2, 7, 10)), tape)
         for i in range(CFG_2D.n_layers):
             _, _, z, t = tape[f"block{i}"]
-            np.testing.assert_array_equal(gelu_grad(z, tanh=t), gelu_grad(z))
+            assert t.tobytes() == whole_array_gelu(z)[0].tobytes()
 
 
 def whole_array_gelu(x):
@@ -169,24 +173,13 @@ def whole_array_gelu(x):
 class TestTiledKernels:
     """The tiled elementwise kernels give the whole-array bits on every tiling."""
 
-    @staticmethod
-    def arrays(shape, layout):
-        rng = np.random.default_rng(sum(shape))
-        x, upstream = rng.normal(0.0, 3.0, size=(2, *shape))
-        if layout == "transposed":
-            # strided views: a flat reshape would copy them and lose the writes
-            x, upstream = (np.ascontiguousarray(a.T).T for a in (x, upstream))
-            assert not x.flags.c_contiguous
-        return x, upstream
-
-    @pytest.mark.parametrize("shape, layout", [
-        ((3, 5, 7), "contiguous"),            # below one tile
-        ((2, _TILE // 2), "contiguous"),      # exactly one tile
-        ((3, 16, 37, 29), "contiguous"),      # ragged last tile
-        ((3, 16, 37, 29), "transposed"),      # not C-contiguous
+    @pytest.mark.parametrize("shape", [
+        (3, 5, 7),            # below one tile
+        (2, _TILE // 2),      # exactly one tile
+        (3, 16, 37, 29),      # ragged last tile
     ])
-    def test_gelu_and_gelu_grad_match_whole_array_formula(self, shape, layout):
-        x, upstream = self.arrays(shape, layout)
+    def test_gelu_and_gelu_grad_match_whole_array_formula(self, shape):
+        x, upstream = np.random.default_rng(sum(shape)).normal(0.0, 3.0, size=(2, *shape))
         t_ref, y_ref, slope_ref = whole_array_gelu(x)
 
         tanh_out = np.empty_like(x)
@@ -195,22 +188,27 @@ class TestTiledKernels:
         assert y is out
         assert tanh_out.tobytes() == t_ref.tobytes()
         assert out.tobytes() == y_ref.tobytes()
-        assert gelu(x).tobytes() == y_ref.tobytes()
         # out may be the tanh buffer itself, as in a forward-only block
         shared = np.empty_like(x)
         assert gelu(x, tanh_out=shared, out=shared).tobytes() == y_ref.tobytes()
 
-        assert gelu_grad(x, tanh=tanh_out).tobytes() == slope_ref.tobytes()
-        assert gelu_grad(x).tobytes() == slope_ref.tobytes()
+        assert gelu_grad(x, tanh=tanh_out, upstream=np.ones_like(x)).tobytes() == slope_ref.tobytes()
         chained = gelu_grad(x, tanh=tanh_out, upstream=upstream)
         assert chained.tobytes() == (upstream * slope_ref).tobytes()
 
-    def test_forward_block_output_lands_in_strided_out(self):
-        x, _ = self.arrays((3, 16, 37, 29), "transposed")
-        out = np.zeros_like(x)
-        assert not out.flags.c_contiguous
-        gelu(x, out=out)
-        assert out.tobytes() == whole_array_gelu(x)[1].tobytes()
+    def test_gelu_and_gelu_grad_refuse_a_strided_operand(self):
+        # a flat reshape of a strided view copies it, and writes into the copy would be lost
+        x = np.random.default_rng(4).normal(size=(16, 37, 29))
+        strided = np.ascontiguousarray(x.T).T
+        assert not strided.flags.c_contiguous
+        buffers = [np.empty_like(x) for _ in range(2)]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gelu(strided, *buffers)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gelu(x, buffers[0], np.zeros_like(strided))
+        gelu(x, *buffers)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gelu_grad(x, buffers[0], strided)
 
 
 class TestForward:
@@ -311,11 +309,11 @@ class TestForward:
 def unfolded_forward(model, x):
     """The operator as the module docstring writes it: lift, blocks with the GELU residual, projection."""
     p = {slot.name: model.get_param(slot.name) for slot in layout(model.config)}
-    h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"])
+    h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"], None)
     for i in range(model.config.n_layers):
         s = fftn_spectral_layer(h, p[f"block{i}.spectral"], model.config.modes_kept)
-        h = gelu(_pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"])) + s
-    return _pointwise_forward(h, p["proj.weight"], p["proj.bias"])
+        h = gelu_and_slope(_pointwise_forward(h, p[f"block{i}.weight"], p[f"block{i}.bias"], None))[0] + s
+    return _pointwise_forward(h, p["proj.weight"], p["proj.bias"], None)
 
 
 class TestWorkspace:
@@ -384,14 +382,15 @@ class TestFoldOnce:
     @pytest.mark.parametrize("n_frames", [2, 7])
     def test_rollout_folds_once(self, monkeypatch, n_frames):
         calls = count_folds(monkeypatch)
-        rollout(init_model(CFG_2D), np.random.default_rng(21).normal(size=(3, n_frames, 2, 8, 8)))
+        rollout(init_model(CFG_2D), np.random.default_rng(21).normal(size=(3, n_frames, 2, 8, 8)), Variant.BASE,
+                ConservationMask((True, True)))
         assert len(calls) == CFG_2D.n_layers
 
     def test_loss_and_grad_folds_once(self, monkeypatch):
         model = init_model(CFG_2D_THREE_ROLES)
         x, t = np.random.default_rng(20).normal(size=(2, 4, 3, 7, 10))
         calls = count_folds(monkeypatch)
-        loss_and_grad(model, x, t, mask=ConservationMask((True, False, True)))
+        loss_and_grad(model, x, t, loss="mae", mask=ConservationMask((True, False, True)))
         assert len(calls) == CFG_2D_THREE_ROLES.n_layers
 
 
@@ -640,7 +639,7 @@ class TestTransformCount:
             count(zeromode.model, name, widths[name])
         count(zeromode.model, "_mix_modes", mixed_modes, axis=-1)
         x, t = np.random.default_rng(19).normal(size=(2, 3, 1, 32, 32))
-        loss_and_grad(init_model(OperatorConfig(channels=1, seed=19)), x, t)  # width 16, 2 blocks, 8 modes
+        loss_and_grad(init_model(OperatorConfig(channels=1, seed=19)), x, t, "mae", None)  # width 16, 2 blocks, 8 modes
         assert widths["fft"] and set(widths["fft"]) == {1}
         # forward _dft(g0) and backward _dft(grad_z1); forward _from_band(W1 mixed0) and backward _from_band(q1)
         assert sorted(widths["_dft"]) == sorted(widths["_from_band"]) == [1, 16, 16]
@@ -655,9 +654,9 @@ class TestLossValue:
         x = rng.normal(size=(3, 2, 6, 6))
         t = rng.normal(size=(3, 2, 6, 6))
         pred = np.stack([predict(model, xi) for xi in x])
-        value, _ = loss_and_grad(model, x, t, loss="mae")
+        value, _ = loss_and_grad(model, x, t, loss="mae", mask=None)
         assert np.isclose(value, np.abs(pred - t).mean(), rtol=1e-14)
-        value, _ = loss_and_grad(model, x, t, loss="mse")
+        value, _ = loss_and_grad(model, x, t, loss="mse", mask=None)
         assert np.isclose(value, ((pred - t) ** 2).mean(), rtol=1e-14)
 
     def test_correction_pins_prediction_means(self):
@@ -676,16 +675,16 @@ class TestLossValue:
         model = OperatorModel.zeros(CFG_1D)
         x = np.zeros((1, 1, 8))
         with pytest.raises(ValueError, match="mae"):
-            loss_and_grad(model, x, x, loss="huber")
+            loss_and_grad(model, x, x, loss="huber", mask=None)
         with pytest.raises(ValueError, match="mask covers"):
-            loss_and_grad(model, x, x, mask=ConservationMask((True, True)))
+            loss_and_grad(model, x, x, loss="mae", mask=ConservationMask((True, True)))
 
     def test_non_finite_prediction_reported_with_index(self):
         model = init_model(CFG_1D)
         model.params[0] = np.nan
         x = np.ones((2, 1, 8))
         with pytest.raises(RuntimeError, match="batch index 0"):
-            loss_and_grad(model, x, x)
+            loss_and_grad(model, x, x, loss="mae", mask=None)
 
 
 class TestGradientOracle:

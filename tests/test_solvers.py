@@ -27,10 +27,10 @@ from zeromode.solvers import (
 class TestInitialConditions:
     def test_chebyshev_deterministic_and_smooth(self):
         grid = GridSpec.square(32)
-        a = chebyshev_ic(123, grid)
-        b = chebyshev_ic(123, grid)
+        a = chebyshev_ic(123, grid, 20)
+        b = chebyshev_ic(123, grid, 20)
         assert (a == b).all()
-        assert not (a == chebyshev_ic(124, grid)).all()
+        assert not (a == chebyshev_ic(124, grid, 20)).all()
 
     def test_chebyshev_matches_polynomial_oracle(self):
         """Evaluate the double sum directly from the recurrence."""
@@ -98,14 +98,14 @@ class TestDiffusionExact:
 
     def test_mean_preserved_and_t_zero_identity(self):
         grid = GridSpec.square(16)
-        ic = chebyshev_ic(0, grid)
+        ic = chebyshev_ic(0, grid, 20)
         out = solve_diffusion_exact(ic, grid, 0.01, 2.0)
         assert out.mean() == pytest.approx(ic.mean(), abs=1e-14)
         np.testing.assert_allclose(solve_diffusion_exact(ic, grid, 0.01, 0.0), ic, atol=1e-12)
 
     def test_semigroup_property(self):
         grid = GridSpec.square(16)
-        ic = chebyshev_ic(1, grid)
+        ic = chebyshev_ic(1, grid, 20)
         a = solve_diffusion_exact(ic, grid, 0.02, 0.9)
         b = solve_diffusion_exact(solve_diffusion_exact(ic, grid, 0.02, 0.4), grid, 0.02, 0.5)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -120,21 +120,21 @@ class TestConvectionDiffusion:
     def test_pure_advection_is_circular_shift(self):
         """With D=0 and v=(1,0), time dx exactly rotates the samples."""
         grid = GridSpec.square(16)
-        ic = chebyshev_ic(3, grid)
+        ic = chebyshev_ic(3, grid, 20)
         dx = grid.spacing[0]
         out = solve_convdiff_exact(ic, grid, 0.0, (1.0, 0.0), 4 * dx)
         np.testing.assert_allclose(out, np.roll(ic, 4, axis=0), atol=1e-10)
 
     def test_reduces_to_diffusion_at_zero_velocity(self):
         grid = GridSpec.square(16)
-        ic = chebyshev_ic(4, grid)
+        ic = chebyshev_ic(4, grid, 20)
         a = solve_convdiff_exact(ic, grid, 0.03, (0.0, 0.0), 0.5)
         b = solve_diffusion_exact(ic, grid, 0.03, 0.5)
         np.testing.assert_allclose(a, b, atol=1e-13)
 
     def test_mean_preserved(self):
         grid = GridSpec.square(16)
-        ic = chebyshev_ic(5, grid)
+        ic = chebyshev_ic(5, grid, 20)
         out = solve_convdiff_exact(ic, grid, 0.01, (1.0, 0.5), 0.1)
         assert out.mean() == pytest.approx(ic.mean(), abs=1e-14)
 
@@ -150,13 +150,13 @@ class TestHeatNeumann:
 
     def test_mean_preserved_on_random_ic(self):
         grid = GridSpec.square(24, boundary=Boundary.NEUMANN)
-        ic = chebyshev_ic(6, grid)
+        ic = chebyshev_ic(6, grid, 20)
         out = solve_heat_neumann(ic, grid, 0.01, 0.8)
         assert out.mean() == pytest.approx(ic.mean(), abs=1e-13)
 
     def test_long_time_limit_is_uniform_mean(self):
         grid = GridSpec.square(16, boundary=Boundary.NEUMANN)
-        ic = chebyshev_ic(7, grid)
+        ic = chebyshev_ic(7, grid, 20)
         out = solve_heat_neumann(ic, grid, 0.1, 500.0)
         np.testing.assert_allclose(out, ic.mean(), atol=1e-8)
 
@@ -172,14 +172,14 @@ class TestAllenCahn:
 
     def test_mass_pinned_over_thousand_steps(self):
         grid = GridSpec.square(32)
-        ic = chebyshev_ic(8, grid)
-        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000)
+        ic = chebyshev_ic(8, grid, 20)
+        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000, snapshot_stride=1000)
         assert abs(frames[-1].mean() - frames[0].mean()) < 1e-12
 
     def test_unprojected_drift_is_small_but_trackable(self):
         grid = GridSpec.square(32)
-        ic = chebyshev_ic(8, grid)
-        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000, project=False)
+        ic = chebyshev_ic(8, grid, 20)
+        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000, snapshot_stride=1000, project=False)
         drift = abs(frames[-1].mean() - frames[0].mean())
         assert drift < 1e-8  # mean-free nonlinearity keeps it near rounding
 
@@ -189,7 +189,7 @@ class TestAllenCahn:
         ic = self.smooth_ic(grid)
         t_final = 0.02
         finals = [
-            solve_allen_cahn(ic, grid, 0.01, "dw", dt=t_final / n, n_steps=n)[-1]
+            solve_allen_cahn(ic, grid, 0.01, "dw", dt=t_final / n, n_steps=n, snapshot_stride=n)[-1]
             for n in (50, 100, 200)
         ]
         e1 = np.linalg.norm(finals[0] - finals[1])
@@ -199,7 +199,7 @@ class TestAllenCahn:
     def test_fh_matches_dw_where_potentials_agree(self):
         # both potentials are odd and smooth near zero; just check fh runs and conserves
         grid = GridSpec.square(32)
-        ic = chebyshev_ic(9, grid)
+        ic = chebyshev_ic(9, grid, 20)
         scaled = 0.9 * ic / np.abs(ic).max()
         frames = solve_allen_cahn(scaled, grid, 0.01, "fh", dt=1e-4, n_steps=500, snapshot_stride=100)
         assert frames.shape[0] == 6
@@ -211,7 +211,7 @@ class TestAllenCahn:
         """The half spectrum of an odd last axis: one step per complex fftn as the oracle."""
         grid = GridSpec(lengths=(1.0,) * len(resolution), resolution=resolution)
         u = 0.5 * np.tanh(np.random.default_rng(1).normal(size=resolution)) + 0.1
-        frames = solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=100)
+        frames = solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=100, snapshot_stride=100)
         x = np.meshgrid(*(np.fft.fftfreq(n, d=1.0 / n) for n in resolution), indexing="ij")
         denom = 1.0 + 1e-4 * 0.01 * sum((2 * np.pi * k) ** 2 for k in x)
         v = u
@@ -227,13 +227,14 @@ class TestAllenCahn:
         ic[0, 0] = 0.9999999  # inside the clamp band
         ic[1, 1] = -0.5
         with pytest.raises(SolverError) as err:
-            solve_allen_cahn(ic, grid, 0.01, "fh", dt=1e-4, n_steps=10)
+            solve_allen_cahn(ic, grid, 0.01, "fh", dt=1e-4, n_steps=10, snapshot_stride=10)
         assert err.value.step == 1
 
     def test_unknown_potential_rejected(self):
         grid = GridSpec.square(8)
         with pytest.raises(ValueError, match="potential"):
-            solve_allen_cahn(np.full(grid.resolution, 0.1), grid, 0.01, "quartic", dt=1e-4, n_steps=1)
+            solve_allen_cahn(np.full(grid.resolution, 0.1), grid, 0.01, "quartic", dt=1e-4, n_steps=1,
+                             snapshot_stride=1)
 
 
 class TestShallowWater:
@@ -244,7 +245,7 @@ class TestShallowWater:
         grid = self.grid(16)
         state = np.zeros((3, 16, 16))
         state[0] = 1.0
-        frames = solve_shallow_water(state, grid, g_r=1.0, dt=0.005, n_steps=50)
+        frames = solve_shallow_water(state, grid, g_r=1.0, dt=0.005, n_steps=50, snapshot_stride=50)
         np.testing.assert_allclose(frames[-1], state, atol=1e-14)
 
     def test_dam_break_mass_conserved(self):
@@ -256,31 +257,45 @@ class TestShallowWater:
 
     def test_mirror_symmetry(self):
         grid = self.grid()
-        state = dam_break_state(grid, center=(0.3, 0.5))
-        mirrored = dam_break_state(grid, center=(0.7, 0.5))
-        a = solve_shallow_water(state, grid, 1.0, 0.005, 40)[-1]
-        b = solve_shallow_water(mirrored, grid, 1.0, 0.005, 40)[-1]
+        state = dam_break_state(grid, radius=0.2, h_inner=2.0, center=(0.3, 0.5))
+        mirrored = dam_break_state(grid, radius=0.2, h_inner=2.0, center=(0.7, 0.5))
+        a = solve_shallow_water(state, grid, 1.0, 0.005, 40, 40)[-1]
+        b = solve_shallow_water(mirrored, grid, 1.0, 0.005, 40, 40)[-1]
         np.testing.assert_allclose(a[0], b[0, ::-1, :], atol=1e-10)
         np.testing.assert_allclose(a[1], -b[1, ::-1, :], atol=1e-10)
 
     def test_initial_cfl_precondition(self):
         grid = self.grid()
-        state = dam_break_state(grid)
+        state = dam_break_state(grid, radius=0.2, h_inner=2.0)
         assert cfl_number(state, grid, 1.0, 0.005) <= 0.45
         with pytest.raises(ValueError, match="CFL"):
-            solve_shallow_water(state, grid, 1.0, dt=0.05, n_steps=10)
+            solve_shallow_water(state, grid, 1.0, dt=0.05, n_steps=10, snapshot_stride=10)
 
     def test_positive_depth_required(self):
         grid = self.grid(8)
         state = np.zeros((3, 8, 8))
         with pytest.raises(ValueError, match="positive"):
-            solve_shallow_water(state, grid, 1.0, 0.001, 1)
+            solve_shallow_water(state, grid, 1.0, 0.001, 1, 1)
+
+
+@pytest.mark.parametrize("solve, state", [
+    (lambda u, *steps: solve_allen_cahn(u, GridSpec.square(8), 0.01, "dw", *steps), np.full((8, 8), 0.1)),
+    (lambda u, *steps: solve_shallow_water(u, GridSpec.square(8, boundary=Boundary.WALL), 1.0, *steps),
+     np.stack([np.ones((8, 8)), np.zeros((8, 8)), np.zeros((8, 8))])),
+], ids=["allen_cahn", "water"])
+@pytest.mark.parametrize("dt, n_steps, stride, message", [
+    (0.0, 10, 10, "dt > 0"), (1e-3, 0, 1, "at least one step"),
+    (1e-3, 10, 3, "stride 3 does not divide 10"), (1e-3, 10, 0, "stride 0 does not divide 10"),
+])
+def test_time_steppers_refuse_bad_step_settings(solve, state, dt, n_steps, stride, message):
+    with pytest.raises(ValueError, match=message):
+        solve(state, dt, n_steps, stride)
 
 
 class TestFluxBalance:
     def test_residual_near_zero_for_exact_diffusion(self):
         grid = GridSpec.square(32)
-        ic = chebyshev_ic(10, grid)
+        ic = chebyshev_ic(10, grid, 20)
         times = np.linspace(0.0, 0.5, 11)
         traj = np.stack([solve_diffusion_exact(ic, grid, 0.01, t)[None] for t in times])
         r = verify_flux_balance(traj, float(times[1]), grid)
@@ -289,7 +304,7 @@ class TestFluxBalance:
     def test_residual_detects_leak(self):
         """Injected fault oracle: a decaying integral must show up in r(t)."""
         grid = GridSpec.square(16)
-        ic = chebyshev_ic(11, grid)
+        ic = chebyshev_ic(11, grid, 20)
         times = np.linspace(0.0, 0.5, 11)
         traj = np.stack([solve_diffusion_exact(ic, grid, 0.01, t)[None] * np.exp(-t) for t in times])
         r = verify_flux_balance(traj, float(times[1]), grid)
@@ -307,7 +322,7 @@ class TestBatching:
     """A batch is stepped together, but each sample must come out as if solved alone."""
 
     def fh_states(self, grid, seeds):
-        states = np.stack([chebyshev_ic(s, grid) for s in seeds])
+        states = np.stack([chebyshev_ic(s, grid, 20) for s in seeds])
         return 0.9 * states / np.abs(states).max(axis=(1, 2), keepdims=True)
 
     @pytest.mark.parametrize("potential", ["dw", "fh"])
@@ -324,8 +339,8 @@ class TestBatching:
 
     def test_shallow_water_batch_equals_single_calls(self):
         grid = GridSpec.square(16, boundary=Boundary.WALL)
-        states = np.stack([dam_break_state(grid, center=(0.3 + 0.1 * i, 0.5 - 0.05 * i),
-                                           h_inner=1.5 + 0.2 * i) for i in range(5)])
+        states = np.stack([dam_break_state(grid, radius=0.2, h_inner=1.5 + 0.2 * i,
+                                           center=(0.3 + 0.1 * i, 0.5 - 0.05 * i)) for i in range(5)])
         batch = solve_shallow_water(states, grid, 1.0, 0.005, 40, snapshot_stride=10)
         assert batch.shape == (5, 5, 3, 16, 16)
         for i, state in enumerate(states):
@@ -336,7 +351,7 @@ class TestBatching:
 
     def test_exact_propagators_batch_over_samples_and_times(self):
         grid = GridSpec.square(16)
-        states = np.stack([chebyshev_ic(s, grid) for s in (30, 31, 32)])
+        states = np.stack([chebyshev_ic(s, grid, 20) for s in (30, 31, 32)])
         times = np.array([0.0, 0.2, 0.5])
         batch = solve_convdiff_exact(states, grid, 0.01, (1.0, 0.5), times)
         assert batch.shape == (3, 3, 16, 16)
@@ -346,14 +361,14 @@ class TestBatching:
                 assert np.array_equal(batch[i, f], single), (i, f)
         assert solve_diffusion_exact(states[0], grid, 0.01, times).shape == (3, 16, 16)
         with pytest.raises(ValueError, match="grid"):
-            solve_diffusion_exact(chebyshev_ic(0, GridSpec.square(8)), grid, 0.01, times)
+            solve_diffusion_exact(chebyshev_ic(0, GridSpec.square(8), 20), grid, 0.01, times)
 
     @pytest.mark.parametrize("solve, boundary, state_shape", [
         (lambda u, grid: solve_diffusion_exact(u, grid, 0.01, 0.1), Boundary.PERIODIC, (8, 8)),
         (lambda u, grid: solve_convdiff_exact(u, grid, 0.01, (1.0, 0.5), 0.1), Boundary.PERIODIC, (8, 8)),
         (lambda u, grid: solve_heat_neumann(u, grid, 0.01, 0.1), Boundary.NEUMANN, (8, 8)),
-        (lambda u, grid: solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=1), Boundary.PERIODIC, (8, 8)),
-        (lambda u, grid: solve_shallow_water(u, grid, 1.0, 1e-3, 1), Boundary.WALL, (3, 8, 8)),
+        (lambda u, grid: solve_allen_cahn(u, grid, 0.01, "dw", 1e-4, 1, 1), Boundary.PERIODIC, (8, 8)),
+        (lambda u, grid: solve_shallow_water(u, grid, 1.0, 1e-3, 1, 1), Boundary.WALL, (3, 8, 8)),
     ], ids=["diffusion", "convdiff", "heat", "allen_cahn", "water"])
     def test_non_finite_state_names_the_sample(self, solve, boundary, state_shape):
         grid = GridSpec.square(8, boundary=boundary)
@@ -371,7 +386,7 @@ class TestBatching:
         states[:, 1, 1] = -0.5
         states[2, 0, 0] = 0.9999999  # inside the clamp band
         with pytest.raises(SolverError) as err:
-            solve_allen_cahn(states, grid, 0.01, "fh", dt=1e-4, n_steps=10)
+            solve_allen_cahn(states, grid, 0.01, "fh", dt=1e-4, n_steps=10, snapshot_stride=10)
         assert err.value.sample == 2
         assert err.value.step == 1
         assert "sample 2" in str(err.value) and "step 1" in str(err.value)
@@ -379,15 +394,15 @@ class TestBatching:
     def test_cfl_abort_names_the_sample(self):
         grid = GridSpec.square(16, boundary=Boundary.WALL)
         dt = 0.4 / 16 / np.sqrt(2.0)  # initial CFL 0.4 for the deepest column
-        states = np.stack([dam_break_state(grid, h_inner=1.2) for _ in range(5)])
+        states = np.stack([dam_break_state(grid, radius=0.2, h_inner=1.2) for _ in range(5)])
         states[3] = 0.0
         states[3, 0] = 0.05
         states[3, 0, :8] = 2.0  # a one-sided step speeds up past the initial wave speed
         with pytest.raises(SolverError) as alone:
-            solve_shallow_water(states[3], grid, 1.0, dt, 60)
+            solve_shallow_water(states[3], grid, 1.0, dt, 60, 60)
         assert alone.value.sample is None and alone.value.step > 1
         with pytest.raises(SolverError) as err:
-            solve_shallow_water(states, grid, 1.0, dt, 60)
+            solve_shallow_water(states, grid, 1.0, dt, 60, 60)
         assert "CFL" in str(err.value)
         assert err.value.sample == 3
         assert err.value.step == alone.value.step

@@ -195,7 +195,7 @@ class TestIntegratedShiftFixture:
         model = constant_identity_model(cfg)
         model.set_param("proj.bias", np.array([0.25]))
         state = np.full((3, 1, 16, 16), 1.3)
-        raw, _ = loss_and_grad(model, state, state, loss="mae")
+        raw, _ = loss_and_grad(model, state, state, loss="mae", mask=None)
         assert np.isclose(raw, 0.25, rtol=1e-12)
         corrected, _ = loss_and_grad(model, state, state, loss="mae",
                                      mask=ConservationMask((True,)))
@@ -224,7 +224,7 @@ def stacked_rollout(step, traj, variant, mask):
 
 class TestRollout:
     def test_single_frame_trajectory_is_empty(self):
-        result = rollout(lambda v: v, np.ones((1, 1, 1, 8, 8)))
+        result = rollout(lambda v: v, np.ones((1, 1, 1, 8, 8)), Variant.BASE, ConservationMask((True,)))
         assert isinstance(result, RolloutResult)
         assert result.n_steps == 0
         assert np.isnan(result.mean_rmse)
@@ -233,7 +233,7 @@ class TestRollout:
         rng = np.random.default_rng(3)
         traj = rng.normal(size=(6, 1, 8, 8)) + 2.0
         truth_frames = iter(traj[1:, None])
-        result = rollout(lambda v: next(truth_frames), traj[None])
+        result = rollout(lambda v: next(truth_frames), traj[None], Variant.BASE, ConservationMask((True,)))
         assert result.rmse.max() == 0.0
         # frames drift in mean relative to frame 0, so cons_err is not zero here
         assert result.frames.shape == (1, 5, 1, 8, 8)
@@ -241,11 +241,11 @@ class TestRollout:
     def test_feedback_pins_every_state(self):
         traj = np.full((6, 1, 8, 8), 1.3)
         biased = lambda v: v + 0.01
-        off = rollout(biased, traj[None], variant=Variant.BASE)
+        mask = ConservationMask((True,))
+        off = rollout(biased, traj[None], variant=Variant.BASE, mask=mask)
         expected_drift = 0.01 * np.arange(1, 6) / 1.3
         np.testing.assert_allclose(off.cons_err[0], expected_drift, rtol=1e-12)
-        fed = rollout(biased, traj[None], variant=Variant.INTEGRATED,
-                      mask=ConservationMask((True,)))
+        fed = rollout(biased, traj[None], variant=Variant.INTEGRATED, mask=mask)
         # the shift-based pin is exact up to one rounding of the mean
         assert fed.cons_err.max() < 1e-13
         np.testing.assert_allclose(fed.frames[0], traj[1:], atol=1e-14)
@@ -255,7 +255,7 @@ class TestRollout:
         traj = rng.normal(size=(5, 2, 8, 8)) + 1.5
         model = init_model(OperatorConfig(channels=2, width=4, n_layers=1, modes_kept=2, ndim=2, seed=6))
         mask = ConservationMask((True, True))
-        off = rollout(lambda v: 0.9 * v + 0.01, traj[None], variant=Variant.BASE)
+        off = rollout(lambda v: 0.9 * v + 0.01, traj[None], variant=Variant.BASE, mask=mask)
         post = rollout(lambda v: 0.9 * v + 0.01, traj[None], variant=Variant.STAGED, mask=mask)
         target = traj[0].mean(axis=(1, 2))
         for k in range(off.n_steps):
@@ -285,10 +285,6 @@ class TestRollout:
         with pytest.raises(ValueError, match="post_hoc"):
             rollout(step, traj, "post_hoc", mask)
 
-    def test_correction_requires_mask(self):
-        with pytest.raises(ValueError, match="mask"):
-            rollout(lambda v: v, np.ones((1, 3, 1, 8, 8)), variant=Variant.INTEGRATED)
-
     def test_mask_channel_mismatch_rejected(self):
         mask = ConservationMask((True, True))
         for mode in Variant:
@@ -303,7 +299,7 @@ class TestRollout:
             return np.full_like(v, np.nan) if calls["n"] == 2 else v
 
         with pytest.raises(RuntimeError, match="step 2"):
-            rollout(step, np.ones((1, 5, 1, 8, 8)))
+            rollout(step, np.ones((1, 5, 1, 8, 8)), Variant.BASE, ConservationMask((True,)))
 
     def test_non_finite_state_names_the_sample(self):
         def step(v):
@@ -315,7 +311,7 @@ class TestRollout:
         step.calls = 0
 
         with pytest.raises(RuntimeError, match="sample 2 at step 3"):
-            rollout(step, np.ones((3, 5, 1, 8, 8)))
+            rollout(step, np.ones((3, 5, 1, 8, 8)), Variant.BASE, ConservationMask((True,)))
 
     @pytest.mark.parametrize("mode", list(Variant))
     def test_batched_rows_equal_single_sample_rollouts(self, sets, mode):
@@ -331,7 +327,7 @@ class TestRollout:
 
     def test_zero_integral_channel_reports_nan(self):
         traj = np.zeros((1, 3, 1, 8, 8))
-        result = rollout(lambda v: v, traj)
+        result = rollout(lambda v: v, traj, Variant.BASE, ConservationMask((True,)))
         assert np.isnan(result.cons_err).all()
         assert result.rmse.max() == 0.0
 
@@ -370,11 +366,11 @@ class TestFoldPerRollout:
     def test_rollout_after_in_place_step_reads_the_new_parameters(self, sets):
         train_set, valid_set = sets
         model = init_model(MODEL_CFG)
-        before = rollout(model, valid_set.data)
-        _, grads = loss_and_grad(model, train_set.data[:, 0], train_set.data[:, 1])
+        before = rollout(model, valid_set.data, Variant.BASE, valid_set.mask)
+        _, grads = loss_and_grad(model, train_set.data[:, 0], train_set.data[:, 1], loss="mae", mask=None)
         adamw_step(model.params, grads, init_optimizer(model.params, lr=1e-2, weight_decay=1e-4))
-        after = rollout(model, valid_set.data)
-        fresh = rollout(OperatorModel(MODEL_CFG, model.params.copy()), valid_set.data)
+        after = rollout(model, valid_set.data, Variant.BASE, valid_set.mask)
+        fresh = rollout(OperatorModel(MODEL_CFG, model.params.copy()), valid_set.data, Variant.BASE, valid_set.mask)
         assert after.frames.tobytes() == fresh.frames.tobytes()
         assert after.frames.tobytes() != before.frames.tobytes()
 
