@@ -126,15 +126,10 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
     return write_json(out_dir / name, manifest)
 
 
-def _check_band(path: str, dataset, modes_kept: int) -> None:
-    """Refuse, naming ``path``, a dataset whose grid cannot hold ``modes_kept`` modes per axis.
-
-    The rule is the one the operator applies when it builds its band.
-    """
-    from .model import _band
-
+def _check_fit(path: str, dataset, model_config) -> None:
+    """Refuse, naming ``path``, a dataset whose states the operator of ``model_config`` cannot step."""
     try:
-        _band(dataset.grid.resolution, modes_kept)
+        model_config.check_fit(dataset.data.shape[2:])
     except ValueError as exc:
         raise ValueError(f"dataset {path}: {exc}") from None
 
@@ -213,7 +208,7 @@ def _cmd_train(args, argv: list[str]) -> int:
                                   **{key: resolved[key] for key in model_keys})
     train_config = TrainConfig(**{key: resolved[key] for key in train_defaults})
     for path, split in ((args.train, train_set), (args.valid, valid_set)):
-        _check_band(path, split, model_config.modes_kept)
+        _check_fit(path, split, model_config)
     t0 = time.perf_counter()
     result = train(train_set, valid_set, model_config, train_config)
     train_seconds = time.perf_counter() - t0
@@ -254,7 +249,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
     started = _utc_now()
     model = load_checkpoint(args.model)
     dataset = read_dataset(args.data)
-    _check_band(args.data, dataset, model.config.modes_kept)
+    _check_fit(args.data, dataset, model.config)
     out_dir = Path(args.out)
     records_path = out_dir / "records.jsonl"
     # a second record for one (dataset, variant, seed) would make report refuse the file

@@ -58,9 +58,9 @@ class Variant(enum.Enum):
 
     #: no correction anywhere
     BASE = "base"
-    #: pinned inside the training loss; rollouts feed each pinned state forward
+    #: pinned inside the training loss; rollouts score each pinned state and feed it forward
     INTEGRATED = "integrated"
-    #: trained as BASE; rollouts pin each stored frame and feed the raw one forward
+    #: trained as BASE; rollouts score each pinned state and feed the raw one forward
     STAGED = "staged"
 
 

@@ -181,9 +181,11 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
     A payload holding NaN or Inf is refused, naming its first such sample
     and frame, even when its checksum matches.  Values are widened to
     float64 for computation regardless of the storage precision, which is
-    preserved as a tag.
+    preserved as a tag.  Every refusal, of the file, its sidecar or the
+    dataset they describe, is a :class:`DatasetFormatError` naming the file.
     """
     path = Path(path)
+    side = sidecar_path(path)
     try:
         with open(path, "rb") as fh:
             head = _FIXED_HEAD.unpack(_read_exact(fh, _FIXED_HEAD.size, "header"))
@@ -220,35 +222,34 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
             if not (np.isfinite(data.min()) and np.isfinite(data.max())):
                 at = tuple(np.argwhere(~np.isfinite(data))[0])
                 raise DatasetFormatError(f"payload holds a non-finite value {data[at]} (sample {at[0]}, frame {at[1]})")
-    except ValueError as exc:
+
+        if not side.exists():
+            raise DatasetFormatError(f"sidecar metadata {side.name} missing")
+        try:
+            meta = json.loads(side.read_text())
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"sidecar {side.name} is not valid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DatasetFormatError(f"sidecar {side.name} must hold a JSON object")
+        for key in ("params", "sample_seeds", "frame_times"):
+            if key not in meta:
+                raise DatasetFormatError(f"sidecar {side.name} lacks the key {key!r}")
+        if not isinstance(meta["params"], dict):
+            raise DatasetFormatError(f"sidecar {side.name}: 'params' must be a JSON object")
+
+        return TrajectoryDataset(
+            problem=Problem(_untag(problem_raw)),
+            grid=GridSpec(lengths=lengths, resolution=resolution, boundary=_BOUNDARY_FROM_CODE[boundary_code]),
+            data=data.astype(np.float64, copy=False),
+            mask=ConservationMask(tuple(bool(f) for f in flags)),
+            params=meta["params"],
+            sample_seeds=meta["sample_seeds"],
+            master_seed=master_seed,
+            split=_untag(split_raw),
+            frame_times=np.asarray(meta["frame_times"], dtype=np.float64),
+            precision=Precision.F32 if bits == 32 else Precision.F64,
+            tolerances=meta.get("tolerances", {}),
+            generator_version=meta.get("generator_version", "unknown"),
+        )
+    except (ValueError, TypeError) as exc:
         raise DatasetFormatError(f"dataset {path}: {exc}") from None
-
-    side = sidecar_path(path)
-    if not side.exists():
-        raise DatasetFormatError(f"sidecar metadata {side.name} missing")
-    try:
-        meta = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"sidecar {side} is not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DatasetFormatError(f"sidecar {side} must hold a JSON object")
-    for key in ("params", "sample_seeds", "frame_times"):
-        if key not in meta:
-            raise DatasetFormatError(f"sidecar {side} lacks the key {key!r}")
-    if not isinstance(meta["params"], dict):
-        raise DatasetFormatError(f"sidecar {side}: 'params' must be a JSON object")
-
-    return TrajectoryDataset(
-        problem=Problem(_untag(problem_raw)),
-        grid=GridSpec(lengths=lengths, resolution=resolution, boundary=_BOUNDARY_FROM_CODE[boundary_code]),
-        data=data.astype(np.float64, copy=False),
-        mask=ConservationMask(tuple(bool(f) for f in flags)),
-        params=meta["params"],
-        sample_seeds=meta["sample_seeds"],
-        master_seed=master_seed,
-        split=_untag(split_raw),
-        frame_times=np.asarray(meta["frame_times"], dtype=np.float64),
-        precision=Precision.F32 if bits == 32 else Precision.F64,
-        tolerances=meta.get("tolerances", {}),
-        generator_version=meta.get("generator_version", "unknown"),
-    )

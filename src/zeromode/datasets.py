@@ -275,7 +275,7 @@ def _draw_ic(params: ProblemParams, grid: GridSpec, seed: list[int]) -> np.ndarr
         rng = np.random.default_rng(seed)
         center = tuple(rng.uniform(0.3, 0.7, 2) * params.length)
         radius = rng.uniform(0.15, 0.25) * params.length
-        return dam_break_state(grid, center=center, radius=radius, h_inner=rng.uniform(1.5, 2.5), h_outer=1.0)
+        return dam_break_state(grid, center=center, radius=radius, h_inner=rng.uniform(1.5, 2.5))
     if p is Problem.DIFF:
         u = grf_ic(seed, grid, params.grf_tau, params.grf_alpha)
         return u - u.mean() + params.ic_offset

@@ -78,8 +78,8 @@ class GridSpec:
             raise ValueError(f"only 1-D and 2-D grids supported, got {len(self.resolution)} axes")
         if any(n < 2 for n in self.resolution):
             raise ValueError(f"all resolutions must be >= 2, got {self.resolution}")
-        if any(length <= 0 for length in self.lengths):
-            raise ValueError(f"all lengths must be positive, got {self.lengths}")
+        if not all(0 < length < np.inf for length in self.lengths):  # NaN fails both comparisons
+            raise ValueError(f"all lengths must be finite and positive, got {self.lengths}")
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
         object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .correction import ConservationMask, Variant
 from .datafile import write_atomic
+from .datasets import Problem
 
 __all__ = [
     "step_metrics",
@@ -70,7 +71,7 @@ def step_metrics(pred: np.ndarray, truth: np.ndarray, mask: ConservationMask) ->
 
 @dataclass
 class MetricsRecord:
-    """One evaluated (dataset, variant, seed) cell; ``variant`` is a :class:`Variant` value."""
+    """One evaluated (dataset, variant, seed) cell: a :class:`Problem` value, a :class:`Variant` value and a seed."""
 
     dataset: str
     variant: str
@@ -83,11 +84,13 @@ class MetricsRecord:
     cons_err_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = [v.value for v in Variant]
-        if self.variant not in values:
-            raise ValueError(f"variant must be one of {values}, got {self.variant!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not isinstance(self.dataset, str):
-            raise ValueError(f"seed must be an integer and dataset a string, got {self.seed!r} and {self.dataset!r}")
+        # both name report files and fill CSV fields
+        for name, members in (("dataset", Problem), ("variant", Variant)):
+            values = [m.value for m in members]
+            if getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.rmse_per_step:
             raise ValueError("record needs at least one rollout step")
         if len(self.rmse_per_step) != len(self.cons_err_per_step):

@@ -268,6 +268,19 @@ class OperatorConfig:
     def n_modes(self) -> int:
         return (2 * self.modes_kept - 1) ** self.ndim
 
+    def check_fit(self, state_shape: tuple[int, ...]) -> None:
+        """Refuse states of ``state_shape`` (channels, *spatial) that this operator cannot step.
+
+        Their channels and spatial axes must be the config's, and every axis
+        must hold ``modes_kept`` modes below its Nyquist bound.
+        """
+        if len(state_shape) != self.ndim + 1 or state_shape[0] != self.channels:
+            raise ValueError(f"the operator steps states (channels, *spatial) of channels={self.channels}, "
+                             f"ndim={self.ndim}; got shape {tuple(state_shape)}")
+        for n in state_shape[1:]:
+            if self.modes_kept > n // 2:
+                raise ValueError(f"modes_kept={self.modes_kept} exceeds the Nyquist bound for resolution {n}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -465,11 +478,8 @@ def _half_band(ndim: int, modes_kept: int) -> _HalfBand:
 
 @functools.lru_cache
 def _band(resolution: tuple[int, ...], modes_kept: int) -> _Band:
-    """Band maps per (resolution, modes_kept), in the canonical order of :func:`_half_band`."""
+    """Band maps per (resolution, modes_kept) that ``check_fit`` passed, in the order of :func:`_half_band`."""
     m = modes_kept
-    for n in resolution:
-        if m > n // 2:
-            raise ValueError(f"modes_kept={m} exceeds the Nyquist bound for resolution {n}")
     half = _half_band(len(resolution), m)
     n1 = resolution[-1]
     angle = 2.0 * np.pi * (np.outer(np.arange(n1), np.arange(m)) % n1) / n1  # reduced mod 2 pi first
@@ -646,10 +656,7 @@ def _forward_batch(model: OperatorModel, folded: tuple[np.ndarray, ...], x: np.n
     of the same shape.
     """
     cfg = model.config
-    if x.ndim != cfg.ndim + 2 or x.shape[1] != cfg.channels:
-        raise ValueError(
-            f"input batch must have shape (B, {cfg.channels}, *spatial) with {cfg.ndim} spatial axes, got {x.shape}"
-        )
+    cfg.check_fit(x.shape[1:])
     band = _band(x.shape[2:], cfg.modes_kept)
     ws = _workspace((x.shape[0], cfg.width, *x.shape[2:]), cfg.n_layers, tape is not None)
     p = _views(model.params, cfg)

@@ -55,6 +55,8 @@ CLAMP_MARGIN = 1e-6
 # start and at every step.  The unsplit 2-D update is stable while the two
 # per-axis numbers sum to at most 1, which 0.5 per axis guarantees.
 CFL_MAX = 0.45
+# Water depth around a dam-break disc.
+DAM_H_OUTER = 1.0
 
 
 class SolverError(RuntimeError):
@@ -229,7 +231,6 @@ def solve_allen_cahn(
     snapshot_stride: int,
     theta: float = 0.8,
     theta_c: float = 1.6,
-    project: bool = True,
 ) -> np.ndarray:
     """Conserved Allen-Cahn u_t = eps lap(u) + f(u) - mean(f(u)).
 
@@ -238,9 +239,9 @@ def solve_allen_cahn(
     away from +-1 before the logarithm.  One step solves the Laplacian
     implicitly in Fourier space and treats the (mean-free) nonlinearity
     explicitly, with one real forward transform of u + dt g and one
-    inverse; with ``project`` the spatial mean is re-pinned to its
-    initial value after every step, making conservation exact by
-    construction instead of resting on accumulated rounding.
+    inverse; the spatial mean is then re-pinned to its initial value,
+    making conservation exact by construction instead of resting on
+    accumulated rounding.
 
     ``initial`` is (*lead, *spatial); the samples are stepped together,
     and every sample keeps its own mean and its own checks.  Returns the
@@ -271,8 +272,7 @@ def solve_allen_cahn(
         coeffs *= implicit
         u = scipy.fft.irfftn(coeffs, s=grid.resolution, axes=axes)
         _abort_if(~np.isfinite(u).all(axis=axes), "state became non-finite", step, lead)
-        if project:
-            u += mean0 - u.mean(axis=axes, keepdims=True)
+        u += mean0 - u.mean(axis=axes, keepdims=True)
         if step % snapshot_stride == 0:
             frames[:, step // snapshot_stride] = u
     return frames.reshape(*lead, *frames.shape[1:])
@@ -283,15 +283,14 @@ def dam_break_state(
     radius: float,
     h_inner: float,
     center: tuple[float, float] = (0.5, 0.5),
-    h_outer: float = 1.0,
 ) -> np.ndarray:
-    """Radial dam-break state (h, hu, hv) at rest: a disc of depth ``h_inner`` in water of depth ``h_outer``."""
+    """Radial dam-break state (h, hu, hv) at rest: a disc of depth ``h_inner`` in water of depth ``DAM_H_OUTER``."""
     if grid.ndim != 2:
         raise ValueError("shallow water runs on 2-D grids")
     x, y = grid.meshgrid()
     r = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2)
     state = np.zeros((3, *grid.resolution))
-    state[0] = np.where(r <= radius, h_inner, h_outer)
+    state[0] = np.where(r <= radius, h_inner, DAM_H_OUTER)
     return state
 
 

@@ -7,8 +7,8 @@ The variant says where the zero-mode correction acts:
   prediction is pinned to its input's conserved integral before the
   loss) and rollouts feed corrected states forward.
 * ``staged``     - training and validation are bit-identical to base;
-  the correction only acts at test time, applied to each predicted frame
-  without feeding back.
+  the correction only acts at test time, pinning each state it scores
+  without feeding the pinned state back.
 
 Determinism contract: everything downstream of (dataset, configs) is
 reproducible, including the training log and the final parameters; the
@@ -112,6 +112,7 @@ def train(
 ) -> TrainResult:
     """Optimize one model on next-step pairs; keep the best validation epoch.
 
+    Both splits must fit the operator (:meth:`OperatorConfig.check_fit`).
     ``model_config.seed`` seeds both the initial parameters and the pair
     sampling.  Validation runs every ``eval_every`` epochs (and at the
     end) as a full rollout over the validation split: an integrated model
@@ -119,8 +120,8 @@ def train(
     checkpoint with the lowest mean validation RMSE is returned, earliest
     epoch winning ties, so staged training is bit-identical to base.
     """
-    if model_config.channels != train_set.channels:
-        raise ValueError(f"model expects {model_config.channels} channels, dataset has {train_set.channels}")
+    for split in (train_set, valid_set):
+        model_config.check_fit(split.data.shape[2:])
     model = init_model(model_config)
     opt = init_optimizer(model.params, lr=config.lr, weight_decay=config.weight_decay)
     integrated = config.mode is Variant.INTEGRATED
@@ -177,28 +178,22 @@ def train(
 
 @dataclass
 class RolloutResult:
-    """Autoregressive predictions of trajectories from their first frames.
+    """Per-step scores of autoregressive predictions from the trajectories' first frames.
 
-    ``frames`` (samples, steps, channels, *spatial) holds each sample's
-    n_snapshots - 1 stored states, pinned unless the variant is BASE;
-    ``rmse`` and ``cons_err`` (samples, steps) come from one
-    :func:`metrics.step_metrics` call per step.  ``cons_err`` is the
-    relative conservation error max'd over masked channels, under the
-    zero-integral policy of the :mod:`metrics` module.
+    ``rmse`` and ``cons_err`` (samples, steps) score each step's state,
+    pinned unless the variant is BASE, with one :func:`metrics.step_metrics`
+    call per step.  ``cons_err`` is the relative conservation error max'd
+    over masked channels, under the zero-integral policy of the
+    :mod:`metrics` module.
     """
 
-    frames: np.ndarray
     rmse: np.ndarray
     cons_err: np.ndarray
     wall_clock: float
 
     @property
-    def n_steps(self) -> int:
-        return self.frames.shape[1]
-
-    @property
     def mean_rmse(self) -> float:
-        return float(self.rmse.mean(axis=1).mean()) if self.n_steps else float("nan")
+        return float(self.rmse.mean(axis=1).mean()) if self.rmse.shape[1] else float("nan")
 
 
 def rollout(model, trajectories: np.ndarray, variant: Variant, mask: ConservationMask) -> RolloutResult:
@@ -212,11 +207,11 @@ def rollout(model, trajectories: np.ndarray, variant: Variant, mask: Conservatio
     Each sample's conserved target for both correcting variants is encoded
     once, from its initial frame, and its rows equal a rollout of it alone.
     Each step predicts the next states, checks them, pins them once to
-    those targets (INTEGRATED feeds the pinned states forward, STAGED
-    stores them and feeds the raw ones), stores and scores them, so a
-    rollout holds its frames plus one step's temporaries.  A single frame
-    yields an empty result; a non-finite state raises RuntimeError naming
-    the first sample at fault and the step.
+    those targets unless the variant is BASE, and scores the pinned states;
+    INTEGRATED feeds the pinned states forward and STAGED the raw ones, so
+    a rollout holds one step's states.  A single frame yields an empty
+    result; a non-finite state raises RuntimeError naming the first sample
+    at fault and the step.
     """
     t0 = time.perf_counter()
     variant = Variant(variant)  # a member or its value
@@ -229,7 +224,6 @@ def rollout(model, trajectories: np.ndarray, variant: Variant, mask: Conservatio
     n_samples, n_steps = traj.shape[0], traj.shape[1] - 1
     target_means = traj[:, 0].mean(axis=tuple(range(2, traj.ndim - 1)))
 
-    frames = np.empty((n_samples, n_steps, *traj.shape[2:]))
     rmse, cons = np.empty((n_samples, n_steps)), np.empty((n_samples, n_steps))
     state = traj[:, 0]
     for k in range(n_steps):
@@ -237,8 +231,8 @@ def rollout(model, trajectories: np.ndarray, variant: Variant, mask: Conservatio
         bad = np.flatnonzero(~np.isfinite(state).reshape(n_samples, -1).all(axis=1))
         if bad.size:
             raise RuntimeError(f"rollout produced a non-finite state: sample {bad[0]} at step {k + 1}")
-        frames[:, k] = state if variant is Variant.BASE else pin_channel_means(state, target_means, mask.flags)
+        scored = state if variant is Variant.BASE else pin_channel_means(state, target_means, mask.flags)
         if variant is Variant.INTEGRATED:
-            state = frames[:, k]
-        rmse[:, k], cons[:, k] = step_metrics(frames[:, k], traj[:, k + 1], mask)
-    return RolloutResult(frames, rmse, cons, time.perf_counter() - t0)
+            state = scored
+        rmse[:, k], cons[:, k] = step_metrics(scored, traj[:, k + 1], mask)
+    return RolloutResult(rmse, cons, time.perf_counter() - t0)

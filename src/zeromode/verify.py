@@ -253,7 +253,7 @@ def _check_allen_cahn_order(correction: CorrectionFn):
     t_final = 0.02
     outs = []
     for n in (50, 100, 200):
-        frames = solve_allen_cahn(ic, grid, 0.01, "dw", t_final / n, n, snapshot_stride=n, project=False)
+        frames = solve_allen_cahn(ic, grid, 0.01, "dw", t_final / n, n, snapshot_stride=n)
         outs.append(frames[-1])
     ratio = np.abs(outs[0] - outs[1]).max() / np.abs(outs[1] - outs[2]).max()
     return None if 1.6 < ratio < 2.4 else f"Richardson dt ratio {ratio:.3f} is not first order"

@@ -208,7 +208,7 @@ def test_criterion_06_solver_oracles():
     grid = GridSpec.square(32)
     gx, gy = grid.meshgrid()
     ic = 0.2 * np.cos(2 * np.pi * gx) * np.cos(2 * np.pi * gy) + 0.1
-    outs = [solve_allen_cahn(ic, grid, 0.01, "dw", 0.02 / n, n, n, project=False)[-1] for n in (50, 100, 200)]
+    outs = [solve_allen_cahn(ic, grid, 0.01, "dw", 0.02 / n, n, n)[-1] for n in (50, 100, 200)]
     ratio = float(np.abs(outs[0] - outs[1]).max() / np.abs(outs[1] - outs[2]).max())
     ratio_ok = 1.7 <= ratio <= 2.3
 

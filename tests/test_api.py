@@ -9,7 +9,9 @@ outside ``__init__.py`` (whose re-exports are not callers).
 Options follow the same rule.  Each defaulted parameter of a package
 function or method is set by some call in ``src/zeromode/`` or ``bench/``
 and left at its default by another: a parameter no such call sets is
-removed, and one every such call sets is required.  Calls are matched by
+removed, and one every such call sets is required.  A call that passes a
+parameter the literal of its own default (``h=1.0`` where the signature
+says ``h: float = 1.0``) leaves it at its default.  Calls are matched by
 name, a class call to its ``__init__``; dataclass fields and calls that
 unpack ``*``/``**`` are not scanned.  The one exception is
 ``verify.run_checks(correction)``, the hook through which the tests run
@@ -158,8 +160,10 @@ def external_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def signatures() -> dict[str, list[tuple[list[str], dict[str, str]]]]:
-    """Call name -> [(positional parameters, {defaulted parameter: "module.function(parameter)"})].
+def signatures() -> dict[str, list[tuple[list[str], dict[str, tuple[str, str]]]]]:
+    """Call name -> [(positional parameters, {defaulted parameter: ("module.function(parameter)", default)})].
+
+    ``default`` is the ``ast.dump`` of the parameter's default expression.
 
     Module-level functions and class methods count, with ``self`` and ``cls``
     dropped; a call of a class by its name maps to its ``__init__``.
@@ -178,10 +182,10 @@ def signatures() -> dict[str, list[tuple[list[str], dict[str, str]]]]:
         for call_name, qualname, fn, bound in defs:
             args = fn.args
             positional = [a.arg for a in (*args.posonlyargs, *args.args)][int(bound):]
-            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            found.setdefault(call_name, []).append(
-                (positional, {name: f"{path.stem}.{qualname}({name})" for name in defaulted}))
+            defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            found.setdefault(call_name, []).append((positional, {
+                name: (f"{path.stem}.{qualname}({name})", ast.dump(default)) for name, default in defaults.items()}))
     return found
 
 
@@ -189,9 +193,10 @@ def option_uses() -> dict[str, tuple[bool, bool]]:
     """Per defaulted parameter: (some call sets it, some call leaves its default), over package and bench calls.
 
     A call that unpacks ``*args`` or ``**kwargs`` binds nothing readable and is skipped.
+    One that passes the literal of the parameter's default leaves it at its default.
     """
     sigs = signatures()
-    uses = {where: [False, False] for found in sigs.values() for _, wheres in found for where in wheres.values()}
+    uses = {where: [False, False] for found in sigs.values() for _, wheres in found for where, _ in wheres.values()}
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         tree = parse(path)
         external = external_names(tree)
@@ -207,9 +212,9 @@ def option_uses() -> dict[str, tuple[bool, bool]]:
             if owner in external or unpacks:
                 continue
             for positional, wheres in sigs[name]:
-                passed = {*positional[: len(node.args)], *(k.arg for k in node.keywords)}
-                for param, where in wheres.items():
-                    uses[where][param not in passed] = True
+                passed = {**dict(zip(positional, node.args)), **{k.arg: k.value for k in node.keywords}}
+                for param, (where, default) in wheres.items():
+                    uses[where][param not in passed or ast.dump(passed[param]) == default] = True
     return {where: tuple(flags) for where, flags in uses.items()}
 
 

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import zeromode.verify
 from zeromode.cli import main
 from zeromode.correction import Variant
 from zeromode.datafile import read_dataset, sidecar_path
-from zeromode.model import load_checkpoint
+from zeromode.model import init_model, load_checkpoint, save_checkpoint
 from zeromode.training import rollout
 
 GEN_ARGS = ["--samples", "3", "--resolution", "16", "--n-steps", "100", "--n-snapshots", "10"]
@@ -273,6 +274,16 @@ def without(key):
     return lambda meta: {k: v for k, v in meta.items() if k != key}
 
 
+def other_model_row(**changes):
+    """eval on the validation split with an untrained checkpoint: the pipeline model's config with ``changes``."""
+    def build(pipeline, tmp_path):
+        _, _, valid_path, run_dir = pipeline
+        config = replace(load_checkpoint(run_dir / "model.ckpt").config, **changes)
+        ckpt = save_checkpoint(init_model(config), tmp_path / "other.ckpt")
+        return ["eval", "--model", str(ckpt), "--data", str(valid_path), "--out", str(tmp_path / "evals")]
+    return build
+
+
 def checkpoint_row(edit):
     """eval with a checkpoint whose bytes are ``edit`` of the pipeline's checkpoint."""
     def build(pipeline, tmp_path):
@@ -383,6 +394,25 @@ def with_value(value, sample, frame):
     return edit
 
 
+def with_first_row():
+    """The F64 2-D dataset cut to the first row of its first axis, its header and checksum to match."""
+    def edit(blob):
+        at = dataset_ends(blob)[3]  # the payload descriptor
+        samples, frames, n0, n1 = struct.unpack("<IIII", blob[36:44] + blob[52:60])
+        payload = np.frombuffer(blob[at + 12:], "<f8").reshape(samples, frames, -1, n0, n1)[:, :, :, :1].copy()
+        return (blob[:52] + struct.pack("<I", 1) + blob[56:at]
+                + struct.pack("<QI", payload.nbytes, zlib.crc32(payload)) + payload.tobytes())
+    return edit
+
+
+def overwrite(section, raw, skip=0):
+    """``raw`` written ``skip`` bytes into one section of the dataset, counted as ``dataset_ends`` counts them."""
+    def edit(blob):
+        at = ([0] + dataset_ends(blob))[section] + skip
+        return blob[:at] + raw + blob[at + len(raw):]
+    return edit
+
+
 def flip(offset):
     """One byte inverted; a negative offset counts from the end."""
     def edit(blob):
@@ -411,14 +441,23 @@ BAD_INPUTS = [
                  id="sidecar-truncated"),
     pytest.param(sidecar_row(lambda meta: {**meta, "params": [1]}), "'params' must be a JSON object", True,
                  id="sidecar-params-list"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "frame_times": {}}),
+                 "bad.ecfd: float() argument must be a string or a real number, not 'dict'", True,
+                 id="sidecar-frame-times-object"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "frame_times": "abc"}),
+                 "bad.ecfd: could not convert string to float: 'abc'", True, id="sidecar-frame-times-string"),
     pytest.param(config_row("gen", {"smaples": 1}), "unknown config keys ['smaples']", True,
                  id="gen-unknown-key"),
     pytest.param(config_row("train", []), "must hold a JSON object", True, id="train-config-list"),
     pytest.param(report_row(""), "no records found", True, id="report-no-records"),
     pytest.param(report_row(record_line() + record_line(seed="x")), "line 2: malformed record", True,
                  id="report-seed-string"),
-    pytest.param(report_row(record_line(seed=1.5)), "seed must be an integer and dataset a string, got 1.5", True,
+    pytest.param(report_row(record_line(seed=1.5)), "seed must be an integer, got 1.5", True,
                  id="report-seed-float"),
+    pytest.param(report_row(record_line(dataset="../esc/x")),
+                 "line 1: malformed record (ValueError: dataset must be one of", True, id="report-dataset-path"),
+    pytest.param(report_row(record_line() + record_line(dataset="a,b")),
+                 "line 2: malformed record (ValueError: dataset must be one of", True, id="report-dataset-comma"),
     pytest.param(report_row(record_line(cons_err_per_step=[0.0])), "cons_err_per_step differ in length", True,
                  id="report-steps-mismatch"),
     pytest.param(report_row(record_line(dataset="cd", seed=1)
@@ -505,6 +544,23 @@ BAD_INPUTS = [
                  "bad_train.ecfd: payload holds a non-finite value inf (sample 2, frame 4)", True, id="data-inf"),
     pytest.param(dataset_row(with_value(np.nan, 1, 1), split="valid", command="eval"),
                  "bad_valid.ecfd: payload holds a non-finite value nan (sample 1, frame 1)", True, id="eval-data-nan"),
+    pytest.param(dataset_row(overwrite(0, b"bogus".ljust(12, b"\0"), skip=10)),
+                 "bad_train.ecfd: 'bogus' is not a valid Problem", True, id="data-unknown-problem"),
+    pytest.param(dataset_row(overwrite(3, b"\0")), "bad_train.ecfd: mask must flag at least one conserved channel",
+                 True, id="data-mask-zero"),
+    pytest.param(dataset_row(with_first_row()), "bad_train.ecfd: all resolutions must be >= 2, got (1, 16)", True,
+                 id="data-resolution-one"),
+    pytest.param(dataset_row(overwrite(2, struct.pack("<d", np.nan)), split="valid"),
+                 "bad_valid.ecfd: all lengths must be finite and positive, got (nan, 1.0)", True,
+                 id="data-valid-length-nan"),
+    pytest.param(other_model_row(channels=2),
+                 "diff_valid.ecfd: the operator steps states (channels, *spatial) of channels=2, ndim=2; "
+                 "got shape (1, 16, 16)",
+                 True, id="eval-model-channels"),
+    pytest.param(other_model_row(ndim=1),
+                 "diff_valid.ecfd: the operator steps states (channels, *spatial) of channels=1, ndim=1; "
+                 "got shape (1, 16, 16)",
+                 True, id="eval-model-ndim"),
     pytest.param(coarse_split_row("train"), "coarse.ecfd: modes_kept=2 exceeds the Nyquist bound for resolution 3",
                  True, id="train-valid-too-coarse"),
     pytest.param(coarse_split_row("eval"), "coarse.ecfd: modes_kept=2 exceeds the Nyquist bound for resolution 3",

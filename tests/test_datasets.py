@@ -218,7 +218,7 @@ class TestBatchedGeneration:
             center = tuple(rng.uniform(0.3, 0.7, 2) * params.length)
             radius = rng.uniform(0.15, 0.25) * params.length
             state = dam_break_state(ds.grid, center=center, radius=radius,
-                                    h_inner=rng.uniform(1.5, 2.5), h_outer=1.0)
+                                    h_inner=rng.uniform(1.5, 2.5))
             frames = solve_shallow_water(state, ds.grid, params.g_r, params.dt,
                                          (params.n_snapshots - 1) * params.snapshot_stride,
                                          snapshot_stride=params.snapshot_stride)

@@ -112,8 +112,9 @@ class TestRecord:
         for seed in (True, 1.0, "1"):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 MetricsRecord("heat", "base", seed, [1.0], [0.0])
-        with pytest.raises(ValueError, match="dataset a string, got 0 and 3"):
-            MetricsRecord(3, "base", 0, [1.0], [0.0])
+        for dataset in (3, "../esc/x", "a,b"):
+            with pytest.raises(ValueError, match=f"dataset must be one of .*, got {dataset!r}"):
+                MetricsRecord(dataset, "base", 0, [1.0], [0.0])
         with pytest.raises(ValueError, match="differ in length"):
             MetricsRecord("heat", "base", 0, [1.0, 2.0], [0.0])
 

@@ -176,13 +176,6 @@ class TestAllenCahn:
         frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000, snapshot_stride=1000)
         assert abs(frames[-1].mean() - frames[0].mean()) < 1e-12
 
-    def test_unprojected_drift_is_small_but_trackable(self):
-        grid = GridSpec.square(32)
-        ic = chebyshev_ic(8, grid, 20)
-        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000, snapshot_stride=1000, project=False)
-        drift = abs(frames[-1].mean() - frames[0].mean())
-        assert drift < 1e-8  # mean-free nonlinearity keeps it near rounding
-
     def test_first_order_dt_convergence(self):
         """Richardson oracle: halving dt must halve the final-state change."""
         grid = GridSpec.square(32)
@@ -250,7 +243,7 @@ class TestShallowWater:
 
     def test_dam_break_mass_conserved(self):
         grid = self.grid()
-        state = dam_break_state(grid, radius=0.2, h_inner=2.0, h_outer=1.0)
+        state = dam_break_state(grid, radius=0.2, h_inner=2.0)
         frames = solve_shallow_water(state, grid, g_r=1.0, dt=0.005, n_steps=60, snapshot_stride=10)
         masses = frames[:, 0].sum(axis=(1, 2)) * grid.cell_volume
         assert np.abs(masses - masses[0]).max() / masses[0] < 1e-12

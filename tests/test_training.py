@@ -203,9 +203,9 @@ class TestIntegratedShiftFixture:
 
 
 def stacked_rollout(step, traj, variant, mask):
-    """The whole-split form of a rollout: the stored frames are pinned in one
-    call with broadcast targets after the raw loop, and scored in one
-    ``step_metrics`` call over the (samples * steps, ...) stack."""
+    """The whole-split form of a rollout's scores: the predicted frames are
+    stored, pinned in one call with broadcast targets after the raw loop, and
+    scored in one ``step_metrics`` call over the (samples * steps, ...) stack."""
     n_samples, n_steps = traj.shape[0], traj.shape[1] - 1
     targets = traj[:, 0].mean(axis=tuple(range(2, traj.ndim - 1)))
     frames = np.empty((n_samples, n_steps, *traj.shape[2:]))
@@ -219,14 +219,23 @@ def stacked_rollout(step, traj, variant, mask):
         frames = pin_channel_means(frames, np.broadcast_to(targets[:, None], frames.shape[:3]), mask.flags)
     stacked = (n_samples * n_steps, *traj.shape[2:])
     rmse, cons = step_metrics(frames.reshape(stacked), traj[:, 1:].reshape(stacked), mask)
-    return frames, rmse.reshape(n_samples, n_steps), cons.reshape(n_samples, n_steps)
+    return rmse.reshape(n_samples, n_steps), cons.reshape(n_samples, n_steps)
+
+
+def recording(step):
+    """``step`` that keeps a copy of every state it is fed in its ``fed`` list."""
+    def record(v):
+        record.fed.append(np.array(v))
+        return step(v)
+    record.fed = []
+    return record
 
 
 class TestRollout:
     def test_single_frame_trajectory_is_empty(self):
         result = rollout(lambda v: v, np.ones((1, 1, 1, 8, 8)), Variant.BASE, ConservationMask((True,)))
         assert isinstance(result, RolloutResult)
-        assert result.n_steps == 0
+        assert result.rmse.shape == result.cons_err.shape == (1, 0)
         assert np.isnan(result.mean_rmse)
 
     def test_perfect_step_oracle_scores_zero(self):
@@ -236,7 +245,7 @@ class TestRollout:
         result = rollout(lambda v: next(truth_frames), traj[None], Variant.BASE, ConservationMask((True,)))
         assert result.rmse.max() == 0.0
         # frames drift in mean relative to frame 0, so cons_err is not zero here
-        assert result.frames.shape == (1, 5, 1, 8, 8)
+        assert result.rmse.shape == result.cons_err.shape == (1, 5)
 
     def test_feedback_pins_every_state(self):
         traj = np.full((6, 1, 8, 8), 1.3)
@@ -245,23 +254,30 @@ class TestRollout:
         off = rollout(biased, traj[None], variant=Variant.BASE, mask=mask)
         expected_drift = 0.01 * np.arange(1, 6) / 1.3
         np.testing.assert_allclose(off.cons_err[0], expected_drift, rtol=1e-12)
+        biased = recording(biased)
         fed = rollout(biased, traj[None], variant=Variant.INTEGRATED, mask=mask)
         # the shift-based pin is exact up to one rounding of the mean
         assert fed.cons_err.max() < 1e-13
-        np.testing.assert_allclose(fed.frames[0], traj[1:], atol=1e-14)
+        # frame 0, then each step's pinned state
+        assert len(biased.fed) == 5
+        np.testing.assert_allclose(np.concatenate(biased.fed), traj[:-1], atol=1e-14)
 
-    def test_post_hoc_equals_off_plus_per_frame_pinning(self):
+    def test_post_hoc_scores_the_pinned_base_states(self):
         rng = np.random.default_rng(4)
-        traj = rng.normal(size=(5, 2, 8, 8)) + 1.5
-        model = init_model(OperatorConfig(channels=2, width=4, n_layers=1, modes_kept=2, ndim=2, seed=6))
+        traj = rng.normal(size=(3, 5, 2, 8, 8)) + 1.5
         mask = ConservationMask((True, True))
-        off = rollout(lambda v: 0.9 * v + 0.01, traj[None], variant=Variant.BASE, mask=mask)
-        post = rollout(lambda v: 0.9 * v + 0.01, traj[None], variant=Variant.STAGED, mask=mask)
-        target = traj[0].mean(axis=(1, 2))
-        for k in range(off.n_steps):
-            np.testing.assert_array_equal(post.frames[0, k],
-                                          pin_channel_means(off.frames[0, k], target, mask.flags))
-        del model
+        step = lambda v: 0.9 * v + 0.01
+        off, post = recording(step), recording(step)
+        rollout(off, traj, variant=Variant.BASE, mask=mask)
+        result = rollout(post, traj, variant=Variant.STAGED, mask=mask)
+        # staged feeds the raw states forward, as base does
+        assert np.array_equal(np.stack(post.fed), np.stack(off.fed))
+        raw = off.fed[1:] + [step(off.fed[-1])]  # each step's prediction
+        target = traj[:, 0].mean(axis=(2, 3))
+        for k, state in enumerate(raw):
+            rmse, cons = step_metrics(pin_channel_means(state, target, mask.flags), traj[:, k + 1], mask)
+            assert result.rmse[:, k].tobytes() == rmse.tobytes()
+            assert result.cons_err[:, k].tobytes() == cons.tobytes()
 
     def test_feedback_and_post_hoc_differ_through_nonlinearity(self):
         rng = np.random.default_rng(11)
@@ -271,7 +287,7 @@ class TestRollout:
         mask = ConservationMask((True,))
         fed = rollout(step, traj[None], variant=Variant.INTEGRATED, mask=mask)
         post = rollout(step, traj[None], variant=Variant.STAGED, mask=mask)
-        assert not np.allclose(fed.frames, post.frames)
+        assert not np.allclose(fed.rmse, post.rmse)
         # both end pinned to the initial mean, up to rounding of the shift
         assert fed.cons_err.max() < 1e-13
         assert post.cons_err.max() < 1e-13
@@ -281,7 +297,9 @@ class TestRollout:
         step = lambda v: v**2 + 0.05
         mask = ConservationMask((True,))
         named = rollout(step, traj, "integrated", mask)
-        assert named.frames.tobytes() == rollout(step, traj, Variant.INTEGRATED, mask).frames.tobytes()
+        member = rollout(step, traj, Variant.INTEGRATED, mask)
+        assert named.rmse.tobytes() == member.rmse.tobytes()
+        assert named.cons_err.tobytes() == member.cons_err.tobytes()
         with pytest.raises(ValueError, match="post_hoc"):
             rollout(step, traj, "post_hoc", mask)
 
@@ -321,7 +339,6 @@ class TestRollout:
         batched = rollout(model, trajectories, variant=mode, mask=valid_set.mask)
         for i, traj in enumerate(trajectories):
             single = rollout(model, traj[None], variant=mode, mask=valid_set.mask)
-            assert batched.frames[i].tobytes() == single.frames[0].tobytes()
             assert batched.rmse[i].tobytes() == single.rmse[0].tobytes()
             assert batched.cons_err[i].tobytes() == single.cons_err[0].tobytes()
 
@@ -340,24 +357,28 @@ class TestRollout:
         traj[1][:, np.flatnonzero(flags)] = 0.0  # a zero conserved integral: NaN rows
         mask = ConservationMask(flags)
         step = lambda v: 0.9 * v + 0.05 * np.tanh(np.roll(v, 1, axis=-1)) + 0.01
-        frames, rmse, cons = stacked_rollout(step, traj, mode, mask)
+        rmse, cons = stacked_rollout(step, traj, mode, mask)
         result = rollout(step, traj, variant=mode, mask=mask)
         assert np.isnan(cons[1]).all() and not np.isnan(cons[0]).any()
-        assert result.frames.tobytes() == frames.tobytes()
         assert result.rmse.tobytes() == rmse.tobytes()
         assert result.cons_err.tobytes() == cons.tobytes()
 
-    @pytest.mark.parametrize("mode", [Variant.INTEGRATED, Variant.STAGED])
-    def test_peak_memory_is_frames_plus_one_step(self, mode):
-        traj = np.random.default_rng(9).normal(1.0, 0.2, size=(8, 17, 1, 32, 32))
-        tracemalloc.start()
-        try:
-            result = rollout(lambda v: 0.9 * v + 0.1, traj, variant=mode, mask=ConservationMask((True,)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one step is 1/16 of the frames; the whole-split form peaks near 3x
-        assert peak < 1.5 * result.frames.nbytes
+    @pytest.mark.parametrize("mode", list(Variant))
+    def test_peak_memory_holds_one_step_whatever_the_frame_count(self, mode):
+        rng = np.random.default_rng(9)
+        peaks = {}
+        for n_frames in (5, 17):
+            traj = rng.normal(1.0, 0.2, size=(8, n_frames, 1, 32, 32))
+            tracemalloc.start()
+            try:
+                rollout(lambda v: 0.9 * v + 0.1, traj, variant=mode, mask=ConservationMask((True,)))
+                peaks[n_frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        state = traj[:, 0].nbytes
+        # a prediction, its pin and the metrics' temporaries; stored predictions would add 16 states at 17 frames
+        assert peaks[17] < 6 * state
+        assert peaks[17] < peaks[5] + state / 4
 
 
 class TestFoldPerRollout:
@@ -371,8 +392,8 @@ class TestFoldPerRollout:
         adamw_step(model.params, grads, init_optimizer(model.params, lr=1e-2, weight_decay=1e-4))
         after = rollout(model, valid_set.data, Variant.BASE, valid_set.mask)
         fresh = rollout(OperatorModel(MODEL_CFG, model.params.copy()), valid_set.data, Variant.BASE, valid_set.mask)
-        assert after.frames.tobytes() == fresh.frames.tobytes()
-        assert after.frames.tobytes() != before.frames.tobytes()
+        assert after.rmse.tobytes() == fresh.rmse.tobytes()
+        assert after.rmse.tobytes() != before.rmse.tobytes()
 
     @pytest.mark.parametrize("mode", list(Variant))
     def test_model_rolls_out_as_its_folded_forward(self, sets, mode):
@@ -381,6 +402,5 @@ class TestFoldPerRollout:
         result = rollout(model, valid_set.data, variant=mode, mask=valid_set.mask)
         step = rollout(lambda v: forward_values(model, fold_weights(model), v), valid_set.data,
                        variant=mode, mask=valid_set.mask)
-        assert result.frames.tobytes() == step.frames.tobytes()
         assert result.rmse.tobytes() == step.rmse.tobytes()
         assert result.cons_err.tobytes() == step.cons_err.tobytes()
