@@ -127,11 +127,16 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
 
 
 def _check_fit(path: str, dataset, model_config) -> None:
-    """Refuse, naming ``path``, a dataset whose states the operator of ``model_config`` cannot step."""
+    """Refuse, naming ``path``, a dataset whose states the operator of ``model_config`` cannot step.
+
+    A dataset with one frame is refused too: a rollout from it, or a training pair, would take no step.
+    """
     try:
         model_config.check_fit(dataset.data.shape[2:])
     except ValueError as exc:
         raise ValueError(f"dataset {path}: {exc}") from None
+    if dataset.n_snapshots < 2:
+        raise ValueError(f"dataset {path} has one frame; a rollout needs at least 2")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -195,8 +200,6 @@ def _cmd_train(args, argv: list[str]) -> int:
         raise ValueError(
             f"training split {args.train} (problem {train_set.problem.value}, channels {train_set.channels}) and "
             f"validation split {args.valid} (problem {valid_set.problem.value}, channels {valid_set.channels}) differ")
-    if valid_set.n_snapshots < 2:  # a rollout from its first frame would score no step
-        raise ValueError(f"validation split {args.valid} has one frame; validation needs at least 2")
 
     train_defaults, model_defaults = asdict(TrainConfig()), asdict(OperatorConfig())
     model_keys = ("seed", "width", "n_layers", "modes_kept")

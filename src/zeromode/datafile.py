@@ -236,6 +236,10 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
                 raise DatasetFormatError(f"sidecar {side.name} lacks the key {key!r}")
         if not isinstance(meta["params"], dict):
             raise DatasetFormatError(f"sidecar {side.name}: 'params' must be a JSON object")
+        frame_times = np.asarray(meta["frame_times"], dtype=np.float64)
+        if frame_times.shape != (snapshots,):
+            raise DatasetFormatError(f"sidecar {side.name}: 'frame_times' has shape {frame_times.shape}, "
+                                     f"expected ({snapshots},), one time per frame")
 
         return TrajectoryDataset(
             problem=Problem(_untag(problem_raw)),
@@ -246,7 +250,7 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
             sample_seeds=meta["sample_seeds"],
             master_seed=master_seed,
             split=_untag(split_raw),
-            frame_times=np.asarray(meta["frame_times"], dtype=np.float64),
+            frame_times=frame_times,
             precision=Precision.F32 if bits == 32 else Precision.F64,
             tolerances=meta.get("tolerances", {}),
             generator_version=meta.get("generator_version", "unknown"),

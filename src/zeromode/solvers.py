@@ -17,13 +17,17 @@ shallow water (*lead, frames, ...).  The exact propagators transform
 each sample once and make every frame in one batched inverse transform.
 The Allen-Cahn step takes one real forward transform of ``u + dt g``
 (the update is linear, so this equals the sum of the two transforms) and
-one inverse, over the whole batch.  Every solver checks its grid's
-boundary, the state's shape and its finiteness in one shared helper
-before it steps; the two time steppers check the step size, the step
-count and the snapshot stride, and allocate their frames, in another.
-Means, clamp, CFL (at most ``CFL_MAX``), positivity and finiteness are
-checked per sample, and an error from a batch names the first failing
-sample.
+one inverse over the whole batch, and builds g in buffers held for the
+solve; "fh" needs no clip, as its clamp-band abort comes first.  The
+shallow-water step forms velocities, wave speeds and fluxes once per
+cell, with wall ghosts that sign-flip the edge cells.  Both keep the
+plain formulas' operation order, bit for bit.  Every solver checks its
+grid's boundary, the state's shape and its finiteness in one shared
+helper before it steps; the two time steppers check the step size, the
+step count and the snapshot stride, and allocate their frames, in
+another.  Means, clamp, CFL (at most ``CFL_MAX``), positivity and
+finiteness are checked per sample, and an error from a batch names the
+first failing sample.
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ __all__ = [
     "verify_flux_balance",
 ]
 
-# Log evaluations in the Flory-Huggins potential clamp the state to
-# [-1 + CLAMP_MARGIN, 1 - CLAMP_MARGIN]; a state actually reaching that
-# band means the step size is too large for the trajectory.
+# The Flory-Huggins stepper aborts once the state reaches |u| >= 1 - CLAMP_MARGIN,
+# which means the step size is too large for the trajectory; its logarithms
+# see only states inside that band.
 CLAMP_MARGIN = 1e-6
 # Largest per-axis Courant number the shallow-water step accepts, at the
 # start and at every step.  The unsplit 2-D update is stable while the two
@@ -212,13 +216,24 @@ def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: f
                       functools.partial(scipy.fft.idctn, type=2), advance)
 
 
-def _double_well(u: np.ndarray) -> np.ndarray:
-    return u - u * u * u  # numpy's u**3 calls pow, many times slower
+def _sample_means(a: np.ndarray) -> np.ndarray:
+    """``a.mean`` over all but the first axis, kept: the same sum and divide, less call overhead."""
+    return np.add.reduce(a, axis=tuple(range(1, a.ndim)), keepdims=True) / a[0].size
 
 
-def _flory_huggins(u: np.ndarray, theta: float, theta_c: float) -> np.ndarray:
-    uc = np.clip(u, -1.0 + CLAMP_MARGIN, 1.0 - CLAMP_MARGIN)
-    return 0.5 * theta * (np.log1p(uc) - np.log1p(-uc)) - theta_c * u
+def _double_well(u: np.ndarray, out: np.ndarray) -> None:
+    """f(u) = u - u^3 into ``out``, as u - (u u) u; numpy's u**3 calls pow, many times slower."""
+    np.multiply(u, u, out=out)
+    out *= u
+    np.subtract(u, out, out=out)
+
+
+def _flory_huggins(u: np.ndarray, theta: float, theta_c: float, out: np.ndarray, scratch: np.ndarray) -> None:
+    """f(u) = (theta/2) (log1p(u) - log1p(-u)) - theta_c u into ``out``, for |u| inside the clamp band."""
+    np.log1p(u, out=out)
+    out -= np.log1p(np.negative(u, out=scratch), out=scratch)
+    out *= 0.5 * theta
+    out -= np.multiply(u, theta_c, out=scratch)
 
 
 def solve_allen_cahn(
@@ -234,14 +249,15 @@ def solve_allen_cahn(
 ) -> np.ndarray:
     """Conserved Allen-Cahn u_t = eps lap(u) + f(u) - mean(f(u)).
 
-    Potentials: "dw" has f(u) = u - u^3; "fh" has
-    f(u) = (theta/2) ln((1+u)/(1-u)) - theta_c u with the state clamped
-    away from +-1 before the logarithm.  One step solves the Laplacian
-    implicitly in Fourier space and treats the (mean-free) nonlinearity
-    explicitly, with one real forward transform of u + dt g and one
-    inverse; the spatial mean is then re-pinned to its initial value,
-    making conservation exact by construction instead of resting on
-    accumulated rounding.
+    Potentials: "dw" has f(u) = u - u^3; "fh" has f(u) = (theta/2)
+    ln((1+u)/(1-u)) - theta_c u, and an "fh" step first aborts if a value
+    has reached the clamp band |u| >= 1 - CLAMP_MARGIN, so the logarithms
+    see only values inside it and need no clip.  A step solves the
+    Laplacian implicitly in Fourier space and treats the (mean-free)
+    nonlinearity explicitly, in two buffers held for the solve, with one
+    real forward transform of u + dt g and one inverse; the spatial mean
+    is then re-pinned to its initial value, making conservation exact by
+    construction instead of resting on accumulated rounding.
 
     ``initial`` is (*lead, *spatial); the samples are stepped together,
     and every sample keeps its own mean and its own checks.  Returns the
@@ -254,25 +270,31 @@ def solve_allen_cahn(
     frames = _frame_buffer(u, dt, n_steps, snapshot_stride)
 
     axes = tuple(range(1, u.ndim))
-    mean0 = u.mean(axis=axes, keepdims=True)
+    mean0 = _sample_means(u)
     # the real transform keeps the nonnegative half of the last axis
     implicit = 1.0 / (1.0 + dt * epsilon * squared_wavenumber(grid)[..., : grid.resolution[-1] // 2 + 1])
+    implicit = implicit.astype(complex)  # the cast numpy's complex-by-real multiply makes, once
+    g, scratch = np.empty_like(u), np.empty_like(u)
+    band = 1.0 - CLAMP_MARGIN
 
     for step in range(1, n_steps + 1):
         if potential == "fh":
-            peak = np.abs(u).max(axis=axes)
-            _abort_if(peak >= 1.0 - CLAMP_MARGIN, "state reached the log clamp band, reduce dt", step, lead)
-            g = _flory_huggins(u, theta, theta_c)
+            if u.max() >= band or u.min() <= -band:  # then find the first sample out
+                outside = (u.max(axis=axes) >= band) | (u.min(axis=axes) <= -band)
+                _abort_if(outside, "state reached the log clamp band, reduce dt", step, lead)
+            _flory_huggins(u, theta, theta_c, g, scratch)
         else:
-            g = _double_well(u)
-        g -= g.mean(axis=axes, keepdims=True)
+            _double_well(u, g)
+        g -= _sample_means(g)
         g *= dt
         g += u
         coeffs = scipy.fft.rfftn(g, axes=axes)
         coeffs *= implicit
         u = scipy.fft.irfftn(coeffs, s=grid.resolution, axes=axes)
-        _abort_if(~np.isfinite(u).all(axis=axes), "state became non-finite", step, lead)
-        u += mean0 - u.mean(axis=axes, keepdims=True)
+        mean = _sample_means(u)
+        if not np.isfinite(mean).all():  # a non-finite value always spoils its sample's mean
+            _abort_if(~np.isfinite(u).all(axis=axes), "state became non-finite", step, lead)
+        u += mean0 - mean
         if step % snapshot_stride == 0:
             frames[:, step // snapshot_stride] = u
     return frames.reshape(*lead, *frames.shape[1:])
@@ -294,10 +316,10 @@ def dam_break_state(
     return state
 
 
-def _swe_flux(h, q_normal, q_tangential, g_r):
-    """Flux along one axis of (h, normal momentum, tangential momentum)."""
-    vel = q_normal / h
-    return q_normal, q_normal * vel + 0.5 * g_r * h * h, q_tangential * vel
+def _courant(speed_x: np.ndarray, speed_y: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
+    """dt * max over cells of per-axis speed / dx, per sample (monotone rounding: max, then divide)."""
+    dx, dy = grid.spacing
+    return dt * np.maximum(speed_x.max(axis=(-2, -1)) / dx, speed_y.max(axis=(-2, -1)) / dy)
 
 
 def cfl_number(state: np.ndarray, grid: GridSpec, g_r: float, dt: float) -> np.ndarray:
@@ -308,45 +330,39 @@ def cfl_number(state: np.ndarray, grid: GridSpec, g_r: float, dt: float) -> np.n
     """
     h, hu, hv = np.moveaxis(state, -3, 0)
     c = np.sqrt(g_r * h)
-    dx, dy = grid.spacing
-    return dt * np.maximum(((np.abs(hu / h) + c) / dx).max(axis=(-2, -1)),
-                           ((np.abs(hv / h) + c) / dy).max(axis=(-2, -1)))
+    return _courant(np.abs(hu / h) + c, np.abs(hv / h) + c, grid, dt)
 
 
-def _rusanov_diff(state: np.ndarray, g_r: float, axis: int) -> np.ndarray:
-    """Flux difference F_{i+1/2} - F_{i-1/2} along one axis with wall ghosts.
+def _rusanov_terms(state: np.ndarray, g_r: float, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wave speeds |vel| + c per padded cell and the flux difference F_{i+1/2} - F_{i-1/2} along one axis.
 
-    ``state`` has shape (..., 3, nx, ny) and ``axis`` is -2 (x) or -1 (y).
-    Along either axis the scheme is the x-direction one, with the normal
-    and tangential momenta in the roles of hu and hv.
+    ``state`` is channel-major, (3, samples, nx, ny); ``axis`` is -2 (x)
+    or -1 (y), with the normal and tangential momenta as hu and hv.  A
+    wall ghost sign-flips its edge cell's normal momentum, so its speed
+    is the edge's and its fluxes the edge's or their exact negatives.
+    Each channel is worked on flat, a cell's neighbour ``shift`` entries
+    on, so every operation runs on whole contiguous arrays; interfaces
+    that straddle two rows or samples are computed and dropped.
     """
     normal = 1 if axis == -2 else 2
 
     def cut(s):
         return (Ellipsis, s, slice(None)) if axis == -2 else (Ellipsis, s)
 
-    def pad(a, flip):
-        first, last = a[cut(slice(None, 1))], a[cut(slice(-1, None))]
-        if flip:
-            first, last = -first, -last
-        return np.concatenate([first, a, last], axis=axis)
-
-    # mirror the normal momentum at walls, keep the tangential one
-    padded = (pad(state[..., 0, :, :], False), pad(state[..., normal, :, :], True),
-              pad(state[..., 3 - normal, :, :], False))
-    left = tuple(q[cut(slice(None, -1))] for q in padded)
-    right = tuple(q[cut(slice(1, None))] for q in padded)
-    f_left = _swe_flux(*left, g_r)
-    f_right = _swe_flux(*right, g_r)
-    speed_left = np.abs(left[1] / left[0]) + np.sqrt(g_r * left[0])
-    speed_right = np.abs(right[1] / right[0]) + np.sqrt(g_r * right[0])
-    a_max = np.maximum(speed_left, speed_right)
-
-    out = np.empty_like(state)
-    for channel, fl, fr, ql, qr in zip((0, normal, 3 - normal), f_left, f_right, left, right):
-        f_star = 0.5 * (fl + fr) - 0.5 * a_max * (qr - ql)
-        out[..., channel, :, :] = np.diff(f_star, axis=axis)
-    return out
+    q = np.concatenate([state[cut(slice(None, 1))], state, state[cut(slice(-1, None))]], axis=axis)
+    for ghost in (cut(0), cut(-1)):  # mirror the normal momentum at walls, keep the tangential one
+        np.negative(q[normal][ghost], out=q[normal][ghost])
+    shift = q.shape[-1] if axis == -2 else 1
+    h, qn, qt = (q[c].reshape(-1) for c in (0, normal, 3 - normal))
+    vel = qn / h
+    speed = np.abs(vel) + np.sqrt(g_r * h)
+    fluxes = (qn, qn * vel + 0.5 * g_r * h * h, qt * vel)
+    half_a = 0.5 * np.maximum(speed[:-shift], speed[shift:])
+    out = np.empty(q.shape)
+    for channel, f, qc in zip((0, normal, 3 - normal), fluxes, (h, qn, qt)):
+        f_star = 0.5 * (f[:-shift] + f[shift:]) - half_a * (qc[shift:] - qc[:-shift])
+        np.subtract(f_star[shift:], f_star[:-shift], out=out[channel].reshape(-1)[: f_star.size - shift])
+    return speed.reshape(q.shape[1:]), out[cut(slice(None, -2))]
 
 
 def solve_shallow_water(
@@ -361,7 +377,9 @@ def solve_shallow_water(
 
     First-order finite volumes with Rusanov (local Lax-Friedrichs)
     interface fluxes.  The mirrored wall states make the boundary mass
-    flux exactly zero, so total mass is conserved to rounding.
+    flux exactly zero, so total mass is conserved to rounding.  A step
+    forms velocities, wave speeds |vel| + c and fluxes once per cell,
+    sign-flipped wall ghosts included, and reads its CFL number off them.
     ``initial`` is one state (3, nx, ny) or a batch (..., 3, nx, ny),
     stepped together with per-sample CFL (at most ``CFL_MAX``) and
     positivity checks.  Returns frames of the full state, one every
@@ -380,19 +398,18 @@ def solve_shallow_water(
         raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {CFL_MAX}{at}; reduce dt")
 
     dx, dy = grid.spacing
+    state = np.ascontiguousarray(state.swapaxes(0, 1))  # channel-major: each channel's batch is contiguous
     for step in range(1, n_steps + 1):
+        speed_x, diff_x = _rusanov_terms(state, g_r, axis=-2)
+        speed_y, diff_y = _rusanov_terms(state, g_r, axis=-1)
         if step > 1:  # step 1 steps the initial state, checked above
-            cfl = cfl_number(state, grid, g_r, dt)
+            cfl = _courant(speed_x, speed_y, grid, dt)
             _abort_if(cfl > CFL_MAX, f"CFL number exceeded {CFL_MAX} mid-run, reduce dt", step, lead)
-        state = (
-            state
-            - (dt / dx) * _rusanov_diff(state, g_r, axis=-2)
-            - (dt / dy) * _rusanov_diff(state, g_r, axis=-1)
-        )
-        _abort_if(~np.isfinite(state).all(axis=(1, 2, 3)), "state became non-finite", step, lead)
-        _abort_if(state[:, 0].min(axis=(-2, -1)) <= 0.0, "water depth lost positivity", step, lead)
+        state = state - (dt / dx) * diff_x - (dt / dy) * diff_y
+        _abort_if(~np.isfinite(state).all(axis=(0, 2, 3)), "state became non-finite", step, lead)
+        _abort_if(state[0].min(axis=(-2, -1)) <= 0.0, "water depth lost positivity", step, lead)
         if step % snapshot_stride == 0:
-            frames[:, step // snapshot_stride] = state
+            frames[:, step // snapshot_stride] = state.swapaxes(0, 1)
     return frames.reshape(*lead, *frames.shape[1:])
 
 

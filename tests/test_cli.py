@@ -294,17 +294,17 @@ def checkpoint_row(edit):
     return build
 
 
-def dataset_row(edit, split="train", command="train"):
+def dataset_row(edit, split="train", command="train", sidecar=lambda meta: meta):
     """``command`` with ``split``'s dataset swapped for ``bad_<split>.ecfd``: ``edit`` of its bytes, with its sidecar.
 
-    eval reads the swapped split with the pipeline's checkpoint.
+    ``sidecar`` edits the sidecar's JSON object; eval reads the swapped split with the pipeline's checkpoint.
     """
     def build(pipeline, tmp_path):
         _, train_path, valid_path, run_dir = pipeline
         paths = {"train": train_path, "valid": valid_path}
         data = tmp_path / f"bad_{split}.ecfd"
         data.write_bytes(edit(paths[split].read_bytes()))
-        shutil.copy(sidecar_path(paths[split]), sidecar_path(data))
+        sidecar_path(data).write_text(json.dumps(sidecar(json.loads(sidecar_path(paths[split]).read_text()))))
         if command == "eval":
             return ["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(data),
                     "--out", str(tmp_path / "evals")]
@@ -381,6 +381,11 @@ def with_snapshots(snapshots):
         return (blob[:40] + struct.pack("<I", snapshots) + blob[44:at]
                 + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
     return edit
+
+
+def first_frame_times(snapshots):
+    """The sidecar edit that matches ``with_snapshots(snapshots)``: its first ``snapshots`` frame times."""
+    return lambda meta: {**meta, "frame_times": meta["frame_times"][:snapshots]}
 
 
 def with_value(value, sample, frame):
@@ -536,8 +541,16 @@ BAD_INPUTS = [
                  "bad_valid.ecfd: header declares an empty dimension", True, id="eval-data-zero-samples"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 0), split="valid"),
                  "bad_valid.ecfd: truncated file: expected 52 bytes of header", True, id="data-cut-valid-head"),
-    pytest.param(dataset_row(with_snapshots(1), split="valid"), "bad_valid.ecfd has one frame", True,
-                 id="train-valid-one-frame"),
+    pytest.param(dataset_row(with_snapshots(1), split="valid", sidecar=first_frame_times(1)),
+                 "bad_valid.ecfd has one frame", True, id="train-valid-one-frame"),
+    pytest.param(dataset_row(with_snapshots(1), sidecar=first_frame_times(1)),
+                 "bad_train.ecfd has one frame; a rollout needs at least 2", True, id="train-train-one-frame"),
+    pytest.param(dataset_row(with_snapshots(1), split="valid", command="eval", sidecar=first_frame_times(1)),
+                 "bad_valid.ecfd has one frame; a rollout needs at least 2", True,
+                 id="eval-data-one-frame"),
+    pytest.param(dataset_row(with_snapshots(1), split="valid"),
+                 "sidecar bad_valid.ecfd.json: 'frame_times' has shape (10,), expected (1,), one time per frame", True,
+                 id="data-frame-times-other-count"),
     pytest.param(dataset_row(with_value(np.nan, 1, 1), split="valid"),
                  "bad_valid.ecfd: payload holds a non-finite value nan (sample 1, frame 1)", True, id="data-nan"),
     pytest.param(dataset_row(with_value(np.inf, 2, 4)),

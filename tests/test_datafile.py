@@ -1,5 +1,6 @@
 """Binary dataset format: round trips, validation, crafted bad fixtures."""
 
+import json
 import re
 import struct
 import tracemalloc
@@ -162,6 +163,15 @@ class TestValidation:
         path = write_dataset(small_dataset, tmp_path / "d.ecfd")
         sidecar_path(path).unlink()
         with pytest.raises(DatasetFormatError, match="sidecar"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("frame_times, shape", [([0.0], "(1,)"), ([[0.0, 1.0]], "(1, 2)")])
+    def test_frame_times_must_hold_one_time_per_frame(self, small_dataset, tmp_path, frame_times, shape):
+        path = write_dataset(small_dataset, tmp_path / "d.ecfd")
+        side = sidecar_path(path)
+        side.write_text(json.dumps({**json.loads(side.read_text()), "frame_times": frame_times}))
+        message = rf"d\.ecfd: sidecar d\.ecfd\.json: 'frame_times' has shape {re.escape(shape)}, expected \(10,\)"
+        with pytest.raises(DatasetFormatError, match=message):
             read_dataset(path)
 
     def test_magic_constant_is_stable(self):

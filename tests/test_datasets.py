@@ -1,5 +1,6 @@
 """Dataset generation: determinism, conservation audit, preset sanity."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestBatchedGeneration:
                                          snapshot_stride=params.snapshot_stride)
             expected.append(frames[:, :1])
         assert ds.data.tobytes() == np.stack(expected).tobytes()
+
+    # sha256 of generate_dataset(...).data: desk parameters at resolution 16 with 5 snapshots, 3 samples, master seed 7
+    GEN_SHA256 = {
+        Problem.AC_DW: "c2630ec5e01fbd1760f0de098aed43d7d9edd3d585996cb1f020c8d24bf79150",
+        Problem.AC_FH: "fbd4809e5ec8ef42ac08c2e1b8046c5e5b72e342019b2608824deb1c8dd01084",
+        Problem.HEAT: "a3e9e695b5fa2d27883240e55394c052d0838f788fb5b7af86e15e8281c6635b",
+        Problem.WATER: "283eaa7dc66aede0034a895fe66a8a0b5e55e476ff8bbbdd5795ed034d059907",
+        Problem.DIFF: "9249cf94734a2d578c888552299c3424a6a3b9cb8a1d62435c57d710cf2bf23e",
+        Problem.CD: "ead91df59e6dc2609f9075a3d44a980519677cc9e9bea938cc4575d67c079ce1",
+    }
+
+    @pytest.mark.parametrize("problem", list(Problem))
+    def test_generated_bytes_are_pinned(self, problem):
+        """A speed-up of a solver must keep every bit that ``gen`` writes."""
+        params = {**desk_config(problem, "train").params.to_dict(), "resolution": 16, "n_snapshots": 5}
+        ds = generate_dataset(DatasetConfig(params=ProblemParams.from_dict(params), n_samples=3, master_seed=7))
+        assert ds.data.shape == (3, 5, 1, 16, 16)
+        assert hashlib.sha256(ds.data.tobytes()).hexdigest() == self.GEN_SHA256[problem]
 
     def test_sample_seeds_unchanged(self):
         # redraws included: samples 1 and 2 fail the mean floor on their first draw

@@ -6,6 +6,8 @@ semigroup composition, dt-halving Richardson ratios for the stepper,
 and telescoping mass sums for the finite-volume scheme.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,31 @@ class TestBatching:
         assert err.value.sample == 2
         assert err.value.step == 1
         assert "sample 2" in str(err.value) and "step 1" in str(err.value)
+
+    def test_blow_up_names_the_sample_and_step(self):
+        grid = GridSpec.square(8)
+        states = np.full((4, 8, 8), 0.1)
+        states[2, 3, 5] = 100.0  # the explicit cubic overshoots further at every step
+        kwargs = dict(dt=1e-3, n_steps=50, snapshot_stride=50)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SolverError) as alone:
+                solve_allen_cahn(states[2], grid, 0.01, "dw", **kwargs)
+            with pytest.raises(SolverError) as err:
+                solve_allen_cahn(states, grid, 0.01, "dw", **kwargs)
+        assert alone.value.sample is None and alone.value.step > 1
+        assert (err.value.sample, err.value.step) == (2, alone.value.step)
+        assert f"state became non-finite (sample 2, step {alone.value.step})" in str(err.value)
+
+    def test_fh_band_abort_comes_before_the_logarithms(self):
+        """Step 1 pushes a state into the clamp band; step 2 aborts before log1p could warn, so it needs no clip."""
+        grid = GridSpec.square(8)
+        states = np.stack([np.full((8, 8), 0.1), np.full((8, 8), -0.9999)])
+        states[1, :4] = 0.9999  # each plateau's potential drives it outward
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="clamp band") as err:
+                solve_allen_cahn(states, grid, 0.01, "fh", dt=1e-3, n_steps=10, snapshot_stride=10)
+        assert (err.value.sample, err.value.step) == (1, 2)
 
     def test_cfl_abort_names_the_sample(self):
         grid = GridSpec.square(16, boundary=Boundary.WALL)
