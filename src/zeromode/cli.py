@@ -20,8 +20,8 @@ through :func:`datafile.write_json`, except ``eval``'s record, which is
 appended to ``records.jsonl``.
 
 Exit codes: 0 on success, 1 when a run fails (solver abort, divergence,
-failed verification), 2 for bad usage, unreadable inputs or invalid
-configuration.
+failed verification, a size that does not fit in memory), 2 for bad usage,
+unreadable inputs or invalid configuration.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     from .correction import Variant
     from .datasets import SPLIT_IDS, Problem
     from .grid import Precision
-    from .model import LOSSES
+    from .training import LOSSES
 
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,6 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         # failed runs: solver aborts, divergence, non-finite rollouts
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a failed run too: sizes this machine cannot hold, such as gen --resolution 200000
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

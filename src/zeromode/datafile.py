@@ -231,7 +231,7 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
             raise DatasetFormatError(f"sidecar {side.name} is not valid JSON: {exc}") from None
         if not isinstance(meta, dict):
             raise DatasetFormatError(f"sidecar {side.name} must hold a JSON object")
-        for key in ("params", "sample_seeds", "frame_times"):
+        for key in ("problem", "split", "master_seed", "precision", "params", "sample_seeds", "frame_times"):
             if key not in meta:
                 raise DatasetFormatError(f"sidecar {side.name} lacks the key {key!r}")
         if not isinstance(meta["params"], dict):
@@ -240,18 +240,24 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
         if frame_times.shape != (snapshots,):
             raise DatasetFormatError(f"sidecar {side.name}: 'frame_times' has shape {frame_times.shape}, "
                                      f"expected ({snapshots},), one time per frame")
+        problem, split = Problem(_untag(problem_raw)), _untag(split_raw)
+        precision = Precision.F32 if bits == 32 else Precision.F64
+        header = {"problem": problem.value, "split": split, "master_seed": master_seed, "precision": precision.value}
+        for key, value in header.items():
+            if meta[key] != value:  # e.g. a sidecar copied beside another dataset
+                raise DatasetFormatError(f"sidecar {side.name}: {key!r} is {meta[key]!r} but the header says {value!r}")
 
         return TrajectoryDataset(
-            problem=Problem(_untag(problem_raw)),
+            problem=problem,
             grid=GridSpec(lengths=lengths, resolution=resolution, boundary=_BOUNDARY_FROM_CODE[boundary_code]),
             data=data.astype(np.float64, copy=False),
             mask=ConservationMask(tuple(bool(f) for f in flags)),
             params=meta["params"],
             sample_seeds=meta["sample_seeds"],
             master_seed=master_seed,
-            split=_untag(split_raw),
+            split=split,
             frame_times=frame_times,
-            precision=Precision.F32 if bits == 32 else Precision.F64,
+            precision=precision,
             tolerances=meta.get("tolerances", {}),
             generator_version=meta.get("generator_version", "unknown"),
         )

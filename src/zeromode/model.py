@@ -91,7 +91,7 @@ Re(ifftn(W X)) is exactly W_eff[k] X[k], W_eff[k] = (W[k] + conj W[-k]) / 2.
 W_eff depends on the parameters, modes_kept and ndim alone, not on the
 grid, so :func:`fold_weights` folds every block once per parameter state:
 a rollout folds once for all its steps, ``forward_values`` hands one fold
-to every chunk, and ``loss_and_grad`` folds once per call, its tape keeping
+to every chunk, and :func:`vjp` folds once per call, its tape keeping
 the folds for the backward.  No fold is cached, since the optimizer writes
 the parameters in place.  W_eff is 1 where W is 1 at the zero mode, so the
 identity fixture keeps its bits.  Single-threaded, a fold at width 16 and
@@ -122,9 +122,12 @@ two at 64^2 and one at 128^2, each no slower per sample than B=1 in
 single-threaded timings at width 16.
 
 No autodiff framework is used: every layer implements its own adjoint,
-and the gradient of the training loss (including the optional zero-mode
-correction, whose Jacobian kills uniform directions) is assembled by
-hand.  Finite differences in the test suite hold this to account.
+and :func:`vjp` returns a prediction with the pullback that maps its
+gradient to the parameters' by hand.  The operator is correction-free: it
+knows no loss and no conservation mask, and the training module alone pins
+predictions and applies the pin's adjoint to their gradient, outside the
+operator as the exterior-embedded correction prescribes.  Finite
+differences in the test suite hold the whole chain to account.
 """
 
 from __future__ import annotations
@@ -140,7 +143,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correction import ConservationMask, pin_channel_means, project_out_means
 from .datafile import read_payload, write_atomic
 
 __all__ = [
@@ -154,16 +156,13 @@ __all__ = [
     "gelu_grad",
     "fold_weights",
     "forward_values",
-    "loss_and_grad",
+    "vjp",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 _GELU_A = np.sqrt(2.0 / np.pi)
 _GELU_B = 0.044715
-
-#: training losses :func:`loss_and_grad` accepts
-LOSSES = ("mae", "mse")
 
 CHECKPOINT_MAGIC = b"ZMCK"
 CHECKPOINT_VERSION = 1
@@ -724,55 +723,11 @@ def forward_values(model: OperatorModel, folded: tuple[np.ndarray, ...], values:
     return np.concatenate(parts).reshape(values.shape)
 
 
-# -- loss --------------------------------------------------------------------
-
-
-def loss_and_grad(
-    model: OperatorModel,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    loss: str,
-    mask: ConservationMask | None,
-):
-    """Training loss (one of ``LOSSES``) and its exact gradient for one batch.
-
-    ``inputs`` and ``targets`` are (B, channels, *spatial).  Unless ``mask``
-    is None, each prediction's masked channel means are pinned to the
-    conserved value of its own input state before the loss; the
-    correction's Jacobian is I - (1/n) 1 1^T per masked channel, so the
-    backward pass strips the uniform component of the loss gradient.
-    """
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}, expected one of {LOSSES}")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if inputs.shape != targets.shape:
-        raise ValueError(f"input batch {inputs.shape} and target batch {targets.shape} disagree")
-
+def vjp(model: OperatorModel, inputs: np.ndarray):
+    """A batch's prediction and its pullback to the flat parameter gradient, valid until the next vjp of its shape."""
     tape: dict = {}
     pred = _forward_batch(model, fold_weights(model), inputs, tape)
-    spatial = tuple(range(2, pred.ndim))
-    finite = np.isfinite(pred).all(axis=(1, *spatial))
-    if not finite.all():
-        raise RuntimeError(f"non-finite prediction for batch index {int(np.flatnonzero(~finite)[0])}")
-
-    if mask is not None:
-        pred = pin_channel_means(pred, inputs.mean(axis=spatial), mask.flags)
-
-    residual = pred - targets
-    if loss == "mae":
-        value = float(np.abs(residual).mean())
-        grad_pred = np.sign(residual) / residual.size
-    else:
-        value = float((residual**2).mean())
-        grad_pred = 2.0 * residual / residual.size
-    if not np.isfinite(value):
-        raise RuntimeError("loss is non-finite")
-
-    if mask is not None:
-        grad_pred = project_out_means(grad_pred, mask.flags, lead_ndim=1)
-
-    return value, _backward_batch(model, tape, grad_pred)
+    return pred, lambda grad_pred: _backward_batch(model, tape, grad_pred)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -10,6 +10,14 @@ The variant says where the zero-mode correction acts:
   the correction only acts at test time, pinning each state it scores
   without feeding the pinned state back.
 
+The correction is exterior to the operator: :mod:`model` knows no
+conservation law, and this module alone applies the pin
+(:func:`correction.pin_channel_means`) and its adjoint
+(:func:`correction.project_out_means`).  :func:`loss_and_grad` encodes
+each input's channel means, pins the prediction to them before the loss
+and projects the loss gradient before the operator's pullback;
+:func:`rollout` pins each step's states.
+
 Determinism contract: everything downstream of (dataset, configs) is
 reproducible, including the training log and the final parameters; the
 seed is the model config's.
@@ -23,21 +31,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correction import ConservationMask, Variant, pin_channel_means
+from .correction import ConservationMask, Variant, pin_channel_means, project_out_means
 from .datasets import TrajectoryDataset
 from .metrics import step_metrics
-from .model import OperatorConfig, OperatorModel, fold_weights, forward_values, init_model, loss_and_grad
+from .model import OperatorConfig, OperatorModel, fold_weights, forward_values, init_model, vjp
 from .optim import adamw_step, init_optimizer
 
 __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "sample_training_pairs",
+    "loss_and_grad",
     "TrainResult",
     "train",
     "RolloutResult",
     "rollout",
 ]
+
+#: training losses :func:`loss_and_grad` accepts
+LOSSES = ("mae", "mse")
+
+
+def _check_loss(loss: str) -> None:
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}, expected one of {LOSSES}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,6 +77,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", Variant(self.mode))  # a member or its value
+        _check_loss(self.loss)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.eval_every < 1:
@@ -84,6 +102,49 @@ def sample_training_pairs(
     samples = rng.integers(0, dataset.n_samples, size=(n_batches, batch_size))
     times = rng.integers(0, dataset.n_snapshots - 1, size=(n_batches, batch_size))
     return np.stack([samples, times], axis=-1)
+
+
+def loss_and_grad(
+    model: OperatorModel,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    loss: str,
+    mask: ConservationMask | None,
+):
+    """Training loss (one of ``LOSSES``) and its exact gradient for one batch (B, channels, *spatial).
+
+    Unless ``mask`` is None, each prediction's masked channels are pinned to its own input's means before the
+    loss, and the pin's adjoint (module docstring) acts on the loss gradient before the operator's pullback.
+    """
+    _check_loss(loss)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if inputs.shape != targets.shape:
+        raise ValueError(f"input batch {inputs.shape} and target batch {targets.shape} disagree")
+
+    pred, pullback = vjp(model, inputs)
+    spatial = tuple(range(2, pred.ndim))
+    finite = np.isfinite(pred).all(axis=(1, *spatial))
+    if not finite.all():
+        raise RuntimeError(f"non-finite prediction for batch index {int(np.flatnonzero(~finite)[0])}")
+
+    if mask is not None:
+        pred = pin_channel_means(pred, inputs.mean(axis=spatial), mask.flags)
+
+    residual = pred - targets
+    if loss == "mae":
+        value = float(np.abs(residual).mean())
+        grad_pred = np.sign(residual) / residual.size
+    else:
+        value = float((residual**2).mean())
+        grad_pred = 2.0 * residual / residual.size
+    if not np.isfinite(value):
+        raise RuntimeError("loss is non-finite")
+
+    if mask is not None:
+        grad_pred = project_out_means(grad_pred, mask.flags, lead_ndim=1)
+
+    return value, pullback(grad_pred)
 
 
 @dataclass

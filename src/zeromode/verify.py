@@ -47,7 +47,6 @@ from .model import (
     _mix_modes,
     _mixing_backward,
     init_model,
-    loss_and_grad,
 )
 from .optim import adamw_step, init_optimizer
 from .solvers import (
@@ -59,6 +58,7 @@ from .solvers import (
     solve_shallow_water,
     verify_flux_balance,
 )
+from .training import loss_and_grad
 
 __all__ = ["CheckResult", "available_suites", "run_checks", "format_results", "all_passed"]
 

@@ -18,7 +18,7 @@ from zeromode.datafile import read_dataset, write_dataset
 from zeromode.datasets import Problem, desk_config, generate_dataset
 from zeromode.grid import Boundary, GridField, GridSpec, Precision, fft_forward, l2_norm
 from zeromode.metrics import SCOPE_NOTE, MetricsRecord, emit_report
-from zeromode.model import OperatorConfig, OperatorModel, init_model, layout, loss_and_grad, n_params
+from zeromode.model import OperatorConfig, OperatorModel, init_model, layout, n_params
 from zeromode.solvers import (
     dam_break_state,
     solve_allen_cahn,
@@ -27,7 +27,7 @@ from zeromode.solvers import (
     solve_shallow_water,
     verify_flux_balance,
 )
-from zeromode.training import TrainConfig, rollout, train
+from zeromode.training import TrainConfig, loss_and_grad, rollout, train
 from zeromode.verify import all_passed, format_results, run_checks
 
 

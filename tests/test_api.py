@@ -27,6 +27,12 @@ A buffer read appears only in ``datafile.read_payload``.
 
 Spectral weights are folded in one place too: ``model._fold`` is called only by
 ``model.fold_weights``, once per parameter state, and by ``verify``'s adjoint check.
+
+The correction is exterior to the operator: ``model.py`` imports nothing from
+``zeromode.correction``, and outside ``correction.py`` only ``training.py``
+calls ``pin_channel_means`` or ``project_out_means``.  ``verify`` calls the pin
+it is handed as ``correction(...)`` and names ``pin_channel_means`` only as
+that parameter's default, so neither counts as a call.
 """
 
 import ast
@@ -141,6 +147,26 @@ def test_weights_fold_only_in_fold_weights_and_the_adjoint_check():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_fold":
                 callers.add(f"{path.name}:{owner}")
     assert callers == {"model.py:fold_weights", "verify.py:_check_spectral_adjoint"}
+
+
+def imports_correction(node: ast.AST) -> bool:
+    """``from .correction import ...``, ``from . import correction`` or an import of ``zeromode.correction``."""
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        return module in (".correction", "zeromode.correction") or (
+            module in (".", "zeromode") and any(alias.name == "correction" for alias in node.names))
+    return isinstance(node, ast.Import) and any(alias.name == "zeromode.correction" for alias in node.names)
+
+
+def test_only_training_pins_and_the_operator_imports_no_correction():
+    assert not any(imports_correction(node) for node in ast.walk(parse(PACKAGE / "model.py")))
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in owned_nodes(parse(path)):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+            if name in ("pin_channel_means", "project_out_means") and path.name != "correction.py":
+                callers.add(f"{path.name}:{owner}")
+    assert callers == {"training.py:loss_and_grad", "training.py:rollout"}
 
 
 # -- options ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import zeromode
+import zeromode.datasets
 import zeromode.training
 import zeromode.verify
 from zeromode.cli import main
@@ -70,6 +71,18 @@ class TestGen:
         cfg.write_text(json.dumps({"smaples": 2}))
         assert main(["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"),
                      "--config", str(cfg), *GEN_ARGS]) == 2
+
+    def test_memory_error_is_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        # a size the machine cannot hold, as gen --resolution 200000 asks, raised without allocating it
+        def too_big(config):
+            raise MemoryError("Unable to allocate 298. GiB for an array with shape (1, 200000, 200000)")
+
+        monkeypatch.setattr(zeromode.datasets, "generate_dataset", too_big)
+        capsys.readouterr()
+        assert main(["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"), *GEN_ARGS]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 298. GiB for an array with shape (1, 200000, 200000)\n"
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_parameters_exit_2(self, tmp_path):
         code = main(["gen", "--problem", "diff", "--out", str(tmp_path / "d.ecfd"),
@@ -451,9 +464,29 @@ BAD_INPUTS = [
                  id="sidecar-frame-times-object"),
     pytest.param(sidecar_row(lambda meta: {**meta, "frame_times": "abc"}),
                  "bad.ecfd: could not convert string to float: 'abc'", True, id="sidecar-frame-times-string"),
+    pytest.param(sidecar_row(without("problem")), "bad.ecfd.json lacks the key 'problem'", True,
+                 id="sidecar-no-problem"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "problem": "ac_dw"}),
+                 "bad.ecfd: sidecar bad.ecfd.json: 'problem' is 'ac_dw' but the header says 'diff'", True,
+                 id="sidecar-other-problem"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "split": "valid"}),
+                 "sidecar bad.ecfd.json: 'split' is 'valid' but the header says 'train'", True,
+                 id="sidecar-other-split"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "master_seed": 1}),
+                 "sidecar bad.ecfd.json: 'master_seed' is 1 but the header says 0", True,
+                 id="sidecar-other-master-seed"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "precision": "f32"}),
+                 "sidecar bad.ecfd.json: 'precision' is 'f32' but the header says 'f64'", True,
+                 id="sidecar-other-precision"),
+    pytest.param(dataset_row(lambda blob: blob, split="valid", command="eval",
+                             sidecar=lambda meta: {**meta, "problem": "cd"}),
+                 "bad_valid.ecfd: sidecar bad_valid.ecfd.json: 'problem' is 'cd' but the header says 'diff'", True,
+                 id="eval-sidecar-other-problem"),
     pytest.param(config_row("gen", {"smaples": 1}), "unknown config keys ['smaples']", True,
                  id="gen-unknown-key"),
     pytest.param(config_row("train", []), "must hold a JSON object", True, id="train-config-list"),
+    pytest.param(config_row("train", {"loss": "l2"}), "unknown loss 'l2', expected one of ('mae', 'mse')", True,
+                 id="train-loss-unknown"),
     pytest.param(report_row(""), "no records found", True, id="report-no-records"),
     pytest.param(report_row(record_line() + record_line(seed="x")), "line 2: malformed record", True,
                  id="report-seed-string"),

@@ -174,6 +174,20 @@ class TestValidation:
         with pytest.raises(DatasetFormatError, match=message):
             read_dataset(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("problem", Problem.AC_DW, "'problem' is 'diff' but the header says 'ac_dw'"),
+        ("split", "valid", "'split' is 'train' but the header says 'valid'"),
+        ("master_seed", 4, "'master_seed' is 3 but the header says 4"),
+        ("precision", Precision.F32, "'precision' is 'f64' but the header says 'f32'"),
+    ], ids=["problem", "split", "master_seed", "precision"])
+    def test_sidecar_must_agree_with_the_header(self, small_dataset, tmp_path, field, value, message):
+        # the sidecar of one dataset copied beside the payload of another
+        source = write_dataset(small_dataset, tmp_path / "d.ecfd")
+        path = write_dataset(replace(small_dataset, **{field: value}), tmp_path / "other.ecfd")
+        sidecar_path(path).write_bytes(sidecar_path(source).read_bytes())
+        with pytest.raises(DatasetFormatError, match=re.escape(f"other.ecfd: sidecar other.ecfd.json: {message}")):
+            read_dataset(path)
+
     def test_magic_constant_is_stable(self):
         # on-disk contract: readers in other languages key off these bytes
         assert MAGIC == b"ECFD"

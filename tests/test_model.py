@@ -22,7 +22,6 @@ from zeromode.model import (
     init_model,
     layout,
     load_checkpoint,
-    loss_and_grad,
     n_params,
     save_checkpoint,
 )
@@ -41,7 +40,7 @@ from zeromode.model import (
     _to_band,
 )
 from zeromode.correction import Variant
-from zeromode.training import rollout
+from zeromode.training import loss_and_grad, rollout
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
 CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
@@ -645,46 +644,6 @@ class TestTransformCount:
         assert sorted(widths["_dft"]) == sorted(widths["_from_band"]) == [1, 16, 16]
         # blocks mix the half band, 15 x 8 modes, never the whole band of 15 x 15
         assert mixed_modes == [120, 120]
-
-
-class TestLossValue:
-    def test_mae_matches_direct_formula(self):
-        rng = np.random.default_rng(21)
-        model = init_model(CFG_2D)
-        x = rng.normal(size=(3, 2, 6, 6))
-        t = rng.normal(size=(3, 2, 6, 6))
-        pred = np.stack([predict(model, xi) for xi in x])
-        value, _ = loss_and_grad(model, x, t, loss="mae", mask=None)
-        assert np.isclose(value, np.abs(pred - t).mean(), rtol=1e-14)
-        value, _ = loss_and_grad(model, x, t, loss="mse", mask=None)
-        assert np.isclose(value, ((pred - t) ** 2).mean(), rtol=1e-14)
-
-    def test_correction_pins_prediction_means(self):
-        rng = np.random.default_rng(22)
-        model = init_model(CFG_2D)
-        x = rng.normal(size=(3, 2, 6, 6))
-        t = rng.normal(size=(3, 2, 6, 6))
-        mask = ConservationMask((True, False))
-        pred = np.stack([predict(model, xi) for xi in x])
-        shift = x.mean(axis=(2, 3))[:, 0] - pred.mean(axis=(2, 3))[:, 0]
-        pred[:, 0] += shift[:, None, None]
-        value, _ = loss_and_grad(model, x, t, loss="mse", mask=mask)
-        assert np.isclose(value, ((pred - t) ** 2).mean(), rtol=1e-13)
-
-    def test_unknown_loss_and_mask_mismatch(self):
-        model = OperatorModel.zeros(CFG_1D)
-        x = np.zeros((1, 1, 8))
-        with pytest.raises(ValueError, match="mae"):
-            loss_and_grad(model, x, x, loss="huber", mask=None)
-        with pytest.raises(ValueError, match="mask covers"):
-            loss_and_grad(model, x, x, loss="mae", mask=ConservationMask((True, True)))
-
-    def test_non_finite_prediction_reported_with_index(self):
-        model = init_model(CFG_1D)
-        model.params[0] = np.nan
-        x = np.ones((2, 1, 8))
-        with pytest.raises(RuntimeError, match="batch index 0"):
-            loss_and_grad(model, x, x, loss="mae", mask=None)
 
 
 class TestGradientOracle:

@@ -1,5 +1,6 @@
-"""Training loop determinism, mode semantics, and rollout correction behaviour."""
+"""Training loss and loop: determinism, mode semantics, and rollout correction behaviour."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -22,13 +23,13 @@ from zeromode.model import (
     fold_weights,
     forward_values,
     init_model,
-    loss_and_grad,
 )
 from zeromode.optim import adamw_step, init_optimizer
 from zeromode.training import (
     RolloutResult,
     TrainConfig,
     TrainingDiverged,
+    loss_and_grad,
     rollout,
     sample_training_pairs,
     train,
@@ -184,6 +185,71 @@ class TestTrainLoop:
 def train_set_params():
     return ProblemParams(problem=Problem.DIFF, resolution=16, t_final=1.0,
                          n_steps=100, n_snapshots=10)
+
+
+class TestLossValue:
+    CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
+    CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
+
+    def test_mae_matches_direct_formula(self):
+        rng = np.random.default_rng(21)
+        model = init_model(self.CFG_2D)
+        x = rng.normal(size=(3, 2, 6, 6))
+        t = rng.normal(size=(3, 2, 6, 6))
+        pred = forward_values(model, fold_weights(model), x)
+        value, _ = loss_and_grad(model, x, t, loss="mae", mask=None)
+        assert np.isclose(value, np.abs(pred - t).mean(), rtol=1e-14)
+        value, _ = loss_and_grad(model, x, t, loss="mse", mask=None)
+        assert np.isclose(value, ((pred - t) ** 2).mean(), rtol=1e-14)
+
+    def test_correction_pins_prediction_means(self):
+        rng = np.random.default_rng(22)
+        model = init_model(self.CFG_2D)
+        x = rng.normal(size=(3, 2, 6, 6))
+        t = rng.normal(size=(3, 2, 6, 6))
+        mask = ConservationMask((True, False))
+        pred = forward_values(model, fold_weights(model), x)
+        shift = x.mean(axis=(2, 3))[:, 0] - pred.mean(axis=(2, 3))[:, 0]
+        pred[:, 0] += shift[:, None, None]
+        value, _ = loss_and_grad(model, x, t, loss="mse", mask=mask)
+        assert np.isclose(value, ((pred - t) ** 2).mean(), rtol=1e-13)
+
+    def test_unknown_loss_and_mask_mismatch(self):
+        model = OperatorModel.zeros(self.CFG_1D)
+        x = np.zeros((1, 1, 8))
+        with pytest.raises(ValueError, match="mae"):
+            loss_and_grad(model, x, x, loss="huber", mask=None)
+        with pytest.raises(ValueError, match="mask covers"):
+            loss_and_grad(model, x, x, loss="mae", mask=ConservationMask((True, True)))
+
+    def test_non_finite_prediction_reported_with_index(self):
+        model = init_model(self.CFG_1D)
+        model.params[0] = np.nan
+        x = np.ones((2, 1, 8))
+        with pytest.raises(RuntimeError, match="batch index 0"):
+            loss_and_grad(model, x, x, loss="mae", mask=None)
+
+
+class TestPinnedBytes:
+    """A refactor of the loss or the loop keeps every bit; sha256 values recorded before the loss left the model."""
+
+    # two blocks of width 8 keeping 4 modes per axis at 16^2; two channels, batch 3
+    GRAD_CFG = OperatorConfig(channels=2, width=8, n_layers=2, modes_kept=4, ndim=2, seed=21)
+
+    @pytest.mark.parametrize("loss, mask, digest", [
+        ("mse", ConservationMask((True, False)), "5a0d0b24ff8fd1aaa09ee01ddb1ba6e40f99f7515c016e61cf7292ff444020b2"),
+        ("mae", None, "615c154d30c005ed35043684a31355e23b00bdb21d36ae4efa0d2650b92e46d8"),
+    ], ids=["mse-masked", "mae"])
+    def test_gradient_bytes_are_pinned(self, loss, mask, digest):
+        inputs, targets = np.random.default_rng(2025).normal(1.0, 0.5, size=(2, 3, 2, 16, 16))
+        _, grads = loss_and_grad(init_model(self.GRAD_CFG), inputs, targets, loss=loss, mask=mask)
+        assert hashlib.sha256(grads.tobytes()).hexdigest() == digest
+
+    def test_trained_parameter_bytes_are_pinned(self, sets):
+        train_set, valid_set = sets
+        result = train(train_set, valid_set, MODEL_CFG, TrainConfig(mode=Variant.INTEGRATED, epochs=2, eval_every=2))
+        assert hashlib.sha256(result.model.params.tobytes()).hexdigest() == (
+            "d923a615e6af54022153b76cf5578a9e7d205918fcf29c108415bb4fd32e2394")
 
 
 class TestIntegratedShiftFixture:
