@@ -9,8 +9,9 @@ switches to the published problem sizes and warns about the cost.
 Each run writes a ``manifest.json`` next to its artifacts, last, after
 everything else succeeded: the argv echo, the resolved configuration and
 its sha256, the seeds involved, the artifact paths, package version,
-wall-clock timestamps and the environment (numpy and scipy versions, the
-thread-cap variables in effect, the CPU count); ``eval`` adds the seconds
+wall-clock timestamps, the environment (numpy and scipy versions, the
+thread-cap variables in effect, the CPU count) and the process's peak
+resident set and minor page faults so far; ``eval`` adds the seconds
 spent in rollouts, and ``train`` the seconds of the whole training run and
 of its validation rollouts, and per epoch the seconds of its training steps
 and the training pairs per second.  Reports themselves stay timestamp-free
@@ -21,7 +22,8 @@ appended to ``records.jsonl``.
 
 Exit codes: 0 on success, 1 when a run fails (solver abort, divergence,
 failed verification, a size that does not fit in memory), 2 for bad usage,
-unreadable inputs or invalid configuration.
+unreadable inputs or invalid configuration, including an ``--out`` of the
+wrong kind, which each command refuses before it reads any input.
 """
 
 from __future__ import annotations
@@ -103,6 +105,17 @@ def _environment() -> dict:
     }
 
 
+def _process_cost() -> dict:
+    """This process's peak resident set in MiB and its minor page faults so far; null where ``resource`` is missing."""
+    try:
+        import resource
+    except ImportError:  # Windows has no getrusage
+        return {"peak_rss_mb": None, "minor_faults": None}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    mib = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0  # ru_maxrss counts bytes on macOS, KiB on Linux
+    return {"peak_rss_mb": usage.ru_maxrss / mib, "minor_faults": usage.ru_minflt}
+
+
 def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
                     seeds: list[int], artifacts: list[Path], started: str,
                     name: str = "manifest.json", **fields) -> Path:
@@ -121,9 +134,21 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict,
         "started": started,
         "finished": _utc_now(),
         "environment": _environment(),
+        **_process_cost(),
         **fields,
     }
     return write_json(out_dir / name, manifest)
+
+
+def _out_path(path: str, kind: str) -> Path:
+    """``--out`` as a path, refused before any work unless a ``kind``, "file" or "directory", can be written there."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())  # "." or "/" at the latest
+    if kind == "file" and existing == out and out.is_dir():
+        raise ValueError(f"--out {path} is a directory; expected a file path")
+    if (kind == "directory" or existing != out) and not existing.is_dir():
+        raise ValueError(f"--out {path}: {existing} is not a directory; expected a {kind} path")
+    return out
 
 
 def _check_fit(path: str, dataset, model_config) -> None:
@@ -155,6 +180,7 @@ def _cmd_gen(args, argv: list[str]) -> int:
     from .grid import Precision
 
     started = _utc_now()
+    out = _out_path(args.out, "file")
     if args.paper_scale:
         print(_PAPER_SCALE_WARNING, file=sys.stderr)
         base = paper_config(Problem(args.problem), split=args.split)
@@ -178,7 +204,6 @@ def _cmd_gen(args, argv: list[str]) -> int:
         precision=Precision(resolved["precision"]),
     )
     dataset = generate_dataset(config)
-    out = Path(args.out)
     written = write_dataset(dataset, out)
     print(f"wrote {dataset.n_samples} samples x {dataset.n_snapshots} frames to {written}")
     # one manifest per dataset: several gens may share a directory
@@ -194,6 +219,7 @@ def _cmd_train(args, argv: list[str]) -> int:
     from .training import TrainConfig, train
 
     started = _utc_now()
+    out_dir = _out_path(args.out, "directory")
     train_set = read_dataset(args.train)
     valid_set = read_dataset(args.valid)
     if (valid_set.problem, valid_set.channels) != (train_set.problem, train_set.channels):  # any resolution is fine
@@ -216,7 +242,6 @@ def _cmd_train(args, argv: list[str]) -> int:
     result = train(train_set, valid_set, model_config, train_config)
     train_seconds = time.perf_counter() - t0
 
-    out_dir = Path(args.out)
     ckpt = save_checkpoint(result.model, out_dir / "model.ckpt")
     log_path = write_json(out_dir / "training_log.json", {
         "log": result.log, "best_epoch": result.best_epoch, "best_val_rmse": result.best_val_rmse})
@@ -250,10 +275,10 @@ def _cmd_eval(args, argv: list[str]) -> int:
     from .training import rollout
 
     started = _utc_now()
+    out_dir = _out_path(args.out, "directory")
     model = load_checkpoint(args.model)
     dataset = read_dataset(args.data)
     _check_fit(args.data, dataset, model.config)
-    out_dir = Path(args.out)
     records_path = out_dir / "records.jsonl"
     # a second record for one (dataset, variant, seed) would make report refuse the file
     key = (dataset.problem.value, args.variant, model.config.seed)
@@ -286,10 +311,10 @@ def _cmd_report(args, argv: list[str]) -> int:
     from .metrics import emit_report
 
     started = _utc_now()
+    out_dir = _out_path(args.out, "directory")
     records = [record for path in args.records for record in _read_records(path)]
     if not records:
         raise ValueError("no records found in the given files")
-    out_dir = Path(args.out)
     written = emit_report(records, out_dir)
     print(f"report with {len(records)} records -> {out_dir}")
     seeds = sorted({r.seed for r in records})
@@ -302,11 +327,11 @@ def _cmd_verify(args, argv: list[str]) -> int:
     from .verify import all_passed, format_results, run_checks
 
     started = _utc_now()
+    out_dir = _out_path(args.out, "directory") if args.out else None
     results = run_checks(args.suite)
     text = format_results(results)
     print(text)
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir:
         results_path = write_json(out_dir / "verify.json", [
             {"suite": r.suite, "name": r.name, "passed": r.passed, "elapsed": r.elapsed, "detail": r.detail}
             for r in results])

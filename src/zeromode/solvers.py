@@ -28,6 +28,10 @@ step count and the snapshot stride, and allocate their frames, in
 another.  Means, clamp, CFL (at most ``CFL_MAX``), positivity and
 finiteness are checked per sample, and an error from a batch names the
 first failing sample.
+
+``scipy.fft`` is imported inside the two solvers that call it, the
+insulated heat equation and Allen-Cahn, because it pulls in
+``scipy.special``, which no other command needs.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.fft
 
 from .grid import Boundary, GridSpec, angular_wavenumbers, squared_wavenumber
 
@@ -198,6 +201,8 @@ def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: f
     exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.  Shapes as in
     :func:`solve_diffusion_exact`.
     """
+    import scipy.fft
+
     u0, lead = _state_batch(initial, grid, "solve_heat_neumann", Boundary.NEUMANN)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
@@ -264,6 +269,8 @@ def solve_allen_cahn(
     trajectory including the initial state, one frame every
     ``snapshot_stride`` steps, shape (*lead, frames, *spatial).
     """
+    import scipy.fft
+
     u, lead = _state_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
     if potential not in ("dw", "fh"):
         raise ValueError(f"unknown potential {potential!r}, expected 'dw' or 'fh'")

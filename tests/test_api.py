@@ -33,6 +33,12 @@ The correction is exterior to the operator: ``model.py`` imports nothing from
 calls ``pin_channel_means`` or ``project_out_means``.  ``verify`` calls the pin
 it is handed as ``correction(...)`` and names ``pin_channel_means`` only as
 that parameter's default, so neither counts as a call.
+
+scipy loads only where it runs.  No package module imports ``scipy`` at module
+level: ``solvers.solve_heat_neumann`` and ``solvers.solve_allen_cahn`` each
+import ``scipy.fft`` in their bodies, and ``cli._environment`` imports ``scipy``
+for its version string.  ``scipy.fft`` pulls in ``scipy.special``, which
+``train``, ``eval``, ``report`` and ``gen`` of the other problems never run.
 """
 
 import ast
@@ -167,6 +173,21 @@ def test_only_training_pins_and_the_operator_imports_no_correction():
             if name in ("pin_channel_means", "project_out_means") and path.name != "correction.py":
                 callers.add(f"{path.name}:{owner}")
     assert callers == {"training.py:loss_and_grad", "training.py:rollout"}
+
+
+def test_scipy_is_imported_only_inside_the_functions_that_use_it():
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in owned_nodes(parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            importers.update(f"{path.name}:{owner} {m}" for m in modules if m.split(".")[0] == "scipy")
+    assert importers == {"solvers.py:solve_heat_neumann scipy.fft", "solvers.py:solve_allen_cahn scipy.fft",
+                         "cli.py:_environment scipy"}
 
 
 # -- options ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shutil
 import struct
 import subprocess
@@ -448,6 +449,29 @@ def with_config(**changes):
     return edit
 
 
+def taken_out_row(command, inside=False):
+    """``command`` whose --out is taken by the other kind of path: a directory for gen, a file for the rest.
+
+    With ``inside``, --out names a path inside that file.
+    """
+    def build(pipeline, tmp_path):
+        _, train_path, valid_path, run_dir = pipeline
+        taken = tmp_path / "taken"
+        if command == "gen" and not inside:
+            taken.mkdir()
+        else:
+            taken.write_text("")
+        records = tmp_path / "records.jsonl"
+        records.write_text(record_line())
+        argv = {"gen": ["gen", "--problem", "diff", *GEN_ARGS],
+                "train": ["train", "--train", str(train_path), "--valid", str(valid_path), *TRAIN_ARGS],
+                "eval": ["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path)],
+                "report": ["report", "--records", str(records)],
+                "verify": ["verify"]}[command]
+        return [*argv, "--out", str(taken / "sub" if inside else taken)]
+    return build
+
+
 # (build argv, text stderr must hold, whether the input is a file, so that stderr is one line)
 BAD_INPUTS = [
     pytest.param(sidecar_row(without("params")), "bad.ecfd.json lacks the key 'params'", True, id="sidecar-no-params"),
@@ -615,11 +639,24 @@ BAD_INPUTS = [
                  id="eval-correction-flag"),
     pytest.param(other_valid_row("cd"), "diff_train.ecfd (problem diff, channels 1) and validation split", True,
                  id="train-valid-other-problem"),
+    pytest.param(taken_out_row("gen"), "taken is a directory; expected a file path", True, id="gen-out-directory"),
+    pytest.param(taken_out_row("gen", inside=True), "taken is not a directory; expected a file path", True,
+                 id="gen-out-inside-file"),
+    pytest.param(taken_out_row("train"), "taken is not a directory; expected a directory path", True,
+                 id="train-out-file"),
+    pytest.param(taken_out_row("eval"), "taken is not a directory; expected a directory path", True,
+                 id="eval-out-file"),
+    pytest.param(taken_out_row("eval", inside=True), "taken is not a directory; expected a directory path", True,
+                 id="eval-out-inside-file"),
+    pytest.param(taken_out_row("report"), "taken is not a directory; expected a directory path", True,
+                 id="report-out-file"),
+    pytest.param(taken_out_row("verify"), "taken is not a directory; expected a directory path", True,
+                 id="verify-out-file"),
 ]
 
 
 class TestMalformedInputs:
-    """Bad inputs end in exit 2, before any training step or rollout and never with a traceback.
+    """Bad inputs end in exit 2, before any generation, training step, rollout or check, and never with a traceback.
 
     A bad file prints one stderr line.  ``BAD_INPUTS`` holds the cases whose argv is built alone;
     the named tests below need more set-up or checks of their own.
@@ -628,18 +665,22 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("build, message, file_row", BAD_INPUTS)
     def test_bad_input_exits_2(self, pipeline, tmp_path, capsys, monkeypatch, build, message, file_row):
         argv = build(pipeline, tmp_path)
+        stages = [(zeromode.datasets, "generate_dataset"), (zeromode.training, "loss_and_grad"),
+                  (zeromode.training, "rollout"), (zeromode.verify, "run_checks")]
+        called = []
 
-        def no_step(*args, **kwargs):
-            raise AssertionError("a training step or rollout ran on a refused input")
+        def no_stage(*args, **kwargs):
+            called.append(True)
+            raise AssertionError("generation, a training step, a rollout or a check ran on a refused input")
 
-        monkeypatch.setattr(zeromode.training, "loss_and_grad", no_step)
-        monkeypatch.setattr(zeromode.training, "rollout", no_step)
+        for module, name in stages:
+            monkeypatch.setattr(module, name, no_stage)
         capsys.readouterr()
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-        assert code == 2
+        assert code == 2 and not called
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         if file_row:
@@ -707,6 +748,36 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "vibes"]) == 2
 
 
+class TestManifestCost:
+    """Every manifest carries its own process's peak resident set in MiB and its minor page faults."""
+
+    def test_every_subcommand_records_peak_rss_and_minor_faults(self, pipeline, tmp_path):
+        root, _, valid_path, run_dir = pipeline
+        evals, report, checks = tmp_path / "evals", tmp_path / "report", tmp_path / "verify"
+        assert main(["eval", "--model", str(run_dir / "model.ckpt"), "--data", str(valid_path),
+                     "--out", str(evals)]) == 0
+        assert main(["report", "--records", str(evals / "records.jsonl"), "--out", str(report)]) == 0
+        assert main(["verify", "--suite", "theorems", "--out", str(checks)]) == 0
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        maxrss_mb = usage.ru_maxrss / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+        manifests = [json.loads(path.read_text()) for path in (
+            root / "diff_train.ecfd.manifest.json", run_dir / "manifest.json", evals / "manifest.json",
+            report / "manifest.json", checks / "manifest.json")]
+        assert [m["command"] for m in manifests] == ["gen", "train", "eval", "report", "verify"]
+        for manifest in manifests:
+            # this process wrote every manifest earlier, and holds more than 10 MiB with numpy loaded
+            assert 10.0 < manifest["peak_rss_mb"] <= maxrss_mb
+            assert 0 < manifest["minor_faults"] <= usage.ru_minflt
+
+    def test_fields_are_null_without_resource(self, tmp_path, monkeypatch):
+        records = tmp_path / "records.jsonl"
+        records.write_text(record_line())
+        monkeypatch.setitem(sys.modules, "resource", None)  # then ``import resource`` raises ImportError
+        assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 0
+        manifest = json.loads((tmp_path / "report" / "manifest.json").read_text())
+        assert manifest["peak_rss_mb"] is None and manifest["minor_faults"] is None
+
+
 def child_env(env: dict) -> dict:
     """``env`` with this zeromode's parent directory first on PYTHONPATH.
 
@@ -751,6 +822,38 @@ class TestEnvironment:
         no_command = run()
         assert no_command.returncode == 2
         assert "Traceback" not in no_command.stderr
+
+    def test_scipy_fft_loads_only_for_the_solvers_that_call_it(self, tmp_path):
+        # one child process: a desk loop on diff loads no scipy.fft and no scipy.special; heat and ac_dw then do
+        script = """
+import json, sys
+import zeromode
+from zeromode.cli import main
+
+out = sys.argv[1]
+tiny = ["--samples", "2", "--resolution", "8", "--n-steps", "20", "--n-snapshots", "4"]
+
+def gen(problem, split):
+    assert main(["gen", "--problem", problem, "--split", split, "--out", f"{out}/{problem}_{split}.ecfd", *tiny]) == 0
+
+gen("diff", "train")
+gen("diff", "valid")
+assert main(["train", "--train", f"{out}/diff_train.ecfd", "--valid", f"{out}/diff_valid.ecfd", "--out", f"{out}/run",
+             "--epochs", "1", "--width", "4", "--modes-kept", "4", "--n-layers", "1"]) == 0
+for variant in ("base", "staged", "integrated"):
+    assert main(["eval", "--model", f"{out}/run/model.ckpt", "--data", f"{out}/diff_valid.ecfd",
+                 "--out", f"{out}/evals", "--variant", variant]) == 0
+assert main(["report", "--records", f"{out}/evals/records.jsonl", "--out", f"{out}/report"]) == 0
+loop = sorted(m for m in sys.modules if m.startswith(("scipy.fft", "scipy.special")))
+gen("heat", "train")
+gen("ac_dw", "train")
+print(json.dumps({"loop": loop, "after_solvers": "scipy.fft" in sys.modules}))
+"""
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=child_env(dict(os.environ)),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        assert loaded == {"loop": [], "after_solvers": True}
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
