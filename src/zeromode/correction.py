@@ -30,6 +30,7 @@ __all__ = [
     "Variant",
     "ConservationMask",
     "ConservedQuantity",
+    "check_mask_width",
     "encode_conserved",
     "correct_spectrum",
     "pin_channel_means",
@@ -115,13 +116,14 @@ class ConservedQuantity:
         return self.zero_mode.shape[0]
 
 
-def _check_channels(n_field: int, mask: ConservationMask) -> None:
-    if mask.channels != n_field:
-        raise ValueError(f"mask covers {mask.channels} channels but state has {n_field}")
+def check_mask_width(flags: tuple[bool, ...], channels: int) -> None:
+    """Refuse channel flags that do not cover exactly a state's ``channels``."""
+    if len(flags) != channels:
+        raise ValueError(f"mask covers {len(flags)} channels but the state has {channels}")
 
 
 def _check_target(pred: Spectrum, target: ConservedQuantity, mask: ConservationMask) -> None:
-    _check_channels(pred.channels, mask)
+    check_mask_width(mask.flags, pred.channels)
     if target.channels != pred.channels:
         raise ValueError(f"target covers {target.channels} channels but the prediction has {pred.channels}")
     if target.grid != pred.grid:
@@ -130,7 +132,7 @@ def _check_target(pred: Spectrum, target: ConservedQuantity, mask: ConservationM
 
 def encode_conserved(state: GridField, mask: ConservationMask) -> ConservedQuantity:
     """Read the conserved quantity (per-channel mean) off a reference state."""
-    _check_channels(state.channels, mask)
+    check_mask_width(mask.flags, state.channels)
     return ConservedQuantity(state.grid, state.channel_means())
 
 
@@ -163,8 +165,7 @@ def pin_channel_means(values: np.ndarray, targets: np.ndarray, flags: tuple[bool
     lead = targets.ndim - 1
     if lead < 0 or out.shape[: lead + 1] != targets.shape:
         raise ValueError(f"targets of shape {targets.shape} do not match the leading axes of values {out.shape}")
-    if len(flags) != out.shape[lead]:
-        raise ValueError(f"mask covers {len(flags)} channels but the array has {out.shape[lead]}")
+    check_mask_width(flags, out.shape[lead])
     picked = (slice(None),) * lead + (np.flatnonzero(flags),)
     spatial = tuple(range(lead + 1, out.ndim))
     shift = targets[picked] - out.mean(axis=spatial)[picked]

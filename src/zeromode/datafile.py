@@ -240,6 +240,11 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
         if frame_times.shape != (snapshots,):
             raise DatasetFormatError(f"sidecar {side.name}: 'frame_times' has shape {frame_times.shape}, "
                                      f"expected ({snapshots},), one time per frame")
+        seeds = meta["sample_seeds"]
+        if not (isinstance(seeds, list) and len(seeds) == samples):
+            got = f"a list of {len(seeds)}" if isinstance(seeds, list) else json.dumps(seeds)
+            raise DatasetFormatError(f"sidecar {side.name}: 'sample_seeds' must list one entry per sample "
+                                     f"({samples}), got {got}")
         problem, split = Problem(_untag(problem_raw)), _untag(split_raw)
         precision = Precision.F32 if bits == 32 else Precision.F64
         header = {"problem": problem.value, "split": split, "master_seed": master_seed, "precision": precision.value}
@@ -253,7 +258,7 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
             data=data.astype(np.float64, copy=False),
             mask=ConservationMask(tuple(bool(f) for f in flags)),
             params=meta["params"],
-            sample_seeds=meta["sample_seeds"],
+            sample_seeds=seeds,
             master_seed=master_seed,
             split=split,
             frame_times=frame_times,

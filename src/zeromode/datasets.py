@@ -110,6 +110,10 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
+        for name in ("t_final", "length", "epsilon", "theta", "theta_c", "d_coeff", "g_r",
+                     "grf_tau", "grf_alpha", "ic_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_final <= 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.n_snapshots < 2:

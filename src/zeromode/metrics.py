@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import ConservationMask, Variant
+from .correction import ConservationMask, Variant, check_mask_width
 from .datafile import write_atomic
 from .datasets import Problem
 
@@ -55,9 +55,8 @@ def step_metrics(pred: np.ndarray, truth: np.ndarray, mask: ConservationMask) ->
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
+    check_mask_width(mask.flags, pred.shape[1])
     flags = np.asarray(mask.flags)
-    if flags.shape != pred.shape[1:2]:
-        raise ValueError(f"mask covers {flags.size} channels but the frames have {pred.shape[1]}")
     spatial = tuple(range(2, pred.ndim))
     rmse_per_frame = np.sqrt(((pred - truth) ** 2).mean(axis=spatial)).mean(axis=1)
     pred_means = pred.mean(axis=spatial)

@@ -3,8 +3,12 @@
 A name that only tests reach is surface to maintain with nothing depending
 on it.  The rule is mechanical: each name in a module's ``__all__`` and each
 public method or property of a public class needs a ``Name``,
-``Attribute`` or import reference in ``src/zeromode/`` or ``bench/``,
-outside ``__init__.py`` (whose re-exports are not callers).
+``Attribute`` or import reference in ``src/zeromode/`` or ``bench/``.
+
+Each public name has one import path, the module that defines it.  The
+package root binds only ``_THREAD_CAP_VARS`` and ``__version__`` and imports
+no submodule, so ``import zeromode`` can set the thread caps before anything
+loads numpy.
 
 Options follow the same rule.  Each defaulted parameter of a package
 function or method is set by some call in ``src/zeromode/`` or ``bench/``
@@ -81,8 +85,7 @@ def public_names() -> dict[str, str]:
 
 def referenced_names() -> set[str]:
     """Every name read, attribute accessed or imported in the package and bench code."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "bench").glob("*.py"))
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     seen = set()
     for path in files:
         for node in ast.walk(parse(path)):
@@ -104,6 +107,25 @@ def test_every_public_name_has_a_pipeline_or_bench_caller():
 
 def test_allow_list_names_real_public_names():
     assert ALLOWED_WITHOUT_CALLER <= set(public_names())
+
+
+def test_package_root_binds_only_the_thread_caps_and_version():
+    bound, deleted, imported = set(), set(), []
+    for node in ast.walk(parse(PACKAGE / "__init__.py")):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Del):
+            deleted.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+            bound.update(alias.asname or alias.name for alias in node.names)
+    assert bound - deleted == {"_THREAD_CAP_VARS", "__version__"}
+    assert not [name for name in imported if name.startswith((".", "zeromode"))]
 
 
 def owned_nodes(tree: ast.Module):

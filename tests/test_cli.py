@@ -233,12 +233,12 @@ def sidecar_row(edit, dump=json.dumps):
     return build
 
 
-def config_row(command, config, problem="diff"):
-    """``command`` with a config file holding ``config``; gen makes a ``problem`` split."""
+def config_row(command, config, problem="diff", dump=json.dumps):
+    """``command`` with a config file holding ``dump(config)``; gen makes a ``problem`` split."""
     def build(pipeline, tmp_path):
         _, train_path, valid_path, _ = pipeline
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(dump(config))
         if command == "gen":
             return ["gen", "--problem", problem, "--out", str(tmp_path / "d.ecfd"), "--config", str(path), *GEN_ARGS]
         return ["train", "--train", str(train_path), "--valid", str(valid_path), "--out", str(tmp_path / "run"),
@@ -477,6 +477,12 @@ BAD_INPUTS = [
     pytest.param(sidecar_row(without("params")), "bad.ecfd.json lacks the key 'params'", True, id="sidecar-no-params"),
     pytest.param(sidecar_row(without("sample_seeds")), "bad.ecfd.json lacks the key 'sample_seeds'", True,
                  id="sidecar-no-sample-seeds"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "sample_seeds": meta["sample_seeds"][:1]}),
+                 "sidecar bad.ecfd.json: 'sample_seeds' must list one entry per sample (3), got a list of 1", True,
+                 id="sidecar-sample-seeds-short"),
+    pytest.param(sidecar_row(lambda meta: {**meta, "sample_seeds": "x"}),
+                 "sidecar bad.ecfd.json: 'sample_seeds' must list one entry per sample (3), got \"x\"", True,
+                 id="sidecar-sample-seeds-string"),
     pytest.param(sidecar_row(lambda meta: list(meta)), "bad.ecfd.json must hold a JSON object", True,
                  id="sidecar-list"),
     pytest.param(sidecar_row(lambda meta: '{"params": ', dump=str), "bad.ecfd.json is not valid JSON", True,
@@ -538,6 +544,13 @@ BAD_INPUTS = [
                  id="gen-t-final-nan"),
     pytest.param(config_row("train", {"lr": float("nan")}), "NaN is not a valid config value", True,
                  id="train-lr-nan"),
+    # a JSON number past the float range reads as +-inf without passing through parse_constant
+    pytest.param(config_row("gen", '{"t_final": 1e400}', dump=str), "t_final must be finite, got inf", True,
+                 id="gen-t-final-overflow"),
+    pytest.param(config_row("gen", '{"epsilon": -1e400}', dump=str), "epsilon must be finite, got -inf", True,
+                 id="gen-epsilon-overflow"),
+    pytest.param(config_row("gen", '{"t_final": 1e400}', "water", dump=str), "t_final must be finite, got inf", True,
+                 id="gen-water-t-final-overflow"),
     pytest.param(train_row("--lr", "nan"), "lr must be finite and non-negative, got nan", True,
                  id="train-lr-flag-nan"),
     pytest.param(train_row("--weight-decay", "-5"), "weight_decay must be finite and non-negative, got -5.0", True,
@@ -799,6 +812,15 @@ class TestEnvironment:
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["2", "2"]
+
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        script = ("import json, os, sys; import zeromode; print(json.dumps({"
+                  "'loaded': sorted(m for m in sys.modules if m.startswith(('zeromode.', 'numpy'))), "
+                  "'caps': {var: os.environ.get(var) for var in zeromode._THREAD_CAP_VARS}}))")
+        env = child_env({k: v for k, v in os.environ.items() if k not in zeromode._THREAD_CAP_VARS})
+        env["ZEROMODE_THREADS"] = "1"
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == {"loaded": [], "caps": dict.fromkeys(zeromode._THREAD_CAP_VARS, "1")}
 
     def test_explicit_blas_setting_wins(self):
         env = child_env(dict(os.environ))

@@ -174,6 +174,16 @@ class TestValidation:
         with pytest.raises(DatasetFormatError, match=message):
             read_dataset(path)
 
+    @pytest.mark.parametrize("seeds, got", [([[3, 0, 0, 0]], "a list of 1"), ([[3, 0, 0, 0]] * 3, "a list of 3"),
+                                            ("x", '"x"'), ({}, "{}")], ids=["short", "long", "string", "object"])
+    def test_sample_seeds_must_hold_one_entry_per_sample(self, small_dataset, tmp_path, seeds, got):
+        path = write_dataset(small_dataset, tmp_path / "d.ecfd")
+        side = sidecar_path(path)
+        side.write_text(json.dumps({**json.loads(side.read_text()), "sample_seeds": seeds}))
+        message = rf"d\.ecfd: sidecar d\.ecfd\.json: 'sample_seeds' must list one entry per sample \(2\), got {got}$"
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset(path)
+
     @pytest.mark.parametrize("field, value, message", [
         ("problem", Problem.AC_DW, "'problem' is 'diff' but the header says 'ac_dw'"),
         ("split", "valid", "'split' is 'train' but the header says 'valid'"),

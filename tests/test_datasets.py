@@ -54,6 +54,14 @@ class TestProblemParams:
         with pytest.raises(ValueError, match=field):
             ProblemParams(**{**base, field: value})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["t_final", "length", "epsilon", "theta", "theta_c", "d_coeff", "g_r",
+                                       "grf_tau", "grf_alpha", "ic_offset"])
+    def test_refuses_non_finite_floats(self, field, value):
+        base = dict(problem=Problem.DIFF, resolution=16, t_final=1.0, n_steps=100)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            ProblemParams(**{**base, field: value})
+
 
 class TestDatasetConfig:
     @pytest.mark.parametrize("changes", [{"master_seed": -1}, {"master_seed": 2**63}, {"split": "holdout"}])
