@@ -60,9 +60,9 @@ def predict(model, x):
 
 def gelu_and_slope(x):
     """GELU of ``x`` and its slope, each in a fresh buffer: the slope is ``gelu_grad`` of a unit upstream."""
-    tanh, y = np.empty_like(x), np.empty_like(x)
-    gelu(x, tanh, y)
-    return y, gelu_grad(x, tanh, np.ones_like(x))
+    denom, y = np.empty_like(x), np.empty_like(x)
+    gelu(x, denom, y)
+    return y, gelu_grad(x, denom, np.ones_like(x))
 
 
 def fd_gradient(model, inputs, targets, h=1e-6, **kw):
@@ -142,31 +142,70 @@ class TestActivation:
         fd = (gelu_and_slope(x + h)[0] - gelu_and_slope(x - h)[0]) / (2.0 * h)
         np.testing.assert_allclose(gelu_and_slope(x)[1], fd, rtol=1e-6, atol=1e-8)
 
-    def test_product_cube_matches_power_formula(self):
-        a, b = np.sqrt(2.0 / np.pi), 0.044715
-        x = np.linspace(-10.0, 10.0, 2001)
-        t = np.tanh(a * (x + b * x**3))
-        y, grad = gelu_and_slope(x)
-        np.testing.assert_allclose(y, 0.5 * x * (1.0 + t), rtol=1e-14, atol=0.0)
-        slope = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * a * (1.0 + 3.0 * b * x**2)
-        np.testing.assert_allclose(grad, slope, rtol=1e-14, atol=0.0)
+    def test_value_and_slope_match_extended_precision_reference(self):
+        x = np.linspace(-30.0, 30.0, 60001)
+        y, slope = gelu_and_slope(x)
+        ref, ref_slope, bound, slope_bound = reference_gelu(x)
+        assert np.all(np.abs(y - ref) <= bound)
+        assert np.all(np.abs(slope - ref_slope) <= slope_bound)
 
-    def test_forward_tape_holds_each_blocks_tanh(self):
+    def test_edge_inputs(self):
+        # -20 is deep in the tail, where the value is ~1e-261 and float64 still holds it
+        x = np.array([-1e3, -50.0, -20.0, -0.0, 0.0, 50.0, 1e3])
+        y, slope = gelu_and_slope(x)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(slope))
+        assert y.tolist() == [0.0, 0.0, y[2], 0.0, 0.0, 50.0, 1e3]
+        assert slope[[0, 1, 3, 4, 5, 6]].tolist() == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+        ref, ref_slope, bound, slope_bound = reference_gelu(x)
+        assert np.all(np.abs(y - ref) <= bound) and np.all(np.abs(slope - ref_slope) <= slope_bound)
+        assert all(a.shape == (0,) for a in gelu_and_slope(np.empty(0)))
+
+    def test_forward_tape_holds_each_blocks_denominator(self):
         model = init_model(CFG_2D)
         tape = {}
         _forward_batch(model, fold_weights(model), np.random.default_rng(3).normal(size=(2, 2, 7, 10)), tape)
         for i in range(CFG_2D.n_layers):
-            _, _, z, t = tape[f"block{i}"]
-            assert t.tobytes() == whole_array_gelu(z)[0].tobytes()
+            _, _, z, s = tape[f"block{i}"]
+            assert s.tobytes() == whole_array_gelu(z)[0].tobytes()
+
+
+# ulps of headroom over exp's and the passes' rounding; the worst measured was 1.5
+GELU_ULPS = 4.0
+
+
+def reference_gelu(x):
+    """GELU and its slope in np.longdouble, with the bounds float64 can meet.
+
+    The reference takes the logistic form x p, p = 1 / (1 + exp(-2u)), with p and 1 - p each from
+    e = exp(-|2u|) as 1 / (1 + e) or e / (1 + e), so it cancels and overflows nowhere.  exp is
+    conditioned by its argument: a rounding of -2u moves exp(-2u) by |2u| ulps, so value and slope
+    are held to GELU_ULPS * eps * (1 + |2u|) of their terms' magnitudes.
+    Where float64's s overflows (x below ~-21) the value is -0.0, off by at most |x| / max_float, and
+    the slope is off by at most its bracket over max_float.
+    """
+    a, b = np.sqrt(2 / np.longdouble(np.pi)), np.longdouble(0.044715)
+    xl = x.astype(np.longdouble)
+    u = a * (xl + b * xl**3)
+    e = np.exp(-np.abs(2 * u))
+    near, far = 1 / (1 + e), e / (1 + e)
+    p, q = np.where(u >= 0, near, far), np.where(u >= 0, far, near)
+    term = 2 * a * xl * q * (1 + 3 * b * xl * xl)
+    rel = GELU_ULPS * np.finfo(float).eps * (1 + np.abs(2 * u))
+    huge = np.finfo(float).max
+    bound = rel * np.abs(xl * p) + np.abs(xl) / huge
+    slope_bound = rel * p * (1 + np.abs(term)) + (1 + np.abs(term)) / huge
+    return xl * p, p * (1 + term), bound, slope_bound
 
 
 def whole_array_gelu(x):
-    """Inner tanh, GELU and its slope by whole-array passes, in the kernels' operation order."""
+    """Denominator s, GELU and its slope by whole-array passes, in the kernels' operation order."""
     a, b = np.sqrt(2.0 / np.pi), 0.044715
-    t = np.tanh(a * (x + b * (x * x * x)))
-    y = (1.0 + t) * x * 0.5
-    slope = 0.5 * x * (1.0 - t * t) * a * (x * x * (3.0 * b) + 1.0) + 0.5 * (1.0 + t)
-    return t, y, slope
+    c0, c1 = -2.0 * a, -2.0 * a * b
+    with np.errstate(over="ignore"):
+        s = np.exp(np.maximum((x * x * c1 + c0) * x, -700.0)) + 1.0
+    gate = 1.0 / s
+    slope = ((gate - 1.0) * x * (x * x * (3.0 * c1) + c0) + 1.0) * gate
+    return s, x / s, slope
 
 
 class TestTiledKernels:
@@ -179,20 +218,21 @@ class TestTiledKernels:
     ])
     def test_gelu_and_gelu_grad_match_whole_array_formula(self, shape):
         x, upstream = np.random.default_rng(sum(shape)).normal(0.0, 3.0, size=(2, *shape))
-        t_ref, y_ref, slope_ref = whole_array_gelu(x)
+        x.flat[:2] = -30.0, 30.0  # past |x| ~ 21, where exp overflows and where its exponent is floored
+        s_ref, y_ref, slope_ref = whole_array_gelu(x)
 
-        tanh_out = np.empty_like(x)
+        denom_out = np.empty_like(x)
         out = np.empty_like(x)
-        y = gelu(x, tanh_out=tanh_out, out=out)
+        y = gelu(x, denom_out=denom_out, out=out)
         assert y is out
-        assert tanh_out.tobytes() == t_ref.tobytes()
+        assert denom_out.tobytes() == s_ref.tobytes()
         assert out.tobytes() == y_ref.tobytes()
-        # out may be the tanh buffer itself, as in a forward-only block
+        # out may be the denominator's buffer itself, as in a forward-only block
         shared = np.empty_like(x)
-        assert gelu(x, tanh_out=shared, out=shared).tobytes() == y_ref.tobytes()
+        assert gelu(x, denom_out=shared, out=shared).tobytes() == y_ref.tobytes()
 
-        assert gelu_grad(x, tanh=tanh_out, upstream=np.ones_like(x)).tobytes() == slope_ref.tobytes()
-        chained = gelu_grad(x, tanh=tanh_out, upstream=upstream)
+        assert gelu_grad(x, denom=denom_out, upstream=np.ones_like(x)).tobytes() == slope_ref.tobytes()
+        chained = gelu_grad(x, denom=denom_out, upstream=upstream)
         assert chained.tobytes() == (upstream * slope_ref).tobytes()
 
     def test_gelu_and_gelu_grad_refuse_a_strided_operand(self):
