@@ -11,9 +11,14 @@ other coefficient untouched.  On the field side the same map is a uniform
 additive shift, and it is an orthogonal projection in the discrete L2 sense:
 it can never increase the distance to any target sharing the reference mean.
 
-The pipeline runs the field-side map, :func:`pin_channel_means`, in one of
-the ways a :class:`Variant` names; the audit :func:`check_error_reduction`
-holds whichever pin it is passed to that bound.
+In the exterior-embedding framework (ECF) the encoder is the per-channel
+mean of the input state (``values.mean(axis=spatial)`` in ``training``,
+:meth:`GridField.channel_means` in the audit), and the decoder is
+:func:`pin_channel_means`, whose adjoint is :func:`project_out_means`.
+:func:`error_decomposition` is the split ECF's accuracy bound rests on: the
+decoder removes exactly the zero-mode part of the error.  The pipeline runs
+the decoder in one of the ways a :class:`Variant` names; the audit
+:func:`check_error_reduction` holds whichever pin it is passed to that bound.
 """
 
 from __future__ import annotations
@@ -24,14 +29,12 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridField, GridSpec, Spectrum, fft_forward, l2_norm
+from .grid import GridField, Spectrum, fft_forward, l2_norm
 
 __all__ = [
     "Variant",
     "ConservationMask",
-    "ConservedQuantity",
     "check_mask_width",
-    "encode_conserved",
     "correct_spectrum",
     "pin_channel_means",
     "project_out_means",
@@ -83,37 +86,8 @@ class ConservationMask:
     def all_channels(cls, channels: int) -> "ConservationMask":
         return cls((True,) * channels)
 
-    @property
-    def channels(self) -> int:
-        return len(self.flags)
-
     def indices(self) -> list[int]:
         return [i for i, f in enumerate(self.flags) if f]
-
-
-@dataclass(frozen=True)
-class ConservedQuantity:
-    """Per-channel zero-mode value of a reference state.
-
-    ``zero_mode[c]`` is the arithmetic mean of channel ``c``; the conserved
-    integral is ``integral = zero_mode * volume`` (``grid.volume``)
-    exactly, by construction.
-    """
-
-    grid: GridSpec
-    zero_mode: np.ndarray
-
-    def __post_init__(self) -> None:
-        zm = np.asarray(self.zero_mode, dtype=np.float64)
-        if zm.ndim != 1:
-            raise ValueError(f"zero_mode must be one value per channel, got shape {zm.shape}")
-        if not np.all(np.isfinite(zm)):
-            raise ValueError("zero_mode contains a non-finite entry")
-        object.__setattr__(self, "zero_mode", zm)
-
-    @property
-    def channels(self) -> int:
-        return self.zero_mode.shape[0]
 
 
 def check_mask_width(flags: tuple[bool, ...], channels: int) -> None:
@@ -122,31 +96,22 @@ def check_mask_width(flags: tuple[bool, ...], channels: int) -> None:
         raise ValueError(f"mask covers {len(flags)} channels but the state has {channels}")
 
 
-def _check_target(pred: Spectrum, target: ConservedQuantity, mask: ConservationMask) -> None:
-    check_mask_width(mask.flags, pred.channels)
-    if target.channels != pred.channels:
-        raise ValueError(f"target covers {target.channels} channels but the prediction has {pred.channels}")
-    if target.grid != pred.grid:
-        raise ValueError("target was encoded on a different grid than the prediction")
+def correct_spectrum(pred: Spectrum, targets: np.ndarray, mask: ConservationMask) -> Spectrum:
+    """Replace the zero mode of each masked channel with its target mean.
 
-
-def encode_conserved(state: GridField, mask: ConservationMask) -> ConservedQuantity:
-    """Read the conserved quantity (per-channel mean) off a reference state."""
-    check_mask_width(mask.flags, state.channels)
-    return ConservedQuantity(state.grid, state.channel_means())
-
-
-def correct_spectrum(pred: Spectrum, target: ConservedQuantity, mask: ConservationMask) -> Spectrum:
-    """Replace the zero mode of each masked channel with the target value.
-
+    ``targets`` holds one mean per channel of ``pred``, as
+    :meth:`GridField.channel_means` reads them off a reference state.
     Every nonzero-mode coefficient is preserved bit for bit, and the new
     zero mode has exactly zero imaginary part.  The map is idempotent.
     """
-    _check_target(pred, target, mask)
+    check_mask_width(mask.flags, pred.channels)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (pred.channels,):
+        raise ValueError(f"targets of shape {targets.shape} are not one mean per channel of {pred.channels}")
     coeffs = pred.coeffs.copy()
     zero = (slice(None),) + (0,) * pred.grid.ndim
     masked = mask.indices()
-    coeffs[zero][masked] = target.zero_mode[masked] + 0.0j
+    coeffs[zero][masked] = targets[masked] + 0.0j
     return Spectrum(pred.grid, coeffs)
 
 
@@ -188,14 +153,14 @@ def project_out_means(grads: np.ndarray, flags: tuple[bool, ...], lead_ndim: int
 class ErrorSplit:
     """Squared discrete L2 error split into zero-mode and nonzero-mode parts.
 
-    All entries are per channel.  ``total_sq = volume * (zero_mode_sq +
-    nonzero_sq)`` holds by construction and matches ``l2_norm(pred-truth)^2``
-    up to rounding (discrete Parseval identity).
+    All entries are per channel.  ``volume * (zero_mode_sq + nonzero_sq)``
+    matches ``l2_norm(pred - truth)**2`` up to rounding (discrete Parseval
+    identity), and ``zero_mode_sq`` is the squared gap between the two
+    states' channel means.
     """
 
     zero_mode_sq: np.ndarray
     nonzero_sq: np.ndarray
-    total_sq: np.ndarray
 
 
 def error_decomposition(pred: GridField, truth: GridField) -> ErrorSplit:
@@ -210,8 +175,7 @@ def error_decomposition(pred: GridField, truth: GridField) -> ErrorSplit:
     zero = (slice(None),) + (0,) * pred.grid.ndim
     zero_sq = power[zero].copy()
     nonzero_sq = np.maximum(power.sum(axis=spatial) - zero_sq, 0.0)
-    total_sq = pred.grid.volume * (zero_sq + nonzero_sq)
-    return ErrorSplit(zero_sq, nonzero_sq, total_sq)
+    return ErrorSplit(zero_sq, nonzero_sq)
 
 
 @dataclass(frozen=True)
@@ -242,8 +206,8 @@ def check_error_reduction(
     """
     if not (pred.grid == truth.grid == input_state.grid):
         raise ValueError("prediction, truth and input state must share one grid")
-    target = encode_conserved(input_state, mask)
-    corrected = correction(pred.values, target.zero_mode, mask.flags)
+    check_mask_width(mask.flags, input_state.channels)
+    corrected = correction(pred.values, input_state.channel_means(), mask.flags)
     err_before = l2_norm(GridField(pred.grid, pred.values - truth.values))
     err_after = l2_norm(GridField(pred.grid, corrected - truth.values))
     masked = mask.indices()

@@ -42,7 +42,6 @@ __all__ = [
     "ProblemParams",
     "DatasetConfig",
     "TrajectoryDataset",
-    "flux_balance_tolerance",
     "desk_config",
     "paper_config",
     "generate_dataset",
@@ -63,27 +62,12 @@ class Problem(enum.Enum):
     CD = "cd"
 
 
-# Flux-balance residual bound per problem: the exact propagators sit at
-# rounding level, the time steppers a little above it.
-_FLUX_TOLERANCES = {
-    Problem.AC_DW: 1e-10,
-    Problem.AC_FH: 1e-10,
-    Problem.HEAT: 1e-10,
-    Problem.WATER: 1e-10,
-    Problem.DIFF: 1e-12,
-    Problem.CD: 1e-12,
-}
-
 # Samples whose initial conserved integral is closer to zero than this are
 # redrawn (bounded retries): the relative conservation metric divides by
 # the integral, and the generated data should keep it meaningfully sized.
 # The diff mean is ``ic_offset`` itself, checked once in ProblemParams.
 _MEAN_FLOORS = {Problem.AC_DW: 0.05, Problem.AC_FH: 0.01, Problem.HEAT: 0.05, Problem.DIFF: 0.05, Problem.CD: 0.05}
 _MAX_REDRAWS = 64
-
-
-def flux_balance_tolerance(problem: Problem) -> float:
-    return _FLUX_TOLERANCES[problem]
 
 
 @dataclass(frozen=True)
@@ -347,10 +331,7 @@ def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
         split=config.split,
         frame_times=params.frame_times(),
         precision=config.precision,
-        tolerances={
-            "conservation_drift": DRIFT_TOLERANCE,
-            "flux_balance": flux_balance_tolerance(params.problem),
-        },
+        tolerances={"conservation_drift": DRIFT_TOLERANCE},
     )
     drift = dataset.conservation_drift()
     worst = float(drift.max())

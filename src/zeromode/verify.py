@@ -30,7 +30,6 @@ from .correction import (
     CorrectionFn,
     check_error_reduction,
     correct_spectrum,
-    encode_conserved,
     error_decomposition,
     pin_channel_means,
 )
@@ -135,10 +134,10 @@ def _check_spectrum_path(correction: CorrectionFn):
         rng = np.random.default_rng(200 + seed)
         pred = GridField(grid, rng.normal(0.5, 1.0, size=(1, 12, 12)))
         ref = GridField(grid, rng.normal(1.0, 1.0, size=(1, 12, 12)))
-        target = encode_conserved(ref, mask)
+        targets = ref.channel_means()
         spec = fft_forward(pred)
-        out = correct_spectrum(spec, target, mask)
-        if out.coeffs[0][(0,) * grid.ndim] != target.zero_mode[0] + 0.0j:
+        out = correct_spectrum(spec, targets, mask)
+        if out.coeffs[0][(0,) * grid.ndim] != targets[0] + 0.0j:
             return f"seed {seed}: zero mode not exactly replaced"
         a = spec.coeffs.copy()
         b = out.coeffs.copy()
@@ -146,10 +145,10 @@ def _check_spectrum_path(correction: CorrectionFn):
         b[0][0, 0] = 0.0
         if not np.array_equal(a, b):
             return f"seed {seed}: a nonzero mode changed"
-        twice = correct_spectrum(out, target, mask)
+        twice = correct_spectrum(out, targets, mask)
         if not np.array_equal(twice.coeffs, out.coeffs):
             return f"seed {seed}: correction is not idempotent"
-        pinned = fft_forward(GridField(grid, correction(pred.values, target.zero_mode, mask.flags)))
+        pinned = fft_forward(GridField(grid, correction(pred.values, targets, mask.flags)))
         gap = np.abs(pinned.coeffs - out.coeffs).max()
         if gap > 1e-12:
             return f"seed {seed}: the field-side pin differs from the spectrum path by {gap:.2e}"
@@ -191,10 +190,11 @@ def _check_error_decomposition(correction: CorrectionFn):
         split = error_decomposition(pred, truth)
         direct = l2_norm(GridField(grid, pred.values - truth.values)) ** 2
         recomposed = grid.volume * (split.zero_mode_sq + split.nonzero_sq)
-        if not np.allclose(split.total_sq, direct, rtol=1e-12, atol=1e-15):
-            return f"seed {seed}: split total disagrees with the quadrature norm"
-        if not np.allclose(split.total_sq, recomposed, rtol=1e-12, atol=1e-15):
-            return f"seed {seed}: zero + nonzero parts do not add up"
+        if not np.allclose(recomposed, direct, rtol=1e-12, atol=1e-15):
+            return f"seed {seed}: zero + nonzero parts disagree with the quadrature norm"
+        mean_gap_sq = (pred.channel_means() - truth.channel_means()) ** 2  # no FFT on this side
+        if not np.allclose(split.zero_mode_sq, mean_gap_sq, rtol=1e-12, atol=1e-15):
+            return f"seed {seed}: zero-mode part is not the squared gap between the channel means"
     return None
 
 

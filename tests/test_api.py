@@ -4,6 +4,11 @@ A name that only tests reach is surface to maintain with nothing depending
 on it.  The rule is mechanical: each name in a module's ``__all__`` and each
 public method or property of a public class needs a ``Name``,
 ``Attribute`` or import reference in ``src/zeromode/`` or ``bench/``.
+References are matched by bare name, so a method or property passes on any
+reference to another of the same name: a ``channels`` property on a new class
+would pass on the callers of ``TrajectoryDataset.channels``,
+``GridField.channels`` and ``Spectrum.channels``.  Such a name needs a check
+by hand.
 
 Each public name has one import path, the module that defines it.  The
 package root binds only ``_THREAD_CAP_VARS`` and ``__version__`` and imports

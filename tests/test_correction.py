@@ -10,10 +10,8 @@ import pytest
 
 from zeromode.correction import (
     ConservationMask,
-    ConservedQuantity,
     check_error_reduction,
     correct_spectrum,
-    encode_conserved,
     error_decomposition,
     pin_channel_means,
     project_out_means,
@@ -33,24 +31,18 @@ class TestMaskAndEncode:
             ConservationMask(())
         assert ConservationMask((False, True)).indices() == [1]
 
-    def test_encode_reads_channel_means(self):
-        rng = np.random.default_rng(0)
-        grid = GridSpec.square(16, length=2.0)
-        field = random_field(rng, grid, channels=3)
-        q = encode_conserved(field, ConservationMask.all_channels(3))
-        np.testing.assert_allclose(q.zero_mode, field.values.mean(axis=(1, 2)), atol=1e-15)
-
     def test_encode_matches_spectrum_zero_mode(self):
         rng = np.random.default_rng(1)
         grid = GridSpec.square(12)
         field = random_field(rng, grid)
-        q = encode_conserved(field, ConservationMask.all_channels(1))
-        assert q.zero_mode[0] == pytest.approx(fft_forward(field).coeffs[0, 0, 0].real, abs=1e-13)
+        assert field.channel_means()[0] == pytest.approx(fft_forward(field).coeffs[0, 0, 0].real, abs=1e-13)
 
     def test_channel_mismatch_rejected(self):
         grid = GridSpec.square(4)
-        with pytest.raises(ValueError, match="channels"):
-            encode_conserved(GridField(grid, np.full((2, *grid.resolution), 1.0)), ConservationMask((True,)))
+        field = GridField(grid, np.full((2, *grid.resolution), 1.0))
+        noop = lambda values, targets, flags: values  # the audit refuses the mask, not the pin
+        with pytest.raises(ValueError, match="mask covers 1 channels but the state has 2"):
+            check_error_reduction(field, field, field, ConservationMask((True,)), noop)
 
 
 class TestSpectrumPath:
@@ -59,39 +51,41 @@ class TestSpectrumPath:
         grid = GridSpec.square(16)
         for trial in range(25):
             spec = fft_forward(random_field(rng, grid, channels=2))
-            target = ConservedQuantity(grid, rng.standard_normal(2))
-            out = correct_spectrum(spec, target, ConservationMask.all_channels(2))
+            targets = rng.standard_normal(2)
+            out = correct_spectrum(spec, targets, ConservationMask.all_channels(2))
             before = spec.coeffs.copy()
             before[:, 0, 0] = out.coeffs[:, 0, 0]
             assert (out.coeffs == before).all()  # bit-for-bit outside mode 0
-            assert out.coeffs[0, 0, 0] == target.zero_mode[0] + 0.0j
+            assert out.coeffs[0, 0, 0] == targets[0] + 0.0j
             assert out.coeffs[0, 0, 0].imag == 0.0
 
     def test_idempotent_bit_exact(self):
         rng = np.random.default_rng(3)
         grid = GridSpec.square(8)
         spec = fft_forward(random_field(rng, grid))
-        target = ConservedQuantity(grid, np.array([0.37]))
+        targets = np.array([0.37])
         mask = ConservationMask.all_channels(1)
-        once = correct_spectrum(spec, target, mask)
-        twice = correct_spectrum(once, target, mask)
+        once = correct_spectrum(spec, targets, mask)
+        twice = correct_spectrum(once, targets, mask)
         assert (once.coeffs == twice.coeffs).all()
 
     def test_unmasked_channels_untouched(self):
         rng = np.random.default_rng(4)
         grid = GridSpec.square(8)
         spec = fft_forward(random_field(rng, grid, channels=2))
-        target = ConservedQuantity(grid, np.array([5.0, 5.0]))
-        out = correct_spectrum(spec, target, ConservationMask((True, False)))
+        out = correct_spectrum(spec, np.array([5.0, 5.0]), ConservationMask((True, False)))
         assert (out.coeffs[1] == spec.coeffs[1]).all()
         assert out.coeffs[0, 0, 0] == 5.0 + 0.0j
 
-    def test_grid_mismatch_rejected(self):
+    def test_targets_must_be_one_mean_per_channel(self):
         rng = np.random.default_rng(5)
-        spec = fft_forward(random_field(rng, GridSpec.square(8)))
-        target = ConservedQuantity(GridSpec.square(16), np.array([1.0]))
-        with pytest.raises(ValueError, match="grid"):
-            correct_spectrum(spec, target, ConservationMask.all_channels(1))
+        spec = fft_forward(random_field(rng, GridSpec.square(8), channels=2))
+        mask = ConservationMask.all_channels(2)
+        for targets in (np.array([1.0]), np.ones(3), np.ones((2, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="one mean per channel"):
+                correct_spectrum(spec, targets, mask)
+        with pytest.raises(ValueError, match="mask covers 1 channels"):
+            correct_spectrum(spec, np.ones(2), ConservationMask((True,)))
 
 
 class TestFieldPath:
@@ -101,20 +95,20 @@ class TestFieldPath:
         mask = ConservationMask.all_channels(1)
         for trial in range(25):
             pred = random_field(rng, grid, scale=3.0)
-            target = ConservedQuantity(grid, rng.standard_normal(1))
-            out = pin_channel_means(pred.values, target.zero_mode, mask.flags)
-            oracle = pred.values + (target.zero_mode[0] - pred.values.mean())
+            targets = rng.standard_normal(1)
+            out = pin_channel_means(pred.values, targets, mask.flags)
+            oracle = pred.values + (targets[0] - pred.values.mean())
             assert np.abs(out - oracle).max() < 1e-12
-            assert out.mean() == pytest.approx(target.zero_mode[0], abs=1e-12)
+            assert out.mean() == pytest.approx(targets[0], abs=1e-12)
 
     def test_agrees_with_spectrum_path(self):
         rng = np.random.default_rng(7)
         grid = GridSpec.square(16)
         mask = ConservationMask.all_channels(1)
         pred = random_field(rng, grid)
-        target = ConservedQuantity(grid, np.array([2.5]))
-        via_field = pin_channel_means(pred.values, target.zero_mode, mask.flags)
-        via_spec = np.fft.ifftn(correct_spectrum(fft_forward(pred), target, mask).coeffs, axes=(1, 2)) * grid.n_points
+        targets = np.array([2.5])
+        via_field = pin_channel_means(pred.values, targets, mask.flags)
+        via_spec = np.fft.ifftn(correct_spectrum(fft_forward(pred), targets, mask).coeffs, axes=(1, 2)) * grid.n_points
         np.testing.assert_allclose(via_field, via_spec, atol=1e-12)
 
     def test_pin_channel_means_leaves_unmasked_alone(self):
@@ -203,10 +197,10 @@ class TestErrorDecomposition:
             truth = random_field(rng, grid)
             split = error_decomposition(pred, truth)
             total = l2_norm(GridField(grid, pred.values - truth.values))[0] ** 2
-            assert abs(split.total_sq[0] - total) / total < 1e-12
-            assert split.total_sq[0] == pytest.approx(
-                grid.volume * (split.zero_mode_sq[0] + split.nonzero_sq[0]), rel=1e-14
-            )
+            recomposed = grid.volume * (split.zero_mode_sq[0] + split.nonzero_sq[0])
+            assert abs(recomposed - total) / total < 1e-12
+            gap = pred.values.mean() - truth.values.mean()
+            assert split.zero_mode_sq[0] == pytest.approx(gap**2, rel=1e-12, abs=1e-15)
 
     def test_pure_shift_error_is_all_zero_mode(self):
         grid = GridSpec.square(8)

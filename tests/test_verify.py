@@ -9,7 +9,7 @@ import pytest
 
 import zeromode.model
 import zeromode.verify
-from zeromode.correction import pin_channel_means
+from zeromode.correction import ErrorSplit, pin_channel_means
 from zeromode.verify import (
     CheckResult,
     all_passed,
@@ -100,6 +100,20 @@ class TestMutantDetection:
         for name in ("error_reduction_bound", "spectral_zero_mode_surgery"):
             assert not results[name].passed
             assert "seed" in results[name].detail
+
+    def test_split_booking_the_zero_mode_as_nonzero_fails_decomposition_totals(self, monkeypatch):
+        # the two parts still add up to the quadrature norm; only the mean-gap oracle sees the mis-booking
+        exact = zeromode.verify.error_decomposition
+
+        def misbooked(pred, truth):
+            split = exact(pred, truth)
+            return ErrorSplit(np.zeros_like(split.zero_mode_sq), split.zero_mode_sq + split.nonzero_sq)
+
+        monkeypatch.setattr(zeromode.verify, "error_decomposition", misbooked)
+        results = {r.name: r for r in run_checks("theorems")}
+        assert not results["error_decomposition_totals"].passed
+        assert "seed" in results["error_decomposition_totals"].detail
+        assert [name for name, r in results.items() if not r.passed] == ["error_decomposition_totals"]
 
     def test_real_part_band_inverse_fails_band_inner_product(self, monkeypatch):
         # an inverse that drops the imaginary part of the band is no longer _to_band's transpose
