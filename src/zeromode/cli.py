@@ -9,7 +9,7 @@ switches to the published problem sizes and warns about the cost.
 Each run writes a ``manifest.json`` next to its artifacts, last, after
 everything else succeeded: the argv echo, the resolved configuration and
 its sha256, the seeds involved, the artifact paths, package version,
-wall-clock timestamps, the environment (numpy and scipy versions, the
+wall-clock timestamps, the environment (the numpy version, the
 thread-cap variables in effect, the CPU count) and the process's peak
 resident set and minor page faults so far; ``eval`` adds the seconds
 spent in rollouts, and ``train`` the seconds of the whole training run and
@@ -93,13 +93,11 @@ def _merge(defaults: dict, file_cfg: dict, args: argparse.Namespace, keys: list[
 
 def _environment() -> dict:
     import numpy
-    import scipy
 
     from . import _THREAD_CAP_VARS
 
     return {
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "thread_caps": {var: os.environ.get(var) for var in ("ZEROMODE_THREADS", *_THREAD_CAP_VARS)},
         "cpu_count": os.cpu_count(),
     }

@@ -17,8 +17,8 @@ shallow water (*lead, frames, ...).  The exact propagators transform
 each sample once and make every frame in one batched inverse transform.
 The Allen-Cahn step takes one real forward transform of ``u + dt g``
 (the update is linear, so this equals the sum of the two transforms) and
-one inverse over the whole batch, and builds g in buffers held for the
-solve; "fh" needs no clip, as its clamp-band abort comes first.  The
+one inverse over the whole batch, and builds g and both transforms in
+buffers held for the solve; "fh" needs no clip, as its clamp-band abort comes first.  The
 shallow-water step forms velocities, wave speeds and fluxes once per
 cell, with wall ghosts that sign-flip the edge cells.  Both keep the
 plain formulas' operation order, bit for bit.  Every solver checks its
@@ -29,9 +29,16 @@ another.  Means, clamp, CFL (at most ``CFL_MAX``), positivity and
 finiteness are checked per sample, and an error from a batch names the
 first failing sample.
 
-``scipy.fft`` is imported inside the two solvers that call it, the
-insulated heat equation and Allen-Cahn, because it pulls in
-``scipy.special``, which no other command needs.
+Every transform comes from numpy, so the package's one runtime
+dependency is numpy.  numpy's FFT runs lane by lane on a strided axis, so
+the Allen-Cahn step transforms the last axis as it lies and the first one
+on a transposed, C-contiguous copy.  numpy 2 and scipy share pocketfft:
+on power-of-two grids, every preset's, these lanes give the bytes
+``scipy.fft.rfftn``/``irfftn`` give; on others the inverse's two 1/n
+scalings, one per axis where scipy takes one, may round apart.  numpy has no cosine transform,
+so the heat solver's type-II DCT and its inverse are matmuls against a
+cosine table cached per resolution, O(n) per point per axis, equal to
+``scipy.fft.dctn``/``idctn`` at rounding level.
 """
 
 from __future__ import annotations
@@ -193,16 +200,54 @@ def solve_convdiff_exact(
     return _propagate(u0, lead, t, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
 
 
+@functools.lru_cache
+def _cosine_table(n: int) -> np.ndarray:
+    """C[k, j] = cos(pi k (2j + 1) / (2n)), the type-II cosine basis on n cell centers, read-only.
+
+    The numerator k (2j + 1) is reduced mod 4n first, so every angle lies in [0, 2 pi).
+    """
+    table = np.cos(np.pi * (np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)) / (2 * n))
+    table.setflags(write=False)
+    return table
+
+
+def _along(table: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+    """sum_j table[k, j] u[..., j, ...] on ``axis`` of ``u``, its last or second-to-last axis."""
+    if axis % u.ndim == u.ndim - 1:
+        return u @ table.T
+    return table @ u
+
+
+def _cosine_forward(u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Type-II DCT on ``axes``, ``scipy.fft.dctn(u, type=2)``: y_k = 2 sum_j C[k, j] u_j per axis."""
+    for axis in axes:
+        u = _along(2.0 * _cosine_table(u.shape[axis]), u, axis)
+    return u
+
+
+def _cosine_inverse(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_cosine_forward`, ``scipy.fft.idctn(y, type=2)``: the table C^T diag(w) per axis.
+
+    u_j = sum_k C[k, j] w_k y_k with w_0 = 1/(2n) and w_k = 1/n above.
+    """
+    for axis in axes:
+        n = y.shape[axis]
+        weight = np.full(n, 1.0 / n)
+        weight[0] = 0.5 / n
+        y = _along(_cosine_table(n).T * weight, y, axis)
+    return y
+
+
 def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: float | np.ndarray) -> np.ndarray:
     """Insulated (zero-flux) heat equation, advanced exactly in cosine modes.
 
     The grid samples at cell centers, where cos(pi n x / L) is precisely
     the type-II DCT basis, so the propagator is diagonal: mode n decays by
-    exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.  Shapes as in
+    exp(-D (pi n / L)^2 t) per axis.  Mode zero is the mean.  numpy has no
+    DCT, so the transform pair is a matmul per axis against a cosine table
+    cached per resolution (module docstring).  Shapes as in
     :func:`solve_diffusion_exact`.
     """
-    import scipy.fft
-
     u0, lead = _state_batch(initial, grid, "solve_heat_neumann", Boundary.NEUMANN)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
@@ -217,8 +262,7 @@ def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: f
             coeffs = coeffs * np.exp(-d_coeff * lam * t)
         return coeffs
 
-    return _propagate(u0, lead, t, functools.partial(scipy.fft.dctn, type=2),
-                      functools.partial(scipy.fft.idctn, type=2), advance)
+    return _propagate(u0, lead, t, _cosine_forward, _cosine_inverse, advance)
 
 
 def _sample_means(a: np.ndarray) -> np.ndarray:
@@ -241,6 +285,41 @@ def _flory_huggins(u: np.ndarray, theta: float, theta_c: float, out: np.ndarray,
     out -= np.multiply(u, theta_c, out=scratch)
 
 
+def _real_buffers(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Held buffers for :func:`_real_forward` of a real (samples, *spatial) batch: (half, lanes).
+
+    ``half`` holds the last axis's real FFT, (samples, *spatial[:-1], n1 // 2 + 1);
+    on a 2-D grid ``lanes`` holds it transposed, (samples, n1 // 2 + 1, n0), and on a 1-D grid is None.
+    """
+    half = np.empty((*u.shape[:-1], u.shape[-1] // 2 + 1), dtype=complex)
+    return half, np.empty(half.transpose(0, 2, 1).shape, dtype=complex) if u.ndim == 3 else None
+
+
+def _real_forward(u: np.ndarray, half: np.ndarray, lanes: np.ndarray | None) -> np.ndarray:
+    """``scipy.fft.rfftn`` of a real (samples, *spatial) batch, every FFT on contiguous lanes.
+
+    Written into :func:`_real_buffers`' buffers.  On a 2-D grid the first axis
+    is transformed in ``lanes``, a transposed C-contiguous copy, since numpy's
+    FFT runs lane by lane on a strided axis, and ``lanes`` is returned.
+    """
+    np.fft.rfft(u, out=half)
+    if lanes is None:
+        return half
+    np.copyto(lanes, half.transpose(0, 2, 1))
+    return np.fft.fft(lanes, out=lanes)
+
+
+def _real_inverse(coeffs: np.ndarray, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``scipy.fft.irfftn`` of :func:`_real_forward`'s coefficients into ``out``, (samples, *spatial).
+
+    On a 2-D grid the first axis is inverted in place in ``coeffs`` and copied back through ``half``.
+    """
+    if coeffs.ndim == 3:
+        np.fft.ifft(coeffs, out=coeffs)
+        np.copyto(half, coeffs.transpose(0, 2, 1))
+    return np.fft.irfft(half, n=out.shape[-1], out=out)
+
+
 def solve_allen_cahn(
     initial: np.ndarray,
     grid: GridSpec,
@@ -259,8 +338,8 @@ def solve_allen_cahn(
     has reached the clamp band |u| >= 1 - CLAMP_MARGIN, so the logarithms
     see only values inside it and need no clip.  A step solves the
     Laplacian implicitly in Fourier space and treats the (mean-free)
-    nonlinearity explicitly, in two buffers held for the solve, with one
-    real forward transform of u + dt g and one inverse; the spatial mean
+    nonlinearity explicitly, with one real forward transform of u + dt g
+    and one inverse, all in buffers held for the solve; the spatial mean
     is then re-pinned to its initial value, making conservation exact by
     construction instead of resting on accumulated rounding.
 
@@ -269,8 +348,6 @@ def solve_allen_cahn(
     trajectory including the initial state, one frame every
     ``snapshot_stride`` steps, shape (*lead, frames, *spatial).
     """
-    import scipy.fft
-
     u, lead = _state_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
     if potential not in ("dw", "fh"):
         raise ValueError(f"unknown potential {potential!r}, expected 'dw' or 'fh'")
@@ -278,10 +355,12 @@ def solve_allen_cahn(
 
     axes = tuple(range(1, u.ndim))
     mean0 = _sample_means(u)
-    # the real transform keeps the nonnegative half of the last axis
+    # the real transform keeps the nonnegative half of the last axis, transposed on a 2-D grid
     implicit = 1.0 / (1.0 + dt * epsilon * squared_wavenumber(grid)[..., : grid.resolution[-1] // 2 + 1])
-    implicit = implicit.astype(complex)  # the cast numpy's complex-by-real multiply makes, once
+    implicit = np.ascontiguousarray(implicit.T, dtype=complex)  # the cast numpy's complex-by-real multiply makes, once
     g, scratch = np.empty_like(u), np.empty_like(u)
+    half, lanes = _real_buffers(u)
+    state = np.empty_like(u)  # the steps' states, never the caller's array
     band = 1.0 - CLAMP_MARGIN
 
     for step in range(1, n_steps + 1):
@@ -295,9 +374,9 @@ def solve_allen_cahn(
         g -= _sample_means(g)
         g *= dt
         g += u
-        coeffs = scipy.fft.rfftn(g, axes=axes)
+        coeffs = _real_forward(g, half, lanes)
         coeffs *= implicit
-        u = scipy.fft.irfftn(coeffs, s=grid.resolution, axes=axes)
+        u = _real_inverse(coeffs, half, state)
         mean = _sample_means(u)
         if not np.isfinite(mean).all():  # a non-finite value always spoils its sample's mean
             _abort_if(~np.isfinite(u).all(axis=axes), "state became non-finite", step, lead)

@@ -209,7 +209,8 @@ class TestEvalAndReport:
         # the variant names the correction, so no other key repeats it
         assert set(manifest["config"]) == {"model", "data", "variant"}
         env = manifest["environment"]
-        assert env["numpy"] == np.__version__ and env["scipy"]
+        assert set(env) == {"numpy", "thread_caps", "cpu_count"}
+        assert env["numpy"] == np.__version__
         assert env["cpu_count"] == os.cpu_count()
         assert env["thread_caps"]["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
         assert "ZEROMODE_THREADS" in env["thread_caps"]
@@ -845,37 +846,35 @@ class TestEnvironment:
         assert no_command.returncode == 2
         assert "Traceback" not in no_command.stderr
 
-    def test_scipy_fft_loads_only_for_the_solvers_that_call_it(self, tmp_path):
-        # one child process: a desk loop on diff loads no scipy.fft and no scipy.special; heat and ac_dw then do
+    @pytest.mark.parametrize("scipy_state", ["importable", "blocked"])
+    def test_every_command_runs_on_numpy_alone(self, tmp_path, scipy_state):
+        # one child process runs gen of every problem, train, every eval variant, report and verify and
+        # loads no scipy module; with scipy blocked, any scipy import would raise ImportError
         script = """
 import json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
 import zeromode
 from zeromode.cli import main
 
 out = sys.argv[1]
 tiny = ["--samples", "2", "--resolution", "8", "--n-steps", "20", "--n-snapshots", "4"]
-
-def gen(problem, split):
-    assert main(["gen", "--problem", problem, "--split", split, "--out", f"{out}/{problem}_{split}.ecfd", *tiny]) == 0
-
-gen("diff", "train")
-gen("diff", "valid")
-assert main(["train", "--train", f"{out}/diff_train.ecfd", "--valid", f"{out}/diff_valid.ecfd", "--out", f"{out}/run",
+for problem in ("diff", "cd", "heat", "ac_dw", "ac_fh", "water"):
+    assert main(["gen", "--problem", problem, "--split", "train", "--out", f"{out}/{problem}.ecfd", *tiny]) == 0
+assert main(["gen", "--problem", "diff", "--split", "valid", "--out", f"{out}/diff_valid.ecfd", *tiny]) == 0
+assert main(["train", "--train", f"{out}/diff.ecfd", "--valid", f"{out}/diff_valid.ecfd", "--out", f"{out}/run",
              "--epochs", "1", "--width", "4", "--modes-kept", "4", "--n-layers", "1"]) == 0
 for variant in ("base", "staged", "integrated"):
     assert main(["eval", "--model", f"{out}/run/model.ckpt", "--data", f"{out}/diff_valid.ecfd",
                  "--out", f"{out}/evals", "--variant", variant]) == 0
 assert main(["report", "--records", f"{out}/evals/records.jsonl", "--out", f"{out}/report"]) == 0
-loop = sorted(m for m in sys.modules if m.startswith(("scipy.fft", "scipy.special")))
-gen("heat", "train")
-gen("ac_dw", "train")
-print(json.dumps({"loop": loop, "after_solvers": "scipy.fft" in sys.modules}))
+assert main(["verify"]) == 0
+print(json.dumps(sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module)))
 """
-        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=child_env(dict(os.environ)),
-                             capture_output=True, text=True, timeout=60)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path), scipy_state],
+                             env=child_env(dict(os.environ)), capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        loaded = json.loads(out.stdout.splitlines()[-1])
-        assert loaded == {"loop": [], "after_solvers": True}
+        assert json.loads(out.stdout.splitlines()[-1]) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from zeromode.datafile import read_dataset, sidecar_path, write_dataset
 from zeromode.datasets import (
@@ -20,7 +19,13 @@ from zeromode.datasets import (
 )
 from zeromode.grid import angular_wavenumbers, squared_wavenumber
 from zeromode.initial_conditions import chebyshev_ic, grf_ic
-from zeromode.solvers import dam_break_state, solve_shallow_water, verify_flux_balance
+from zeromode.solvers import (
+    _cosine_forward,
+    _cosine_inverse,
+    dam_break_state,
+    solve_shallow_water,
+    verify_flux_balance,
+)
 
 
 def tiny_config(problem, n_samples=3, seed=0, resolution=16, **overrides):
@@ -161,6 +166,19 @@ class TestSidecarTolerances:
         assert back.tolerances == {**ds.tolerances, "flux_balance": 1e-12}
         assert (back.data == ds.data).all()
 
+    def test_sidecar_of_generator_version_1_still_reads(self, tmp_path):
+        # version 2 moved heat's payload at rounding level (cosine tables in place of scipy's DCT)
+        ds = generate_dataset(tiny_config(Problem.HEAT, n_samples=1))
+        assert ds.generator_version == "2"
+        path = write_dataset(ds, tmp_path / "h.ecfd")
+        side = sidecar_path(path)
+        meta = json.loads(side.read_text())
+        meta["generator_version"] = "1"
+        side.write_text(json.dumps(meta))
+        back = read_dataset(path)
+        assert back.generator_version == "1"
+        assert (back.data == ds.data).all()
+
 
 # -- references: the per-sample generation the batched path replaced ----------
 
@@ -174,17 +192,22 @@ def reference_ic(params, grid, seed):
 
 
 def per_frame_exact(params, grid, u0):
-    """One forward and one inverse transform per frame, as before batching."""
+    """One forward and one inverse transform per frame, as before batching.
+
+    Heat runs the solver's own cosine transforms, so this pins batched == per frame;
+    ``test_solvers.py`` holds those transforms to ``scipy.fft``.
+    """
     frames = []
+    axes = tuple(range(grid.ndim))
     for t in params.frame_times():
         if params.problem is Problem.HEAT:
-            coeffs = scipy.fft.dctn(u0, type=2)
+            coeffs = _cosine_forward(u0, axes)
             for axis, (n, length) in enumerate(zip(grid.resolution, grid.lengths)):
                 shape = [1] * grid.ndim
                 shape[axis] = n
                 lam = (np.pi * np.arange(n) / length) ** 2
                 coeffs = coeffs * np.exp(-params.d_coeff * lam * t).reshape(shape)
-            frames.append(scipy.fft.idctn(coeffs, type=2))
+            frames.append(_cosine_inverse(coeffs, axes))
             continue
         if params.problem is Problem.DIFF:
             factor = np.exp(-params.d_coeff * squared_wavenumber(grid) * t)
@@ -256,7 +279,7 @@ class TestBatchedGeneration:
     GEN_SHA256 = {
         Problem.AC_DW: "c2630ec5e01fbd1760f0de098aed43d7d9edd3d585996cb1f020c8d24bf79150",
         Problem.AC_FH: "fbd4809e5ec8ef42ac08c2e1b8046c5e5b72e342019b2608824deb1c8dd01084",
-        Problem.HEAT: "a3e9e695b5fa2d27883240e55394c052d0838f788fb5b7af86e15e8281c6635b",
+        Problem.HEAT: "608393ac22cc98df29e3afe69744761b94a50c68f4f5cfa29de6e85674da7a76",
         Problem.WATER: "283eaa7dc66aede0034a895fe66a8a0b5e55e476ff8bbbdd5795ed034d059907",
         Problem.DIFF: "9249cf94734a2d578c888552299c3424a6a3b9cb8a1d62435c57d710cf2bf23e",
         Problem.CD: "ead91df59e6dc2609f9075a3d44a980519677cc9e9bea938cc4575d67c079ce1",

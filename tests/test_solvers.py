@@ -3,18 +3,25 @@
 Each solver is held to an oracle that does not share code with it:
 single-mode exponential decay, circular shifts for pure advection,
 semigroup composition, dt-halving Richardson ratios for the stepper,
-and telescoping mass sums for the finite-volume scheme.
+and telescoping mass sums for the finite-volume scheme.  The solvers'
+numpy transforms are held to ``scipy.fft``, which the tests alone need.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from zeromode.grid import Boundary, GridSpec
 from zeromode.initial_conditions import chebyshev_ic, grf_ic
 from zeromode.solvers import (
     SolverError,
+    _cosine_forward,
+    _cosine_inverse,
+    _real_buffers,
+    _real_forward,
+    _real_inverse,
     cfl_number,
     dam_break_state,
     solve_allen_cahn,
@@ -165,6 +172,39 @@ class TestHeatNeumann:
     def test_rejects_periodic_grid(self):
         with pytest.raises(ValueError, match="Neumann"):
             solve_heat_neumann(np.ones((8, 8)), GridSpec.square(8), 0.01, 1.0)
+
+
+class TestTransformsAgainstScipy:
+    """Heat's cosine tables against ``scipy.fft``'s DCT; Allen-Cahn's numpy lanes against its real FFT."""
+
+    @pytest.mark.parametrize("shape, axes", [((7,), (0,)), ((48,), (0,)), ((8, 8), (0, 1)), ((9, 10), (0, 1)),
+                                             ((3, 128, 128), (1, 2))], ids=["7", "48", "8x8", "9x10", "3x128x128"])
+    def test_cosine_pair_matches_scipy_dct(self, shape, axes):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        u = rng.standard_normal(shape)
+        forward = scipy.fft.dctn(u, type=2, axes=axes)
+        assert np.abs(_cosine_forward(u, axes) - forward).max() <= 1e-14 * np.abs(forward).max()
+        inverse = scipy.fft.idctn(u, type=2, axes=axes)
+        assert np.abs(_cosine_inverse(u, axes) - inverse).max() <= 1e-14 * np.abs(inverse).max()
+        assert np.abs(_cosine_inverse(_cosine_forward(u, axes), axes) - u).max() <= 1e-14 * np.abs(u).max()
+
+    @pytest.mark.parametrize("shape", [(1, 32, 32), (10, 32, 32), (3, 64, 64), (2, 128, 128), (4, 32)],
+                             ids=["1x32x32", "10x32x32", "3x64x64", "2x128x128", "4x32"])
+    def test_real_fft_lanes_give_scipy_bytes(self, shape):
+        """Why Allen-Cahn's bytes did not move off ``scipy.fft``: its lanes give the same bytes."""
+        u = np.random.default_rng(shape[0] * 1000 + shape[-1]).standard_normal(shape)
+        axes = tuple(range(1, u.ndim))
+        expected = scipy.fft.rfftn(u, axes=axes)
+        half, lanes = _real_buffers(u)
+        coeffs = _real_forward(u, half, lanes)
+        got = coeffs
+        if u.ndim == 3:  # the lanes leave a 2-D grid's coefficients transposed
+            assert coeffs.shape == (shape[0], shape[2] // 2 + 1, shape[1])
+            got = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
+        assert got.tobytes() == expected.tobytes()
+        # equal bytes, so the inverse starts from the very coefficients irfftn gets
+        back = scipy.fft.irfftn(expected, s=shape[1:], axes=axes)
+        assert _real_inverse(coeffs, half, np.empty_like(u)).tobytes() == back.tobytes()
 
 
 class TestAllenCahn:
