@@ -227,8 +227,7 @@ def _cmd_train(args, argv: list[str]) -> int:
 
     train_defaults, model_defaults = asdict(TrainConfig()), asdict(OperatorConfig())
     model_keys = ("seed", "width", "n_layers", "modes_kept")
-    defaults = {**train_defaults, "mode": train_defaults["mode"].value,
-                **{key: model_defaults[key] for key in model_keys}}
+    defaults = {**train_defaults, **{key: model_defaults[key] for key in model_keys}}
     resolved = _merge(defaults, _load_config_file(args.config), args, list(defaults))
 
     model_config = OperatorConfig(channels=train_set.channels, ndim=train_set.grid.ndim,
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     from .correction import Variant
     from .datasets import SPLIT_IDS, Problem
     from .grid import Precision
-    from .training import LOSSES
+    from .training import LOSSES, MODES
 
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--valid", required=True, help="validation dataset path")
     tr.add_argument("--out", required=True, help="output run directory")
     tr.add_argument("--config", help="JSON file with hyperparameter overrides")
-    tr.add_argument("--mode", choices=[v.value for v in Variant])
+    tr.add_argument("--mode", choices=MODES)
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--batch-size", type=int, dest="batch_size")
     tr.add_argument("--lr", type=float)

@@ -1,166 +1,77 @@
 """Spectral-convolution surrogate with hand-written reverse-mode gradients.
 
-Architecture: a pointwise lift into ``width`` channels, ``n_layers``
-blocks of
+Architecture: a pointwise lift into ``width`` channels, ``n_layers`` blocks
+of y = spectral_conv(x) + gelu(W x + b), and a pointwise projection back to
+the data channels.  The spectral convolution multiplies the band of DFT
+modes with |n| < modes_kept per axis, enumerated in a resolution-independent
+canonical order, by learned complex weights, so one parameter vector runs on
+any grid whose Nyquist limit admits the band.  It is bias-free, so the
+all-zero parameter vector maps every input to the zero field.
 
-    y = spectral_conv(x) + gelu(W x + b)
+Every band held is the half band, last-axis columns 0..m-1; a real field's
+other modes follow from X[-k] = conj(X[k]).  The operator's input enters the
+band by FFT (``_to_band``).  Every lifted-width transform is a pruned DFT of
+two per-sample matmuls with tables cached per (resolution, modes_kept)
+(``_dft``), and ``_from_band`` runs the transposed pair, reading a half band
+as sum_k count_k Re(Y_k exp(2 pi i k.p / n)) / n, count 1 on column 0 and 2
+above; ``_band_inner`` weights each mode by that count.
 
-and a pointwise projection back to the data channels.  The spectral
-convolution multiplies a fixed low-frequency band of DFT modes by
-learned complex weights (stored as real pairs) and is bias-free; only
-the pointwise paths carry biases, so the all-zero parameter vector maps
-every input to the zero field.
+A constant's band stays exact.  On a power-of-two grid the FFT of a constant
+adds equal terms pairwise, so its zero mode is exact and every other mode
+exactly zero, where a dot product with a row of ones would round term by
+term.  So the input's band stays an FFT, and the matmuls of an operator that
+is the identity on constants see only GELU outputs, exact zeros and bands
+zero off the zero mode: a constant passes it bit for bit at every depth.
 
-The retained band is all integer modes with |n| < modes_kept per axis,
-enumerated in a resolution-independent canonical order, which lets one
-parameter vector run on any grid whose Nyquist limit admits the band.
+The pointwise maps commute with the band transform, so a block's output
+h = gelu(z) + _from_band(mixed) is never formed: the next layer reads it as
+W gelu(z) + b + _from_band(W mixed) and as the band _dft(gelu(z)) + mixed
+(:func:`_band_affine`).  Block 0 takes the lift as (W0 L) x + (W0 l + b0) and
+as L _to_band(x) + n l on the zero mode; from one data channel, (W0 L) x is
+the broadcast product w * x, whose one product per point has no sum to reorder.
 
-Only the band is transformed, and every band the operator holds is the
-half band: the modes on last-axis columns 0..m-1 in canonical order,
-(2m-1) m of them in 2-D (120 of 225 at modes_kept 8) and m in 1-D; a real
-field's others follow from X[-k] = conj(X[k]).  The operator's input goes
-through ``_to_band``: a real FFT along the last axis keeps its first
-modes_kept columns, and in 2-D a short FFT runs along the other axis over
-them.  Every lifted-width transform is a pruned DFT of two small matmuls,
-each per sample, with tables cached per (resolution, modes_kept): ``_dft``
-takes the last axis through an (n1, 2m) table of cos and -sin columns and
-the first through a (2m-1, n0) complex one, and ``_from_band`` runs the
-transposed pair, which up to the number of grid points is its transpose,
-so the backward pass reuses both.  ``_from_band`` reads a half band as
-sum_k count_k Re(Y_k exp(2 pi i k.p / n)) / n, count 1 on column 0 and 2
-above, and ``_band_inner`` weights each mode by that count.
-One transform of 16 channels at modes_kept 8 took, forward / inverse,
-single-threaded: 0.15 / 0.19 ms by FFT against 0.10 / 0.12 ms by matmuls
-at 32^2, 0.37 / 0.49 against 0.16 / 0.19 at 64^2, 1.24 / 1.56 against
-0.50 / 0.54 at 128^2 and 6.0 / 8.2 against 2.0 / 2.1 at 256^2.  The
-matmuls take n0 n1 2m multiply-adds to the FFT's ~n0 n1 log n1: at
-modes_kept 8 they stayed ahead up to 1024^2, and the FFT wins again from
-modes_kept ~20 at 128^2 (~12 at 32^2).
+Activation-size intermediates go into a workspace cached per (batch shape,
+width, n_layers, taped), so a steady-state call allocates none.  A
+forward-only call aliases its blocks onto three buffers (:func:`_workspace`);
+a taped call keeps each block's ``z``, GELU denominator s and output apart,
+its tape valid until the next taped call of the same shape.  The prediction
+is always a fresh array, never a view of the workspace, which is shared
+process-wide: two threads must not run forwards of one shape at once.
 
-On a power-of-two grid the FFT of a constant adds equal terms pairwise,
-so its zero mode is exact and every other mode exactly zero; a BLAS dot
-product with a row of ones would round its running sum term by term.  So
-the input's band stays an FFT, and no DFT matmul reads a constant's
-field: for :func:`constant_identity_model` the matmuls see only GELU
-outputs, exact zeros, and bands zero off the zero mode, where each sum is
-one product with a table entry of 1, 1/n0 or 1/n1 plus exact zeros.  A
-constant passes that fixture bit for bit at every depth.
+The GELU 0.5 x (1 + tanh u), u = a (x + b x^3), is taken in its logistic
+form x / s, s = 1 + exp(-2u), which keeps the negative tail where 1 + tanh u
+cancels; -2u is x (c1 x^2 + c0), since numpy's x**3 calls pow.  Below
+x ~ -21 ``exp`` overflows to inf and x / s is -0.0, the right limit, so the
+overflow is ignored.  A tile whose exponent falls below -700 is floored
+there: 1 + exp(v) rounds to 1 from v ~ -37, so no bit moves, and ``exp``
+stays off its slow underflow path on a blown-up rollout.  The backward
+reads the taped s as the gate p = 1 / s: gelu' = p (1 + (p - 1) x v'), v'
+the slope of v = -2u.  Both kernels run in place over C-contiguous tiles of
+``_TILE_BYTES`` per operand, so their live tiles stay in one core's L2 where
+a paper-size activation (16 x 128^2 float64, 2 MiB) does not.  An
+elementwise operation rounds each element on its own, so the tiles give the
+whole-array bits.
 
-The lift L x + l, each block's W h + b and the projection P h + c are
-pointwise linear maps, so they commute with the band transform.  Block 0
-takes (W0 L) x + (W0 l + b0) and the band L _to_band(x) + n l on the zero
-mode.  A block's output h = gelu(z) + _from_band(mixed), ``mixed`` its
-band after mixing, is never formed: the next block reads it as
-W gelu(z) + b + _from_band(W mixed) and as the band _dft(gelu(z)) +
-mixed, and the projection as P gelu(z) + c + _from_band(P mixed)
-(:func:`_band_affine`).  At the default depth a forward and a backward
-each run two lifted-width transforms; every FFT runs at the data width.
+On a real field's half band the layer acts as W_eff[k] = (W[k] + conj W[-k])
+/ 2, since W[k] and W[-k] are independent and the layer keeps the real part
+of its inverse.  W_eff depends on the parameters, not the grid, so
+:func:`fold_weights` folds once per parameter state: once per rollout, once
+per ``forward_values`` call for all its chunks, and once per :func:`vjp`,
+whose tape keeps the folds for the backward.  A fold inside the forward
+would read weights its activations had evicted; none is cached, since the
+optimizer writes the parameters in place.  W_eff is 1 where W is 1 at the
+zero mode, so the operator that is the identity on constants keeps its bits.
 
-The forward pass writes every activation-size intermediate into a
-workspace cached per (batch shape, width, n_layers, taped) and reused by
-every later call of that shape, so a steady-state call allocates no
-activation.  A forward-only call uses three activation buffers: a block's
-GELU denominator s (below) and then its GELU output; its ``z``, which the
-next block's ``z`` overwrites once the GELU has read it; and the band term
-``_from_band(W mixed)`` until it is added to that ``z``.  A taped call
-keeps each block's ``z``, s and GELU output in buffers of their own,
-valid until the next taped call of the same shape.  The prediction
-returned is always a fresh array, never a view of the workspace.  The
-workspace is shared process-wide, so two threads must not run forwards
-of one shape at the same time.
+Mixing is one broadcast ``matmul`` per mode and sample, (B, n_half, 1, i) @
+(n_half, i, o), and its adjoint the same on the conjugated gradient, so a
+state gets the same bits alone or in any batch.  W_eff's gradient goes to
+W[k] as it is and to W[-k] conjugated, built mode-major: assigned on the
+half band, then added on the mirrors, since column 0 holds both k and -k
+and a second assignment would drop a term.
 
-The GELU is the tanh approximation 0.5 x (1 + tanh u), u = a (x + b x^3),
-taken in its exact logistic form x / s with s = 1 + exp(-2u).  One ``exp``
-replaces ``tanh`` (0.23 against 0.61 ms per 16 x 128^2 pass,
-single-threaded), in 7 passes and a reduction where the tanh form took 9
-passes.  The logistic
-form also keeps the negative tail, where 1 + tanh u cancels: against an
-extended-precision reference, 1 + tanh u was off by 2.7e-7 relative at
-x = -6 and by 0.7% at -7, and returned exactly 0 from -8, where x / s is
-off by 2.3e-15, 3.7e-15 and 1.9e-15.  Its error stays within
-1.5 eps (1 + |2u|), the conditioning of ``exp`` at -2u (1.3e-13 at
-x = -20), and the slope's within that of its terms' sum.
-
-Below x ~ -21 ``exp`` overflows to inf and x / s is -0.0, the right
-limit, so ``gelu`` runs its passes under ``np.errstate(over="ignore")``.
-Above x ~ 20 the exponent is floored at -700.  That changes no bit, since
-1 + exp(v) rounds to 1 from v ~ -37, but it keeps ``exp`` off its slow
-path: an underflowing result took 15 times as long as an ordinary one and
-a subnormal one 120 times, where an overflowing one took 5 times, and an
-untrained operator's rollout can feed pre-activations far past +-21.  The
-floor is a pass of its own, so a tile takes it only when its smallest
-exponent is below -700, which a reduction finds for less.  On an ordinary
-rollout's states (cd at 128^2) a forward ran 19% faster than with the
-tanh form, against 16% with the floor on every tile and 24% with none; on
-a blown-up one (pass seed 104002), 2% slower, against 23% slower with
-none.  Overflow stays on the slow path: on inputs of scale 30, half of
-them past |x| = 21, the GELU alone took twice the tanh form's time.  A
-ceiling at +700 would keep overflow off the slow path too, but it
-moves the far tail off its exact limit and halved the ordinary gain.
-
-The taped s gives the backward its gate p = 1 / s, and
-gelu' = p (1 + (p - 1) x v'), v' being the slope of exp's argument
-v = -2u: 10 passes with the upstream product, where the tanh form took 13.
-
-The elementwise work of a block (the GELU and its s; in the backward
-``gelu_grad`` and its product with the upstream gradient) runs over
-contiguous tiles of ``_TILE_BYTES`` = 256 KiB per operand.  ``gelu``
-takes caller buffers for its output and for s; ``gelu_grad`` takes s back
-with the upstream gradient, and both refuse an operand that is not
-C-contiguous.  At the paper size one activation,
-16 x 128^2 float64, is 2 MiB, a whole L2 of one core, so a chain of
-whole-array passes streams each pass from L3.
-``gelu_grad``, the widest kernel, keeps about six operand tiles live,
-1.5 MiB, which stays in a 2 MiB L2.  An elementwise operation rounds each
-element on its own, so the tiles give the whole-array bits.  Transforms
-and matmuls stay whole.  Block 0's ``(W0 L) x`` from one data channel is a
-broadcast product ``w * x`` instead of a matmul with inner dimension 1:
-0.13 ms against 0.82 ms at 16 x 128^2, with the same bits, since one
-product has no sum to reorder.
-
-The weights for k and -k are independent and the layer keeps the real
-part of its inverse, so on a real field's band X the half band of
-Re(ifftn(W X)) is exactly W_eff[k] X[k], W_eff[k] = (W[k] + conj W[-k]) / 2.
-W_eff depends on the parameters, modes_kept and ndim alone, not on the
-grid, so :func:`fold_weights` folds every block once per parameter state:
-a rollout folds once for all its steps, ``forward_values`` hands one fold
-to every chunk, and :func:`vjp` folds once per call, its tape keeping
-the folds for the backward.  No fold is cached, since the optimizer writes
-the parameters in place.  W_eff is 1 where W is 1 at the zero mode, so the
-identity fixture keeps its bits.  Single-threaded, a fold at width 16 and
-modes_kept 8 took 0.17 ms alone, but a forward that folded inside itself
-spent ~1.7 ms more per block, because its activations evict the weight
-before the fold reads it: taking the fold out took a ``forward_values``
-call from 11.8 to 8.4 ms at 1 x 128^2 and from 6.7 to 3.7 ms at 5 x 32^2
-(medians of five rounds).
-Channel mixing is one broadcast ``matmul`` per mode, (B, n_half, 1, i) @
-(n_half, i, o), and (n_half, i, o) @ (B, n_half, o, 1) on the conjugated
-gradient in its adjoint.  Each product belongs to one sample, so a state
-gets the same bits alone or in any batch (an ``einsum`` over the batch gave
-bits 2e-16 apart at B=1 and B=10).  W_eff's gradient, one matmul per mode
-scaled by count / (2 n), goes to W[k] as it is and to W[-k] conjugated.  It
-is built in one contiguous mode-major (n_modes, i, o) buffer, assigned on
-the half band and then added on the mirrors, since column 0 holds both k
-and -k and a second assignment would drop a term; one transposed add moves
-the buffer into W's (i, o, n_modes) slot.  Inside a 5 x 32^2 training step
-that took 0.8-0.9 ms per block against 0.9-1.1 ms for two fancy-index adds
-straight through the transposed slot, with the same bits.  The weight
-gradients' band inner products (:func:`_band_inner`) are one ``tensordot``,
-a reshape and a complex matmul: an ``einsum(..., optimize=True)`` searched
-for a contraction path on every call and took 0.26 ms against 0.12 ms at
-width 16, and 0.18 against 0.04 ms with one data channel.
-``forward_values`` runs its batch in chunks of ``_CHUNK_BYTES`` = 1 MiB of
-activation, width x points x 8 bytes per sample: eight samples at 32^2,
-two at 64^2 and one at 128^2, each no slower per sample than B=1 in
-single-threaded timings at width 16.
-
-No autodiff framework is used: every layer implements its own adjoint,
-and :func:`vjp` returns a prediction with the pullback that maps its
-gradient to the parameters' by hand.  The operator is correction-free: it
-knows no loss and no conservation mask, and the training module alone pins
-predictions and applies the pin's adjoint to their gradient, outside the
-operator as the exterior-embedded correction prescribes.  Finite
-differences in the test suite hold the whole chain to account.
+No autodiff framework is used: every layer has its own adjoint.  The operator
+knows no conservation law; the training module alone applies the pin and its
+adjoint, outside the operator, as the exterior-embedded correction prescribes.
 """
 
 from __future__ import annotations
@@ -184,7 +95,6 @@ __all__ = [
     "layout",
     "OperatorModel",
     "init_model",
-    "constant_identity_model",
     "gelu",
     "gelu_grad",
     "fold_weights",
@@ -206,14 +116,9 @@ CHECKPOINT_MAGIC = b"ZMCK"
 CHECKPOINT_VERSION = 1
 
 
-# The GELU kernels work in place and tile by tile (module docstring): at
-# activation size a fresh temporary costs more than the arithmetic done on
-# it.  The exponent -2u is x * (c1 x^2 + c0), two products and no cube:
-# numpy's x**3 calls pow, many times slower than a product.
-
 _TILE_BYTES = 256 * 1024
 _TILE = _TILE_BYTES // 8  # float64 elements
-_CHUNK_BYTES = 1024 * 1024  # activation per forward_values chunk (module docstring)
+_CHUNK_BYTES = 1024 * 1024  # activation per forward_values chunk: 8 samples at 32^2, 1 at 128^2, width 16
 
 
 def _tiles(*arrays):
@@ -437,31 +342,6 @@ def init_model(config: OperatorConfig) -> OperatorModel:
     return model
 
 
-def constant_identity_model(config: OperatorConfig) -> OperatorModel:
-    """Diagnostic fixture: hand-set weights acting as identity on constants.
-
-    Channel c rides through lift channel c and each block's zero-frequency
-    spectral weight; all pointwise paths are zero, and gelu(0) = 0 keeps
-    them silent.  Requires width >= channels.
-    """
-    if config.width < config.channels:
-        raise ValueError("identity fixture needs width >= channels")
-    model = OperatorModel.zeros(config)
-    lift = np.zeros((config.width, config.channels))
-    proj = np.zeros((config.channels, config.width))
-    for c in range(config.channels):
-        lift[c, c] = 1.0
-        proj[c, c] = 1.0
-    model.set_param("lift.weight", lift)
-    model.set_param("proj.weight", proj)
-    spectral = np.zeros((config.width, config.width, config.n_modes), dtype=np.complex128)
-    for c in range(config.channels):
-        spectral[c, c, 0] = 1.0  # canonical position 0 is the zero mode
-    for i in range(config.n_layers):
-        model.set_param(f"block{i}.spectral", spectral)
-    return model
-
-
 # -- forward / backward ------------------------------------------------------
 
 
@@ -677,7 +557,8 @@ class _Workspace:
 
 @functools.lru_cache(maxsize=8)
 def _workspace(shape: tuple[int, ...], n_layers: int, taped: bool) -> _Workspace:
-    """Buffers for activations shaped (B, width, *spatial), aliased as the module docstring says."""
+    """Buffers for activations shaped (B, width, *spatial): a block's own when taped, else one for every block's
+    s and then GELU output, and one for every ``z``, which the next block's overwrites once the GELU has read it."""
     if taped:
         g, z, s = (tuple(np.empty(shape) for _ in range(n_layers)) for _ in range(3))
         return _Workspace(g, z, s, np.empty(shape))

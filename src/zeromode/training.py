@@ -1,14 +1,17 @@
-"""Training and autoregressive rollout, one :class:`Variant` each.
+"""Training in two modes and autoregressive rollout in three variants.
 
-The variant says where the zero-mode correction acts:
+Training modes (:data:`MODES`) say whether the zero-mode correction acts in training:
 
-* ``base``       - plain next-step regression, rolled out uncorrected.
-* ``integrated`` - the correction sits inside the training graph (each
-  prediction is pinned to its input's conserved integral before the
-  loss) and rollouts feed corrected states forward.
-* ``staged``     - training and validation are bit-identical to base;
-  the correction only acts at test time, pinning each state it scores
-  without feeding the pinned state back.
+* ``base``       - plain next-step regression, validated by ``base`` rollouts.
+* ``integrated`` - each prediction is pinned to its input's conserved integral
+  before the loss; validated by ``integrated`` rollouts.
+
+Rollout variants (:class:`Variant`) say where it acts at test time:
+
+* ``base``       - each state is scored and fed forward uncorrected.
+* ``integrated`` - each state is pinned, scored and fed forward pinned.
+* ``staged``     - each state is pinned and scored, and fed forward raw: the
+  variant of a ``base``-trained model.
 
 The correction is exterior to the operator: :mod:`model` knows no
 conservation law, and this module alone applies the pin
@@ -50,6 +53,8 @@ __all__ = [
 
 #: training losses :func:`loss_and_grad` accepts
 LOSSES = ("mae", "mse")
+#: training modes :class:`TrainConfig` accepts, each the value of the :class:`Variant` that validates it
+MODES = ("base", "integrated")
 
 
 def _check_loss(loss: str) -> None:
@@ -67,7 +72,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    mode: Variant = Variant.BASE
+    mode: str = "base"
     epochs: int = 200
     batch_size: int = 5
     lr: float = 1e-3
@@ -76,7 +81,8 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Variant(self.mode))  # a member or its value
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         _check_loss(self.loss)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
@@ -175,20 +181,19 @@ def train(
 
     Both splits must fit the operator (:meth:`OperatorConfig.check_fit`).
     ``model_config.seed`` seeds both the initial parameters and the pair
-    sampling.  Validation runs every ``eval_every`` epochs (and at the
-    end) as a full rollout over the validation split: an integrated model
-    validates as ``integrated``, every other variant as ``base``.  The
+    sampling.  ``config.mode`` names the :class:`Variant` that both pins
+    in the loss (``integrated`` only) and validates: every ``eval_every``
+    epochs (and at the end), a full rollout over the validation split.  The
     checkpoint with the lowest mean validation RMSE is returned, earliest
-    epoch winning ties, so staged training is bit-identical to base.
+    epoch winning ties.
     """
     for split in (train_set, valid_set):
         model_config.check_fit(split.data.shape[2:])
     model = init_model(model_config)
     opt = init_optimizer(model.params, lr=config.lr, weight_decay=config.weight_decay)
-    integrated = config.mode is Variant.INTEGRATED
-    mask = train_set.mask if integrated else None
+    variant = Variant(config.mode)
+    mask = train_set.mask if variant is Variant.INTEGRATED else None
     n_batches = max(1, -(-train_set.n_samples // config.batch_size))
-    val_variant = Variant.INTEGRATED if integrated else Variant.BASE
 
     log: list[dict] = []
     best_epoch = 0
@@ -217,7 +222,7 @@ def train(
         record = {"epoch": epoch, "loss": epoch_loss / n_batches}
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            result = rollout(model, valid_set.data, val_variant, valid_set.mask)
+            result = rollout(model, valid_set.data, variant, valid_set.mask)
             validation_seconds += result.wall_clock
             record["val_rmse"] = val_rmse = result.mean_rmse
             if val_rmse < best_val:

@@ -152,9 +152,9 @@ def trained_study(desk_tests):
         valid_set = generate_dataset(replace(desk_config(problem, split="valid"), n_samples=2))
         for seed in TRAIN_SEEDS:
             model_config = replace(TRAIN_MODEL, seed=seed)
-            base = train(train_set, valid_set, model_config, TrainConfig(mode=Variant.BASE, epochs=8, eval_every=4))
+            base = train(train_set, valid_set, model_config, TrainConfig(mode="base", epochs=8, eval_every=4))
             integ = train(train_set, valid_set, model_config,
-                          TrainConfig(mode=Variant.INTEGRATED, epochs=8, eval_every=4))
+                          TrainConfig(mode="integrated", epochs=8, eval_every=4))
             samples = test_ds.data[:N_EVAL_SAMPLES]
             runs = {
                 "base": rollout(base.model, samples, Variant.BASE, test_ds.mask),

@@ -1,7 +1,8 @@
 """Public surface: every public name has a caller in the package or the benchmark.
 
 A name that only tests reach is surface to maintain with nothing depending
-on it.  The rule is mechanical: each name in a module's ``__all__`` and each
+on it; a fixture only the tests build lives in the tests.  The rule is
+mechanical and has no exception: each name in a module's ``__all__`` and each
 public method or property of a public class needs a ``Name``,
 ``Attribute`` or import reference in ``src/zeromode/`` or ``bench/``.
 References are matched by bare name, so a method or property passes on any
@@ -47,6 +48,11 @@ The package runs on numpy alone.  No package module imports ``scipy``, at
 module level or in a function body: every solver transform comes from numpy,
 and the manifest's environment block names no scipy version.  The tests keep
 ``scipy.fft`` as an independent oracle for those transforms.
+
+The package's code and docstrings quote no timing: no line of
+``src/zeromode/*.py`` holds a number followed by ``ms`` or ``µs``, or a
+percentage followed by ``faster`` or ``slower``.  A timing belongs with the
+harness that measured it, in ``CHANGES.md`` or a benchmark result.
 """
 
 import ast
@@ -55,9 +61,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zeromode"
-
-# documented fixture: the identity operator the tests and docs build on
-ALLOWED_WITHOUT_CALLER = {"constant_identity_model"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -104,13 +107,8 @@ def referenced_names() -> set[str]:
 
 def test_every_public_name_has_a_pipeline_or_bench_caller():
     referenced = referenced_names()
-    orphans = {name: where for name, where in public_names().items()
-               if name not in referenced and name not in ALLOWED_WITHOUT_CALLER}
+    orphans = {name: where for name, where in public_names().items() if name not in referenced}
     assert not orphans, f"public names reached only by tests: {orphans}"
-
-
-def test_allow_list_names_real_public_names():
-    assert ALLOWED_WITHOUT_CALLER <= set(public_names())
 
 
 def test_package_root_binds_only_the_thread_caps_and_version():
@@ -213,6 +211,16 @@ def test_no_package_module_imports_scipy():
                 continue
             importers.update(f"{path.name}:{owner} {m}" for m in modules if m.split(".")[0] == "scipy")
     assert importers == set()
+
+
+TIMING = re.compile(r"\d\s*(ms|µs)\b|\d\s*%\s*(faster|slower)\b")
+
+
+def test_no_package_line_quotes_a_timing():
+    quoted = [f"{path.name}:{lineno}: {line.strip()}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for lineno, line in enumerate(path.read_text().splitlines(), start=1) if TIMING.search(line)]
+    assert not quoted, "timings belong with their harness, not in the package:\n" + "\n".join(quoted)
 
 
 # -- options ---------------------------------------------------------------------

@@ -570,6 +570,11 @@ BAD_INPUTS = [
                  id="gen-master-seed-negative"),
     pytest.param(train_row("--seed", "-1"), "seed must be non-negative, got -1", True, id="train-seed-negative"),
     pytest.param(train_row("--mode", "baseline"), "invalid choice: 'baseline'", False, id="train-mode-baseline"),
+    # staged is an eval variant of a base checkpoint, not a training mode
+    pytest.param(train_row("--mode", "staged"), ("invalid choice: 'staged'", "base", "integrated"), False,
+                 id="train-mode-staged"),
+    pytest.param(config_row("train", {"mode": "staged"}),
+                 "unknown mode 'staged', expected one of ('base', 'integrated')", True, id="train-config-mode-staged"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 0)), "bad.ckpt: bad checkpoint magic", True,
                  id="ckpt-cut-magic"),
     pytest.param(checkpoint_row(cut_inside(checkpoint_ends, 1)), "header truncated", True,
@@ -672,7 +677,8 @@ BAD_INPUTS = [
 class TestMalformedInputs:
     """Bad inputs end in exit 2, before any generation, training step, rollout or check, and never with a traceback.
 
-    A bad file prints one stderr line.  ``BAD_INPUTS`` holds the cases whose argv is built alone;
+    Stderr holds a row's message, or each string of a tuple of them; a bad file prints one stderr line.
+    ``BAD_INPUTS`` holds the cases whose argv is built alone;
     the named tests below need more set-up or checks of their own.
     """
 
@@ -696,7 +702,8 @@ class TestMalformedInputs:
             code = exc.code
         assert code == 2 and not called
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        messages = (message,) if isinstance(message, str) else message
+        assert all(m in err for m in messages) and "Traceback" not in err
         if file_row:
             assert err.count("\n") == 1
         assert not list((tmp_path / "report").rglob("*"))  # a refused report writes no file

@@ -14,7 +14,6 @@ from zeromode.correction import ConservationMask
 from zeromode.model import (
     OperatorConfig,
     OperatorModel,
-    constant_identity_model,
     fold_weights,
     forward_values,
     gelu,
@@ -41,6 +40,8 @@ from zeromode.model import (
 )
 from zeromode.correction import Variant
 from zeromode.training import loss_and_grad, rollout
+
+from operator_fixtures import constant_identity_model
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
 CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
