@@ -329,9 +329,7 @@ def _cmd_verify(args, argv: list[str]) -> int:
     text = format_results(results)
     print(text)
     if out_dir:
-        results_path = write_json(out_dir / "verify.json", [
-            {"suite": r.suite, "name": r.name, "passed": r.passed, "elapsed": r.elapsed, "detail": r.detail}
-            for r in results])
+        results_path = write_json(out_dir / "verify.json", [asdict(r) for r in results])
         _write_manifest(out_dir, "verify", argv, {"suite": args.suite},
                         [], [results_path], started)
     return 0 if all_passed(results) else 1

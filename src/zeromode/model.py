@@ -224,9 +224,6 @@ class OperatorConfig:
             if self.modes_kept > n // 2:
                 raise ValueError(f"modes_kept={self.modes_kept} exceeds the Nyquist bound for resolution {n}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ParamSlot:
@@ -277,7 +274,11 @@ def n_params(config: OperatorConfig) -> int:
 
 @dataclass
 class OperatorModel:
-    """A configuration plus one flat float64 parameter vector."""
+    """A configuration plus one flat float64 parameter vector.
+
+    Its named tensors are the views :func:`_views` makes into ``params``;
+    writes through them land in the flat vector.
+    """
 
     config: OperatorConfig
     params: np.ndarray
@@ -288,27 +289,6 @@ class OperatorModel:
         if params.shape != (expected,):
             raise ValueError(f"parameter vector has shape {params.shape}, layout needs ({expected},)")
         self.params = params
-
-    @classmethod
-    def zeros(cls, config: OperatorConfig) -> "OperatorModel":
-        return cls(config, np.zeros(n_params(config)))
-
-    def _view(self, name: str) -> np.ndarray:
-        views = _views(self.params, self.config)
-        if name not in views:
-            raise KeyError(f"no parameter named {name!r}")
-        return views[name]
-
-    def get_param(self, name: str) -> np.ndarray:
-        """Copy of one named tensor (complex128 for spectral weights)."""
-        return self._view(name).copy()
-
-    def set_param(self, name: str, values: np.ndarray) -> None:
-        view = self._view(name)
-        values = np.asarray(values)
-        if values.shape != view.shape:
-            raise ValueError(f"{name} expects shape {view.shape}, got {values.shape}")
-        view[...] = values
 
 
 def _views(flat: np.ndarray, config: OperatorConfig) -> dict[str, np.ndarray]:
@@ -328,18 +308,19 @@ def init_model(config: OperatorConfig) -> OperatorModel:
     fan_out)).  Biases start at zero.
     """
     rng = np.random.default_rng(config.seed)
-    model = OperatorModel.zeros(config)
+    params = np.zeros(n_params(config))
+    views = _views(params, config)
     spectral_scale = 1.0 / (config.width * config.width)
     for slot in layout(config):
         if slot.is_complex:
             re = rng.uniform(0.0, 1.0, slot.shape)
             im = rng.uniform(0.0, 1.0, slot.shape)
-            model.set_param(slot.name, spectral_scale * (re + 1j * im))
+            views[slot.name][...] = spectral_scale * (re + 1j * im)
         elif slot.name.endswith(".weight"):
             fan_out, fan_in = slot.shape
-            model.set_param(slot.name, rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), slot.shape))
+            views[slot.name][...] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), slot.shape)
         # biases stay zero
-    return model
+    return OperatorModel(config, params)
 
 
 # -- forward / backward ------------------------------------------------------
@@ -655,7 +636,7 @@ def vjp(model: OperatorModel, inputs: np.ndarray):
 
 def save_checkpoint(model: OperatorModel, path: str | os.PathLike) -> Path:
     """Versioned binary checkpoint: header, config echo, flat F64 params."""
-    config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+    config_blob = json.dumps(asdict(model.config), sort_keys=True).encode()
     params = model.params.astype("<f8", copy=False)
     return write_atomic(path, CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(config_blob)), config_blob,
                         struct.pack("<QI", params.size, zlib.crc32(params)), params)

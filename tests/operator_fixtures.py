@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from zeromode.model import OperatorConfig, OperatorModel
+from zeromode.model import OperatorConfig, OperatorModel, _views, n_params
 
 
 def constant_identity_model(config: OperatorConfig) -> OperatorModel:
@@ -14,17 +14,18 @@ def constant_identity_model(config: OperatorConfig) -> OperatorModel:
     """
     if config.width < config.channels:
         raise ValueError("identity fixture needs width >= channels")
-    model = OperatorModel.zeros(config)
+    model = OperatorModel(config, np.zeros(n_params(config)))
     lift = np.zeros((config.width, config.channels))
     proj = np.zeros((config.channels, config.width))
     for c in range(config.channels):
         lift[c, c] = 1.0
         proj[c, c] = 1.0
-    model.set_param("lift.weight", lift)
-    model.set_param("proj.weight", proj)
+    views = _views(model.params, config)
+    views["lift.weight"][...] = lift
+    views["proj.weight"][...] = proj
     spectral = np.zeros((config.width, config.width, config.n_modes), dtype=np.complex128)
     for c in range(config.channels):
         spectral[c, c, 0] = 1.0  # canonical position 0 is the zero mode
     for i in range(config.n_layers):
-        model.set_param(f"block{i}.spectral", spectral)
+        views[f"block{i}.spectral"][...] = spectral
     return model

@@ -35,6 +35,11 @@ appears only in ``datafile.write_atomic``, except the one documented append:
 read-modify-rename by two evaluations sharing the file would lose one record.
 A buffer read appears only in ``datafile.read_payload``.
 
+The flat parameter vector has one view layer.  Only ``model.layout``, which
+assigns the offsets, ``model.n_params`` and ``model._views`` read a
+``ParamSlot``'s ``offset`` or ``n_floats``, in ``src/zeromode/`` or ``bench/``;
+every other reader of a named tensor takes its view from ``_views``.
+
 Spectral weights are folded in one place too: ``model._fold`` is called only by
 ``model.fold_weights``, once per parameter state, and by ``verify``'s adjoint check.
 
@@ -177,6 +182,15 @@ def test_weights_fold_only_in_fold_weights_and_the_adjoint_check():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_fold":
                 callers.add(f"{path.name}:{owner}")
     assert callers == {"model.py:fold_weights", "verify.py:_check_spectral_adjoint"}
+
+
+def test_only_the_view_layer_reads_slot_offsets():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        for top in parse(path).body:  # a nested helper counts as its top-level function: layout's add
+            if any(isinstance(node, ast.Attribute) and node.attr in ("offset", "n_floats") for node in ast.walk(top)):
+                readers.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    assert readers == {"model.py:layout", "model.py:n_params", "model.py:_views"}
 
 
 def imports_correction(node: ast.AST) -> bool:

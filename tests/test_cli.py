@@ -8,7 +8,7 @@ import struct
 import subprocess
 import sys
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -755,6 +755,8 @@ class TestVerifyCommand:
         assert "PASS" in capsys.readouterr().out
         results = json.loads((tmp_path / "verify.json").read_text())
         assert all(r["passed"] for r in results)
+        # a row is a CheckResult, key for field
+        assert results and all(set(r) == {f.name for f in fields(zeromode.verify.CheckResult)} for r in results)
 
     def test_failing_check_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(

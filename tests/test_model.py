@@ -37,6 +37,7 @@ from zeromode.model import (
     _mixing_backward,
     _pointwise_forward,
     _to_band,
+    _views,
 )
 from zeromode.correction import Variant
 from zeromode.training import loss_and_grad, rollout
@@ -99,20 +100,25 @@ class TestLayout:
             assert n_params(cfg) == expected
         assert n_params(CFG_2D) <= 500  # keeps the finite-difference oracle cheap
 
-    def test_get_set_round_trip(self):
-        model = OperatorModel.zeros(CFG_2D)
+    def test_views_round_trip(self):
+        model = OperatorModel(CFG_2D, np.zeros(n_params(CFG_2D)))
+        views = _views(model.params, model.config)
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 3, 9)) + 1j * rng.normal(size=(3, 3, 9))
-        model.set_param("block1.spectral", w)
-        np.testing.assert_array_equal(model.get_param("block1.spectral"), w)
         b = rng.normal(size=(2,))
-        model.set_param("proj.bias", b)
-        np.testing.assert_array_equal(model.get_param("proj.bias"), b)
-
-    def test_set_wrong_shape(self):
-        model = OperatorModel.zeros(CFG_1D)
-        with pytest.raises(ValueError, match="shape"):
-            model.set_param("lift.weight", np.zeros((2, 2)))
+        views["block1.spectral"][...] = w
+        views["proj.bias"][...] = b
+        again = _views(model.params, model.config)
+        np.testing.assert_array_equal(again["block1.spectral"], w)
+        np.testing.assert_array_equal(again["proj.bias"], b)
+        # each write lands at its slot's offset, a complex one as interleaved (re, im) floats
+        offsets = {slot.name: slot.offset for slot in layout(CFG_2D)}
+        expected = np.zeros(n_params(CFG_2D))
+        start = offsets["block1.spectral"]
+        expected[start : start + 2 * w.size : 2] = w.real.ravel()
+        expected[start + 1 : start + 2 * w.size : 2] = w.imag.ravel()
+        expected[offsets["proj.bias"] : offsets["proj.bias"] + b.size] = b
+        np.testing.assert_array_equal(model.params, expected)
 
     def test_wrong_vector_length(self):
         with pytest.raises(ValueError, match="layout needs"):
@@ -122,9 +128,10 @@ class TestLayout:
         a = init_model(CFG_2D)
         b = init_model(CFG_2D)
         np.testing.assert_array_equal(a.params, b.params)
-        assert np.all(a.get_param("lift.bias") == 0.0)
-        assert np.all(a.get_param("block0.bias") == 0.0)
-        spectral = a.get_param("block0.spectral")
+        views = _views(a.params, a.config)
+        assert np.all(views["lift.bias"] == 0.0)
+        assert np.all(views["block0.bias"] == 0.0)
+        spectral = views["block0.spectral"]
         bound = 1.0 / CFG_2D.width**2
         assert spectral.real.min() >= 0.0 and spectral.real.max() < bound
         assert spectral.imag.min() >= 0.0 and spectral.imag.max() < bound
@@ -253,7 +260,7 @@ class TestTiledKernels:
 
 class TestForward:
     def test_zero_params_zero_output(self):
-        model = OperatorModel.zeros(CFG_2D)
+        model = OperatorModel(CFG_2D, np.zeros(n_params(CFG_2D)))
         x = np.random.default_rng(1).normal(size=(2, 8, 8))
         assert np.all(predict(model, x) == 0.0)
 
@@ -281,16 +288,17 @@ class TestForward:
         # a band-limited signal rides through every block unchanged, so the
         # whole network collapses to proj(lift(x))
         model = init_model(CFG_2D)
+        views = _views(model.params, model.config)
         rng = np.random.default_rng(5)
-        model.set_param("lift.bias", rng.normal(size=3))
-        model.set_param("proj.bias", rng.normal(size=2))
+        views["lift.bias"][...] = rng.normal(size=3)
+        views["proj.bias"][...] = rng.normal(size=2)
         band_identity = np.zeros((3, 3, 9), dtype=np.complex128)
         for i in range(3):
             band_identity[i, i, :] = 1.0
         for i in range(CFG_2D.n_layers):
-            model.set_param(f"block{i}.spectral", band_identity)
-            model.set_param(f"block{i}.weight", np.zeros((3, 3)))
-            model.set_param(f"block{i}.bias", np.zeros(3))
+            views[f"block{i}.spectral"][...] = band_identity
+            views[f"block{i}.weight"][...] = np.zeros((3, 3))
+            views[f"block{i}.bias"][...] = np.zeros(3)
 
         grid_x, grid_y = np.meshgrid(np.arange(6) / 6.0, np.arange(6) / 6.0, indexing="ij")
 
@@ -301,17 +309,15 @@ class TestForward:
                     + a[5] * np.cos(2 * np.pi * (grid_x + grid_y)))
 
         x = np.stack([band_limited(), band_limited()])
-        lift_w = model.get_param("lift.weight")
-        proj_w = model.get_param("proj.weight")
-        h = np.einsum("wc,cij->wij", lift_w, x) + model.get_param("lift.bias")[:, None, None]
-        expected = np.einsum("ow,wij->oij", proj_w, h) + model.get_param("proj.bias")[:, None, None]
+        h = np.einsum("wc,cij->wij", views["lift.weight"], x) + views["lift.bias"][:, None, None]
+        expected = np.einsum("ow,wij->oij", views["proj.weight"], h) + views["proj.bias"][:, None, None]
         np.testing.assert_allclose(predict(model, x), expected, atol=1e-12)
 
     def test_band_is_resolution_independent(self):
         cfg = OperatorConfig(channels=1, width=2, n_layers=1, modes_kept=3, ndim=1, seed=7)
         model = init_model(cfg)
         # silence the pointwise path: gelu aliases across resolutions, the band does not
-        model.set_param("block0.weight", np.zeros((2, 2)))
+        _views(model.params, cfg)["block0.weight"][...] = np.zeros((2, 2))
 
         def signal(x):
             return 0.3 + np.cos(2 * np.pi * x) - 0.5 * np.sin(4 * np.pi * x)
@@ -341,14 +347,14 @@ class TestForward:
             predict(model, np.zeros((1, 8)))
 
     def test_bad_input_shape(self):
-        model = OperatorModel.zeros(CFG_2D)
+        model = OperatorModel(CFG_2D, np.zeros(n_params(CFG_2D)))
         with pytest.raises(ValueError, match="spatial"):
             predict(model, np.zeros((3, 8, 8)))  # wrong channel count
 
 
 def unfolded_forward(model, x):
     """The operator as the module docstring writes it: lift, blocks with the GELU residual, projection."""
-    p = {slot.name: model.get_param(slot.name) for slot in layout(model.config)}
+    p = _views(model.params, model.config)
     h = _pointwise_forward(x, p["lift.weight"], p["lift.bias"], None)
     for i in range(model.config.n_layers):
         s = fftn_spectral_layer(h, p[f"block{i}.spectral"], model.config.modes_kept)
@@ -770,7 +776,7 @@ class TestCheckpoint:
         canonical = np.random.default_rng(5).normal(size=n_params(model.config))
         slot = next(s for s in layout(model.config) if s.is_complex)
         expected = canonical[slot.offset : slot.offset + slot.n_floats].view(np.complex128).reshape(slot.shape)
-        assert model.get_param(slot.name).tobytes() == expected.tobytes()
+        assert _views(model.params, model.config)[slot.name].tobytes() == expected.tobytes()
         assert save_checkpoint(model, tmp_path / "again.ckpt").read_bytes() == written.read_bytes()
 
     def test_no_temp_files_left(self, tmp_path):

@@ -22,7 +22,6 @@ from zeromode.solvers import (
     _real_buffers,
     _real_forward,
     _real_inverse,
-    cfl_number,
     dam_break_state,
     solve_allen_cahn,
     solve_convdiff_exact,
@@ -299,12 +298,31 @@ class TestShallowWater:
         np.testing.assert_allclose(a[0], b[0, ::-1, :], atol=1e-10)
         np.testing.assert_allclose(a[1], -b[1, ::-1, :], atol=1e-10)
 
+    @staticmethod
+    def courant(state, grid, g_r, dt):
+        """The oracle: the larger over the axes of dt * max(|q_n / h| + sqrt(g h)) / dx."""
+        h, hu, hv = state
+        c = np.sqrt(g_r * h)
+        return max(dt * np.max(np.abs(q / h) + c) / d for q, d in zip((hu, hv), grid.spacing))
+
     def test_initial_cfl_precondition(self):
         grid = self.grid()
         state = dam_break_state(grid, radius=0.2, h_inner=2.0)
-        assert cfl_number(state, grid, 1.0, 0.005) <= 0.45
-        with pytest.raises(ValueError, match="CFL"):
-            solve_shallow_water(state, grid, 1.0, dt=0.05, n_steps=10, snapshot_stride=10)
+        state[1], state[2] = 0.3 * state[0], -0.1 * state[0]  # both axes' speeds carry a velocity
+        per_dt = self.courant(state, grid, 1.0, 1.0)
+        assert self.courant(state, grid, 1.0, 0.449 / per_dt) < 0.45
+        solve_shallow_water(state, grid, 1.0, dt=0.449 / per_dt, n_steps=1, snapshot_stride=1)
+        assert self.courant(state, grid, 1.0, 0.451 / per_dt) > 0.45
+        with pytest.raises(ValueError, match=r"^initial CFL number 0\.451 exceeds 0\.45; reduce dt$"):
+            solve_shallow_water(state, grid, 1.0, dt=0.451 / per_dt, n_steps=10, snapshot_stride=10)
+
+    def test_initial_cfl_names_the_sample(self):
+        grid = self.grid()
+        states = np.stack([dam_break_state(grid, radius=0.2, h_inner=h) for h in (1.2, 1.5, 8.0, 1.2)])
+        dt = 0.3 / self.courant(states[0], grid, 1.0, 1.0)
+        assert [self.courant(s, grid, 1.0, dt) > 0.45 for s in states] == [False, False, True, False]
+        with pytest.raises(ValueError, match=r"^initial CFL number \d\.\d{3} exceeds 0\.45 in sample 2; reduce dt$"):
+            solve_shallow_water(states, grid, 1.0, dt, n_steps=10, snapshot_stride=10)
 
     def test_positive_depth_required(self):
         grid = self.grid(8)

@@ -23,8 +23,9 @@ from zeromode.model import (
     fold_weights,
     forward_values,
     init_model,
+    n_params,
 )
-from zeromode.model import _forward_batch
+from zeromode.model import _forward_batch, _views
 from zeromode.optim import adamw_step, init_optimizer
 from zeromode.training import (
     MODES,
@@ -212,7 +213,7 @@ class TestLossValue:
         assert np.isclose(value, ((pred - t) ** 2).mean(), rtol=1e-13)
 
     def test_unknown_loss_and_mask_mismatch(self):
-        model = OperatorModel.zeros(self.CFG_1D)
+        model = OperatorModel(self.CFG_1D, np.zeros(n_params(self.CFG_1D)))
         x = np.zeros((1, 1, 8))
         with pytest.raises(ValueError, match="mae"):
             loss_and_grad(model, x, x, loss="huber", mask=None)
@@ -260,7 +261,7 @@ class TestIntegratedShiftFixture:
         # optimization steps at all
         cfg = OperatorConfig(channels=1, width=4, n_layers=1, modes_kept=2, ndim=2)
         model = constant_identity_model(cfg)
-        model.set_param("proj.bias", np.array([0.25]))
+        _views(model.params, cfg)["proj.bias"][...] = np.array([0.25])
         state = np.full((3, 1, 16, 16), 1.3)
         raw, _ = loss_and_grad(model, state, state, loss="mae", mask=None)
         assert np.isclose(raw, 0.25, rtol=1e-12)
