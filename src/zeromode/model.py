@@ -32,11 +32,15 @@ the broadcast product w * x, whose one product per point has no sum to reorder.
 
 Activation-size intermediates go into a workspace cached per (batch shape,
 width, n_layers, taped), so a steady-state call allocates none.  A
-forward-only call aliases its blocks onto three buffers (:func:`_workspace`);
-a taped call keeps each block's ``z``, GELU denominator s and output apart,
-its tape valid until the next taped call of the same shape.  The prediction
-is always a fresh array, never a view of the workspace, which is shared
-process-wide: two threads must not run forwards of one shape at once.
+forward-only call aliases its blocks onto two buffers (:func:`_workspace`);
+a taped call keeps each block's ``z``, GELU denominator s and output apart.
+Block i + 1's band term waits in ``s[i + 1]``, which forward-only is g's
+own buffer, so the band dft(g) + mixed is taken first.  The backward writes
+its activation-size gradients into tape buffers it has read for the last
+time, so a tape serves one pullback, and only until the next taped call of
+the same shape.  The prediction and the flat gradient are always fresh
+arrays, never views of the workspace, which is shared process-wide: two
+threads must not run forwards of one shape at once.
 
 The GELU 0.5 x (1 + tanh u), u = a (x + b x^3), is taken in its logistic
 form x / s, s = 1 + exp(-2u), which keeps the negative tail where 1 + tanh u
@@ -65,9 +69,9 @@ zero mode, so the operator that is the identity on constants keeps its bits.
 Mixing is one broadcast ``matmul`` per mode and sample, (B, n_half, 1, i) @
 (n_half, i, o), and its adjoint the same on the conjugated gradient, so a
 state gets the same bits alone or in any batch.  W_eff's gradient goes to
-W[k] as it is and to W[-k] conjugated, built mode-major: assigned on the
-half band, then added on the mirrors, since column 0 holds both k and -k
-and a second assignment would drop a term.
+W[k] as it is and to W[-k] conjugated, added through the mode-major view of
+W's gradient on the half band and then on the mirrors, since column 0 holds
+both k and -k and an assignment would drop a term.
 
 No autodiff framework is used: every layer has its own adjoint.  The operator
 knows no conservation law; the training module alone applies the pin and its
@@ -161,26 +165,25 @@ def gelu_grad(x: np.ndarray, denom: np.ndarray, upstream: np.ndarray) -> np.ndar
 
     gelu'(x) = p*(1 + (p - 1)*x*v') with p = 1/s the logistic gate and
     v' = 3*c1*x^2 + c0 the slope of exp's argument v = x*(c1*x^2 + c0), taken
-    tile by tile with the product.  Two scratch tiles per call hold the
-    intermediates; the result is a fresh array.
+    tile by tile with the product.  Three scratch tiles per call hold the
+    intermediates; the product is written into ``upstream``, which is returned.
     """
-    grad = np.empty(x.shape)
     scratch = None
-    for xs, ss, us, gs in _tiles(x, denom, upstream, grad):
+    for xs, ss, us in _tiles(x, denom, upstream):
         if scratch is None:
-            scratch = np.empty((2, *xs.shape))
-        slope, gate = scratch[:, : len(xs)]
+            scratch = np.empty((3, *xs.shape))
+        slope, gate, g = scratch[:, : len(xs)]
         np.square(xs, out=slope)
         slope *= 3.0 * _GELU_C1
         slope += _GELU_C0
         np.divide(1.0, ss, out=gate)
-        g = np.subtract(gate, 1.0, out=gs)
+        np.subtract(gate, 1.0, out=g)
         g *= xs
         g *= slope
         g += 1.0
         g *= gate
-        g *= us
-    return grad
+        us *= g
+    return upstream
 
 
 @dataclass(frozen=True)
@@ -459,15 +462,14 @@ def _mixing_backward(
 ) -> np.ndarray:
     """Band gradient of the mixing's input given that of its output; ``weight`` is ``_fold(W)``.
 
-    sum_o conj(weight[k, i, o]) gy[b, o, k] is taken as conj(weight @ conj(gy)); W's gradient is built
-    mode-major and added into ``grad_weight``, shaped like W, as the module docstring says.
+    sum_o conj(weight[k, i, o]) gy[b, o, k] is taken as conj(weight @ conj(gy)); W's gradient is added
+    into ``grad_weight``, shaped like W, through its mode-major view, as the module docstring says.
     """
     grad_eff = np.conj(x_modes).transpose(2, 1, 0) @ gy_modes.transpose(2, 0, 1)
     grad_eff *= (band.count / (2 * np.prod(band.resolution)))[:, None, None]
-    modes = np.zeros((grad_weight.shape[-1], *grad_eff.shape[1:]), dtype=grad_eff.dtype)
-    modes[band.half] = grad_eff
-    modes[band.mirror] += np.conj(grad_eff)  # column 0 holds both k and -k: the conjugate is added, not assigned
-    grad_weight += modes.transpose(1, 2, 0)
+    modes = grad_weight.transpose(2, 0, 1)
+    modes[band.half] += grad_eff
+    modes[band.mirror] += np.conj(grad_eff, out=grad_eff)  # column 0 holds both k and -k: each term is added
     gx = weight @ np.conj(gy_modes).transpose(0, 2, 1)[..., None]
     return np.conj(gx[..., 0]).transpose(0, 2, 1)
 
@@ -497,15 +499,18 @@ def _pointwise_backward(grad_y: np.ndarray, x: np.ndarray):
     return grad_w, grad_b
 
 
-def _pointwise_adjoint(grad_y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _pointwise_adjoint(grad_y: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The input gradient ``W^T grad_y`` of ``W x + b``, written into ``out``, shaped like x and C-contiguous."""
     gy_flat = grad_y.reshape(*grad_y.shape[:2], -1)
-    return (weight.T @ gy_flat).reshape(grad_y.shape[0], -1, *grad_y.shape[2:])
+    np.matmul(weight.T, gy_flat, out=out.reshape(*out.shape[:2], -1))
+    return out
 
 
 def _band_affine(g, mixed, weight, bias, band: _Band, out=None, scratch=None) -> np.ndarray:
     """``weight (g + _from_band(mixed)) + bias`` as ``weight g + bias + _from_band(weight mixed)``.
 
     The inverse transform runs at the output width; ``scratch`` holds the band term until it is added.
+    It is written after ``weight g``, so it may be g's own buffer.
     """
     y = _pointwise_forward(g, weight, bias, out=out)
     y += _from_band(weight @ mixed, band, out=scratch)
@@ -513,11 +518,14 @@ def _band_affine(g, mixed, weight, bias, band: _Band, out=None, scratch=None) ->
 
 
 def _band_affine_backward(grad_y: np.ndarray, g: np.ndarray, mixed: np.ndarray, weight: np.ndarray, band: _Band):
-    """(gradient of g, band gradient of mixed, weight gradient, bias gradient) of :func:`_band_affine`."""
+    """(gradient of g, band gradient of mixed, weight gradient, bias gradient) of :func:`_band_affine`.
+
+    The gradient of g is written over ``g``, which the weight gradient has read by then.
+    """
     gy_modes = _dft(grad_y, band)
     grad_w, grad_b = _pointwise_backward(grad_y, g)
     grad_w += _band_inner(gy_modes, mixed, band)
-    return _pointwise_adjoint(grad_y, weight), weight.T @ gy_modes, grad_w, grad_b
+    return _pointwise_adjoint(grad_y, weight, out=g), weight.T @ gy_modes, grad_w, grad_b
 
 
 @dataclass(frozen=True)
@@ -525,26 +533,31 @@ class _Workspace:
     """Activation buffers of one forward shape, indexed by block.
 
     Block i writes ``z`` into ``z[i]``, its GELU denominator s into ``s[i]``
-    and its GELU output into ``g[i]``; ``band_term`` holds the next block's
-    ``_from_band(W mixed)`` before it is added to its ``z``.  Which entries
-    share memory is what :func:`_workspace` decides.
+    and its GELU output into ``g[i]``.  Past block 0, ``s[i]`` first holds
+    the band term ``_from_band(W mixed)`` until it is added to ``z[i]``.
+    Which entries share memory is what :func:`_workspace` decides.  The backward
+    writes into the taped buffers once it has read them: the gradients of
+    block i's GELU output and then of its ``z`` go over ``g[i]``, and the
+    field of its band's gradient over ``z[i]``.
     """
 
     g: tuple[np.ndarray, ...]
     z: tuple[np.ndarray, ...]
     s: tuple[np.ndarray, ...]
-    band_term: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _workspace(shape: tuple[int, ...], n_layers: int, taped: bool) -> _Workspace:
-    """Buffers for activations shaped (B, width, *spatial): a block's own when taped, else one for every block's
-    s and then GELU output, and one for every ``z``, which the next block's overwrites once the GELU has read it."""
+    """Buffers for activations shaped (B, width, *spatial): a block's own when taped, else two.
+
+    Forward-only, one buffer holds every block's band term, then s, then GELU output; the other
+    holds every ``z``, which the next block's overwrites once the GELU has read it.
+    """
     if taped:
         g, z, s = (tuple(np.empty(shape) for _ in range(n_layers)) for _ in range(3))
-        return _Workspace(g, z, s, np.empty(shape))
+        return _Workspace(g, z, s)
     g, z = (np.empty(shape),) * n_layers, (np.empty(shape),) * n_layers
-    return _Workspace(g, z, g, np.empty(shape))
+    return _Workspace(g, z, g)
 
 
 def _forward_batch(model: OperatorModel, folded: tuple[np.ndarray, ...], x: np.ndarray,
@@ -577,10 +590,11 @@ def _forward_batch(model: OperatorModel, folded: tuple[np.ndarray, ...], x: np.n
         g = gelu(z, denom_out=ws.s[i], out=ws.g[i])
         if i == last:
             break
-        # block i's output h = g + _from_band(mixed) reaches block i + 1 as W h + b and as its band dft(g) + mixed
-        z = _band_affine(g, mixed, p[f"block{i + 1}.weight"], p[f"block{i + 1}.bias"], band,
-                         out=ws.z[i + 1], scratch=ws.band_term)
+        # block i's output h = g + _from_band(mixed) reaches block i + 1 as its band dft(g) + mixed and as W h + b,
+        # whose band term waits in s[i + 1]: g's own buffer forward-only, so g is read before it is written
         modes = _dft(g, band) + mixed
+        z = _band_affine(g, mixed, p[f"block{i + 1}.weight"], p[f"block{i + 1}.bias"], band,
+                         out=ws.z[i + 1], scratch=ws.s[i + 1])
     return _band_affine(g, mixed, p["proj.weight"], p["proj.bias"], band)
 
 
@@ -597,8 +611,8 @@ def _backward_batch(model: OperatorModel, tape: dict, grad_y: np.ndarray) -> np.
         g, modes, z, s = tape[f"block{i}"]
         grad_g, band_grad, grads[f"{after}.weight"][...], grads[f"{after}.bias"][...] = _band_affine_backward(
             grad_out, g, tape[f"mixed{i}"], p[f"{after}.weight"], band)
-        if q is not None:  # block i + 1's band dft(g) + mixed, with q its gradient
-            grad_g += _from_band(q, band)
+        if q is not None:  # block i + 1's band dft(g) + mixed, with q its gradient; its field goes over that z
+            grad_g += _from_band(q, band, out=tape[f"block{i + 1}"][2])
             band_grad += q
         q = _mixing_backward(band_grad, tape["folded"][i], modes, band, grads[f"block{i}.spectral"])
         grad_out, after = gelu_grad(z, denom=s, upstream=grad_g), f"block{i}"
@@ -625,10 +639,23 @@ def forward_values(model: OperatorModel, folded: tuple[np.ndarray, ...], values:
 
 
 def vjp(model: OperatorModel, inputs: np.ndarray):
-    """A batch's prediction and its pullback to the flat parameter gradient, valid until the next vjp of its shape."""
+    """A batch's prediction and its pullback to the flat parameter gradient, valid until the next vjp of its shape.
+
+    The pullback runs once: the backward writes its gradients over the tape's buffers, so a second call
+    raises RuntimeError.
+    """
     tape: dict = {}
     pred = _forward_batch(model, fold_weights(model), inputs, tape)
-    return pred, lambda grad_pred: _backward_batch(model, tape, grad_pred)
+
+    def pullback(grad_pred: np.ndarray) -> np.ndarray:
+        if not tape:
+            raise RuntimeError("a vjp's pullback runs once: its backward has written over the tape")
+        try:
+            return _backward_batch(model, tape, grad_pred)
+        finally:
+            tape.clear()
+
+    return pred, pullback
 
 
 # -- checkpoints ---------------------------------------------------------------

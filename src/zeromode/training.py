@@ -217,6 +217,7 @@ def train(
             if not np.all(np.isfinite(grads)):
                 raise TrainingDiverged(epoch, b, "gradient")
             adamw_step(model.params, grads, opt)
+            del grads  # freed before the next backward makes its own
             epoch_loss += value
         epoch_seconds.append(time.perf_counter() - t0)
         record = {"epoch": epoch, "loss": epoch_loss / n_batches}

@@ -23,6 +23,7 @@ from zeromode.model import (
     load_checkpoint,
     n_params,
     save_checkpoint,
+    vjp,
 )
 from zeromode.model import (
     _CHUNK_BYTES,
@@ -38,6 +39,7 @@ from zeromode.model import (
     _pointwise_forward,
     _to_band,
     _views,
+    _workspace,
 )
 from zeromode.correction import Variant
 from zeromode.training import loss_and_grad, rollout
@@ -65,6 +67,16 @@ def gelu_and_slope(x):
     denom, y = np.empty_like(x), np.empty_like(x)
     gelu(x, denom, y)
     return y, gelu_grad(x, denom, np.ones_like(x))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fd_gradient(model, inputs, targets, h=1e-6, **kw):
@@ -240,7 +252,9 @@ class TestTiledKernels:
         assert gelu(x, denom_out=shared, out=shared).tobytes() == y_ref.tobytes()
 
         assert gelu_grad(x, denom=denom_out, upstream=np.ones_like(x)).tobytes() == slope_ref.tobytes()
-        chained = gelu_grad(x, denom=denom_out, upstream=upstream)
+        into = upstream.copy()
+        chained = gelu_grad(x, denom=denom_out, upstream=into)
+        assert chained is into
         assert chained.tobytes() == (upstream * slope_ref).tobytes()
 
     def test_gelu_and_gelu_grad_refuse_a_strided_operand(self):
@@ -376,6 +390,31 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 128 * 128 * 8
+
+    def test_first_forward_of_a_shape_peaks_below_two_and_a_half_activations(self):
+        # forward-only, every block runs in two buffers; the rest is band-size and data-width
+        model = init_model(OperatorConfig(channels=1, seed=5))  # width 16
+        x = np.random.default_rng(5).normal(size=(1, 1, 128, 128))
+        folded = fold_weights(model)
+        _band.cache_clear()
+        _workspace.cache_clear()  # the buffers and tables are made as in a fresh process
+        assert traced_peak(lambda: forward_values(model, folded, x)) < 2.5 * 16 * 128 * 128 * 8
+
+    def test_steady_state_step_allocates_less_than_gradient_and_one_activation(self):
+        # the backward writes into the tape's spent buffers: past the flat gradient, only band-size and
+        # data-width arrays are fresh
+        model = init_model(OperatorConfig(channels=1, seed=5))  # width 16
+        x, t = np.random.default_rng(5).normal(size=(2, 5, 1, 128, 128))
+        step = lambda: loss_and_grad(model, x, t, loss="mae", mask=ConservationMask((True,)))
+        step()  # the first call of a shape makes its buffers
+        assert traced_peak(step) < model.params.nbytes + 5 * 16 * 128 * 128 * 8
+
+    def test_pullback_runs_once(self):
+        model = init_model(CFG_2D)
+        pred, pullback = vjp(model, np.random.default_rng(9).normal(size=(2, 2, 8, 8)))
+        assert np.isfinite(pullback(np.ones_like(pred))).all()
+        with pytest.raises(RuntimeError, match="runs once"):
+            pullback(np.ones_like(pred))  # its gradients now fill the tape's buffers
 
     def test_next_call_leaves_returned_array_alone(self):
         model = init_model(CFG_2D)
