@@ -15,6 +15,8 @@ In the exterior-embedding framework (ECF) the encoder is the per-channel
 mean of the input state (``values.mean(axis=spatial)`` in ``training``,
 :meth:`GridField.channel_means` in the audit), and the decoder is
 :func:`pin_channel_means`, whose adjoint is :func:`project_out_means`.
+:func:`conservation_error` is the one measure of what the pair preserves,
+for ``gen``'s drift audit and ``eval``'s ``cons_err`` alike.
 :func:`error_decomposition` is the split ECF's accuracy bound rests on: the
 decoder removes exactly the zero-mode part of the error.  The pipeline runs
 the decoder in one of the ways a :class:`Variant` names; the audit
@@ -34,7 +36,7 @@ from .grid import GridField, Spectrum, fft_forward, l2_norm
 __all__ = [
     "Variant",
     "ConservationMask",
-    "check_mask_width",
+    "conservation_error",
     "correct_spectrum",
     "pin_channel_means",
     "project_out_means",
@@ -90,10 +92,24 @@ class ConservationMask:
         return [i for i, f in enumerate(self.flags) if f]
 
 
-def check_mask_width(flags: tuple[bool, ...], channels: int) -> None:
+def _check_mask_width(flags: tuple[bool, ...], channels: int) -> None:
     """Refuse channel flags that do not cover exactly a state's ``channels``."""
     if len(flags) != channels:
         raise ValueError(f"mask covers {len(flags)} channels but the state has {channels}")
+
+
+def conservation_error(means: np.ndarray, reference: np.ndarray, flags: tuple[bool, ...]) -> np.ndarray:
+    """Relative conservation error |means - reference| / |reference|, max'd over the flagged channels.
+
+    Both hold per-channel integrals on their last axis and broadcast; the result drops that axis.
+    A flagged channel whose reference integral is 0 is skipped, and an entry with no usable channel is NaN.
+    """
+    means, reference = np.asarray(means, dtype=np.float64), np.asarray(reference, dtype=np.float64)
+    _check_mask_width(flags, means.shape[-1])
+    usable = np.asarray(flags) & (reference != 0.0)
+    gap = np.abs(means - reference)
+    errs = np.divide(gap, np.abs(reference), out=np.full_like(gap, -np.inf), where=usable)
+    return np.where(usable.any(axis=-1), errs.max(axis=-1), np.nan)
 
 
 def correct_spectrum(pred: Spectrum, targets: np.ndarray, mask: ConservationMask) -> Spectrum:
@@ -104,7 +120,7 @@ def correct_spectrum(pred: Spectrum, targets: np.ndarray, mask: ConservationMask
     Every nonzero-mode coefficient is preserved bit for bit, and the new
     zero mode has exactly zero imaginary part.  The map is idempotent.
     """
-    check_mask_width(mask.flags, pred.channels)
+    _check_mask_width(mask.flags, pred.channels)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (pred.channels,):
         raise ValueError(f"targets of shape {targets.shape} are not one mean per channel of {pred.channels}")
@@ -130,7 +146,7 @@ def pin_channel_means(values: np.ndarray, targets: np.ndarray, flags: tuple[bool
     lead = targets.ndim - 1
     if lead < 0 or out.shape[: lead + 1] != targets.shape:
         raise ValueError(f"targets of shape {targets.shape} do not match the leading axes of values {out.shape}")
-    check_mask_width(flags, out.shape[lead])
+    _check_mask_width(flags, out.shape[lead])
     picked = (slice(None),) * lead + (np.flatnonzero(flags),)
     spatial = tuple(range(lead + 1, out.ndim))
     shift = targets[picked] - out.mean(axis=spatial)[picked]
@@ -206,7 +222,7 @@ def check_error_reduction(
     """
     if not (pred.grid == truth.grid == input_state.grid):
         raise ValueError("prediction, truth and input state must share one grid")
-    check_mask_width(mask.flags, input_state.channels)
+    _check_mask_width(mask.flags, input_state.channels)
     corrected = correction(pred.values, input_state.channel_means(), mask.flags)
     err_before = l2_norm(GridField(pred.grid, pred.values - truth.values))
     err_after = l2_norm(GridField(pred.grid, corrected - truth.values))

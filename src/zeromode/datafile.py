@@ -213,7 +213,7 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
             flags = struct.unpack(f"<{channels}B", _read_exact(fh, channels, "mask"))
             payload_nbytes, crc = struct.unpack("<QI", _read_exact(fh, 12, "payload descriptor"))
 
-            expected = samples * snapshots * channels * int(np.prod(resolution)) * (bits // 8)
+            expected = samples * snapshots * channels * math.prod(resolution) * (bits // 8)
             if payload_nbytes != expected:
                 raise DatasetFormatError(f"payload size mismatch: header declares {payload_nbytes} bytes, "
                                          f"shape needs {expected}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .correction import ConservationMask
+from .correction import ConservationMask, conservation_error
 from .grid import Boundary, GridSpec, Precision
 from .initial_conditions import chebyshev_ic, grf_ic
 from .solvers import (
@@ -65,8 +65,8 @@ class Problem(enum.Enum):
 
 
 # Samples whose initial conserved integral is closer to zero than this are
-# redrawn (bounded retries): the relative conservation metric divides by
-# the integral, and the generated data should keep it meaningfully sized.
+# redrawn (bounded retries): the audit, correction.conservation_error, divides
+# by the integral, and the generated data should keep it meaningfully sized.
 # The diff mean is ``ic_offset`` itself, checked once in ProblemParams.
 _MEAN_FLOORS = {Problem.AC_DW: 0.05, Problem.AC_FH: 0.01, Problem.HEAT: 0.05, Problem.DIFF: 0.05, Problem.CD: 0.05}
 _MAX_REDRAWS = 64
@@ -207,15 +207,6 @@ class TrajectoryDataset:
     def channels(self) -> int:
         return self.data.shape[2]
 
-    def conservation_drift(self) -> np.ndarray:
-        """max_t |E(t) - E(0)| / |E(0)| per sample and masked channel."""
-        spatial = tuple(range(3, self.data.ndim))
-        integral = self.data.mean(axis=spatial)  # (samples, frames, channels)
-        masked = self.mask.indices()
-        e0 = integral[:, :1, masked]
-        drift = np.abs(integral[:, :, masked] - e0) / np.abs(e0)
-        return drift.max(axis=1)
-
 
 # -- presets ---------------------------------------------------------------
 
@@ -315,8 +306,8 @@ def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
     Initial states whose conserved integral sits below the per-problem
     floor are redrawn with a fresh attempt index so the relative
     conservation metric stays well conditioned.  The split is then solved
-    in one batched call.  Every sample is audited for integral drift
-    before the dataset is returned.
+    in one batched call.  The audit is :func:`correction.conservation_error`
+    of every frame against its sample's frame 0, ``eval``'s ``cons_err``.
     """
     params = config.params
     grid = params.grid()
@@ -335,8 +326,8 @@ def generate_dataset(config: DatasetConfig) -> TrajectoryDataset:
         precision=config.precision,
         tolerances={"conservation_drift": DRIFT_TOLERANCE},
     )
-    drift = dataset.conservation_drift()
-    worst = float(drift.max())
+    integral = dataset.data.mean(axis=tuple(range(3, dataset.data.ndim)))  # (samples, frames, channels)
+    worst = float(conservation_error(integral, integral[:, :1], dataset.mask.flags).max())
     if not math.isfinite(worst) or worst > DRIFT_TOLERANCE:
         raise SolverError(
             f"conservation audit failed for {params.problem.value}: worst relative drift {worst:.3e}"

@@ -1,10 +1,9 @@
 """Evaluation metrics and deterministic report emission.
 
 One kernel, :func:`step_metrics`, scores every rollout step: the RMSE and
-the relative conservation error of each frame.  Its zero-integral policy:
-the relative conservation error divides by the true integral, so a
-masked channel whose true integral is 0 at a frame is skipped at that
-frame, and a frame with no usable channel gives NaN.
+the relative conservation error of each frame.  The conservation error is
+:func:`correction.conservation_error`, which :func:`step_metrics` calls and
+where its zero-integral policy is stated.
 
 Numbers leave this module in one shape only: scientific notation with
 three significant digits, aggregated as mean +/- population standard
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import ConservationMask, Variant, check_mask_width
+from .correction import ConservationMask, Variant, conservation_error
 from .datafile import write_atomic
 from .datasets import Problem
 
@@ -47,24 +46,16 @@ def step_metrics(pred: np.ndarray, truth: np.ndarray, mask: ConservationMask) ->
     """Per-frame RMSE and relative conservation error of (frames, channels, *spatial) stacks.
 
     RMSE averages the per-channel RMSEs.  The conservation error is
-    |mean(pred) - mean(truth)| / |mean(truth)| (integrals over a fixed
-    volume), max'd over masked channels under the module's zero-integral
-    policy.
+    :func:`correction.conservation_error` of each frame's channel means
+    against the truth's.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    check_mask_width(mask.flags, pred.shape[1])
-    flags = np.asarray(mask.flags)
     spatial = tuple(range(2, pred.ndim))
+    cons = conservation_error(pred.mean(axis=spatial), truth.mean(axis=spatial), mask.flags)
     rmse_per_frame = np.sqrt(((pred - truth) ** 2).mean(axis=spatial)).mean(axis=1)
-    pred_means = pred.mean(axis=spatial)
-    truth_means = truth.mean(axis=spatial)
-    usable = flags & (truth_means != 0.0)
-    gap = np.abs(pred_means - truth_means)
-    errs = np.divide(gap, np.abs(truth_means), out=np.full_like(gap, -np.inf), where=usable)
-    cons = np.where(usable.any(axis=1), errs.max(axis=1), np.nan)
     return rmse_per_frame, cons
 
 

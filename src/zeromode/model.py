@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
 import zlib
@@ -243,7 +244,7 @@ class ParamSlot:
 
     @functools.cached_property  # computed once per slot of the cached layout
     def n_floats(self) -> int:
-        return int(np.prod(self.shape)) * (2 if self.is_complex else 1)
+        return math.prod(self.shape) * (2 if self.is_complex else 1)
 
 
 @functools.lru_cache

@@ -249,9 +249,7 @@ class RolloutResult:
 
     ``rmse`` and ``cons_err`` (samples, steps) score each step's state,
     pinned unless the variant is BASE, with one :func:`metrics.step_metrics`
-    call per step.  ``cons_err`` is the relative conservation error max'd
-    over masked channels, under the zero-integral policy of the
-    :mod:`metrics` module.
+    call per step; ``cons_err`` is :func:`correction.conservation_error`.
     """
 
     rmse: np.ndarray

@@ -5,12 +5,15 @@ the field path, and direct norm computations for the error-reduction
 inequality, exercised over large randomized batches.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from zeromode.correction import (
     ConservationMask,
     check_error_reduction,
+    conservation_error,
     correct_spectrum,
     error_decomposition,
     pin_channel_means,
@@ -43,6 +46,38 @@ class TestMaskAndEncode:
         noop = lambda values, targets, flags: values  # the audit refuses the mask, not the pin
         with pytest.raises(ValueError, match="mask covers 1 channels but the state has 2"):
             check_error_reduction(field, field, field, ConservationMask((True,)), noop)
+
+
+class TestConservationError:
+    def test_unflagged_drift_is_ignored(self):
+        reference = np.array([2.0, 1.0])
+        means = np.array([[2.0, 1.0], [2.02, 1.5], [1.95, 9.0]])
+        np.testing.assert_allclose(conservation_error(means, reference, (True, False)), [0.0, 0.01, 0.025],
+                                   atol=1e-15)
+
+    def test_reference_broadcasts_over_frames(self):
+        # the drift audit's shape: (samples, frames, channels) against each sample's frame 0
+        integral = np.array([[[1.0], [1.1], [0.9]], [[2.0], [2.0], [2.5]]])
+        err = conservation_error(integral, integral[:, :1], (True,))
+        np.testing.assert_allclose(err, [[0.0, 0.1, 0.1], [0.0, 0.0, 0.25]], rtol=1e-12)
+
+    def test_zero_reference_is_skipped_without_a_warning(self):
+        reference = np.array([[0.0, 4.0], [1.0, 0.0]])
+        means = np.array([[0.5, 5.0], [1.5, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = conservation_error(means, reference, (True, True))
+        np.testing.assert_allclose(err, [0.25, 0.5], rtol=1e-15)
+
+    def test_entry_with_no_usable_channel_is_nan(self):
+        reference = np.array([[0.0, 7.0], [1.0, 7.0]])  # channel 1 is unflagged
+        err = conservation_error(reference + 0.5, reference, (True, False))
+        assert np.isnan(err[0])
+        assert err[1] == 0.5
+
+    def test_wrong_mask_width_refused(self):
+        with pytest.raises(ValueError, match="mask covers 2 channels but the state has 3"):
+            conservation_error(np.ones((4, 3)), np.ones((4, 3)), (True, False))
 
 
 class TestSpectrumPath:

@@ -137,6 +137,14 @@ class TestValidation:
         with pytest.raises(DatasetFormatError, match="size mismatch"):
             read_dataset(path)
 
+    def test_size_mismatch_quotes_the_exact_size(self, small_dataset, tmp_path):
+        # a (2**32 - 1)**2 grid holds more than 2**63 points, where an int64 product wraps
+        path = write_dataset(small_dataset, tmp_path / "d.ecfd")
+        corrupt(path, 52, struct.pack("<2I", 2**32 - 1, 2**32 - 1))
+        needs = small_dataset.n_samples * small_dataset.n_snapshots * small_dataset.channels * (2**32 - 1) ** 2 * 8
+        with pytest.raises(DatasetFormatError, match=f"shape needs {needs}$"):
+            read_dataset(path)
+
     @pytest.mark.parametrize("offset, fmt, field", [
         (36, "<I", "samples"), (40, "<I", "snapshots"), (34, "<H", "channels"),
         (52, "<I", "resolution[0]"), (56, "<I", "resolution[1]"),

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import json
 import struct
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -864,6 +866,18 @@ class TestCheckpoint:
         path = save_checkpoint(init_model(CFG_1D), tmp_path / "m.ckpt")
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_parameter_count_refusal_quotes_the_exact_count(self, tmp_path):
+        # this config needs more than 2**63 parameters, where an int64 product wraps
+        path = save_checkpoint(init_model(CFG_1D), tmp_path / "m.ckpt")
+        raw = path.read_bytes()
+        (config_len,) = struct.unpack("<I", raw[6:10])
+        blob = json.dumps(asdict(OperatorConfig(channels=1, width=2**40, modes_kept=2**20))).encode()
+        path.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + config_len :])
+        count = n_params(CFG_1D)
+        with pytest.raises(ValueError, match=f"holds {count} parameters, its config needs "
+                                             "21267627650156303869708182289840603137$"):
             load_checkpoint(path)
 
     def test_oversized_config_length_refused_without_allocating_it(self, tmp_path):
