@@ -15,6 +15,8 @@ In the exterior-embedding framework (ECF) the encoder is the per-channel
 mean of the input state (``values.mean(axis=spatial)`` in ``training``,
 :meth:`GridField.channel_means` in the audit), and the decoder is
 :func:`pin_channel_means`, whose adjoint is :func:`project_out_means`.
+The conserved channels are a mask, a tuple of one flag per channel, and
+``_check_mask_width`` is its one width check.
 :func:`conservation_error` is the one measure of what the pair preserves,
 for ``gen``'s drift audit and ``eval``'s ``cons_err`` alike.
 :func:`error_decomposition` is the split ECF's accuracy bound rests on: the
@@ -35,7 +37,6 @@ from .grid import GridField, Spectrum, fft_forward, l2_norm
 
 __all__ = [
     "Variant",
-    "ConservationMask",
     "conservation_error",
     "correct_spectrum",
     "pin_channel_means",
@@ -70,28 +71,6 @@ class Variant(enum.Enum):
     STAGED = "staged"
 
 
-@dataclass(frozen=True)
-class ConservationMask:
-    """Which channels obey a conservation law and receive correction."""
-
-    flags: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        flags = tuple(bool(f) for f in self.flags)
-        if not flags:
-            raise ValueError("mask must cover at least one channel")
-        if not any(flags):
-            raise ValueError("mask must flag at least one conserved channel")
-        object.__setattr__(self, "flags", flags)
-
-    @classmethod
-    def all_channels(cls, channels: int) -> "ConservationMask":
-        return cls((True,) * channels)
-
-    def indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.flags) if f]
-
-
 def _check_mask_width(flags: tuple[bool, ...], channels: int) -> None:
     """Refuse channel flags that do not cover exactly a state's ``channels``."""
     if len(flags) != channels:
@@ -112,7 +91,7 @@ def conservation_error(means: np.ndarray, reference: np.ndarray, flags: tuple[bo
     return np.where(usable.any(axis=-1), errs.max(axis=-1), np.nan)
 
 
-def correct_spectrum(pred: Spectrum, targets: np.ndarray, mask: ConservationMask) -> Spectrum:
+def correct_spectrum(pred: Spectrum, targets: np.ndarray, mask: tuple[bool, ...]) -> Spectrum:
     """Replace the zero mode of each masked channel with its target mean.
 
     ``targets`` holds one mean per channel of ``pred``, as
@@ -120,13 +99,13 @@ def correct_spectrum(pred: Spectrum, targets: np.ndarray, mask: ConservationMask
     Every nonzero-mode coefficient is preserved bit for bit, and the new
     zero mode has exactly zero imaginary part.  The map is idempotent.
     """
-    _check_mask_width(mask.flags, pred.channels)
+    _check_mask_width(mask, pred.channels)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (pred.channels,):
         raise ValueError(f"targets of shape {targets.shape} are not one mean per channel of {pred.channels}")
     coeffs = pred.coeffs.copy()
     zero = (slice(None),) + (0,) * pred.grid.ndim
-    masked = mask.indices()
+    masked = np.flatnonzero(mask)
     coeffs[zero][masked] = targets[masked] + 0.0j
     return Spectrum(pred.grid, coeffs)
 
@@ -208,7 +187,7 @@ def check_error_reduction(
     pred: GridField,
     truth: GridField,
     input_state: GridField,
-    mask: ConservationMask,
+    mask: tuple[bool, ...],
     correction: CorrectionFn,
 ) -> ErrorReductionReport:
     """Audit that correcting toward the input state's mean cannot hurt.
@@ -222,11 +201,11 @@ def check_error_reduction(
     """
     if not (pred.grid == truth.grid == input_state.grid):
         raise ValueError("prediction, truth and input state must share one grid")
-    _check_mask_width(mask.flags, input_state.channels)
-    corrected = correction(pred.values, input_state.channel_means(), mask.flags)
+    _check_mask_width(mask, input_state.channels)
+    corrected = correction(pred.values, input_state.channel_means(), mask)
     err_before = l2_norm(GridField(pred.grid, pred.values - truth.values))
     err_after = l2_norm(GridField(pred.grid, corrected - truth.values))
-    masked = mask.indices()
+    masked = np.flatnonzero(mask)
     bound_holds = bool(np.all(err_after[masked] <= err_before[masked] + BOUND_TOL))
     mean_gap = np.abs(pred.channel_means() - truth.channel_means())
     equality = bool(np.all(mean_gap[masked] <= EQUALITY_TOL))

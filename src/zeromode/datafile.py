@@ -46,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import ConservationMask
 from .datasets import Problem, TrajectoryDataset
 from .grid import Boundary, GridSpec, Precision
 
@@ -149,7 +148,7 @@ def write_dataset(dataset: TrajectoryDataset, path: str | os.PathLike) -> Path:
     )
     tail = struct.pack(f"<{grid.ndim}I", *grid.resolution)
     tail += struct.pack(f"<{grid.ndim}d", *grid.lengths)
-    tail += struct.pack(f"<{dataset.channels}B", *(int(f) for f in dataset.mask.flags))
+    tail += struct.pack(f"<{dataset.channels}B", *(int(f) for f in dataset.mask))
     tail += struct.pack("<QI", payload.nbytes, zlib.crc32(payload))
     path = write_atomic(path, head, tail, payload)
 
@@ -210,7 +209,9 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
                 if size == 0:
                     raise DatasetFormatError(f"header declares an empty dimension: {field} is 0")
             lengths = struct.unpack(f"<{ndim}d", _read_exact(fh, 8 * ndim, "lengths"))
-            flags = struct.unpack(f"<{channels}B", _read_exact(fh, channels, "mask"))
+            flags = tuple(bool(f) for f in struct.unpack(f"<{channels}B", _read_exact(fh, channels, "mask")))
+            if not any(flags):
+                raise DatasetFormatError("mask must flag at least one conserved channel")
             payload_nbytes, crc = struct.unpack("<QI", _read_exact(fh, 12, "payload descriptor"))
 
             expected = samples * snapshots * channels * math.prod(resolution) * (bits // 8)
@@ -256,7 +257,7 @@ def read_dataset(path: str | os.PathLike) -> TrajectoryDataset:
             problem=problem,
             grid=GridSpec(lengths=lengths, resolution=resolution, boundary=_BOUNDARY_FROM_CODE[boundary_code]),
             data=data.astype(np.float64, copy=False),
-            mask=ConservationMask(tuple(bool(f) for f in flags)),
+            mask=flags,
             params=meta["params"],
             sample_seeds=seeds,
             master_seed=master_seed,

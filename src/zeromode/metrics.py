@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import ConservationMask, Variant, conservation_error
+from .correction import Variant, conservation_error
 from .datafile import write_atomic
 from .datasets import Problem
 
@@ -42,7 +42,7 @@ SCOPE_NOTE = (
 )
 
 
-def step_metrics(pred: np.ndarray, truth: np.ndarray, mask: ConservationMask) -> tuple[np.ndarray, np.ndarray]:
+def step_metrics(pred: np.ndarray, truth: np.ndarray, mask: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame RMSE and relative conservation error of (frames, channels, *spatial) stacks.
 
     RMSE averages the per-channel RMSEs.  The conservation error is
@@ -54,7 +54,7 @@ def step_metrics(pred: np.ndarray, truth: np.ndarray, mask: ConservationMask) ->
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     spatial = tuple(range(2, pred.ndim))
-    cons = conservation_error(pred.mean(axis=spatial), truth.mean(axis=spatial), mask.flags)
+    cons = conservation_error(pred.mean(axis=spatial), truth.mean(axis=spatial), mask)
     rmse_per_frame = np.sqrt(((pred - truth) ** 2).mean(axis=spatial)).mean(axis=1)
     return rmse_per_frame, cons
 
@@ -116,8 +116,10 @@ def _aggregate(records: list[MetricsRecord]) -> list[dict]:
         cells.setdefault((r.dataset, r.variant), []).append(r)
     rows = []
     for (dataset, variant), cell in cells.items():
-        if len({r.seed for r in cell}) != len(cell):
-            raise ValueError(f"duplicate seed in records for {dataset}/{variant}")
+        repeated = [a.seed for a, b in zip(cell, cell[1:]) if a.seed == b.seed]
+        if repeated:
+            raise ValueError(f"duplicate seed in records for {dataset}/{variant}: seed {repeated[0]}; a report takes "
+                             "one record per problem, variant and seed, so records of two splits go to two reports")
         steps = sorted({len(r.rmse_per_step) for r in cell})
         if len(steps) > 1:
             raise ValueError(f"records for {dataset}/{variant} differ in step count: {steps}")

@@ -8,13 +8,13 @@ re-pinned after every step.  Shallow water uses a first-order finite
 volume scheme with Rusanov interface fluxes and reflective walls, which
 conserves total water mass to rounding by flux telescoping.
 
-Every solver takes its initial state as an array and the grid it lives
-on, and returns an array: ``solve_*(initial, grid, ...)``.  A scalar
-state has shape (*lead, *grid.resolution), a water state
-(*lead, 3, nx, ny); any leading axes are a batch, stepped together.  The
-exact propagators return (*lead, *np.shape(t), *spatial), Allen-Cahn and
-shallow water (*lead, frames, ...).  The exact propagators transform
-each sample once and make every frame in one batched inverse transform.
+Every solver takes a batch of initial states, stepped together, and the
+grid they live on, and returns an array: ``solve_*(initial, grid, ...)``.
+A scalar batch is (samples, *grid.resolution), a water batch (samples, 3,
+nx, ny), and one state goes in as a batch of one.  The exact propagators
+take a 1-D array of times, transform each sample once and make every frame
+in one batched inverse transform: (samples, times, *spatial).  Allen-Cahn
+and shallow water return (samples, frames, ...).
 The Allen-Cahn step takes one real forward transform of ``u + dt g``
 (the update is linear, so this equals the sum of the two transforms) and
 one inverse over the whole batch, and builds g and both transforms in
@@ -26,8 +26,8 @@ grid's boundary, the state's shape and its finiteness in one shared
 helper before it steps; the two time steppers check the step size, the
 step count and the snapshot stride, and allocate their frames, in
 another.  Means, clamp, CFL (at most ``CFL_MAX``), positivity and
-finiteness are checked per sample, and an error from a batch names the
-first failing sample.
+finiteness are checked per sample, and an error names the first failing
+sample.
 
 Every transform comes from numpy, so the package's one runtime
 dependency is numpy.  numpy's FFT runs lane by lane on a strided axis, so
@@ -76,10 +76,10 @@ class SolverError(RuntimeError):
     """A time stepper aborted.
 
     ``step`` is the failing step index; ``sample`` is the index of the
-    first failing sample of a batch (None for a single state).
+    first failing sample of the batch (None when no sample is named).
     """
 
-    def __init__(self, message: str, step: int | None = None, sample: int | tuple[int, ...] | None = None):
+    def __init__(self, message: str, step: int | None = None, sample: int | None = None):
         self.step = step
         self.sample = sample
         where = [f"{name} {value}" for name, value in (("sample", sample), ("step", step)) if value is not None]
@@ -88,33 +88,19 @@ class SolverError(RuntimeError):
         super().__init__(message)
 
 
-def _first_sample(bad: np.ndarray, lead: tuple[int, ...]) -> int | tuple[int, ...] | None:
-    """Index, in the caller's leading axes, of the first flagged sample of a flat batch."""
-    if not lead:
-        return None
-    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), lead))
-    return index[0] if len(index) == 1 else index
-
-
-def _in_sample(bad: np.ndarray, lead: tuple[int, ...]) -> str:
-    """" in sample i" for the first flagged sample of a batch, "" for a single state."""
-    sample = _first_sample(bad, lead)
-    return "" if sample is None else f" in sample {sample}"
-
-
-def _abort_if(bad: np.ndarray, message: str, step: int, lead: tuple[int, ...]) -> None:
+def _abort_if(bad: np.ndarray, message: str, step: int) -> None:
     """Raise a SolverError naming the first sample flagged in ``bad`` (one flag per sample)."""
     if bad.any():
-        raise SolverError(message, step=step, sample=_first_sample(bad, lead))
+        raise SolverError(message, step=step, sample=int(np.argmax(bad)))
 
 
 def _state_batch(
     initial: np.ndarray, grid: GridSpec, who: str, boundary: Boundary, sample_shape: tuple[int, ...] | None = None
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The (samples, *sample_shape) stack and leading shape of a (*lead, *sample_shape) state.
+) -> np.ndarray:
+    """The (samples, *sample_shape) batch ``initial`` as a C-contiguous float64 array.
 
     ``sample_shape`` is one sample's shape, ``grid.resolution`` for a
-    scalar state.  The grid's boundary, the state's shape and its
+    scalar state.  The grid's boundary, the batch's shape and its
     finiteness are checked here, for every solver.
     """
     sample_shape = grid.resolution if sample_shape is None else sample_shape
@@ -122,14 +108,13 @@ def _state_batch(
         name = "Neumann" if boundary is Boundary.NEUMANN else boundary.value
         raise ValueError(f"{who} needs a {name} grid, got {grid.boundary.value}")
     u = np.ascontiguousarray(initial, dtype=np.float64)
-    if u.shape[u.ndim - len(sample_shape):] != sample_shape:
-        raise ValueError(f"{who}: state shape {u.shape} does not end in the grid's sample shape {sample_shape}")
-    lead = u.shape[: u.ndim - len(sample_shape)]
-    u = u.reshape(-1, *sample_shape)
+    if u.shape[1:] != sample_shape:
+        batch = ", ".join(map(str, ("samples", *sample_shape)))
+        raise ValueError(f"{who}: state shape {u.shape} is not the grid's batch shape ({batch})")
     bad = ~np.isfinite(u).all(axis=tuple(range(1, u.ndim)))
     if bad.any():
-        raise ValueError(f"{who}: initial state is not finite{_in_sample(bad, lead)}")
-    return u, lead
+        raise ValueError(f"{who}: initial state is not finite in sample {int(np.argmax(bad))}")
+    return u
 
 
 def _frame_buffer(state: np.ndarray, dt: float, n_steps: int, snapshot_stride: int) -> np.ndarray:
@@ -143,43 +128,41 @@ def _frame_buffer(state: np.ndarray, dt: float, n_steps: int, snapshot_stride: i
     return frames
 
 
-def _propagate(u0: np.ndarray, lead: tuple[int, ...], t, forward, inverse, advance) -> np.ndarray:
-    """Frames of a linear propagator that is diagonal in a transform basis.
+def _propagate(u0: np.ndarray, times, forward, inverse, advance) -> np.ndarray:
+    """Frames (samples, times, *spatial) of a linear propagator that is diagonal in a transform basis.
 
-    ``u0`` has shape (samples, *spatial) and the result (*lead,
-    *np.shape(t), *spatial).  Each sample is transformed once; every frame
-    is one batched inverse transform of ``advance(coeffs, t)``, written
-    straight into its slot, so the working set stays a few batch-sized
-    arrays.
+    ``u0`` is (samples, *spatial) and ``times`` 1-D.  Each sample is
+    transformed once; every frame is one batched inverse transform of
+    ``advance(coeffs, t)``, written straight into its slot, so the working
+    set stays a few batch-sized arrays.
     """
-    times = np.asarray(t, dtype=np.float64)
-    if times.ndim > 1 or (times < 0).any():
-        raise ValueError(f"time must be a nonnegative number or 1-D array, got {t}")
+    t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1 or (t < 0).any():
+        raise ValueError(f"times must be a 1-D array of nonnegative times, got {times}")
     axes = tuple(range(1, u0.ndim))
     coeffs = forward(u0, axes=axes)
-    out = np.empty((u0.shape[0], times.size, *u0.shape[1:]))
-    for f, time in enumerate(times.reshape(-1)):
+    out = np.empty((u0.shape[0], t.size, *u0.shape[1:]))
+    for f, time in enumerate(t):
         out[:, f] = inverse(advance(coeffs, time), axes=axes).real
-    return out.reshape(*lead, *times.shape, *u0.shape[1:])
+    return out
 
 
-def solve_diffusion_exact(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: float | np.ndarray) -> np.ndarray:
+def solve_diffusion_exact(initial: np.ndarray, grid: GridSpec, d_coeff: float, times: np.ndarray) -> np.ndarray:
     """Periodic diffusion u_t = D lap(u), advanced exactly in Fourier space.
 
     Mode n decays by exp(-D |k_n|^2 t); the zero mode (the mean) is
     untouched, so the integral is conserved to rounding.  ``initial`` is
-    (*lead, *spatial) and ``t`` one time or a 1-D array of them; the
-    result is (*lead, *np.shape(t), *spatial).
+    (samples, *spatial) and ``times`` 1-D: the result is (samples, times, *spatial).
     """
-    u0, lead = _state_batch(initial, grid, "solve_diffusion_exact", Boundary.PERIODIC)
+    u0 = _state_batch(initial, grid, "solve_diffusion_exact", Boundary.PERIODIC)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
     rate = -d_coeff * squared_wavenumber(grid)
-    return _propagate(u0, lead, t, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
+    return _propagate(u0, times, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
 
 
 def solve_convdiff_exact(
-    initial: np.ndarray, grid: GridSpec, d_coeff: float, velocity: tuple[float, ...], t: float | np.ndarray
+    initial: np.ndarray, grid: GridSpec, d_coeff: float, velocity: tuple[float, ...], times: np.ndarray
 ) -> np.ndarray:
     """Periodic convection-diffusion u_t + v . grad(u) = D lap(u), exact.
 
@@ -187,7 +170,7 @@ def solve_convdiff_exact(
     phase leaves |coeff| alone and the zero mode is again fixed.  Shapes
     as in :func:`solve_diffusion_exact`.
     """
-    u0, lead = _state_batch(initial, grid, "solve_convdiff_exact", Boundary.PERIODIC)
+    u0 = _state_batch(initial, grid, "solve_convdiff_exact", Boundary.PERIODIC)
     if len(velocity) != grid.ndim:
         raise ValueError(f"velocity {velocity} has wrong arity for a {grid.ndim}-D grid")
     if d_coeff < 0:
@@ -196,7 +179,7 @@ def solve_convdiff_exact(
     for k, v in zip(angular_wavenumbers(grid), velocity):
         k_dot_v = k_dot_v + k * v
     rate = -(d_coeff * squared_wavenumber(grid) + 1j * k_dot_v)
-    return _propagate(u0, lead, t, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
+    return _propagate(u0, times, np.fft.fftn, np.fft.ifftn, lambda c, t: c * np.exp(rate * t))
 
 
 @functools.lru_cache
@@ -237,7 +220,7 @@ def _cosine_inverse(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return y
 
 
-def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: float | np.ndarray) -> np.ndarray:
+def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, times: np.ndarray) -> np.ndarray:
     """Insulated (zero-flux) heat equation, advanced exactly in cosine modes.
 
     The grid samples at cell centers, where cos(pi n x / L) is precisely
@@ -247,7 +230,7 @@ def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: f
     cached per resolution (module docstring).  Shapes as in
     :func:`solve_diffusion_exact`.
     """
-    u0, lead = _state_batch(initial, grid, "solve_heat_neumann", Boundary.NEUMANN)
+    u0 = _state_batch(initial, grid, "solve_heat_neumann", Boundary.NEUMANN)
     if d_coeff < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {d_coeff}")
     lams = []
@@ -261,7 +244,7 @@ def solve_heat_neumann(initial: np.ndarray, grid: GridSpec, d_coeff: float, t: f
             coeffs = coeffs * np.exp(-d_coeff * lam * t)
         return coeffs
 
-    return _propagate(u0, lead, t, _cosine_forward, _cosine_inverse, advance)
+    return _propagate(u0, times, _cosine_forward, _cosine_inverse, advance)
 
 
 def _sample_means(a: np.ndarray) -> np.ndarray:
@@ -342,12 +325,12 @@ def solve_allen_cahn(
     is then re-pinned to its initial value, making conservation exact by
     construction instead of resting on accumulated rounding.
 
-    ``initial`` is (*lead, *spatial); the samples are stepped together,
+    ``initial`` is (samples, *spatial); the samples are stepped together,
     and every sample keeps its own mean and its own checks.  Returns the
-    trajectory including the initial state, one frame every
-    ``snapshot_stride`` steps, shape (*lead, frames, *spatial).
+    trajectories including the initial states, one frame every
+    ``snapshot_stride`` steps, shape (samples, frames, *spatial).
     """
-    u, lead = _state_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
+    u = _state_batch(initial, grid, "solve_allen_cahn", Boundary.PERIODIC)
     if potential not in ("dw", "fh"):
         raise ValueError(f"unknown potential {potential!r}, expected 'dw' or 'fh'")
     frames = _frame_buffer(u, dt, n_steps, snapshot_stride)
@@ -366,7 +349,7 @@ def solve_allen_cahn(
         if potential == "fh":
             if u.max() >= band or u.min() <= -band:  # then find the first sample out
                 outside = (u.max(axis=axes) >= band) | (u.min(axis=axes) <= -band)
-                _abort_if(outside, "state reached the log clamp band, reduce dt", step, lead)
+                _abort_if(outside, "state reached the log clamp band, reduce dt", step)
             _flory_huggins(u, theta, theta_c, g, scratch)
         else:
             _double_well(u, g)
@@ -378,11 +361,11 @@ def solve_allen_cahn(
         u = _real_inverse(coeffs, half, state)
         mean = _sample_means(u)
         if not np.isfinite(mean).all():  # a non-finite value always spoils its sample's mean
-            _abort_if(~np.isfinite(u).all(axis=axes), "state became non-finite", step, lead)
+            _abort_if(~np.isfinite(u).all(axis=axes), "state became non-finite", step)
         u += mean0 - mean
         if step % snapshot_stride == 0:
             frames[:, step // snapshot_stride] = u
-    return frames.reshape(*lead, *frames.shape[1:])
+    return frames
 
 
 def dam_break_state(
@@ -454,17 +437,17 @@ def solve_shallow_water(
     flux exactly zero, so total mass is conserved to rounding.  A step
     forms velocities, wave speeds |vel| + c and fluxes once per cell,
     sign-flipped wall ghosts included, and reads its CFL number off them.
-    ``initial`` is one state (3, nx, ny) or a batch (..., 3, nx, ny),
-    stepped together with per-sample CFL (at most ``CFL_MAX``) and
-    positivity checks.  Returns frames of the full state, one every
-    ``snapshot_stride`` steps, (..., frames, 3, nx, ny), frame 0 being the
-    initial condition.  A CFL number over the bound in the initial state is
-    bad input (ValueError); one reached mid-run aborts the run (SolverError).
+    ``initial`` is a batch (samples, 3, nx, ny), stepped together with
+    per-sample CFL (at most ``CFL_MAX``) and positivity checks.  Returns
+    frames of the full state, one every ``snapshot_stride`` steps,
+    (samples, frames, 3, nx, ny), frame 0 being the initial condition.  A
+    CFL number over the bound in the initial state is bad input
+    (ValueError); one reached mid-run aborts the run (SolverError).
     """
-    state, lead = _state_batch(initial, grid, "solve_shallow_water", Boundary.WALL, (3, *grid.resolution))
-    depth_min = state[:, 0].min(axis=(-2, -1))
-    if (depth_min <= 0).any():
-        raise ValueError(f"water depth must be positive everywhere{_in_sample(depth_min <= 0, lead)}")
+    state = _state_batch(initial, grid, "solve_shallow_water", Boundary.WALL, (3, *grid.resolution))
+    shallow = state[:, 0].min(axis=(-2, -1)) <= 0
+    if shallow.any():
+        raise ValueError(f"water depth must be positive everywhere in sample {int(np.argmax(shallow))}")
     frames = _frame_buffer(state, dt, n_steps, snapshot_stride)
     dx, dy = grid.spacing
     state = np.ascontiguousarray(state.swapaxes(0, 1))  # channel-major: each channel's batch is contiguous
@@ -473,15 +456,15 @@ def solve_shallow_water(
         speed_y, diff_y = _rusanov_terms(state, g_r, axis=-1)
         cfl = _courant(speed_x, speed_y, grid, dt)
         if step == 1 and (cfl > CFL_MAX).any():  # the initial state is bad input, not a failed run
-            at = _in_sample(cfl > CFL_MAX, lead)
-            raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {CFL_MAX}{at}; reduce dt")
-        _abort_if(cfl > CFL_MAX, f"CFL number exceeded {CFL_MAX} mid-run, reduce dt", step, lead)
+            at = int(np.argmax(cfl > CFL_MAX))
+            raise ValueError(f"initial CFL number {cfl.max():.3f} exceeds {CFL_MAX} in sample {at}; reduce dt")
+        _abort_if(cfl > CFL_MAX, f"CFL number exceeded {CFL_MAX} mid-run, reduce dt", step)
         state = state - (dt / dx) * diff_x - (dt / dy) * diff_y
-        _abort_if(~np.isfinite(state).all(axis=(0, 2, 3)), "state became non-finite", step, lead)
-        _abort_if(state[0].min(axis=(-2, -1)) <= 0.0, "water depth lost positivity", step, lead)
+        _abort_if(~np.isfinite(state).all(axis=(0, 2, 3)), "state became non-finite", step)
+        _abort_if(state[0].min(axis=(-2, -1)) <= 0.0, "water depth lost positivity", step)
         if step % snapshot_stride == 0:
             frames[:, step // snapshot_stride] = state.swapaxes(0, 1)
-    return frames.reshape(*lead, *frames.shape[1:])
+    return frames
 
 
 def verify_flux_balance(trajectory: np.ndarray, frame_dt: float, grid: GridSpec) -> np.ndarray:

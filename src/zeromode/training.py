@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correction import ConservationMask, Variant, pin_channel_means, project_out_means
+from .correction import Variant, pin_channel_means, project_out_means
 from .datasets import TrajectoryDataset
 from .metrics import step_metrics
 from .model import OperatorConfig, OperatorModel, fold_weights, forward_values, init_model, vjp
@@ -115,7 +115,7 @@ def loss_and_grad(
     inputs: np.ndarray,
     targets: np.ndarray,
     loss: str,
-    mask: ConservationMask | None,
+    mask: tuple[bool, ...] | None,
 ):
     """Training loss (one of ``LOSSES``) and its exact gradient for one batch (B, channels, *spatial).
 
@@ -135,7 +135,7 @@ def loss_and_grad(
         raise RuntimeError(f"non-finite prediction for batch index {int(np.flatnonzero(~finite)[0])}")
 
     if mask is not None:
-        pred = pin_channel_means(pred, inputs.mean(axis=spatial), mask.flags)
+        pred = pin_channel_means(pred, inputs.mean(axis=spatial), mask)
 
     residual = pred - targets
     if loss == "mae":
@@ -148,7 +148,7 @@ def loss_and_grad(
         raise RuntimeError("loss is non-finite")
 
     if mask is not None:
-        grad_pred = project_out_means(grad_pred, mask.flags, lead_ndim=1)
+        grad_pred = project_out_means(grad_pred, mask, lead_ndim=1)
 
     return value, pullback(grad_pred)
 
@@ -261,7 +261,7 @@ class RolloutResult:
         return float(self.rmse.mean(axis=1).mean()) if self.rmse.shape[1] else float("nan")
 
 
-def rollout(model, trajectories: np.ndarray, variant: Variant, mask: ConservationMask) -> RolloutResult:
+def rollout(model, trajectories: np.ndarray, variant: Variant, mask: tuple[bool, ...]) -> RolloutResult:
     """Roll the operator forward from frame 0 of each trajectory (samples, frames, channels, *spatial).
 
     ``model`` is an :class:`OperatorModel`, whose weights are folded once
@@ -296,7 +296,7 @@ def rollout(model, trajectories: np.ndarray, variant: Variant, mask: Conservatio
         bad = np.flatnonzero(~np.isfinite(state).reshape(n_samples, -1).all(axis=1))
         if bad.size:
             raise RuntimeError(f"rollout produced a non-finite state: sample {bad[0]} at step {k + 1}")
-        scored = state if variant is Variant.BASE else pin_channel_means(state, target_means, mask.flags)
+        scored = state if variant is Variant.BASE else pin_channel_means(state, target_means, mask)
         if variant is Variant.INTEGRATED:
             state = scored
         rmse[:, k], cons[:, k] = step_metrics(scored, traj[:, k + 1], mask)

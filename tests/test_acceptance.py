@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from zeromode.cli import main as cli_main
-from zeromode.correction import ConservationMask, Variant, check_error_reduction, pin_channel_means
+from zeromode.correction import Variant, check_error_reduction, pin_channel_means
 from zeromode.datafile import read_dataset, write_dataset
 from zeromode.datasets import Problem, desk_config, generate_dataset
 from zeromode.grid import Boundary, GridField, GridSpec, Precision, fft_forward, l2_norm
@@ -66,7 +66,7 @@ def test_criterion_01_spectral_error_identity():
 def test_criterion_02_error_reduction_audit():
     t0 = time.perf_counter()
     grid = GridSpec.square(24)
-    mask = ConservationMask((True,))
+    mask = (True,)
     rng = np.random.default_rng(1)
     bound_failures = 0
     equality_mismatches = 0
@@ -195,26 +195,26 @@ def test_criterion_06_solver_oracles():
 
     grid = GridSpec.line(64)
     x = grid.coords(0)
-    out = solve_diffusion_exact(1.0 + np.cos(2 * np.pi * x), grid, 0.05, 0.3)
+    out = solve_diffusion_exact((1.0 + np.cos(2 * np.pi * x))[None], grid, 0.05, [0.3])[0, 0]
     expected = 1.0 + np.exp(-0.05 * 4 * np.pi**2 * 0.3) * np.cos(2 * np.pi * x)
     checks.append(("diffusion decay", float(np.abs(out - expected).max()), 1e-10))
 
     grid = GridSpec.line(32)
     ic = np.random.default_rng(2).normal(size=32)
-    out = solve_convdiff_exact(ic, grid, 0.0, (1.0,), 4 / 32)
+    out = solve_convdiff_exact(ic[None], grid, 0.0, (1.0,), [4 / 32])[0, 0]
     shift_gap = float(np.abs(out - np.roll(ic, 4)).max())
     checks.append(("advection shift", shift_gap, 1e-12))
 
     grid = GridSpec.square(32)
     gx, gy = grid.meshgrid()
     ic = 0.2 * np.cos(2 * np.pi * gx) * np.cos(2 * np.pi * gy) + 0.1
-    outs = [solve_allen_cahn(ic, grid, 0.01, "dw", 0.02 / n, n, n)[-1] for n in (50, 100, 200)]
+    outs = [solve_allen_cahn(ic[None], grid, 0.01, "dw", 0.02 / n, n, n)[0, -1] for n in (50, 100, 200)]
     ratio = float(np.abs(outs[0] - outs[1]).max() / np.abs(outs[1] - outs[2]).max())
     ratio_ok = 1.7 <= ratio <= 2.3
 
     wgrid = GridSpec.square(32, boundary=Boundary.WALL)
     dam = dam_break_state(wgrid, radius=0.2, h_inner=2.0)
-    frames = solve_shallow_water(dam, wgrid, g_r=1.0, dt=0.005, n_steps=60, snapshot_stride=10)
+    frames = solve_shallow_water(dam[None], wgrid, g_r=1.0, dt=0.005, n_steps=60, snapshot_stride=10)[0]
     mass = frames[:, 0].mean(axis=(1, 2))
     drift = float(np.abs(mass - mass[0]).max() / abs(mass[0]))
     checks.append(("water mass drift", drift, 1e-12))
@@ -230,7 +230,7 @@ def test_criterion_07_gradient_check():
     assert n_params(cfg) <= 500
     rng = np.random.default_rng(3)
     worst_rel = 0.0
-    for loss, mask in (("mse", None), ("mae", None), ("mse", ConservationMask((True,)))):
+    for loss, mask in (("mse", None), ("mae", None), ("mse", (True,))):
         model = init_model(cfg)
         model.params[:] = rng.normal(0.0, 0.2, model.params.size)
         inputs = rng.normal(size=(2, 1, 8))
@@ -252,7 +252,7 @@ def test_criterion_07_gradient_check():
     model = init_model(cfg)
     model.params[:] = rng.normal(0.0, 0.2, model.params.size)
     _, grads = loss_and_grad(model, rng.normal(size=(3, 1, 8)), rng.normal(size=(3, 1, 8)),
-                             loss="mse", mask=ConservationMask((True,)))
+                             loss="mse", mask=(True,))
     slot = [s for s in layout(cfg) if s.name == "proj.bias"][0]
     uniform_grad = float(np.abs(grads[slot.offset : slot.offset + slot.n_floats]).max())
 

@@ -40,6 +40,13 @@ assigns the offsets, ``model.n_params`` and ``model._views`` read a
 ``ParamSlot``'s ``offset`` or ``n_floats``, in ``src/zeromode/`` or ``bench/``;
 every other reader of a named tensor takes its view from ``_views``.
 
+A mask has one spelling: the tuple of per-channel flags, true for a conserved
+channel.  Every parameter of a package function and every class field named
+``mask`` or ``flags`` in ``src/zeromode/`` is annotated ``tuple[bool, ...]``,
+optionally ``| None``.  ``correction._check_mask_width`` is its one width
+check, and ``datafile.read_dataset``, where a mask enters from outside the
+program, refuses one that flags no channel.
+
 Spectral weights are folded in one place too: ``model._fold`` is called only by
 ``model.fold_weights``, once per parameter state, and by ``verify``'s adjoint check.
 
@@ -191,6 +198,27 @@ def test_only_the_view_layer_reads_slot_offsets():
             if any(isinstance(node, ast.Attribute) and node.attr in ("offset", "n_floats") for node in ast.walk(top)):
                 readers.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
     assert readers == {"model.py:layout", "model.py:n_params", "model.py:_views"}
+
+
+MASK_ANNOTATIONS = {"tuple[bool, ...]", "tuple[bool, ...] | None"}
+
+
+def test_every_mask_is_a_flags_tuple():
+    spelled = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in owned_nodes(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                named = [(arg.arg, arg.annotation) for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                named = [(node.target.id, node.annotation)]
+            else:
+                continue
+            for name, annotation in named:
+                if name in ("mask", "flags"):
+                    spelled[f"{path.name}:{owner}:{name}"] = annotation and ast.unparse(annotation)
+    assert {"correction.py:pin_channel_means:flags", "datasets.py:<module>:mask"} <= spelled.keys()
+    assert {where: spelling for where, spelling in spelled.items() if spelling not in MASK_ANNOTATIONS} == {}
 
 
 def imports_correction(node: ast.AST) -> bool:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from zeromode.correction import ConservationMask
 from zeromode.metrics import (
     SCOPE_NOTE,
     MetricsRecord,
@@ -17,7 +16,7 @@ class TestRmse:
     def test_single_channel_closed_form(self):
         pred = np.array([[1.0, 2.0, 3.0, 4.0]])
         truth = np.array([[1.0, 2.0, 3.0, 2.0]])
-        assert np.isclose(step_metrics(pred[None], truth[None], ConservationMask((True,)))[0][0], np.sqrt(4.0 / 4.0))
+        assert np.isclose(step_metrics(pred[None], truth[None], (True,))[0][0], np.sqrt(4.0 / 4.0))
 
     def test_channels_average_not_pool(self):
         # channel 0 error 0, channel 1 error 2 everywhere: the mean of the
@@ -25,7 +24,7 @@ class TestRmse:
         pred = np.zeros((2, 8, 8))
         truth = np.zeros((2, 8, 8))
         truth[1] = 2.0
-        assert np.isclose(step_metrics(pred[None], truth[None], ConservationMask((True, True)))[0][0], 1.0)
+        assert np.isclose(step_metrics(pred[None], truth[None], (True, True))[0][0], 1.0)
 
     def test_metric_axioms_on_random_fields(self):
         rng = np.random.default_rng(0)
@@ -34,7 +33,7 @@ class TestRmse:
             a = rng.normal(size=(1, 2, 6, 6))
             b = rng.normal(size=(1, 2, 6, 6))
             c = rng.normal(size=(1, 2, 6, 6))
-            rmse = lambda p, q: step_metrics(p, q, ConservationMask((True, True)))[0][0]
+            rmse = lambda p, q: step_metrics(p, q, (True, True))[0][0]
             ab, ba = rmse(a, b), rmse(b, a)
             assert rmse(a, a) == 0.0
             assert np.isclose(ab, ba, rtol=1e-14)
@@ -42,7 +41,7 @@ class TestRmse:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            step_metrics(np.zeros((1, 1, 4)), np.zeros((1, 1, 5)), ConservationMask((True,)))
+            step_metrics(np.zeros((1, 1, 4)), np.zeros((1, 1, 5)), (True,))
 
 
 class TestConservationError:
@@ -51,7 +50,7 @@ class TestConservationError:
         pred = truth.copy()
         pred[1] += 0.02
         pred[2] -= 0.05
-        _, err = step_metrics(pred, truth, ConservationMask((True,)))
+        _, err = step_metrics(pred, truth, (True,))
         np.testing.assert_allclose(err, [0.0, 0.01, 0.025], atol=1e-15)
 
     def test_max_over_masked_channels(self):
@@ -60,7 +59,7 @@ class TestConservationError:
         pred[:, 0] += 0.01
         pred[:, 1] += 0.30
         pred[:, 2] += 0.70  # unmasked, must be ignored
-        mask = ConservationMask((True, True, False))
+        mask = (True, True, False)
         _, err = step_metrics(pred, truth, mask)
         np.testing.assert_allclose(err, [0.30, 0.30], rtol=1e-12)
 
@@ -70,7 +69,7 @@ class TestStepMetrics:
         rng = np.random.default_rng(5)
         truth = rng.normal(1.0, 1.0, size=(6, 3, 8, 8))
         pred = truth + rng.normal(0.0, 0.2, size=truth.shape)
-        mask = ConservationMask((True, False, True))
+        mask = (True, False, True)
         rmse_k, cons_k = step_metrics(pred, truth, mask)
         for k in range(6):
             assert rmse_k[k] == np.sqrt(((pred[k] - truth[k]) ** 2).mean(axis=(1, 2))).mean()
@@ -82,13 +81,13 @@ class TestStepMetrics:
         truth[1, 1] = 0.0  # channel 1 has no usable integral at frame 1 only
         truth[2] = 0.0  # no usable channel at frame 2
         pred = truth + np.array([0.1, 0.3])[None, :, None, None]
-        _, cons = step_metrics(pred, truth, ConservationMask((True, True)))
+        _, cons = step_metrics(pred, truth, (True, True))
         np.testing.assert_allclose(cons[:2], [0.3, 0.1], rtol=1e-12)
         assert np.isnan(cons[2])
 
     def test_mask_must_cover_every_channel(self):
         with pytest.raises(ValueError, match="mask covers 2 channels"):
-            step_metrics(np.ones((2, 1, 4)), np.ones((2, 1, 4)), ConservationMask((True, True)))
+            step_metrics(np.ones((2, 1, 4)), np.ones((2, 1, 4)), (True, True))
 
 
 class TestRecord:
@@ -204,6 +203,16 @@ class TestReport:
         ]
         with pytest.raises(ValueError, match="duplicate seed"):
             emit_report(dup, tmp_path)
+
+    def test_duplicate_seed_refusal_names_the_seed_and_the_reason(self, tmp_path):
+        # say one checkpoint evaluated on the valid and the test split: two records of seed 1
+        records = [MetricsRecord("diff", "base", seed, [1.0], [0.0]) for seed in (2, 1, 0, 1)]
+        expected = ("duplicate seed in records for diff/base: seed 1; a report takes one record per problem, "
+                    "variant and seed, so records of two splits go to two reports")
+        with pytest.raises(ValueError) as err:
+            emit_report(records, tmp_path)
+        assert str(err.value) == expected
+        assert not list(tmp_path.iterdir())
 
     def test_sci3_formatting(self):
         assert sci3(0.000123456) == "1.23E-04"

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import zeromode.model
-from zeromode.correction import ConservationMask
 from zeromode.model import (
     OperatorConfig,
     OperatorModel,
@@ -407,7 +406,7 @@ class TestWorkspace:
         # data-width arrays are fresh
         model = init_model(OperatorConfig(channels=1, seed=5))  # width 16
         x, t = np.random.default_rng(5).normal(size=(2, 5, 1, 128, 128))
-        step = lambda: loss_and_grad(model, x, t, loss="mae", mask=ConservationMask((True,)))
+        step = lambda: loss_and_grad(model, x, t, loss="mae", mask=(True,))
         step()  # the first call of a shape makes its buffers
         assert traced_peak(step) < model.params.nbytes + 5 * 16 * 128 * 128 * 8
 
@@ -470,14 +469,14 @@ class TestFoldOnce:
     def test_rollout_folds_once(self, monkeypatch, n_frames):
         calls = count_folds(monkeypatch)
         rollout(init_model(CFG_2D), np.random.default_rng(21).normal(size=(3, n_frames, 2, 8, 8)), Variant.BASE,
-                ConservationMask((True, True)))
+                (True, True))
         assert len(calls) == CFG_2D.n_layers
 
     def test_loss_and_grad_folds_once(self, monkeypatch):
         model = init_model(CFG_2D_THREE_ROLES)
         x, t = np.random.default_rng(20).normal(size=(2, 4, 3, 7, 10))
         calls = count_folds(monkeypatch)
-        loss_and_grad(model, x, t, loss="mae", mask=ConservationMask((True, False, True)))
+        loss_and_grad(model, x, t, loss="mae", mask=(True, False, True))
         assert len(calls) == CFG_2D_THREE_ROLES.n_layers
 
 
@@ -763,16 +762,16 @@ class TestGradientOracle:
         self.check(CFG_1D, (2, 1, 8), "mae", seed=32)
 
     def test_mse_2d_with_correction(self):
-        self.check(CFG_2D, (2, 2, 6, 6), "mse", mask=ConservationMask((True, False)), seed=33)
+        self.check(CFG_2D, (2, 2, 6, 6), "mse", mask=(True, False), seed=33)
 
     def test_mae_2d_with_correction(self):
-        self.check(CFG_2D, (2, 2, 6, 6), "mae", mask=ConservationMask((True, True)), seed=34)
+        self.check(CFG_2D, (2, 2, 6, 6), "mae", mask=(True, True), seed=34)
 
     def test_mse_2d_odd_non_square(self):
-        self.check(CFG_2D, (2, 2, 7, 10), "mse", mask=ConservationMask((True, False)), seed=35)
+        self.check(CFG_2D, (2, 2, 7, 10), "mse", mask=(True, False), seed=35)
 
     def test_mse_2d_three_block_roles(self):
-        self.check(CFG_2D_THREE_ROLES, (2, 3, 6, 6), "mse", mask=ConservationMask((True, False, True)), seed=36)
+        self.check(CFG_2D_THREE_ROLES, (2, 3, 6, 6), "mse", mask=(True, False, True), seed=36)
 
     def test_mse_1d_first_block_is_last(self):
         self.check(CFG_1D_ONE_BLOCK, (2, 2, 8), "mse", seed=37)
@@ -785,7 +784,7 @@ class TestGradientOracle:
         model.params[:] = rng.normal(0.0, 0.2, model.params.size)
         x = rng.normal(size=(3, 1, 8))
         t = rng.normal(size=(3, 1, 8))
-        _, grads = loss_and_grad(model, x, t, loss="mse", mask=ConservationMask((True,)))
+        _, grads = loss_and_grad(model, x, t, loss="mse", mask=(True,))
         slot = [s for s in layout(CFG_1D) if s.name == "proj.bias"][0]
         assert np.abs(grads[slot.offset : slot.offset + slot.n_floats]).max() < 1e-12
 

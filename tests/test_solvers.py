@@ -7,6 +7,7 @@ and telescoping mass sums for the finite-volume scheme.  The solvers'
 numpy transforms are held to ``scipy.fft``, which the tests alone need.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -100,28 +101,28 @@ class TestDiffusionExact:
         x, y = grid.meshgrid()
         ic = np.cos(2 * np.pi * 3 * x / 2.0)
         d_coeff, t = 0.05, 0.7
-        out = solve_diffusion_exact(ic, grid, d_coeff, t)
+        out = solve_diffusion_exact(ic[None], grid, d_coeff, [t])[0, 0]
         factor = np.exp(-d_coeff * (2 * np.pi * 3 / 2.0) ** 2 * t)
         np.testing.assert_allclose(out, ic * factor, atol=1e-12)
 
     def test_mean_preserved_and_t_zero_identity(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(0, grid, 20)
-        out = solve_diffusion_exact(ic, grid, 0.01, 2.0)
+        out = solve_diffusion_exact(ic[None], grid, 0.01, [2.0])
         assert out.mean() == pytest.approx(ic.mean(), abs=1e-14)
-        np.testing.assert_allclose(solve_diffusion_exact(ic, grid, 0.01, 0.0), ic, atol=1e-12)
+        np.testing.assert_allclose(solve_diffusion_exact(ic[None], grid, 0.01, [0.0])[0, 0], ic, atol=1e-12)
 
     def test_semigroup_property(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(1, grid, 20)
-        a = solve_diffusion_exact(ic, grid, 0.02, 0.9)
-        b = solve_diffusion_exact(solve_diffusion_exact(ic, grid, 0.02, 0.4), grid, 0.02, 0.5)
+        a = solve_diffusion_exact(ic[None], grid, 0.02, [0.9])
+        b = solve_diffusion_exact(solve_diffusion_exact(ic[None], grid, 0.02, [0.4])[0], grid, 0.02, [0.5])
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_rejects_negative_time(self):
         grid = GridSpec.square(8)
         with pytest.raises(ValueError):
-            solve_diffusion_exact(np.ones(grid.resolution), grid, 0.01, -1.0)
+            solve_diffusion_exact(np.ones((1, *grid.resolution)), grid, 0.01, [-1.0])
 
 
 class TestConvectionDiffusion:
@@ -130,20 +131,20 @@ class TestConvectionDiffusion:
         grid = GridSpec.square(16)
         ic = chebyshev_ic(3, grid, 20)
         dx = grid.spacing[0]
-        out = solve_convdiff_exact(ic, grid, 0.0, (1.0, 0.0), 4 * dx)
+        out = solve_convdiff_exact(ic[None], grid, 0.0, (1.0, 0.0), [4 * dx])[0, 0]
         np.testing.assert_allclose(out, np.roll(ic, 4, axis=0), atol=1e-10)
 
     def test_reduces_to_diffusion_at_zero_velocity(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(4, grid, 20)
-        a = solve_convdiff_exact(ic, grid, 0.03, (0.0, 0.0), 0.5)
-        b = solve_diffusion_exact(ic, grid, 0.03, 0.5)
+        a = solve_convdiff_exact(ic[None], grid, 0.03, (0.0, 0.0), [0.5])
+        b = solve_diffusion_exact(ic[None], grid, 0.03, [0.5])
         np.testing.assert_allclose(a, b, atol=1e-13)
 
     def test_mean_preserved(self):
         grid = GridSpec.square(16)
         ic = chebyshev_ic(5, grid, 20)
-        out = solve_convdiff_exact(ic, grid, 0.01, (1.0, 0.5), 0.1)
+        out = solve_convdiff_exact(ic[None], grid, 0.01, (1.0, 0.5), [0.1])
         assert out.mean() == pytest.approx(ic.mean(), abs=1e-14)
 
 
@@ -153,24 +154,24 @@ class TestHeatNeumann:
         x, _ = grid.meshgrid()
         ic = np.cos(np.pi * x / 1.0)
         d_coeff, t = 0.01, 1.0
-        out = solve_heat_neumann(ic, grid, d_coeff, t)
+        out = solve_heat_neumann(ic[None], grid, d_coeff, [t])[0, 0]
         np.testing.assert_allclose(out, ic * np.exp(-d_coeff * np.pi**2 * t), atol=1e-10)
 
     def test_mean_preserved_on_random_ic(self):
         grid = GridSpec.square(24, boundary=Boundary.NEUMANN)
         ic = chebyshev_ic(6, grid, 20)
-        out = solve_heat_neumann(ic, grid, 0.01, 0.8)
+        out = solve_heat_neumann(ic[None], grid, 0.01, [0.8])
         assert out.mean() == pytest.approx(ic.mean(), abs=1e-13)
 
     def test_long_time_limit_is_uniform_mean(self):
         grid = GridSpec.square(16, boundary=Boundary.NEUMANN)
         ic = chebyshev_ic(7, grid, 20)
-        out = solve_heat_neumann(ic, grid, 0.1, 500.0)
+        out = solve_heat_neumann(ic[None], grid, 0.1, [500.0])
         np.testing.assert_allclose(out, ic.mean(), atol=1e-8)
 
     def test_rejects_periodic_grid(self):
         with pytest.raises(ValueError, match="Neumann"):
-            solve_heat_neumann(np.ones((8, 8)), GridSpec.square(8), 0.01, 1.0)
+            solve_heat_neumann(np.ones((1, 8, 8)), GridSpec.square(8), 0.01, [1.0])
 
 
 class TestTransformsAgainstScipy:
@@ -214,7 +215,7 @@ class TestAllenCahn:
     def test_mass_pinned_over_thousand_steps(self):
         grid = GridSpec.square(32)
         ic = chebyshev_ic(8, grid, 20)
-        frames = solve_allen_cahn(ic, grid, 0.01, "dw", dt=1e-4, n_steps=1000, snapshot_stride=1000)
+        frames = solve_allen_cahn(ic[None], grid, 0.01, "dw", dt=1e-4, n_steps=1000, snapshot_stride=1000)[0]
         assert abs(frames[-1].mean() - frames[0].mean()) < 1e-12
 
     def test_first_order_dt_convergence(self):
@@ -223,7 +224,7 @@ class TestAllenCahn:
         ic = self.smooth_ic(grid)
         t_final = 0.02
         finals = [
-            solve_allen_cahn(ic, grid, 0.01, "dw", dt=t_final / n, n_steps=n, snapshot_stride=n)[-1]
+            solve_allen_cahn(ic[None], grid, 0.01, "dw", dt=t_final / n, n_steps=n, snapshot_stride=n)[0, -1]
             for n in (50, 100, 200)
         ]
         e1 = np.linalg.norm(finals[0] - finals[1])
@@ -235,7 +236,7 @@ class TestAllenCahn:
         grid = GridSpec.square(32)
         ic = chebyshev_ic(9, grid, 20)
         scaled = 0.9 * ic / np.abs(ic).max()
-        frames = solve_allen_cahn(scaled, grid, 0.01, "fh", dt=1e-4, n_steps=500, snapshot_stride=100)
+        frames = solve_allen_cahn(scaled[None], grid, 0.01, "fh", dt=1e-4, n_steps=500, snapshot_stride=100)[0]
         assert frames.shape[0] == 6
         assert abs(frames[-1].mean() - frames[0].mean()) < 1e-12
         assert np.abs(frames).max() < 1.0
@@ -245,7 +246,7 @@ class TestAllenCahn:
         """The half spectrum of an odd last axis: one step per complex fftn as the oracle."""
         grid = GridSpec(lengths=(1.0,) * len(resolution), resolution=resolution)
         u = 0.5 * np.tanh(np.random.default_rng(1).normal(size=resolution)) + 0.1
-        frames = solve_allen_cahn(u, grid, 0.01, "dw", dt=1e-4, n_steps=100, snapshot_stride=100)
+        frames = solve_allen_cahn(u[None], grid, 0.01, "dw", dt=1e-4, n_steps=100, snapshot_stride=100)[0]
         x = np.meshgrid(*(np.fft.fftfreq(n, d=1.0 / n) for n in resolution), indexing="ij")
         denom = 1.0 + 1e-4 * 0.01 * sum((2 * np.pi * k) ** 2 for k in x)
         v = u
@@ -261,13 +262,13 @@ class TestAllenCahn:
         ic[0, 0] = 0.9999999  # inside the clamp band
         ic[1, 1] = -0.5
         with pytest.raises(SolverError) as err:
-            solve_allen_cahn(ic, grid, 0.01, "fh", dt=1e-4, n_steps=10, snapshot_stride=10)
+            solve_allen_cahn(ic[None], grid, 0.01, "fh", dt=1e-4, n_steps=10, snapshot_stride=10)
         assert err.value.step == 1
 
     def test_unknown_potential_rejected(self):
         grid = GridSpec.square(8)
         with pytest.raises(ValueError, match="potential"):
-            solve_allen_cahn(np.full(grid.resolution, 0.1), grid, 0.01, "quartic", dt=1e-4, n_steps=1,
+            solve_allen_cahn(np.full((1, *grid.resolution), 0.1), grid, 0.01, "quartic", dt=1e-4, n_steps=1,
                              snapshot_stride=1)
 
 
@@ -279,13 +280,13 @@ class TestShallowWater:
         grid = self.grid(16)
         state = np.zeros((3, 16, 16))
         state[0] = 1.0
-        frames = solve_shallow_water(state, grid, g_r=1.0, dt=0.005, n_steps=50, snapshot_stride=50)
+        frames = solve_shallow_water(state[None], grid, g_r=1.0, dt=0.005, n_steps=50, snapshot_stride=50)[0]
         np.testing.assert_allclose(frames[-1], state, atol=1e-14)
 
     def test_dam_break_mass_conserved(self):
         grid = self.grid()
         state = dam_break_state(grid, radius=0.2, h_inner=2.0)
-        frames = solve_shallow_water(state, grid, g_r=1.0, dt=0.005, n_steps=60, snapshot_stride=10)
+        frames = solve_shallow_water(state[None], grid, g_r=1.0, dt=0.005, n_steps=60, snapshot_stride=10)[0]
         masses = frames[:, 0].sum(axis=(1, 2)) * grid.cell_volume
         assert np.abs(masses - masses[0]).max() / masses[0] < 1e-12
 
@@ -293,8 +294,8 @@ class TestShallowWater:
         grid = self.grid()
         state = dam_break_state(grid, radius=0.2, h_inner=2.0, center=(0.3, 0.5))
         mirrored = dam_break_state(grid, radius=0.2, h_inner=2.0, center=(0.7, 0.5))
-        a = solve_shallow_water(state, grid, 1.0, 0.005, 40, 40)[-1]
-        b = solve_shallow_water(mirrored, grid, 1.0, 0.005, 40, 40)[-1]
+        a = solve_shallow_water(state[None], grid, 1.0, 0.005, 40, 40)[0, -1]
+        b = solve_shallow_water(mirrored[None], grid, 1.0, 0.005, 40, 40)[0, -1]
         np.testing.assert_allclose(a[0], b[0, ::-1, :], atol=1e-10)
         np.testing.assert_allclose(a[1], -b[1, ::-1, :], atol=1e-10)
 
@@ -311,10 +312,10 @@ class TestShallowWater:
         state[1], state[2] = 0.3 * state[0], -0.1 * state[0]  # both axes' speeds carry a velocity
         per_dt = self.courant(state, grid, 1.0, 1.0)
         assert self.courant(state, grid, 1.0, 0.449 / per_dt) < 0.45
-        solve_shallow_water(state, grid, 1.0, dt=0.449 / per_dt, n_steps=1, snapshot_stride=1)
+        solve_shallow_water(state[None], grid, 1.0, dt=0.449 / per_dt, n_steps=1, snapshot_stride=1)
         assert self.courant(state, grid, 1.0, 0.451 / per_dt) > 0.45
-        with pytest.raises(ValueError, match=r"^initial CFL number 0\.451 exceeds 0\.45; reduce dt$"):
-            solve_shallow_water(state, grid, 1.0, dt=0.451 / per_dt, n_steps=10, snapshot_stride=10)
+        with pytest.raises(ValueError, match=r"^initial CFL number 0\.451 exceeds 0\.45 in sample 0; reduce dt$"):
+            solve_shallow_water(state[None], grid, 1.0, dt=0.451 / per_dt, n_steps=10, snapshot_stride=10)
 
     def test_initial_cfl_names_the_sample(self):
         grid = self.grid()
@@ -326,15 +327,15 @@ class TestShallowWater:
 
     def test_positive_depth_required(self):
         grid = self.grid(8)
-        state = np.zeros((3, 8, 8))
+        state = np.zeros((1, 3, 8, 8))
         with pytest.raises(ValueError, match="positive"):
             solve_shallow_water(state, grid, 1.0, 0.001, 1, 1)
 
 
 @pytest.mark.parametrize("solve, state", [
-    (lambda u, *steps: solve_allen_cahn(u, GridSpec.square(8), 0.01, "dw", *steps), np.full((8, 8), 0.1)),
+    (lambda u, *steps: solve_allen_cahn(u, GridSpec.square(8), 0.01, "dw", *steps), np.full((1, 8, 8), 0.1)),
     (lambda u, *steps: solve_shallow_water(u, GridSpec.square(8, boundary=Boundary.WALL), 1.0, *steps),
-     np.stack([np.ones((8, 8)), np.zeros((8, 8)), np.zeros((8, 8))])),
+     np.stack([np.ones((8, 8)), np.zeros((8, 8)), np.zeros((8, 8))])[None]),
 ], ids=["allen_cahn", "water"])
 @pytest.mark.parametrize("dt, n_steps, stride, message", [
     (0.0, 10, 10, "dt > 0"), (1e-3, 0, 1, "at least one step"),
@@ -350,7 +351,7 @@ class TestFluxBalance:
         grid = GridSpec.square(32)
         ic = chebyshev_ic(10, grid, 20)
         times = np.linspace(0.0, 0.5, 11)
-        traj = np.stack([solve_diffusion_exact(ic, grid, 0.01, t)[None] for t in times])
+        traj = solve_diffusion_exact(ic[None], grid, 0.01, times)[0, :, None]
         r = verify_flux_balance(traj, float(times[1]), grid)
         assert r.max() < 1e-12
 
@@ -359,7 +360,7 @@ class TestFluxBalance:
         grid = GridSpec.square(16)
         ic = chebyshev_ic(11, grid, 20)
         times = np.linspace(0.0, 0.5, 11)
-        traj = np.stack([solve_diffusion_exact(ic, grid, 0.01, t)[None] * np.exp(-t) for t in times])
+        traj = solve_diffusion_exact(ic[None], grid, 0.01, times)[0, :, None] * np.exp(-times)[:, None, None, None]
         r = verify_flux_balance(traj, float(times[1]), grid)
         expected_rate = abs(ic.mean())  # d/dt exp(-t) E0 at t=0
         assert r.max() > 0.1 * expected_rate
@@ -386,7 +387,7 @@ class TestBatching:
         batch = solve_allen_cahn(states, grid, 0.01, potential, **kwargs)
         assert batch.shape == (5, 5, 16, 16)
         for i, state in enumerate(states):
-            alone = solve_allen_cahn(state, grid, 0.01, potential, **kwargs)
+            alone = solve_allen_cahn(state[None], grid, 0.01, potential, **kwargs)[0]
             assert np.array_equal(batch[i], alone), i
             assert np.abs(batch[i].mean(axis=(1, 2)) - state.mean()).max() < 1e-12
 
@@ -397,10 +398,10 @@ class TestBatching:
         batch = solve_shallow_water(states, grid, 1.0, 0.005, 40, snapshot_stride=10)
         assert batch.shape == (5, 5, 3, 16, 16)
         for i, state in enumerate(states):
-            assert np.array_equal(batch[i], solve_shallow_water(state, grid, 1.0, 0.005, 40, snapshot_stride=10)), i
-        # any number of leading axes
-        nested = solve_shallow_water(states[None], grid, 1.0, 0.005, 40, snapshot_stride=10)
-        assert np.array_equal(nested, batch[None])
+            alone = solve_shallow_water(state[None], grid, 1.0, 0.005, 40, snapshot_stride=10)[0]
+            assert np.array_equal(batch[i], alone), i
+        with pytest.raises(ValueError, match=r"\(samples, 3, 16, 16\)"):  # one batch axis, no more
+            solve_shallow_water(states[None], grid, 1.0, 0.005, 40, snapshot_stride=10)
 
     def test_exact_propagators_batch_over_samples_and_times(self):
         grid = GridSpec.square(16)
@@ -410,19 +411,41 @@ class TestBatching:
         assert batch.shape == (3, 3, 16, 16)
         for i, state in enumerate(states):
             for f, t in enumerate(times):
-                single = solve_convdiff_exact(state, grid, 0.01, (1.0, 0.5), float(t))
+                single = solve_convdiff_exact(state[None], grid, 0.01, (1.0, 0.5), [t])[0, 0]
                 assert np.array_equal(batch[i, f], single), (i, f)
-        assert solve_diffusion_exact(states[0], grid, 0.01, times).shape == (3, 16, 16)
+        assert solve_diffusion_exact(states[:1], grid, 0.01, times).shape == (1, 3, 16, 16)
         with pytest.raises(ValueError, match="grid"):
-            solve_diffusion_exact(chebyshev_ic(0, GridSpec.square(8), 20), grid, 0.01, times)
+            solve_diffusion_exact(chebyshev_ic(0, GridSpec.square(8), 20)[None], grid, 0.01, times)
 
-    @pytest.mark.parametrize("solve, boundary, state_shape", [
-        (lambda u, grid: solve_diffusion_exact(u, grid, 0.01, 0.1), Boundary.PERIODIC, (8, 8)),
-        (lambda u, grid: solve_convdiff_exact(u, grid, 0.01, (1.0, 0.5), 0.1), Boundary.PERIODIC, (8, 8)),
-        (lambda u, grid: solve_heat_neumann(u, grid, 0.01, 0.1), Boundary.NEUMANN, (8, 8)),
+    each_solver = pytest.mark.parametrize("solve, boundary, state_shape", [
+        (lambda u, grid: solve_diffusion_exact(u, grid, 0.01, [0.1]), Boundary.PERIODIC, (8, 8)),
+        (lambda u, grid: solve_convdiff_exact(u, grid, 0.01, (1.0, 0.5), [0.1]), Boundary.PERIODIC, (8, 8)),
+        (lambda u, grid: solve_heat_neumann(u, grid, 0.01, [0.1]), Boundary.NEUMANN, (8, 8)),
         (lambda u, grid: solve_allen_cahn(u, grid, 0.01, "dw", 1e-4, 1, 1), Boundary.PERIODIC, (8, 8)),
         (lambda u, grid: solve_shallow_water(u, grid, 1.0, 1e-3, 1, 1), Boundary.WALL, (3, 8, 8)),
     ], ids=["diffusion", "convdiff", "heat", "allen_cahn", "water"])
+
+    @each_solver
+    def test_a_state_without_the_batch_axis_is_refused(self, solve, boundary, state_shape):
+        grid = GridSpec.square(8, boundary=boundary)
+        batch = re.escape(f"is not the grid's batch shape (samples, {', '.join(map(str, state_shape))})")
+        with pytest.raises(ValueError, match=batch):
+            solve(np.full(state_shape, 1.0), grid)
+        assert solve(np.full((1, *state_shape), 1.0), grid).shape[0] == 1
+
+    @pytest.mark.parametrize("solve, boundary", [
+        (lambda u, grid, t: solve_diffusion_exact(u, grid, 0.01, t), Boundary.PERIODIC),
+        (lambda u, grid, t: solve_convdiff_exact(u, grid, 0.01, (1.0, 0.5), t), Boundary.PERIODIC),
+        (lambda u, grid, t: solve_heat_neumann(u, grid, 0.01, t), Boundary.NEUMANN),
+    ], ids=["diffusion", "convdiff", "heat"])
+    def test_exact_propagators_refuse_a_scalar_time(self, solve, boundary):
+        grid = GridSpec.square(8, boundary=boundary)
+        states = np.full((2, 8, 8), 1.0)
+        with pytest.raises(ValueError, match="times must be a 1-D array of nonnegative times, got 0.1"):
+            solve(states, grid, 0.1)
+        assert solve(states, grid, [0.1]).shape == (2, 1, 8, 8)
+
+    @each_solver
     def test_non_finite_state_names_the_sample(self, solve, boundary, state_shape):
         grid = GridSpec.square(8, boundary=boundary)
         states = np.full((4, *state_shape), 0.1)
@@ -451,12 +474,25 @@ class TestBatching:
         kwargs = dict(dt=1e-3, n_steps=50, snapshot_stride=50)
         with np.errstate(all="ignore"):
             with pytest.raises(SolverError) as alone:
-                solve_allen_cahn(states[2], grid, 0.01, "dw", **kwargs)
+                solve_allen_cahn(states[2:3], grid, 0.01, "dw", **kwargs)
             with pytest.raises(SolverError) as err:
                 solve_allen_cahn(states, grid, 0.01, "dw", **kwargs)
-        assert alone.value.sample is None and alone.value.step > 1
+        assert alone.value.sample == 0 and alone.value.step > 1
         assert (err.value.sample, err.value.step) == (2, alone.value.step)
         assert f"state became non-finite (sample 2, step {alone.value.step})" in str(err.value)
+
+    def test_one_sample_blow_up_names_sample_0(self):
+        """A lone state goes in as a batch of one, and an abort names its sample, 0."""
+        grid = GridSpec.square(8)
+        state = np.full((8, 8), 0.1)
+        state[3, 5] = 100.0
+        kwargs = dict(dt=1e-3, n_steps=50, snapshot_stride=50)
+        with pytest.raises(ValueError, match=re.escape("(samples, 8, 8)")):
+            solve_allen_cahn(state, grid, 0.01, "dw", **kwargs)
+        with np.errstate(all="ignore"), pytest.raises(SolverError) as err:
+            solve_allen_cahn(state[None], grid, 0.01, "dw", **kwargs)
+        assert err.value.sample == 0 and err.value.step > 1
+        assert str(err.value) == f"state became non-finite (sample 0, step {err.value.step})"
 
     def test_fh_band_abort_comes_before_the_logarithms(self):
         """Step 1 pushes a state into the clamp band; step 2 aborts before log1p could warn, so it needs no clip."""
@@ -477,8 +513,8 @@ class TestBatching:
         states[3, 0] = 0.05
         states[3, 0, :8] = 2.0  # a one-sided step speeds up past the initial wave speed
         with pytest.raises(SolverError) as alone:
-            solve_shallow_water(states[3], grid, 1.0, dt, 60, 60)
-        assert alone.value.sample is None and alone.value.step > 1
+            solve_shallow_water(states[3:4], grid, 1.0, dt, 60, 60)
+        assert alone.value.sample == 0 and alone.value.step > 1
         with pytest.raises(SolverError) as err:
             solve_shallow_water(states, grid, 1.0, dt, 60, 60)
         assert "CFL" in str(err.value)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zeromode.training
-from zeromode.correction import ConservationMask, Variant, pin_channel_means
+from zeromode.correction import Variant, pin_channel_means
 from zeromode.datasets import (
     DatasetConfig,
     Problem,
@@ -205,7 +205,7 @@ class TestLossValue:
         model = init_model(self.CFG_2D)
         x = rng.normal(size=(3, 2, 6, 6))
         t = rng.normal(size=(3, 2, 6, 6))
-        mask = ConservationMask((True, False))
+        mask = (True, False)
         pred = forward_values(model, fold_weights(model), x)
         shift = x.mean(axis=(2, 3))[:, 0] - pred.mean(axis=(2, 3))[:, 0]
         pred[:, 0] += shift[:, None, None]
@@ -218,7 +218,7 @@ class TestLossValue:
         with pytest.raises(ValueError, match="mae"):
             loss_and_grad(model, x, x, loss="huber", mask=None)
         with pytest.raises(ValueError, match="mask covers"):
-            loss_and_grad(model, x, x, loss="mae", mask=ConservationMask((True, True)))
+            loss_and_grad(model, x, x, loss="mae", mask=(True, True))
 
     def test_non_finite_prediction_reported_with_index(self):
         model = init_model(self.CFG_1D)
@@ -239,7 +239,7 @@ class TestPinnedBytes:
     GRAD_CFG = OperatorConfig(channels=2, width=8, n_layers=2, modes_kept=4, ndim=2, seed=21)
 
     @pytest.mark.parametrize("loss, mask, digest", [
-        ("mse", ConservationMask((True, False)), "64f17db58759168d98dc23d4e9179e41f379a5eeaa2b8bfc1510a3142e6bf3c3"),
+        ("mse", (True, False), "64f17db58759168d98dc23d4e9179e41f379a5eeaa2b8bfc1510a3142e6bf3c3"),
         ("mae", None, "73de48e30a38478f0d63d4c78b4a01a9f90d2cb0edd5f90b48c7036f8fc1d6c6"),
     ], ids=["mse-masked", "mae"])
     def test_gradient_bytes_are_pinned(self, loss, mask, digest):
@@ -266,7 +266,7 @@ class TestIntegratedShiftFixture:
         raw, _ = loss_and_grad(model, state, state, loss="mae", mask=None)
         assert np.isclose(raw, 0.25, rtol=1e-12)
         corrected, _ = loss_and_grad(model, state, state, loss="mae",
-                                     mask=ConservationMask((True,)))
+                                     mask=(True,))
         assert corrected < 1e-6
 
 
@@ -281,10 +281,10 @@ def stacked_rollout(step, traj, variant, mask):
     for k in range(n_steps):
         state = step(state)
         if variant is Variant.INTEGRATED:
-            state = pin_channel_means(state, targets, mask.flags)
+            state = pin_channel_means(state, targets, mask)
         frames[:, k] = state
     if variant is Variant.STAGED:
-        frames = pin_channel_means(frames, np.broadcast_to(targets[:, None], frames.shape[:3]), mask.flags)
+        frames = pin_channel_means(frames, np.broadcast_to(targets[:, None], frames.shape[:3]), mask)
     stacked = (n_samples * n_steps, *traj.shape[2:])
     rmse, cons = step_metrics(frames.reshape(stacked), traj[:, 1:].reshape(stacked), mask)
     return rmse.reshape(n_samples, n_steps), cons.reshape(n_samples, n_steps)
@@ -301,7 +301,7 @@ def recording(step):
 
 class TestRollout:
     def test_single_frame_trajectory_is_empty(self):
-        result = rollout(lambda v: v, np.ones((1, 1, 1, 8, 8)), Variant.BASE, ConservationMask((True,)))
+        result = rollout(lambda v: v, np.ones((1, 1, 1, 8, 8)), Variant.BASE, (True,))
         assert isinstance(result, RolloutResult)
         assert result.rmse.shape == result.cons_err.shape == (1, 0)
         assert np.isnan(result.mean_rmse)
@@ -310,7 +310,7 @@ class TestRollout:
         rng = np.random.default_rng(3)
         traj = rng.normal(size=(6, 1, 8, 8)) + 2.0
         truth_frames = iter(traj[1:, None])
-        result = rollout(lambda v: next(truth_frames), traj[None], Variant.BASE, ConservationMask((True,)))
+        result = rollout(lambda v: next(truth_frames), traj[None], Variant.BASE, (True,))
         assert result.rmse.max() == 0.0
         # frames drift in mean relative to frame 0, so cons_err is not zero here
         assert result.rmse.shape == result.cons_err.shape == (1, 5)
@@ -318,7 +318,7 @@ class TestRollout:
     def test_feedback_pins_every_state(self):
         traj = np.full((6, 1, 8, 8), 1.3)
         biased = lambda v: v + 0.01
-        mask = ConservationMask((True,))
+        mask = (True,)
         off = rollout(biased, traj[None], variant=Variant.BASE, mask=mask)
         expected_drift = 0.01 * np.arange(1, 6) / 1.3
         np.testing.assert_allclose(off.cons_err[0], expected_drift, rtol=1e-12)
@@ -333,7 +333,7 @@ class TestRollout:
     def test_post_hoc_scores_the_pinned_base_states(self):
         rng = np.random.default_rng(4)
         traj = rng.normal(size=(3, 5, 2, 8, 8)) + 1.5
-        mask = ConservationMask((True, True))
+        mask = (True, True)
         step = lambda v: 0.9 * v + 0.01
         off, post = recording(step), recording(step)
         rollout(off, traj, variant=Variant.BASE, mask=mask)
@@ -343,7 +343,7 @@ class TestRollout:
         raw = off.fed[1:] + [step(off.fed[-1])]  # each step's prediction
         target = traj[:, 0].mean(axis=(2, 3))
         for k, state in enumerate(raw):
-            rmse, cons = step_metrics(pin_channel_means(state, target, mask.flags), traj[:, k + 1], mask)
+            rmse, cons = step_metrics(pin_channel_means(state, target, mask), traj[:, k + 1], mask)
             assert result.rmse[:, k].tobytes() == rmse.tobytes()
             assert result.cons_err[:, k].tobytes() == cons.tobytes()
 
@@ -352,7 +352,7 @@ class TestRollout:
         traj = rng.normal(1.5, 0.2, size=(4, 1, 8, 8))
         traj += 1.5 - traj.mean(axis=(1, 2, 3), keepdims=True)  # conserving truth
         step = lambda v: v**2 + 0.05
-        mask = ConservationMask((True,))
+        mask = (True,)
         fed = rollout(step, traj[None], variant=Variant.INTEGRATED, mask=mask)
         post = rollout(step, traj[None], variant=Variant.STAGED, mask=mask)
         assert not np.allclose(fed.rmse, post.rmse)
@@ -363,7 +363,7 @@ class TestRollout:
     def test_variant_value_rolls_as_its_member(self):
         traj = np.random.default_rng(12).normal(1.5, 0.2, size=(1, 4, 1, 8, 8))
         step = lambda v: v**2 + 0.05
-        mask = ConservationMask((True,))
+        mask = (True,)
         named = rollout(step, traj, "integrated", mask)
         member = rollout(step, traj, Variant.INTEGRATED, mask)
         assert named.rmse.tobytes() == member.rmse.tobytes()
@@ -372,7 +372,7 @@ class TestRollout:
             rollout(step, traj, "post_hoc", mask)
 
     def test_mask_channel_mismatch_rejected(self):
-        mask = ConservationMask((True, True))
+        mask = (True, True)
         for mode in Variant:
             with pytest.raises(ValueError, match="mask covers 2 channels"):
                 rollout(lambda v: v + 0.1, np.ones((1, 3, 1, 8, 8)), variant=mode, mask=mask)
@@ -387,7 +387,7 @@ class TestRollout:
         assert all(tape[f"block{i}"][2].min() < -25.0 for i in range(model.config.n_layers))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = rollout(model, traj, Variant.INTEGRATED, ConservationMask((True,)))
+            result = rollout(model, traj, Variant.INTEGRATED, (True,))
         assert np.all(np.isfinite(result.rmse))
 
     def test_non_finite_state_aborts_with_step(self):
@@ -398,7 +398,7 @@ class TestRollout:
             return np.full_like(v, np.nan) if calls["n"] == 2 else v
 
         with pytest.raises(RuntimeError, match="step 2"):
-            rollout(step, np.ones((1, 5, 1, 8, 8)), Variant.BASE, ConservationMask((True,)))
+            rollout(step, np.ones((1, 5, 1, 8, 8)), Variant.BASE, (True,))
 
     def test_non_finite_state_names_the_sample(self):
         def step(v):
@@ -410,7 +410,7 @@ class TestRollout:
         step.calls = 0
 
         with pytest.raises(RuntimeError, match="sample 2 at step 3"):
-            rollout(step, np.ones((3, 5, 1, 8, 8)), Variant.BASE, ConservationMask((True,)))
+            rollout(step, np.ones((3, 5, 1, 8, 8)), Variant.BASE, (True,))
 
     @pytest.mark.parametrize("mode", list(Variant))
     def test_batched_rows_equal_single_sample_rollouts(self, sets, mode):
@@ -425,7 +425,7 @@ class TestRollout:
 
     def test_zero_integral_channel_reports_nan(self):
         traj = np.zeros((1, 3, 1, 8, 8))
-        result = rollout(lambda v: v, traj, Variant.BASE, ConservationMask((True,)))
+        result = rollout(lambda v: v, traj, Variant.BASE, (True,))
         assert np.isnan(result.cons_err).all()
         assert result.rmse.max() == 0.0
 
@@ -436,10 +436,9 @@ class TestRollout:
         rng = np.random.default_rng(8)
         traj = rng.normal(1.0, 0.3, size=shape)
         traj[1][:, np.flatnonzero(flags)] = 0.0  # a zero conserved integral: NaN rows
-        mask = ConservationMask(flags)
         step = lambda v: 0.9 * v + 0.05 * np.tanh(np.roll(v, 1, axis=-1)) + 0.01
-        rmse, cons = stacked_rollout(step, traj, mode, mask)
-        result = rollout(step, traj, variant=mode, mask=mask)
+        rmse, cons = stacked_rollout(step, traj, mode, flags)
+        result = rollout(step, traj, variant=mode, mask=flags)
         assert np.isnan(cons[1]).all() and not np.isnan(cons[0]).any()
         assert result.rmse.tobytes() == rmse.tobytes()
         assert result.cons_err.tobytes() == cons.tobytes()
@@ -452,7 +451,7 @@ class TestRollout:
             traj = rng.normal(1.0, 0.2, size=(8, n_frames, 1, 32, 32))
             tracemalloc.start()
             try:
-                rollout(lambda v: 0.9 * v + 0.1, traj, variant=mode, mask=ConservationMask((True,)))
+                rollout(lambda v: 0.9 * v + 0.1, traj, variant=mode, mask=(True,))
                 peaks[n_frames] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
