@@ -66,12 +66,14 @@ would read weights its activations had evicted; none is cached, since the
 optimizer writes the parameters in place.  W_eff is 1 where W is 1 at the
 zero mode, so the operator that is the identity on constants keeps its bits.
 
-Mixing is one broadcast ``matmul`` per mode and sample, (B, n_half, 1, i) @
-(n_half, i, o), and its adjoint the same on the conjugated gradient, so a
-state gets the same bits alone or in any batch.  W_eff's gradient goes to
-W[k] as it is and to W[-k] conjugated, added through the mode-major view of
-W's gradient on the half band and then on the mirrors, since column 0 holds
-both k and -k and an assignment would drop a term.
+A spectral slot is stored mode-major, (n_modes, i, o), so the fold gathers
+and the gradient adds move whole contiguous (i, o) rows.  Mixing is one
+broadcast ``matmul`` per mode and sample, (B, n_half, 1, i) @ (n_half, i, o),
+and its adjoint the same on the conjugated gradient, so a state gets the same
+bits alone or in any batch.  W_eff's gradient goes to W[k] as it is and to
+W[-k] conjugated, added into the gradient's mode-major slot itself on the half
+band and then on the mirrors, since column 0 holds both k and -k and an
+assignment would drop a term.
 
 No autodiff framework is used: every layer has its own adjoint.  The operator
 knows no conservation law; the training module alone applies the pin and its
@@ -118,7 +120,7 @@ _GELU_C1 = -2.0 * _GELU_A * _GELU_B
 _GELU_V_MIN = -700.0
 
 CHECKPOINT_MAGIC = b"ZMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 _TILE_BYTES = 256 * 1024
@@ -194,7 +196,6 @@ class OperatorConfig:
     n_layers: int = 2
     modes_kept: int = 8
     ndim: int = 2
-    activation: str = "gelu_tanh"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -208,8 +209,6 @@ class OperatorConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.ndim not in (1, 2):
             raise ValueError(f"only 1-D and 2-D operators supported, got ndim={self.ndim}")
-        if self.activation != "gelu_tanh":
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def n_modes(self) -> int:
@@ -263,7 +262,7 @@ def layout(config: OperatorConfig) -> tuple[ParamSlot, ...]:
     add("lift.weight", (w, c))
     add("lift.bias", (w,))
     for i in range(config.n_layers):
-        add(f"block{i}.spectral", (w, w, m), is_complex=True)
+        add(f"block{i}.spectral", (m, w, w), is_complex=True)  # mode-major: (n_modes, i, o)
         add(f"block{i}.weight", (w, w))
         add(f"block{i}.bias", (w,))
     add("proj.weight", (c, w))
@@ -308,8 +307,9 @@ def init_model(config: OperatorConfig) -> OperatorModel:
     """Seeded initialization, drawn slot by slot in layout order.
 
     Spectral weights: uniform [0,1) real and imaginary parts scaled by
-    1/(width*width).  Pointwise weights: normal with std sqrt(2/(fan_in +
-    fan_out)).  Biases start at zero.
+    1/(width*width), drawn as (i, o, n_modes) arrays, all real parts first,
+    and stored transposed into the mode-major slot.  Pointwise weights: normal
+    with std sqrt(2/(fan_in + fan_out)).  Biases start at zero.
     """
     rng = np.random.default_rng(config.seed)
     params = np.zeros(n_params(config))
@@ -317,9 +317,10 @@ def init_model(config: OperatorConfig) -> OperatorModel:
     spectral_scale = 1.0 / (config.width * config.width)
     for slot in layout(config):
         if slot.is_complex:
-            re = rng.uniform(0.0, 1.0, slot.shape)
-            im = rng.uniform(0.0, 1.0, slot.shape)
-            views[slot.name][...] = spectral_scale * (re + 1j * im)
+            drawn = (*slot.shape[1:], slot.shape[0])  # (i, o, n_modes)
+            re = rng.uniform(0.0, 1.0, drawn)
+            im = rng.uniform(0.0, 1.0, drawn)
+            views[slot.name][...] = (spectral_scale * (re + 1j * im)).transpose(2, 0, 1)
         elif slot.name.endswith(".weight"):
             fan_out, fan_in = slot.shape
             views[slot.name][...] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), slot.shape)
@@ -437,9 +438,8 @@ def _from_band(modes: np.ndarray, band: _Band, out: np.ndarray | None = None) ->
 
 
 def _fold(weight: np.ndarray, band: _HalfBand | _Band) -> np.ndarray:
-    """W_eff[k] = (W[k] + conj W[-k]) / 2 of a spectral slot (i, o, n_modes) on the half band, as (n_half, i, o)."""
-    modes = weight.transpose(2, 0, 1)
-    eff, mirror = modes[band.half], modes[band.mirror]
+    """W_eff[k] = (W[k] + conj W[-k]) / 2 of a spectral slot (n_modes, i, o) on the half band, as (n_half, i, o)."""
+    eff, mirror = weight[band.half], weight[band.mirror]
     eff += np.conj(mirror, out=mirror)
     eff *= 0.5
     return eff
@@ -464,13 +464,12 @@ def _mixing_backward(
     """Band gradient of the mixing's input given that of its output; ``weight`` is ``_fold(W)``.
 
     sum_o conj(weight[k, i, o]) gy[b, o, k] is taken as conj(weight @ conj(gy)); W's gradient is added
-    into ``grad_weight``, shaped like W, through its mode-major view, as the module docstring says.
+    into ``grad_weight``, mode-major like W, as the module docstring says.
     """
     grad_eff = np.conj(x_modes).transpose(2, 1, 0) @ gy_modes.transpose(2, 0, 1)
     grad_eff *= (band.count / (2 * np.prod(band.resolution)))[:, None, None]
-    modes = grad_weight.transpose(2, 0, 1)
-    modes[band.half] += grad_eff
-    modes[band.mirror] += np.conj(grad_eff, out=grad_eff)  # column 0 holds both k and -k: each term is added
+    grad_weight[band.half] += grad_eff
+    grad_weight[band.mirror] += np.conj(grad_eff, out=grad_eff)  # column 0 holds both k and -k: each term is added
     gx = weight @ np.conj(gy_modes).transpose(0, 2, 1)[..., None]
     return np.conj(gx[..., 0]).transpose(0, 2, 1)
 
@@ -663,7 +662,7 @@ def vjp(model: OperatorModel, inputs: np.ndarray):
 
 
 def save_checkpoint(model: OperatorModel, path: str | os.PathLike) -> Path:
-    """Versioned binary checkpoint: header, config echo, flat F64 params."""
+    """Versioned binary checkpoint: header, config echo, the flat F64 parameter vector as it is."""
     config_blob = json.dumps(asdict(model.config), sort_keys=True).encode()
     params = model.params.astype("<f8", copy=False)
     return write_atomic(path, CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(config_blob)), config_blob,
@@ -671,7 +670,11 @@ def save_checkpoint(model: OperatorModel, path: str | os.PathLike) -> Path:
 
 
 def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
-    """Bit-exact inverse of :func:`save_checkpoint`; a malformed file raises ValueError naming it."""
+    """Bit-exact inverse of :func:`save_checkpoint`; a malformed file raises ValueError naming it.
+
+    A version-1 file also loads.  Its config names the one activation there is, ``"gelu_tanh"``, which is
+    checked and dropped, and it stores each spectral slot as (i, o, n_modes), which is transposed on load.
+    """
     try:
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -679,13 +682,18 @@ def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
                 raise ValueError(f"bad checkpoint magic {magic!r}")
             try:
                 version, config_len = struct.unpack("<HI", fh.read(6))
-                if version > CHECKPOINT_VERSION:
-                    raise ValueError(f"unsupported checkpoint version {version}")
+                if version not in (1, CHECKPOINT_VERSION):
+                    raise ValueError(f"unsupported checkpoint version {version}, expected 1 or {CHECKPOINT_VERSION}")
                 left = os.fstat(fh.fileno()).st_size - fh.tell()
                 if config_len > left:  # refused before a buffer of that size is allocated
                     raise struct.error(f"config length {config_len} runs past the {left} bytes left in the file")
+                fields = json.loads(fh.read(config_len).decode())
+                if version == 1 and isinstance(fields, dict):
+                    activation = fields.pop("activation", "gelu_tanh")
+                    if activation != "gelu_tanh":
+                        raise ValueError(f"unknown activation {activation!r}")
                 # TypeError: unknown config key, wrong value type, or not a JSON object
-                config = OperatorConfig(**json.loads(fh.read(config_len).decode()))
+                config = OperatorConfig(**fields)
                 count, crc = struct.unpack("<QI", fh.read(12))
             except (struct.error, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ValueError(f"header truncated or malformed: {exc}") from exc
@@ -694,4 +702,10 @@ def load_checkpoint(path: str | os.PathLike) -> OperatorModel:
             params = read_payload(fh, (count,), "<f8", crc)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from exc
+    if version == 1:
+        views = _views(params, config)
+        for slot in layout(config):
+            if slot.is_complex:
+                stored = views[slot.name].reshape(*slot.shape[1:], slot.shape[0])  # (i, o, n_modes)
+                views[slot.name][...] = stored.transpose(2, 0, 1).copy()
     return OperatorModel(config, params)

@@ -7,12 +7,22 @@ Update rule, applied elementwise at step t:
     mhat = m_t / (1 - beta1^t),   vhat = v_t / (1 - beta2^t)
     theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * weight_decay * theta
 
-The decay term multiplies the raw parameters, not the gradient, so with a
-zero gradient the parameters shrink by exactly (1 - lr * weight_decay).
+It is computed with the bias corrections folded into two scalars, so an
+entry costs one divide and one square root:
+
+    s = sqrt(v_t) * (1 / sqrt(1 - beta2^t)) + eps
+    theta <- theta * (1 - lr * weight_decay) - (lr / (1 - beta1^t)) * (m_t / s)
+
+This is the rule above with eps in the same place (added to sqrt(vhat), not
+to sqrt(v_t) as in Kingma & Ba's eps-hat form); it rounds differently, at
+the level of a few ulps.  The decay term multiplies the raw parameters, not
+the gradient, so with a zero gradient the parameters are multiplied by
+exactly (1 - lr * weight_decay).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -21,10 +31,10 @@ import numpy as np
 __all__ = ["OptimState", "init_optimizer", "adamw_step"]
 
 # A step runs over tiles of this many float64 elements (256 KiB).  Each tile
-# costs 16 numpy calls whatever its size, so the default operator's 231k
-# parameters take 8 tiles, not the 29 of 8,192-element tiles; the six
-# operands of a tile (four vectors, two scratch tiles) are 1.5 MiB, inside a
-# 2 MiB L2.  The scratch tiles are made once per state, so a step allocates
+# costs 14 numpy calls whatever its size, so the default operator's 231k
+# parameters take 8 tiles, not the 29 of 8,192-element tiles; the five
+# operands of a tile (four vectors, one scratch tile) are 1.25 MiB, inside a
+# 2 MiB L2.  The scratch tile is made once per state, so a step allocates
 # no array.
 _TILE = 32768
 
@@ -36,16 +46,15 @@ class OptimState:
     lr: float
     weight_decay: float
     step: int = 0
-    #: the step's two scratch tiles of min(_TILE, size) elements; made once, reused by every step
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    #: the step's scratch tile of min(_TILE, size) elements; made once, reused by every step
+    scratch: np.ndarray = field(init=False, repr=False)
 
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     eps: ClassVar[float] = 1e-8
 
     def __post_init__(self) -> None:
-        size = min(_TILE, self.m.size)
-        self.scratch = (np.empty(size), np.empty(size))
+        self.scratch = np.empty(min(_TILE, self.m.size))
 
 
 def init_optimizer(params: np.ndarray, lr: float, weight_decay: float) -> OptimState:
@@ -58,18 +67,19 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: OptimState) -> None
     if grads.shape != params.shape:
         raise ValueError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
 
-    # Tile by tile, each line updates in place or computes into one of two
-    # scratch tiles, in the operation order of the update rule above, so the
-    # result rounds exactly as the formula does.  The decay term reads the
-    # parameters before the step, so it is formed before they change.  A
-    # tile's views are dropped before the next tile's are made, so a step
-    # allocates no more than one tile's six views.
+    # Tile by tile, each line updates in place or computes into the scratch
+    # tile, in the operation order of the computed form above, so the result
+    # rounds exactly as that formula does.  A tile's views are dropped before
+    # the next tile's are made, so a step allocates no more than one tile's
+    # five views.
     t = state.step + 1
-    scratch, update = state.scratch
+    root_correction = 1.0 / math.sqrt(1.0 - state.beta2**t)
+    step_size = state.lr / (1.0 - state.beta1**t)
+    decay = 1.0 - state.lr * state.weight_decay
     for start in range(0, params.size, _TILE):
         tile = slice(start, start + _TILE)
         p, g, m, v = params[tile], grads[tile], state.m[tile], state.v[tile]
-        s, u = scratch[: p.size], update[: p.size]
+        s = state.scratch[: p.size]
         np.multiply(1.0 - state.beta1, g, out=s)
         m *= state.beta1
         m += s
@@ -77,14 +87,12 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, state: OptimState) -> None
         s *= 1.0 - state.beta2
         v *= state.beta2
         v += s
-        np.divide(v, 1.0 - state.beta2**t, out=s)  # vhat
-        np.sqrt(s, out=s)
+        np.sqrt(v, out=s)
+        s *= root_correction
         s += state.eps
-        np.divide(m, 1.0 - state.beta1**t, out=u)  # mhat
-        u *= state.lr
-        u /= s
-        np.multiply(state.lr * state.weight_decay, p, out=s)  # decay
-        p -= u
+        np.divide(m, s, out=s)
+        s *= step_size
+        p *= decay
         p -= s
-        del p, g, m, v, s, u
+        del p, g, m, v, s
     state.step = t

@@ -364,7 +364,7 @@ def _check_spectral_adjoint(correction: CorrectionFn):
     resolution, m = (7, 10), 3
     n_modes = (2 * m - 1) ** 2
     x = rng.normal(size=(2, 3, *resolution))
-    weight = rng.normal(size=(3, 3, n_modes)) + 1j * rng.normal(size=(3, 3, n_modes))
+    weight = rng.normal(size=(n_modes, 3, 3)) + 1j * rng.normal(size=(n_modes, 3, 3))  # mode-major, as stored
     band = _band(resolution, m)
     x_modes = _dft(x, band)
     weight_eff = _fold(weight, band)
@@ -377,7 +377,7 @@ def _check_spectral_adjoint(correction: CorrectionFn):
     gap = np.abs(x_modes - modes[..., band.half]).max() / np.abs(modes).max()
     if gap > 1e-12:
         return f"2-D band transform differs from direct DFT sums by {gap:.2e} (relative)"
-    mixed = np.einsum("iom,bim->bom", weight, modes).reshape(2, 3, 2 * m - 1, 2 * m - 1)
+    mixed = np.einsum("mio,bim->bom", weight, modes).reshape(2, 3, 2 * m - 1, 2 * m - 1)
     expected = np.einsum("kp,lq,bokl->bopq", *(d.conj() for d in dft), mixed).real / np.prod(resolution)
     gap = np.abs(y - expected).max() / np.abs(expected).max()
     if gap > 1e-12:

@@ -1,8 +1,21 @@
-"""Hand-set operators that the model and training tests share."""
+"""Hand-set operators, and the version-1 parameter order, that the model and training tests share."""
 
 import numpy as np
 
-from zeromode.model import OperatorConfig, OperatorModel, _views, n_params
+from zeromode.model import OperatorConfig, OperatorModel, _views, layout, n_params
+
+
+def in_version_1_order(flat: np.ndarray, config: OperatorConfig) -> np.ndarray:
+    """A copy of the flat vector ``flat`` with each spectral slot in the (i, o, n_modes) order of version-1 files.
+
+    Digests recorded before spectral slots were stored mode-major hash this order.
+    """
+    out = flat.copy()
+    source, target = _views(flat, config), _views(out, config)
+    for slot in layout(config):
+        if slot.is_complex:
+            target[slot.name].reshape(-1)[:] = source[slot.name].transpose(1, 2, 0).ravel()
+    return out
 
 
 def constant_identity_model(config: OperatorConfig) -> OperatorModel:
@@ -23,9 +36,9 @@ def constant_identity_model(config: OperatorConfig) -> OperatorModel:
     views = _views(model.params, config)
     views["lift.weight"][...] = lift
     views["proj.weight"][...] = proj
-    spectral = np.zeros((config.width, config.width, config.n_modes), dtype=np.complex128)
+    spectral = np.zeros((config.n_modes, config.width, config.width), dtype=np.complex128)
     for c in range(config.channels):
-        spectral[c, c, 0] = 1.0  # canonical position 0 is the zero mode
+        spectral[0, c, c] = 1.0  # canonical position 0 is the zero mode
     for i in range(config.n_layers):
         views[f"block{i}.spectral"][...] = spectral
     return model

@@ -450,6 +450,14 @@ def with_config(**changes):
     return edit
 
 
+def with_version(version, edit=None):
+    """The checkpoint, after ``edit`` if one is given, its header declaring ``version``."""
+    def build(blob):
+        blob = edit(blob) if edit else blob
+        return blob[:4] + struct.pack("<H", version) + blob[6:]
+    return build
+
+
 def taken_out_row(command, inside=False):
     """``command`` whose --out is taken by the other kind of path: a directory for gen, a file for the rest.
 
@@ -596,6 +604,15 @@ BAD_INPUTS = [
     pytest.param(checkpoint_row(with_config(channels=True)),
                  "bad.ckpt: header truncated or malformed: channels must be an integer, got True", True,
                  id="ckpt-config-bool-channels"),
+    pytest.param(checkpoint_row(with_version(0)), "bad.ckpt: unsupported checkpoint version 0, expected 1 or 2", True,
+                 id="ckpt-version-0"),
+    pytest.param(checkpoint_row(with_version(3)), "bad.ckpt: unsupported checkpoint version 3, expected 1 or 2", True,
+                 id="ckpt-version-3"),
+    # version 1 recorded the one activation there is; version 2 has no such key
+    pytest.param(checkpoint_row(with_version(1, with_config(activation="relu"))),
+                 "bad.ckpt: unknown activation 'relu'", True, id="ckpt-version-1-other-activation"),
+    pytest.param(checkpoint_row(with_config(activation="gelu_tanh")), "unexpected keyword argument 'activation'", True,
+                 id="ckpt-version-2-activation"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 0)), "bytes of header", True, id="data-cut-head"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 1)), "bytes of resolution", True, id="data-cut-resolution"),
     pytest.param(dataset_row(cut_inside(dataset_ends, 2)), "bytes of lengths", True, id="data-cut-lengths"),

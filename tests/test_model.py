@@ -5,6 +5,7 @@ import itertools
 import json
 import struct
 import tracemalloc
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from zeromode.model import (
 from zeromode.correction import Variant
 from zeromode.training import loss_and_grad, rollout
 
-from operator_fixtures import constant_identity_model
+from operator_fixtures import constant_identity_model, in_version_1_order
 
 CFG_1D = OperatorConfig(channels=1, width=3, n_layers=1, modes_kept=2, ndim=1, seed=11)
 CFG_2D = OperatorConfig(channels=2, width=3, n_layers=2, modes_kept=2, ndim=2, seed=12)
@@ -117,7 +118,7 @@ class TestLayout:
         model = OperatorModel(CFG_2D, np.zeros(n_params(CFG_2D)))
         views = _views(model.params, model.config)
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(3, 3, 9)) + 1j * rng.normal(size=(3, 3, 9))
+        w = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))  # mode-major
         b = rng.normal(size=(2,))
         views["block1.spectral"][...] = w
         views["proj.bias"][...] = b
@@ -307,9 +308,9 @@ class TestForward:
         rng = np.random.default_rng(5)
         views["lift.bias"][...] = rng.normal(size=3)
         views["proj.bias"][...] = rng.normal(size=2)
-        band_identity = np.zeros((3, 3, 9), dtype=np.complex128)
+        band_identity = np.zeros((9, 3, 3), dtype=np.complex128)
         for i in range(3):
-            band_identity[i, i, :] = 1.0
+            band_identity[:, i, i] = 1.0
         for i in range(CFG_2D.n_layers):
             views[f"block{i}.spectral"][...] = band_identity
             views[f"block{i}.weight"][...] = np.zeros((3, 3))
@@ -513,8 +514,8 @@ def fftn_spectral_layer(x, weight, modes_kept):
     band = np.ix_(*[np.concatenate([np.arange(modes_kept), np.arange(n - modes_kept + 1, n)])
                     for n in x.shape[2:]])
     x_modes = np.fft.fftn(x, axes=spatial)[(..., *band)].reshape(*x.shape[:2], -1)
-    y_modes = np.einsum("iom,bim->bom", weight, x_modes)
-    full = np.zeros((x.shape[0], weight.shape[1], *x.shape[2:]), dtype=np.complex128)
+    y_modes = np.einsum("mio,bim->bom", weight, x_modes)
+    full = np.zeros((x.shape[0], weight.shape[2], *x.shape[2:]), dtype=np.complex128)
     full[(..., *band)] = y_modes.reshape(*y_modes.shape[:2], *(b.size for b in band))
     return np.fft.ifftn(full, axes=spatial).real
 
@@ -522,7 +523,7 @@ def fftn_spectral_layer(x, weight, modes_kept):
 def brute_force_spectral_layer(x, weight, modes_kept):
     """Direct DFT sums over the band k, in canonical order:
 
-    X_i[k] = sum_q x_i(q) exp(-2 pi i k.q/N),  y_o(p) = Re (1/N) sum_k sum_i W[i,o,k] X_i[k] exp(2 pi i k.p/N)
+    X_i[k] = sum_q x_i(q) exp(-2 pi i k.q/N),  y_o(p) = Re (1/N) sum_k sum_i W[k,i,o] X_i[k] exp(2 pi i k.p/N)
     """
     resolution = x.shape[2:]
     per_axis = list(range(modes_kept)) + list(range(-(modes_kept - 1), 0))
@@ -535,8 +536,8 @@ def brute_force_spectral_layer(x, weight, modes_kept):
     for j, k in enumerate(band):
         for q in np.ndindex(resolution):
             x_modes[..., j] += x[(..., *q)] * np.exp(-1j * phase(k, q))
-    y_modes = np.einsum("iom,bim->bom", weight, x_modes)
-    y = np.zeros((x.shape[0], weight.shape[1], *resolution))
+    y_modes = np.einsum("mio,bim->bom", weight, x_modes)
+    y = np.zeros((x.shape[0], weight.shape[2], *resolution))
     for p in np.ndindex(resolution):
         acc = sum(y_modes[..., j] * np.exp(1j * phase(k, p)) for j, k in enumerate(band))
         y[(..., *p)] = acc.real / np.prod(resolution)
@@ -584,7 +585,7 @@ class TestSpectralLayer:
         rng = np.random.default_rng(seed)
         n_modes = (2 * modes_kept - 1) ** len(resolution)
         x = rng.normal(size=(2, 3, *resolution))
-        weight = rng.normal(size=(3, 2, n_modes)) + 1j * rng.normal(size=(3, 2, n_modes))
+        weight = rng.normal(size=(n_modes, 3, 2)) + 1j * rng.normal(size=(n_modes, 3, 2))
         return x, weight, _band(resolution, modes_kept)
 
     @pytest.mark.parametrize("resolution, modes_kept", SPECTRAL_GRIDS)
@@ -645,7 +646,7 @@ class TestBackwardKernels:
         rng = np.random.default_rng(68)
         n_half, n_modes = band.half.size, (2 * modes_kept - 1) ** len(resolution)
         x_modes, gy_modes = (complex_normal(rng, 5, width, n_half) for width in widths)
-        weight = complex_normal(rng, *widths, n_modes)
+        weight = complex_normal(rng, n_modes, *widths)
         grad_weight = np.zeros_like(weight)
         _mixing_backward(gy_modes, _fold(weight, band), x_modes, band, grad_weight)
 
@@ -654,13 +655,13 @@ class TestBackwardKernels:
         scale = band.count / (2 * np.prod(resolution))
         for j, (k, minus_k) in enumerate(zip(band.half, band.mirror)):
             grad_eff = (np.conj(x_modes[:, :, j]).T @ gy_modes[:, :, j]) * scale[j]
-            expected[:, :, k] += grad_eff
-            expected[:, :, minus_k] += np.conj(grad_eff)
+            expected[k] += grad_eff
+            expected[minus_k] += np.conj(grad_eff)
         assert grad_weight.tobytes() == expected.tobytes()
         # column 0 holds both k and -k of a pair, so each of its modes takes two terms
         both = np.intersect1d(band.half, band.mirror)
         assert both.size == (2 * modes_kept - 1 if len(resolution) == 2 else 1)
-        assert np.all(expected[:, :, both] != 0)
+        assert np.all(expected[both] != 0)
 
 
 # every grid with modes_kept at its Nyquist bound
@@ -789,6 +790,15 @@ class TestGradientOracle:
         assert np.abs(grads[slot.offset : slot.offset + slot.n_floats]).max() < 1e-12
 
 
+def version_1_bytes(model, activation="gelu_tanh"):
+    """The file a version-1 writer made of ``model``: ``activation`` in its config unless None, spectral slots (i, o, m)."""
+    fields = {**asdict(model.config), **({} if activation is None else {"activation": activation})}
+    config = json.dumps(fields, sort_keys=True).encode()
+    params = in_version_1_order(model.params, model.config)
+    return (b"ZMCK" + struct.pack("<HI", 1, len(config)) + config
+            + struct.pack("<QI", params.size, zlib.crc32(params)) + params.tobytes())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = init_model(CFG_2D)
@@ -797,27 +807,42 @@ class TestCheckpoint:
         assert back.config == model.config
         assert back.params.tobytes() == model.params.tobytes()
 
-    def test_file_holds_spectral_weights_in_canonical_order(self, tmp_path):
-        # the bytes written before spectral weights were stored mode-major
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # version 2: a config with no activation, then the vector with its spectral slots mode-major
         path = save_checkpoint(init_model(CFG_2D), tmp_path / "m.ckpt")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7bc9848523be7ff08240c217fdbcbc6fcca423c7ec3fc65c63965a77b78b90dd")
+
+    def test_file_holds_spectral_weights_in_canonical_order(self):
+        # the bytes version 1 wrote of this model, before spectral slots were stored mode-major: init draws the same
+        assert hashlib.sha256(version_1_bytes(init_model(CFG_2D))).hexdigest() == (
             "2ec911f7dc5da3ec78478583ca48276ba0982b0d1b9e07e55a19135a1728aa4a")
 
     def test_payload_is_the_parameter_vector(self, tmp_path):
-        # spectral weights sit in memory in the file's (i, o, m) order, so the payload is the vector as it is
+        # the file holds the vector as it is in memory, spectral slots mode-major
         model = init_model(CFG_2D)
         path = save_checkpoint(model, tmp_path / "m.ckpt")
         assert path.read_bytes()[-model.params.size * 8 :] == model.params.astype("<f8").tobytes()
 
     def test_canonical_checkpoint_loads_and_resaves_byte_identically(self, tmp_path):
-        # written from the flat vector rng(5).normal() taken in (i, o, m) order for every spectral weight
+        # a version-1 file written from the flat vector rng(5).normal(), every spectral slot in (i, o, m) order
         written = Path(__file__).parent / "data" / "canonical_w2.ckpt"
         model = load_checkpoint(written)
         canonical = np.random.default_rng(5).normal(size=n_params(model.config))
-        slot = next(s for s in layout(model.config) if s.is_complex)
-        expected = canonical[slot.offset : slot.offset + slot.n_floats].view(np.complex128).reshape(slot.shape)
-        assert _views(model.params, model.config)[slot.name].tobytes() == expected.tobytes()
-        assert save_checkpoint(model, tmp_path / "again.ckpt").read_bytes() == written.read_bytes()
+        assert in_version_1_order(model.params, model.config).tobytes() == canonical.tobytes()
+        assert version_1_bytes(model) == written.read_bytes()
+        again = load_checkpoint(save_checkpoint(model, tmp_path / "again.ckpt"))
+        assert again.config == model.config and again.params.tobytes() == model.params.tobytes()
+
+    @pytest.mark.parametrize("activation", ["gelu_tanh", None], ids=["gelu_tanh", "no-activation-key"])
+    def test_version_1_file_loads_to_the_same_model(self, tmp_path, activation):
+        model = init_model(CFG_2D_THREE_ROLES)
+        model.params[:] = np.random.default_rng(22).normal(size=model.params.size)
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(version_1_bytes(model, activation))
+        back = load_checkpoint(path)
+        assert back.config == model.config
+        assert back.params.tobytes() == model.params.tobytes()
 
     def test_no_temp_files_left(self, tmp_path):
         save_checkpoint(init_model(CFG_1D), tmp_path / "m.ckpt")

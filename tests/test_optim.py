@@ -67,7 +67,9 @@ class TestSingleStep:
             adamw_step(params, g, state)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g**2
-            theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps) - lr * wd * theta
+            # the computed form of the module docstring: the bias corrections as two scalars, one divide
+            s = np.sqrt(v) * (1 / np.sqrt(1 - b2**t)) + eps
+            theta = theta * (1 - lr * wd) - (lr / (1 - b1**t)) * (m / s)
             assert params.tobytes() == theta.tobytes()
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
@@ -76,7 +78,7 @@ class TestSingleStep:
         before = params.copy()
         state = init_optimizer(params, lr=1e-2, weight_decay=1e-3)
         adamw_step(params, np.zeros_like(params), state)
-        np.testing.assert_array_equal(params, before - state.lr * state.weight_decay * before)
+        np.testing.assert_array_equal(params, before * (1 - state.lr * state.weight_decay))
 
     def test_zero_lr_is_identity(self):
         params = fresh()

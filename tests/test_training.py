@@ -38,7 +38,7 @@ from zeromode.training import (
     train,
 )
 
-from operator_fixtures import constant_identity_model
+from operator_fixtures import constant_identity_model, in_version_1_order
 
 MODEL_CFG = OperatorConfig(channels=1, width=4, n_layers=1, modes_kept=2, ndim=2, seed=0)
 
@@ -231,8 +231,10 @@ class TestLossValue:
 class TestPinnedBytes:
     """A refactor of the loss or the loop keeps every bit.
 
-    The sha256 values were re-recorded when the GELU took its logistic form, which moves bits at rounding
-    level; ``test_anchor.py`` bounds how far such a move goes.
+    The sha256 values were re-recorded when the GELU took its logistic form, and the trained parameters' when
+    AdamW took its one-divide form; each moves bits at rounding level, and ``test_anchor.py`` bounds how far
+    such a move goes.  Each vector is hashed with its spectral slots in the (i, o, n_modes) order they were
+    stored in when the digests were recorded.
     """
 
     # two blocks of width 8 keeping 4 modes per axis at 16^2; two channels, batch 3
@@ -245,13 +247,13 @@ class TestPinnedBytes:
     def test_gradient_bytes_are_pinned(self, loss, mask, digest):
         inputs, targets = np.random.default_rng(2025).normal(1.0, 0.5, size=(2, 3, 2, 16, 16))
         _, grads = loss_and_grad(init_model(self.GRAD_CFG), inputs, targets, loss=loss, mask=mask)
-        assert hashlib.sha256(grads.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(in_version_1_order(grads, self.GRAD_CFG).tobytes()).hexdigest() == digest
 
     def test_trained_parameter_bytes_are_pinned(self, sets):
         train_set, valid_set = sets
         result = train(train_set, valid_set, MODEL_CFG, TrainConfig(mode="integrated", epochs=2, eval_every=2))
-        assert hashlib.sha256(result.model.params.tobytes()).hexdigest() == (
-            "a0d58aeb64d6bd57eccf7f04349f5b15aa38db40939896eb63678de013640083")
+        assert hashlib.sha256(in_version_1_order(result.model.params, MODEL_CFG).tobytes()).hexdigest() == (
+            "7741c03e5df76f9edbef52c798a8a8ed0a5efe2817a7362e3877f28c77c5440d")
 
 
 class TestIntegratedShiftFixture:
